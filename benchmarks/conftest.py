@@ -2,10 +2,14 @@
 
 Every module under ``benchmarks/`` regenerates one table or figure of the
 paper: it runs the relevant engines through :mod:`repro.bench.harness`,
-prints the series as a text table, appends it to
-``benchmarks/results/<name>.txt``, and exposes a pytest-benchmark measurement
-of the Layph engine so ``pytest benchmarks/ --benchmark-only`` reports timings
-for every experiment.
+prints the series as a text table, writes it to ``benchmarks/out/<name>.txt``
+(git-ignored; each run replaces the file), and exposes a pytest-benchmark
+measurement of the Layph engine so ``pytest benchmarks/ --benchmark-only``
+reports timings for every experiment.
+
+The tracked copies under ``benchmarks/results/`` are refreshed only on
+request — ``python -m pytest benchmarks --refresh-results`` — so running the
+suite never rewrites tracked files.
 """
 
 from __future__ import annotations
@@ -13,9 +17,7 @@ from __future__ import annotations
 import functools
 import random
 from pathlib import Path
-from typing import Dict, List, Sequence
-
-import pytest
+from typing import Set
 
 from repro.bench.harness import ExperimentResult, compare_engines, engines_for
 from repro.engine.algorithms import make_algorithm
@@ -24,7 +26,15 @@ from repro.graph.graph import Graph
 from repro.workloads.datasets import DATASETS
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
+#: tracked copies of the rendered tables, rewritten only by ``--refresh-results``
 RESULTS_DIR = Path(__file__).parent / "results"
+#: where a plain run writes them (listed in ``.gitignore``)
+OUTPUT_DIR = Path(__file__).parent / "out"
+
+_record_dir = OUTPUT_DIR
+#: tables already written by this session: the first ``record`` of a name
+#: replaces its file, later ones follow it
+_recorded: Set[str] = set()
 
 #: default ΔG size used by the figure benchmarks (the paper uses 5,000 unit
 #: updates on graphs of ~10^9 edges; the substitutes keep the same "tiny
@@ -36,11 +46,35 @@ ALGORITHMS = ("sssp", "bfs", "pagerank", "php")
 DATASET_NAMES = ("uk", "it", "sk", "wb")
 
 
+def pytest_addoption(parser) -> None:
+    # Seen when ``benchmarks`` (or a path below it) is named on the command
+    # line; a bare ``pytest`` from the repo root loads this file too late to
+    # add options, and then writes to ``benchmarks/out/`` like any plain run.
+    parser.addoption(
+        "--refresh-results",
+        action="store_true",
+        default=False,
+        help="write the rendered tables to the tracked benchmarks/results/ "
+        "instead of the git-ignored benchmarks/out/",
+    )
+
+
+def pytest_configure(config) -> None:
+    global _record_dir
+    if config.getoption("--refresh-results", default=False):
+        _record_dir = RESULTS_DIR
+
+
 def record(name: str, text: str) -> None:
-    """Append a rendered table to ``benchmarks/results/<name>.txt``."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
-    with open(path, "a", encoding="utf-8") as handle:
+    """Write a rendered table to ``<name>.txt`` of this run's output directory.
+
+    The file holds exactly this session's tables: the first table recorded
+    under a name replaces the file, further tables of the same name follow.
+    """
+    _record_dir.mkdir(parents=True, exist_ok=True)
+    mode = "a" if name in _recorded else "w"
+    _recorded.add(name)
+    with open(_record_dir / f"{name}.txt", mode, encoding="utf-8") as handle:
         handle.write(text.rstrip("\n") + "\n\n")
 
 
@@ -110,12 +144,6 @@ def vertex_update_cell(dataset_name: str) -> ExperimentResult:
         engines=["ingress", "layph"],
         check_correctness=False,
     )
-
-
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    return RESULTS_DIR
 
 
 def run_once(benchmark, func, *args, **kwargs):

@@ -19,7 +19,7 @@ shortcut with the very same ``combine`` operator.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.graph.graph import Graph
 
@@ -95,6 +95,22 @@ class AlgorithmSpec(abc.ABC):
     @abc.abstractmethod
     def edge_factor(self, graph: Graph, source: int, target: int) -> float:
         """Per-edge factor of edge ``source -> target`` in ``graph``."""
+
+    def out_factors(self, graph: Graph, source: int) -> List[Tuple[int, float]]:
+        """``(target, edge_factor)`` of every out-edge of ``source``, in
+        out-adjacency order.
+
+        Row enumerators (CSR compiles and patches, factor adjacencies,
+        Layph's upper rows) call this once per source instead of
+        :meth:`edge_factor` once per edge, so a spec whose factors share a
+        per-source term (PHP's total out-weight) overrides it to compute
+        that term once per row.  An override must return exactly the
+        ``edge_factor`` values, bit for bit.
+        """
+        return [
+            (target, self.edge_factor(graph, source, target))
+            for target in graph.out_neighbors(source)
+        ]
 
     # ------------------------------------------------------------------
     # initial values

@@ -17,6 +17,8 @@ weight-sensitive, which is why the paper evaluates it separately.
 
 from __future__ import annotations
 
+from typing import List, Tuple
+
 from repro.engine.algorithm import AlgorithmSpec
 from repro.graph.graph import Graph
 
@@ -55,6 +57,19 @@ class PHP(AlgorithmSpec):
         if total_weight == 0.0:
             return 0.0
         return self.damping * graph.edge_weight(source, target) / total_weight
+
+    def out_factors(self, graph: Graph, source: int) -> List[Tuple[int, float]]:
+        # One denominator per row: ``edge_factor`` re-sums the source's
+        # out-weights for every edge, which is O(degree²) per row.
+        neighbors = graph.out_neighbors(source)
+        total_weight = sum(neighbors.values())
+        if total_weight == 0.0:
+            return [(target, 0.0) for target in neighbors]
+        damping = self.damping
+        return [
+            (target, damping * weight / total_weight)
+            for target, weight in neighbors.items()
+        ]
 
     # initial values ----------------------------------------------------
     def initial_state(self, vertex: int) -> float:

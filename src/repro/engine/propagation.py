@@ -54,10 +54,7 @@ class FactorAdjacency:
         """Build the factor adjacency of ``graph`` under ``spec``."""
         adjacency: Dict[int, List[Tuple[int, float]]] = {}
         for source in graph.vertices():
-            edges = [
-                (target, spec.edge_factor(graph, source, target))
-                for target in graph.out_neighbors(source)
-            ]
+            edges = spec.out_factors(graph, source)
             if edges:
                 adjacency[source] = edges
         return cls(adjacency)
@@ -70,9 +67,7 @@ class FactorAdjacency:
     @property
     def version(self) -> int:
         """Mutation counter: bumped by every :meth:`add` and every effective
-        :meth:`replace_rows`.  Keys the CSR compile memo and Layph's cached
-        reverse view (:meth:`repro.layph.layered_graph.LayeredGraph.
-        upper_in_adjacency`)."""
+        :meth:`replace_rows`.  Keys the CSR compile memo."""
         return self._version
 
     def out_edges(self, vertex: int) -> List[Tuple[int, float]]:
@@ -100,7 +95,7 @@ class FactorAdjacency:
         """
         return self._adjacency == other._adjacency
 
-    def replace_rows(self, rows: Dict[int, List[Tuple[int, float]]]) -> bool:
+    def replace_rows(self, rows: Dict[int, List[Tuple[int, float]]]) -> List[int]:
         """Replace whole per-source link lists in place.
 
         A source mapped to an empty list is dropped (matching an assembly
@@ -108,19 +103,19 @@ class FactorAdjacency:
         stored one are left untouched, and the mutation counter — which keys
         the :func:`repro.graph.csr_cache.master_factor_csr` compile memo —
         is bumped only when something actually changed, so a no-op patch
-        keeps the compiled CSR alive across deltas.  Returns whether any row
-        changed.
+        keeps the compiled CSR alive across deltas.  Returns the sources
+        whose row changed.
         """
-        changed = False
+        changed: List[int] = []
         for source, row in rows.items():
             old_row = self._adjacency.get(source)
             if row:
                 if old_row != row:
                     self._adjacency[source] = row
-                    changed = True
+                    changed.append(source)
             elif old_row is not None:
                 del self._adjacency[source]
-                changed = True
+                changed.append(source)
         if changed:
             self._version += 1
         return changed

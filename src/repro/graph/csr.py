@@ -254,13 +254,7 @@ class FactorCSR:
     def from_graph(cls, spec, graph: Graph) -> "FactorCSR":
         """Factor CSR of a whole :class:`Graph` under algorithm ``spec``."""
         vertex_ids = sorted(graph.vertices())
-        rows = [
-            [
-                (target, spec.edge_factor(graph, vertex, target))
-                for target in graph.out_neighbors(vertex)
-            ]
-            for vertex in vertex_ids
-        ]
+        rows = [spec.out_factors(graph, vertex) for vertex in vertex_ids]
         return cls.from_rows(vertex_ids, rows)
 
     @classmethod

@@ -24,7 +24,13 @@ that gap:
   :class:`repro.engine.propagation.FactorAdjacency` on the adjacency object
   itself, so repeated ``propagate`` calls over the same adjacency (Layph's
   per-boundary-vertex shortcut computations, retries with unchanged
-  ``states``/``pending``) compile once instead of per call.
+  ``states``/``pending``) compile once instead of per call; and
+  :func:`splice_master_csr` carries that memo across an in-place row
+  replacement, which is how Layph's compiled upper layer stays resident
+  from delta to delta.
+* Both kinds of patch go through :func:`splice_rows`, the one row splice:
+  re-enumerated rows in, everything else moved in runs of consecutive rows,
+  the id space followed when vertices join or leave.
 
 Patched arrays are **exactly** equal — ids, offsets, targets and factor bits
 — to a fresh ``FactorCSR.from_graph`` compile of the updated graph; the
@@ -50,11 +56,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.graph.csr import FactorCSR
+from repro.graph.csr import FactorCSR, expand_edges
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
 
@@ -165,6 +171,142 @@ def _changed_row_vertices(
     return changed
 
 
+def splice_rows(
+    old_csr: FactorCSR,
+    rows: Dict[int, Sequence[Tuple[int, float]]],
+    new_ids: Optional[Sequence[int]] = None,
+) -> Optional[FactorCSR]:
+    """``old_csr`` with some rows replaced and, optionally, its id space moved.
+
+    ``rows`` maps a vertex id to its re-enumerated ``(target id, factor)``
+    list; ``new_ids`` is the ascending id space of the result (``None``: the
+    id space is unchanged).  Only the given rows cost Python work: every
+    other row is moved in maximal runs that are consecutive in *both*
+    snapshots, one slice copy each (targets additionally pass through the
+    old-row → new-row remap when the id space shifted).  A vertex of
+    ``new_ids`` that ``old_csr`` does not index gets its entry of ``rows``
+    or an empty row; entries of ``rows`` for vertices outside ``new_ids``
+    leave with their vertex.  The result is bit-for-bit a fresh compile of
+    the same rows and carries a :class:`PatchNote`.
+
+    Returns ``None`` when a link — of a row that was not handed in, or of
+    one that was — points outside the new id space: the caller's row
+    footprint was too small, and it must compile from scratch.
+    """
+    same_ids = new_ids is None
+    n_old = old_csr.num_vertices
+    if same_ids:
+        ids: List[int] = old_csr.vertex_ids
+        index = old_csr.index
+        # Carry the memoized id array forward so per-delta consumers
+        # (footprint row diffs, revision deduction) do not re-materialise an
+        # O(V) conversion per patch.
+        ids_arr = old_csr._ids_cache
+        n_new = n_old
+        remap: Optional[np.ndarray] = None
+    else:
+        ids_arr = np.asarray(new_ids, dtype=np.int64)
+        ids = ids_arr.tolist()
+        n_new = len(ids)
+        index = dict(zip(ids, range(n_new)))
+        # Both id lists ascend: one binary search aligns them.
+        old_arr = old_csr.ids_array()
+        if n_old:
+            position = np.minimum(np.searchsorted(old_arr, ids_arr), n_old - 1)
+            kept = old_arr[position] == ids_arr
+        else:
+            position = np.zeros(n_new, dtype=np.int64)
+            kept = np.zeros(n_new, dtype=bool)
+        old_row_of_new = np.where(kept, position, -1)
+        remap = np.full(n_old, -1, dtype=np.int64)
+        remap[position[kept]] = np.nonzero(kept)[0]
+
+    changed: Set[int] = {index[vertex] for vertex in rows if vertex in index}
+    if not same_ids:
+        # Brand-new vertices have no old row to copy from, changed or not.
+        changed.update(np.nonzero(~kept)[0].tolist())
+    changed_rows = sorted(changed)
+    changed_arr = np.array(changed_rows, dtype=np.int64)
+
+    # The handed-in rows, flattened (Python work proportional to the
+    # footprint, not to |E|).
+    counts: List[int] = []
+    flat_targets: List[int] = []
+    flat_factors: List[float] = []
+    try:
+        for row in changed_rows:
+            entries = rows.get(ids[row], ())
+            counts.append(len(entries))
+            for target, factor in entries:
+                flat_targets.append(index[target])
+                flat_factors.append(factor)
+    except KeyError:
+        return None
+
+    if same_ids:
+        row_counts = old_csr.out_degree.copy()
+    else:
+        row_counts = np.zeros(n_new, dtype=np.int64)
+        row_counts[kept] = old_csr.out_degree[position[kept]]
+    row_counts[changed_arr] = counts
+    offsets = np.zeros(n_new + 1, dtype=np.int64)
+    np.cumsum(row_counts, out=offsets[1:])
+    num_edges = int(offsets[-1])
+    targets = np.empty(num_edges, dtype=np.int64)
+    factors = np.empty(num_edges, dtype=np.float64)
+
+    # Bulk-move the untouched rows, one slice copy (memcpy speed) per run.
+    untouched = np.ones(n_new, dtype=bool)
+    untouched[changed_arr] = False
+    dst_rows = np.nonzero(untouched)[0]
+    if dst_rows.size:
+        src_rows = dst_rows if same_ids else old_row_of_new[dst_rows]
+        step = np.diff(dst_rows) != 1
+        if not same_ids:
+            step |= np.diff(src_rows) != 1
+        breaks = np.nonzero(step)[0] + 1
+        first = np.concatenate(([0], breaks))
+        last = np.concatenate((breaks, [dst_rows.size])) - 1
+        old_offsets = old_csr.offsets
+        for src0, src1, dst0 in zip(
+            old_offsets[src_rows[first]].tolist(),
+            old_offsets[src_rows[last] + 1].tolist(),
+            offsets[dst_rows[first]].tolist(),
+        ):
+            if src1 == src0:
+                continue
+            moved = old_csr.targets[src0:src1]
+            if remap is not None:
+                moved = remap[moved]
+                if (moved < 0).any():
+                    return None
+            targets[dst0 : dst0 + (src1 - src0)] = moved
+            factors[dst0 : dst0 + (src1 - src0)] = old_csr.factors[src0:src1]
+
+    # Splice in the handed-in rows.
+    if flat_targets:
+        slots = expand_edges(
+            offsets[changed_arr], np.array(counts, dtype=np.int64), len(flat_targets)
+        )
+        targets[slots] = np.array(flat_targets, dtype=np.int64)
+        factors[slots] = np.array(flat_factors, dtype=np.float64)
+
+    patched = FactorCSR(ids, offsets, targets, factors, index=index)
+    patched._ids_cache = ids_arr
+    patched.patch_note = PatchNote(
+        parent=old_csr,
+        changed_rows=changed_arr,
+        same_ids=same_ids,
+        counts_changed=bool(
+            same_ids and not np.array_equal(offsets, old_csr.offsets)
+        ),
+    )
+    # Sever the provenance chain at one generation so a long delta sequence
+    # retains at most the immediately preceding snapshot.
+    old_csr.patch_note = None
+    return patched
+
+
 def _patch_csr(
     spec,
     old_csr: FactorCSR,
@@ -176,10 +318,9 @@ def _patch_csr(
 ) -> Optional[FactorCSR]:
     """Patched snapshot for ``new_graph``, or ``None`` when a rebuild is due.
 
-    Only the changed rows are re-enumerated in Python; unchanged rows are
-    moved wholesale with numpy gather/scatter (targets remapped when the
-    vertex-id space shifted).  The result is bit-for-bit identical to a
-    fresh compile of ``new_graph``.
+    Only the changed rows are re-enumerated in Python; :func:`splice_rows`
+    moves the rest.  The result is bit-for-bit identical to a fresh compile
+    of ``new_graph``.
     """
     added = delta.added_edges(old_graph)
     deleted = delta.deleted_edges(old_graph)
@@ -194,137 +335,25 @@ def _patch_csr(
     changed = _changed_row_vertices(
         spec, orientation, added, deleted, old_graph, new_graph
     )
-
-    old_ids = old_csr.vertex_ids
-    old_index = old_csr.index
-    new_ids = sorted(new_graph.vertices())
-    n_new = len(new_ids)
-    same_ids = new_ids == old_ids
-    if same_ids:
-        new_index = old_index
-        old_row_of_new = np.arange(n_new, dtype=np.int64)
-        remap: Optional[np.ndarray] = None
+    if orientation == "out":
+        rows = {
+            vertex: spec.out_factors(new_graph, vertex)
+            for vertex in changed
+            if new_graph.has_vertex(vertex)
+        }
     else:
-        new_index = {vertex: row for row, vertex in enumerate(new_ids)}
-        old_row_of_new = np.fromiter(
-            (old_index.get(vertex, -1) for vertex in new_ids), np.int64, count=n_new
-        )
-        remap = np.full(len(old_ids), -1, dtype=np.int64)
-        for position, vertex in enumerate(old_ids):
-            row = new_index.get(vertex)
-            if row is not None:
-                remap[position] = row
-
-    changed_rows: Set[int] = {new_index[v] for v in changed if v in new_index}
-    # Brand-new vertices have no old row to copy from, changed or not.
-    changed_rows.update(int(row) for row in np.nonzero(old_row_of_new < 0)[0])
-
-    # Re-enumerate the changed rows from the new graph (Python work
-    # proportional to the delta's footprint, not to |E|).
-    new_rows: Dict[int, List[Tuple[int, float]]] = {}
-    for row in changed_rows:
-        vertex = new_ids[row]
-        if orientation == "out":
-            entries = [
-                (new_index[target], spec.edge_factor(new_graph, vertex, target))
-                for target in new_graph.out_neighbors(vertex)
-            ]
-        else:
-            entries = [
-                (new_index[source], spec.edge_factor(new_graph, source, vertex))
+        rows = {
+            vertex: [
+                (source, spec.edge_factor(new_graph, source, vertex))
                 for source in new_graph.in_neighbors(vertex)
             ]
-        new_rows[row] = entries
-
-    changed_arr = np.fromiter(sorted(changed_rows), np.int64, count=len(changed_rows))
-    unchanged_mask = np.ones(n_new, dtype=bool)
-    if changed_arr.size:
-        unchanged_mask[changed_arr] = False
-    unchanged_rows = np.nonzero(unchanged_mask)[0]
-
-    old_counts = old_csr.out_degree
-    row_counts = np.zeros(n_new, dtype=np.int64)
-    if unchanged_rows.size:
-        row_counts[unchanged_rows] = old_counts[old_row_of_new[unchanged_rows]]
-    for row in changed_rows:
-        row_counts[row] = len(new_rows[row])
-
-    counts = np.zeros(n_new + 1, dtype=np.int64)
-    counts[1:] = row_counts
-    offsets = np.cumsum(counts)
-    num_edges = int(offsets[-1])
-    targets = np.empty(num_edges, dtype=np.int64)
-    factors = np.empty(num_edges, dtype=np.float64)
-
-    # Bulk-move the unchanged rows.
-    if unchanged_rows.size:
-        if same_ids:
-            # The dense index space is unchanged, so unchanged rows keep
-            # their row number and the maximal runs of consecutive unchanged
-            # rows are contiguous in both snapshots: splice each run with a
-            # slice copy (memcpy speed) instead of a per-slot gather.
-            breaks = np.nonzero(np.diff(unchanged_rows) != 1)[0] + 1
-            for run in np.split(unchanged_rows, breaks):
-                first, last = int(run[0]), int(run[-1])
-                src0 = int(old_csr.offsets[first])
-                src1 = int(old_csr.offsets[last + 1])
-                dst0 = int(offsets[first])
-                targets[dst0 : dst0 + (src1 - src0)] = old_csr.targets[src0:src1]
-                factors[dst0 : dst0 + (src1 - src0)] = old_csr.factors[src0:src1]
-        else:
-            # The id space shifted, but runs of rows that are consecutive in
-            # *both* snapshots are still contiguous slot ranges on both
-            # sides: splice each such run with a slice copy (factors) and a
-            # single contiguous-source gather (targets through the id remap)
-            # instead of materialising per-slot index vectors for every edge.
-            src_rows = old_row_of_new[unchanged_rows]
-            breaks = (
-                np.nonzero((np.diff(unchanged_rows) != 1) | (np.diff(src_rows) != 1))[0]
-                + 1
-            )
-            for run, src_run in zip(
-                np.split(unchanged_rows, breaks), np.split(src_rows, breaks)
-            ):
-                src0 = int(old_csr.offsets[src_run[0]])
-                src1 = int(old_csr.offsets[src_run[-1] + 1])
-                if src1 == src0:
-                    continue
-                dst0 = int(offsets[run[0]])
-                moved = old_csr.targets[src0:src1]
-                if remap is not None:
-                    moved = remap[moved]
-                    if (moved < 0).any():
-                        # An unchanged row references a removed vertex: the
-                        # factor-locality contract was violated; rebuild.
-                        return None
-                targets[dst0 : dst0 + (src1 - src0)] = moved
-                factors[dst0 : dst0 + (src1 - src0)] = old_csr.factors[src0:src1]
-
-    # Splice in the recomputed rows.
-    for row in changed_rows:
-        start = int(offsets[row])
-        for slot, (target, factor) in enumerate(new_rows[row]):
-            targets[start + slot] = target
-            factors[start + slot] = factor
-
-    patched = FactorCSR(new_ids, offsets, targets, factors, index=new_index)
-    if same_ids:
-        # The dense index space is unchanged: carry the memoized id array
-        # forward so per-delta consumers (footprint row diffs, revision
-        # deduction) do not re-materialise an O(V) conversion per patch.
-        patched._ids_cache = old_csr._ids_cache
-    patched.patch_note = PatchNote(
-        parent=old_csr,
-        changed_rows=changed_arr,
-        same_ids=same_ids,
-        counts_changed=bool(
-            same_ids and not np.array_equal(offsets, old_csr.offsets)
-        ),
+            for vertex in changed
+            if new_graph.has_vertex(vertex)
+        }
+    new_ids = sorted(new_graph.vertices())
+    return splice_rows(
+        old_csr, rows, None if new_ids == old_csr.vertex_ids else new_ids
     )
-    # Sever the provenance chain at one generation so a long delta sequence
-    # retains at most the immediately preceding snapshot.
-    old_csr.patch_note = None
-    return patched
 
 
 # ----------------------------------------------------------------------
@@ -517,12 +546,7 @@ class CachedGraphAdjacency:
         self.graph = graph
 
     def __call__(self, vertex: int) -> List[Tuple[int, float]]:
-        graph = self.graph
-        spec = self.spec
-        return [
-            (target, spec.edge_factor(graph, vertex, target))
-            for target in graph.out_neighbors(vertex)
-        ]
+        return self.spec.out_factors(self.graph, vertex)
 
     def __len__(self) -> int:
         return self.graph.num_edges()
@@ -553,13 +577,14 @@ class CachedGraphAdjacency:
 def master_factor_csr(base, universe: Iterable[int]) -> Optional[FactorCSR]:
     """Memoized full compile of a ``FactorAdjacency``-like object.
 
-    The master snapshot (no silencing, universe grown monotonically) is
-    stored on the adjacency object itself, keyed by its mutation counter;
-    repeated ``propagate`` calls — or the B per-boundary-vertex silenced
-    variants of one Layph shortcut computation, served through
-    :class:`repro.graph.csr.FactorCSRView` — compile once instead of per
-    call.  Returns ``None`` when caching is disabled or the adjacency does
-    not carry a version counter (the caller then compiles fresh).
+    The master snapshot (no silencing) is stored on the adjacency object
+    itself, keyed by its mutation counter; repeated ``propagate`` calls — or
+    the B per-boundary-vertex silenced variants of one Layph shortcut
+    computation, served through :class:`repro.graph.csr.FactorCSRView` —
+    compile once instead of per call.  A universe reaching outside the
+    memoized id space recompiles over the union.  Returns ``None`` when
+    caching is disabled or the adjacency does not carry a version counter
+    (the caller then compiles fresh).
     """
     if not csr_cache_enabled():
         return None
@@ -569,10 +594,50 @@ def master_factor_csr(base, universe: Iterable[int]) -> Optional[FactorCSR]:
     universe = set(universe)
     memo = getattr(base, "_csr_memo", None)
     if memo is not None:
-        memo_version, memo_ids, csr = memo
-        if memo_version == version and universe <= memo_ids:
+        memo_version, csr = memo
+        if memo_version == version and universe <= csr.index.keys():
             return csr
-        universe |= memo_ids
+        universe.update(csr.vertex_ids)
     csr = FactorCSR.from_factor_adjacency(base, universe=universe)
-    base._csr_memo = (version, set(csr.vertex_ids), csr)
+    base._csr_memo = (version, csr)
     return csr
+
+
+def resident_master_csr(base) -> Optional[FactorCSR]:
+    """``base``'s memoized master compile if it is current; never compiles."""
+    memo = getattr(base, "_csr_memo", None)
+    if memo is None or memo[0] != base.version or not csr_cache_enabled():
+        return None
+    return memo[1]
+
+
+def splice_master_csr(
+    base,
+    resident: FactorCSR,
+    rows: Dict[int, Sequence[Tuple[int, float]]],
+    joining: Sequence[int] = (),
+    leaving: Sequence[int] = (),
+) -> None:
+    """Carry a master compile across an in-place row replacement.
+
+    ``resident`` is :func:`resident_master_csr` of ``base`` from *before*
+    ``rows`` were replaced (``FactorAdjacency.replace_rows``); ``joining``
+    are ids it does not index yet and that enter its id space, ``leaving``
+    ids it indexes and that drop out.  The spliced
+    snapshot (:func:`splice_rows`: O(replaced rows) Python plus slice copies)
+    becomes the memo of ``base``'s current version, so the next
+    ``propagate`` over ``base`` runs on it instead of recompiling the whole
+    adjacency.  A splice that cannot be done drops the memo — the next
+    access compiles from scratch.
+    """
+    new_ids = None
+    if len(joining) or len(leaving):
+        # The id array ascends: ids leave and join by binary search.
+        new_ids = resident.ids_array()
+        if len(leaving):
+            new_ids = np.delete(new_ids, np.searchsorted(new_ids, sorted(leaving)))
+        if len(joining):
+            arriving = np.array(sorted(joining), dtype=np.int64)
+            new_ids = np.insert(new_ids, np.searchsorted(new_ids, arriving), arriving)
+    csr = splice_rows(resident, rows, new_ids)
+    base._csr_memo = None if csr is None else (base.version, csr)

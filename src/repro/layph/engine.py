@@ -4,8 +4,8 @@ Online processing of a batch update ΔG runs the paper's four phases:
 
 1. **Layered graph update** — only the dense subgraphs touched by ΔG are
    rebuilt (boundary re-classification, vertex replication, shortcut
-   recomputation); the upper layer is re-assembled from the per-subgraph
-   tables.
+   recomputation); the upper layer's dirty rows are re-derived from the
+   per-subgraph tables and spliced into its resident compiled form.
 2. **Revision messages upload** — revision messages are deduced from the
    memoized states (selective algorithms: dependency invalidation on the
    upper layer; accumulative algorithms: cancellation/compensation messages à
@@ -151,8 +151,11 @@ class LayphEngine(IncrementalEngine):
         """Give every proxy a state consistent with its upper-layer in-links."""
         layered = self._require_layered()
         self.proxy_states = {}
+        proxies = layered.proxy_vertices()
+        if not proxies:
+            return
         if not self.spec.is_selective():
-            for proxy in layered.proxy_vertices():
+            for proxy in proxies:
                 self.proxy_states[proxy] = self.spec.aggregate_identity()
             return
         incoming = layered.upper_in_adjacency()
@@ -216,19 +219,18 @@ class LayphEngine(IncrementalEngine):
                 old_graph, new_graph
             )
 
-            # Diff-based upper maintenance: sound only while subgraph
-            # membership is stable — a removed vertex shifts the
-            # same-subgraph test of edges outside the footprint's row set,
-            # so those deltas fall back to the full reassembly.
-            patch_upper = footprint is not None and not removed_vertices
+            # Diff-based upper maintenance needs the delta's row footprint;
+            # without it (``REPRO_DELTA_FOOTPRINT=0``) the skeleton is
+            # reassembled and compared, the reference path.
+            patch_upper = footprint is not None
             link_diff: Optional[object] = None
             if selective:
-                old_upper_vertices = set(layered.upper_vertices) | set(self.proxy_states)
+                # a copy: the patch below edits the set in place
+                old_upper_vertices = set(layered.upper_vertices)
                 if not patch_upper:
-                    # Reassembly fallback: the selective invalidation diffs
-                    # two whole-layer flattens (the reference); the patch
-                    # path below replaces them with the O(dirty-rows)
-                    # ``UpperDiff`` so no per-delta flatten runs.
+                    # The selective invalidation then diffs two whole-layer
+                    # flattens; the patch path below replaces them with the
+                    # O(dirty-rows) ``UpperDiff``.
                     old_upper_links = self._flatten_links(layered.upper_adjacency)
             else:
                 old_upper_vertices = set()
@@ -248,8 +250,9 @@ class LayphEngine(IncrementalEngine):
                     pre_sources
                     | post_sources
                     | footprint.touched_sources
-                    | added_vertices,
-                    removed_upper=pre_boundaries - post_boundaries,
+                    | added_vertices
+                    | removed_vertices,
+                    removed_upper=(pre_boundaries - post_boundaries) | removed_vertices,
                     added_upper=(post_boundaries - pre_boundaries) | added_vertices,
                     want_diff=selective,
                 )
@@ -261,10 +264,10 @@ class LayphEngine(IncrementalEngine):
                         self._flatten_links(layered.upper_adjacency),
                     )
 
-            for vertex in removed_vertices:
-                work.pop(vertex, None)
             for vertex in added_vertices:
                 work[vertex] = spec.initial_state(vertex)
+            # boundaries and outliers; every proxy is a boundary vertex
+            upper_vertices = layered.upper_vertices
 
             source = self._source_vertex()
             self._old_local_source_states = (
@@ -288,16 +291,16 @@ class LayphEngine(IncrementalEngine):
 
         with phases.phase(PHASE_UPLOAD):
             if spec.is_selective():
-                tainted = self._selective_upload(
+                self._selective_upload(
                     link_diff,
                     old_upper_vertices,
+                    upper_vertices,
                     work,
                     lup_pending,
                     metrics,
                     added_vertices,
                 )
             else:
-                tainted = set()
                 self._accumulative_upload(
                     old_graph,
                     new_graph,
@@ -318,10 +321,18 @@ class LayphEngine(IncrementalEngine):
 
         # ------------------------------------------------------------------
         with phases.phase(PHASE_UPPER):
-            current_upper_vertices = set(layered.upper_vertices) | layered.proxy_vertices()
+            # Vertices and proxies that left with this delta kept their
+            # pre-delta states up to here: the selective invalidation reads
+            # them to find what they supported.
+            proxies = layered.proxy_vertices()
+            for vertex in removed_vertices:
+                work.pop(vertex, None)
+            for proxy in self.proxy_states:
+                if proxy not in proxies:
+                    work.pop(proxy, None)
             before: Dict[int, float] = {
                 vertex: work.get(vertex, snapshot_baseline)
-                for vertex in current_upper_vertices
+                for vertex in upper_vertices
             }
             propagate(
                 spec, layered.upper_adjacency, work, lup_pending, metrics, backend=self.backend
@@ -331,11 +342,13 @@ class LayphEngine(IncrementalEngine):
         with phases.phase(PHASE_ASSIGN):
             changed_upper: Set[int] = set()
             deltas: Dict[int, float] = {}
-            for vertex in current_upper_vertices:
+            for vertex in upper_vertices:
                 after = work.get(vertex, snapshot_baseline)
-                if spec.is_selective():
-                    if after != before[vertex]:
-                        changed_upper.add(vertex)
+                if after == before[vertex]:
+                    # untouched by the iteration: almost every vertex
+                    continue
+                if selective:
+                    changed_upper.add(vertex)
                 else:
                     difference = after - before[vertex]
                     if spec.is_significant(difference):
@@ -346,7 +359,6 @@ class LayphEngine(IncrementalEngine):
             )
 
         # ------------------------------------------------------------------
-        proxies = layered.proxy_vertices()
         self.proxy_states = {p: work.get(p, snapshot_baseline) for p in proxies}
         result_states = {
             vertex: work.get(vertex, spec.initial_state(vertex))
@@ -604,11 +616,12 @@ class LayphEngine(IncrementalEngine):
         self,
         link_diff,
         old_upper_vertices: Set[int],
+        current_upper: Set[int],
         work: Dict[int, float],
         lup_pending: Dict[int, float],
         metrics: ExecutionMetrics,
         added_vertices: Set[int],
-    ) -> Set[int]:
+    ) -> None:
         """Invalidate, trim and seed the upper layer for selective algorithms.
 
         Upper-layer links whose factor grew or disappeared may have supported
@@ -620,11 +633,16 @@ class LayphEngine(IncrementalEngine):
         from the patch path, or the flatten-based fallback) — an unchanged
         ``(source, target)`` link can never be a root or a compensation, so
         iterating only the changed pairs reproduces the full-flatten scans.
+
+        ``work`` must still hold the pre-delta states of the vertices and
+        proxies this delta removed: all their out-links are removed links,
+        and whether one supported its target can only be told from the
+        source's old state.  ``current_upper`` is the post-delta upper vertex
+        set (proxies included).
         """
         spec = self.spec
         layered = self._require_layered()
         identity = spec.aggregate_identity()
-        current_upper = set(layered.upper_vertices) | layered.proxy_vertices()
         changed_links = list(link_diff.changed_links())
 
         # Invalidation roots from worsened/removed upper links.
@@ -726,7 +744,6 @@ class LayphEngine(IncrementalEngine):
                         lup_pending[boundary_vertex] = spec.aggregate(
                             lup_pending.get(boundary_vertex, identity), folded
                         )
-        return tainted
 
     def _upper_dependents(
         self,

@@ -25,6 +25,12 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency
+from repro.graph.csr import FactorCSR
+from repro.graph.csr_cache import (
+    master_factor_csr,
+    resident_master_csr,
+    splice_master_csr,
+)
 from repro.graph.graph import Graph
 from repro.layph.community import louvain_communities
 from repro.layph.dense import BoundaryClassification, classify_boundary, select_dense_subgraphs
@@ -228,9 +234,9 @@ class UpperDiff:
 class FlattenedUpperDiff:
     """The :class:`UpperDiff` interface over two whole-layer flatten maps.
 
-    The reference (and the fallback when the upper layer was reassembled from
-    scratch — vertex removals, ``REPRO_DELTA_FOOTPRINT=0``): both link maps
-    are O(Lup) flattens, and the diff compares them key by key.
+    The reference, used when the upper layer was reassembled from scratch
+    (``REPRO_DELTA_FOOTPRINT=0``): both link maps are O(Lup) flattens, and
+    the diff compares them key by key.
     """
 
     __slots__ = ("old_links", "new_links", "_old_by_source")
@@ -300,13 +306,6 @@ class LayeredGraph:
         #: deltas whose upper layer was maintained by the row-level diff path
         #: (:meth:`patch_upper`) instead of a full reassembly
         self.upper_patches = 0
-        #: cached reverse view ``(adjacency object, version, incoming)`` of
-        #: :meth:`upper_in_adjacency`, plus hit/rebuild counters for tests
-        self._upper_in_cache: Optional[
-            Tuple[FactorAdjacency, int, Dict[int, List[Tuple[int, float]]]]
-        ] = None
-        self.upper_in_reuses = 0
-        self.upper_in_rebuilds = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -674,17 +673,22 @@ class LayeredGraph:
 
         # Original edges that are not inside any dense subgraph (and were not
         # rewired through a proxy) stay on the upper layer with their factors.
-        for source, target, _weight in graph.edges():
-            same = (
-                source in self.subgraph_of
-                and target in self.subgraph_of
-                and self.subgraph_of[source] == self.subgraph_of[target]
-            )
-            if same:
+        subgraph_of = self.subgraph_of
+        for source in graph.vertices():
+            own = subgraph_of.get(source)
+            if own is not None and all(
+                subgraph_of.get(target) == own
+                for target in graph.out_neighbors(source)
+            ):
+                # internal to its subgraph (most vertices of a web-like
+                # graph): no cross edge, so no factors to derive
                 continue
-            if (source, target) in rewired:
-                continue
-            upper.add(source, target, spec.edge_factor(graph, source, target))
+            for target, factor in spec.out_factors(graph, source):
+                if own is not None and subgraph_of.get(target) == own:
+                    continue
+                if (source, target) in rewired:
+                    continue
+                upper.add(source, target, factor)
 
         # Boundary-to-boundary shortcuts and host/proxy links of every
         # dense subgraph.
@@ -707,10 +711,10 @@ class LayeredGraph:
         next upper-layer ``propagate`` reuse the compiled skeleton across
         deltas instead of recompiling an identical snapshot.
 
-        This is the full-reassembly path — O(V + E) per delta.  The online
-        engine prefers :meth:`patch_upper` (row-level maintenance driven by
-        the delta footprint) and falls back here when vertices left the
-        graph (subgraph membership changed) or the footprint is disabled.
+        This is the full-reassembly path — O(V + E).  It runs at build time;
+        the online engine maintains the skeleton with :meth:`patch_upper`
+        (row-level maintenance driven by the delta footprint) and comes back
+        here only when the footprint is disabled.
         """
         upper, upper_vertices = self._assemble_upper()
         if self.upper_adjacency.same_links(upper):
@@ -770,12 +774,22 @@ class LayeredGraph:
         cross edges, factors and rewiring status are functions of unchanged
         out-adjacencies and untouched subgraph tables.
 
-        Callers must fall back to :meth:`rebuild_upper` when subgraph
-        *membership* changed (vertices removed from the graph): a membership
-        shift flips the same-subgraph test of edges this footprint cannot
-        see.  ``removed_upper``/``added_upper`` carry the membership diff of
-        the upper vertex set (old vs new boundaries of the rebuilt subgraphs,
-        plus the delta's brand-new vertices, which are always outliers).
+        Vertices that left the graph belong in ``dirty_sources`` too (their
+        rows vanish) and in ``removed_upper``.  A removal shrinks subgraph
+        membership, but only edges incident to the removed vertex can flip
+        their same-subgraph test, and those are gone with it: their sources
+        are touched sources of the delta, so no row outside the footprint
+        changes.  ``removed_upper``/``added_upper`` carry the membership diff
+        of the upper vertex set (old vs new boundaries of the rebuilt
+        subgraphs, the delta's removed vertices, and its brand-new vertices,
+        which are always outliers).
+
+        The compiled form of the skeleton follows the patch: when the
+        adjacency's master CSR is resident
+        (:func:`repro.graph.csr_cache.resident_master_csr`), the changed rows
+        are spliced into it and vertices/proxies that joined or left enter or
+        leave its id space, so the next upper-layer ``propagate`` runs on a
+        snapshot bit-identical to a fresh compile without compiling one.
 
         With ``want_diff`` the old rows of the dirty sources are captured
         before the patch and returned as an :class:`UpperDiff` — the
@@ -792,12 +806,12 @@ class LayeredGraph:
             row: List[Tuple[int, float]] = []
             if graph.has_vertex(vertex):
                 own = subgraph_of.get(vertex)
-                for target in graph.out_neighbors(vertex):
+                for target, factor in spec.out_factors(graph, vertex):
                     if own is not None and subgraph_of.get(target) == own:
                         continue
                     if (vertex, target) in rewired:
                         continue
-                    row.append((target, spec.edge_factor(graph, vertex, target)))
+                    row.append((target, factor))
             rows[vertex] = row
         # A vertex's shortcut links live only in its owning subgraph (members
         # via ``subgraph_of``, proxies via the maintained owner index); its
@@ -829,53 +843,80 @@ class LayeredGraph:
                 if buckets is not None and index in buckets:
                     row.extend(buckets[index])
 
+        adjacency = self.upper_adjacency
         diff: Optional[UpperDiff] = None
         if want_diff:
             # ``replace_rows`` installs new list objects, so holding the old
             # per-row references is a zero-copy snapshot of the old rows.
-            adjacency = self.upper_adjacency
             diff = UpperDiff(
                 adjacency,
                 set(rows),
                 {vertex: adjacency(vertex) for vertex in rows},
                 rows,
             )
-        if self.upper_adjacency.replace_rows(rows):
+        resident = resident_master_csr(adjacency)
+        changed = adjacency.replace_rows(rows)
+        if changed:
             self.upper_patches += 1
         else:
             self.upper_reuses += 1
-        if removed_upper or added_upper:
-            self.upper_vertices = (self.upper_vertices - removed_upper) | added_upper
+        self.upper_vertices.difference_update(removed_upper)
+        self.upper_vertices.update(added_upper)
+        if resident is not None:
+            # The compiled id space is the graph's vertices plus the proxies:
+            # a vertex that merely moved between the layers stays in it.
+            joining = [v for v in added_upper if v not in resident.index]
+            leaving = [
+                v
+                for v in removed_upper
+                if v in resident.index
+                and not graph.has_vertex(v)
+                and v not in self._proxy_owner
+            ]
+            if changed or joining or leaving:
+                splice_master_csr(
+                    adjacency,
+                    resident,
+                    {vertex: rows[vertex] for vertex in changed},
+                    joining,
+                    leaving,
+                )
         return diff
+
+    def upper_csr(self) -> FactorCSR:
+        """Compiled out-CSR of the upper layer over the graph's vertices and
+        the proxies — the snapshot the upper-layer ``propagate`` runs on.
+
+        Resident across deltas: compiled on first use after a build, a
+        restore or a full reassembly, then kept current by
+        :meth:`patch_upper`'s splice.  ``REPRO_CSR_CACHE=0`` makes every call
+        a fresh compile (the reference the splice is tested against).
+        """
+        adjacency = self.upper_adjacency
+        csr = resident_master_csr(adjacency)
+        if csr is None:
+            # only a compile needs the O(V) id space spelled out
+            universe = set(self.graph.vertices())
+            universe.update(self._proxy_owner)
+            csr = master_factor_csr(adjacency, universe)
+            if csr is None:
+                csr = FactorCSR.from_factor_adjacency(adjacency, universe=universe)
+        return csr
 
     def upper_in_adjacency(self) -> Dict[int, List[Tuple[int, float]]]:
         """Reverse view of the upper layer: target -> [(source, factor)].
 
-        Cached across deltas, keyed by the identity and mutation counter of
-        ``upper_adjacency`` — rebuilds (new adjacency object) and in-place
-        row patches (version bump) both invalidate it, so the selective
-        upload path no longer pays an O(Lup) rebuild per delta.  Callers
-        must treat the result as read-only.  ``REPRO_CSR_CACHE=0`` disables
-        the memo like the other compiled-structure caches.
+        An O(Lup) walk, built per call: the offline proxy initialisation and
+        the Python-backend trim/seed reference use it.  The numpy backend
+        reads the in-links of the few vertices it needs with a target mask
+        over :meth:`upper_csr` instead
+        (:func:`repro.layph.vectorized.seed_tainted_upper`).
         """
-        from repro.graph.csr_cache import csr_cache_enabled
-
         adjacency = self.upper_adjacency
-        cached = self._upper_in_cache
-        if (
-            cached is not None
-            and csr_cache_enabled()
-            and cached[0] is adjacency
-            and cached[1] == adjacency.version
-        ):
-            self.upper_in_reuses += 1
-            return cached[2]
         incoming: Dict[int, List[Tuple[int, float]]] = {}
         for source in adjacency.vertices_with_out_edges():
             for target, factor in adjacency(source):
                 incoming.setdefault(target, []).append((source, factor))
-        self._upper_in_cache = (adjacency, adjacency.version, incoming)
-        self.upper_in_rebuilds += 1
         return incoming
 
     # ------------------------------------------------------------------
@@ -904,11 +945,9 @@ class LayeredGraph:
         }
 
     def proxy_vertices(self) -> Set[int]:
-        """Every proxy vertex currently present in the layered graph."""
-        proxies: Set[int] = set()
-        for subgraph in self.subgraphs:
-            proxies.update(subgraph.proxies)
-        return proxies
+        """Every proxy vertex currently present in the layered graph (served
+        from the owner index :meth:`_reindex_subgraph` maintains)."""
+        return set(self._proxy_owner)
 
     # ------------------------------------------------------------------
     # durable snapshots (repro.storage)
@@ -924,7 +963,7 @@ class LayeredGraph:
         :meth:`patch_upper` extends rows with.  Pure sets (members, boundary
         splits, rewired edges, upper vertices) are stored sorted — their
         consumers are set operations, keyed lookups, or sorted iterations.
-        The lazy reverse-view cache is dropped; it rebuilds on first use.
+        The compiled upper CSR is not stored; it is compiled on first use.
         """
         return {
             "subgraphs": [
@@ -992,8 +1031,6 @@ class LayeredGraph:
                 "upper_reuses": self.upper_reuses,
                 "upper_rebuilds": self.upper_rebuilds,
                 "upper_patches": self.upper_patches,
-                "upper_in_reuses": self.upper_in_reuses,
-                "upper_in_rebuilds": self.upper_in_rebuilds,
             },
         }
 
@@ -1081,8 +1118,6 @@ class LayeredGraph:
         layered.upper_reuses = int(counters["upper_reuses"])
         layered.upper_rebuilds = int(counters["upper_rebuilds"])
         layered.upper_patches = int(counters["upper_patches"])
-        layered.upper_in_reuses = int(counters["upper_in_reuses"])
-        layered.upper_in_rebuilds = int(counters["upper_in_rebuilds"])
         return layered
 
     # ------------------------------------------------------------------
@@ -1090,7 +1125,7 @@ class LayeredGraph:
     # ------------------------------------------------------------------
     def upper_size(self) -> Tuple[int, int]:
         """``(vertices, links)`` of the upper layer."""
-        return len(self.upper_vertices | set(self.proxy_vertices())), len(
+        return len(self.upper_vertices | self.proxy_vertices()), len(
             self.upper_adjacency
         )
 

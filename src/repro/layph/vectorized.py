@@ -1,6 +1,6 @@
 """Vectorized (numpy) kernels for Layph's online phases.
 
-Three hot loops of :class:`repro.layph.engine.LayphEngine` run here when the
+Four hot loops of :class:`repro.layph.engine.LayphEngine` run here when the
 ``"numpy"`` backend is selected:
 
 * :func:`local_upload_numpy` — phase 2's per-subgraph revision-message
@@ -10,7 +10,9 @@ Three hot loops of :class:`repro.layph.engine.LayphEngine` run here when the
 * :func:`assign_selective_numpy` / :func:`assign_accumulative_numpy` —
   phase 4's shortcut scans, compiled onto a per-subgraph boundary→internal
   shortcut CSR that is cached on the :class:`DenseSubgraph` and invalidated
-  whenever the subgraph's shortcut tables are rebuilt.
+  whenever the subgraph's shortcut tables are rebuilt;
+* :func:`seed_tainted_upper` — phase 2's trim/seed of invalidated upper
+  vertices, a target-mask gather over the resident upper out-CSR.
 
 Every kernel is engineered for exact metric compatibility with the Python
 reference loops in ``engine.py`` — identical revised states, arrived
@@ -36,7 +38,6 @@ from repro.engine.dense_propagation import (
 )
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import NonConvergenceError
-from repro.graph.csr import expand_edges
 from repro.graph.csr_cache import csr_cache_enabled, master_factor_csr
 from repro.graph.graph import Graph
 from repro.parallel.slabs import (
@@ -388,67 +389,6 @@ def assign_accumulative_numpy(
 # ----------------------------------------------------------------------
 # phase 3 prep: upper-layer trim/seed after invalidation
 # ----------------------------------------------------------------------
-class _UpperInCSR:
-    """The upper layer's *incoming* links as CSR arrays.
-
-    Row ``i`` lists the in-links of the ``i``-th upper vertex with in-links
-    (ascending id), each slot in ``upper_in_adjacency``'s list order; slot
-    sources are compact indices into ``source_ids`` so per-call states
-    materialize once over the source universe instead of per slot.
-    """
-
-    __slots__ = ("row_index", "offsets", "counts", "sources", "factors", "source_ids")
-
-    def __init__(self, incoming: Dict[int, list]) -> None:
-        row_ids = sorted(incoming)
-        self.row_index = {vertex: position for position, vertex in enumerate(row_ids)}
-        self.source_ids = sorted(
-            {source for row in incoming.values() for source, _factor in row}
-        )
-        source_index = {
-            vertex: position for position, vertex in enumerate(self.source_ids)
-        }
-        counts = np.fromiter(
-            (len(incoming[vertex]) for vertex in row_ids), np.int64, count=len(row_ids)
-        )
-        offsets = np.zeros(len(row_ids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        sources = np.empty(total, dtype=np.int64)
-        factors = np.empty(total, dtype=np.float64)
-        cursor = 0
-        for vertex in row_ids:
-            for source, factor in incoming[vertex]:
-                sources[cursor] = source_index[source]
-                factors[cursor] = factor
-                cursor += 1
-        self.offsets = offsets
-        self.counts = counts
-        self.sources = sources
-        self.factors = factors
-
-
-def _upper_in_csr(layered) -> _UpperInCSR:
-    """Compiled upper in-CSR, cached on (adjacency identity, version).
-
-    The same invalidation key as ``LayeredGraph.upper_in_adjacency``'s own
-    memo: replacing the upper adjacency object or patching its rows (version
-    bump) both recompile; with caching disabled every call compiles fresh.
-    """
-    adjacency = layered.upper_adjacency
-    cached = getattr(layered, "_upper_in_csr_cache", None)
-    if (
-        cached is not None
-        and csr_cache_enabled()
-        and cached[0] is adjacency
-        and cached[1] == adjacency.version
-    ):
-        return cached[2]
-    compiled = _UpperInCSR(layered.upper_in_adjacency())
-    layered._upper_in_csr_cache = (adjacency, adjacency.version, compiled)
-    return compiled
-
-
 def seed_tainted_upper(
     spec,
     layered,
@@ -465,16 +405,22 @@ def seed_tainted_upper(
     reset tainted states to the identity, so one state mask covers both
     skips), surviving offers fold into the initial message with the
     order-independent min, and the significant results seed ``lup_pending``
-    in ascending vertex order.  Selective (min-aggregate) specs only; NaN in
-    factors, states or initial messages hands back to the Python loop before
-    anything is mutated.
+    in ascending vertex order.
+
+    The in-links are read off the resident upper *out*-CSR
+    (:meth:`repro.layph.layered_graph.LayeredGraph.upper_csr`) with a target
+    mask — one O(Lup) array pass that picks the slots pointing at a tainted
+    vertex — so no reverse view of the whole layer is ever built; source
+    states materialise for the picked slots' rows only.  Selective
+    (min-aggregate) specs only; NaN in factors, states or initial messages
+    hands back to the Python loop before anything is mutated.
     """
     kinds = classify_spec(spec)
     if kinds is None or kinds[0] != AGGREGATE_MIN:
         return False
     combine_add = kinds[1] == COMBINE_ADD
     identity = float(spec.aggregate_identity())
-    csr = _upper_in_csr(layered)
+    csr = layered.upper_csr()
     if np.isnan(csr.factors).any():
         return False
     rows = sorted(tainted)
@@ -486,30 +432,34 @@ def seed_tainted_upper(
         np.float64,
         count=len(rows),
     )
-    source_states = np.fromiter(
-        (work.get(vertex, identity) for vertex in csr.source_ids),
-        np.float64,
-        count=len(csr.source_ids),
-    )
-    if np.isnan(best).any() or np.isnan(source_states).any():
+    if np.isnan(best).any():
         return False
-    positions = np.fromiter(
-        (csr.row_index.get(vertex, -1) for vertex in rows), np.int64, count=len(rows)
-    )
-    present = positions >= 0
-    counts = csr.counts[positions[present]]
-    total = int(counts.sum())
-    metrics.edge_activations += total
-    if total:
-        slots = expand_edges(csr.offsets[positions[present]], counts, total)
-        states = source_states[csr.sources[slots]]
+    # position of each tainted vertex in ``rows``, by CSR row (-1: not tainted)
+    position_of_row = np.full(csr.num_vertices, -1, dtype=np.int64)
+    index = csr.index
+    for position, vertex in enumerate(rows):
+        row = index.get(vertex)
+        if row is not None:
+            position_of_row[row] = position
+    slots = np.nonzero(position_of_row[csr.targets] >= 0)[0]
+    if slots.size:
+        source_rows = np.searchsorted(csr.offsets, slots, side="right") - 1
+        live_rows, inverse = np.unique(source_rows, return_inverse=True)
+        ids = csr.vertex_ids
+        states = np.fromiter(
+            (work.get(ids[row], identity) for row in live_rows.tolist()),
+            np.float64,
+            count=live_rows.size,
+        )[inverse]
+        if np.isnan(states).any():
+            return False
         keep = states != identity
         if combine_add:
-            offers = states[keep] + csr.factors[slots][keep]
+            offers = states[keep] + csr.factors[slots[keep]]
         else:
-            offers = states[keep] * csr.factors[slots][keep]
-        row_of_slot = np.repeat(np.nonzero(present)[0], counts)
-        np.minimum.at(best, row_of_slot[keep], offers)
+            offers = states[keep] * csr.factors[slots[keep]]
+        np.minimum.at(best, position_of_row[csr.targets[slots[keep]]], offers)
+    metrics.edge_activations += int(slots.size)
     for position, vertex in enumerate(rows):
         value = float(best[position])
         if spec.is_significant(value):

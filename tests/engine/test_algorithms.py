@@ -170,3 +170,37 @@ class TestFactory:
     def test_source_is_forwarded(self):
         assert make_algorithm("sssp", source=4).source == 4
         assert make_algorithm("php", source=4).source == 4
+
+
+class TestRowFactors:
+    """``out_factors`` — the per-row enumerator — equals ``edge_factor`` bit
+    for bit, and PHP sums a row's out-weights once instead of once per edge."""
+
+    @pytest.mark.parametrize("name", ["sssp", "bfs", "pagerank", "php"])
+    def test_out_factors_match_edge_factor_bits(self, name, random_graph):
+        spec = make_algorithm(name, source=0)
+        graph = random_graph
+        graph.add_vertex(9_999)  # no out-edges: an empty row
+        graph.add_edge(9_998, 0, 0.0)  # total out-weight 0: PHP's guarded case
+        for source in graph.vertices():
+            row = spec.out_factors(graph, source)
+            assert [target for target, _factor in row] == list(graph.out_neighbors(source))
+            for target, factor in row:
+                expected = spec.edge_factor(graph, source, target)
+                assert math.copysign(1.0, factor) == math.copysign(1.0, expected)
+                assert factor == expected
+
+    def test_php_row_enumeration_is_linear_in_the_degree(self, monkeypatch):
+        hub = Graph.from_edges([(0, target, 1.0 + target) for target in range(1, 200)])
+        sums = {"count": 0}
+        original = Graph.total_out_weight
+
+        def counting(self, vertex):
+            sums["count"] += 1
+            return original(self, vertex)
+
+        monkeypatch.setattr(Graph, "total_out_weight", counting)
+        from repro.graph.csr import FactorCSR
+
+        FactorCSR.from_graph(PHP(source=0), hub)
+        assert sums["count"] <= hub.num_vertices()

@@ -13,6 +13,9 @@ from repro.graph.csr_cache import (
     CachedGraphAdjacency,
     csr_cache_enabled,
     master_factor_csr,
+    resident_master_csr,
+    splice_master_csr,
+    splice_rows,
 )
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
@@ -443,3 +446,75 @@ class TestCompileShortCircuit:
         assert 5 in second.index
         third = master_factor_csr(adjacency, {0})
         assert third is second
+
+
+class TestSpliceRows:
+    """The one row splice behind both ``CSRCache`` patches and Layph's
+    resident upper CSR: handed-in rows replace, everything else moves, the id
+    space follows joins and leaves, and the result is a fresh compile."""
+
+    def _adjacency(self) -> FactorAdjacency:
+        return FactorAdjacency(
+            {
+                0: [(1, 0.5), (2, 0.25)],
+                1: [(2, 1.0)],
+                2: [(0, 2.0), (3, 0.125), (3, 4.0)],
+                5: [(0, 1.5)],
+            }
+        )
+
+    def test_same_ids_splice_matches_fresh_compile(self):
+        adjacency = self._adjacency()
+        old = FactorCSR.from_factor_adjacency(adjacency, universe={4})
+        rows = {1: [(3, 7.0), (0, 0.5)], 2: [], 4: [(5, 1.0)]}
+        adjacency.replace_rows(rows)
+        patched = splice_rows(old, rows)
+        assert_csr_identical(
+            patched, FactorCSR.from_factor_adjacency(adjacency, universe=old.vertex_ids)
+        )
+        note = patched.patch_note
+        assert note.parent is old and note.same_ids and note.counts_changed
+        assert note.changed_rows.tolist() == [1, 2, 4]
+
+    def test_ids_join_and_leave(self):
+        adjacency = self._adjacency()
+        old = FactorCSR.from_factor_adjacency(adjacency, universe={4})
+        # 3 and 4 leave, -2 and 9 join; every row that pointed at 3 is handed in
+        rows = {2: [(0, 2.0), (9, 1.0)], 9: [(-2, 3.0)], 3: [], 4: []}
+        adjacency.replace_rows(rows)
+        new_ids = [-2, 0, 1, 2, 5, 9]
+        patched = splice_rows(old, rows, new_ids)
+        assert_csr_identical(
+            patched, FactorCSR.from_factor_adjacency(adjacency, universe=new_ids)
+        )
+        assert not patched.patch_note.same_ids
+        assert patched.ids_array().tolist() == new_ids
+
+    def test_dangling_link_refuses_the_splice(self):
+        adjacency = self._adjacency()
+        old = FactorCSR.from_factor_adjacency(adjacency)
+        # 3 leaves but row 2, which points at it, was not handed in
+        assert splice_rows(old, {}, [0, 1, 2, 5]) is None
+        # a handed-in row pointing outside the id space is refused as well
+        assert splice_rows(old, {1: [(42, 1.0)]}) is None
+
+    def test_master_memo_follows_replace_rows(self, monkeypatch):
+        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+        adjacency = self._adjacency()
+        resident = master_factor_csr(adjacency, {4})
+        assert resident_master_csr(adjacency) is resident
+        rows = {3: [(4, 1.0)], 4: [], 5: [], 7: [(0, 1.0)]}
+        changed = adjacency.replace_rows(rows)
+        assert changed == [3, 5, 7]
+        assert resident_master_csr(adjacency) is None  # version moved on
+        splice_master_csr(
+            adjacency, resident, {v: rows[v] for v in changed}, joining=[7], leaving=[5]
+        )
+        spliced = resident_master_csr(adjacency)
+        FactorCSR.compile_count = 0
+        assert master_factor_csr(adjacency, {0, 7}) is spliced
+        assert FactorCSR.compile_count == 0
+        assert_csr_identical(
+            spliced,
+            FactorCSR.from_factor_adjacency(adjacency, universe=[0, 1, 2, 3, 4, 7]),
+        )

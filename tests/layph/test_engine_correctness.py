@@ -7,6 +7,7 @@ from repro.engine.convergence import states_close
 from repro.engine.runner import run_batch
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import community_graph
+from repro.graph.graph import Graph
 from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayphConfig
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
@@ -87,6 +88,93 @@ class TestLayphMatchesBatch:
             [delta],
             config=LayphConfig(seed=4, enable_replication=False),
         )
+
+
+def _support_graph() -> Graph:
+    """Five planted communities in a chain S -> A -> {B, C}, plus a detour.
+
+    The source (100) sits in the clique S; S feeds the clique A; A's exit
+    vertex 7 is the *only* short way into the cliques B (entry 10) and C
+    (entry 20).  A three-vertex chain 50 -> 51 -> 52 leads from S to the same
+    two entries the long way round, so 10 and 20 stay entry vertices — upper
+    layer vertices — when 7 goes.
+    """
+    graph = Graph()
+    for members in (range(0, 8), range(10, 16), range(20, 26), range(100, 106)):
+        for source in members:
+            for target in members:
+                if source != target:
+                    graph.add_edge(source, target, 1.0)
+    for source, target, weight in [
+        (105, 0, 1.0),
+        (104, 1, 1.0),
+        (7, 10, 1.0),
+        (7, 20, 1.0),
+        (104, 50, 5.0),
+        (50, 51, 5.0),
+        (51, 52, 5.0),
+        (52, 10, 5.0),
+        (52, 20, 5.0),
+        (6, 100, 5.0),
+        (15, 0, 5.0),
+        (25, 0, 5.0),
+    ]:
+        graph.add_edge(source, target, weight)
+    return graph
+
+
+@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("algorithm", ["sssp", "bfs"])
+class TestVertexDeletionInvalidates:
+    """A deleted upper-layer vertex takes its support with it.
+
+    Regression: the engine used to drop a removed vertex's state before the
+    selective invalidation ran; the root scan then read the deleted source
+    as unreached and never invalidated the targets it had supported, which
+    kept stale, too-short distances.
+    """
+
+    def test_deleted_boundary_vertex_was_the_unique_support(self, algorithm, backend):
+        graph = _support_graph()
+        spec = make_algorithm(algorithm, source=100)
+        engine = LayphEngine(spec, LayphConfig(seed=4), backend=backend)
+        engine.initialize(graph)
+        layered = engine.layered
+        owner = layered.subgraphs[layered.subgraph_of[7]]
+        assert 7 in owner.exit
+        for entry in (10, 20):
+            assert entry in layered.subgraphs[layered.subgraph_of[entry]].entry
+        before = dict(engine.states)
+
+        delta = GraphDelta()
+        delta.delete_vertex(7)
+        result = engine.apply_delta(delta)
+
+        reference = run_batch(spec, delta.apply(graph)).states
+        assert result.states == reference
+        # the detour is strictly longer: every vertex of B and C moved
+        for vertex in list(range(10, 16)) + list(range(20, 26)):
+            assert reference[vertex] > before[vertex]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_vertex_churn_matches_batch_after_every_delta(
+        self, algorithm, backend, seed, graph
+    ):
+        spec = make_algorithm(algorithm, source=0)
+        engine = LayphEngine(spec, LayphConfig(seed=4), backend=backend)
+        engine.initialize(graph)
+        assert engine.layered.subgraphs
+        current = graph
+        for step in range(8):
+            delta = random_vertex_delta(
+                current, num_additions=2, num_deletions=2, seed=100 * seed + step, protect=0
+            )
+            result = engine.apply_delta(delta)
+            current = delta.apply(current)
+            reference = run_batch(spec, current).states
+            assert spec.states_match(result.states, reference, tolerance=1e-9), (
+                f"delta {step} of churn sequence {seed}"
+            )
 
 
 class TestLayphInternals:

@@ -262,50 +262,54 @@ class TestUpperLayerCompileReuse:
         assert master_factor_csr(layered.upper_adjacency, universe) is compiled
 
 
-class TestUpperInAdjacencyCache:
-    """The reverse upper-layer view is cached across deltas and invalidated
-    by both rebuilds (new adjacency object) and in-place row patches
-    (version bump) — the selective upload path must not pay an O(Lup)
-    rebuild for every delta."""
+class TestResidentUpperCSR:
+    """The compiled upper layer is resident: served across calls, recompiled
+    only when the adjacency changed behind its back (a new adjacency object,
+    an out-of-band version bump) or when ``REPRO_CSR_CACHE=0``."""
 
     def _layered(self, graph):
         return LayeredGraph.build(SSSP(source=0), graph, LayphConfig(seed=2))
 
-    def test_repeat_calls_reuse_the_cached_view(self, community_graph_small):
-        layered = self._layered(community_graph_small)
-        first = layered.upper_in_adjacency()
-        rebuilds = layered.upper_in_rebuilds
-        assert layered.upper_in_adjacency() is first
-        assert layered.upper_in_rebuilds == rebuilds
-        assert layered.upper_in_reuses >= 1
+    def test_repeat_calls_serve_the_resident_snapshot(self, community_graph_small, monkeypatch):
+        from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
 
-    def test_version_bump_invalidates(self, community_graph_small):
+        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
         layered = self._layered(community_graph_small)
-        first = layered.upper_in_adjacency()
-        layered.upper_adjacency.add(9901, 9902, 1.0)
-        second = layered.upper_in_adjacency()
-        assert second is not first
-        assert (9901, 1.0) in second[9902]
-
-    def test_new_adjacency_object_invalidates(self, community_graph_small):
-        layered = self._layered(community_graph_small)
-        first = layered.upper_in_adjacency()
-        layered.upper_adjacency = FactorAdjacency(
-            {1: [(2, 0.5)]}
+        first = layered.upper_csr()
+        assert layered.upper_csr() is first
+        assert set(first.vertex_ids) == (
+            set(layered.graph.vertices()) | layered.proxy_vertices()
         )
-        second = layered.upper_in_adjacency()
+
+    def test_out_of_band_version_bump_recompiles(self, community_graph_small, monkeypatch):
+        from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
+
+        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+        layered = self._layered(community_graph_small)
+        first = layered.upper_csr()
+        source, target = sorted(layered.upper_vertices)[:2]
+        layered.upper_adjacency.add(source, target, 0.25)
+        second = layered.upper_csr()
         assert second is not first
-        assert second == {2: [(1, 0.5)]}
+        assert second.num_edges == first.num_edges + 1
+
+    def test_new_adjacency_object_recompiles(self, community_graph_small, monkeypatch):
+        from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
+
+        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+        layered = self._layered(community_graph_small)
+        first = layered.upper_csr()
+        layered.upper_adjacency = FactorAdjacency({1: [(2, 0.5)]})
+        second = layered.upper_csr()
+        assert second is not first
+        assert second.num_edges == 1
 
     def test_cache_disabled_by_env(self, community_graph_small, monkeypatch):
         from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
 
         layered = self._layered(community_graph_small)
         monkeypatch.setenv(CSR_CACHE_ENV_VAR, "0")
-        layered.upper_in_adjacency()
-        rebuilds = layered.upper_in_rebuilds
-        layered.upper_in_adjacency()
-        assert layered.upper_in_rebuilds == rebuilds + 1
+        assert layered.upper_csr() is not layered.upper_csr()
 
     def test_reverse_view_matches_forward_links(self, community_graph_small):
         layered = self._layered(community_graph_small)
@@ -320,3 +324,15 @@ class TestUpperInAdjacencyCache:
             for source, factor in links
         }
         assert forward == reverse
+
+    def test_proxies_are_served_from_the_owner_index(self, community_graph_small):
+        layered = LayeredGraph.build(
+            SSSP(source=0),
+            community_graph_small,
+            LayphConfig(seed=2, replication_threshold=2),
+        )
+        by_union = set()
+        for subgraph in layered.subgraphs:
+            by_union.update(subgraph.proxies)
+        assert by_union
+        assert layered.proxy_vertices() == by_union

@@ -3,24 +3,33 @@
 With the delta footprint enabled the online engine patches
 ``upper_adjacency`` rows in place (:meth:`repro.layph.layered_graph.
 LayeredGraph.patch_upper`) instead of reassembling the whole skeleton per
-delta.  These tests pin the patched structure to a fresh
-:meth:`_assemble_upper` result after every delta of a 20-delta sequence, and
-assert through the ``upper_patches``/``upper_reuses``/``upper_rebuilds``
-counters that the diff path actually engaged (no silent full rebuilds) while
-vertex removals still fall back to the full reassembly.
+delta — for every delta kind, vertex removals included — and splices the
+changed rows into the resident compiled upper CSR instead of recompiling it.
+These tests pin the patched structure to a fresh :meth:`_assemble_upper`
+result, and the spliced CSR to a fresh compile, after every delta of edge
+and vertex-churn sequences, and assert through the ``upper_patches``/
+``upper_reuses``/``upper_rebuilds`` counters and a compile spy that the
+patch path actually engaged (no silent full rebuilds or recompiles).
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engine.algorithms import make_algorithm
+from repro.engine.metrics import ExecutionMetrics
+from repro.graph.csr import FactorCSR
+from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
+from repro.graph.delta import GraphDelta
 from repro.graph.footprint import FOOTPRINT_ENV_VAR
 from repro.layph.engine import LayphEngine
+from repro.layph.vectorized import seed_tainted_upper
 from repro.workloads.datasets import DATASETS
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
 NUM_DELTAS = 20
+ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 
 
 def _delta_sequence(graph, include_vertex_deltas: bool):
@@ -37,6 +46,26 @@ def _delta_sequence(graph, include_vertex_deltas: bool):
     return deltas
 
 
+def _churn_sequence(graph, count: int = 12):
+    """Vertex churn (adds and deletes) on two steps of three, edges between."""
+    deltas = []
+    current = graph.copy()
+    for seed in range(count):
+        if seed % 3 == 2:
+            delta = random_edge_delta(current, 4, 4, seed=seed, protect=0)
+        else:
+            delta = random_vertex_delta(current, 2, 2, seed=seed, protect=0)
+        deltas.append(delta)
+        current = delta.apply(current)
+    return deltas
+
+
+def _assert_upper_is_fresh_assembly(layered) -> None:
+    fresh_upper, fresh_vertices = layered._assemble_upper()
+    assert layered.upper_adjacency.same_links(fresh_upper)
+    assert layered.upper_vertices == fresh_vertices
+
+
 @pytest.mark.parametrize("algorithm", ["pagerank", "sssp"])
 @pytest.mark.parametrize("backend", ["python", "numpy"])
 def test_patched_upper_equals_fresh_rebuild(algorithm, backend, monkeypatch):
@@ -50,44 +79,186 @@ def test_patched_upper_equals_fresh_rebuild(algorithm, backend, monkeypatch):
 
     for delta in _delta_sequence(graph, include_vertex_deltas=False):
         engine.apply_delta(delta)
-        fresh_upper, fresh_vertices = layered._assemble_upper()
-        assert layered.upper_adjacency.same_links(fresh_upper)
-        assert layered.upper_vertices == fresh_vertices
+        _assert_upper_is_fresh_assembly(layered)
 
-    # Pure edge deltas never change subgraph membership: every delta must
-    # have gone through the diff path — no silent full rebuilds.
+    # Every delta must have gone through the diff path — no silent full
+    # rebuilds.
     assert layered.upper_patches + layered.upper_reuses == NUM_DELTAS
     assert layered.upper_rebuilds == rebuilds_after_init
     assert layered.upper_patches > 0
 
 
-def test_vertex_removals_fall_back_to_full_rebuild(monkeypatch):
-    """Deltas that remove vertices leave the diff path and stay correct."""
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_removal_deltas_patch(algorithm, monkeypatch):
+    """Vertex churn rides the patch path: no reassembly after ``initialize``."""
     monkeypatch.delenv(FOOTPRINT_ENV_VAR, raising=False)
     graph = DATASETS["uk"].build()
-    engine = LayphEngine(make_algorithm("pagerank"))
+    engine = LayphEngine(make_algorithm(algorithm, source=0))
     engine.initialize(graph)
     layered = engine.layered
     rebuilds_after_init = layered.upper_rebuilds
 
     removal_deltas = 0
-    current = graph.copy()
-    for delta in _delta_sequence(graph, include_vertex_deltas=True):
-        old_vertices = set(current.vertices())
-        current = delta.apply(current)
-        if old_vertices - set(current.vertices()):
-            removal_deltas += 1
+    deltas = _churn_sequence(graph)
+    for delta in deltas:
+        old_vertices = set(engine.graph.vertices())
         engine.apply_delta(delta)
-        fresh_upper, fresh_vertices = layered._assemble_upper()
-        assert layered.upper_adjacency.same_links(fresh_upper)
-        assert layered.upper_vertices == fresh_vertices
+        if old_vertices - set(engine.graph.vertices()):
+            removal_deltas += 1
+        _assert_upper_is_fresh_assembly(layered)
+        assert layered.proxy_vertices() <= layered.upper_vertices
 
     assert removal_deltas > 0
-    # Removal deltas reassemble (reuse or rebuild of the full assembly);
-    # everything else still rides the diff path.
-    assert layered.upper_patches + layered.upper_reuses >= NUM_DELTAS - removal_deltas
-    assert layered.upper_patches > 0
-    assert layered.upper_rebuilds <= rebuilds_after_init + removal_deltas
+    assert layered.upper_rebuilds == rebuilds_after_init
+    assert layered.upper_patches + layered.upper_reuses == len(deltas)
+
+
+def _proxy_churn(engine):
+    """Deltas that make proxies join and leave the upper layer.
+
+    A brand-new host wired to three members of one dense subgraph gets an
+    entry proxy there; deleting it drops the proxy again; deleting the host
+    of a proxy that existed from the start drops that one too.  Generated
+    lazily: each delta is built against the engine's current graph.
+    """
+    layered = engine.layered
+    subgraph = max(layered.subgraphs, key=lambda candidate: len(candidate.members))
+    host = max(engine.graph.vertices()) + 1
+    arrival = GraphDelta()
+    arrival.add_vertex(host)
+    for member in sorted(subgraph.members)[:3]:
+        arrival.add_edge(host, member, 1.0)
+    arrival.add_edge(0, host, 1.0)
+    yield arrival
+    departure = GraphDelta()
+    departure.delete_vertex(host)
+    yield departure
+    old_host = next(
+        host
+        for candidate in layered.subgraphs
+        for host in candidate.proxies.values()
+        if host != 0
+    )
+    eviction = GraphDelta()
+    eviction.delete_vertex(old_host)
+    yield eviction
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_spliced_upper_csr_is_bit_identical_to_a_fresh_compile(algorithm, monkeypatch):
+    """The resident upper CSR after every delta == compiling it from scratch.
+
+    Ids, offsets, targets and factor bits; the id space is exactly the live
+    vertices plus the live proxies (removed vertices and dropped proxies
+    leave it — no id leak); and the whole layer is compiled exactly once.
+    """
+    monkeypatch.delenv(FOOTPRINT_ENV_VAR, raising=False)
+    monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+    graph = DATASETS["sk"].build()
+    engine = LayphEngine(make_algorithm(algorithm, source=0), backend="numpy")
+    engine.initialize(graph)
+    layered = engine.layered
+    assert layered.proxy_vertices()
+
+    whole_compiles = []
+    original = FactorCSR.from_factor_adjacency.__func__
+
+    def spy(cls, adjacency, universe=(), silenced=None):
+        if adjacency is layered.upper_adjacency:
+            whole_compiles.append(1)
+        return original(cls, adjacency, universe=universe, silenced=silenced)
+
+    monkeypatch.setattr(FactorCSR, "from_factor_adjacency", classmethod(spy))
+    layered.upper_csr()
+    assert len(whole_compiles) == 1
+
+    gone = set()
+    arrived = set()
+
+    def step(delta):
+        old_ids = set(engine.graph.vertices()) | layered.proxy_vertices()
+        engine.apply_delta(delta)
+        live = set(engine.graph.vertices()) | layered.proxy_vertices()
+        gone.update(old_ids - live)
+        arrived.update(live - old_ids)
+        resident = layered.upper_csr()
+        assert set(resident.vertex_ids) == live
+        fresh = original(FactorCSR, layered.upper_adjacency, universe=live)
+        assert resident.vertex_ids == fresh.vertex_ids
+        assert np.array_equal(resident.offsets, fresh.offsets)
+        assert np.array_equal(resident.targets, fresh.targets)
+        assert resident.factors.tobytes() == fresh.factors.tobytes()
+        assert np.array_equal(resident.ids_array(), np.asarray(fresh.vertex_ids))
+        _assert_upper_is_fresh_assembly(layered)
+
+    for delta in _churn_sequence(graph):
+        step(delta)
+    for delta in _proxy_churn(engine):
+        step(delta)
+    # vertices and proxies both joined and left the compiled id space
+    assert any(v >= 0 for v in gone) and any(v < 0 for v in gone)
+    assert any(v >= 0 for v in arrived) and any(v < 0 for v in arrived)
+    assert len(whole_compiles) == 1
+
+
+def test_cache_disabled_compiles_the_upper_layer_fresh(monkeypatch):
+    """``REPRO_CSR_CACHE=0``: nothing resident, every access a fresh compile."""
+    monkeypatch.delenv(FOOTPRINT_ENV_VAR, raising=False)
+    monkeypatch.setenv(CSR_CACHE_ENV_VAR, "0")
+    graph = DATASETS["uk"].build()
+    engine = LayphEngine(make_algorithm("sssp", source=0), backend="numpy")
+    engine.initialize(graph)
+    layered = engine.layered
+    for delta in _churn_sequence(graph, count=4):
+        engine.apply_delta(delta)
+        _assert_upper_is_fresh_assembly(layered)
+    assert layered.upper_csr() is not layered.upper_csr()
+
+
+@pytest.mark.parametrize("algorithm", ["sssp", "bfs"])
+def test_masked_in_link_gather_matches_reverse_scan(algorithm, monkeypatch):
+    """``seed_tainted_upper`` == the brute-force walk over a reverse view.
+
+    Same seeded messages and the same activation count (one per in-link of
+    a tainted vertex, counted before any skip) as the Python reference loop
+    of ``LayphEngine._selective_upload``.
+    """
+    monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+    graph = DATASETS["uk"].build()
+    spec = make_algorithm(algorithm, source=0)
+    engine = LayphEngine(spec, backend="numpy")
+    engine.initialize(graph)
+    layered = engine.layered
+    identity = spec.aggregate_identity()
+    upper = sorted(layered.upper_vertices)
+    incoming = layered.upper_in_adjacency()
+
+    for stride in (1, 7, 40):
+        tainted = set(upper[::stride])
+        work = dict(engine.states)
+        work.update(engine.proxy_states)
+        for vertex in tainted:
+            work[vertex] = identity
+
+        expected_pending = {}
+        expected_activations = 0
+        for vertex in sorted(tainted):
+            best = spec.initial_message(vertex) if vertex >= 0 else identity
+            for source, factor in incoming.get(vertex, []):
+                expected_activations += 1
+                source_state = work.get(source, identity)
+                if source_state == identity:
+                    continue
+                best = spec.aggregate(best, spec.combine(source_state, factor))
+            if spec.is_significant(best):
+                expected_pending[vertex] = best
+
+        pending = {}
+        metrics = ExecutionMetrics()
+        assert seed_tainted_upper(spec, layered, tainted, work, pending, metrics)
+        assert pending == expected_pending
+        assert metrics.edge_activations == expected_activations
+    assert expected_activations > 0
 
 
 def test_footprint_disabled_never_patches(monkeypatch):
@@ -99,60 +270,50 @@ def test_footprint_disabled_never_patches(monkeypatch):
     layered = engine.layered
     for delta in _delta_sequence(graph, include_vertex_deltas=False)[:5]:
         engine.apply_delta(delta)
-        fresh_upper, fresh_vertices = layered._assemble_upper()
-        assert layered.upper_adjacency.same_links(fresh_upper)
-        assert layered.upper_vertices == fresh_vertices
+        _assert_upper_is_fresh_assembly(layered)
     assert layered.upper_patches == 0
+
+
+def _count_flattens(monkeypatch) -> dict:
+    calls = {"count": 0}
+    original = LayphEngine._flatten_links
+
+    def spy(adjacency):
+        calls["count"] += 1
+        return original(adjacency)
+
+    monkeypatch.setattr(LayphEngine, "_flatten_links", staticmethod(spy))
+    return calls
 
 
 @pytest.mark.parametrize("algorithm", ["pagerank", "sssp"])
 def test_flatten_links_never_runs_on_the_per_delta_path(algorithm, monkeypatch):
     """The O(Lup) whole-layer flattens are gone from the per-delta path.
 
-    Accumulative specs never needed them; the selective upload now consumes
-    the :class:`repro.layph.layered_graph.UpperDiff` emitted by
-    ``patch_upper``, so membership-stable deltas must not flatten either.
-    A spy-count on ``LayphEngine._flatten_links`` proves both.
+    Accumulative specs never needed them; the selective upload consumes the
+    :class:`repro.layph.layered_graph.UpperDiff` emitted by ``patch_upper``
+    for every delta kind, vertex removals included.  A spy-count on
+    ``LayphEngine._flatten_links`` proves both.
     """
     monkeypatch.delenv(FOOTPRINT_ENV_VAR, raising=False)
-    calls = {"count": 0}
-    original = LayphEngine._flatten_links
-
-    def spy(adjacency):
-        calls["count"] += 1
-        return original(adjacency)
-
-    monkeypatch.setattr(LayphEngine, "_flatten_links", staticmethod(spy))
+    calls = _count_flattens(monkeypatch)
     graph = DATASETS["uk"].build()
     engine = LayphEngine(make_algorithm(algorithm, source=0))
     engine.initialize(graph)
-    for delta in _delta_sequence(graph, include_vertex_deltas=False):
+    for delta in _delta_sequence(graph, include_vertex_deltas=True):
         engine.apply_delta(delta)
     assert calls["count"] == 0
 
 
-def test_flatten_links_still_backs_the_reassembly_fallback(monkeypatch):
-    """Vertex removals (full reassembly) keep the flatten-based reference."""
-    monkeypatch.delenv(FOOTPRINT_ENV_VAR, raising=False)
-    calls = {"count": 0}
-    original = LayphEngine._flatten_links
-
-    def spy(adjacency):
-        calls["count"] += 1
-        return original(adjacency)
-
-    monkeypatch.setattr(LayphEngine, "_flatten_links", staticmethod(spy))
+def test_flatten_links_still_backs_the_footprint_free_reference(monkeypatch):
+    """``REPRO_DELTA_FOOTPRINT=0`` keeps the flatten-based reference diff."""
+    monkeypatch.setenv(FOOTPRINT_ENV_VAR, "0")
+    calls = _count_flattens(monkeypatch)
     graph = DATASETS["uk"].build()
     engine = LayphEngine(make_algorithm("sssp", source=0))
     engine.initialize(graph)
-    current = graph.copy()
-    removal_deltas = 0
-    for delta in _delta_sequence(graph, include_vertex_deltas=True):
-        old_vertices = set(current.vertices())
-        current = delta.apply(current)
-        if old_vertices - set(current.vertices()):
-            removal_deltas += 1
+    deltas = _delta_sequence(graph, include_vertex_deltas=True)[:6]
+    for delta in deltas:
         engine.apply_delta(delta)
-    assert removal_deltas > 0
     # Two flattens (old and new links) per reassembled selective delta.
-    assert calls["count"] == 2 * removal_deltas
+    assert calls["count"] == 2 * len(deltas)

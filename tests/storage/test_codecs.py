@@ -12,6 +12,7 @@ mutation-counter version and both adjacency insertion orders.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -45,7 +46,7 @@ from repro.storage.codecs import (
     pack,
     unpack,
 )
-from repro.workloads.updates import random_edge_delta
+from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
 
 def _graph():
@@ -278,6 +279,33 @@ def test_layered_graph_state_round_trip():
     assert encode_factor_adjacency(rebuilt.upper_adjacency) == encode_factor_adjacency(
         layered.upper_adjacency
     )
+
+
+def test_layered_graph_state_counters_and_old_snapshots():
+    """The ``counters`` block carries the three maintenance counters only —
+    the reverse-view cache and its ``upper_in_*`` counters are gone — and a
+    snapshot written by a build that still stored them restores all the
+    same; the compiled upper CSR is never stored and recompiles on use."""
+    spec = make_algorithm("sssp", source=0)
+    engine = build_engine("layph", spec, backend="numpy")
+    engine.initialize(_graph())
+    engine.apply_delta(random_vertex_delta(engine.graph, 2, 2, seed=5, protect=0))
+    layered = engine.layered
+    state = layered.to_state()
+    assert set(state["counters"]) == {"upper_reuses", "upper_rebuilds", "upper_patches"}
+
+    old_format = json.loads(json.dumps(state))
+    old_format["counters"].update({"upper_in_reuses": 4, "upper_in_rebuilds": 2})
+    rebuilt = LayeredGraph.from_state(spec, engine.graph, engine.config, old_format)
+    assert rebuilt.to_state() == state
+
+    resident = layered.upper_csr()
+    recompiled = rebuilt.upper_csr()
+    assert recompiled is not resident
+    assert recompiled.vertex_ids == resident.vertex_ids
+    assert np.array_equal(recompiled.offsets, resident.offsets)
+    assert np.array_equal(recompiled.targets, resident.targets)
+    assert recompiled.factors.tobytes() == resident.factors.tobytes()
 
 
 # ----------------------------------------------------------------------
