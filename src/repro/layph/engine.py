@@ -360,8 +360,9 @@ class LayphEngine(IncrementalEngine):
 
         # ------------------------------------------------------------------
         self.proxy_states = {p: work.get(p, snapshot_baseline) for p in proxies}
+        # the default is evaluated only for the (rare) vertices work lacks
         result_states = {
-            vertex: work.get(vertex, spec.initial_state(vertex))
+            vertex: work[vertex] if vertex in work else spec.initial_state(vertex)
             for vertex in new_graph.vertices()
         }
         return IncrementalResult(states=result_states, metrics=metrics, phases=phases)

@@ -35,7 +35,7 @@ from repro.graph.graph import Graph
 from repro.layph.community import louvain_communities
 from repro.layph.dense import BoundaryClassification, classify_boundary, select_dense_subgraphs
 from repro.layph.replication import ReplicationPlan, plan_replication, reclassify_with_replication
-from repro.layph.shortcuts import compute_shortcuts_from, update_shortcut_vector
+from repro.layph.shortcuts import compute_shortcut_vectors, update_shortcut_vector
 
 
 @dataclass
@@ -377,11 +377,13 @@ class LayeredGraph:
         provably keep their weights).  This mirrors the paper's incremental
         shortcut maintenance (Section IV-B).
 
-        With ``defer``, full from-scratch recomputations are not run inline:
-        each is recorded as a ``(subgraph index, boundary vertex)`` entry
-        (the shortcut table gets a placeholder preserving the sorted-key
-        order) for the caller to solve in one batch — this is how
-        :meth:`rebuild_subgraphs` fans the solves out to the worker pool.
+        The vectors that need a from-scratch solve (new boundary vertices,
+        and stale ones the incremental update cannot revise) get a
+        placeholder preserving the sorted-key order and are solved after the
+        boundary loop in one batch (:meth:`_solve_shortcuts`).  With
+        ``defer`` that batch is not run here: each source is recorded as a
+        ``(subgraph index, boundary vertex)`` entry for the caller — this is
+        how :meth:`rebuild_subgraphs` fans the solves out to the worker pool.
         Incremental vector updates stay inline either way; they are cheap
         O(changed-region) revisions, not solves.
         """
@@ -437,12 +439,17 @@ class LayeredGraph:
         subgraph.local_adjacency = local
 
         boundary = subgraph.boundary
-        stale_sources = self._stale_shortcut_sources(
-            old_local, local, old_shortcuts, old_boundary, boundary
+        # The incremental updates need the changed sources; a first build
+        # (no old tables) solves every boundary vertex from scratch.
+        changed_sources = (
+            self._changed_local_sources(old_local, local) if old_shortcuts else set()
         )
-        changed_sources = self._changed_local_sources(old_local, local)
+        stale_sources = self._stale_shortcut_sources(
+            changed_sources, old_shortcuts, old_boundary, boundary
+        )
         boundary_changed = old_boundary != boundary
         shortcuts: Dict[int, Dict[int, float]] = {}
+        unsolved: List[int] = []
         for vertex in sorted(boundary):
             if vertex not in stale_sources and vertex in old_shortcuts:
                 shortcuts[vertex] = old_shortcuts[vertex]
@@ -463,20 +470,31 @@ class LayeredGraph:
                     backend=self.config.backend,
                 )
             if updated is None:
-                if defer is not None:
-                    defer.append((subgraph.index, vertex))
-                    shortcuts[vertex] = {}
-                    continue
-                updated = compute_shortcuts_from(
-                    spec,
-                    local,
-                    vertex,
-                    boundary,
-                    self.construction_metrics,
-                    backend=self.config.backend,
-                )
+                # a placeholder keeps the sorted key order
+                shortcuts[vertex] = {}
+                unsolved.append(vertex)
+                continue
             shortcuts[vertex] = updated
         subgraph.shortcuts = shortcuts
+        if not unsolved:
+            return
+        if defer is not None:
+            defer.extend((subgraph.index, vertex) for vertex in unsolved)
+        else:
+            self._solve_shortcuts(subgraph, unsolved)
+
+    def _solve_shortcuts(self, subgraph: DenseSubgraph, sources: List[int]) -> None:
+        """Solve ``sources``' shortcut vectors from scratch, in one batch."""
+        vectors = compute_shortcut_vectors(
+            self.spec,
+            subgraph.local_adjacency,
+            sources,
+            subgraph.boundary,
+            self.construction_metrics,
+            backend=self.config.backend,
+        )
+        for vertex, vector in zip(sources, vectors):
+            subgraph.shortcuts[vertex] = vector
 
     def _reindex_subgraph(
         self,
@@ -531,10 +549,9 @@ class LayeredGraph:
                 changed.add(vertex)
         return changed
 
+    @staticmethod
     def _stale_shortcut_sources(
-        self,
-        old_local: FactorAdjacency,
-        new_local: FactorAdjacency,
+        changed_sources: Set[int],
         old_shortcuts: Dict[int, Dict[int, float]],
         old_boundary: Set[int],
         new_boundary: Set[int],
@@ -544,11 +561,12 @@ class LayeredGraph:
         A boundary vertex is stale when some intra-subgraph link changed at a
         vertex its old shortcut region could reach (or at itself), or when the
         boundary set changed in a way that alters which vertices absorb
-        messages along its internal paths.
+        messages along its internal paths.  ``changed_sources`` are the
+        vertices whose intra-subgraph out-links changed
+        (:meth:`_changed_local_sources`).
         """
         if not old_shortcuts:
             return set(new_boundary)
-        changed_sources = self._changed_local_sources(old_local, new_local)
         if not changed_sources and old_boundary == new_boundary:
             return set()
         if old_boundary != new_boundary:
@@ -599,11 +617,12 @@ class LayeredGraph:
         engine passes :func:`repro.layph.parallel_phases.parallel_shortcuts`
         bound to the worker pool.  The solver returns the vectors in
         ``deferred`` order (having replayed its propagation rounds into
-        ``construction_metrics``), or ``None``, in which case each deferred
-        entry runs the serial solve right here.  Either way the per-delta
-        F-work charged to ``metrics`` equals the serial loop's: it is the
-        batch's total construction-metrics activation delta, and both the
-        pooled kernel and the serial fallback record the identical rounds.
+        ``construction_metrics``), or ``None``, in which case each
+        subgraph's deferred entries run the serial batch right here.  Either
+        way the per-delta F-work charged to ``metrics`` equals the serial
+        loop's: it is the batch's total construction-metrics activation
+        delta, and both the pooled kernel and the serial fallback record the
+        identical rounds.
         """
         indices = list(indices)
         if solver is None:
@@ -622,16 +641,11 @@ class LayeredGraph:
         if deferred:
             solved = solver(deferred)
             if solved is None:
+                groups: Dict[int, List[int]] = {}
                 for index, vertex in deferred:
-                    subgraph = self.subgraphs[index]
-                    subgraph.shortcuts[vertex] = compute_shortcuts_from(
-                        self.spec,
-                        subgraph.local_adjacency,
-                        vertex,
-                        subgraph.boundary,
-                        self.construction_metrics,
-                        backend=self.config.backend,
-                    )
+                    groups.setdefault(index, []).append(vertex)
+                for index, sources in groups.items():
+                    self._solve_shortcuts(self.subgraphs[index], sources)
             else:
                 for (index, vertex), vector in zip(deferred, solved):
                     self.subgraphs[index].shortcuts[vertex] = vector

@@ -32,7 +32,12 @@ import numpy as np
 from repro.engine.dense_propagation import AGGREGATE_MIN, COMBINE_ADD, classify_spec
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.parallel_propagation import parallel_min_edges
-from repro.graph.csr import FactorCSR
+from repro.layph.shortcuts import (
+    SHORTCUT_ARRAYS,
+    ShortcutSolves,
+    merge_shortcut_solves,
+    prepare_shortcut_solves,
+)
 from repro.layph.vectorized import (
     _shortcut_csr,
     build_upload_slab,
@@ -172,21 +177,6 @@ def parallel_local_uploads(
             holder["arena"].close()
 
 
-#: arrays exported to the arena for one shortcut-solve batch, in payload order
-_SHORTCUT_FIELDS = (
-    "offsets",
-    "targets",
-    "factors",
-    "full_degree",
-    "silenced_degree",
-    "absorb",
-    "source_rows",
-    "states_out",
-    "first_mask",
-    "final_mask",
-)
-
-
 def parallel_shortcuts(
     spec,
     layered,
@@ -199,31 +189,17 @@ def parallel_shortcuts(
     ``deferred`` is the rebuild pass's ``(subgraph index, boundary vertex)``
     list (see :meth:`repro.layph.layered_graph.LayeredGraph.
     rebuild_subgraphs`); each rebuilt subgraph's solves form one
-    LPT-scheduled ``"shortcuts"`` task running
-    :func:`repro.parallel.slabs.run_shortcut_solves` over the subgraph's
-    compiled local CSR.  Returns the shortcut vectors in ``deferred`` order
-    with ``metrics`` (the layered graph's construction metrics) replayed
-    exactly as the serial solves would have recorded them; ``None``
-    (nothing mutated) tells the caller to run the serial solves.
-
-    Bitwise identity with :func:`repro.layph.shortcuts.
-    compute_shortcuts_from`: every solve runs the same two-phase neutral
-    propagation on the same ascending-id dense index space (extra rows from
-    batching the subgraph's solves into one id space never activate), and
-    the merge rebuilds the reference's dict insertion order — phase-1
-    touched rows ascending, then newly touched rows ascending — before
-    applying the reference's exact post-filter.
+    LPT-scheduled ``"shortcuts"`` task running the lockstep kernel
+    :func:`repro.parallel.slabs.run_shortcut_solves` on the arrays
+    :func:`repro.layph.shortcuts.prepare_shortcut_solves` compiles — the
+    same kernel and the same merge
+    (:func:`repro.layph.shortcuts.merge_shortcut_solves`) as the serial
+    path, so the vectors are bitwise the serial ones.  Returns the shortcut
+    vectors in ``deferred`` order with ``metrics`` (the layered graph's
+    construction metrics) replayed exactly as the serial solves would have
+    recorded them; ``None`` (nothing mutated) tells the caller to run the
+    serial solves.
     """
-    kinds = classify_spec(spec)
-    if kinds is None:
-        return None
-    selective = kinds[0] == AGGREGATE_MIN
-    combine_add = kinds[1] == COMBINE_ADD
-    identity = float(spec.aggregate_identity())
-    unit = float(spec.combine_identity())
-    tolerance = 0.0 if selective else float(spec.tolerance())
-    run_first = bool(spec.is_significant(unit))
-
     order: List[int] = []
     groups: Dict[int, List[int]] = {}
     for index, vertex in deferred:
@@ -232,49 +208,23 @@ def parallel_shortcuts(
             order.append(index)
         groups[index].append(vertex)
 
-    units: List[Tuple[int, FactorCSR, List[np.ndarray]]] = []
+    units: List[Tuple[int, ShortcutSolves]] = []
     total_edges = 0
     for index in order:
         subgraph = layered.subgraphs[index]
-        csr = FactorCSR.from_factor_adjacency(
-            subgraph.local_adjacency, universe=subgraph.boundary
+        solves = prepare_shortcut_solves(
+            spec, subgraph.local_adjacency, groups[index], subgraph.boundary
         )
-        if np.isnan(csr.factors).any():
+        if solves is None:
             return None
-        n = csr.num_vertices
-        silenced_degree = csr.out_degree.copy()
-        for vertex in subgraph.boundary:
-            position = csr.index.get(vertex)
-            if position is not None:
-                silenced_degree[position] = 0
-        absorb = np.fromiter(
-            (bool(spec.absorbs(vertex)) for vertex in csr.vertex_ids), bool, count=n
-        )
-        sources = groups[index]
-        source_rows = np.fromiter(
-            (csr.index[vertex] for vertex in sources), np.int64, count=len(sources)
-        )
-        solves = len(sources)
-        arrays = [
-            csr.offsets,
-            csr.targets,
-            csr.factors,
-            csr.out_degree,
-            silenced_degree,
-            absorb,
-            source_rows,
-            np.full((solves, n), identity, dtype=np.float64),
-            np.zeros((solves, n), dtype=bool),
-            np.zeros((solves, n), dtype=bool),
-        ]
-        units.append((index, csr, arrays))
-        total_edges += int(csr.targets.size) * solves
+        units.append((index, solves))
+        total_edges += int(solves.arrays["targets"].size) * len(solves.sources)
     if total_edges < parallel_min_edges():
         return None
 
     flat: List[np.ndarray] = []
-    for _index, _csr, arrays in units:
-        flat.extend(arrays)
+    for _index, solves in units:
+        flat.extend(solves.arrays[field] for field in SHORTCUT_ARRAYS)
     # As in the other phases, each retry attempt re-exports the pristine
     # arrays into a fresh arena (a dead worker may have half-written the
     # previous one's output regions).
@@ -288,22 +238,20 @@ def parallel_shortcuts(
         holder["arena"] = arena
         tasks = []
         costs = []
-        for position, (_index, csr, arrays) in enumerate(units):
-            base = position * len(_SHORTCUT_FIELDS)
+        for position, (_index, solves) in enumerate(units):
+            base = position * len(SHORTCUT_ARRAYS)
             payload = {
                 field: refs[base + offset]
-                for offset, field in enumerate(_SHORTCUT_FIELDS)
+                for offset, field in enumerate(SHORTCUT_ARRAYS)
             }
-            payload.update(
-                run_first=run_first,
-                selective=selective,
-                combine_add=combine_add,
-                identity=identity,
-                tolerance=tolerance,
-                unit=unit,
-            )
+            payload.update(solves.scalars)
             tasks.append(("shortcuts", payload))
-            costs.append(float(arrays[7].shape[0] * (csr.targets.size + csr.num_vertices)))
+            costs.append(
+                float(
+                    len(solves.sources)
+                    * (solves.arrays["targets"].size + len(solves.ids))
+                )
+            )
         return tasks, costs
 
     try:
@@ -317,38 +265,17 @@ def parallel_shortcuts(
         POOL_STATS.shortcut_batches += 1
         arena = holder["arena"]
         vectors: Dict[Tuple[int, int], Dict[int, float]] = {}
-        for position, (index, csr, _arrays) in enumerate(units):
-            ids = csr.vertex_ids
-            base = position * len(_SHORTCUT_FIELDS)
-            states_out = arena.view(base + _SHORTCUT_FIELDS.index("states_out"))
-            first_mask = arena.view(base + _SHORTCUT_FIELDS.index("first_mask"))
-            final_mask = arena.view(base + _SHORTCUT_FIELDS.index("final_mask"))
-            for solve, source in enumerate(groups[index]):
-                for total, active, updates in results[position][solve]:
-                    metrics.vertex_updates += updates
-                    metrics.record_round(total, active)
-                row_states = states_out[solve]
-                first = np.nonzero(first_mask[solve])[0]
-                fresh = np.nonzero(final_mask[solve] & ~first_mask[solve])[0]
-                shortcut: Dict[int, float] = {}
-                for row in list(first) + list(fresh):
-                    target = ids[int(row)]
-                    value = float(row_states[int(row)])
-                    if target == source:
-                        # The reference strips the injected unit: only mass
-                        # returned through internal cycles survives.
-                        if selective:
-                            continue
-                        surplus = value - unit
-                        if spec.is_significant(surplus):
-                            shortcut[target] = surplus
-                        continue
-                    if selective:
-                        if value != identity:
-                            shortcut[target] = value
-                    elif spec.is_significant(value):
-                        shortcut[target] = value
-                vectors[(index, source)] = shortcut
+        for position, (index, solves) in enumerate(units):
+            base = position * len(SHORTCUT_ARRAYS)
+            states_out, first_mask, final_mask = (
+                arena.view(base + SHORTCUT_ARRAYS.index(field))
+                for field in ("states_out", "first_mask", "final_mask")
+            )
+            merged = merge_shortcut_solves(
+                solves, results[position], states_out, first_mask, final_mask, metrics
+            )
+            for source, vector in zip(solves.sources, merged):
+                vectors[(index, source)] = vector
         return [vectors[entry] for entry in deferred]
     finally:
         if holder["arena"] is not None:

@@ -14,15 +14,50 @@ the subgraph: on the upper layer, a message travelling between two boundary
 vertices of the same subgraph is counted once for every distinct sequence of
 boundary vertices it visits, which is what Theorems 1 and 2 need for both the
 selective and the accumulative algorithm families.
+
+Under a numpy backend every from-scratch solve of a subgraph runs in one
+call of the lockstep multi-source kernel
+:func:`repro.parallel.slabs.run_shortcut_solves`
+(:func:`compute_shortcut_vectors`); the two-``propagate`` body of
+:func:`_propagate_shortcuts` is the Python-backend reference and the
+fallback for specs or factors the kernel cannot express.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.engine.algorithm import AlgorithmSpec
+from repro.engine.backends import is_numpy_backend
+from repro.engine.dense_propagation import (
+    AGGREGATE_MIN,
+    COMBINE_ADD,
+    classify_spec,
+    record_propagation_rounds,
+)
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency, SilencedAdjacency, propagate
+from repro.graph.csr import FactorCSR
+from repro.graph.csr_cache import master_factor_csr
+from repro.parallel.slabs import run_shortcut_solves
+
+#: array arguments of :func:`repro.parallel.slabs.run_shortcut_solves`, in
+#: the order the worker pool exports them
+SHORTCUT_ARRAYS = (
+    "offsets",
+    "targets",
+    "factors",
+    "full_degree",
+    "silenced_degree",
+    "absorb",
+    "source_rows",
+    "states_out",
+    "first_mask",
+    "final_mask",
+)
 
 
 class _NeutralSpec:
@@ -74,6 +109,33 @@ def compute_shortcuts_from(
         unless the subgraph feeds mass back to it through internal cycles
         (only possible for accumulative algorithms), in which case the entry
         carries only that cyclic surplus, never the injected unit.
+
+    Without a round cap this is the one-source case of
+    :func:`compute_shortcut_vectors`.
+    """
+    if max_rounds is None:
+        return compute_shortcut_vectors(
+            spec, local_adjacency, [source], boundary, metrics, backend=backend
+        )[0]
+    return _propagate_shortcuts(
+        spec, local_adjacency, source, boundary, metrics, max_rounds, backend
+    )
+
+
+def _propagate_shortcuts(
+    spec: AlgorithmSpec,
+    local_adjacency: FactorAdjacency,
+    source: int,
+    boundary: Set[int],
+    metrics: Optional[ExecutionMetrics] = None,
+    max_rounds: Optional[int] = None,
+    backend: Optional[str] = None,
+) -> Dict[int, float]:
+    """The reference solve: two ``propagate`` calls over silenced views.
+
+    Runs on the Python backend, for a round cap, and whenever the batched
+    kernel cannot express the spec or the factors (see
+    :func:`prepare_shortcut_solves`).
     """
     if metrics is None:
         metrics = ExecutionMetrics()
@@ -136,6 +198,171 @@ def compute_shortcuts_from(
             if spec.is_significant(value):
                 shortcuts[vertex] = value
     return shortcuts
+
+
+@dataclass
+class ShortcutSolves:
+    """One subgraph's from-scratch shortcut solves, compiled to arrays.
+
+    ``arrays`` and ``scalars`` are exactly the arguments of
+    :func:`repro.parallel.slabs.run_shortcut_solves` — the serial path calls
+    the kernel with them, the pool path exports ``arrays`` to shared memory
+    in :data:`SHORTCUT_ARRAYS` order — and :func:`merge_shortcut_solves`
+    turns the kernel's output back into shortcut vectors.
+    """
+
+    sources: List[int]
+    #: vertex id of every local row (the CSR's own list: shortcut keys share
+    #: its int objects instead of minting one per table entry)
+    ids: List[int]
+    arrays: Dict[str, np.ndarray]
+    scalars: Dict[str, object]
+
+
+def prepare_shortcut_solves(
+    spec: AlgorithmSpec,
+    local_adjacency: FactorAdjacency,
+    sources: Sequence[int],
+    boundary: Set[int],
+) -> Optional[ShortcutSolves]:
+    """Compile the from-scratch solves of ``sources`` over one subgraph.
+
+    One local CSR serves every source (the adjacency's memoized master
+    compile when the CSR cache is on).  Every boundary vertex and every
+    source is silenced after the first round, so several sources can share
+    the kernel only when they are all boundary vertices; a single source
+    may be internal (the rooted source of a selective algorithm).  Returns
+    ``None`` — run :func:`_propagate_shortcuts` per source — when the spec's
+    algebra is not a declared dense one or a factor is NaN.
+    """
+    if len(sources) > 1 and not boundary.issuperset(sources):
+        raise ValueError("only boundary vertices can share a shortcut solve")
+    kinds = classify_spec(spec)
+    if kinds is None:
+        return None
+    silenced = set(boundary)
+    silenced.update(sources)
+    csr = master_factor_csr(local_adjacency, silenced)
+    if csr is None:
+        csr = FactorCSR.from_factor_adjacency(local_adjacency, universe=silenced)
+    if np.isnan(csr.factors).any():
+        return None
+    index = csr.index
+    n = csr.num_vertices
+    silenced_degree = csr.out_degree.copy()
+    silenced_degree[[index[vertex] for vertex in silenced]] = 0
+    solves = len(sources)
+    selective = kinds[0] == AGGREGATE_MIN
+    unit = float(spec.combine_identity())
+    return ShortcutSolves(
+        sources=list(sources),
+        ids=csr.vertex_ids,
+        arrays={
+            "offsets": csr.offsets,
+            "targets": csr.targets,
+            "factors": csr.factors,
+            "full_degree": csr.out_degree,
+            "silenced_degree": silenced_degree,
+            "absorb": np.fromiter(
+                (bool(spec.absorbs(vertex)) for vertex in csr.vertex_ids),
+                dtype=bool,
+                count=n,
+            ),
+            "source_rows": np.fromiter(
+                (index[vertex] for vertex in sources), dtype=np.int64, count=solves
+            ),
+            "states_out": np.empty((solves, n), dtype=np.float64),
+            "first_mask": np.zeros((solves, n), dtype=bool),
+            "final_mask": np.zeros((solves, n), dtype=bool),
+        },
+        scalars={
+            "run_first": bool(spec.is_significant(unit)),
+            "selective": selective,
+            "combine_add": kinds[1] == COMBINE_ADD,
+            "identity": float(spec.aggregate_identity()),
+            "tolerance": 0.0 if selective else float(spec.tolerance()),
+            "unit": unit,
+        },
+    )
+
+
+def merge_shortcut_solves(
+    solves: ShortcutSolves,
+    rounds: List[List[Tuple[int, int, int]]],
+    states_out: np.ndarray,
+    first_mask: np.ndarray,
+    final_mask: np.ndarray,
+    metrics: ExecutionMetrics,
+) -> List[Dict[int, float]]:
+    """Shortcut vectors from a finished kernel run, in ``solves.sources`` order.
+
+    Shared by the serial and the pool path.  Per source it replays the
+    round triples into ``metrics``, rebuilds the reference's dict insertion
+    order — rows touched in round 0 ascending, then the rows touched later
+    ascending, which is how the reference's two write-backs insert them —
+    and applies the reference's post-filter: the identity / insignificant
+    values go, and the source's own entry keeps only the surplus over the
+    injected unit (accumulative algorithms; selective ones drop it).
+    """
+    scalars = solves.scalars
+    selective = scalars["selective"]
+    identity = scalars["identity"]
+    tolerance = scalars["tolerance"]
+    unit = scalars["unit"]
+    source_rows = solves.arrays["source_rows"]
+    ids = solves.ids
+    vectors: List[Dict[int, float]] = []
+    for position in range(len(solves.sources)):
+        record_propagation_rounds(metrics, rounds[position])
+        first = first_mask[position]
+        order = np.concatenate(
+            (np.flatnonzero(first), np.flatnonzero(final_mask[position] & ~first))
+        )
+        values = states_out[position, order]
+        own = order == source_rows[position]
+        if selective:
+            keep = (values != identity) & ~own
+        else:
+            values = np.where(own, values - unit, values)
+            keep = np.abs(values) > tolerance
+        rows = order[keep].tolist()
+        vectors.append(dict(zip([ids[row] for row in rows], values[keep].tolist())))
+    return vectors
+
+
+def compute_shortcut_vectors(
+    spec: AlgorithmSpec,
+    local_adjacency: FactorAdjacency,
+    sources: Sequence[int],
+    boundary: Set[int],
+    metrics: Optional[ExecutionMetrics] = None,
+    backend: Optional[str] = None,
+) -> List[Dict[int, float]]:
+    """From-scratch shortcut vectors of several sources of one subgraph.
+
+    Equal — values, dict order and recorded metrics — to
+    :func:`compute_shortcuts_from` per source in ``sources`` order.  Under a
+    numpy backend all sources run in one lockstep kernel call
+    (:func:`prepare_shortcut_solves`, :func:`merge_shortcut_solves`).
+    """
+    if metrics is None:
+        metrics = ExecutionMetrics()
+    if sources and is_numpy_backend(backend):
+        solves = prepare_shortcut_solves(spec, local_adjacency, sources, boundary)
+        if solves is not None:
+            arrays = solves.arrays
+            return merge_shortcut_solves(
+                solves,
+                run_shortcut_solves(**arrays, **solves.scalars),
+                arrays["states_out"],
+                arrays["first_mask"],
+                arrays["final_mask"],
+                metrics,
+            )
+    return [
+        _propagate_shortcuts(spec, local_adjacency, source, boundary, metrics, backend=backend)
+        for source in sources
+    ]
 
 
 def _fold_propagate(
@@ -270,11 +497,8 @@ def compute_all_shortcuts(
 
     Returns ``{boundary_vertex: {target: weight}}``.
     """
-    if metrics is None:
-        metrics = ExecutionMetrics()
-    return {
-        vertex: compute_shortcuts_from(
-            spec, local_adjacency, vertex, boundary, metrics, backend=backend
-        )
-        for vertex in sorted(boundary)
-    }
+    sources = sorted(boundary)
+    vectors = compute_shortcut_vectors(
+        spec, local_adjacency, sources, boundary, metrics, backend=backend
+    )
+    return dict(zip(sources, vectors))

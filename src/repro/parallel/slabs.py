@@ -336,71 +336,119 @@ def run_shortcut_solves(
     tolerance: float,
     unit: float,
 ) -> List[List[Tuple[int, int, int]]]:
-    """One subgraph's batch of boundary-source shortcut solves.
+    """All of one subgraph's from-scratch shortcut solves, in lockstep.
 
-    Each solve replays Layph's two-phase neutral propagation from one
-    boundary source exactly as the serial reference runs it through
-    :func:`run_propagation`:
+    Solve ``i`` is Layph's two-phase neutral propagation from the source at
+    local row ``source_rows[i]``: the unit message is injected there, one
+    round runs with the source's full row (phase 1, every *other* boundary
+    row silenced) and the remaining rounds run with the source silenced too
+    (phase 2).  The solves share nothing but the CSR block, so they advance
+    together over one ``(solves × n)`` state matrix flattened to the index
+    ``solve * n + row``:
 
-    * phase 1 (skipped unless ``run_first``): a single round with every
-      *other* boundary row silenced — ``silenced_degree`` has all boundary
-      rows zeroed, so the phase runs with the source's own row re-opened
-      from ``full_degree``;
-    * phase 2: unlimited rounds with the source silenced too, i.e. exactly
-      ``silenced_degree``.
+    * round 0 reads ``full_degree`` (only the sources are pending then, so
+      this re-opens exactly the source rows), every later round reads
+      ``silenced_degree`` — all boundary rows, the sources among them,
+      zeroed; without ``run_first`` the unit is insignificant and round 0
+      already reads ``silenced_degree`` (it ends every solve at once);
+    * active entries are taken in ascending flat order, which is ascending
+      row order within each solve, and the messages of a round are
+      scattered with one unbuffered ``np.minimum.at`` / ``np.add.at`` — so
+      every cell receives its contributions in exactly the order the
+      one-solve loop (:func:`run_propagation`) applies them, and even the
+      accumulative float sums are bitwise equal;
+    * a solve ends when it has no significant pending entry; its
+      insignificant leftovers stay pending and are never read again, as in
+      the one-solve loop.
 
-    Carrying ``state``/``pending``/``in_dict`` across the phases is
-    bit-equivalent to the reference's dict write-back/rebuild round-trip
-    (rows with a cleared ``in_dict`` are never read again).  ``states_out``
-    row ``i`` receives solve ``i``'s final per-row states; ``first_mask`` /
-    ``final_mask`` row ``i`` record which rows were touched after phase 1 /
-    overall — the coordinator rebuilds the reference's dict *insertion
-    order* from them (phase-1 rows ascending, then newly touched rows
-    ascending), which downstream accumulative float sums depend on.
+    ``states_out`` row ``i`` receives solve ``i``'s final per-row states;
+    ``first_mask`` / ``final_mask`` row ``i`` record which rows were touched
+    after phase 1 / overall — the merge rebuilds the reference's dict
+    *insertion order* from them (phase-1 rows ascending, then newly touched
+    rows ascending), which downstream accumulative float sums depend on.
 
     Returns the per-round ``(activations, active, updates)`` triples of
     both phases, per solve, for metric replay in serial order.
     """
+    solves = int(source_rows.size)
     n = int(silenced_degree.size)
-    pending = np.empty(n, dtype=np.float64)
-    in_dict = np.empty(n, dtype=bool)
-    touched = np.empty(n, dtype=bool)
-    results: List[List[Tuple[int, int, int]]] = []
-    for position in range(int(source_rows.size)):
-        row = int(source_rows[position])
-        state = states_out[position]
-        state[...] = identity
-        pending[:] = identity
-        in_dict[:] = False
-        touched[:] = False
-        pending[row] = unit
-        in_dict[row] = True
-        slab = PropagationSlab(
-            offsets=offsets,
-            targets=targets,
-            factors=factors,
-            out_degree=silenced_degree,
-            state=state,
-            pending=pending,
-            in_dict=in_dict,
-            state_touched=touched,
-            absorb=absorb,
-            selective=selective,
-            combine_add=combine_add,
-            identity=identity,
-            tolerance=tolerance,
-        )
-        rounds: List[Tuple[int, int, int]] = []
-        if run_first:
-            opened = silenced_degree.copy()
-            opened[row] = full_degree[row]
-            slab.out_degree = opened
-            rounds.extend(run_propagation(slab, 1))
-            slab.out_degree = silenced_degree
-        first_mask[position][:] = touched
-        rounds.extend(run_propagation(slab, None))
-        final_mask[position][:] = touched
-        results.append(rounds)
+    results: List[List[Tuple[int, int, int]]] = [[] for _ in range(solves)]
+    state = states_out.reshape(-1)
+    touched = final_mask.reshape(-1)
+    state[...] = identity
+    touched[...] = False
+    first_mask[...] = False
+    pending = np.full(solves * n, identity, dtype=np.float64)
+    in_dict = np.zeros(solves * n, dtype=bool)
+    seeds = np.arange(solves, dtype=np.int64) * n + source_rows
+    pending[seeds] = unit
+    in_dict[seeds] = True
+    degree = full_degree if run_first else silenced_degree
+    first_round = True
+    while True:
+        if selective:
+            significant = (pending != identity) & in_dict
+        else:
+            significant = (np.abs(pending) > tolerance) & in_dict
+        active = np.flatnonzero(significant)
+        if active.size == 0:
+            break
+        deltas = pending[active]
+        pending[active] = identity
+        in_dict[active] = False
+
+        old_states = state[active]
+        if selective:
+            new_states = np.minimum(old_states, deltas)
+            improved = new_states != old_states
+            scatterers = active[improved]
+            out_values = new_states[improved]
+            state[scatterers] = out_values
+        else:
+            state[active] = old_states + deltas
+            scatterers = active
+            out_values = deltas
+        touched[scatterers] = True
+
+        solve_of = scatterers // n
+        rows = scatterers - solve_of * n
+        counts = degree[rows]
+        total = int(counts.sum())
+        if total:
+            slots = expand_slots(offsets[rows], counts, total)
+            edge_targets = targets[slots]
+            messages = np.repeat(out_values, counts)
+            if combine_add:
+                messages = messages + factors[slots]
+            else:
+                messages = messages * factors[slots]
+            keep = ~absorb[edge_targets]
+            if selective:
+                keep &= messages != identity
+            else:
+                keep &= np.abs(messages) > tolerance
+            flat_targets = (np.repeat(solve_of * n, counts) + edge_targets)[keep]
+            if selective:
+                np.minimum.at(pending, flat_targets, messages[keep])
+            else:
+                np.add.at(pending, flat_targets, messages[keep])
+            in_dict[flat_targets] = True
+
+        active_per = np.bincount(active // n, minlength=solves)
+        updates_per = np.bincount(solve_of, minlength=solves)
+        activations_per = np.bincount(solve_of, weights=counts, minlength=solves)
+        for solve in np.flatnonzero(active_per).tolist():
+            results[solve].append(
+                (
+                    int(activations_per[solve]),
+                    int(active_per[solve]),
+                    int(updates_per[solve]),
+                )
+            )
+        if first_round and run_first:
+            first_mask[...] = final_mask
+        first_round = False
+        degree = silenced_degree
     return results
 
 

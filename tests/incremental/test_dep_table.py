@@ -417,6 +417,11 @@ class TestIncrementalMaintenance:
     (no O(V log d) pointer doubling + O(V log V) argsort per single-edge
     delta)."""
 
+    @pytest.fixture(autouse=True)
+    def _csr_cache_on(self, monkeypatch):
+        # the dense table is built on cache-served snapshots
+        monkeypatch.setenv("REPRO_CSR_CACHE", "1")
+
     def _graph(self, seed=7):
         return erdos_renyi_graph(90, 450, weighted=True, seed=seed)
 

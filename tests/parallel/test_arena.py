@@ -46,6 +46,13 @@ def fresh_arena():
     executor.shutdown_pools()
 
 
+@pytest.fixture()
+def csr_cache_on(monkeypatch):
+    """Arena residency is keyed on cache-served snapshots: the residency
+    tests pin the CSR cache on, whatever ``REPRO_CSR_CACHE`` the run sets."""
+    monkeypatch.setenv("REPRO_CSR_CACHE", "1")
+
+
 def _graph(seed: int = 13):
     return community_graph(
         num_communities=3,
@@ -99,6 +106,7 @@ def _assert_block_matches(refs, slab):
 # the property: served blocks are bitwise fresh exports
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.usefixtures("csr_cache_on")
 def test_weight_delta_sequence_patches_in_place(fresh_arena, algorithm):
     """Steady state: weight-only deltas must be served by in-place patches
     (one initial export, zero further misses), every block bitwise."""
@@ -119,6 +127,7 @@ def test_weight_delta_sequence_patches_in_place(fresh_arena, algorithm):
     assert POOL_STATS.arena_patches == 6
 
 
+@pytest.mark.usefixtures("csr_cache_on")
 def test_repeat_calls_hit_the_resident_block(fresh_arena):
     spec = make_algorithm("sssp", source=0)
     cache = CSRCache()
@@ -133,6 +142,7 @@ def test_repeat_calls_hit_the_resident_block(fresh_arena):
 
 
 @pytest.mark.parametrize("algorithm", ["sssp", "pagerank"])
+@pytest.mark.usefixtures("csr_cache_on")
 def test_structural_churn_stays_bitwise(fresh_arena, algorithm):
     """Edge and vertex turnover (ids shifting between snapshots): whatever
     mix of patches, re-exports and rebuilds results, every served block must
@@ -163,6 +173,7 @@ def test_structural_churn_stays_bitwise(fresh_arena, algorithm):
     )
 
 
+@pytest.mark.usefixtures("csr_cache_on")
 def test_churn_fraction_forces_reexport(fresh_arena):
     """A patch touching more than ``REPRO_CSR_REBUILD_FRACTION`` of the edge
     slots must give way to a full re-export (the amortization guard)."""
@@ -183,6 +194,7 @@ def test_churn_fraction_forces_reexport(fresh_arena):
     assert POOL_STATS.arena_misses == 2
 
 
+@pytest.mark.usefixtures("csr_cache_on")
 def test_growth_past_region_capacity_reallocates(fresh_arena):
     """A snapshot that outgrows its power-of-two regions re-exports into a
     fresh (bigger) arena and keeps serving bitwise-identical blocks."""
@@ -260,10 +272,23 @@ def _metrics_fingerprint(metrics):
     )
 
 
-@pytest.mark.parametrize("algorithm", ["sssp", "pagerank"])
+def _shortcut_tables(layered):
+    """Every subgraph's shortcut tables, key order and exact bits included."""
+    return [
+        [
+            (source, [(target, float(value).hex()) for target, value in row.items()])
+            for source, row in subgraph.shortcuts.items()
+        ]
+        for subgraph in layered.subgraphs
+    ]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_layph_shortcut_phase_pooled_and_bitwise(fresh_arena, monkeypatch, algorithm):
     """Deferred shortcut solves of rebuilt subgraphs run as one LPT-scheduled
-    pool batch and stay bitwise-identical (states *and* metrics) to serial."""
+    pool batch of lockstep multi-source kernel tasks and stay
+    bitwise-identical to serial: states, per-delta metrics, every shortcut
+    table (values and key order) and the construction-metric totals."""
     monkeypatch.setenv("REPRO_WORKERS", "2")
     monkeypatch.setenv("REPRO_PARALLEL_MIN_EDGES", "0")
     from repro.bench.harness import build_engine
@@ -282,7 +307,19 @@ def test_layph_shortcut_phase_pooled_and_bitwise(fresh_arena, monkeypatch, algor
                 protect=0,
             )
             result = engine.apply_delta(delta)
-            outputs.append((dict(result.states), _metrics_fingerprint(result.metrics)))
+            construction = engine.layered.construction_metrics
+            outputs.append(
+                (
+                    dict(result.states),
+                    _metrics_fingerprint(result.metrics),
+                    _shortcut_tables(engine.layered),
+                    (
+                        construction.edge_activations,
+                        construction.vertex_updates,
+                        construction.iterations,
+                    ),
+                )
+            )
         return outputs
 
     serial = run("numpy")
@@ -291,6 +328,8 @@ def test_layph_shortcut_phase_pooled_and_bitwise(fresh_arena, monkeypatch, algor
     for step, (expected, actual) in enumerate(zip(serial, parallel)):
         assert expected[0] == actual[0], f"states diverged at delta {step}"
         assert expected[1] == actual[1], f"metrics diverged at delta {step}"
+        assert expected[2] == actual[2], f"shortcut tables diverged at delta {step}"
+        assert expected[3] == actual[3], f"construction totals diverged at delta {step}"
     assert POOL_STATS.shortcut_batches >= 1, (
         "no deferred shortcut batch ever reached the pool"
     )
