@@ -75,31 +75,42 @@ def test_ablation_community_size_cap(benchmark):
 
 
 def test_ablation_incremental_shortcut_update(benchmark, monkeypatch):
-    """Incremental shortcut maintenance vs recomputing affected subgraphs."""
+    """Incremental shortcut maintenance vs recomputing affected subgraphs,
+    on the Python reference loops and on the numpy kernels."""
     graph = dataset("uk")
     delta = edge_delta("uk")
-
-    def run_incremental():
-        engine = LayphEngine(make_algorithm("pagerank"))
-        engine.initialize(graph)
-        return engine.apply_delta(delta)
-
-    incremental = run_once(benchmark, run_incremental)
-
-    # Full recomputation baseline: disable the cheap revision-based update so
-    # every stale boundary vertex recomputes its shortcut vector from scratch.
     from repro.layph import layered_graph as layered_graph_module
 
-    monkeypatch.setattr(
-        layered_graph_module, "update_shortcut_vector", lambda *args, **kwargs: None
-    )
-    engine = LayphEngine(make_algorithm("pagerank"))
-    engine.initialize(graph)
-    full = engine.apply_delta(delta)
+    revision = layered_graph_module.shortcut_revision
 
+    def run(backend: str, incremental: bool) -> int:
+        # The from-scratch variant makes the revision step decline every
+        # vector (as on lost support), so every stale boundary vertex
+        # recomputes its shortcut vector from scratch.
+        monkeypatch.setattr(
+            layered_graph_module,
+            "shortcut_revision",
+            revision if incremental else (lambda *args, **kwargs: None),
+        )
+        engine = LayphEngine(make_algorithm("pagerank"), backend=backend)
+        engine.initialize(graph)
+        return engine.apply_delta(delta).metrics.edge_activations
+
+    def run_all():
+        return {
+            (backend, incremental): run(backend, incremental)
+            for backend in ("python", "numpy")
+            for incremental in (True, False)
+        }
+
+    activations = run_once(benchmark, run_all)
     rows = [
-        ["incremental shortcut update", incremental.metrics.edge_activations],
-        ["recompute touched subgraphs", full.metrics.edge_activations],
+        [f"{label} ({backend})", activations[(backend, incremental)]]
+        for backend in ("python", "numpy")
+        for label, incremental in (
+            ("incremental shortcut update", True),
+            ("recompute touched subgraphs", False),
+        )
     ]
     table = format_table(
         ["variant", "edge activations"],
@@ -108,7 +119,11 @@ def test_ablation_incremental_shortcut_update(benchmark, monkeypatch):
     )
     print("\n" + table)
     record("ablations", table)
-    assert incremental.metrics.edge_activations <= full.metrics.edge_activations
+    for backend in ("python", "numpy"):
+        assert activations[(backend, True)] < activations[(backend, False)], backend
+    # both backends do the same F-work
+    assert activations[("python", True)] == activations[("numpy", True)]
+    assert activations[("python", False)] == activations[("numpy", False)]
 
 
 def test_ablation_sparsity_aware_refinement_shared_baseline(benchmark):

@@ -49,8 +49,8 @@ from repro.layph.layered_graph import (
 )
 from repro.layph.shortcuts import compute_shortcuts_from
 from repro.layph.vectorized import (
-    assign_accumulative_numpy,
-    assign_selective_numpy,
+    assign_accumulative_batch,
+    assign_selective_batch,
     local_upload_numpy,
     seed_tainted_upper,
 )
@@ -498,29 +498,27 @@ class LayphEngine(IncrementalEngine):
         return parallel_pool()
 
     def _shortcut_solver(self):
-        """Batch solver for deferred phase-1 shortcut recomputations.
+        """Pool solver for a delta's from-scratch shortcut solves.
 
-        Returns ``None`` — the exact serial inline path — unless the
-        resolved backend is ``numpy-parallel``; the returned callable itself
-        resolves the pool lazily (one task per rebuilt subgraph, so pooling
-        needs at least two subgraphs' solves) and returns ``None`` for the
-        serial per-entry fallback when the pool or the array kernels bow
-        out.
+        Returns ``None`` — the serial batch — unless the resolved backend is
+        ``numpy-parallel``; the returned callable itself resolves the pool
+        lazily (one task per rebuilt subgraph, so pooling needs at least two
+        subgraphs' solves) and returns ``None``, leaving the solves to the
+        serial batch, when the pool or the array kernels bow out.
         """
         from repro.engine.backends import NUMPY_PARALLEL_BACKEND, resolve_backend
 
         if resolve_backend(self.backend) != NUMPY_PARALLEL_BACKEND:
             return None
 
-        def solve(deferred):
+        def solve(deferred, metrics):
             pool = self._phase_pool(len({index for index, _vertex in deferred}))
             if pool is None:
                 return None
             from repro.layph.parallel_phases import parallel_shortcuts
 
-            layered = self._require_layered()
             return parallel_shortcuts(
-                self.spec, layered, deferred, layered.construction_metrics, pool
+                self.spec, self._require_layered(), deferred, metrics, pool
             )
 
         return solve
@@ -823,6 +821,21 @@ class LayphEngine(IncrementalEngine):
                 self, order, deltas, work, metrics, new_graph, source, pool
             ):
                 return
+        if order and self._vectorized_phases():
+            # one kernel call over every assigned subgraph's shortcut rows
+            subgraphs = [layered.subgraphs[index] for index in order]
+            if spec.is_selective():
+                best_maps = assign_selective_batch(spec, subgraphs, work, metrics)
+                if best_maps is not None:
+                    for subgraph, best in zip(subgraphs, best_maps):
+                        self._finish_selective_assign(
+                            subgraph, best, work, new_graph, source
+                        )
+                    return
+            elif assign_accumulative_batch(
+                spec, subgraphs, deltas, work, metrics, new_graph
+            ):
+                return
         for index in order:
             subgraph = layered.subgraphs[index]
             if spec.is_selective():
@@ -840,29 +853,23 @@ class LayphEngine(IncrementalEngine):
     ) -> None:
         """Best-offer assignment of one subgraph (boundary → internal).
 
-        The boundary scan is vectorized under the numpy backend
-        (:func:`repro.layph.vectorized.assign_selective_numpy`); both paths
-        scan boundary vertices in ascending id order and produce identical
-        ``best`` maps, activation counts and state writes.
+        The reference loop; under the numpy backend every assigned subgraph
+        runs in one vectorized pass instead
+        (:func:`repro.layph.vectorized.assign_selective_batch`), which scans
+        boundary vertices in the same ascending id order and produces
+        identical ``best`` maps, activation counts and state writes.
         """
         spec = self.spec
-        layered = self._require_layered()
         identity = spec.aggregate_identity()
-        best: Optional[Dict[int, float]] = None
-        if self._vectorized_phases():
-            best = assign_selective_numpy(spec, subgraph, work, metrics)
-        if best is None:
-            best = {
-                vertex: spec.initial_message(vertex) for vertex in subgraph.internal
-            }
-            for boundary_vertex in sorted(subgraph.boundary):
-                boundary_state = work.get(boundary_vertex, identity)
-                if boundary_state == identity:
-                    continue
-                for target, factor in subgraph.internal_shortcuts(boundary_vertex).items():
-                    metrics.edge_activations += 1
-                    candidate = spec.combine(boundary_state, factor)
-                    best[target] = spec.aggregate(best[target], candidate)
+        best = {vertex: spec.initial_message(vertex) for vertex in subgraph.internal}
+        for boundary_vertex in sorted(subgraph.boundary):
+            boundary_state = work.get(boundary_vertex, identity)
+            if boundary_state == identity:
+                continue
+            for target, factor in subgraph.internal_shortcuts(boundary_vertex).items():
+                metrics.edge_activations += 1
+                candidate = spec.combine(boundary_state, factor)
+                best[target] = spec.aggregate(best[target], candidate)
         self._finish_selective_assign(subgraph, best, work, new_graph, source)
 
     def _finish_selective_assign(
@@ -875,9 +882,9 @@ class LayphEngine(IncrementalEngine):
     ) -> None:
         """Fold the source's local results into ``best`` and write it back.
 
-        Shared by the serial scan above and the parallel merge
-        (:func:`repro.layph.parallel_phases.parallel_assign`), which hands in
-        the pool-computed ``best`` map.
+        Shared by the reference scan above, the vectorized pass and the
+        parallel merge (:func:`repro.layph.parallel_phases.parallel_assign`),
+        which hand in their ``best`` maps.
         """
         spec = self.spec
         layered = self._require_layered()
@@ -904,16 +911,14 @@ class LayphEngine(IncrementalEngine):
     ) -> None:
         """Delta push of one subgraph's boundary changes through its shortcuts.
 
-        Vectorized under the numpy backend
-        (:func:`repro.layph.vectorized.assign_accumulative_numpy`); both paths
+        The reference loop; under the numpy backend every assigned subgraph
+        runs in one vectorized pass instead
+        (:func:`repro.layph.vectorized.assign_accumulative_batch`).  Both
         apply boundary deltas in ascending id order (shortcut-table order
         within a boundary vertex), so the non-associative float sums agree
         bit for bit.
         """
         spec = self.spec
-        if self._vectorized_phases():
-            if assign_accumulative_numpy(spec, subgraph, deltas, work, metrics, new_graph):
-                return
         for boundary_vertex in sorted(subgraph.boundary):
             difference = deltas.get(boundary_vertex)
             if difference is None or not spec.is_significant(difference):

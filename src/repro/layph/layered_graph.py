@@ -35,7 +35,7 @@ from repro.graph.graph import Graph
 from repro.layph.community import louvain_communities
 from repro.layph.dense import BoundaryClassification, classify_boundary, select_dense_subgraphs
 from repro.layph.replication import ReplicationPlan, plan_replication, reclassify_with_replication
-from repro.layph.shortcuts import compute_shortcut_vectors, update_shortcut_vector
+from repro.layph.shortcuts import ShortcutBatch, shortcut_revision
 
 
 @dataclass
@@ -287,7 +287,9 @@ class LayeredGraph:
         #: re-planning the same subgraph keeps the same proxies (which lets the
         #: online engine reuse shortcut tables and proxy states)
         self._proxy_registry: Dict[Tuple[int, int, str], int] = {}
-        #: metrics of construction work (shortcut computation is F work)
+        #: metrics of construction work (shortcut computation is F work):
+        #: the build records its rounds, every later rebuild adds only its
+        #: totals (the per-round lists would grow with every delta)
         self.construction_metrics = ExecutionMetrics()
         #: per-source indexes of the replication artifacts, maintained by
         #: :meth:`_refresh_subgraph` so the per-delta upper maintenance never
@@ -346,7 +348,11 @@ class LayeredGraph:
         self.subgraphs.append(subgraph)
         for vertex in subgraph.members:
             self.subgraph_of[vertex] = index
-        self._refresh_subgraph(subgraph)
+        # one kernel call per subgraph: batching the whole build would hold
+        # every subgraph's state cells at once
+        batch = ShortcutBatch(self.spec, self.config.backend)
+        self._refresh_subgraph(subgraph, batch, self.construction_metrics)
+        batch.run(self.construction_metrics)
 
     # ------------------------------------------------------------------
     # (re)construction of one subgraph
@@ -364,7 +370,8 @@ class LayeredGraph:
     def _refresh_subgraph(
         self,
         subgraph: DenseSubgraph,
-        defer: Optional[List[Tuple[int, int]]] = None,
+        batch: ShortcutBatch,
+        metrics: ExecutionMetrics,
     ) -> None:
         """Re-derive classification, replication, local links and shortcuts
         of ``subgraph`` from the current graph.
@@ -377,15 +384,12 @@ class LayeredGraph:
         provably keep their weights).  This mirrors the paper's incremental
         shortcut maintenance (Section IV-B).
 
-        The vectors that need a from-scratch solve (new boundary vertices,
-        and stale ones the incremental update cannot revise) get a
-        placeholder preserving the sorted-key order and are solved after the
-        boundary loop in one batch (:meth:`_solve_shortcuts`).  With
-        ``defer`` that batch is not run here: each source is recorded as a
-        ``(subgraph index, boundary vertex)`` entry for the caller — this is
-        how :meth:`rebuild_subgraphs` fans the solves out to the worker pool.
-        Incremental vector updates stay inline either way; they are cheap
-        O(changed-region) revisions, not solves.
+        Nothing is solved or folded here: a stale vector gets a placeholder
+        preserving the sorted-key order and a job in ``batch`` — a revision
+        when :func:`repro.layph.shortcuts.shortcut_revision` yields its
+        messages (charged to ``metrics``), a from-scratch solve when it
+        cannot (new boundary vertices, selective support loss).  The caller
+        runs the batch.
         """
         spec = self.spec
         graph = self.graph
@@ -448,53 +452,37 @@ class LayeredGraph:
             changed_sources, old_shortcuts, old_boundary, boundary
         )
         boundary_changed = old_boundary != boundary
+        block = batch.block(subgraph.index, local, boundary)
         shortcuts: Dict[int, Dict[int, float]] = {}
-        unsolved: List[int] = []
         for vertex in sorted(boundary):
-            if vertex not in stale_sources and vertex in old_shortcuts:
-                shortcuts[vertex] = old_shortcuts[vertex]
+            old_vector = old_shortcuts.get(vertex)
+            if vertex not in stale_sources and old_vector is not None:
+                shortcuts[vertex] = old_vector
                 continue
-            updated: Optional[Dict[int, float]] = None
-            if not boundary_changed and vertex in old_shortcuts:
+            pending: Optional[Dict[int, float]] = None
+            if not boundary_changed and old_vector is not None:
                 # Incremental shortcut maintenance (Section IV-B): revise the
                 # memoized weights with the changed links' revision messages.
-                updated = update_shortcut_vector(
+                pending = shortcut_revision(
                     spec,
                     old_local,
                     local,
                     vertex,
                     boundary,
-                    old_shortcuts[vertex],
+                    old_vector,
                     changed_sources,
-                    self.construction_metrics,
-                    backend=self.config.backend,
+                    metrics,
                 )
-            if updated is None:
-                # a placeholder keeps the sorted key order
-                shortcuts[vertex] = {}
-                unsolved.append(vertex)
+            if pending is not None and not pending:
+                shortcuts[vertex] = dict(old_vector)
                 continue
-            shortcuts[vertex] = updated
+            # a placeholder keeps the sorted key order
+            shortcuts[vertex] = {}
+            if pending is None:
+                batch.solve(block, vertex, shortcuts)
+            else:
+                batch.revise(block, vertex, old_vector, pending, shortcuts)
         subgraph.shortcuts = shortcuts
-        if not unsolved:
-            return
-        if defer is not None:
-            defer.extend((subgraph.index, vertex) for vertex in unsolved)
-        else:
-            self._solve_shortcuts(subgraph, unsolved)
-
-    def _solve_shortcuts(self, subgraph: DenseSubgraph, sources: List[int]) -> None:
-        """Solve ``sources``' shortcut vectors from scratch, in one batch."""
-        vectors = compute_shortcut_vectors(
-            self.spec,
-            subgraph.local_adjacency,
-            sources,
-            subgraph.boundary,
-            self.construction_metrics,
-            backend=self.config.backend,
-        )
-        for vertex, vector in zip(sources, vectors):
-            subgraph.shortcuts[vertex] = vector
 
     def _reindex_subgraph(
         self,
@@ -584,75 +572,50 @@ class LayeredGraph:
                 stale.add(vertex)
         return stale
 
-    def rebuild_subgraph(self, index: int, metrics: Optional[ExecutionMetrics] = None) -> None:
-        """Rebuild one dense subgraph against the current graph.
-
-        Used by the online engine for the subgraphs affected by ΔG; the
-        shortcut recomputation work is charged to ``metrics`` when given.
-        """
-        subgraph = self.subgraphs[index]
-        previous_total = self.construction_metrics.edge_activations
-        # Drop members that disappeared from the graph.
-        for vertex in list(subgraph.members):
-            if not self.graph.has_vertex(vertex):
-                subgraph.members.discard(vertex)
-                self.subgraph_of.pop(vertex, None)
-        self._refresh_subgraph(subgraph)
-        if metrics is not None:
-            metrics.edge_activations += (
-                self.construction_metrics.edge_activations - previous_total
-            )
-
     def rebuild_subgraphs(
         self,
         indices: Iterable[int],
         metrics: Optional[ExecutionMetrics] = None,
         solver=None,
     ) -> None:
-        """Rebuild several dense subgraphs, optionally batching the solves.
+        """Rebuild several dense subgraphs against the current graph.
 
-        Without ``solver`` this is exactly ``rebuild_subgraph`` per index.
-        With one, the from-scratch shortcut recomputations of all indices
-        are deferred and handed to ``solver(deferred)`` in one batch — the
-        engine passes :func:`repro.layph.parallel_phases.parallel_shortcuts`
-        bound to the worker pool.  The solver returns the vectors in
-        ``deferred`` order (having replayed its propagation rounds into
-        ``construction_metrics``), or ``None``, in which case each
-        subgraph's deferred entries run the serial batch right here.  Either
-        way the per-delta F-work charged to ``metrics`` equals the serial
-        loop's: it is the batch's total construction-metrics activation
-        delta, and both the pooled kernel and the serial fallback record the
-        identical rounds.
+        Used by the online engine for the subgraphs affected by ΔG.  Every
+        shortcut solve and revision of all ``indices`` runs in one
+        :class:`repro.layph.shortcuts.ShortcutBatch` call after the refresh
+        loop.  With ``solver`` the solves are first offered to
+        ``solver(entries, work)`` as ``(subgraph index, boundary vertex)``
+        entries — the engine passes
+        :func:`repro.layph.parallel_phases.parallel_shortcuts` bound to the
+        worker pool — which returns the vectors in ``entries`` order, having
+        recorded its work into ``work``, or ``None`` to leave them to the
+        batch.  The shortcut work is added to ``construction_metrics`` as
+        totals and its activations are charged to ``metrics`` when given.
         """
-        indices = list(indices)
-        if solver is None:
-            for index in indices:
-                self.rebuild_subgraph(index, metrics)
-            return
-        previous_total = self.construction_metrics.edge_activations
-        deferred: List[Tuple[int, int]] = []
+        work = ExecutionMetrics()
+        batch = ShortcutBatch(self.spec, self.config.backend)
         for index in indices:
             subgraph = self.subgraphs[index]
+            # Drop members that disappeared from the graph.
             for vertex in list(subgraph.members):
                 if not self.graph.has_vertex(vertex):
                     subgraph.members.discard(vertex)
                     self.subgraph_of.pop(vertex, None)
-            self._refresh_subgraph(subgraph, defer=deferred)
-        if deferred:
-            solved = solver(deferred)
-            if solved is None:
-                groups: Dict[int, List[int]] = {}
-                for index, vertex in deferred:
-                    groups.setdefault(index, []).append(vertex)
-                for index, sources in groups.items():
-                    self._solve_shortcuts(self.subgraphs[index], sources)
-            else:
-                for (index, vertex), vector in zip(deferred, solved):
+            self._refresh_subgraph(subgraph, batch, work)
+        entries = batch.solve_entries() if solver is not None else []
+        if entries:
+            solved = solver(entries, work)
+            if solved is not None:
+                for (index, vertex), vector in zip(entries, solved):
                     self.subgraphs[index].shortcuts[vertex] = vector
+                batch.drop_solves()
+        batch.run(work, per_round=False)
+        construction = self.construction_metrics
+        construction.edge_activations += work.edge_activations
+        construction.vertex_updates += work.vertex_updates
+        construction.iterations += work.iterations
         if metrics is not None:
-            metrics.edge_activations += (
-                self.construction_metrics.edge_activations - previous_total
-            )
+            metrics.edge_activations += work.edge_activations
 
     # ------------------------------------------------------------------
     # upper layer

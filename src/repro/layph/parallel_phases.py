@@ -32,12 +32,7 @@ import numpy as np
 from repro.engine.dense_propagation import AGGREGATE_MIN, COMBINE_ADD, classify_spec
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.parallel_propagation import parallel_min_edges
-from repro.layph.shortcuts import (
-    SHORTCUT_ARRAYS,
-    ShortcutSolves,
-    merge_shortcut_solves,
-    prepare_shortcut_solves,
-)
+from repro.layph.shortcuts import SHORTCUT_ARRAYS, KernelCall, ShortcutBatch
 from repro.layph.vectorized import (
     _shortcut_csr,
     build_upload_slab,
@@ -190,13 +185,11 @@ def parallel_shortcuts(
     list (see :meth:`repro.layph.layered_graph.LayeredGraph.
     rebuild_subgraphs`); each rebuilt subgraph's solves form one
     LPT-scheduled ``"shortcuts"`` task running the lockstep kernel
-    :func:`repro.parallel.slabs.run_shortcut_solves` on the arrays
-    :func:`repro.layph.shortcuts.prepare_shortcut_solves` compiles — the
-    same kernel and the same merge
-    (:func:`repro.layph.shortcuts.merge_shortcut_solves`) as the serial
-    path, so the vectors are bitwise the serial ones.  Returns the shortcut
-    vectors in ``deferred`` order with ``metrics`` (the layered graph's
-    construction metrics) replayed exactly as the serial solves would have
+    :func:`repro.parallel.slabs.run_shortcut_solves` on the arrays a
+    one-subgraph :class:`repro.layph.shortcuts.ShortcutBatch` compiles — the
+    same kernel and the same merge as the serial path, so the vectors are
+    bitwise the serial ones.  Returns the shortcut vectors in ``deferred``
+    order with ``metrics`` replayed exactly as the serial solves would have
     recorded them; ``None`` (nothing mutated) tells the caller to run the
     serial solves.
     """
@@ -208,23 +201,26 @@ def parallel_shortcuts(
             order.append(index)
         groups[index].append(vertex)
 
-    units: List[Tuple[int, ShortcutSolves]] = []
+    vectors: Dict[Tuple[int, int], Dict[int, float]] = {}
+    units: List[Tuple[ShortcutBatch, KernelCall]] = []
     total_edges = 0
     for index in order:
         subgraph = layered.subgraphs[index]
-        solves = prepare_shortcut_solves(
-            spec, subgraph.local_adjacency, groups[index], subgraph.boundary
-        )
-        if solves is None:
+        batch = ShortcutBatch(spec, "numpy")
+        block = batch.block(index, subgraph.local_adjacency, subgraph.boundary)
+        for vertex in groups[index]:
+            batch.solve(block, vertex, vectors, key=(index, vertex))
+        call = batch.prepare()
+        if call is None:
             return None
-        units.append((index, solves))
-        total_edges += int(solves.arrays["targets"].size) * len(solves.sources)
+        units.append((batch, call))
+        total_edges += int(call.arrays["targets"].size) * len(call.jobs)
     if total_edges < parallel_min_edges():
         return None
 
     flat: List[np.ndarray] = []
-    for _index, solves in units:
-        flat.extend(solves.arrays[field] for field in SHORTCUT_ARRAYS)
+    for _batch, call in units:
+        flat.extend(call.arrays[field] for field in SHORTCUT_ARRAYS)
     # As in the other phases, each retry attempt re-exports the pristine
     # arrays into a fresh arena (a dead worker may have half-written the
     # previous one's output regions).
@@ -238,19 +234,16 @@ def parallel_shortcuts(
         holder["arena"] = arena
         tasks = []
         costs = []
-        for position, (_index, solves) in enumerate(units):
+        for position, (_batch, call) in enumerate(units):
             base = position * len(SHORTCUT_ARRAYS)
             payload = {
                 field: refs[base + offset]
                 for offset, field in enumerate(SHORTCUT_ARRAYS)
             }
-            payload.update(solves.scalars)
+            payload.update(call.scalars)
             tasks.append(("shortcuts", payload))
             costs.append(
-                float(
-                    len(solves.sources)
-                    * (solves.arrays["targets"].size + len(solves.ids))
-                )
+                float(call.arrays["targets"].size * len(call.jobs) + call.arrays["states"].size)
             )
         return tasks, costs
 
@@ -264,18 +257,13 @@ def parallel_shortcuts(
 
         POOL_STATS.shortcut_batches += 1
         arena = holder["arena"]
-        vectors: Dict[Tuple[int, int], Dict[int, float]] = {}
-        for position, (index, solves) in enumerate(units):
+        for position, (batch, call) in enumerate(units):
             base = position * len(SHORTCUT_ARRAYS)
-            states_out, first_mask, final_mask = (
+            states, first_mask, final_mask = (
                 arena.view(base + SHORTCUT_ARRAYS.index(field))
-                for field in ("states_out", "first_mask", "final_mask")
+                for field in ("states", "first_mask", "final_mask")
             )
-            merged = merge_shortcut_solves(
-                solves, results[position], states_out, first_mask, final_mask, metrics
-            )
-            for source, vector in zip(solves.sources, merged):
-                vectors[(index, source)] = vector
+            batch.merge(call, results[position], states, first_mask, final_mask, metrics)
         return [vectors[entry] for entry in deferred]
     finally:
         if holder["arena"] is not None:

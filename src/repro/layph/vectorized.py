@@ -7,10 +7,11 @@ Four hot loops of :class:`repro.layph.engine.LayphEngine` run here when the
   propagation with boundary-absorb semantics, compiled onto the subgraph's
   local factor adjacency (one master CSR per adjacency object, memoized
   through :func:`repro.graph.csr_cache.master_factor_csr`);
-* :func:`assign_selective_numpy` / :func:`assign_accumulative_numpy` —
-  phase 4's shortcut scans, compiled onto a per-subgraph boundary→internal
-  shortcut CSR that is cached on the :class:`DenseSubgraph` and invalidated
-  whenever the subgraph's shortcut tables are rebuilt;
+* :func:`assign_selective_batch` / :func:`assign_accumulative_batch` —
+  phase 4's shortcut scans over every assigned subgraph in one kernel call,
+  stacked from per-subgraph boundary→internal shortcut CSRs that are cached
+  on the :class:`DenseSubgraph` and invalidated whenever the subgraph's
+  shortcut tables are rebuilt;
 * :func:`seed_tainted_upper` — phase 2's trim/seed of invalidated upper
   vertices, a target-mask gather over the resident upper out-CSR.
 
@@ -27,7 +28,8 @@ to the Python loop.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from repro.engine.dense_propagation import (
 )
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import NonConvergenceError
+from repro.graph.csr import expand_edges
 from repro.graph.csr_cache import csr_cache_enabled, master_factor_csr
 from repro.graph.graph import Graph
 from repro.parallel.slabs import (
@@ -223,30 +226,22 @@ class _ShortcutCSR:
             vertex: position for position, vertex in enumerate(self.internal_ids)
         }
         internal = subgraph.internal
-        rows = []
+        index = self.internal_index
+        targets: List[int] = []
+        factors: List[float] = []
+        counts: List[int] = []
         for vertex in self.boundary_ids:
-            row = [
-                (self.internal_index[target], factor)
-                for target, factor in subgraph.shortcuts.get(vertex, {}).items()
-                if target in internal
-            ]
-            rows.append(row)
-        counts = np.fromiter((len(row) for row in rows), np.int64, count=len(rows))
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        total = int(offsets[-1])
-        targets = np.empty(total, dtype=np.int64)
-        factors = np.empty(total, dtype=np.float64)
-        cursor = 0
-        for row in rows:
-            for target, factor in row:
-                targets[cursor] = target
-                factors[cursor] = factor
-                cursor += 1
-        self.offsets = offsets
-        self.counts = counts
-        self.targets = targets
-        self.factors = factors
+            before = len(targets)
+            for target, factor in subgraph.shortcuts.get(vertex, {}).items():
+                if target in internal:
+                    targets.append(index[target])
+                    factors.append(factor)
+            counts.append(len(targets) - before)
+        self.counts = np.array(counts, dtype=np.int64)
+        self.offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=self.offsets[1:])
+        self.targets = np.array(targets, dtype=np.int64)
+        self.factors = np.array(factors, dtype=np.float64)
 
 
 def _shortcut_csr(subgraph) -> _ShortcutCSR:
@@ -273,116 +268,156 @@ def _shortcut_csr(subgraph) -> _ShortcutCSR:
 # ----------------------------------------------------------------------
 # phase 4: revision-message assignment
 # ----------------------------------------------------------------------
-def assign_selective_numpy(
+def _stacked_rows(csrs) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The shortcut CSRs of several subgraphs as one CSR.
+
+    Row ``i`` of the result is the ``i``-th boundary row in subgraph order;
+    targets index the concatenation of the subgraphs' internal id lists.
+    Every internal vertex belongs to exactly one subgraph, so each target
+    still receives its entries in its own subgraph's scan order.
+    """
+    offsets, targets = [], []
+    slot_base = target_base = 0
+    for csr in csrs:
+        offsets.append(csr.offsets[:-1] + slot_base)
+        targets.append(csr.targets + target_base)
+        slot_base += int(csr.targets.size)
+        target_base += len(csr.internal_ids)
+    return (
+        np.concatenate(offsets),
+        np.concatenate([csr.counts for csr in csrs]),
+        np.concatenate(targets),
+        np.concatenate([csr.factors for csr in csrs]),
+    )
+
+
+def assign_selective_batch(
     spec,
-    subgraph,
+    subgraphs,
     work: Dict[int, float],
     metrics: ExecutionMetrics,
-) -> Optional[Dict[int, float]]:
-    """Vectorized best-offer scan of one subgraph's shortcuts; ``None`` = fall back.
+) -> Optional[List[Dict[int, float]]]:
+    """Vectorized best-offer scan of several subgraphs' shortcuts in one
+    kernel call; ``None`` = fall back.
 
-    Returns the ``best`` map (internal vertex → best boundary offer) the
-    Python loop would produce — the caller then folds the internal-source
-    results and writes the values back, exactly as in the reference.
+    Returns, per subgraph, the ``best`` map (internal vertex → best boundary
+    offer) the Python loop would produce — the caller then folds the
+    internal-source results and writes the values back, exactly as in the
+    reference.
     """
     kinds = classify_spec(spec)
     if kinds is None or kinds[0] != AGGREGATE_MIN:
         return None
-    csr = _shortcut_csr(subgraph)
+    csrs = [_shortcut_csr(subgraph) for subgraph in subgraphs]
+    offsets, counts, targets, factors = _stacked_rows(csrs)
     identity = spec.aggregate_identity()
+    boundary_ids = list(chain.from_iterable(csr.boundary_ids for csr in csrs))
     boundary_states = np.fromiter(
-        (work.get(vertex, identity) for vertex in csr.boundary_ids),
+        (work.get(vertex, identity) for vertex in boundary_ids),
         np.float64,
-        count=len(csr.boundary_ids),
+        count=len(boundary_ids),
     )
-    if np.isnan(csr.factors).any() or np.isnan(boundary_states).any():
+    if np.isnan(factors).any() or np.isnan(boundary_states).any():
         return None
+    internal_ids = list(chain.from_iterable(csr.internal_ids for csr in csrs))
     best = np.fromiter(
-        (spec.initial_message(vertex) for vertex in csr.internal_ids),
+        (spec.initial_message(vertex) for vertex in internal_ids),
         np.float64,
-        count=len(csr.internal_ids),
+        count=len(internal_ids),
     )
-    total = assign_best_offers(
-        csr.offsets,
-        csr.counts,
-        csr.targets,
-        csr.factors,
+    metrics.edge_activations += assign_best_offers(
+        offsets,
+        counts,
+        targets,
+        factors,
         boundary_states,
         best,
         identity,
         kinds[1] == COMBINE_ADD,
     )
-    metrics.edge_activations += total
-    return dict(zip(csr.internal_ids, best.tolist()))
+    values = best.tolist()
+    maps = []
+    start = 0
+    for csr in csrs:
+        end = start + len(csr.internal_ids)
+        maps.append(dict(zip(csr.internal_ids, values[start:end])))
+        start = end
+    return maps
 
 
-def assign_accumulative_numpy(
+def assign_accumulative_batch(
     spec,
-    subgraph,
+    subgraphs,
     deltas: Dict[int, float],
     work: Dict[int, float],
     metrics: ExecutionMetrics,
     new_graph: Graph,
-) -> Optional[bool]:
-    """Vectorized delta push through one subgraph's shortcuts; ``None`` = fall back.
+) -> bool:
+    """Vectorized delta push through several subgraphs' shortcuts in one
+    kernel call; ``False`` = fall back (nothing mutated).
 
     Applies ``combine(difference, factor)`` of every boundary vertex with a
     significant delta to its internal shortcut targets, in the Python loop's
     exact order (ascending boundary id, table order within), skipping — and
-    not counting — absorbing or vanished targets.  Returns ``True`` once the
-    ``work`` map has been revised.
+    not counting — absorbing or vanished targets.  Only the targets some
+    live row reaches are read from and written back to ``work``.
     """
     kinds = classify_spec(spec)
     if kinds is None or kinds[0] == AGGREGATE_MIN:
-        return None
-    csr = _shortcut_csr(subgraph)
-    if np.isnan(csr.factors).any():
-        return None
-    boundary_deltas = np.zeros(len(csr.boundary_ids), dtype=np.float64)
-    live_mask = np.zeros(len(csr.boundary_ids), dtype=bool)
-    for position, vertex in enumerate(csr.boundary_ids):
-        difference = deltas.get(vertex)
-        if difference is None or not spec.is_significant(difference):
-            continue
-        if math.isnan(difference):
-            return None
-        boundary_deltas[position] = difference
-        live_mask[position] = True
-
-    internal_ids = csr.internal_ids
-    values = np.fromiter(
-        (
-            work[vertex] if vertex in work else float(spec.initial_state(vertex))
-            for vertex in internal_ids
-        ),
+        return False
+    csrs = [_shortcut_csr(subgraph) for subgraph in subgraphs]
+    offsets, counts, targets, factors = _stacked_rows(csrs)
+    if np.isnan(factors).any():
+        return False
+    boundary_ids = list(chain.from_iterable(csr.boundary_ids for csr in csrs))
+    differences = np.fromiter(
+        (deltas.get(vertex, 0.0) for vertex in boundary_ids),
         np.float64,
-        count=len(internal_ids),
+        count=len(boundary_ids),
+    )
+    # the classified accumulative significance rule (NaN is never live)
+    live = np.abs(differences) > float(spec.tolerance())
+    live_rows = np.flatnonzero(live)
+    live_counts = counts[live_rows]
+    total = int(live_counts.sum())
+    if not total:
+        return True
+
+    # Gather only the reached targets, renumbered densely (the kernel never
+    # reads the targets of rows no live source owns).
+    internal_ids = list(chain.from_iterable(csr.internal_ids for csr in csrs))
+    reached_mask = np.zeros(len(internal_ids), dtype=bool)
+    reached_mask[targets[expand_edges(offsets[live_rows], live_counts, total)]] = True
+    reached = np.flatnonzero(reached_mask)
+    ids = [internal_ids[target] for target in reached.tolist()]
+    values = np.fromiter(
+        (work[vertex] if vertex in work else float(spec.initial_state(vertex)) for vertex in ids),
+        np.float64,
+        count=len(ids),
     )
     if np.isnan(values).any():
-        return None
+        return False
     allowed = np.fromiter(
-        (
-            not spec.absorbs(vertex) and new_graph.has_vertex(vertex)
-            for vertex in internal_ids
-        ),
+        (not spec.absorbs(vertex) and new_graph.has_vertex(vertex) for vertex in ids),
         bool,
-        count=len(internal_ids),
+        count=len(ids),
     )
-
+    position = np.zeros(len(internal_ids), dtype=np.int64)
+    position[reached] = np.arange(reached.size, dtype=np.int64)
     touched, applied = assign_deltas(
-        csr.offsets,
-        csr.counts,
-        csr.targets,
-        csr.factors,
-        boundary_deltas,
-        live_mask,
+        offsets,
+        counts,
+        position[targets],
+        factors,
+        np.where(live, differences, 0.0),
+        live,
         values,
         allowed,
         kinds[1] == COMBINE_ADD,
     )
     metrics.edge_activations += applied
-    for position in np.nonzero(touched)[0]:
-        work[internal_ids[position]] = float(values[position])
+    rows = np.flatnonzero(touched)
+    work.update(zip([ids[row] for row in rows.tolist()], values[rows].tolist()))
     return True
 
 

@@ -325,8 +325,12 @@ def run_shortcut_solves(
     full_degree: np.ndarray,
     silenced_degree: np.ndarray,
     absorb: np.ndarray,
-    source_rows: np.ndarray,
-    states_out: np.ndarray,
+    cell_job: np.ndarray,
+    job_shift: np.ndarray,
+    job_solves: np.ndarray,
+    states: np.ndarray,
+    pending: np.ndarray,
+    in_dict: np.ndarray,
     first_mask: np.ndarray,
     final_mask: np.ndarray,
     run_first: bool,
@@ -334,56 +338,52 @@ def run_shortcut_solves(
     combine_add: bool,
     identity: float,
     tolerance: float,
-    unit: float,
-) -> List[List[Tuple[int, int, int]]]:
-    """All of one subgraph's from-scratch shortcut solves, in lockstep.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Shortcut solves and revisions of several subgraphs, in lockstep.
 
-    Solve ``i`` is Layph's two-phase neutral propagation from the source at
-    local row ``source_rows[i]``: the unit message is injected there, one
-    round runs with the source's full row (phase 1, every *other* boundary
-    row silenced) and the remaining rounds run with the source silenced too
-    (phase 2).  The solves share nothing but the CSR block, so they advance
-    together over one ``(solves × n)`` state matrix flattened to the index
-    ``solve * n + row``:
+    The CSR block (``offsets`` … ``absorb``, one entry per row) is the
+    block-diagonal union of the subgraphs' local CSRs: ``targets`` hold
+    global row ids and ``offsets`` the start slot of every row.  A *job*
+    owns the rows of one subgraph only: its cells are a contiguous range of
+    the flat per-cell arrays (``cell_job``, ``states``, ``pending``,
+    ``in_dict`` and the masks), and the cell of global row ``r`` in job
+    ``j`` is ``r + job_shift[j]``.  No job ever touches another job's
+    cells, so the jobs share nothing but the CSR block.
 
-    * round 0 reads ``full_degree`` (only the sources are pending then, so
-      this re-opens exactly the source rows), every later round reads
-      ``silenced_degree`` — all boundary rows, the sources among them,
-      zeroed; without ``run_first`` the unit is insignificant and round 0
-      already reads ``silenced_degree`` (it ends every solve at once);
-    * active entries are taken in ascending flat order, which is ascending
-      row order within each solve, and the messages of a round are
-      scattered with one unbuffered ``np.minimum.at`` / ``np.add.at`` — so
-      every cell receives its contributions in exactly the order the
-      one-solve loop (:func:`run_propagation`) applies them, and even the
-      accumulative float sums are bitwise equal;
-    * a solve ends when it has no significant pending entry; its
-      insignificant leftovers stay pending and are never read again, as in
-      the one-solve loop.
+    * A *solve* (``job_solves[j]``) is Layph's two-phase neutral
+      propagation from one source: the caller seeds the unit message in the
+      source's cell, round 0 reads ``full_degree`` (only the source is
+      pending then, so this re-opens exactly its row) and every later round
+      ``silenced_degree`` — every boundary row, the sources among them,
+      zeroed.  Without ``run_first`` the unit is insignificant and round 0
+      already reads ``silenced_degree`` (it ends the solve at once).
+    * A *revision* folds the pending revision messages the caller seeded
+      into a state row seeded from the old shortcut vector, reading
+      ``silenced_degree`` throughout.
 
-    ``states_out`` row ``i`` receives solve ``i``'s final per-row states;
-    ``first_mask`` / ``final_mask`` row ``i`` record which rows were touched
-    after phase 1 / overall — the merge rebuilds the reference's dict
-    *insertion order* from them (phase-1 rows ascending, then newly touched
-    rows ascending), which downstream accumulative float sums depend on.
+    Active cells are taken in ascending flat order, which is ascending row
+    order within each job, and the messages of a round are scattered with
+    one unbuffered ``np.minimum.at`` / ``np.add.at`` — so every cell
+    receives its contributions in exactly the order the one-vector loop
+    (:func:`run_propagation`) applies them, and even the accumulative float
+    sums are bitwise equal.  A job ends when it has no significant pending
+    cell; its insignificant leftovers stay pending and are never read
+    again, as in the one-vector loop.
 
-    Returns the per-round ``(activations, active, updates)`` triples of
-    both phases, per solve, for metric replay in serial order.
+    On return ``states`` holds every job's final states, ``final_mask``
+    marks the cells written at all and ``first_mask`` those written in
+    round 0 (only with ``run_first``) — the merge rebuilds the reference's
+    dict insertion order from them.
+
+    Returns the per-round ``(activations, active, updates)`` triples as four
+    arrays ``(job, activations, active, updates)``, one entry per round in
+    which a job had active cells, rounds in order and jobs ascending within
+    a round.
     """
-    solves = int(source_rows.size)
-    n = int(silenced_degree.size)
-    results: List[List[Tuple[int, int, int]]] = [[] for _ in range(solves)]
-    state = states_out.reshape(-1)
-    touched = final_mask.reshape(-1)
-    state[...] = identity
-    touched[...] = False
+    jobs = int(job_shift.size)
     first_mask[...] = False
-    pending = np.full(solves * n, identity, dtype=np.float64)
-    in_dict = np.zeros(solves * n, dtype=bool)
-    seeds = np.arange(solves, dtype=np.int64) * n + source_rows
-    pending[seeds] = unit
-    in_dict[seeds] = True
-    degree = full_degree if run_first else silenced_degree
+    final_mask[...] = False
+    recorded: List[Tuple[np.ndarray, ...]] = []
     first_round = True
     while True:
         if selective:
@@ -397,22 +397,25 @@ def run_shortcut_solves(
         pending[active] = identity
         in_dict[active] = False
 
-        old_states = state[active]
+        old_states = states[active]
         if selective:
             new_states = np.minimum(old_states, deltas)
             improved = new_states != old_states
             scatterers = active[improved]
             out_values = new_states[improved]
-            state[scatterers] = out_values
+            states[scatterers] = out_values
         else:
-            state[active] = old_states + deltas
+            states[active] = old_states + deltas
             scatterers = active
             out_values = deltas
-        touched[scatterers] = True
+        final_mask[scatterers] = True
 
-        solve_of = scatterers // n
-        rows = scatterers - solve_of * n
-        counts = degree[rows]
+        job_of = cell_job[scatterers]
+        shift = job_shift[job_of]
+        rows = scatterers - shift
+        counts = silenced_degree[rows]
+        if first_round and run_first:
+            counts = np.where(job_solves[job_of], full_degree[rows], counts)
         total = int(counts.sum())
         if total:
             slots = expand_slots(offsets[rows], counts, total)
@@ -427,29 +430,33 @@ def run_shortcut_solves(
                 keep &= messages != identity
             else:
                 keep &= np.abs(messages) > tolerance
-            flat_targets = (np.repeat(solve_of * n, counts) + edge_targets)[keep]
+            flat_targets = (edge_targets + np.repeat(shift, counts))[keep]
             if selective:
                 np.minimum.at(pending, flat_targets, messages[keep])
             else:
                 np.add.at(pending, flat_targets, messages[keep])
             in_dict[flat_targets] = True
 
-        active_per = np.bincount(active // n, minlength=solves)
-        updates_per = np.bincount(solve_of, minlength=solves)
-        activations_per = np.bincount(solve_of, weights=counts, minlength=solves)
-        for solve in np.flatnonzero(active_per).tolist():
-            results[solve].append(
-                (
-                    int(activations_per[solve]),
-                    int(active_per[solve]),
-                    int(updates_per[solve]),
-                )
+        active_per = np.bincount(cell_job[active], minlength=jobs)
+        live = np.flatnonzero(active_per)
+        recorded.append(
+            (
+                live,
+                np.bincount(job_of, weights=counts, minlength=jobs)[live].astype(np.int64),
+                active_per[live],
+                np.bincount(job_of, minlength=jobs)[live],
             )
+        )
         if first_round and run_first:
             first_mask[...] = final_mask
         first_round = False
-        degree = silenced_degree
-    return results
+    if not recorded:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    return tuple(
+        np.concatenate([entry[field] for entry in recorded]).astype(np.int64)
+        for field in range(4)
+    )
 
 
 def assign_best_offers(

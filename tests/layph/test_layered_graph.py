@@ -336,3 +336,53 @@ class TestResidentUpperCSR:
             by_union.update(subgraph.proxies)
         assert by_union
         assert layered.proxy_vertices() == by_union
+
+
+class TestConstructionMetricsStayBounded:
+    """The build records its shortcut rounds; every later rebuild adds only
+    totals, so the snapshot payload does not grow with the delta stream."""
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("algorithm", ["sssp", "pagerank"])
+    def test_payload_stable_and_totals_match_the_charges(self, backend, algorithm):
+        from repro.engine.algorithms import make_algorithm
+        from repro.engine.metrics import ExecutionMetrics
+        from repro.graph.generators import community_graph
+        from repro.layph.engine import LayphEngine
+        from repro.workloads.updates import random_edge_delta
+
+        graph = community_graph(
+            num_communities=5,
+            community_size_range=(15, 25),
+            intra_edge_probability=0.35,
+            weighted=True,
+            seed=13,
+        )
+        engine = LayphEngine(make_algorithm(algorithm, source=0), backend=backend)
+        engine.initialize(graph)
+        layered = engine.layered
+        construction = layered.construction_metrics
+        built = layered.to_state()["construction_metrics"]
+        assert built["activations_per_round"], "the build recorded no rounds"
+
+        charges = []
+        rebuild = layered.rebuild_subgraphs
+
+        def charged(indices, metrics=None, solver=None):
+            probe = ExecutionMetrics()
+            rebuild(indices, probe, solver)
+            charges.append(probe.edge_activations)
+            if metrics is not None:
+                metrics.edge_activations += probe.edge_activations
+
+        layered.rebuild_subgraphs = charged
+        for step in range(20):
+            delta = random_edge_delta(engine.graph, 4, 4, seed=300 + step, protect=0)
+            engine.apply_delta(delta)
+            payload = layered.to_state()["construction_metrics"]
+            for field in ("activations_per_round", "active_vertices_per_round"):
+                assert payload[field] == built[field], f"{field} grew at delta {step}"
+        assert sum(charges) > 0, "no delta rebuilt a shortcut"
+        assert construction.edge_activations == built["edge_activations"] + sum(charges)
+        assert construction.iterations > built["iterations"]
+        assert construction.vertex_updates > built["vertex_updates"]

@@ -1,18 +1,25 @@
-"""The lockstep multi-source shortcut kernel against the per-source reference.
+"""The lockstep shortcut kernel against the per-vector reference.
 
-Under a numpy backend all from-scratch shortcut solves of one subgraph run
-in a single :func:`repro.parallel.slabs.run_shortcut_solves` call.  Every
-vector it produces must equal the Python-backend reference
-(:func:`repro.layph.shortcuts.compute_shortcuts_from` per source): the same
-values and the same recorded work.  Key order is the one the reference's
-two ``propagate`` calls leave on the numpy backend — rows touched in round 0
-(the source) first, then the rest ascending — which differs from the Python
-loop's first-touch order, so it is checked against that numpy reference.
+Under a numpy backend every shortcut solve and every incremental revision
+of a :class:`repro.layph.shortcuts.ShortcutBatch` — all of one delta's
+refreshed subgraphs — runs in a single
+:func:`repro.parallel.slabs.run_shortcut_solves` call over a ragged,
+block-diagonal layout.  Every vector it produces must equal the
+Python-backend reference (:func:`repro.layph.shortcuts.compute_shortcuts_from`
+per solve, :func:`repro.layph.shortcuts.update_shortcut_vector` per
+revision): the same values and the same recorded work.  Key order is the one
+the reference's ``propagate`` write-backs leave on the numpy backend — for a
+solve, rows touched in round 0 (the source) first, then the rest ascending;
+for a revision, the old keys in place, then the new rows ascending — which
+differs from the Python loop's first-touch order, so it is checked against
+that numpy reference.  The batched phase-4 assignment pass is checked
+against the per-subgraph reference loops the same way.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -23,13 +30,17 @@ from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency
 from repro.graph.generators import community_graph
 from repro.layph import shortcuts as shortcuts_module
+from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayeredGraph, LayphConfig
 from repro.layph.shortcuts import (
+    ShortcutBatch,
     _propagate_shortcuts,
+    _revise_reference,
     compute_all_shortcuts,
     compute_shortcut_vectors,
     compute_shortcuts_from,
-    prepare_shortcut_solves,
+    shortcut_revision,
+    update_shortcut_vector,
 )
 
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
@@ -196,8 +207,10 @@ class _AdditiveSum(PageRank):
 def test_insignificant_unit_skips_the_first_round():
     spec = _AdditiveSum()
     assert classify_spec(spec) is not None, "the kernel must handle this algebra"
-    solves = prepare_shortcut_solves(spec, _cyclic_local(), [0, 3], {0, 3})
-    assert solves.scalars["run_first"] is False
+    batch = ShortcutBatch(spec, "numpy")
+    block = batch.block(None, _cyclic_local(), {0, 3})
+    batch.solve(block, 0, {})
+    assert batch.prepare().scalars["run_first"] is False
     batched = assert_batch_matches_reference(spec, _cyclic_local(), [0, 3], {0, 3})
     assert batched == [{}, {}]
 
@@ -206,7 +219,10 @@ def test_nan_factor_takes_the_reference_fallback(monkeypatch):
     local = _cyclic_local()
     local.add(1, 3, math.nan)
     spec = SSSP(source=0)
-    assert prepare_shortcut_solves(spec, local, [0, 3], {0, 3}) is None
+    batch = ShortcutBatch(spec, "numpy")
+    block = batch.block(None, local, {0, 3})
+    batch.solve(block, 0, {})
+    assert batch.prepare() is None
 
     def fail(**_kwargs):
         raise AssertionError("NaN factors must not reach the kernel")
@@ -220,7 +236,7 @@ def test_compute_all_shortcuts_is_one_kernel_call(monkeypatch):
     original = shortcuts_module.run_shortcut_solves
 
     def record(**kwargs):
-        calls.append(int(kwargs["source_rows"].size))
+        calls.append(int(kwargs["job_shift"].size))
         return original(**kwargs)
 
     monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", record)
@@ -229,3 +245,315 @@ def test_compute_all_shortcuts_is_one_kernel_call(monkeypatch):
     assert calls == [2]
     python = compute_all_shortcuts(spec, _cyclic_local(), {0, 3}, backend="python")
     assert batched == python
+
+
+# ----------------------------------------------------------------------
+# one call for several subgraphs: solves and revisions mixed
+# ----------------------------------------------------------------------
+def _mutated(local: FactorAdjacency, rng: random.Random) -> FactorAdjacency:
+    """A copy of ``local`` with a quarter of its rows edited: a factor
+    halved or doubled, a link dropped, or a link added."""
+    rows = {vertex: list(row) for vertex, row in local._adjacency.items()}
+    universe = sorted({vertex for vertex in rows} | {t for row in rows.values() for t, _f in row})
+    for vertex in rng.sample(sorted(rows), k=max(1, len(rows) // 4)):
+        row = rows[vertex]
+        choice = rng.random()
+        if choice < 0.4:
+            position = rng.randrange(len(row))
+            target, factor = row[position]
+            row[position] = (target, factor * rng.choice([0.5, 2.0]))
+        elif choice < 0.7 and len(row) > 1:
+            del row[rng.randrange(len(row))]
+        else:
+            linked = {target for target, _factor in row}
+            candidates = [u for u in universe if u != vertex and u not in linked]
+            if candidates:
+                row.append((rng.choice(candidates), row[0][1]))
+    return FactorAdjacency({vertex: row for vertex, row in rows.items() if row})
+
+
+def _subgraph_cases(spec, seed, count=3):
+    """``count`` subgraphs of different sizes: (old local, new local,
+    boundary, old tables) from a Python-backend build."""
+    graph = community_graph(
+        num_communities=5,
+        community_size_range=(10, 30),
+        intra_edge_probability=0.35,
+        inter_edges_per_community=3,
+        weighted=True,
+        seed=seed,
+    )
+    layered = LayeredGraph.build(spec, graph, LayphConfig(seed=seed, backend="python"))
+    rng = random.Random(seed)
+    cases, sizes = [], set()
+    for subgraph in layered.subgraphs:
+        size = len(subgraph.all_vertices)
+        if size in sizes:
+            continue
+        sizes.add(size)
+        old_local = subgraph.local_adjacency
+        cases.append((old_local, _mutated(old_local, rng), subgraph.boundary, subgraph.shortcuts))
+        if len(cases) == count:
+            break
+    assert len(cases) == count, "the graph formed too few differently sized subgraphs"
+    return cases
+
+
+def _run_mixed_batch(spec, cases, backend="numpy"):
+    """Queue every boundary source of every case as the refresh loop would
+    (revision when the Python half yields messages, solve when it declines;
+    the smallest boundary vertex counts as new and is solved) and run the
+    batch once.  Returns (tables, kinds, pendings, metrics)."""
+    metrics = ExecutionMetrics()
+    batch = ShortcutBatch(spec, backend)
+    tables, kinds, pendings = [], [], []
+    for key, (old_local, new_local, boundary, old_tables) in enumerate(cases):
+        changed = LayeredGraph._changed_local_sources(old_local, new_local)
+        block = batch.block(key, new_local, boundary)
+        table, kind, pending_of = {}, {}, {}
+        for source in sorted(boundary):
+            if source == min(boundary):
+                kind[source] = "fresh"
+                batch.solve(block, source, table)
+                continue
+            old_vector = old_tables[source]
+            pending = shortcut_revision(
+                spec, old_local, new_local, source, boundary, old_vector, changed, metrics
+            )
+            pending_of[source] = pending
+            if pending is None:
+                kind[source] = "solve"
+                batch.solve(block, source, table)
+            elif pending:
+                kind[source] = "revise"
+                batch.revise(block, source, old_vector, pending, table)
+            else:
+                kind[source] = "keep"
+                table[source] = dict(old_vector)
+        tables.append(table)
+        kinds.append(kind)
+        pendings.append(pending_of)
+    batch.run(metrics)
+    return tables, kinds, pendings, metrics
+
+
+def _assert_mixed_batch_matches_reference(spec, cases, tables, kinds, pendings, metrics):
+    reference_metrics = ExecutionMetrics()
+    for (old_local, new_local, boundary, old_tables), table, kind, pending_of in zip(
+        cases, tables, kinds, pendings
+    ):
+        changed = LayeredGraph._changed_local_sources(old_local, new_local)
+        for source in sorted(boundary):
+            old_vector = old_tables[source]
+            want = None
+            if kind[source] != "fresh":
+                want = update_shortcut_vector(
+                    spec, old_local, new_local, source, boundary, old_vector, changed,
+                    reference_metrics, backend="python",
+                )
+            if want is None:
+                assert kind[source] in ("fresh", "solve")
+                want = compute_shortcuts_from(
+                    spec, new_local, source, boundary, reference_metrics, backend="python"
+                )
+                order = _propagate_shortcuts(spec, new_local, source, boundary, backend="numpy")
+            elif kind[source] == "revise":
+                order = _revise_reference(
+                    spec, new_local, source, boundary, old_vector, pending_of[source],
+                    ExecutionMetrics(), backend="numpy",
+                )
+            else:
+                order = want
+            got = table[source]
+            assert dict(_bits(got)) == dict(_bits(want)), f"values differ for source {source}"
+            assert _bits(got) == _bits(order), f"key order differs for source {source}"
+    assert _totals(metrics) == _totals(reference_metrics)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("seed", [3, 8])
+def test_one_call_mixes_solves_and_revisions_across_subgraphs(monkeypatch, algorithm, seed):
+    calls = []
+    kernel = shortcuts_module.run_shortcut_solves
+
+    def observed(**kwargs):
+        calls.append(kwargs["job_solves"].copy())
+        return kernel(**kwargs)
+
+    monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", observed)
+    spec = make_algorithm(algorithm, source=0)
+    cases = _subgraph_cases(spec, seed)
+    tables, kinds, pendings, metrics = _run_mixed_batch(spec, cases)
+    assert len(calls) == 1, "the whole batch must run in one kernel call"
+    solves = int(calls[0].sum())
+    revisions = int((~calls[0]).sum())
+    assert solves and revisions, f"the call held {solves} solves and {revisions} revisions"
+    _assert_mixed_batch_matches_reference(spec, cases, tables, kinds, pendings, metrics)
+    if spec.is_selective():
+        # a revision declined for lost support turns into a solve
+        assert any("solve" in kind.values() for kind in kinds), "no support loss"
+    else:
+        assert any(
+            value < 0
+            for pending_of in pendings
+            for pending in pending_of.values()
+            if pending
+            for value in pending.values()
+        ), "no accumulative revision carried a negative message"
+
+
+def test_nan_block_takes_the_reference_while_the_others_share_the_call(monkeypatch):
+    calls = []
+    kernel = shortcuts_module.run_shortcut_solves
+
+    def observed(**kwargs):
+        calls.append(int(kwargs["job_shift"].size))
+        return kernel(**kwargs)
+
+    monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", observed)
+    spec = PageRank(damping=0.85)
+    cases = _subgraph_cases(spec, 3)
+    old_local, new_local, boundary, old_tables = cases[1]
+    source = min(new_local.vertices_with_out_edges())
+    new_local.add(source, new_local(source)[0][0], math.nan)
+    tables, kinds, pendings, metrics = _run_mixed_batch(spec, cases)
+    queued = [sum(kind != "keep" for kind in kinds[i].values()) for i in range(3)]
+    assert queued[1], "the NaN block queued no job"
+    assert calls == [queued[0] + queued[2]], "the NaN block must leave the kernel call"
+    _assert_mixed_batch_matches_reference(spec, cases, tables, kinds, pendings, metrics)
+
+
+@pytest.mark.parametrize("spec", [PageRank(damping=0.5), SSSP(source=99)], ids=lambda s: s.name)
+def test_revision_silences_boundary_messages_and_appends_new_rows_ascending(spec):
+    """A revision message reaching boundary vertex 4 in round 0 must not be
+    re-emitted along 4's own link, and the rows the revision touches first
+    (3, then 5) are appended after the old keys in ascending order."""
+    boundary = {0, 4}
+    old_local = FactorAdjacency({0: [(1, 0.5)], 1: [(2, 0.5)], 2: [(4, 0.5)], 4: [(1, 0.5)]})
+    new_local = FactorAdjacency(
+        {
+            0: [(1, 0.5)],
+            1: [(2, 0.5), (4, 0.25), (3, 0.25)],
+            2: [(4, 0.5)],
+            3: [(5, 0.5)],
+            4: [(1, 0.5)],
+            5: [(2, 0.5)],
+        }
+    )
+    old_vector = compute_shortcuts_from(spec, old_local, 0, boundary, backend="python")
+    changed = LayeredGraph._changed_local_sources(old_local, new_local)
+    pending = shortcut_revision(spec, old_local, new_local, 0, boundary, old_vector, changed)
+    assert set(pending) == {3, 4}
+    metrics = ExecutionMetrics()
+    got = update_shortcut_vector(
+        spec, old_local, new_local, 0, boundary, old_vector, changed, metrics, backend="numpy"
+    )
+    reference_metrics = ExecutionMetrics()
+    want = update_shortcut_vector(
+        spec, old_local, new_local, 0, boundary, old_vector, changed,
+        reference_metrics, backend="python",
+    )
+    order = _revise_reference(
+        spec, new_local, 0, boundary, old_vector, pending, ExecutionMetrics(), backend="numpy"
+    )
+    assert dict(_bits(got)) == dict(_bits(want))
+    assert _bits(got) == _bits(order)
+    assert list(got)[-2:] == [3, 5], "new rows are appended ascending"
+    assert _totals(metrics) == _totals(reference_metrics)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_python_backend_batch_runs_the_reference(monkeypatch, algorithm):
+    def fail(**_kwargs):
+        raise AssertionError("the python backend must not reach the kernel")
+
+    spec = make_algorithm(algorithm, source=0)
+    cases = _subgraph_cases(spec, 3)
+    numpy_tables, _kinds, _pendings, numpy_metrics = _run_mixed_batch(spec, cases)
+    monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", fail)
+    tables, _kinds, _pendings, metrics = _run_mixed_batch(spec, cases, backend="python")
+    for table, numpy_table in zip(tables, numpy_tables):
+        assert table == numpy_table
+    assert _totals(metrics) == _totals(numpy_metrics)
+
+
+# ----------------------------------------------------------------------
+# phase 4: one assignment pass over every assigned subgraph
+# ----------------------------------------------------------------------
+def _assign_graph():
+    return community_graph(
+        num_communities=6,
+        community_size_range=(15, 30),
+        intra_edge_probability=0.35,
+        inter_edges_per_community=3,
+        weighted=True,
+        seed=21,
+    )
+
+
+def _internal_source(graph):
+    layered = LayeredGraph.build(SSSP(source=0), graph, LayphConfig(backend="python"))
+    return min(vertex for subgraph in layered.subgraphs for vertex in subgraph.internal)
+
+
+def _assign_both_ways(monkeypatch, engine, deltas, work):
+    from repro.layph import vectorized
+
+    calls = []
+    for name in ("assign_best_offers", "assign_deltas"):
+        kernel = getattr(vectorized, name)
+
+        def observed(*args, _kernel=kernel, **kwargs):
+            calls.append(1)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(vectorized, name, observed)
+    everything = set(range(len(engine.layered.subgraphs)))
+    outcomes = []
+    for vectorized_phases in (True, False):
+        monkeypatch.setattr(engine, "_vectorized_phases", lambda v=vectorized_phases: v)
+        revised = dict(work)
+        metrics = ExecutionMetrics()
+        engine._assign(everything, set(), deltas, revised, metrics, engine.graph)
+        outcomes.append(
+            ({vertex: float(value).hex() for vertex, value in revised.items()}, metrics.edge_activations)
+        )
+    assert calls == [1], "the numpy path must run one assignment kernel call"
+    return outcomes
+
+
+def test_batched_selective_assign_equals_per_subgraph_loop(monkeypatch):
+    graph = _assign_graph()
+    engine = LayphEngine(SSSP(source=_internal_source(graph)), backend="numpy")
+    engine.initialize(graph)
+    assert engine._local_source_states is not None, "the source must fold local results"
+    rng = random.Random(4)
+    work = dict(engine.states)
+    work.update(engine.proxy_states)
+    for subgraph in engine.layered.subgraphs:
+        for vertex in subgraph.boundary:
+            if rng.random() < 0.3:
+                work[vertex] = work.get(vertex, math.inf) * 0.5
+    vectorized_outcome, reference_outcome = _assign_both_ways(monkeypatch, engine, {}, work)
+    assert vectorized_outcome == reference_outcome
+    assert vectorized_outcome[1] > 0
+
+
+@pytest.mark.parametrize("algorithm", ["pagerank", "php"])
+def test_batched_accumulative_assign_equals_per_subgraph_loop(monkeypatch, algorithm):
+    graph = _assign_graph()
+    # PHP absorbs its source: an internal one must be skipped, not pushed
+    source = _internal_source(graph)
+    engine = LayphEngine(make_algorithm(algorithm, source=source), backend="numpy")
+    engine.initialize(graph)
+    rng = random.Random(5)
+    work = dict(engine.states)
+    work.update(engine.proxy_states)
+    deltas = {}
+    for subgraph in engine.layered.subgraphs:
+        for vertex in sorted(subgraph.boundary):
+            deltas[vertex] = rng.choice([-1.0, 1.0]) * rng.uniform(1e-4, 1e-2)
+    deltas[min(deltas)] = 1e-12  # insignificant: must not be pushed
+    vectorized_outcome, reference_outcome = _assign_both_ways(monkeypatch, engine, deltas, work)
+    assert vectorized_outcome == reference_outcome
+    assert vectorized_outcome[1] > 0

@@ -17,8 +17,8 @@ from repro.engine.propagation import FactorAdjacency, NonConvergenceError
 from repro.graph.generators import community_graph
 from repro.layph.engine import LayphEngine
 from repro.layph.vectorized import (
-    assign_accumulative_numpy,
-    assign_selective_numpy,
+    assign_accumulative_batch,
+    assign_selective_batch,
     local_upload_numpy,
 )
 from repro.workloads.updates import random_edge_delta
@@ -144,7 +144,7 @@ class TestAssignKernels:
         subgraph = self._shortcut_subgraph()
         work = {0: 1.0, 5: 2.5}
         metrics = ExecutionMetrics()
-        best = assign_selective_numpy(spec, subgraph, work, metrics)
+        [best] = assign_selective_batch(spec, [subgraph], work, metrics)
         assert best == {2: 2.0, 3: 4.0}
         assert metrics.edge_activations == 3  # two internal entries of 0, one of 5
 
@@ -156,12 +156,15 @@ class TestAssignKernels:
         graph = Graph.from_edges([(0, 2, 1.0), (2, 3, 1.0), (3, 5, 1.0)])
         results = {}
         for backend in ("python", "numpy"):
-            engine = LayphEngine(PageRank(), backend=backend)
             work = {2: 0.25, 3: 0.5}
             metrics = ExecutionMetrics()
-            engine._assign_accumulative(
-                subgraph, {0: 0.125, 5: 0.0625}, work, metrics, graph
-            )
+            deltas = {0: 0.125, 5: 0.0625}
+            if backend == "numpy":
+                assert assign_accumulative_batch(spec, [subgraph], deltas, work, metrics, graph)
+            else:
+                LayphEngine(spec, backend=backend)._assign_accumulative(
+                    subgraph, deltas, work, metrics, graph
+                )
             results[backend] = (work, metrics.edge_activations)
         assert results["python"] == results["numpy"]
         work, activations = results["numpy"]
@@ -169,13 +172,34 @@ class TestAssignKernels:
         assert work[3] == 0.5 + 0.125 * 3.0 + 0.0625 * 2.0
         assert activations == 3
 
+    def test_accumulative_assign_skips_vanished_targets(self):
+        from repro.graph.graph import Graph
+
+        spec = PageRank()
+        subgraph = self._shortcut_subgraph()
+        graph = Graph.from_edges([(0, 2, 1.0), (2, 5, 1.0)])  # 3 is gone
+        results = []
+        for vectorized in (True, False):
+            work = {2: 0.25, 3: 0.5}
+            metrics = ExecutionMetrics()
+            if vectorized:
+                assert assign_accumulative_batch(
+                    spec, [subgraph], {0: 0.125, 5: 0.0625}, work, metrics, graph
+                )
+            else:
+                LayphEngine(spec, backend="python")._assign_accumulative(
+                    subgraph, {0: 0.125, 5: 0.0625}, work, metrics, graph
+                )
+            results.append((work, metrics.edge_activations))
+        assert results[0] == results[1] == ({2: 0.25 + 0.125, 3: 0.5}, 1)
+
     def test_assign_kernels_reject_undeclared_algebra(self):
         class MaxSpec(SSSP):
             def aggregate(self, left, right):
                 return max(left, right)
 
         subgraph = self._shortcut_subgraph()
-        assert assign_selective_numpy(MaxSpec(), subgraph, {}, ExecutionMetrics()) is None
+        assert assign_selective_batch(MaxSpec(), [subgraph], {}, ExecutionMetrics()) is None
 
     def test_shortcut_csr_cache_invalidated_on_rebuild(self, monkeypatch):
         from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
