@@ -15,7 +15,6 @@ suite never rewrites tracked files.
 from __future__ import annotations
 
 import functools
-import random
 from pathlib import Path
 from typing import Set
 
@@ -92,24 +91,6 @@ def edge_delta(name: str, additions: int = DEFAULT_ADDITIONS, deletions: int = D
     )
 
 
-def weight_only_delta(graph: Graph, num_changes: int = 4, seed: int = 7) -> GraphDelta:
-    """Reweight ``num_changes`` existing edges of ``graph``.
-
-    The vertex id space is unchanged, so the CSR cache patches the snapshot
-    forward with a ``same_ids`` note — the steady state the persistent slab
-    arenas (PR 10) patch in place instead of re-exporting.
-    """
-    rng = random.Random(seed)
-    edges = sorted(graph.edges())
-    rng.shuffle(edges)
-    delta = GraphDelta()
-    for source, target, weight in edges[:num_changes]:
-        delta.delete_edge(source, target)
-        delta.add_edge(source, target, round(float(weight) + rng.uniform(0.1, 2.0), 3))
-    return delta
-
-
-@functools.lru_cache(maxsize=None)
 def vertex_delta(name: str, additions: int = 3, deletions: int = 3, seed: int = 13) -> GraphDelta:
     """Cached random vertex ΔG for one dataset."""
     return random_vertex_delta(

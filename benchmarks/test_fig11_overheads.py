@@ -1,25 +1,14 @@
-"""Figure 11: additional space cost and offline preprocessing amortization.
-
-The PR 10 row extends the overhead accounting to the parallel pipeline: the
-persistent slab arenas' shared-memory residency cost — bytes copied for the
-one-time full export vs the O(changed) bytes of a steady-state delta patch.
-"""
+"""Figure 11: additional space cost and offline preprocessing amortization."""
 
 from __future__ import annotations
 
-import pytest
-
-from conftest import DATASET_NAMES, dataset, record, run_once, weight_only_delta
+from conftest import DATASET_NAMES, dataset, record, run_once
 
 from repro.bench.reporting import format_table
 from repro.engine.algorithms import make_algorithm
-from repro.engine.dense_propagation import build_propagation_slab
-from repro.graph.csr_cache import CSRCache
 from repro.incremental.ingress import IngressEngine
 from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayeredGraph, LayphConfig
-from repro.parallel import shm
-from repro.parallel.arena import SlabArenaCache
 from repro.workloads.updates import random_edge_delta
 
 
@@ -85,61 +74,3 @@ def test_fig11b_offline_cost_amortization(benchmark):
     print("\n" + table)
     record("fig11_overheads", table)
     assert len(layph_cumulative) == runs + 1
-
-
-def test_fig11c_arena_residency_overhead(benchmark):
-    """Shared-memory arena cost per dataset: one full CSR-block export, then
-    O(changed) bytes per steady-state weight delta."""
-    if not shm.shm_available():
-        pytest.skip("shared memory unavailable; serial fallback covered in tests/")
-    spec = make_algorithm("sssp", source=0)
-
-    def measure():
-        rows = []
-        for name in DATASET_NAMES:
-            graph = dataset(name)
-            cache = CSRCache()
-            arena = SlabArenaCache()
-            try:
-                built = build_propagation_slab(
-                    spec, cache.adjacency(spec, graph), {}, {0: 0.0}
-                )
-                assert built is not None
-                assert arena.refs_for(built[0]) is not None
-                export_bytes = arena.bytes_copied()
-                delta = weight_only_delta(graph, num_changes=4, seed=41)
-                new_graph = delta.apply(graph)
-                cache.apply_delta(spec, graph, new_graph, delta)
-                built = build_propagation_slab(
-                    spec, cache.adjacency(spec, new_graph), {}, {0: 0.0}
-                )
-                assert built is not None
-                assert arena.refs_for(built[0]) is not None
-                patch_bytes = arena.bytes_copied() - export_bytes
-            finally:
-                arena.reset()
-            rows.append((name, export_bytes, patch_bytes))
-        return rows
-
-    rows = run_once(benchmark, measure)
-    formatted = []
-    for name, export_bytes, patch_bytes in rows:
-        # steady-state deltas must ship a small fraction of the full block
-        assert patch_bytes < export_bytes / 4, (
-            f"{name}: patch shipped {patch_bytes} of {export_bytes} bytes"
-        )
-        formatted.append(
-            [
-                name,
-                f"{export_bytes}",
-                f"{patch_bytes}",
-                f"{100 * patch_bytes / export_bytes:.1f}%",
-            ]
-        )
-    table = format_table(
-        ["dataset", "full export (bytes)", "per-delta patch (bytes)", "patch/export"],
-        formatted,
-        title="Figure 11c: persistent arena residency vs per-delta patch bytes (SSSP)",
-    )
-    print("\n" + table)
-    record("fig11_overheads", table)

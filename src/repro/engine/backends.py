@@ -13,12 +13,6 @@ propagate`) has interchangeable implementations:
   states, round counts and edge-activation counts as the Python loop, and
   falls back to it transparently for algorithm specs whose algebra it cannot
   express.
-* ``"numpy-parallel"`` — the numpy engine with the big supersteps
-  row-partitioned across a persistent process pool
-  (:mod:`repro.engine.parallel_propagation`), sized by ``REPRO_WORKERS``.
-  Bitwise-identical to ``"numpy"``; falls back to it transparently when
-  the worker count is 1, shared memory is unavailable, or the work unit is
-  below the fan-out threshold.
 
 Selection precedence, from strongest to weakest:
 
@@ -58,19 +52,9 @@ from repro.graph.csr_cache import (  # noqa: F401 (re-export)
 
 PYTHON_BACKEND = "python"
 NUMPY_BACKEND = "numpy"
-NUMPY_PARALLEL_BACKEND = "numpy-parallel"
-
-#: the backends that run the vectorized (CSR/dense) code paths — the
-#: parallel backend is the numpy backend plus a process pool, so every
-#: ``backend == NUMPY_BACKEND`` gate in the engines accepts both
-NUMPY_BACKENDS = (NUMPY_BACKEND, NUMPY_PARALLEL_BACKEND)
 
 #: environment variable consulted when no explicit backend is requested
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: worker count for the ``numpy-parallel`` backend (re-exported from
-#: :mod:`repro.parallel.executor`; default 1 = serial fallback)
-WORKERS_ENV_VAR = "REPRO_WORKERS"
 
 #: environment variable that drops the BSP engines' dense memoized-iteration
 #: store (:mod:`repro.incremental.memo`) back onto the dict reference
@@ -97,20 +81,10 @@ def _load_numpy_backend() -> Callable:
     return propagate_numpy
 
 
-def _load_numpy_parallel_backend() -> Callable:
-    from repro.engine.parallel_propagation import propagate_parallel
-
-    return propagate_parallel
-
-
 def is_numpy_backend(name: Optional[str] = None) -> bool:
-    """Whether the resolved backend runs the vectorized code paths.
-
-    True for both ``"numpy"`` and ``"numpy-parallel"`` — the engines gate
-    their CSR/dense fast paths on this, and the parallel backend shares all
-    of them (adding process fan-out only where work units are independent).
-    """
-    return resolve_backend(name) in NUMPY_BACKENDS
+    """Whether the resolved backend runs the vectorized (CSR/dense) code
+    paths — the engines gate their fast paths on this."""
+    return resolve_backend(name) == NUMPY_BACKEND
 
 
 #: backend name -> zero-argument loader returning the propagate implementation
@@ -118,7 +92,6 @@ def is_numpy_backend(name: Optional[str] = None) -> bool:
 _REGISTRY: Dict[str, Optional[Callable[[], Callable]]] = {
     PYTHON_BACKEND: None,
     NUMPY_BACKEND: _load_numpy_backend,
-    NUMPY_PARALLEL_BACKEND: _load_numpy_parallel_backend,
 }
 
 _LOADED: Dict[str, Callable] = {}

@@ -127,14 +127,8 @@ def classify_spec(spec) -> Optional[Tuple[str, str]]:
 
 def _compile_adjacency(
     adjacency,
-) -> Optional[Callable[[Iterable[int]], Tuple[FactorCSR, bool]]]:
+) -> Optional[Callable[[Iterable[int]], FactorCSR]]:
     """A compiler closure for ``adjacency``, or ``None`` if not materialisable.
-
-    The closure returns ``(csr, stable)`` — ``stable`` marks snapshots served
-    by a cache (identity-stable while the graph version is unchanged), which
-    the persistent arena layer may key resident shared-memory blocks on.
-    Fresh universe-specific compiles are per-call objects and are not
-    arena-cacheable.
 
     Three shapes compile to CSR:
 
@@ -156,17 +150,13 @@ def _compile_adjacency(
     compiled_csr = getattr(adjacency, "compiled_csr", None)
     if compiled_csr is not None:
 
-        def compile_cached(universe: Iterable[int]) -> Tuple[FactorCSR, bool]:
+        def compile_cached(universe: Iterable[int]) -> FactorCSR:
             csr = compiled_csr(universe)
             if csr is not None:
-                # With the CSR cache disabled, ``compiled_csr`` compiles a
-                # fresh per-call snapshot — not identity-stable, so not a
-                # valid arena key.
-                cache = getattr(adjacency, "cache", None)
-                return csr, bool(getattr(cache, "enabled", True))
+                return csr
             # Universe reaches outside the cached index space: compile a
             # universe-specific snapshot from the adjacency view.
-            return FactorCSR.from_factor_adjacency(adjacency, universe=universe), False
+            return FactorCSR.from_factor_adjacency(adjacency, universe=universe)
 
         return compile_cached
 
@@ -177,17 +167,14 @@ def _compile_adjacency(
     else:
         return None
 
-    def compile_with_universe(universe: Iterable[int]) -> Tuple[FactorCSR, bool]:
+    def compile_with_universe(universe: Iterable[int]) -> FactorCSR:
         master = master_factor_csr(base, universe)
         if master is None:
             # Caching disabled: the original fresh, universe-exact compile.
-            return (
-                FactorCSR.from_factor_adjacency(base, universe=universe, silenced=silenced),
-                False,
-            )
+            return FactorCSR.from_factor_adjacency(base, universe=universe, silenced=silenced)
         if not silenced:
-            return master, True
-        return FactorCSRView(master, silenced), True
+            return master
+        return FactorCSRView(master, silenced)
 
     return compile_with_universe
 
@@ -207,8 +194,7 @@ def build_propagation_slab(
     """Compile one propagate call into an array slab; ``None`` = fall back.
 
     Returns ``(slab, vertex_ids)`` — the slab carries only arrays and
-    scalars (:class:`repro.parallel.slabs.PropagationSlab`), so it can be
-    exported to shared memory and consumed by worker processes.
+    scalars (:class:`repro.parallel.slabs.PropagationSlab`).
     Incompatibility — an algebra the array kernels cannot express, an
     adjacency that cannot be materialised, or NaN-carrying inputs — is
     detected here, before anything is mutated.
@@ -222,7 +208,7 @@ def build_propagation_slab(
     aggregate_kind, combine_kind = kinds
     selective = aggregate_kind == AGGREGATE_MIN
 
-    csr, stable = compiler(set(states) | set(pending))
+    csr = compiler(set(states) | set(pending))
     ids = csr.vertex_ids
     index = csr.index
     n = csr.num_vertices
@@ -278,7 +264,6 @@ def build_propagation_slab(
         combine_add=combine_kind == COMBINE_ADD,
         identity=identity,
         tolerance=tolerance,
-        block_token=csr if stable else None,
     )
     return slab, ids
 

@@ -3,9 +3,8 @@
 The paper's primary explanatory metric is the *number of edge activations* —
 the number of applications of the message-generation function ``F``
 (Figure 1, Figure 6).  Runtime in a pure-Python reproduction is dominated by
-interpreter overhead, so the harness reports activations as the main metric
-and a deterministic cost-model runtime (see :mod:`repro.parallel`) as the
-secondary one, in addition to wall-clock time.
+interpreter overhead, so the harness reports activations as the main metric,
+in addition to wall-clock time.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ class ExecutionMetrics:
     edge_activations: int = 0
     vertex_updates: int = 0
     iterations: int = 0
-    #: per-superstep counts of edge activations, used by the parallel cost model
+    #: per-superstep counts of edge activations
     activations_per_round: List[int] = field(default_factory=list)
     #: per-superstep counts of distinct active vertices
     active_vertices_per_round: List[int] = field(default_factory=list)

@@ -125,7 +125,6 @@ class FactorCSR:
         "factors",
         "out_degree",
         "_ids_cache",
-        "patch_note",
     )
 
     #: class-wide count of full (row-enumerating) compiles, i.e. every
@@ -153,12 +152,6 @@ class FactorCSR:
         self.factors = factors
         self.out_degree = np.diff(offsets)
         self._ids_cache: Optional[np.ndarray] = None
-        #: provenance of an incremental patch (:class:`repro.graph.csr_cache.
-        #: PatchNote`): which snapshot this one was derived from and which
-        #: rows changed.  ``None`` for fresh compiles.  Consumers that mirror
-        #: CSR arrays elsewhere (the shared-memory slab arenas) use it to
-        #: move O(changed) bytes instead of re-exporting O(E).
-        self.patch_note = None
 
     # ------------------------------------------------------------------
     @property

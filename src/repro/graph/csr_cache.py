@@ -55,7 +55,6 @@ Environment knobs:
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -104,30 +103,6 @@ def rebuild_fraction_default() -> float:
 # ----------------------------------------------------------------------
 # delta patching
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PatchNote:
-    """Provenance of one incremental CSR patch, attached to the patched
-    snapshot's :attr:`~repro.graph.csr.FactorCSR.patch_note`.
-
-    Downstream mirrors of the CSR arrays — the shared-memory slab arenas of
-    :mod:`repro.parallel.arena` — use it to ship only the changed regions:
-    when ``same_ids`` holds, every byte of ``targets``/``factors`` before the
-    first changed row's offset is identical to ``parent``'s, and when
-    ``counts_changed`` is additionally false, only the changed rows' own slot
-    ranges differ at all.
-    """
-
-    #: the snapshot this one was patched from
-    parent: FactorCSR
-    #: sorted dense row indices whose content was re-enumerated
-    changed_rows: np.ndarray
-    #: whether the dense vertex-id space is unchanged (row numbers stable)
-    same_ids: bool
-    #: whether any row's edge count changed (offsets shifted past the first
-    #: changed row); meaningful only when ``same_ids`` is true
-    counts_changed: bool
-
-
 def _changed_row_vertices(
     spec,
     orientation: str,
@@ -187,7 +162,7 @@ def splice_rows(
     ``new_ids`` that ``old_csr`` does not index gets its entry of ``rows``
     or an empty row; entries of ``rows`` for vertices outside ``new_ids``
     leave with their vertex.  The result is bit-for-bit a fresh compile of
-    the same rows and carries a :class:`PatchNote`.
+    the same rows.
 
     Returns ``None`` when a link — of a row that was not handed in, or of
     one that was — points outside the new id space: the caller's row
@@ -293,17 +268,6 @@ def splice_rows(
 
     patched = FactorCSR(ids, offsets, targets, factors, index=index)
     patched._ids_cache = ids_arr
-    patched.patch_note = PatchNote(
-        parent=old_csr,
-        changed_rows=changed_arr,
-        same_ids=same_ids,
-        counts_changed=bool(
-            same_ids and not np.array_equal(offsets, old_csr.offsets)
-        ),
-    )
-    # Sever the provenance chain at one generation so a long delta sequence
-    # retains at most the immediately preceding snapshot.
-    old_csr.patch_note = None
     return patched
 
 

@@ -54,7 +54,6 @@ from repro.layph.vectorized import (
     local_upload_numpy,
     seed_tainted_upper,
 )
-from repro.parallel.executor import parallel_pool
 
 PHASE_UPDATE = "layered graph update"
 PHASE_UPLOAD = "messages upload"
@@ -240,9 +239,7 @@ class LayphEngine(IncrementalEngine):
             if patch_upper:
                 pre_sources = layered.subgraph_upper_sources(affected)
                 pre_boundaries = layered.subgraph_boundaries(affected)
-            layered.rebuild_subgraphs(
-                sorted(affected), metrics, solver=self._shortcut_solver()
-            )
+            layered.rebuild_subgraphs(sorted(affected), metrics)
             if patch_upper:
                 post_sources = layered.subgraph_upper_sources(affected)
                 post_boundaries = layered.subgraph_boundaries(affected)
@@ -463,14 +460,6 @@ class LayphEngine(IncrementalEngine):
                     lup_pending.get(vertex, identity), message
                 )
 
-        arrived_maps = self._parallel_local_uploads(per_subgraph, work, metrics)
-        if arrived_maps is not None:
-            for arrived in arrived_maps.values():
-                for vertex, message in arrived.items():
-                    lup_pending[vertex] = spec.aggregate(
-                        lup_pending.get(vertex, identity), message
-                    )
-            return
         for index, local_pending in per_subgraph.items():
             subgraph = layered.subgraphs[index]
             arrived = self._local_upload(subgraph, work, local_pending, metrics)
@@ -482,62 +471,6 @@ class LayphEngine(IncrementalEngine):
     def _vectorized_phases(self) -> bool:
         """Whether the vectorized upload/assign kernels should be attempted."""
         return is_numpy_backend(self.backend)
-
-    def _phase_pool(self, units: int):
-        """The worker pool for a per-subgraph phase, or ``None`` for serial.
-
-        A pool is only worth engaging under the ``numpy-parallel`` backend
-        with more than one independent work unit; worker count and shm
-        availability are checked by :func:`repro.parallel.executor.
-        parallel_pool` (the graceful-fallback contract).
-        """
-        from repro.engine.backends import NUMPY_PARALLEL_BACKEND, resolve_backend
-
-        if units <= 1 or resolve_backend(self.backend) != NUMPY_PARALLEL_BACKEND:
-            return None
-        return parallel_pool()
-
-    def _shortcut_solver(self):
-        """Pool solver for a delta's from-scratch shortcut solves.
-
-        Returns ``None`` — the serial batch — unless the resolved backend is
-        ``numpy-parallel``; the returned callable itself resolves the pool
-        lazily (one task per rebuilt subgraph, so pooling needs at least two
-        subgraphs' solves) and returns ``None``, leaving the solves to the
-        serial batch, when the pool or the array kernels bow out.
-        """
-        from repro.engine.backends import NUMPY_PARALLEL_BACKEND, resolve_backend
-
-        if resolve_backend(self.backend) != NUMPY_PARALLEL_BACKEND:
-            return None
-
-        def solve(deferred, metrics):
-            pool = self._phase_pool(len({index for index, _vertex in deferred}))
-            if pool is None:
-                return None
-            from repro.layph.parallel_phases import parallel_shortcuts
-
-            return parallel_shortcuts(
-                self.spec, self._require_layered(), deferred, metrics, pool
-            )
-
-        return solve
-
-    def _parallel_local_uploads(
-        self,
-        per_subgraph: Dict[int, Dict[int, float]],
-        work: Dict[int, float],
-        metrics: ExecutionMetrics,
-    ) -> Optional[Dict[int, Dict[int, float]]]:
-        """Phase-2 uploads across the pool; ``None`` = run the serial loop."""
-        pool = self._phase_pool(len(per_subgraph))
-        if pool is None:
-            return None
-        from repro.layph.parallel_phases import parallel_local_uploads
-
-        return parallel_local_uploads(
-            self, self._require_layered(), per_subgraph, work, metrics, pool
-        )
 
     def _local_upload(
         self,
@@ -813,14 +746,6 @@ class LayphEngine(IncrementalEngine):
             for index in sorted(to_assign)
             if layered.subgraphs[index].internal
         ]
-        pool = self._phase_pool(len(order))
-        if pool is not None and self._vectorized_phases():
-            from repro.layph.parallel_phases import parallel_assign
-
-            if parallel_assign(
-                self, order, deltas, work, metrics, new_graph, source, pool
-            ):
-                return
         if order and self._vectorized_phases():
             # one kernel call over every assigned subgraph's shortcut rows
             subgraphs = [layered.subgraphs[index] for index in order]
@@ -882,9 +807,8 @@ class LayphEngine(IncrementalEngine):
     ) -> None:
         """Fold the source's local results into ``best`` and write it back.
 
-        Shared by the reference scan above, the vectorized pass and the
-        parallel merge (:func:`repro.layph.parallel_phases.parallel_assign`),
-        which hand in their ``best`` maps.
+        Shared by the reference scan above and the vectorized pass, which
+        hand in their ``best`` maps.
         """
         spec = self.spec
         layered = self._require_layered()

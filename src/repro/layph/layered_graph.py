@@ -452,7 +452,7 @@ class LayeredGraph:
             changed_sources, old_shortcuts, old_boundary, boundary
         )
         boundary_changed = old_boundary != boundary
-        block = batch.block(subgraph.index, local, boundary)
+        block = batch.block(local, boundary)
         shortcuts: Dict[int, Dict[int, float]] = {}
         for vertex in sorted(boundary):
             old_vector = old_shortcuts.get(vertex)
@@ -576,20 +576,13 @@ class LayeredGraph:
         self,
         indices: Iterable[int],
         metrics: Optional[ExecutionMetrics] = None,
-        solver=None,
     ) -> None:
         """Rebuild several dense subgraphs against the current graph.
 
         Used by the online engine for the subgraphs affected by ΔG.  Every
         shortcut solve and revision of all ``indices`` runs in one
         :class:`repro.layph.shortcuts.ShortcutBatch` call after the refresh
-        loop.  With ``solver`` the solves are first offered to
-        ``solver(entries, work)`` as ``(subgraph index, boundary vertex)``
-        entries — the engine passes
-        :func:`repro.layph.parallel_phases.parallel_shortcuts` bound to the
-        worker pool — which returns the vectors in ``entries`` order, having
-        recorded its work into ``work``, or ``None`` to leave them to the
-        batch.  The shortcut work is added to ``construction_metrics`` as
+        loop.  The shortcut work is added to ``construction_metrics`` as
         totals and its activations are charged to ``metrics`` when given.
         """
         work = ExecutionMetrics()
@@ -602,13 +595,6 @@ class LayeredGraph:
                     subgraph.members.discard(vertex)
                     self.subgraph_of.pop(vertex, None)
             self._refresh_subgraph(subgraph, batch, work)
-        entries = batch.solve_entries() if solver is not None else []
-        if entries:
-            solved = solver(entries, work)
-            if solved is not None:
-                for (index, vertex), vector in zip(entries, solved):
-                    self.subgraphs[index].shortcuts[vertex] = vector
-                batch.drop_solves()
         batch.run(work, per_round=False)
         construction = self.construction_metrics
         construction.edge_activations += work.edge_activations

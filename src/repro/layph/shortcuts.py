@@ -41,26 +41,6 @@ from repro.graph.csr import FactorCSR
 from repro.graph.csr_cache import master_factor_csr
 from repro.parallel.slabs import run_shortcut_solves
 
-#: array arguments of :func:`repro.parallel.slabs.run_shortcut_solves`, in
-#: the order the worker pool exports them
-SHORTCUT_ARRAYS = (
-    "offsets",
-    "targets",
-    "factors",
-    "full_degree",
-    "silenced_degree",
-    "absorb",
-    "cell_job",
-    "job_shift",
-    "job_solves",
-    "states",
-    "pending",
-    "in_dict",
-    "first_mask",
-    "final_mask",
-)
-
-
 class _NeutralSpec:
     """Thin wrapper: same algorithm, neutral initial values.
 
@@ -204,10 +184,9 @@ def _propagate_shortcuts(
 class _Block:
     """One subgraph's local adjacency, a diagonal block of a kernel call."""
 
-    __slots__ = ("key", "local_adjacency", "boundary", "jobs")
+    __slots__ = ("local_adjacency", "boundary", "jobs")
 
-    def __init__(self, key, local_adjacency: FactorAdjacency, boundary: Set[int]) -> None:
-        self.key = key
+    def __init__(self, local_adjacency: FactorAdjacency, boundary: Set[int]) -> None:
         self.local_adjacency = local_adjacency
         #: the boundary the reference silences (internal sources excluded)
         self.boundary = boundary
@@ -239,9 +218,7 @@ class KernelCall:
     """A :class:`ShortcutBatch` compiled to the arguments of
     :func:`repro.parallel.slabs.run_shortcut_solves`.
 
-    ``arrays`` and ``scalars`` are exactly the kernel's arguments — the
-    serial path calls it with them, the pool path exports ``arrays`` to
-    shared memory in :data:`SHORTCUT_ARRAYS` order — and
+    ``arrays`` and ``scalars`` are exactly the kernel's arguments, and
     :meth:`ShortcutBatch.merge` turns the kernel's output back into vectors.
     """
 
@@ -284,9 +261,9 @@ class ShortcutBatch:
         self._kinds = classify_spec(spec) if is_numpy_backend(backend) else None
         self._blocks: List[_Block] = []
 
-    def block(self, key, local_adjacency: FactorAdjacency, boundary: Set[int]) -> _Block:
-        """Open the block of one subgraph (``key`` names it to the caller)."""
-        block = _Block(key, local_adjacency, boundary)
+    def block(self, local_adjacency: FactorAdjacency, boundary: Set[int]) -> _Block:
+        """Open the block of one subgraph."""
+        block = _Block(local_adjacency, boundary)
         self._blocks.append(block)
         return block
 
@@ -308,20 +285,6 @@ class ShortcutBatch:
         block.jobs.append(
             _Job(block, source, old_vector, pending, table, source if key is None else key)
         )
-
-    def solve_entries(self) -> List[Tuple[object, int]]:
-        """``(block key, source)`` of every queued solve, in queue order."""
-        return [
-            (block.key, job.source)
-            for block in self._blocks
-            for job in block.jobs
-            if job.solve
-        ]
-
-    def drop_solves(self) -> None:
-        """Forget the queued solves (solved elsewhere)."""
-        for block in self._blocks:
-            block.jobs = [job for job in block.jobs if not job.solve]
 
     def run(self, metrics: ExecutionMetrics, per_round: bool = True) -> None:
         """Produce every queued vector; ``metrics`` receives the work.
@@ -350,7 +313,7 @@ class ShortcutBatch:
 
     def prepare(self) -> Optional[KernelCall]:
         """The whole batch as one kernel call; ``None`` when some job needs
-        a reference body (the pool path then leaves the batch to :meth:`run`)."""
+        a reference body."""
         call, reference = self._compile()
         return None if reference or call is None else call
 
@@ -538,15 +501,15 @@ class ShortcutBatch:
     ) -> None:
         """Store a finished kernel call's vectors and record its work.
 
-        Shared by the serial and the pool path.  A solve rebuilds the
-        reference's dict insertion order — rows touched in round 0
-        ascending, then the rows touched later ascending, which is how the
-        reference's two write-backs insert them — and drops the identity /
-        insignificant values; its source's own entry keeps only the surplus
-        over the injected unit (accumulative algorithms; selective ones drop
-        it).  A revision updates the old vector's keys in place and appends
-        the newly touched rows ascending, as the reference's write-back
-        does, then applies the reference's post-filter.
+        A solve rebuilds the reference's dict insertion order — rows
+        touched in round 0 ascending, then the rows touched later ascending,
+        which is how the reference's two write-backs insert them — and drops
+        the identity / insignificant values; its source's own entry keeps
+        only the surplus over the injected unit (accumulative algorithms;
+        selective ones drop it).  A revision updates the old vector's keys
+        in place and appends the newly touched rows ascending, as the
+        reference's write-back does, then applies the reference's
+        post-filter.
         """
         round_job, activations, active, updates = record
         if per_round:
@@ -619,7 +582,7 @@ def compute_shortcut_vectors(
         metrics = ExecutionMetrics()
     vectors: Dict[int, Dict[int, float]] = {}
     batch = ShortcutBatch(spec, backend)
-    block = batch.block(None, local_adjacency, boundary)
+    block = batch.block(local_adjacency, boundary)
     for source in sources:
         batch.solve(block, source, vectors)
     batch.run(metrics)
@@ -787,7 +750,7 @@ def update_shortcut_vector(
         return dict(old_vector)
     vectors: Dict[int, Dict[int, float]] = {}
     batch = ShortcutBatch(spec, backend)
-    batch.revise(batch.block(None, new_local, boundary), source, old_vector, pending, vectors)
+    batch.revise(batch.block(new_local, boundary), source, old_vector, pending, vectors)
     batch.run(metrics)
     return vectors[source]
 

@@ -143,19 +143,6 @@ def build_upload_slab(
     return slab, ids
 
 
-def upload_nonconvergence_error(
-    subgraph_index: int, spec_name: str, max_rounds: int, remaining: int
-) -> NonConvergenceError:
-    """The engine-level error for a capped upload (shared with the parallel
-    merge path, which must raise the exact message of the serial loop)."""
-    return NonConvergenceError(
-        f"local revision-message upload in subgraph {subgraph_index} "
-        f"did not converge within {max_rounds} rounds for "
-        f"{spec_name!r}; {remaining} significant pending "
-        "messages remain"
-    )
-
-
 def local_upload_numpy(
     spec,
     subgraph,
@@ -185,8 +172,11 @@ def local_upload_numpy(
         # The reference loop records the completed rounds before raising.
         for total, active, _updates in error.recorded:
             metrics.record_round(total, active)
-        raise upload_nonconvergence_error(
-            subgraph.index, spec.name, max_rounds, error.remaining
+        raise NonConvergenceError(
+            f"local revision-message upload in subgraph {subgraph.index} "
+            f"did not converge within {max_rounds} rounds for "
+            f"{spec.name!r}; {error.remaining} significant pending "
+            "messages remain"
         ) from None
     for total, active, _updates in rounds:
         metrics.record_round(total, active)

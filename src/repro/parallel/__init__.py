@@ -1,14 +1,5 @@
-"""Parallel runtime: slab kernels, shared-memory arena, worker pool.
+"""Engine-free array kernels.
 
-Grown out of the original thread-scaling *simulation* (the LPT scheduler
-and the cost model, still here): the slab kernels of
-:mod:`repro.parallel.slabs` run the numpy hot loops on plain arrays, the
-arena of :mod:`repro.parallel.shm` ships those arrays to worker processes
-zero-copy, and the pool of :mod:`repro.parallel.executor` executes the
-LPT assignments for real — the ``"numpy-parallel"`` backend.
+:mod:`repro.parallel.slabs` holds the numpy hot loops every vectorized path
+runs on, written against plain arrays and scalars only.
 """
-
-from repro.parallel.cost_model import ParallelCostModel, simulated_runtime
-from repro.parallel.work_stealing import WorkStealingScheduler
-
-__all__ = ["ParallelCostModel", "simulated_runtime", "WorkStealingScheduler"]

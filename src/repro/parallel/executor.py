@@ -1,363 +1,12 @@
-"""Persistent worker pool running slab kernels across processes.
+"""Compatibility shim: the process pool this module ran is gone.
 
-The pool turns the LPT :class:`repro.parallel.work_stealing.WorkStealingScheduler`
-from a simulation into the real dispatcher: ``run(tasks, costs)`` computes
-the same greedy longest-task-first assignment the cost model scores and
-feeds each worker its task list over a dedicated queue.  Tasks are
-``(kind, payload)`` pairs; payloads carry :class:`repro.parallel.shm.ArrayRef`
-descriptions for the big arrays (attached zero-copy in the worker) and
-plain scalars/small arrays inline.  Results come back on a shared queue
-and are re-ordered by task index, so the coordinator's merge loop is
-deterministic regardless of which worker finished first — the cornerstone
-of the bitwise-identity guarantee.
-
-Task kinds (the worker-side handlers):
-
-* ``"upload"`` — one Layph per-subgraph local upload: rebuild a
-  :class:`repro.parallel.slabs.PropagationSlab` from the payload and run
-  :func:`repro.parallel.slabs.run_upload`; the mutable arrays live in
-  shared memory, so the coordinator reads the revised states directly.
-* ``"assign_best"`` / ``"assign_deltas"`` — one subgraph's phase-4
-  shortcut assignment (selective / accumulative).
-* ``"gather"`` — one row-partition chunk of a propagation superstep's
-  message gather (:func:`repro.parallel.slabs.gather_messages`).
-* ``"shortcuts"`` — one rebuilt Layph subgraph's batch of boundary-source
-  shortcut solves (:func:`repro.parallel.slabs.run_shortcut_solves`).
-
-Every enqueued task carries an *arena header* — the coordinator's current
-``(generation, live segments)`` stamp from :mod:`repro.parallel.shm` — and
-workers reconcile their cached attachments against it before touching the
-payload (:func:`repro.parallel.shm.sync_attachments`).  An unchanged stamp
-is a no-op, so steady-state calls over a persistent arena
-(:mod:`repro.parallel.arena`) pay zero attach/teardown; a changed stamp
-evicts exactly the mappings whose segments are gone.
-
-Pools are cached per worker count and persist across deltas (fork once,
-reuse forever); :func:`shutdown_pools` runs at interpreter exit, releasing
-every persistent arena segment *before* joining the workers so nothing
-leaks into the resource tracker's exit sweep.  Any worker death or in-task
-exception raises :class:`WorkerPoolError` and retires the pool — callers
-catch it and redo the unit of work serially.
+:func:`shutdown_pools` stays only because ``perf/bench.py`` imports it to
+tear down a pool before counting leftover child processes; the benchmark
+harness drops that import in its next revision and this module goes with it.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
-import os
-import queue
-from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-from repro.parallel import shm
-from repro.parallel.shm import ArrayRef, attach, detach_all
-from repro.parallel.slabs import (
-    PropagationSlab,
-    SlabNonConvergence,
-    assign_best_offers,
-    assign_deltas,
-    gather_messages,
-    run_shortcut_solves,
-    run_upload,
-)
-from repro.parallel.work_stealing import WorkStealingScheduler
-
-#: worker count for the ``numpy-parallel`` backend (default 1 = serial)
-WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-
-class WorkerPoolError(RuntimeError):
-    """A worker died or a task failed; the caller should fall back to serial."""
-
-
-class PoolStats:
-    """Process-wide counters of pool failure handling (exposed for tests)."""
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        #: runs that raised :class:`WorkerPoolError` on the first attempt
-        self.failed_runs = 0
-        #: runs that were retried on a freshly spawned pool
-        self.pool_retries = 0
-        #: retries that completed successfully
-        self.retry_successes = 0
-        #: arena cache served a resident CSR block unchanged
-        self.arena_hits = 0
-        #: arena cache had to export the full block
-        self.arena_misses = 0
-        #: arena cache patched only the changed regions in place
-        self.arena_patches = 0
-        #: pooled per-subgraph shortcut-solve batches dispatched
-        self.shortcut_batches = 0
-
-
-POOL_STATS = PoolStats()
-
-
-def resolve_workers(explicit: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ``REPRO_WORKERS``, else 1."""
-    if explicit is not None:
-        return max(1, int(explicit))
-    raw = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-# ----------------------------------------------------------------------
-# worker side
-# ----------------------------------------------------------------------
-def _resolve_payload(value: Any) -> Any:
-    """Recursively replace :class:`ArrayRef` descriptions with shm views."""
-    if isinstance(value, ArrayRef):
-        return attach(value)
-    if isinstance(value, dict):
-        return {key: _resolve_payload(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return type(value)(_resolve_payload(item) for item in value)
-    return value
-
-
-def _handle_upload(payload: Dict[str, Any]) -> Dict[str, Any]:
-    max_rounds = payload.pop("max_rounds")
-    slab = PropagationSlab(**payload)
-    try:
-        rounds = run_upload(slab, max_rounds)
-    except SlabNonConvergence as error:
-        return {"rounds": error.recorded, "remaining": error.remaining}
-    return {"rounds": rounds, "remaining": 0}
-
-
-def _handle_assign_best(payload: Dict[str, Any]) -> int:
-    return assign_best_offers(**payload)
-
-
-def _handle_assign_deltas(payload: Dict[str, Any]) -> Dict[str, Any]:
-    touched, applied = assign_deltas(**payload)
-    return {"touched": touched, "applied": applied}
-
-
-def _handle_gather(payload: Dict[str, Any]) -> Tuple[Any, Any]:
-    return gather_messages(**payload)
-
-
-def _handle_shortcuts(payload: Dict[str, Any]) -> List[Any]:
-    return run_shortcut_solves(**payload)
-
-
-def _handle_chaos_kill(payload: Dict[str, Any]) -> None:  # pragma: no cover
-    """Fault-injection lever: die hard, mid-task, without cleanup.
-
-    ``os._exit`` skips every finally/atexit so the coordinator sees exactly
-    what a SIGKILL'd or OOM-killed worker looks like.  Only ever dispatched
-    by the chaos tests.
-    """
-    os._exit(int(payload.get("code", 17)))
-
-
-_HANDLERS = {
-    "upload": _handle_upload,
-    "assign_best": _handle_assign_best,
-    "assign_deltas": _handle_assign_deltas,
-    "gather": _handle_gather,
-    "shortcuts": _handle_shortcuts,
-    "chaos_kill": _handle_chaos_kill,
-}
-
-
-def _worker_main(task_queue, result_queue) -> None:  # pragma: no cover - subprocess
-    """Worker loop: sync arena attachments, resolve payload refs, run the
-    handler, ship the result."""
-    while True:
-        item = task_queue.get()
-        if item is None:
-            break
-        index, kind, payload, header = item
-        try:
-            shm.sync_attachments(*header)
-            result = _HANDLERS[kind](_resolve_payload(payload))
-            result_queue.put((index, "ok", result))
-        except Exception as error:  # noqa: BLE001 - reported to coordinator
-            result_queue.put((index, "error", f"{type(error).__name__}: {error}"))
-    detach_all()
-
-
-# ----------------------------------------------------------------------
-# coordinator side
-# ----------------------------------------------------------------------
-class WorkerPool:
-    """A persistent set of worker processes fed by LPT assignments."""
-
-    def __init__(self, num_workers: int) -> None:
-        if num_workers < 1:
-            raise ValueError("num_workers must be at least 1")
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        self.num_workers = num_workers
-        self._scheduler = WorkStealingScheduler(num_workers)
-        self._result_queue = context.Queue()
-        self._task_queues = [context.Queue() for _ in range(num_workers)]
-        self._processes = [
-            context.Process(
-                target=_worker_main,
-                args=(task_queue, self._result_queue),
-                daemon=True,
-            )
-            for task_queue in self._task_queues
-        ]
-        for process in self._processes:
-            process.start()
-        self._closed = False
-
-    @property
-    def alive(self) -> bool:
-        return not self._closed and all(p.is_alive() for p in self._processes)
-
-    def run(
-        self,
-        tasks: Sequence[Tuple[str, Dict[str, Any]]],
-        costs: Optional[Sequence[float]] = None,
-    ) -> List[Any]:
-        """Run ``tasks`` across the pool; results ordered by task index.
-
-        ``costs`` feeds the LPT scheduler (uniform when omitted).  Raises
-        :class:`WorkerPoolError` — after retiring the pool — when a worker
-        dies or any task fails; the caller redoes the work serially (state
-        mutations only ever happen at coordinator-side merge time, so a
-        failed run leaves engine state untouched).
-        """
-        if self._closed:
-            raise WorkerPoolError("worker pool is closed")
-        if not tasks:
-            return []
-        weights = list(costs) if costs is not None else [1.0] * len(tasks)
-        _makespan, assignments = self._scheduler.schedule(weights)
-        # One arena header per batch: workers revalidate their attachment
-        # cache against the coordinator's current segment set (a no-op in
-        # the steady state, where the generation has not moved).
-        header = (shm.arena_generation(), shm.live_segments())
-        for worker, indices in enumerate(assignments):
-            for index in indices:
-                kind, payload = tasks[index]
-                self._task_queues[worker].put((index, kind, payload, header))
-        results: List[Any] = [None] * len(tasks)
-        received = 0
-        while received < len(tasks):
-            try:
-                index, status, value = self._result_queue.get(timeout=1.0)
-            except queue.Empty:
-                if not all(p.is_alive() for p in self._processes):
-                    self._retire()
-                    raise WorkerPoolError("a worker process died mid-run")
-                continue
-            if status == "error":
-                self._retire()
-                raise WorkerPoolError(f"task {index} failed in worker: {value}")
-            results[index] = value
-            received += 1
-        return results
-
-    def _retire(self) -> None:
-        _POOLS.pop(self.num_workers, None)
-        self.shutdown()
-
-    def shutdown(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for task_queue in self._task_queues:
-            try:
-                task_queue.put(None)
-            except Exception:  # pragma: no cover - queue already broken
-                pass
-        for process in self._processes:
-            process.join(timeout=2.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=1.0)
-
-
-#: persistent pools, one per worker count
-_POOLS: Dict[int, WorkerPool] = {}
-
-
-def get_pool(num_workers: int) -> WorkerPool:
-    """The cached pool for ``num_workers`` (respawned if it died)."""
-    pool = _POOLS.get(num_workers)
-    if pool is None or not pool.alive:
-        if pool is not None:
-            pool.shutdown()
-        pool = WorkerPool(num_workers)
-        _POOLS[num_workers] = pool
-    return pool
-
-
-def run_with_respawn(pool: WorkerPool, build_tasks) -> Tuple[List[Any], WorkerPool]:
-    """Run a task batch; on :class:`WorkerPoolError`, retry once on a fresh pool.
-
-    ``build_tasks`` is a zero-argument callable returning ``(tasks, costs)``.
-    It runs once per attempt, because a payload is not necessarily reusable
-    after a failure: a worker that died mid-task may have half-mutated the
-    shared-memory arrays its :class:`ArrayRef`s point at, so mutable payloads
-    must be re-exported from their pristine coordinator-side sources.  (The
-    caller is responsible for closing any arena ``build_tasks`` allocates —
-    including the one orphaned by a failed first attempt.)
-
-    Returns ``(results, pool_used)`` — the caller should adopt ``pool_used``
-    for subsequent batches, since the original pool is retired on failure.
-    A second failure propagates :class:`WorkerPoolError`; the caller then
-    degrades to its serial path exactly as before.
-    """
-    try:
-        tasks, costs = build_tasks()
-        return pool.run(tasks, costs), pool
-    except WorkerPoolError:
-        POOL_STATS.failed_runs += 1
-        fresh = get_pool(pool.num_workers)
-        POOL_STATS.pool_retries += 1
-        tasks, costs = build_tasks()
-        results = fresh.run(tasks, costs)
-        POOL_STATS.retry_successes += 1
-        return results, fresh
-
-
-def parallel_pool(workers: Optional[int] = None) -> Optional[WorkerPool]:
-    """The pool to use for parallel kernels, or ``None`` for serial.
-
-    Serial (``None``) when the resolved worker count is 1 or shared memory
-    is unavailable — the graceful-fallback contract of the
-    ``numpy-parallel`` backend.
-    """
-    count = resolve_workers(workers)
-    if count <= 1 or not shm.shm_available():
-        return None
-    return get_pool(count)
-
 
 def shutdown_pools() -> None:
-    """Tear down every cached pool (registered at interpreter exit).
-
-    Persistent arena segments are released *first*, while the worker
-    processes are still joinable — a segment surviving into interpreter
-    exit shows up as a resource-tracker "leaked shared_memory" warning.
-    Idempotent: a second call finds no arenas and no pools.
-    """
-    try:
-        from repro.parallel import arena as _arena
-
-        _arena.reset_slab_arenas()
-    except Exception:  # pragma: no cover - teardown is best-effort
-        pass
-    shm.release_arenas()
-    while _POOLS:
-        _count, pool = _POOLS.popitem()
-        pool.shutdown()
-
-
-atexit.register(shutdown_pools)
+    """No-op: there is no worker pool to shut down."""

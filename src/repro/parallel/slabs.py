@@ -7,10 +7,8 @@ the BSP refinement pulls of the GraphBolt/DZiG engines — bottoms out in the
 functions of this module.  They operate exclusively on plain numpy arrays
 and Python scalars bundled into :class:`PropagationSlab`: no ``Graph``, no
 ``AlgorithmSpec``, no engine objects, no adjacency callables.  That boundary
-is what lets a slab cross a process boundary — the arrays can live in
-``multiprocessing.shared_memory`` segments (:mod:`repro.parallel.shm`) and
-be consumed by the persistent worker pool (:mod:`repro.parallel.executor`)
-with zero-copy attach.
+keeps every kernel testable on hand-built arrays, and it is the seam a
+compiled kernel (numba, C) would replace without touching the engines.
 
 The algebra is the classified delta-accumulative one (see
 :func:`repro.engine.dense_propagation.classify_spec`), reduced to scalars:
@@ -36,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -111,13 +109,6 @@ class PropagationSlab:
     combine_add: bool = True
     identity: float = math.inf
     tolerance: float = 0.0
-    #: opaque identity token of the compiled snapshot the CSR block was
-    #: taken from (``None`` for universe-specific fresh arrays).  The slab
-    #: kernels never touch it; the persistent arena cache
-    #: (:mod:`repro.parallel.arena`) keys resident shared-memory exports on
-    #: it so repeated runs over the same snapshot ship zero or O(changed)
-    #: bytes instead of the whole block.
-    block_token: Optional[object] = None
 
 
 def significant_count(slab: PropagationSlab) -> int:
@@ -146,10 +137,7 @@ def gather_messages(
     """The scatter half of one superstep: ``(kept_targets, kept_messages)``.
 
     Pure gather — no per-vertex state is touched — over the CSR rows
-    ``[starts, starts+counts)`` in row order, so a row-partitioned split of
-    ``starts``/``counts``/``out_values`` concatenated back in partition
-    order reproduces the unpartitioned result exactly.  This is the kernel
-    the worker pool runs for row-partitioned parallel supersteps.
+    ``[starts, starts+counts)`` in row order.
     """
     slots = expand_slots(starts, counts, total)
     edge_targets = targets[slots]
@@ -181,17 +169,9 @@ def scatter_messages(
     slab.in_dict[kept_targets] = True
 
 
-def propagation_superstep(
-    slab: PropagationSlab,
-    gather: Optional[Callable] = None,
-) -> Optional[Tuple[int, int, int]]:
+def propagation_superstep(slab: PropagationSlab) -> Optional[Tuple[int, int, int]]:
     """One superstep; ``(activations, active, updates)`` or ``None`` when
     no pending entry is significant (the caller decides how to terminate).
-
-    ``gather`` overrides the message gather (same contract as calling
-    :func:`gather_messages` on the slab's own arrays) — the parallel
-    backend injects a row-partitioned version that fans the gather out to
-    worker processes and concatenates the chunks in partition order.
     """
     pending, in_dict = slab.pending, slab.in_dict
     identity = slab.identity
@@ -244,32 +224,26 @@ def propagation_superstep(
     counts = slab.out_degree[scatterers]
     total = int(counts.sum())
     if total:
-        starts = slab.offsets[scatterers]
-        if gather is None:
-            kept_targets, kept_messages = gather_messages(
-                slab.targets,
-                slab.factors,
-                slab.absorb,
-                slab.allowed,
-                starts,
-                counts,
-                total,
-                out_values,
-                slab.selective,
-                slab.combine_add,
-                slab.identity,
-                slab.tolerance,
-            )
-        else:
-            kept_targets, kept_messages = gather(slab, starts, counts, total, out_values)
+        kept_targets, kept_messages = gather_messages(
+            slab.targets,
+            slab.factors,
+            slab.absorb,
+            slab.allowed,
+            slab.offsets[scatterers],
+            counts,
+            total,
+            out_values,
+            slab.selective,
+            slab.combine_add,
+            slab.identity,
+            slab.tolerance,
+        )
         scatter_messages(slab, kept_targets, kept_messages)
     return total, int(active.size), int(scatterers.size)
 
 
 def run_propagation(
-    slab: PropagationSlab,
-    max_rounds: Optional[int] = None,
-    gather: Optional[Callable] = None,
+    slab: PropagationSlab, max_rounds: Optional[int] = None
 ) -> List[Tuple[int, int, int]]:
     """Run the delta-accumulative loop to convergence on one slab.
 
@@ -283,7 +257,7 @@ def run_propagation(
     while slab.in_dict.any():
         if max_rounds is not None and len(rounds) >= max_rounds:
             break
-        step = propagation_superstep(slab, gather)
+        step = propagation_superstep(slab)
         if step is None:
             slab.in_dict[:] = False
             break
@@ -291,11 +265,7 @@ def run_propagation(
     return rounds
 
 
-def run_upload(
-    slab: PropagationSlab,
-    max_rounds: int,
-    gather: Optional[Callable] = None,
-) -> List[Tuple[int, int, int]]:
+def run_upload(slab: PropagationSlab, max_rounds: int) -> List[Tuple[int, int, int]]:
     """Run one local upload (boundary-absorb) slab to convergence.
 
     Like :func:`run_propagation` but with Layph's upload semantics: hitting
@@ -311,7 +281,7 @@ def run_upload(
             if remaining:
                 raise SlabNonConvergence(remaining, len(rounds), rounds)
             break
-        step = propagation_superstep(slab, gather)
+        step = propagation_superstep(slab)
         if step is None:
             break
         rounds.append(step)

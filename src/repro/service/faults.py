@@ -19,7 +19,7 @@ Stages, in pipeline order:
     In the writer, after a batch validated but before the engine runs.
 ``mid_apply``
     Inside the apply itself, after the watchdog started but before the
-    engine mutated anything — the spot where worker-pool faults, stuck
+    engine mutated anything — the spot where transient I/O faults, stuck
     propagations and hard kills are simulated.
 ``pre_publish``/``post_publish``
     Around the atomic snapshot swap: a kill between apply and publish leaves
@@ -27,9 +27,9 @@ Stages, in pipeline order:
     reconcile.
 
 Actions: an exception *instance or class* to raise (:class:`ServiceKilled`
-simulates a process death; ``WorkerPoolError``/``OSError`` simulate
-transients), or a callable run at the crossing (blocking callables simulate
-stuck batches for the watchdog).
+simulates a process death; ``OSError`` simulates a transient), or a
+callable run at the crossing (blocking callables simulate stuck batches for
+the watchdog).
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ Durability and exactly-once:
 
 Failure handling in the writer:
 
-* ``WorkerPoolError`` / ``OSError`` are transient: exponential backoff with
+* ``OSError`` is transient: exponential backoff with
   deterministic-seeded jitter, up to ``max_apply_retries`` retries.
 * A watchdog timeout abandons the stuck apply (daemon thread), detaches the
   possibly-tainted engine from its store and rebuilds the engine from the
@@ -64,7 +64,6 @@ from repro.graph.delta import (
     VertexUpdate,
     update_intrinsic_problems,
 )
-from repro.parallel.executor import WorkerPoolError
 from repro.service.coalescer import AdaptiveBatchSizer, coalesce_edge_run
 from repro.service.events import Event, EventLog, update_from_payload, update_payload
 from repro.service.faults import (
@@ -243,6 +242,10 @@ class UpdateService:
         self._rng = random.Random(jitter_seed)
 
         self._cond = threading.Condition()
+        #: a submit's WAL append is in flight.  Appends run one at a time
+        #: (WAL order is seq order) but outside ``_cond``: held across the
+        #: fsync, ``_cond`` let a submit burst starve the writer of the queue
+        self._appending = False
         self._queue: deque = deque()
         self._dead = False
         self._dead_reason: Optional[str] = None
@@ -331,19 +334,25 @@ class UpdateService:
         acquires queue room immediately or raises
         :class:`ServiceOverloaded`.
         """
+        requested = seq
         with self._cond:
             self._check_alive()
-            if seq is None:
-                seq = self._last_walled + 1
-            elif seq <= self._last_walled:
-                return seq, True  # duplicate of an already-durable event
-            elif seq != self._last_walled + 1:
-                raise ValueError(
-                    f"submit seq {seq} leaves a gap (next is "
-                    f"{self._last_walled + 1})"
-                )
             deadline = time.monotonic() + max(0.0, timeout)
-            while len(self._queue) >= self._max_queue:
+            while True:
+                if self._appending:  # one fsync, not a backpressure wait
+                    self._cond.wait()
+                    self._check_alive()
+                    continue
+                seq = self._last_walled + 1 if requested is None else requested
+                if seq <= self._last_walled:
+                    return seq, True  # duplicate of an already-durable event
+                if seq != self._last_walled + 1:
+                    raise ValueError(
+                        f"submit seq {seq} leaves a gap (next is "
+                        f"{self._last_walled + 1})"
+                    )
+                if len(self._queue) < self._max_queue:
+                    break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise ServiceOverloaded(
@@ -352,12 +361,24 @@ class UpdateService:
                 self._cond.wait(remaining)
                 self._check_alive()
             self._fire_or_die("pre_wal_append", seq=seq)
+            self._appending = True
+        try:
             self.wal.append(Event(seq, update))
+        except BaseException:
+            with self._cond:
+                self._appending = False
+                self._cond.notify_all()
+            raise
+        with self._cond:
+            self._appending = False
             self._last_walled = seq
+            self._cond.notify_all()
+            # a close or kill that landed during the flush: the event is
+            # durable but unacknowledged, like a crash after the append
+            self._check_alive()
             self._fire_or_die("post_wal_append", seq=seq)
             self._queue.append(Event(seq, update))
             self.stats.events_submitted += 1
-            self._cond.notify_all()
             return seq, False
 
     def _check_alive(self) -> None:
@@ -498,6 +519,9 @@ class UpdateService:
             self.subscriptions.close()  # wake every push reader first
         except Exception:
             pass
+        with self._cond:
+            while self._appending:  # never under an in-flight append
+                self._cond.wait()
         for closer in (self.wal.close, self.dlq.close):
             try:
                 closer()
@@ -650,7 +674,7 @@ class UpdateService:
                 self.stats.watchdog_timeouts += 1
                 last_error = error
                 self._rebuild_engine_after_timeout()
-            except (WorkerPoolError, OSError) as error:
+            except OSError as error:
                 self.stats.transient_errors += 1
                 last_error = error
             if attempt < attempts - 1:

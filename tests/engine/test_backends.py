@@ -25,7 +25,7 @@ from repro.graph.graph import Graph
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"python", "numpy"} <= set(available_backends())
+        assert available_backends() == ["numpy", "python"]
 
     def test_explicit_name_wins(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
@@ -39,9 +39,10 @@ class TestRegistry:
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert resolve_backend(None) == "python"
 
-    def test_unknown_backend_raises(self):
+    @pytest.mark.parametrize("name", ["fortran", "numpy-parallel"])
+    def test_unknown_backend_raises(self, name):
         with pytest.raises(ValueError):
-            resolve_backend("fortran")
+            resolve_backend(name)
 
     def test_names_are_case_insensitive(self):
         assert resolve_backend("NumPy") == "numpy"

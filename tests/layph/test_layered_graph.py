@@ -368,9 +368,9 @@ class TestConstructionMetricsStayBounded:
         charges = []
         rebuild = layered.rebuild_subgraphs
 
-        def charged(indices, metrics=None, solver=None):
+        def charged(indices, metrics=None):
             probe = ExecutionMetrics()
-            rebuild(indices, probe, solver)
+            rebuild(indices, probe)
             charges.append(probe.edge_activations)
             if metrics is not None:
                 metrics.edge_activations += probe.edge_activations

@@ -208,7 +208,7 @@ def test_insignificant_unit_skips_the_first_round():
     spec = _AdditiveSum()
     assert classify_spec(spec) is not None, "the kernel must handle this algebra"
     batch = ShortcutBatch(spec, "numpy")
-    block = batch.block(None, _cyclic_local(), {0, 3})
+    block = batch.block(_cyclic_local(), {0, 3})
     batch.solve(block, 0, {})
     assert batch.prepare().scalars["run_first"] is False
     batched = assert_batch_matches_reference(spec, _cyclic_local(), [0, 3], {0, 3})
@@ -220,7 +220,7 @@ def test_nan_factor_takes_the_reference_fallback(monkeypatch):
     local.add(1, 3, math.nan)
     spec = SSSP(source=0)
     batch = ShortcutBatch(spec, "numpy")
-    block = batch.block(None, local, {0, 3})
+    block = batch.block(local, {0, 3})
     batch.solve(block, 0, {})
     assert batch.prepare() is None
 
@@ -307,9 +307,9 @@ def _run_mixed_batch(spec, cases, backend="numpy"):
     metrics = ExecutionMetrics()
     batch = ShortcutBatch(spec, backend)
     tables, kinds, pendings = [], [], []
-    for key, (old_local, new_local, boundary, old_tables) in enumerate(cases):
+    for old_local, new_local, boundary, old_tables in cases:
         changed = LayeredGraph._changed_local_sources(old_local, new_local)
-        block = batch.block(key, new_local, boundary)
+        block = batch.block(new_local, boundary)
         table, kind, pending_of = {}, {}, {}
         for source in sorted(boundary):
             if source == min(boundary):

@@ -2,10 +2,10 @@
 
 The whole point of :mod:`repro.parallel.slabs` is that its kernels operate on
 plain array slabs — no ``Graph``, no ``AlgorithmSpec``, no engine objects —
-so they can run unchanged inside worker processes that only see shared-memory
-array views.  These tests enforce that boundary structurally: the module may
-import nothing from ``repro``, and no public kernel may grow a parameter that
-smells like an engine-side object.
+so each one can be tested on hand-built arrays, and a compiled kernel (numba,
+C) can replace one without touching the engines.  These tests enforce that
+boundary structurally: the module may import nothing from ``repro``, and no
+public kernel may grow a parameter that smells like an engine-side object.
 """
 
 from __future__ import annotations

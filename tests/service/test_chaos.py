@@ -3,7 +3,7 @@
 One seeded 200-event stream (three poison events at fixed positions) is
 driven through the service under every fault the pipeline can suffer —
 process kills on both sides of the WAL append, before the apply, inside the
-apply, on both sides of the snapshot publish; forced ``WorkerPoolError``
+apply, on both sides of the snapshot publish; forced ``OSError``
 transients; a stuck apply that trips the watchdog — and after recovery every
 run must be indistinguishable from the fault-free reference run:
 
@@ -34,7 +34,6 @@ from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.delta import EdgeUpdate, UpdateKind
 from repro.graph.generators import community_graph
-from repro.parallel.executor import WorkerPoolError
 from repro.service import (
     FaultInjector,
     ServiceDead,
@@ -318,12 +317,12 @@ def test_double_kill_across_incarnations(tmp_path, reference):
     )
 
 
-def test_forced_pool_errors_retry_transparently(tmp_path, reference):
+def test_forced_transient_errors_retry_transparently(tmp_path, reference):
     graph, stream, results = reference
     faults = FaultInjector()
     faults.arm(
         "mid_apply",
-        WorkerPoolError("injected worker crash"),
+        OSError("injected transient I/O error"),
         when=lambda c: c.get("lo", -1) <= KILL_SEQ <= c.get("hi", -1),
         times=2,
     )

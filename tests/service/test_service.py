@@ -19,7 +19,6 @@ from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.delta import EdgeUpdate, UpdateKind, VertexUpdate
 from repro.graph.generators import community_graph
-from repro.parallel.executor import WorkerPoolError
 from repro.service import (
     Event,
     EventLog,
@@ -201,9 +200,9 @@ def test_poison_event_quarantines_to_durable_dlq(tmp_path):
         recovered.close()
 
 
-def test_transient_pool_errors_retry_with_backoff(tmp_path):
+def test_transient_io_errors_retry_with_backoff(tmp_path):
     faults = FaultInjector()
-    faults.arm("mid_apply", WorkerPoolError, times=2)
+    faults.arm("mid_apply", OSError, times=2)
     service, graph = _service(
         tmp_path, faults=faults, max_apply_retries=2, backoff_base=0.001
     )
