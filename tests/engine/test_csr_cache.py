@@ -1,9 +1,12 @@
 """Unit tests for the incremental CSR cache (:mod:`repro.graph.csr_cache`)."""
 
+import random
+
 import numpy as np
 import pytest
 
-from repro.engine.algorithms import BFS, PHP, PageRank, SSSP
+from repro.engine.algorithms import BFS, PHP, PageRank, SSSP, make_algorithm
+from repro.engine.dense_propagation import build_propagation_slab
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency, SilencedAdjacency, propagate
 from repro.graph.csr import FactorCSR
@@ -18,7 +21,9 @@ from repro.graph.csr_cache import (
     splice_rows,
 )
 from repro.graph.delta import GraphDelta
+from repro.graph.generators import community_graph
 from repro.graph.graph import Graph
+from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
 ALL_SPECS = [SSSP(source=0), BFS(source=0), PageRank(), PHP(source=0)]
 
@@ -514,3 +519,84 @@ class TestSpliceRows:
             spliced,
             FactorCSR.from_factor_adjacency(adjacency, universe=[0, 1, 2, 3, 4, 7]),
         )
+
+
+class TestSlabsFromPatchedSnapshots:
+    """The propagation slab the numpy kernels run on, built over a snapshot
+    the cache patched forward through a random delta sequence, must be
+    bitwise the slab of a fresh compile of the same graph."""
+
+    SLAB_ARRAYS = ("offsets", "targets", "factors", "out_degree", "absorb")
+
+    def _graph(self, seed: int) -> Graph:
+        return community_graph(
+            num_communities=3,
+            community_size_range=(14, 20),
+            intra_edge_probability=0.3,
+            inter_edges_per_community=3,
+            weighted=True,
+            seed=seed,
+        )
+
+    def _weight_delta(self, graph: Graph, num_changes: int, seed: int) -> GraphDelta:
+        """Reweight ``num_changes`` existing edges; the id space is unchanged."""
+        rng = random.Random(seed)
+        edges = sorted(graph.edges())
+        rng.shuffle(edges)
+        delta = GraphDelta()
+        for source, target, weight in edges[:num_changes]:
+            delta.delete_edge(source, target)
+            delta.add_edge(source, target, round(float(weight) + rng.uniform(0.1, 2.0), 3))
+        return delta
+
+    def _slab(self, spec, cache: CSRCache, graph: Graph):
+        built = build_propagation_slab(spec, cache.adjacency(spec, graph), {}, {0: 1.0})
+        assert built is not None, "slab compilation unexpectedly fell back"
+        return built
+
+    def _assert_slab_matches_fresh(self, spec, cache: CSRCache, graph: Graph) -> None:
+        slab, ids = self._slab(spec, cache, graph)
+        fresh, fresh_ids = self._slab(spec, CSRCache(enabled=True), graph)
+        assert list(ids) == list(fresh_ids)
+        for name in self.SLAB_ARRAYS:
+            array, expected = getattr(slab, name), getattr(fresh, name)
+            assert array.dtype == expected.dtype, name
+            assert array.tobytes() == expected.tobytes(), f"{name} diverged"
+        assert (slab.allowed is None) == (fresh.allowed is None)
+
+    @pytest.mark.parametrize("algorithm", ["sssp", "bfs", "pagerank", "php"])
+    def test_weight_delta_sequence_patches_in_place(self, algorithm):
+        spec = make_algorithm(algorithm, source=0)
+        cache = CSRCache(enabled=True, rebuild_fraction=1.0)
+        graph = self._graph(seed=13)
+        self._assert_slab_matches_fresh(spec, cache, graph)
+        for step in range(6):
+            delta = self._weight_delta(graph, num_changes=3, seed=100 + step)
+            new_graph = delta.apply(graph)
+            cache.apply_delta(spec, graph, new_graph, delta)
+            graph = new_graph
+            self._assert_slab_matches_fresh(spec, cache, graph)
+        assert cache.compiles == 1, "a weight-only delta forced a recompile"
+        assert cache.patches == 6
+
+    @pytest.mark.parametrize("algorithm", ["sssp", "pagerank"])
+    def test_structural_churn_stays_bitwise(self, algorithm):
+        spec = make_algorithm(algorithm, source=0)
+        cache = CSRCache(enabled=True, rebuild_fraction=1.0)
+        graph = self._graph(seed=29)
+        for step in range(8):
+            self._assert_slab_matches_fresh(spec, cache, graph)
+            if step % 3 == 2:
+                delta = random_vertex_delta(
+                    graph, num_additions=2, num_deletions=1, seed=800 + step, protect=0
+                )
+            else:
+                delta = random_edge_delta(
+                    graph, num_additions=4, num_deletions=3, seed=700 + step, protect=0
+                )
+            new_graph = delta.apply(graph)
+            cache.apply_delta(spec, graph, new_graph, delta)
+            graph = new_graph
+        self._assert_slab_matches_fresh(spec, cache, graph)
+        assert cache.compiles == 1, "structural churn forced a recompile"
+        assert cache.patches == 8

@@ -128,6 +128,64 @@ def test_numpy_build_matches_python_build(algorithm):
     assert _totals(numpy.construction_metrics) == _totals(python.construction_metrics)
 
 
+def _shortcut_values(layered):
+    """Every subgraph's shortcut tables as exact bits, key order aside."""
+    return [
+        {source: dict(_bits(row)) for source, row in subgraph.shortcuts.items()}
+        for subgraph in layered.subgraphs
+    ]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_delta_sequence_tables_match_python(algorithm):
+    """The per-delta rebuild runs one batch for every refreshed subgraph:
+    after each delta the numpy engine holds the Python engine's states,
+    per-delta metrics, shortcut tables (values, bitwise) and construction
+    totals."""
+    from repro.workloads.updates import random_edge_delta
+
+    def run(backend: str):
+        spec = make_algorithm(algorithm, source=0)
+        engine = LayphEngine(spec, backend=backend)
+        engine.initialize(
+            community_graph(
+                num_communities=3,
+                community_size_range=(14, 20),
+                intra_edge_probability=0.3,
+                inter_edges_per_community=3,
+                weighted=True,
+                seed=47,
+            )
+        )
+        outputs = []
+        for step in range(4):
+            delta = random_edge_delta(
+                engine.graph, num_additions=5, num_deletions=4, seed=900 + step, protect=0
+            )
+            result = engine.apply_delta(delta)
+            outputs.append(
+                (
+                    dict(result.states),
+                    (
+                        result.metrics.iterations,
+                        result.metrics.edge_activations,
+                        list(result.metrics.activations_per_round),
+                    ),
+                    _shortcut_values(engine.layered),
+                    _totals(engine.layered.construction_metrics),
+                )
+            )
+        return outputs
+
+    reference = run("python")
+    vectorized = run("numpy")
+    for step, (expected, actual) in enumerate(zip(reference, vectorized)):
+        assert expected[0] == actual[0], f"states diverged at delta {step}"
+        assert expected[1] == actual[1], f"metrics diverged at delta {step}"
+        assert expected[2] == actual[2], f"shortcut tables diverged at delta {step}"
+        assert expected[3] == actual[3], f"construction totals diverged at delta {step}"
+
+
 # ----------------------------------------------------------------------
 # the edge cases
 # ----------------------------------------------------------------------
