@@ -3,9 +3,9 @@
 Online processing of a batch update ΔG runs the paper's four phases:
 
 1. **Layered graph update** — only the dense subgraphs touched by ΔG are
-   rebuilt (boundary re-classification, vertex replication, shortcut
-   recomputation); the upper layer's dirty rows are re-derived from the
-   per-subgraph tables and spliced into its resident compiled form.
+   refreshed, row by row from the touched vertices (split, replication,
+   local rows and their compiled form, shortcuts); the upper layer's dirty
+   rows are re-derived and spliced into its resident compiled form.
 2. **Revision messages upload** — revision messages are deduced from the
    memoized states (selective algorithms: dependency invalidation on the
    upper layer; accumulative algorithms: cancellation/compensation messages à
@@ -239,7 +239,7 @@ class LayphEngine(IncrementalEngine):
             if patch_upper:
                 pre_sources = layered.subgraph_upper_sources(affected)
                 pre_boundaries = layered.subgraph_boundaries(affected)
-            layered.rebuild_subgraphs(sorted(affected), metrics)
+            layered.rebuild_subgraphs(sorted(affected), touched, metrics)
             if patch_upper:
                 post_sources = layered.subgraph_upper_sources(affected)
                 post_boundaries = layered.subgraph_boundaries(affected)

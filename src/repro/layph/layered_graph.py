@@ -33,8 +33,8 @@ from repro.graph.csr_cache import (
 )
 from repro.graph.graph import Graph
 from repro.layph.community import louvain_communities
-from repro.layph.dense import BoundaryClassification, classify_boundary, select_dense_subgraphs
-from repro.layph.replication import ReplicationPlan, plan_replication, reclassify_with_replication
+from repro.layph.dense import select_dense_subgraphs
+from repro.layph.replication import HostIndex, ReplicationPlan, plan_replication
 from repro.layph.shortcuts import ShortcutBatch, shortcut_revision
 
 
@@ -88,10 +88,12 @@ class DenseSubgraph:
     rewired_edges: Set[Tuple[int, int]] = field(default_factory=set)
     #: host/proxy links contributed to the upper layer
     upper_links: List[Tuple[int, int, float]] = field(default_factory=list)
-    #: intra-subgraph factor adjacency (members and proxies)
+    #: intra-subgraph factor adjacency (members and proxies), patched in place
     local_adjacency: FactorAdjacency = field(default_factory=FactorAdjacency)
     #: boundary vertex -> {target vertex -> shortcut factor}
     shortcuts: Dict[int, Dict[int, float]] = field(default_factory=dict)
+    #: the members' outside neighbours; a restore rebuilds it from the graph
+    hosts: HostIndex = field(default_factory=HostIndex, compare=False, repr=False)
 
     @property
     def boundary(self) -> Set[int]:
@@ -294,7 +296,7 @@ class LayeredGraph:
         #: per-source indexes of the replication artifacts, maintained by
         #: :meth:`_refresh_subgraph` so the per-delta upper maintenance never
         #: re-unions them across all subgraphs:
-        #: rewired original edge -> number of subgraphs rewiring it
+        #: rewired original edge -> number of subgraphs rewiring it (one)
         self._rewired_counts: Dict[Tuple[int, int], int] = {}
         #: source -> {subgraph index -> its host/proxy links from that source}
         self._upper_links_by_source: Dict[int, Dict[int, List[Tuple[int, float]]]] = {}
@@ -337,22 +339,21 @@ class LayeredGraph:
             min_size=config.min_subgraph_size,
             apply_density_rule=config.apply_density_rule,
         )
-        for classification in classifications:
-            layered._add_subgraph(classification)
+        for index, classification in enumerate(classifications):
+            members = set(classification.members)
+            layered.subgraphs.append(DenseSubgraph(index=index, members=members))
+            for vertex in members:
+                layered.subgraph_of[vertex] = index
+        # The build is a refresh with every member dirty, one kernel call
+        # per subgraph (batching the whole build would hold every
+        # subgraph's state cells at once).
+        metrics = layered.construction_metrics
+        for subgraph in layered.subgraphs:
+            batch = ShortcutBatch(spec, config.backend)
+            layered._refresh_subgraph(subgraph, set(subgraph.members), batch, metrics)
+            batch.run(metrics)
         layered.rebuild_upper()
         return layered
-
-    def _add_subgraph(self, classification: BoundaryClassification) -> None:
-        index = len(self.subgraphs)
-        subgraph = DenseSubgraph(index=index, members=set(classification.members))
-        self.subgraphs.append(subgraph)
-        for vertex in subgraph.members:
-            self.subgraph_of[vertex] = index
-        # one kernel call per subgraph: batching the whole build would hold
-        # every subgraph's state cells at once
-        batch = ShortcutBatch(self.spec, self.config.backend)
-        self._refresh_subgraph(subgraph, batch, self.construction_metrics)
-        batch.run(self.construction_metrics)
 
     # ------------------------------------------------------------------
     # (re)construction of one subgraph
@@ -370,19 +371,24 @@ class LayeredGraph:
     def _refresh_subgraph(
         self,
         subgraph: DenseSubgraph,
+        touched: Set[int],
         batch: ShortcutBatch,
         metrics: ExecutionMetrics,
     ) -> None:
-        """Re-derive classification, replication, local links and shortcuts
-        of ``subgraph`` from the current graph.
+        """Bring the resident tables of ``subgraph`` up to date with the graph.
 
-        Shortcut tables are expensive, so they are reused whenever they are
-        still valid: if the intra-subgraph links did not change, only the
-        shortcut vectors of *new* boundary vertices are computed; if some
-        intra-subgraph links changed, only the boundary vertices whose old
-        shortcut region can reach a changed link are recomputed (the others
-        provably keep their weights).  This mirrors the paper's incremental
-        shortcut maintenance (Section IV-B).
+        ``touched`` must hold every member whose adjacency changed and every
+        member that left the graph: a delta's touched vertices, or all
+        members for the build, which starts from empty tables.  From them:
+        the host index, the plan, the split of the touched members and of the
+        endpoints of rewired edges that entered or left the plan, and the
+        dirty local rows — the touched members' and every row with a proxy
+        link in the old or new plan — replaced in place, with the memoized
+        compile spliced along (:func:`repro.graph.csr_cache.splice_master_csr`).
+        Only the shortcut vectors of new boundary vertices and of those whose
+        old region reaches a changed row are recomputed (the others provably
+        keep their weights; Section IV-B).  A split or table that did not
+        change keeps its object, so the caches keyed on them stay valid.
 
         Nothing is solved or folded here: a stale vector gets a placeholder
         preserving the sorted-key order and a job in ``batch`` — a revision
@@ -393,65 +399,119 @@ class LayeredGraph:
         """
         spec = self.spec
         graph = self.graph
-        subgraph.members = {v for v in subgraph.members if graph.has_vertex(v)}
-        classification = classify_boundary(graph, subgraph.members)
-
-        if self.config.enable_replication:
-            plan = plan_replication(
-                spec,
-                graph,
-                classification,
-                self.config.replication_threshold,
-                lambda host, side: self._allocate_proxy(subgraph.index, host, side),
-            )
-            entry, exit_, internal = reclassify_with_replication(
-                graph, classification, plan
-            )
-        else:
-            plan = ReplicationPlan()
-            entry, exit_, internal = (
-                set(classification.entry),
-                set(classification.exit),
-                set(classification.internal),
-            )
-
-        old_local = subgraph.local_adjacency
-        old_shortcuts = subgraph.shortcuts
-        old_boundary = subgraph.boundary
+        members = subgraph.members
+        old_entry, old_exit = subgraph.entry, subgraph.exit
+        old_internal = subgraph.internal
         old_proxies = subgraph.proxies
         old_rewired = subgraph.rewired_edges
         old_upper_links = subgraph.upper_links
+        old_shortcuts = subgraph.shortcuts
+        old_boundary = old_entry | old_exit
 
-        subgraph.entry = entry
-        subgraph.exit = exit_
-        subgraph.internal = internal
-        subgraph.proxies = dict(plan.proxies)
-        subgraph.rewired_edges = set(plan.rewired_edges)
-        subgraph.upper_links = list(plan.upper_links)
+        named = (touched & members) | (touched & old_boundary) | (touched & old_internal)
+        for vertex in named:
+            if not graph.has_vertex(vertex):
+                members.discard(vertex)
+                self.subgraph_of.pop(vertex, None)
+        dirty = named & members
+        gone = named - dirty
+        subgraph.hosts.update(graph, members, named)
+
+        if self.config.enable_replication:
+            rewired = self._rewired_counts
+            plan = plan_replication(
+                spec,
+                graph,
+                subgraph.hosts,
+                self.config.replication_threshold,
+                lambda host, side: self._allocate_proxy(subgraph.index, host, side),
+                lambda edge: edge in rewired and edge not in old_rewired,
+            )
+        else:
+            plan = ReplicationPlan()
+        subgraph.proxies = plan.proxies
+        subgraph.rewired_edges = plan.rewired_edges
+        subgraph.upper_links = plan.upper_links
         self._reindex_subgraph(subgraph, old_proxies, old_rewired, old_upper_links)
 
-        # Intra-subgraph factor adjacency: original edges between members plus
-        # the links created by proxy rewiring.
-        local = FactorAdjacency()
-        members = subgraph.members
-        for source in members:
-            for target in graph.out_neighbors(source):
-                if target in members:
-                    local.add(source, target, spec.edge_factor(graph, source, target))
+        # Entry/exit status: an outside in-/out-neighbour whose edge is not
+        # rewired through a proxy.
+        rewired = plan.rewired_edges
+        recheck = set(dirty)
+        for source, target in old_rewired ^ rewired:
+            recheck.add(source)
+            recheck.add(target)
+        recheck &= members
+        in_hosts = subgraph.hosts.in_hosts
+        out_hosts = subgraph.hosts.out_hosts
+        entered = recheck & in_hosts.keys()
+        exited = recheck & out_hosts.keys()
+        if rewired:
+            entered = {v for v in entered if any((h, v) not in rewired for h in in_hosts[v])}
+            exited = {v for v in exited if any((v, h) not in rewired for h in out_hosts[v])}
+        settled = recheck | gone | old_proxies.keys()
+        entry = (old_entry - settled) | entered | plan.entry_proxies
+        exit_ = (old_exit - settled) | exited | plan.exit_proxies
+        internal = (old_internal - settled) | (recheck - entered - exited)
+        subgraph.entry = old_entry if entry == old_entry else entry
+        subgraph.exit = old_exit if exit_ == old_exit else exit_
+        subgraph.internal = old_internal if internal == old_internal else internal
+
+        # The dirty rows: original edges between members, then the links the
+        # proxy rewiring adds, in plan order.
+        links: Dict[int, List[Tuple[int, float]]] = {}
         for source, target, factor in plan.local_links:
-            local.add(source, target, factor)
-        subgraph.local_adjacency = local
+            links.setdefault(source, []).append((target, factor))
+        linked = {source for source, _target in old_rewired if source in members or source in gone}
+        rows: Dict[int, List[Tuple[int, float]]] = {}
+        for source in dirty | gone | linked | links.keys() | old_proxies.keys():
+            if source in members:
+                row = [
+                    (target, spec.edge_factor(graph, source, target))
+                    for target in graph.out_neighbors(source)
+                    if target in members
+                ]
+                row.extend(links.get(source, ()))
+            else:
+                row = links.get(source, [])
+            rows[source] = row
+        local = subgraph.local_adjacency
+        old_rows: Dict[int, List[Tuple[int, float]]] = {}
+        old_sources: Set[int] = set()
+        if old_shortcuts:
+            # the revisions read the old rows; ``replace_rows`` installs new
+            # lists, so the old ones stay intact (a build has none to revise)
+            old_rows = {source: local(source) for source in rows}
+            old_sources = set(local.vertices_with_out_edges())
+        resident = resident_master_csr(local)
+        replaced = local.replace_rows(rows)
+        if resident is not None:
+            vertices = subgraph.all_vertices
+            joining = vertices - resident.index.keys()
+            leaving = resident.index.keys() - vertices
+            if replaced or joining or leaving:
+                spliced = {source: rows[source] for source in replaced}
+                splice_master_csr(local, resident, spliced, joining, leaving)
 
         boundary = subgraph.boundary
-        # The incremental updates need the changed sources; a first build
-        # (no old tables) solves every boundary vertex from scratch.
-        changed_sources = (
-            self._changed_local_sources(old_local, local) if old_shortcuts else set()
-        )
+        # A build (no old tables) solves every boundary vertex from scratch.
+        # The revision folds the changed sources' messages in set order,
+        # which a set takes from its insertion order where ids collide: they
+        # are inserted in the order of the old and new rows' union.
+        changed_sources: Set[int] = set()
+        if old_shortcuts and replaced:
+            differ = {s for s in replaced if sorted(old_rows[s]) != sorted(local(s))}
+            if differ:
+                changed_sources = {
+                    s for s in old_sources | set(local.vertices_with_out_edges()) if s in differ
+                }
         stale_sources = self._stale_shortcut_sources(
             changed_sources, old_shortcuts, old_boundary, boundary
         )
         boundary_changed = old_boundary != boundary
+        if not stale_sources and not boundary_changed:
+            return
+        old_local = FactorAdjacency(old_rows)
         block = batch.block(local, boundary)
         shortcuts: Dict[int, Dict[int, float]] = {}
         for vertex in sorted(boundary):
@@ -525,19 +585,6 @@ class LayeredGraph:
         return self._proxy_owner.get(vertex)
 
     @staticmethod
-    def _changed_local_sources(
-        old_local: FactorAdjacency, new_local: FactorAdjacency
-    ) -> Set[int]:
-        """Vertices whose intra-subgraph out-links changed between rebuilds."""
-        changed: Set[int] = set()
-        old_vertices = set(old_local.vertices_with_out_edges())
-        new_vertices = set(new_local.vertices_with_out_edges())
-        for vertex in old_vertices | new_vertices:
-            if sorted(old_local(vertex)) != sorted(new_local(vertex)):
-                changed.add(vertex)
-        return changed
-
-    @staticmethod
     def _stale_shortcut_sources(
         changed_sources: Set[int],
         old_shortcuts: Dict[int, Dict[int, float]],
@@ -550,8 +597,7 @@ class LayeredGraph:
         vertex its old shortcut region could reach (or at itself), or when the
         boundary set changed in a way that alters which vertices absorb
         messages along its internal paths.  ``changed_sources`` are the
-        vertices whose intra-subgraph out-links changed
-        (:meth:`_changed_local_sources`).
+        vertices whose intra-subgraph out-links changed.
         """
         if not old_shortcuts:
             return set(new_boundary)
@@ -575,11 +621,13 @@ class LayeredGraph:
     def rebuild_subgraphs(
         self,
         indices: Iterable[int],
+        touched: Set[int],
         metrics: Optional[ExecutionMetrics] = None,
     ) -> None:
-        """Rebuild several dense subgraphs against the current graph.
+        """Refresh several dense subgraphs against the current graph.
 
-        Used by the online engine for the subgraphs affected by ΔG.  Every
+        Used by the online engine for the subgraphs affected by ΔG, with the
+        delta's touched vertices (see :meth:`_refresh_subgraph`).  Every
         shortcut solve and revision of all ``indices`` runs in one
         :class:`repro.layph.shortcuts.ShortcutBatch` call after the refresh
         loop.  The shortcut work is added to ``construction_metrics`` as
@@ -588,13 +636,7 @@ class LayeredGraph:
         work = ExecutionMetrics()
         batch = ShortcutBatch(self.spec, self.config.backend)
         for index in indices:
-            subgraph = self.subgraphs[index]
-            # Drop members that disappeared from the graph.
-            for vertex in list(subgraph.members):
-                if not self.graph.has_vertex(vertex):
-                    subgraph.members.discard(vertex)
-                    self.subgraph_of.pop(vertex, None)
-            self._refresh_subgraph(subgraph, batch, work)
+            self._refresh_subgraph(self.subgraphs[index], touched, batch, work)
         batch.run(work, per_round=False)
         construction = self.construction_metrics
         construction.edge_activations += work.edge_activations
@@ -899,13 +941,15 @@ class LayeredGraph:
                 affected.add(index)
         return affected
 
-    def affected_subgraphs(self, touched_vertices: Iterable[int]) -> Set[int]:
-        """Indices of the dense subgraphs containing any touched vertex."""
-        return {
-            self.subgraph_of[vertex]
-            for vertex in touched_vertices
-            if vertex in self.subgraph_of
-        }
+    def affected_subgraphs(self, touched_vertices: Set[int]) -> Set[int]:
+        """Indices of the dense subgraphs containing any touched vertex, or
+        replicating one as an entry host: the factors of a host's rewired
+        edges live in the proxy's local row and follow its out-adjacency."""
+        subgraph_of = self.subgraph_of
+        affected = {subgraph_of[v] for v in touched_vertices if v in subgraph_of}
+        for vertex in touched_vertices:
+            affected.update(self._upper_links_by_source.get(vertex, ()))
+        return affected
 
     def proxy_vertices(self) -> Set[int]:
         """Every proxy vertex currently present in the layered graph (served
@@ -1038,6 +1082,7 @@ class LayeredGraph:
                     for source, row in entry["shortcuts"]
                 },
             )
+            subgraph.hosts.update(graph, subgraph.members, subgraph.members)
             layered.subgraphs.append(subgraph)
         layered.subgraph_of = {
             int(vertex): int(index) for vertex, index in payload["subgraph_of"]
@@ -1095,12 +1140,6 @@ class LayeredGraph:
     def shortcut_count(self) -> int:
         """Total number of shortcut entries across all dense subgraphs."""
         return sum(subgraph.shortcut_count() for subgraph in self.subgraphs)
-
-    def lower_size(self) -> Tuple[int, int]:
-        """``(vertices, links)`` of the lower layer."""
-        vertices = sum(len(subgraph.internal) for subgraph in self.subgraphs)
-        links = sum(len(subgraph.local_adjacency) for subgraph in self.subgraphs)
-        return vertices, links
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         upper_vertices, upper_links = self.upper_size()

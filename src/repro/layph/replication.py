@@ -10,19 +10,22 @@ layer, and the upper layer shrinks.
 Correctness is preserved because the layered graph stores explicit
 propagation *factors* on its links: the host-to-proxy (or proxy-to-host) link
 carries the identity of the algorithm's ``combine`` operator, and the rewired
-edges keep their original factors, so every path composition is unchanged.
-Proxy vertices use negative identifiers so they can never collide with real
-vertices.
+edges keep their original factors, so every path composition is unchanged —
+provided every cross edge is rewired by at most one subgraph.  An edge
+between two dense subgraphs is a candidate of both (the target's entry side
+and the source's exit side); rewired twice, its message would travel twice,
+which an accumulative algorithm counts twice.  So an edge another subgraph
+already rewires is no candidate.  Proxy vertices use negative identifiers so
+they can never collide with real vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.engine.algorithm import AlgorithmSpec
 from repro.graph.graph import Graph
-from repro.layph.dense import BoundaryClassification
 
 #: allocator of proxy ids: (host, side) -> proxy id; "side" is "entry"/"exit"
 ProxyAllocator = Callable[[int, str], int]
@@ -45,17 +48,58 @@ class ReplicationPlan:
     #: upper-layer links added by the rewiring: (source, target, factor)
     upper_links: List[Tuple[int, int, float]] = field(default_factory=list)
 
-    def is_empty(self) -> bool:
-        """Whether no host was replicated."""
-        return not self.proxies
+
+class HostIndex:
+    """The outside neighbours of one subgraph's members.
+
+    ``in_hosts[v]`` / ``out_hosts[v]``: member ``v``'s in-/out-neighbours
+    outside the subgraph (present exactly when Definition 1 makes ``v`` an
+    entry / exit vertex); ``feeds[h]`` / ``fed_by[h]``: the members outside
+    vertex ``h`` has an edge into / from — the replication candidates.
+    :meth:`update` re-derives only the members a delta touched.
+    """
+
+    __slots__ = ("in_hosts", "out_hosts", "feeds", "fed_by")
+
+    def __init__(self) -> None:
+        self.in_hosts: Dict[int, Tuple[int, ...]] = {}
+        self.out_hosts: Dict[int, Tuple[int, ...]] = {}
+        self.feeds: Dict[int, Set[int]] = {}
+        self.fed_by: Dict[int, Set[int]] = {}
+
+    def update(self, graph: Graph, members: Set[int], vertices: Iterable[int]) -> None:
+        """Re-derive the entries of ``vertices``; one that is no longer a
+        member only loses its entries."""
+        for hosts, by_host, neighbors in (
+            (self.in_hosts, self.feeds, graph.in_neighbors),
+            (self.out_hosts, self.fed_by, graph.out_neighbors),
+        ):
+            for vertex in vertices:
+                for host in hosts.pop(vertex, ()):
+                    group = by_host[host]
+                    group.discard(vertex)
+                    if not group:
+                        del by_host[host]
+                if vertex not in members:
+                    continue
+                outside = [host for host in neighbors(vertex) if host not in members]
+                if outside:
+                    hosts[vertex] = tuple(outside)
+                    for host in outside:
+                        group = by_host.get(host)
+                        if group is None:
+                            by_host[host] = {vertex}
+                        else:
+                            group.add(vertex)
 
 
 def plan_replication(
     spec: AlgorithmSpec,
     graph: Graph,
-    classification: BoundaryClassification,
+    hosts: HostIndex,
     threshold: int,
     allocate: ProxyAllocator,
+    claimed: Callable[[Tuple[int, int]], bool],
 ) -> ReplicationPlan:
     """Decide which outside hosts to replicate for one dense subgraph.
 
@@ -63,33 +107,30 @@ def plan_replication(
         spec: the algorithm (its ``combine`` identity labels host/proxy links
             and its ``edge_factor`` labels the rewired edges).
         graph: the full graph.
-        classification: the subgraph's entry/exit/internal split *before*
-            replication.
+        hosts: the subgraph's outside neighbours (:class:`HostIndex`).
         threshold: minimum number of boundary vertices sharing one outside
             host for the host to be replicated.
         allocate: allocator of (negative) proxy ids, keyed by host and side so
             that re-planning the same subgraph reuses the same proxy ids.
+        claimed: whether another subgraph rewires an edge; such edges are
+            no candidates (see the module docstring).
 
     Returns:
-        The replication plan.
+        The replication plan.  Hosts are taken in ascending id order and each
+        host's rewired members ascending: the order fixes ``local_links``
+        (and through it the per-row link order of the subgraph adjacency,
+        i.e. the fold order of the propagation float sums), so it must be a
+        function of the graph alone — a store-restored run does not share
+        the live one's set iteration orders.
     """
-    members = classification.members
     plan = ReplicationPlan()
     identity = spec.combine_identity()
 
-    # Entry side: hosts outside the subgraph with many edges into it.
-    # Iterate the boundary sets in sorted order: the per-host target lists
-    # below fix the insertion order of ``local_links`` (and through it the
-    # subgraph adjacency's row order, i.e. the fold order of the propagation
-    # float sums), and set iteration order is a function of insertion history
-    # — which a store-restored run does not share with the live one.
-    inbound_by_host: Dict[int, List[int]] = {}
-    for entry_vertex in sorted(classification.entry):
-        for host in graph.in_neighbors(entry_vertex):
-            if host not in members:
-                inbound_by_host.setdefault(host, []).append(entry_vertex)
-    for host in sorted(inbound_by_host):
-        targets = inbound_by_host[host]
+    # Entry side: hosts outside the subgraph with many edges into it.  A
+    # claimed edge only lowers a host's count, so hosts short of the
+    # threshold are skipped unseen.
+    for host in sorted(h for h, targets in hosts.feeds.items() if len(targets) >= threshold):
+        targets = [t for t in sorted(hosts.feeds[host]) if not claimed((host, t))]
         if len(targets) < threshold:
             continue
         proxy = allocate(host, "entry")
@@ -103,13 +144,8 @@ def plan_replication(
             )
 
     # Exit side: hosts outside the subgraph fed by many of its exit vertices.
-    outbound_by_host: Dict[int, List[int]] = {}
-    for exit_vertex in sorted(classification.exit):
-        for host in graph.out_neighbors(exit_vertex):
-            if host not in members:
-                outbound_by_host.setdefault(host, []).append(exit_vertex)
-    for host in sorted(outbound_by_host):
-        sources = outbound_by_host[host]
+    for host in sorted(h for h, sources in hosts.fed_by.items() if len(sources) >= threshold):
+        sources = [s for s in sorted(hosts.fed_by[host]) if not claimed((s, host))]
         if len(sources) < threshold:
             continue
         proxy = allocate(host, "exit")
@@ -123,32 +159,3 @@ def plan_replication(
             )
 
     return plan
-
-
-def reclassify_with_replication(
-    graph: Graph,
-    classification: BoundaryClassification,
-    plan: ReplicationPlan,
-) -> Tuple[Set[int], Set[int], Set[int]]:
-    """Recompute entry/exit/internal sets after rewiring.
-
-    A former entry (exit) vertex whose every external in-edge (out-edge) was
-    rewired through a proxy becomes internal and sinks to the lower layer —
-    that is the whole point of replication.
-
-    Returns ``(entry, exit, internal)`` where entry/exit include the proxies.
-    """
-    members = classification.members
-    entry: Set[int] = set(plan.entry_proxies)
-    exit_: Set[int] = set(plan.exit_proxies)
-    for vertex in members:
-        for in_neighbor in graph.in_neighbors(vertex):
-            if in_neighbor not in members and (in_neighbor, vertex) not in plan.rewired_edges:
-                entry.add(vertex)
-                break
-        for out_neighbor in graph.out_neighbors(vertex):
-            if out_neighbor not in members and (vertex, out_neighbor) not in plan.rewired_edges:
-                exit_.add(vertex)
-                break
-    internal = set(members) - entry - exit_
-    return entry, exit_, internal

@@ -720,54 +720,3 @@ def shortcut_revision(
                         pending.get(target, identity), difference
                     )
     return pending
-
-
-def update_shortcut_vector(
-    spec: AlgorithmSpec,
-    old_local: FactorAdjacency,
-    new_local: FactorAdjacency,
-    source: int,
-    boundary: Set[int],
-    old_vector: Dict[int, float],
-    changed_sources: Set[int],
-    metrics: Optional[ExecutionMetrics] = None,
-    backend: Optional[str] = None,
-) -> Optional[Dict[int, float]]:
-    """Incrementally update one boundary vertex's shortcut vector.
-
-    :func:`shortcut_revision` followed by the fold of its messages
-    (one revision job of a :class:`ShortcutBatch`).  Returns the updated
-    vector, or ``None`` when the caller must recompute it from scratch.
-    """
-    if metrics is None:
-        metrics = ExecutionMetrics()
-    pending = shortcut_revision(
-        spec, old_local, new_local, source, boundary, old_vector, changed_sources, metrics
-    )
-    if pending is None:
-        return None
-    if not pending:
-        return dict(old_vector)
-    vectors: Dict[int, Dict[int, float]] = {}
-    batch = ShortcutBatch(spec, backend)
-    batch.revise(batch.block(new_local, boundary), source, old_vector, pending, vectors)
-    batch.run(metrics)
-    return vectors[source]
-
-
-def compute_all_shortcuts(
-    spec: AlgorithmSpec,
-    local_adjacency: FactorAdjacency,
-    boundary: Set[int],
-    metrics: Optional[ExecutionMetrics] = None,
-    backend: Optional[str] = None,
-) -> Dict[int, Dict[int, float]]:
-    """Shortcuts from every boundary vertex of a subgraph.
-
-    Returns ``{boundary_vertex: {target: weight}}``.
-    """
-    sources = sorted(boundary)
-    vectors = compute_shortcut_vectors(
-        spec, local_adjacency, sources, boundary, metrics, backend=backend
-    )
-    return dict(zip(sources, vectors))

@@ -235,12 +235,13 @@ class _ShortcutCSR:
 
 
 def _shortcut_csr(subgraph) -> _ShortcutCSR:
-    """Per-subgraph shortcut CSR, cached until the tables are rebuilt.
+    """Per-subgraph shortcut CSR, cached until the tables change.
 
-    ``LayeredGraph._refresh_subgraph`` installs fresh ``shortcuts``/
-    ``internal`` containers on every rebuild, so identity of those objects is
-    the invalidation key (the cache holds strong references, which keeps the
-    identities stable).
+    ``LayeredGraph._refresh_subgraph`` never mutates the ``shortcuts`` /
+    ``internal`` containers: a refresh that changes them installs new ones
+    and one that does not keeps the old objects, so identity of those
+    objects is the invalidation key (the cache holds strong references,
+    which keeps the identities stable).
     """
     cached = getattr(subgraph, "_shortcut_csr_cache", None)
     if (

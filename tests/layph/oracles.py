@@ -1,0 +1,196 @@
+"""Reference implementations the Layph tests check the program against.
+
+The whole-subgraph rebuild, the oracle of the resident lower layer:
+``LayeredGraph._refresh_subgraph`` patches a dense subgraph's tables from a
+delta's touched vertices, and the functions below re-derive the same tables
+from the graph alone, in O(|subgraph|): a full entry/exit/internal scan, a
+full replication scan over the boundary, the local factor adjacency rebuilt
+from scratch, and the changed sources found by comparing every row.
+
+And two compositions of :mod:`repro.layph.shortcuts` for one subgraph:
+one boundary vertex's incremental shortcut update, and every boundary
+vertex's from-scratch vector.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Set, Tuple
+
+from repro.engine.algorithm import AlgorithmSpec
+from repro.engine.metrics import ExecutionMetrics
+from repro.engine.propagation import FactorAdjacency
+from repro.layph.dense import BoundaryClassification, classify_boundary
+from repro.layph.replication import ReplicationPlan
+from repro.layph.shortcuts import ShortcutBatch, compute_shortcut_vectors, shortcut_revision
+
+
+def plan_replication_scan(
+    spec, graph, classification: BoundaryClassification, threshold: int, allocate, claimed
+) -> ReplicationPlan:
+    """The replication plan from a scan of the boundary's outside neighbours;
+    ``claimed(edge)`` tells the edges another subgraph rewires."""
+    members = classification.members
+    plan = ReplicationPlan()
+    identity = spec.combine_identity()
+    inbound_by_host: Dict[int, List[int]] = {}
+    for entry_vertex in sorted(classification.entry):
+        for host in graph.in_neighbors(entry_vertex):
+            if host not in members and not claimed((host, entry_vertex)):
+                inbound_by_host.setdefault(host, []).append(entry_vertex)
+    for host in sorted(inbound_by_host):
+        targets = inbound_by_host[host]
+        if len(targets) < threshold:
+            continue
+        proxy = allocate(host, "entry")
+        plan.proxies[proxy] = host
+        plan.entry_proxies.add(proxy)
+        plan.upper_links.append((host, proxy, identity))
+        for target in targets:
+            plan.rewired_edges.add((host, target))
+            plan.local_links.append((proxy, target, spec.edge_factor(graph, host, target)))
+    outbound_by_host: Dict[int, List[int]] = {}
+    for exit_vertex in sorted(classification.exit):
+        for host in graph.out_neighbors(exit_vertex):
+            if host not in members and not claimed((exit_vertex, host)):
+                outbound_by_host.setdefault(host, []).append(exit_vertex)
+    for host in sorted(outbound_by_host):
+        sources = outbound_by_host[host]
+        if len(sources) < threshold:
+            continue
+        proxy = allocate(host, "exit")
+        plan.proxies[proxy] = host
+        plan.exit_proxies.add(proxy)
+        plan.upper_links.append((proxy, host, identity))
+        for source in sources:
+            plan.rewired_edges.add((source, host))
+            plan.local_links.append((source, proxy, spec.edge_factor(graph, source, host)))
+    return plan
+
+
+def reclassify_with_replication(
+    graph, classification: BoundaryClassification, plan: ReplicationPlan
+) -> Tuple[Set[int], Set[int], Set[int]]:
+    """Entry/exit/internal after rewiring, from a scan of every member."""
+    members = classification.members
+    entry: Set[int] = set(plan.entry_proxies)
+    exit_: Set[int] = set(plan.exit_proxies)
+    for vertex in members:
+        for in_neighbor in graph.in_neighbors(vertex):
+            if in_neighbor not in members and (in_neighbor, vertex) not in plan.rewired_edges:
+                entry.add(vertex)
+                break
+        for out_neighbor in graph.out_neighbors(vertex):
+            if out_neighbor not in members and (vertex, out_neighbor) not in plan.rewired_edges:
+                exit_.add(vertex)
+                break
+    return entry, exit_, set(members) - entry - exit_
+
+
+def rebuild_local_adjacency(
+    spec, graph, members: Set[int], plan: ReplicationPlan
+) -> FactorAdjacency:
+    """Original edges between members plus the rewiring's links."""
+    local = FactorAdjacency()
+    for source in members:
+        for target in graph.out_neighbors(source):
+            if target in members:
+                local.add(source, target, spec.edge_factor(graph, source, target))
+    for source, target, factor in plan.local_links:
+        local.add(source, target, factor)
+    return local
+
+
+def changed_local_sources(old_local: FactorAdjacency, new_local: FactorAdjacency) -> Set[int]:
+    """Vertices whose intra-subgraph out-links changed between two rebuilds."""
+    changed: Set[int] = set()
+    old_vertices = set(old_local.vertices_with_out_edges())
+    new_vertices = set(new_local.vertices_with_out_edges())
+    for vertex in old_vertices | new_vertices:
+        if sorted(old_local(vertex)) != sorted(new_local(vertex)):
+            changed.add(vertex)
+    return changed
+
+
+def rebuild_subgraph(layered, subgraph):
+    """``(entry, exit, internal, plan, local adjacency)`` of ``subgraph``
+    derived from scratch against ``layered``'s current graph.
+
+    Call it right after the subgraph's refresh: the edges the other
+    subgraphs rewire are read from the layered graph's index, as the refresh
+    read them.  Proxy ids come from the registry, which the refresh has
+    already filled; a host it never replicated fails here.
+    """
+    spec = layered.spec
+    graph = layered.graph
+    classification = classify_boundary(graph, subgraph.members)
+    config = layered.config
+    if config.enable_replication:
+        plan = plan_replication_scan(
+            spec,
+            graph,
+            classification,
+            config.replication_threshold,
+            lambda host, side: layered._proxy_registry[(subgraph.index, host, side)],
+            lambda edge: edge in layered._rewired_counts and edge not in subgraph.rewired_edges,
+        )
+        entry, exit_, internal = reclassify_with_replication(graph, classification, plan)
+    else:
+        plan = ReplicationPlan()
+        entry, exit_, internal = (
+            set(classification.entry),
+            set(classification.exit),
+            set(classification.internal),
+        )
+    local = rebuild_local_adjacency(spec, graph, classification.members, plan)
+    return entry, exit_, internal, plan, local
+
+
+def update_shortcut_vector(
+    spec: AlgorithmSpec,
+    old_local: FactorAdjacency,
+    new_local: FactorAdjacency,
+    source: int,
+    boundary: Set[int],
+    old_vector: Dict[int, float],
+    changed_sources: Set[int],
+    metrics: Optional[ExecutionMetrics] = None,
+    backend: Optional[str] = None,
+) -> Optional[Dict[int, float]]:
+    """Incrementally update one boundary vertex's shortcut vector.
+
+    :func:`shortcut_revision` followed by the fold of its messages
+    (one revision job of a :class:`ShortcutBatch`).  Returns the updated
+    vector, or ``None`` when the caller must recompute it from scratch.
+    """
+    if metrics is None:
+        metrics = ExecutionMetrics()
+    pending = shortcut_revision(
+        spec, old_local, new_local, source, boundary, old_vector, changed_sources, metrics
+    )
+    if pending is None:
+        return None
+    if not pending:
+        return dict(old_vector)
+    vectors: Dict[int, Dict[int, float]] = {}
+    batch = ShortcutBatch(spec, backend)
+    batch.revise(batch.block(new_local, boundary), source, old_vector, pending, vectors)
+    batch.run(metrics)
+    return vectors[source]
+
+
+def compute_all_shortcuts(
+    spec: AlgorithmSpec,
+    local_adjacency: FactorAdjacency,
+    boundary: Set[int],
+    metrics: Optional[ExecutionMetrics] = None,
+    backend: Optional[str] = None,
+) -> Dict[int, Dict[int, float]]:
+    """Shortcuts from every boundary vertex of a subgraph.
+
+    Returns ``{boundary_vertex: {target: weight}}``.
+    """
+    sources = sorted(boundary)
+    vectors = compute_shortcut_vectors(
+        spec, local_adjacency, sources, boundary, metrics, backend=backend
+    )
+    return dict(zip(sources, vectors))

@@ -10,7 +10,9 @@ from repro.graph.graph import Graph
 from repro.layph.community import louvain_communities
 from repro.layph.dense import classify_boundary, is_dense, select_dense_subgraphs
 from repro.layph.layered_graph import LayeredGraph, LayphConfig
-from repro.layph.shortcuts import compute_all_shortcuts, compute_shortcuts_from
+from repro.layph.shortcuts import compute_shortcuts_from
+
+from oracles import compute_all_shortcuts  # noqa: E402  (tests/layph)
 
 
 class TestLouvain:
@@ -368,9 +370,9 @@ class TestConstructionMetricsStayBounded:
         charges = []
         rebuild = layered.rebuild_subgraphs
 
-        def charged(indices, metrics=None):
+        def charged(indices, touched, metrics=None):
             probe = ExecutionMetrics()
-            rebuild(indices, probe)
+            rebuild(indices, touched, probe)
             charges.append(probe.edge_activations)
             if metrics is not None:
                 metrics.edge_activations += probe.edge_activations

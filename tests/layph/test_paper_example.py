@@ -15,7 +15,9 @@ from repro.engine.runner import run_batch
 from repro.graph.delta import GraphDelta
 from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayphConfig
-from repro.layph.shortcuts import compute_shortcuts_from, update_shortcut_vector
+from repro.layph.shortcuts import compute_shortcuts_from
+
+from oracles import update_shortcut_vector  # noqa: E402  (tests/layph)
 
 # Intra-subgraph edges of the example's dense subgraph, entry v0, exit v4.
 OLD_EDGES = {

@@ -6,8 +6,8 @@ refreshed subgraphs — runs in a single
 :func:`repro.parallel.slabs.run_shortcut_solves` call over a ragged,
 block-diagonal layout.  Every vector it produces must equal the
 Python-backend reference (:func:`repro.layph.shortcuts.compute_shortcuts_from`
-per solve, :func:`repro.layph.shortcuts.update_shortcut_vector` per
-revision): the same values and the same recorded work.  Key order is the one
+per solve, :func:`oracles.update_shortcut_vector` per revision): the same
+values and the same recorded work.  Key order is the one
 the reference's ``propagate`` write-backs leave on the numpy backend — for a
 solve, rows touched in round 0 (the source) first, then the rest ascending;
 for a revision, the old keys in place, then the new rows ascending — which
@@ -36,10 +36,14 @@ from repro.layph.shortcuts import (
     ShortcutBatch,
     _propagate_shortcuts,
     _revise_reference,
-    compute_all_shortcuts,
     compute_shortcut_vectors,
     compute_shortcuts_from,
     shortcut_revision,
+)
+
+from oracles import (  # noqa: E402  (tests/layph)
+    changed_local_sources,
+    compute_all_shortcuts,
     update_shortcut_vector,
 )
 
@@ -366,7 +370,7 @@ def _run_mixed_batch(spec, cases, backend="numpy"):
     batch = ShortcutBatch(spec, backend)
     tables, kinds, pendings = [], [], []
     for old_local, new_local, boundary, old_tables in cases:
-        changed = LayeredGraph._changed_local_sources(old_local, new_local)
+        changed = changed_local_sources(old_local, new_local)
         block = batch.block(new_local, boundary)
         table, kind, pending_of = {}, {}, {}
         for source in sorted(boundary):
@@ -400,7 +404,7 @@ def _assert_mixed_batch_matches_reference(spec, cases, tables, kinds, pendings, 
     for (old_local, new_local, boundary, old_tables), table, kind, pending_of in zip(
         cases, tables, kinds, pendings
     ):
-        changed = LayeredGraph._changed_local_sources(old_local, new_local)
+        changed = changed_local_sources(old_local, new_local)
         for source in sorted(boundary):
             old_vector = old_tables[source]
             want = None
@@ -499,7 +503,7 @@ def test_revision_silences_boundary_messages_and_appends_new_rows_ascending(spec
         }
     )
     old_vector = compute_shortcuts_from(spec, old_local, 0, boundary, backend="python")
-    changed = LayeredGraph._changed_local_sources(old_local, new_local)
+    changed = changed_local_sources(old_local, new_local)
     pending = shortcut_revision(spec, old_local, new_local, 0, boundary, old_vector, changed)
     assert set(pending) == {3, 4}
     metrics = ExecutionMetrics()

@@ -25,6 +25,9 @@ if ROOT not in sys.path:
 
 from repro.engine import dense_propagation  # noqa: E402
 from repro.engine.propagation import SilencedAdjacency  # noqa: E402
+from repro.graph.csr import FactorCSR  # noqa: E402
+from repro.graph.csr_cache import CSR_CACHE_ENV_VAR  # noqa: E402
+from repro.layph import vectorized  # noqa: E402
 from repro.layph import shortcuts as shortcuts_module  # noqa: E402
 from repro.layph.engine import LayphEngine  # noqa: E402
 
@@ -98,3 +101,85 @@ def test_layph_matches_batch_on_the_web_shape(monkeypatch, workload):
     assert any(
         wanted(subgraphs, revisions) for subgraphs, _solves, revisions in online
     ), f"no delta's kernel call had the workload's shape: {online}"
+
+
+def test_scattered_seed_21_stays_with_batch():
+    """Two dense subgraphs of this stream replicate each other's members:
+    an edge between them was once rewired through a proxy on both sides, and
+    PageRank carried its mass twice (5e-4 from the batch result after delta
+    22, 1.1e-2 after delta 24).  Each edge is now rewired by one subgraph."""
+    inputs = generate(WORKLOADS["web-pagerank-scattered"], seed=21, num_events=BATCH_SIZE)
+    spec = inputs.workload.spec()
+    engine = LayphEngine(spec, backend="numpy")
+    engine.initialize(inputs.graph)
+    assert engine.layered.proxy_vertices(), "the stream no longer forms a proxy"
+    for step, delta in enumerate(inputs.deltas[:25]):
+        result = engine.apply_delta(delta)
+        assert all(count == 1 for count in engine.layered._rewired_counts.values())
+        if step >= 20:
+            assert matches_batch(spec, result.states, batch_reference(spec, engine.graph)), (
+                f"Layph diverged from run_batch at delta {step}"
+            )
+
+
+def test_cross_edge_deltas_keep_the_lower_layer_compiled(monkeypatch):
+    """web-bfs-bridge's deltas only add edges between communities: no local
+    CSR is compiled again (the refresh splices the resident one), and phase
+    4 rebuilds the shortcut CSR of a subgraph only when its tables changed."""
+    monkeypatch.setenv(CSR_CACHE_ENV_VAR, "1")
+    compiled = []
+    compile_adjacency = FactorCSR.from_factor_adjacency.__func__
+
+    def observed_compile(cls, adjacency, *args, **kwargs):
+        compiled.append(adjacency)
+        return compile_adjacency(cls, adjacency, *args, **kwargs)
+
+    monkeypatch.setattr(FactorCSR, "from_factor_adjacency", classmethod(observed_compile))
+    built = []
+    shortcut_csr = vectorized._ShortcutCSR
+
+    class ObservedShortcutCSR(shortcut_csr):
+        __slots__ = ()
+
+        def __init__(self, subgraph):
+            built.append(subgraph.index)
+            super().__init__(subgraph)
+
+    monkeypatch.setattr(vectorized, "_ShortcutCSR", ObservedShortcutCSR)
+    asked = []
+    cached_csr = vectorized._shortcut_csr
+
+    def observed_shortcut_csr(subgraph):
+        asked.append(subgraph.index)
+        return cached_csr(subgraph)
+
+    monkeypatch.setattr(vectorized, "_shortcut_csr", observed_shortcut_csr)
+
+    def snapshot(subgraph):
+        return (
+            [(source, list(row.items())) for source, row in subgraph.shortcuts.items()],
+            set(subgraph.internal),
+            subgraph.boundary,
+        )
+
+    inputs = generate(WORKLOADS["web-bfs-bridge"], seed=1, num_events=BATCH_SIZE)
+    engine = LayphEngine(inputs.workload.spec(), backend="numpy")
+    engine.initialize(inputs.graph)
+    subgraphs = engine.layered.subgraphs
+    hits = 0
+    for step, delta in enumerate(inputs.deltas[:DELTAS]):
+        assert not delta.vertex_updates
+        before = [snapshot(subgraph) for subgraph in subgraphs]
+        cached = [getattr(s, "_shortcut_csr_cache", None) is not None for s in subgraphs]
+        del compiled[:], built[:], asked[:]
+        engine.apply_delta(delta)
+        local = {id(subgraph.local_adjacency) for subgraph in subgraphs}
+        assert not [a for a in compiled if id(a) in local], f"delta {step} compiled a local CSR"
+        changed = {
+            subgraph.index
+            for subgraph, old in zip(subgraphs, before)
+            if snapshot(subgraph) != old or not cached[subgraph.index]
+        }
+        assert set(built) <= changed, f"delta {step} rebuilt unchanged shortcut CSRs"
+        hits += len(asked) - len(built)
+    assert hits, "phase 4 never reused a shortcut CSR"
