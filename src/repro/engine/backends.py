@@ -27,16 +27,12 @@ through :mod:`repro.graph.csr_cache`: each incremental engine owns a
 :class:`~repro.graph.csr_cache.CSRCache` that compiles the factor CSR once
 and patches each :class:`~repro.graph.delta.GraphDelta` into the arrays in
 place (amortized rebuild past a threshold), and repeated compiles of the
-same ``FactorAdjacency`` are memoized on the adjacency object.  Set
-``REPRO_CSR_CACHE=0`` (re-exported here as :data:`CSR_CACHE_ENV_VAR`) to
-force fresh compiles everywhere — CI exercises both modes.
-
-On top of the CSR cache, the BSP engines (GraphBolt/DZiG) keep their
-memoized iterations in a dense matrix keyed by the cached in-edge CSR's
-vertex index (:mod:`repro.incremental.memo`) whenever the numpy backend is
-selected; ``REPRO_MEMO_DENSE=0`` (re-exported here as
-:data:`MEMO_DENSE_ENV_VAR`) drops them back onto the metric-identical
-dict-of-dicts reference store — CI exercises that mode too.
+same ``FactorAdjacency`` are memoized on the adjacency object.  On top of
+it the BSP engines (GraphBolt/DZiG) keep their memoized iterations in a
+dense matrix (:mod:`repro.incremental.memo`) and the selective engines their
+dependency forests in a dense table (:mod:`repro.incremental.dep_table`);
+both fall back to their dict stores under the Python backend, on NaN
+factors and for an algebra the array kernels cannot express.
 """
 
 from __future__ import annotations
@@ -44,35 +40,11 @@ from __future__ import annotations
 import os
 from typing import Callable, Dict, List, Optional
 
-from repro.graph.csr_cache import (  # noqa: F401 (re-export)
-    CSR_CACHE_ENV_VAR,
-    csr_cache_enabled,
-    env_flag_enabled,
-)
-
 PYTHON_BACKEND = "python"
 NUMPY_BACKEND = "numpy"
 
 #: environment variable consulted when no explicit backend is requested
 BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-#: environment variable that drops the BSP engines' dense memoized-iteration
-#: store (:mod:`repro.incremental.memo`) back onto the dict reference
-MEMO_DENSE_ENV_VAR = "REPRO_MEMO_DENSE"
-
-#: environment variable that drops the selective engines' dense dependency
-#: table (:mod:`repro.incremental.dep_table`) back onto the dict reference
-DEP_DENSE_ENV_VAR = "REPRO_DEP_DENSE"
-
-
-def memo_dense_enabled() -> bool:
-    """Whether the dense memo store is enabled (the ``REPRO_MEMO_DENSE`` knob)."""
-    return env_flag_enabled(MEMO_DENSE_ENV_VAR)
-
-
-def dep_dense_enabled() -> bool:
-    """Whether the dense dependency table is enabled (``REPRO_DEP_DENSE``)."""
-    return env_flag_enabled(DEP_DENSE_ENV_VAR)
 
 
 def _load_numpy_backend() -> Callable:

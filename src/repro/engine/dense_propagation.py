@@ -169,9 +169,6 @@ def _compile_adjacency(
 
     def compile_with_universe(universe: Iterable[int]) -> FactorCSR:
         master = master_factor_csr(base, universe)
-        if master is None:
-            # Caching disabled: the original fresh, universe-exact compile.
-            return FactorCSR.from_factor_adjacency(base, universe=universe, silenced=silenced)
         if not silenced:
             return master
         return FactorCSRView(master, silenced)

@@ -84,17 +84,6 @@ class FactorAdjacency:
         """Vertices that have at least one out-edge."""
         return list(self._adjacency)
 
-    def same_links(self, other: "FactorAdjacency") -> bool:
-        """Whether both adjacencies hold exactly the same per-vertex link lists.
-
-        Used by Layph's upper-layer rebuild to detect that a delta left the
-        skeleton unchanged: the old adjacency object (and with it the
-        version-keyed CSR compile memo of
-        :func:`repro.graph.csr_cache.master_factor_csr`) can then be kept
-        alive instead of recompiling an identical snapshot.
-        """
-        return self._adjacency == other._adjacency
-
     def replace_rows(self, rows: Dict[int, List[Tuple[int, float]]]) -> List[int]:
         """Replace whole per-source link lists in place.
 

@@ -8,7 +8,7 @@ synthetic graph generators that stand in for the paper's web/social datasets.
 
 from repro.graph.graph import Edge, Graph
 from repro.graph.csr import CSRGraph, FactorCSR
-from repro.graph.csr_cache import CSRCache, CachedGraphAdjacency, csr_cache_enabled
+from repro.graph.csr_cache import CSRCache, CachedGraphAdjacency
 from repro.graph.delta import EdgeUpdate, GraphDelta, UpdateKind, VertexUpdate
 from repro.graph.generators import (
     community_graph,
@@ -27,7 +27,6 @@ __all__ = [
     "FactorCSR",
     "CSRCache",
     "CachedGraphAdjacency",
-    "csr_cache_enabled",
     "EdgeUpdate",
     "VertexUpdate",
     "GraphDelta",

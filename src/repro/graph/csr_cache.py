@@ -41,20 +41,10 @@ Contract: edge factors must be a function of the edge and its *source's
 out-adjacency* only (true for SSSP/BFS weight factors and for the
 degree-normalized PageRank/PHP factors).  A spec whose factors depend on
 more remote structure must not be cached.
-
-Environment knobs:
-
-* ``REPRO_CSR_CACHE=0`` force-disables all CSR caching (every access
-  compiles fresh) — CI runs the tier-1 suite in this mode so the
-  patched-CSR and fresh-compile paths are both exercised;
-* ``REPRO_CSR_REBUILD_FRACTION`` overrides the amortized-rebuild threshold
-  (default ``0.25``: a delta touching more than a quarter of the edges
-  triggers a full recompile instead of a patch).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -63,41 +53,8 @@ from repro.graph.csr import FactorCSR, expand_edges
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
 
-#: environment variable that force-disables CSR caching when set to a falsy value
-CSR_CACHE_ENV_VAR = "REPRO_CSR_CACHE"
-#: environment variable overriding the amortized-rebuild threshold
-REBUILD_FRACTION_ENV_VAR = "REPRO_CSR_REBUILD_FRACTION"
 #: default fraction of edges a delta may touch before a patch is abandoned
 DEFAULT_REBUILD_FRACTION = 0.25
-
-_FALSY = {"0", "false", "off", "no"}
-
-
-def env_flag_enabled(name: str, default: str = "1") -> bool:
-    """Whether a boolean environment knob is enabled (default on).
-
-    Shared by the CSR-cache knob here and the dense-memo knob in
-    :mod:`repro.incremental.memo`, so every ``REPRO_*`` flag parses falsy
-    values (``0``/``false``/``off``/``no``) identically.
-    """
-    return os.environ.get(name, default).strip().lower() not in _FALSY
-
-
-def csr_cache_enabled() -> bool:
-    """Whether CSR caching is enabled (the ``REPRO_CSR_CACHE`` knob)."""
-    return env_flag_enabled(CSR_CACHE_ENV_VAR)
-
-
-def rebuild_fraction_default() -> float:
-    """The configured amortized-rebuild threshold."""
-    raw = os.environ.get(REBUILD_FRACTION_ENV_VAR)
-    if raw is None:
-        return DEFAULT_REBUILD_FRACTION
-    try:
-        value = float(raw)
-    except ValueError:
-        return DEFAULT_REBUILD_FRACTION
-    return value if value > 0.0 else DEFAULT_REBUILD_FRACTION
 
 
 # ----------------------------------------------------------------------
@@ -344,13 +301,9 @@ class CSRCache:
     mutations are never served stale.
     """
 
-    def __init__(
-        self,
-        enabled: Optional[bool] = None,
-        rebuild_fraction: Optional[float] = None,
-    ) -> None:
-        self._enabled_override = enabled
-        self._rebuild_override = rebuild_fraction
+    def __init__(self, rebuild_fraction: float = DEFAULT_REBUILD_FRACTION) -> None:
+        #: delta-to-edges ratio beyond which patches give way to rebuilds
+        self.rebuild_fraction = rebuild_fraction
         self._entries: Dict[str, _Entry] = {}
         #: statistics (exposed for tests and benchmark reporting)
         self.compiles = 0
@@ -358,21 +311,6 @@ class CSRCache:
         self.rebuilds = 0
         self.hits = 0
         self.invalidations = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        """Whether this cache memoizes (the env knob is read dynamically)."""
-        if self._enabled_override is not None:
-            return self._enabled_override
-        return csr_cache_enabled()
-
-    @property
-    def rebuild_fraction(self) -> float:
-        """Delta-to-edges ratio beyond which patches give way to rebuilds."""
-        if self._rebuild_override is not None:
-            return self._rebuild_override
-        return rebuild_fraction_default()
 
     # ------------------------------------------------------------------
     def out_csr(self, spec, graph: Graph) -> FactorCSR:
@@ -395,8 +333,6 @@ class CSRCache:
         snapshots the engine already maintains without forcing an O(V+E)
         compile onto engines that never use that orientation.
         """
-        if not self.enabled:
-            return None
         entry = self._current_entry(orientation, spec, graph)
         return entry.csr if entry is not None else None
 
@@ -420,8 +356,6 @@ class CSRCache:
         return FactorCSR.from_graph_in_edges(spec, graph)
 
     def _get(self, orientation: str, spec, graph: Graph) -> FactorCSR:
-        if not self.enabled:
-            return self._compile(orientation, spec, graph)
         entry = self._current_entry(orientation, spec, graph)
         if entry is not None:
             self.hits += 1
@@ -442,9 +376,6 @@ class CSRCache:
         patch exceeds the rebuild threshold — are dropped and recompiled
         lazily on the next access.
         """
-        if not self.enabled:
-            self._entries.clear()
-            return
         for orientation in list(self._entries):
             entry = self._entries[orientation]
             if (
@@ -481,10 +412,8 @@ class CSRCache:
 
         The entry is keyed by the live ``(spec, graph, version)`` triple like
         any compiled one, so subsequent accesses hit and subsequent deltas
-        patch it forward.  No-op when caching is disabled.
+        patch it forward.
         """
-        if not self.enabled:
-            return
         self._entries[orientation] = _Entry(spec, graph, graph.version, csr)
 
     def clear(self) -> None:
@@ -538,23 +467,17 @@ class CachedGraphAdjacency:
 # ----------------------------------------------------------------------
 # adjacency-level compile memo
 # ----------------------------------------------------------------------
-def master_factor_csr(base, universe: Iterable[int]) -> Optional[FactorCSR]:
-    """Memoized full compile of a ``FactorAdjacency``-like object.
+def master_factor_csr(base, universe: Iterable[int]) -> FactorCSR:
+    """Memoized full compile of a ``FactorAdjacency``.
 
     The master snapshot (no silencing) is stored on the adjacency object
     itself, keyed by its mutation counter; repeated ``propagate`` calls — or
     the B per-boundary-vertex silenced variants of one Layph shortcut
     computation, served through :class:`repro.graph.csr.FactorCSRView` —
     compile once instead of per call.  A universe reaching outside the
-    memoized id space recompiles over the union.  Returns ``None`` when
-    caching is disabled or the adjacency does not carry a version counter
-    (the caller then compiles fresh).
+    memoized id space recompiles over the union.
     """
-    if not csr_cache_enabled():
-        return None
-    version = getattr(base, "_version", None)
-    if version is None:
-        return None
+    version = base.version
     universe = set(universe)
     memo = getattr(base, "_csr_memo", None)
     if memo is not None:
@@ -570,7 +493,7 @@ def master_factor_csr(base, universe: Iterable[int]) -> Optional[FactorCSR]:
 def resident_master_csr(base) -> Optional[FactorCSR]:
     """``base``'s memoized master compile if it is current; never compiles."""
     memo = getattr(base, "_csr_memo", None)
-    if memo is None or memo[0] != base.version or not csr_cache_enabled():
+    if memo is None or memo[0] != base.version:
         return None
     return memo[1]
 

@@ -36,15 +36,11 @@ exposes
 * the same results as sorted ``numpy`` index vectors (``*_array``) for the
   vectorized paths.
 
-When the CSR snapshots are unavailable (Python backend, ``REPRO_CSR_CACHE=0``,
-patch abandoned for an amortized rebuild) the footprint falls back to the
-dict-reference comparisons — still computed once per delta.  Setting
-``REPRO_DELTA_FOOTPRINT=0`` disables the footprint entirely: the engines then
-run their original per-engine scans, which remain the semantic reference
-(mirroring the ``REPRO_CSR_CACHE`` / ``REPRO_MEMO_DENSE`` demotion knobs).
-The conformance suite in ``tests/graph/test_footprint.py`` pins every
-footprint field to a brute-force recomputation from the two graphs, and every
-engine to bitwise-identical results with the knob on and off.
+When the CSR snapshots are unavailable (Python backend, patch abandoned for
+an amortized rebuild) the footprint falls back to dict comparisons — still
+computed once per delta.  The conformance suite in
+``tests/graph/test_footprint.py`` pins every footprint field, on both paths,
+to a brute-force recomputation from the two graphs.
 """
 
 from __future__ import annotations
@@ -54,17 +50,8 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.graph.csr import FactorCSR, expand_edges
-from repro.graph.csr_cache import env_flag_enabled
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
-
-#: environment variable that force-disables the shared delta footprint
-FOOTPRINT_ENV_VAR = "REPRO_DELTA_FOOTPRINT"
-
-
-def footprint_enabled() -> bool:
-    """Whether the shared delta footprint is enabled (default on)."""
-    return env_flag_enabled(FOOTPRINT_ENV_VAR)
 
 
 def _rows_differ(
@@ -162,34 +149,6 @@ def _rows_differ(
 def _id_array(vertices: Set[int]) -> np.ndarray:
     """Sorted int64 index vector of a vertex-id set."""
     return np.fromiter(sorted(vertices), np.int64, count=len(vertices))
-
-
-def expand_weight_changes(
-    old_graph: Graph,
-    added: List[Tuple[int, int, float]],
-    deleted: List[Tuple[int, int, float]],
-) -> List[Tuple[int, int, float]]:
-    """``deleted`` with weight-changing insertions made explicit deletions.
-
-    An ``ADD_EDGE`` that overwrites an existing edge with a different weight
-    is semantically a deletion of the old weight plus an insertion of the
-    new one (the paper models weight changes as delete + add).  The single
-    owner of that rule: :attr:`DeltaFootprint.invalidation_edges` caches its
-    result per delta, and the selective engines' ``REPRO_DELTA_FOOTPRINT=0``
-    fallback calls it directly on their own expansion.
-    """
-    expanded = list(deleted)
-    explicitly_deleted = {(s, t) for s, t, _ in expanded}
-    for source, target, weight in added:
-        if (source, target) in explicitly_deleted:
-            continue
-        if (
-            old_graph.has_edge(source, target)
-            and old_graph.edge_weight(source, target) != weight
-        ):
-            explicitly_deleted.add((source, target))
-            expanded.append((source, target, old_graph.edge_weight(source, target)))
-    return expanded
 
 
 class DeltaFootprint:
@@ -334,8 +293,7 @@ class DeltaFootprint:
     def changed_factor_sources(self) -> Set[int]:
         """Vertices whose outgoing *factor* map changed.
 
-        Matches ``GraphBoltEngine._changed_factor_sources`` exactly: the pool
-        is the delta's touched sources (a vertex whose membership changed is
+        The pool is the delta's touched sources (a vertex whose membership changed is
         always among them), a vertex absent from a graph has an empty factor
         map, and candidates are verified by factor comparison — on the cached
         old/new out-edge CSR rows when both snapshots are available, through
@@ -388,7 +346,7 @@ class DeltaFootprint:
     def _dirty_pool(self) -> Set[int]:
         """Candidates whose incoming factor map may have changed.
 
-        Mirrors ``GraphBoltEngine._dirty_target_pool``: targets of every
+        Targets of every
         added/deleted edge (both endpoints on undirected graphs), the old and
         new out-neighbors of every touched source, and the added vertices.
         The touched-source neighbor expansion — the only part proportional to
@@ -434,8 +392,7 @@ class DeltaFootprint:
     def dirty_targets(self) -> Set[int]:
         """Vertices of the new graph whose incoming factor map changed.
 
-        Matches ``GraphBoltEngine._structurally_dirty_targets`` exactly
-        (including the "brand-new vertices are always dirty" rule); verified
+        Brand-new vertices are always dirty; every other candidate is verified
         on the cached old/new in-edge CSR rows when both snapshots are
         available, through ``edge_factor`` dictionaries otherwise.
         """
@@ -494,12 +451,21 @@ class DeltaFootprint:
         shared by the dict-reference and dense dependency paths.
         """
         if self._invalidation_edges is None:
-            self._invalidation_edges = (
-                self.added_edges,
-                expand_weight_changes(
-                    self.old_graph, self.added_edges, self.deleted_edges
-                ),
-            )
+            old_graph = self.old_graph
+            deleted = list(self.deleted_edges)
+            explicitly_deleted = {(s, t) for s, t, _ in deleted}
+            for source, target, weight in self.added_edges:
+                if (source, target) in explicitly_deleted:
+                    continue
+                if (
+                    old_graph.has_edge(source, target)
+                    and old_graph.edge_weight(source, target) != weight
+                ):
+                    explicitly_deleted.add((source, target))
+                    deleted.append(
+                        (source, target, old_graph.edge_weight(source, target))
+                    )
+            self._invalidation_edges = (self.added_edges, deleted)
         return self._invalidation_edges
 
     # ------------------------------------------------------------------

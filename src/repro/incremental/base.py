@@ -26,7 +26,7 @@ from repro.engine.propagation import FactorAdjacency
 from repro.engine.runner import BatchResult, run_batch
 from repro.graph.csr_cache import CSRCache
 from repro.graph.delta import GraphDelta
-from repro.graph.footprint import DeltaFootprint, footprint_enabled
+from repro.graph.footprint import DeltaFootprint
 from repro.graph.graph import Graph
 
 
@@ -63,9 +63,8 @@ class IncrementalEngine(abc.ABC):
         self.states: Dict[int, float] = {}
         self.initial_metrics: Optional[ExecutionMetrics] = None
         #: shared per-delta footprint (see :mod:`repro.graph.footprint`),
-        #: rebuilt by :meth:`_update_graph` on every delta; ``None`` when the
-        #: ``REPRO_DELTA_FOOTPRINT=0`` escape hatch is set (the engines then
-        #: run their original per-engine scans, which remain the reference)
+        #: rebuilt by :meth:`_update_graph` on every delta (``None`` before
+        #: the first one)
         self.footprint: Optional[DeltaFootprint] = None
         #: attached durable store (see :mod:`repro.storage`); every applied
         #: delta is logged to it and periodically compacted into a snapshot
@@ -264,54 +263,26 @@ class IncrementalEngine(abc.ABC):
         old_graph = self._require_graph()
         new_graph = delta.apply(old_graph)
         spec = self.spec
-        build_footprint = footprint_enabled()
-        if build_footprint:
-            old_out = self.csr_cache.peek_csr("out", spec, old_graph)
-            old_in = self.csr_cache.peek_csr("in", spec, old_graph)
-        self.csr_cache.apply_delta(spec, old_graph, new_graph, delta)
-        if build_footprint:
-            new_out = (
-                self.csr_cache.peek_csr("out", spec, new_graph)
-                if old_out is not None
-                else None
-            )
-            new_in = (
-                self.csr_cache.peek_csr("in", spec, new_graph)
-                if old_in is not None
-                else None
-            )
-            self.footprint = DeltaFootprint(
-                spec,
-                old_graph,
-                new_graph,
-                delta,
-                old_out_csr=old_out,
-                new_out_csr=new_out,
-                old_in_csr=old_in,
-                new_in_csr=new_in,
-            )
-        else:
-            self.footprint = None
+        cache = self.csr_cache
+        old_out = cache.peek_csr("out", spec, old_graph)
+        old_in = cache.peek_csr("in", spec, old_graph)
+        cache.apply_delta(spec, old_graph, new_graph, delta)
+        self.footprint = DeltaFootprint(
+            spec,
+            old_graph,
+            new_graph,
+            delta,
+            old_out_csr=old_out,
+            new_out_csr=(
+                cache.peek_csr("out", spec, new_graph) if old_out is not None else None
+            ),
+            old_in_csr=old_in,
+            new_in_csr=(
+                cache.peek_csr("in", spec, new_graph) if old_in is not None else None
+            ),
+        )
         self.graph = new_graph
         return new_graph
-
-    def _vertex_membership_diff(self, old_graph: Graph, new_graph: Graph):
-        """``(added_vertices, removed_vertices)`` between two graph versions.
-
-        Served from the delta footprint in O(delta) when one is current
-        (only a vertex named by the delta can change membership); falls back
-        to the two O(V) membership scans the engines originally ran.
-        """
-        footprint = self.footprint
-        if (
-            footprint is not None
-            and footprint.old_graph is old_graph
-            and footprint.new_graph is new_graph
-        ):
-            return set(footprint.added_vertices), set(footprint.removed_vertices)
-        added = {v for v in new_graph.vertices() if not old_graph.has_vertex(v)}
-        removed = {v for v in old_graph.vertices() if not new_graph.has_vertex(v)}
-        return added, removed
 
     def _propagation_adjacency(self, graph: Graph):
         """Factor adjacency of ``graph`` for full-graph propagation.
@@ -321,7 +292,7 @@ class IncrementalEngine(abc.ABC):
         otherwise the materialised :class:`FactorAdjacency`, which is what
         the Python loop iterates fastest.
         """
-        if self.csr_cache.enabled and is_numpy_backend(self.backend):
+        if is_numpy_backend(self.backend):
             return self.csr_cache.adjacency(self.spec, graph)
         return FactorAdjacency.from_graph(self.spec, graph)
 
@@ -333,12 +304,8 @@ class IncrementalEngine(abc.ABC):
         handed the out-edge CSR snapshots of both graph versions (call this
         once *before* :meth:`_update_graph` for the old graph and once after
         for the new one).  Returns ``None`` — the caller then stays on the
-        dict reference — when the numpy backend is not selected or the CSR
-        cache is disabled (a fresh O(V+E) compile per delta would cost more
-        than the dict scan it replaces).
+        dict reference — when the numpy backend is not selected.
         """
         if not is_numpy_backend(self.backend):
-            return None
-        if not self.csr_cache.enabled:
             return None
         return self.csr_cache.out_csr(self.spec, graph)

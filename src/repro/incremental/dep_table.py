@@ -26,11 +26,11 @@ for changes.  :class:`DepTable` closes the gap the same way
 The table is built lazily from the dict reference on the first dense delta,
 remapped with one gather when a delta changes the vertex-id space, and
 **demoted** back to the dict (``to_parents_dict``) whenever the dense gate
-fails: Python backend, CSR cache disabled, an algebra outside min/+, NaN
-factors or states, or the ``REPRO_DEP_DENSE=0`` escape hatch.  The dict
-engines in :mod:`repro.incremental.dependency` remain the semantic reference;
-``tests/incremental/test_dep_table.py`` pins the dense path to it bitwise —
-states, rounds, edge activations — over random edge+vertex delta sequences.
+fails: Python backend, an algebra outside min/+, NaN factors or states.
+The dict engines in :mod:`repro.incremental.dependency` remain the semantic
+reference; ``tests/incremental/test_dep_table.py`` pins the dense path to it
+bitwise — states, rounds, edge activations — over random edge+vertex delta
+sequences.
 """
 
 from __future__ import annotations
@@ -40,10 +40,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.engine.backends import (  # noqa: F401 (re-export: the knob lives
-    DEP_DENSE_ENV_VAR,  # with the other backend env vars)
-    dep_dense_enabled,
-)
 from repro.graph.csr import FactorCSR, expand_edges
 
 _EMPTY_ROWS = np.zeros(0, dtype=np.int64)

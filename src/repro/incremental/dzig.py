@@ -59,17 +59,13 @@ class DZiGEngine(GraphBoltEngine):
 
         with phases.phase("graph update"):
             new_graph = self._update_graph(delta)
-            added_vertices, removed_vertices = self._vertex_membership_diff(
-                old_graph, new_graph
-            )
+            footprint = self.footprint
+            added_vertices = footprint.added_vertices
+            removed_vertices = footprint.removed_vertices
 
         with phases.phase(PHASE_SCAN):
-            structurally_dirty = self._scan_dirty_targets(
-                old_graph, new_graph, delta, added_vertices
-            )
-            changed_sources = self._scan_changed_factor_sources(
-                old_graph, new_graph, delta
-            )
+            structurally_dirty = set(footprint.dirty_targets)
+            changed_sources = set(footprint.changed_factor_sources)
 
         with phases.phase("sparsity-aware refinement"):
             # Snapshot the pre-delta memoization: exact difference pushes need

@@ -19,7 +19,7 @@ The memoized iterations live in one of two stores:
   which the Python backend always uses and which defines the semantics;
 * the dense :class:`repro.incremental.memo.MemoTable` — one float64 matrix
   row per iteration, keyed by the cached in-edge CSR's vertex index — which
-  the numpy backend uses by default (``REPRO_MEMO_DENSE=0`` opts out).
+  the numpy backend uses whenever the in-edge CSR can carry it.
   Batch supersteps append rows instead of materialising dicts, and frontier
   refinement becomes pure gather/scatter (no ``np.fromiter`` over dicts).
   Both stores are bitwise interchangeable; when the in-edge CSR becomes
@@ -45,14 +45,14 @@ from repro.graph.csr import FactorCSR, expand_edges
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
 from repro.incremental.base import IncrementalEngine, IncrementalResult
-from repro.incremental.memo import MemoTable, memo_dense_enabled, refinement_preamble
+from repro.incremental.memo import MemoTable, refinement_preamble
 from repro.parallel.slabs import pull_rows
 
 #: hard bound on refinement iterations, far above anything PR/PHP need
 _MAX_ITERATIONS = 10_000
 
 #: phase name of the per-delta structural scans (dirty targets / changed
-#: factor sources); ``benchmarks/test_footprint_speedup.py`` times it
+#: factor sources, read off the delta footprint)
 PHASE_SCAN = "delta scan"
 
 
@@ -70,7 +70,7 @@ class GraphBoltEngine(IncrementalEngine):
         #: dict-reference memoized iterations, ``_iterations[i][v]`` (empty
         #: while the dense store is active)
         self._iterations: List[Dict[int, float]] = []
-        #: dense memoized-iteration store (numpy backend, REPRO_MEMO_DENSE=1)
+        #: dense memoized-iteration store (numpy backend)
         self.memo: Optional[MemoTable] = None
         #: ``(graph, version, in_csr)`` stash so one delta's prepare/refine
         #: pair costs a single ``_bsp_csr`` resolution (the NaN-factor gate
@@ -271,9 +271,8 @@ class GraphBoltEngine(IncrementalEngine):
         its in-edges: ``np.add.at`` over the in-CSR applies the per-row
         contributions in slot order, which is exactly the in-adjacency
         iteration order of the Python loop, so even the non-associative
-        float sums reproduce it bitwise.  With the dense store enabled each
-        superstep appends one matrix row; otherwise (``REPRO_MEMO_DENSE=0``)
-        the per-iteration dicts are materialised as before.
+        float sums reproduce it bitwise.  Each superstep appends one row of
+        the dense memo store.
         """
         spec = self.spec
         ids = csr.vertex_ids
@@ -292,14 +291,10 @@ class GraphBoltEngine(IncrementalEngine):
 
         metrics = ExecutionMetrics()
         current = root.copy()
-        dense = memo_dense_enabled()
-        if dense:
-            self._iterations = []
-            self.memo = MemoTable(ids, csr.index, graph_version=graph.version)
-            self.memo.append(current)
-            self._memo_csr = (graph, graph.version, csr)
-        else:
-            self.iterations = [dict(zip(ids, current.tolist()))]
+        self._iterations = []
+        self.memo = MemoTable(ids, csr.index, graph_version=graph.version)
+        self.memo.append(current)
+        self._memo_csr = (graph, graph.version, csr)
         for _ in range(_MAX_ITERATIONS):
             following = root.copy()
             if kept_rows.size:
@@ -313,10 +308,7 @@ class GraphBoltEngine(IncrementalEngine):
                 changes[absorb] = 0.0
             max_change = float(changes.max()) if n else 0.0
             metrics.record_round(activations, n)
-            if dense:
-                self.memo.append(following)
-            else:
-                self._iterations.append(dict(zip(ids, following.tolist())))
+            self.memo.append(following)
             current = following
             if max_change <= tolerance:
                 break
@@ -332,14 +324,12 @@ class GraphBoltEngine(IncrementalEngine):
 
         with phases.phase("graph update"):
             new_graph = self._update_graph(delta)
-            added_vertices, removed_vertices = self._vertex_membership_diff(
-                old_graph, new_graph
-            )
+            footprint = self.footprint
+            added_vertices = footprint.added_vertices
+            removed_vertices = footprint.removed_vertices
 
         with phases.phase(PHASE_SCAN):
-            structurally_dirty = self._scan_dirty_targets(
-                old_graph, new_graph, delta, added_vertices
-            )
+            structurally_dirty = set(footprint.dirty_targets)
 
         with phases.phase("dependency refinement"):
             self._prepare_iteration_zero(new_graph, added_vertices, removed_vertices)
@@ -364,12 +354,9 @@ class GraphBoltEngine(IncrementalEngine):
         Returns ``True`` when the dense store stays active (columns remapped
         for vertex additions/removals, version recorded); ``False`` when the
         store was never dense or had to demote itself to the dict reference
-        (escape hatch flipped, or no usable in-edge CSR for the new graph).
+        (no usable in-edge CSR for the new graph).
         """
         if self.memo is None:
-            return False
-        if not memo_dense_enabled():
-            self._demote_memo()
             return False
         csr = self._bsp_csr(new_graph)
         if csr is None:
@@ -398,148 +385,6 @@ class GraphBoltEngine(IncrementalEngine):
                 level.pop(vertex, None)
             for vertex in added_vertices:
                 level[vertex] = spec.initial_message(vertex)
-
-    def _dirty_target_pool(
-        self,
-        old_graph: Graph,
-        new_graph: Graph,
-        delta: Optional[GraphDelta],
-        added_vertices: Optional[Set[int]] = None,
-    ) -> Optional[Set[int]]:
-        """Candidate vertices whose incoming factor map may have changed.
-
-        A vertex's in-factors change only when edges into it were
-        added/removed, when an in-neighbor's out-adjacency changed (its
-        factors are functions of the source's out-adjacency — the same
-        locality contract the CSR cache relies on), or when the vertex itself
-        is new.  ``None`` (no delta available) means "scan everything".
-        """
-        if delta is None:
-            return None
-        undirected = not new_graph.directed
-        pool: Set[int] = set()
-        for source, target, _weight in delta.added_edges(old_graph):
-            pool.add(target)
-            if undirected:
-                pool.add(source)
-        for source, target, _weight in delta.deleted_edges(old_graph):
-            pool.add(target)
-            if undirected:
-                pool.add(source)
-        for source in delta.touched_sources(old_graph):
-            if old_graph.has_vertex(source):
-                pool.update(old_graph.out_neighbors(source))
-            if new_graph.has_vertex(source):
-                pool.update(new_graph.out_neighbors(source))
-        if added_vertices is None:
-            added_vertices = {
-                vertex
-                for vertex in new_graph.vertices()
-                if not old_graph.has_vertex(vertex)
-            }
-        pool.update(added_vertices)
-        return pool
-
-    def _scan_dirty_targets(
-        self,
-        old_graph: Graph,
-        new_graph: Graph,
-        delta: GraphDelta,
-        added_vertices: Set[int],
-    ) -> Set[int]:
-        """Structurally-dirty targets of the current delta.
-
-        Served from the shared :class:`repro.graph.footprint.DeltaFootprint`
-        (CSR row diffs, computed once per delta) when one is current;
-        :meth:`_structurally_dirty_targets` remains the dict reference and
-        the ``REPRO_DELTA_FOOTPRINT=0`` fallback.
-        """
-        footprint = self.footprint
-        if footprint is not None and footprint.new_graph is new_graph:
-            return set(footprint.dirty_targets)
-        return self._structurally_dirty_targets(
-            old_graph, new_graph, delta, set(added_vertices)
-        )
-
-    def _scan_changed_factor_sources(
-        self,
-        old_graph: Graph,
-        new_graph: Graph,
-        delta: GraphDelta,
-    ) -> Set[int]:
-        """Changed-factor sources of the current delta (footprint-served)."""
-        footprint = self.footprint
-        if footprint is not None and footprint.new_graph is new_graph:
-            return set(footprint.changed_factor_sources)
-        return self._changed_factor_sources(old_graph, new_graph, delta)
-
-    def _structurally_dirty_targets(
-        self,
-        old_graph: Graph,
-        new_graph: Graph,
-        delta: Optional[GraphDelta] = None,
-        added_vertices: Optional[Set[int]] = None,
-    ) -> Set[int]:
-        """Vertices whose incoming factor map changed (they must be
-        re-aggregated at every refined iteration).  ``delta`` narrows the
-        scan to its footprint; every candidate is still verified by factor
-        comparison, so the result equals the full scan's."""
-        spec = self.spec
-        pool = self._dirty_target_pool(old_graph, new_graph, delta, added_vertices)
-        dirty: Set[int] = set()
-        for vertex in pool if pool is not None else new_graph.vertices():
-            if not new_graph.has_vertex(vertex):
-                continue
-            old_in = (
-                {
-                    u: spec.edge_factor(old_graph, u, vertex)
-                    for u in old_graph.in_neighbors(vertex)
-                }
-                if old_graph.has_vertex(vertex)
-                else None
-            )
-            new_in = {
-                u: spec.edge_factor(new_graph, u, vertex)
-                for u in new_graph.in_neighbors(vertex)
-            }
-            if old_in != new_in:
-                dirty.add(vertex)
-        return dirty
-
-    def _changed_factor_sources(
-        self,
-        old_graph: Graph,
-        new_graph: Graph,
-        delta: Optional[GraphDelta] = None,
-    ) -> Set[int]:
-        """Vertices whose outgoing factor map changed."""
-        spec = self.spec
-        pool = (
-            set(old_graph.vertices()) | set(new_graph.vertices())
-            if delta is None
-            else delta.touched_sources(old_graph)
-        )
-        changed: Set[int] = set()
-        for vertex in pool:
-            old_out = (
-                {
-                    t: spec.edge_factor(old_graph, vertex, t)
-                    for t in old_graph.out_neighbors(vertex)
-                }
-                if old_graph.has_vertex(vertex)
-                else {}
-            )
-            new_out = (
-                {
-                    t: spec.edge_factor(new_graph, vertex, t)
-                    for t in new_graph.out_neighbors(vertex)
-                }
-                if new_graph.has_vertex(vertex)
-                else {}
-            )
-            if old_out != new_out:
-                changed.add(vertex)
-        return changed
 
     def _pull_value(self, graph: Graph, previous: Dict[int, float], vertex: int) -> float:
         """Re-aggregate ``vertex`` from all of its in-edges (one full pull)."""

@@ -17,17 +17,14 @@ Layph is implemented on top of this engine, exactly as in the paper
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
 from repro.engine.propagation import propagate
 from repro.graph.delta import GraphDelta
 from repro.incremental.base import IncrementalEngine, IncrementalResult
-from repro.incremental.revision import (
-    accumulative_revision_messages,
-    changed_out_sources,
-)
+from repro.incremental.revision import accumulative_revision_messages
 from repro.incremental.selective_base import SelectiveDependencyEngine
 
 
@@ -65,17 +62,9 @@ class _IngressFreeEngine(IncrementalEngine):
         with phases.phase("revision deduction"):
             # The shared delta footprint owns the changed-source scan and the
             # vertex-membership diff (computed once per delta in
-            # ``_update_graph``); without it (``REPRO_DELTA_FOOTPRINT=0``) the
-            # original per-call scans below remain the reference.
+            # ``_update_graph``).
             footprint = self.footprint
-            if footprint is not None:
-                changed = footprint.changed_sources
-                added = footprint.added_vertices
-                removed = footprint.removed_vertices
-            else:
-                touched_sources = delta.touched_sources(old_graph)
-                changed = changed_out_sources(old_graph, new_graph, touched_sources)
-                added = removed = None
+            changed = footprint.changed_sources
             pending, added_vertices, removed_vertices = accumulative_revision_messages(
                 spec,
                 old_graph,
@@ -84,8 +73,8 @@ class _IngressFreeEngine(IncrementalEngine):
                 changed=changed,
                 old_csr=old_csr,
                 new_csr=new_csr,
-                added_vertices=added,
-                removed_vertices=removed,
+                added_vertices=footprint.added_vertices,
+                removed_vertices=footprint.removed_vertices,
             )
             # Deducing each contribution difference evaluates F once per
             # affected out-edge; count that work as edge activations.

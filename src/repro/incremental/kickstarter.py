@@ -12,8 +12,7 @@ PageRank/PHP raise ``ValueError`` exactly as the paper notes in Section VI-A.
 
 The engine is a thin policy over the shared dependency machinery: under the
 numpy backend the DAG taint runs as a mask-based frontier walk on the cached
-out-edge CSR of the dense :class:`repro.incremental.dep_table.DepTable`
-(``REPRO_DEP_DENSE=0`` falls back to the dict reference).
+out-edge CSR of the dense :class:`repro.incremental.dep_table.DepTable`.
 """
 
 from __future__ import annotations

@@ -24,11 +24,10 @@ matrix:
   same way :func:`repro.graph.csr_cache.master_factor_csr` keys its memo.
 
 The dict-backed loops in :mod:`repro.incremental.graphbolt` remain the
-metric-identical reference: they run under the Python backend, whenever the
-in-edge CSR is unavailable (NaN factors, exotic algebra), and when the
-``REPRO_MEMO_DENSE=0`` escape hatch is set.  The property tests in
-``tests/test_properties.py`` pin the dense store to the reference bitwise —
-iterations, states, rounds and edge activations.
+metric-identical reference: they run under the Python backend and whenever
+the in-edge CSR is unavailable (NaN factors, exotic algebra).  The property
+tests in ``tests/test_properties.py`` pin the dense store to the reference
+bitwise — iterations, states, rounds and edge activations.
 """
 
 from __future__ import annotations
@@ -36,11 +35,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
-
-from repro.engine.backends import (  # noqa: F401 (re-export: the knob lives
-    MEMO_DENSE_ENV_VAR,  # with the other backend env vars)
-    memo_dense_enabled,
-)
 
 
 def refinement_preamble(csr_cache, spec, graph, csr, structurally_dirty):

@@ -14,7 +14,7 @@ The engine is a thin policy over the shared dependency machinery: the
 safe/unsafe classification reads the recorded parent from whichever store is
 live, and under the numpy backend the single-parent taint is a level-ordered
 sweep over the dense :class:`repro.incremental.dep_table.DepTable`'s parent
-array (``REPRO_DEP_DENSE=0`` falls back to the dict reference).
+array.
 """
 
 from __future__ import annotations

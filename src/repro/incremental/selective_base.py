@@ -16,7 +16,7 @@ The mechanics behind the template run in one of two interchangeable forms:
   Python backend;
 * the dense :class:`repro.incremental.dep_table.DepTable` — parent, level
   and value arrays keyed by the cached in-edge CSR's vertex index — which
-  the numpy backend uses by default (``REPRO_DEP_DENSE=0`` opts out).
+  the numpy backend uses for the min/+ algebra.
   Taint expansion, the trimmed-vertex re-pull and the post-propagation
   parent refresh then run as array kernels over the cached in-/out-edge CSR
   snapshots, bitwise identical to the dict loops (states, rounds, edge
@@ -39,14 +39,12 @@ from repro.engine.propagation import propagate
 from repro.engine.runner import BatchResult, run_batch
 from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
-from repro.graph.footprint import expand_weight_changes
 from repro.graph.graph import Graph
 from repro.incremental import dependency
 from repro.incremental.base import IncrementalEngine, IncrementalResult
-from repro.incremental.dep_table import DepTable, dep_dense_enabled
+from repro.incremental.dep_table import DepTable
 
-#: phase names of the invalidation-and-repair pipeline;
-#: ``benchmarks/test_selective_speedup.py`` times their sum
+#: phase names of the invalidation-and-repair pipeline
 PHASE_INVALIDATION = "invalidation"
 PHASE_TRIM = "trim and seed"
 PHASE_MAINTENANCE = "dependency maintenance"
@@ -137,11 +135,9 @@ class SelectiveDependencyEngine(IncrementalEngine):
         )
         self.parents = dependency.compute_parents(self.spec, graph, result.states)
         self.dep_table = None
-        if (
-            dep_dense_enabled()
-            and is_numpy_backend(self.backend)
-            and self.csr_cache.enabled
-            and classify_spec(self.spec) == (AGGREGATE_MIN, COMBINE_ADD)
+        if is_numpy_backend(self.backend) and classify_spec(self.spec) == (
+            AGGREGATE_MIN,
+            COMBINE_ADD,
         ):
             # Warm the snapshots the dense dependency path consumes so the
             # first delta patches them instead of compiling mid-stream (the
@@ -203,21 +199,16 @@ class SelectiveDependencyEngine(IncrementalEngine):
     def _sync_dep_table(self, old_graph: Graph) -> Optional[Tuple[FactorCSR, FactorCSR]]:
         """Pre-delta CSR snapshots when this delta can run dense, else ``None``.
 
-        The dense gate mirrors the memo table's: numpy backend selected, CSR
-        cache enabled, the spec declares the min/+ algebra, no NaN factors or
-        states, ``REPRO_DEP_DENSE`` not disabled.  A failed gate demotes the
-        table to the dict reference (which then handles this delta); a later
-        clean delta re-promotes it from the dict.
+        The dense gate mirrors the memo table's: numpy backend selected, the
+        spec declares the min/+ algebra, no NaN factors or states.  A failed
+        gate demotes the table to the dict reference (which then handles this
+        delta); a later clean delta re-promotes it from the dict.
         """
         spec = self.spec
-        if (
-            not dep_dense_enabled()
-            or not is_numpy_backend(self.backend)
-            or not self.csr_cache.enabled
+        if not is_numpy_backend(self.backend) or classify_spec(spec) != (
+            AGGREGATE_MIN,
+            COMBINE_ADD,
         ):
-            self._demote_dep_table()
-            return None
-        if classify_spec(spec) != (AGGREGATE_MIN, COMBINE_ADD):
             self._demote_dep_table()
             return None
         in_csr = self.csr_cache.in_csr(spec, old_graph)
@@ -268,23 +259,12 @@ class SelectiveDependencyEngine(IncrementalEngine):
         with phases.phase("graph update"):
             dense_csrs = self._sync_dep_table(old_graph)
             new_graph = self._update_graph(delta)
+            # The footprint caches the delta expansion and the weight-level
+            # link diff (weight changes made explicit as delete + add).
             footprint = self.footprint
-            if footprint is not None:
-                # The footprint caches the delta expansion and the
-                # weight-level link diff (weight changes made explicit as
-                # delete + add) — no per-engine re-expansion.
-                added, deleted = footprint.invalidation_edges
-            else:
-                # Without a weight increase made explicit as delete + add,
-                # it never reaches the invalidation step and its target
-                # keeps a stale value supported by the old, cheaper edge.
-                added = delta.added_edges(old_graph)
-                deleted = expand_weight_changes(
-                    old_graph, added, delta.deleted_edges(old_graph)
-                )
-            added_vertices, removed_vertices = self._vertex_membership_diff(
-                old_graph, new_graph
-            )
+            added, deleted = footprint.invalidation_edges
+            added_vertices = footprint.added_vertices
+            removed_vertices = footprint.removed_vertices
             new_in_csr = new_out_csr = None
             if dense_csrs is not None:
                 new_in_csr = self.csr_cache.in_csr(spec, new_graph)

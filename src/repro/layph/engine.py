@@ -32,21 +32,14 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.backends import is_numpy_backend
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
-from repro.engine.propagation import FactorAdjacency, NonConvergenceError, propagate
+from repro.engine.propagation import NonConvergenceError, propagate
 from repro.engine.runner import BatchResult, run_batch
 from repro.graph.delta import GraphDelta
+from repro.graph.footprint import DeltaFootprint
 from repro.graph.graph import Graph
 from repro.incremental.base import IncrementalEngine, IncrementalResult
-from repro.incremental.revision import (
-    accumulative_revision_messages,
-    changed_out_sources,
-)
-from repro.layph.layered_graph import (
-    FlattenedUpperDiff,
-    LayeredGraph,
-    LayphConfig,
-    UpperDiff,
-)
+from repro.incremental.revision import accumulative_revision_messages
+from repro.layph.layered_graph import LayeredGraph, LayphConfig, UpperDiff
 from repro.layph.shortcuts import compute_shortcuts_from
 from repro.layph.vectorized import (
     assign_accumulative_batch,
@@ -209,57 +202,30 @@ class LayphEngine(IncrementalEngine):
             new_graph = self._update_graph(delta)
             layered.graph = new_graph
             footprint = self.footprint
-            touched = (
-                footprint.touched_vertices
-                if footprint is not None
-                else delta.touched_vertices(old_graph)
-            )
-            added_vertices, removed_vertices = self._vertex_membership_diff(
-                old_graph, new_graph
-            )
+            touched = footprint.touched_vertices
+            added_vertices = footprint.added_vertices
+            removed_vertices = footprint.removed_vertices
 
-            # Diff-based upper maintenance needs the delta's row footprint;
-            # without it (``REPRO_DELTA_FOOTPRINT=0``) the skeleton is
-            # reassembled and compared, the reference path.
-            patch_upper = footprint is not None
-            link_diff: Optional[object] = None
-            if selective:
-                # a copy: the patch below edits the set in place
-                old_upper_vertices = set(layered.upper_vertices)
-                if not patch_upper:
-                    # The selective invalidation then diffs two whole-layer
-                    # flattens; the patch path below replaces them with the
-                    # O(dirty-rows) ``UpperDiff``.
-                    old_upper_links = self._flatten_links(layered.upper_adjacency)
-            else:
-                old_upper_vertices = set()
+            # a copy: the patch below edits the set in place
+            old_upper_vertices = set(layered.upper_vertices) if selective else set()
 
             affected = layered.affected_subgraphs(touched)
             affected |= layered.remove_vertices(removed_vertices)
-            if patch_upper:
-                pre_sources = layered.subgraph_upper_sources(affected)
-                pre_boundaries = layered.subgraph_boundaries(affected)
+            pre_sources = layered.subgraph_upper_sources(affected)
+            pre_boundaries = layered.subgraph_boundaries(affected)
             layered.rebuild_subgraphs(sorted(affected), touched, metrics)
-            if patch_upper:
-                post_sources = layered.subgraph_upper_sources(affected)
-                post_boundaries = layered.subgraph_boundaries(affected)
-                link_diff = layered.patch_upper(
-                    pre_sources
-                    | post_sources
-                    | footprint.touched_sources
-                    | added_vertices
-                    | removed_vertices,
-                    removed_upper=(pre_boundaries - post_boundaries) | removed_vertices,
-                    added_upper=(post_boundaries - pre_boundaries) | added_vertices,
-                    want_diff=selective,
-                )
-            else:
-                layered.rebuild_upper()
-                if selective:
-                    link_diff = FlattenedUpperDiff(
-                        old_upper_links,
-                        self._flatten_links(layered.upper_adjacency),
-                    )
+            post_sources = layered.subgraph_upper_sources(affected)
+            post_boundaries = layered.subgraph_boundaries(affected)
+            link_diff = layered.patch_upper(
+                pre_sources
+                | post_sources
+                | footprint.touched_sources
+                | added_vertices
+                | removed_vertices,
+                removed_upper=(pre_boundaries - post_boundaries) | removed_vertices,
+                added_upper=(post_boundaries - pre_boundaries) | added_vertices,
+                want_diff=selective,
+            )
 
             for vertex in added_vertices:
                 work[vertex] = spec.initial_state(vertex)
@@ -304,16 +270,13 @@ class LayphEngine(IncrementalEngine):
                     work,
                     lup_pending,
                     metrics,
-                    removed_vertices,
-                    added_vertices,
-                    delta=delta,
+                    footprint,
                     old_csr=old_out_csr,
                     new_csr=(
                         self._revision_out_csr(new_graph)
                         if old_out_csr is not None
                         else None
                     ),
-                    footprint=footprint,
                 )
 
         # ------------------------------------------------------------------
@@ -380,21 +343,6 @@ class LayphEngine(IncrementalEngine):
         scale = max(1.0, abs(target_state))
         return abs(offered - target_state) <= 1e-9 * scale
 
-    @staticmethod
-    def _flatten_links(adjacency: FactorAdjacency) -> Dict[Tuple[int, int], float]:
-        links: Dict[Tuple[int, int], float] = {}
-        for source in adjacency.vertices_with_out_edges():
-            for target, factor in adjacency(source):
-                key = (source, target)
-                if key in links:
-                    # Parallel upper-layer links can appear when a shortcut
-                    # coexists with an original edge; keep the better one for
-                    # the diff (the propagation itself uses both).
-                    links[key] = min(links[key], factor)
-                else:
-                    links[key] = factor
-        return links
-
     def _accumulative_upload(
         self,
         old_graph: Graph,
@@ -402,32 +350,23 @@ class LayphEngine(IncrementalEngine):
         work: Dict[int, float],
         lup_pending: Dict[int, float],
         metrics: ExecutionMetrics,
-        removed_vertices: Set[int],
-        added_vertices: Set[int],
-        delta: Optional[GraphDelta] = None,
+        footprint: DeltaFootprint,
         old_csr=None,
         new_csr=None,
-        footprint=None,
     ) -> None:
         """Deduce revision messages and fold the internal ones to boundaries.
 
         ``footprint`` (the engine's shared
         :class:`repro.graph.footprint.DeltaFootprint`) supplies the
-        changed-source scan computed once per delta; without it ``delta``
-        narrows the per-call scan to its footprint (every candidate is still
-        verified by adjacency comparison, so the messages and metric counts
-        equal the full scan's).  ``old_csr``/``new_csr`` let the deduction
-        itself run vectorized on the cached out-edge CSRs.
+        changed-source scan and the membership diff computed once per delta.
+        ``old_csr``/``new_csr`` let the deduction itself run vectorized on
+        the cached out-edge CSRs.
         """
         spec = self.spec
         layered = self._require_layered()
         identity = spec.aggregate_identity()
 
-        if footprint is not None:
-            changed = footprint.changed_sources
-        else:
-            candidates = delta.touched_sources(old_graph) if delta is not None else None
-            changed = changed_out_sources(old_graph, new_graph, candidates)
+        changed = footprint.changed_sources
         pending_full, _added, _removed = accumulative_revision_messages(
             spec,
             old_graph,
@@ -436,8 +375,8 @@ class LayphEngine(IncrementalEngine):
             changed=changed,
             old_csr=old_csr,
             new_csr=new_csr,
-            added_vertices=added_vertices,
-            removed_vertices=removed_vertices,
+            added_vertices=footprint.added_vertices,
+            removed_vertices=footprint.removed_vertices,
         )
         # Deducing each contribution difference evaluates F once per affected
         # out-edge; meter exactly the changed sources the deduction visited.
@@ -546,7 +485,7 @@ class LayphEngine(IncrementalEngine):
 
     def _selective_upload(
         self,
-        link_diff,
+        link_diff: UpperDiff,
         old_upper_vertices: Set[int],
         current_upper: Set[int],
         work: Dict[int, float],
@@ -561,10 +500,9 @@ class LayphEngine(IncrementalEngine):
         links of the *old* upper layer) are reset to the identity and
         re-seeded from their surviving in-links.  Links that are new or whose
         factor shrank contribute compensation messages.  ``link_diff`` is the
-        delta's upper-row diff (:class:`repro.layph.layered_graph.UpperDiff`
-        from the patch path, or the flatten-based fallback) — an unchanged
-        ``(source, target)`` link can never be a root or a compensation, so
-        iterating only the changed pairs reproduces the full-flatten scans.
+        delta's upper-row diff (:class:`repro.layph.layered_graph.UpperDiff`)
+        — an unchanged ``(source, target)`` link can never be a root or a
+        compensation, so iterating only the changed pairs is enough.
 
         ``work`` must still hold the pre-delta states of the vertices and
         proxies this delta removed: all their out-links are removed links,
@@ -679,7 +617,7 @@ class LayphEngine(IncrementalEngine):
 
     def _upper_dependents(
         self,
-        link_diff,
+        link_diff: UpperDiff,
         work: Dict[int, float],
         roots: Set[int],
     ) -> Set[int]:
@@ -687,8 +625,7 @@ class LayphEngine(IncrementalEngine):
 
         The old out-links are pulled per visited vertex from ``link_diff``
         (captured rows for the dirty sources, the untouched adjacency rows
-        for everything else), so the walk costs O(region) instead of the
-        O(Lup) supporters map the flatten-based implementation built.
+        for everything else), so the walk costs O(region), not O(Lup).
         """
         spec = self.spec
         identity = spec.aggregate_identity()

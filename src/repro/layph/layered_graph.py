@@ -158,9 +158,8 @@ def _dedup_min_links(row: Iterable[Tuple[int, float]]) -> Dict[int, float]:
     """Per-target minimum over one upper row's links.
 
     Parallel upper-layer links can appear when a shortcut coexists with an
-    original edge; the diff keeps the better one per target — the same
-    reduction ``LayphEngine._flatten_links`` applies (the propagation itself
-    uses both links).
+    original edge; the diff keeps the better one per target (the propagation
+    itself uses both links).
     """
     links: Dict[int, float] = {}
     for target, factor in row:
@@ -178,8 +177,7 @@ class UpperDiff:
     untouched, so their pre- and post-delta links coincide).  Exposes exactly
     what the selective invalidation needs — the changed ``(source, target)``
     factor pairs, and the *old* deduplicated out-links of any vertex for the
-    dependents walk — in O(dirty rows) instead of the two O(Lup)
-    whole-layer flattens the engine used to run per delta.
+    dependents walk — in O(dirty rows).
     """
 
     __slots__ = ("adjacency", "dirty", "old_rows", "new_rows", "_old_dedup")
@@ -231,45 +229,6 @@ class UpperDiff:
                 new_factor = new.get(target)
                 if old_factor != new_factor:
                     yield source, target, old_factor, new_factor
-
-
-class FlattenedUpperDiff:
-    """The :class:`UpperDiff` interface over two whole-layer flatten maps.
-
-    The reference, used when the upper layer was reassembled from scratch
-    (``REPRO_DELTA_FOOTPRINT=0``): both link maps are O(Lup) flattens, and
-    the diff compares them key by key.
-    """
-
-    __slots__ = ("old_links", "new_links", "_old_by_source")
-
-    def __init__(
-        self,
-        old_links: Dict[Tuple[int, int], float],
-        new_links: Dict[Tuple[int, int], float],
-    ) -> None:
-        self.old_links = old_links
-        self.new_links = new_links
-        self._old_by_source: Optional[Dict[int, Dict[int, float]]] = None
-
-    def old_links_of(self, source: int) -> Dict[int, float]:
-        """The pre-delta deduplicated out-links of ``source`` on Lup."""
-        if self._old_by_source is None:
-            grouped: Dict[int, Dict[int, float]] = {}
-            for (link_source, target), factor in self.old_links.items():
-                grouped.setdefault(link_source, {})[target] = factor
-            self._old_by_source = grouped
-        return self._old_by_source.get(source, {})
-
-    def changed_links(
-        self,
-    ) -> Iterable[Tuple[int, int, Optional[float], Optional[float]]]:
-        """Every ``(source, target, old_factor, new_factor)`` that differs."""
-        for key in sorted(self.old_links.keys() | self.new_links.keys()):
-            old_factor = self.old_links.get(key)
-            new_factor = self.new_links.get(key)
-            if old_factor != new_factor:
-                yield key[0], key[1], old_factor, new_factor
 
 
 class LayeredGraph:
@@ -705,29 +664,14 @@ class LayeredGraph:
         return upper, upper_vertices
 
     def rebuild_upper(self) -> None:
-        """Re-assemble the upper layer from the current subgraph tables.
-
-        When the freshly assembled skeleton carries exactly the same links as
-        the previous one (a delta that rebuilt subgraphs without changing any
-        boundary shortcut, upper link or cross edge), the *previous*
-        ``FactorAdjacency`` object is kept: its mutation counter is what the
-        :func:`repro.graph.csr_cache.master_factor_csr` memo keys the
-        compiled upper-layer CSR on, so keeping the object alive makes the
-        next upper-layer ``propagate`` reuse the compiled skeleton across
-        deltas instead of recompiling an identical snapshot.
+        """Assemble the upper layer from the current subgraph tables.
 
         This is the full-reassembly path — O(V + E).  It runs at build time;
         the online engine maintains the skeleton with :meth:`patch_upper`
-        (row-level maintenance driven by the delta footprint) and comes back
-        here only when the footprint is disabled.
+        (row-level maintenance driven by the delta footprint).
         """
-        upper, upper_vertices = self._assemble_upper()
-        if self.upper_adjacency.same_links(upper):
-            self.upper_reuses += 1
-        else:
-            self.upper_adjacency = upper
-            self.upper_rebuilds += 1
-        self.upper_vertices = upper_vertices
+        self.upper_adjacency, self.upper_vertices = self._assemble_upper()
+        self.upper_rebuilds += 1
 
     # ------------------------------------------------------------------
     # incremental (diff-based) upper-layer maintenance
@@ -894,8 +838,7 @@ class LayeredGraph:
 
         Resident across deltas: compiled on first use after a build, a
         restore or a full reassembly, then kept current by
-        :meth:`patch_upper`'s splice.  ``REPRO_CSR_CACHE=0`` makes every call
-        a fresh compile (the reference the splice is tested against).
+        :meth:`patch_upper`'s splice.
         """
         adjacency = self.upper_adjacency
         csr = resident_master_csr(adjacency)
@@ -904,8 +847,6 @@ class LayeredGraph:
             universe = set(self.graph.vertices())
             universe.update(self._proxy_owner)
             csr = master_factor_csr(adjacency, universe)
-            if csr is None:
-                csr = FactorCSR.from_factor_adjacency(adjacency, universe=universe)
         return csr
 
     def upper_in_adjacency(self) -> Dict[int, List[Tuple[int, float]]]:

@@ -449,8 +449,6 @@ class ShortcutBatch:
         """The block's local CSR, or ``None`` when a factor is NaN."""
         silenced = self._silenced(block)
         csr = master_factor_csr(block.local_adjacency, silenced)
-        if csr is None:
-            csr = FactorCSR.from_factor_adjacency(block.local_adjacency, universe=silenced)
         if np.isnan(csr.factors).any():
             return None
         return csr

@@ -41,7 +41,7 @@ from repro.engine.dense_propagation import (
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import NonConvergenceError
 from repro.graph.csr import expand_edges
-from repro.graph.csr_cache import csr_cache_enabled, master_factor_csr
+from repro.graph.csr_cache import master_factor_csr
 from repro.graph.graph import Graph
 from repro.parallel.slabs import (
     PropagationSlab,
@@ -79,11 +79,6 @@ def build_upload_slab(
     boundary = subgraph.boundary
     universe = set(local_pending) | set(boundary)
     csr = master_factor_csr(adjacency, universe)
-    if csr is None:
-        # Caching disabled: compile fresh (identical arrays, no memo).
-        from repro.graph.csr import FactorCSR
-
-        csr = FactorCSR.from_factor_adjacency(adjacency, universe=universe)
 
     ids = csr.vertex_ids
     index = csr.index
@@ -246,7 +241,6 @@ def _shortcut_csr(subgraph) -> _ShortcutCSR:
     cached = getattr(subgraph, "_shortcut_csr_cache", None)
     if (
         cached is not None
-        and csr_cache_enabled()
         and cached[0] is subgraph.shortcuts
         and cached[1] is subgraph.internal
     ):

@@ -39,8 +39,6 @@ from __future__ import annotations
 
 import os
 
-from repro.graph.csr_cache import env_flag_enabled
-
 #: escape hatch: set to 0 to keep everything in memory
 STORE_ENV_VAR = "REPRO_STORE"
 #: opt-in: autosave every initialized engine to a temporary store
@@ -49,6 +47,16 @@ AUTOSAVE_ENV_VAR = "REPRO_STORE_AUTOSAVE"
 COMPACT_EVERY_ENV_VAR = "REPRO_STORE_COMPACT_EVERY"
 #: default compaction threshold
 DEFAULT_COMPACT_EVERY = 16
+
+_FALSY = {"0", "false", "off", "no"}
+
+
+def env_flag_enabled(name: str, default: str = "1") -> bool:
+    """Whether a boolean environment knob is enabled.
+
+    The falsy spellings are ``0``/``false``/``off``/``no``, case-insensitive.
+    """
+    return os.environ.get(name, default).strip().lower() not in _FALSY
 
 
 def storage_enabled() -> bool:

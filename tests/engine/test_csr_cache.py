@@ -11,10 +11,8 @@ from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency, SilencedAdjacency, propagate
 from repro.graph.csr import FactorCSR
 from repro.graph.csr_cache import (
-    CSR_CACHE_ENV_VAR,
     CSRCache,
     CachedGraphAdjacency,
-    csr_cache_enabled,
     master_factor_csr,
     resident_master_csr,
     splice_master_csr,
@@ -89,7 +87,7 @@ class TestDeltaPatching:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_patched_arrays_match_fresh_compile(self, spec):
         graph = _base_graph()
-        cache = CSRCache(enabled=True, rebuild_fraction=1.0)
+        cache = CSRCache(rebuild_fraction=1.0)
         cache.out_csr(spec, graph)
         cache.in_csr(spec, graph)
         assert cache.compiles == 2
@@ -123,7 +121,7 @@ class TestDeltaPatching:
     def test_out_csr_equals_factor_adjacency_compile(self):
         spec = PageRank()
         graph = _base_graph()
-        cache = CSRCache(enabled=True)
+        cache = CSRCache()
         via_adjacency = FactorCSR.from_factor_adjacency(
             FactorAdjacency.from_graph(spec, graph), universe=graph.vertices()
         )
@@ -132,7 +130,7 @@ class TestDeltaPatching:
     def test_rebuild_threshold_abandons_patch(self):
         spec = SSSP(source=0)
         graph = _base_graph()
-        cache = CSRCache(enabled=True, rebuild_fraction=0.1)
+        cache = CSRCache(rebuild_fraction=0.1)
         cache.out_csr(spec, graph)
         delta = GraphDelta.from_edge_changes(
             additions=[(0, 3, 1.0), (1, 4, 1.0), (4, 2, 1.0)], deletions=[(0, 2)]
@@ -152,7 +150,7 @@ class TestInvalidation:
         """Mutating the graph outside a GraphDelta must not serve a stale CSR."""
         spec = SSSP(source=0)
         graph = _base_graph()
-        cache = CSRCache(enabled=True)
+        cache = CSRCache()
         stale = cache.out_csr(spec, graph)
         assert cache.compiles == 1
         version_before = graph.version
@@ -168,7 +166,7 @@ class TestInvalidation:
         # the weight change must invalidate the cached factors.
         spec = SSSP(source=0)
         graph = _base_graph()
-        cache = CSRCache(enabled=True)
+        cache = CSRCache()
         cache.out_csr(spec, graph)
         graph.add_edge(0, 1, 99.0)  # overwrite, vertex set unchanged
         fresh = cache.out_csr(spec, graph)
@@ -181,7 +179,7 @@ class TestInvalidation:
         spec = SSSP(source=0)
         graph = _base_graph()
         other = _base_graph()
-        cache = CSRCache(enabled=True)
+        cache = CSRCache()
         cache.out_csr(spec, graph)
         cache.out_csr(spec, other)
         assert cache.compiles == 2
@@ -189,7 +187,7 @@ class TestInvalidation:
     def test_apply_delta_with_stale_entry_drops_it(self):
         spec = SSSP(source=0)
         graph = _base_graph()
-        cache = CSRCache(enabled=True)
+        cache = CSRCache()
         cache.out_csr(spec, graph)
         graph.add_edge(4, 2, 0.5)  # out-of-band: entry version is now stale
         delta = GraphDelta.from_edge_changes(additions=[(1, 3, 1.0)])
@@ -202,35 +200,11 @@ class TestInvalidation:
         )
 
 
-class TestCacheKnob:
-    def test_env_knob_disables_memoization(self, monkeypatch):
-        monkeypatch.setenv(CSR_CACHE_ENV_VAR, "0")
-        assert not csr_cache_enabled()
-        cache = CSRCache()
-        assert not cache.enabled
-        spec = SSSP(source=0)
-        graph = _base_graph()
-        cache.out_csr(spec, graph)
-        cache.out_csr(spec, graph)
-        assert cache.compiles == 2  # no memoization, both calls compile fresh
-
-    def test_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
-        assert csr_cache_enabled()
-        cache = CSRCache()
-        spec = SSSP(source=0)
-        graph = _base_graph()
-        first = cache.out_csr(spec, graph)
-        assert cache.out_csr(spec, graph) is first
-        assert cache.compiles == 1
-        assert cache.hits == 1
-
-
 class TestCachedGraphAdjacency:
     def test_matches_factor_adjacency_semantics(self):
         spec = PageRank()
         graph = _base_graph()
-        cache = CSRCache(enabled=True)
+        cache = CSRCache()
         cached = cache.adjacency(spec, graph)
         reference = FactorAdjacency.from_graph(spec, graph)
         assert sorted(cached.vertices_with_out_edges()) == sorted(
@@ -246,7 +220,7 @@ class TestCachedGraphAdjacency:
             results = {}
             for kind in ("fresh", "cached"):
                 spec = spec_factory()
-                cache = CSRCache(enabled=True)
+                cache = CSRCache()
                 adjacency = (
                     FactorAdjacency.from_graph(spec, graph)
                     if kind == "fresh"
@@ -271,7 +245,7 @@ class TestCachedGraphAdjacency:
     def test_universe_outside_graph_falls_back(self):
         spec = SSSP(source=0)
         graph = _base_graph()
-        cache = CSRCache(enabled=True)
+        cache = CSRCache()
         cached = cache.adjacency(spec, graph)
         assert cached.compiled_csr({0, 1}) is not None
         assert cached.compiled_csr({0, 12345}) is None
@@ -290,7 +264,7 @@ class TestUndirectedGraphs:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_patched_csr_matches_fresh_compile_undirected(self, spec):
         graph = self._undirected_graph()
-        cache = CSRCache(enabled=True, rebuild_fraction=1.0)
+        cache = CSRCache(rebuild_fraction=1.0)
         cache.out_csr(spec, graph)
         cache.in_csr(spec, graph)
         deltas = [
@@ -346,10 +320,7 @@ class TestEngineDeltaSequences:
     all four algorithms."""
 
     @pytest.mark.parametrize("algorithm", ["sssp", "bfs", "pagerank", "php"])
-    def test_ingress_sequence_identical_across_backends(self, algorithm, monkeypatch):
-        # This test specifically locks down the *patched*-CSR path, so the
-        # cache is always on here, even in the REPRO_CSR_CACHE=0 CI leg.
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+    def test_ingress_sequence_identical_across_backends(self, algorithm):
         from repro.engine.algorithms import make_algorithm
         from repro.graph.generators import erdos_renyi_graph
         from repro.incremental import make_engine
@@ -391,8 +362,7 @@ class TestCompileShortCircuit:
         propagate(spec, adjacency, states, pending, backend="numpy")
         return states
 
-    def test_repeated_propagate_compiles_once(self, monkeypatch):
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+    def test_repeated_propagate_compiles_once(self):
         spec = SSSP(source=0)
         graph = _base_graph()
         adjacency = FactorAdjacency.from_graph(spec, graph)
@@ -403,18 +373,7 @@ class TestCompileShortCircuit:
         assert FactorCSR.compile_count == 1, "retry with unchanged inputs recompiled"
         assert first == second
 
-    def test_disabled_cache_recompiles(self, monkeypatch):
-        monkeypatch.setenv(CSR_CACHE_ENV_VAR, "0")
-        spec = SSSP(source=0)
-        graph = _base_graph()
-        adjacency = FactorAdjacency.from_graph(spec, graph)
-        FactorCSR.compile_count = 0
-        self._run(spec, adjacency, graph)
-        self._run(spec, adjacency, graph)
-        assert FactorCSR.compile_count == 2
-
-    def test_silenced_variants_share_one_master_compile(self, monkeypatch):
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+    def test_silenced_variants_share_one_master_compile(self):
         spec = SSSP(source=0)
         graph = _base_graph()
         adjacency = FactorAdjacency.from_graph(spec, graph)
@@ -430,8 +389,7 @@ class TestCompileShortCircuit:
             )
         assert FactorCSR.compile_count == 1
 
-    def test_mutation_invalidates_master_memo(self, monkeypatch):
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+    def test_mutation_invalidates_master_memo(self):
         spec = SSSP(source=0)
         graph = _base_graph()
         adjacency = FactorAdjacency.from_graph(spec, graph)
@@ -443,8 +401,7 @@ class TestCompileShortCircuit:
         assert FactorCSR.compile_count == 2
         assert states[1] == pytest.approx(2.0)  # 0 ->(3.0? no) — shortest 0->1 = 2.0
 
-    def test_master_memo_grows_universe_monotonically(self, monkeypatch):
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+    def test_master_memo_grows_universe_monotonically(self):
         adjacency = FactorAdjacency({0: [(1, 1.0)]})
         first = master_factor_csr(adjacency, {0, 1})
         second = master_factor_csr(adjacency, {0, 1, 5})
@@ -499,8 +456,7 @@ class TestSpliceRows:
         # a handed-in row pointing outside the id space is refused as well
         assert splice_rows(old, {1: [(42, 1.0)]}) is None
 
-    def test_master_memo_follows_replace_rows(self, monkeypatch):
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+    def test_master_memo_follows_replace_rows(self):
         adjacency = self._adjacency()
         resident = master_factor_csr(adjacency, {4})
         assert resident_master_csr(adjacency) is resident
@@ -556,7 +512,7 @@ class TestSlabsFromPatchedSnapshots:
 
     def _assert_slab_matches_fresh(self, spec, cache: CSRCache, graph: Graph) -> None:
         slab, ids = self._slab(spec, cache, graph)
-        fresh, fresh_ids = self._slab(spec, CSRCache(enabled=True), graph)
+        fresh, fresh_ids = self._slab(spec, CSRCache(), graph)
         assert list(ids) == list(fresh_ids)
         for name in self.SLAB_ARRAYS:
             array, expected = getattr(slab, name), getattr(fresh, name)
@@ -567,7 +523,7 @@ class TestSlabsFromPatchedSnapshots:
     @pytest.mark.parametrize("algorithm", ["sssp", "bfs", "pagerank", "php"])
     def test_weight_delta_sequence_patches_in_place(self, algorithm):
         spec = make_algorithm(algorithm, source=0)
-        cache = CSRCache(enabled=True, rebuild_fraction=1.0)
+        cache = CSRCache(rebuild_fraction=1.0)
         graph = self._graph(seed=13)
         self._assert_slab_matches_fresh(spec, cache, graph)
         for step in range(6):
@@ -582,7 +538,7 @@ class TestSlabsFromPatchedSnapshots:
     @pytest.mark.parametrize("algorithm", ["sssp", "pagerank"])
     def test_structural_churn_stays_bitwise(self, algorithm):
         spec = make_algorithm(algorithm, source=0)
-        cache = CSRCache(enabled=True, rebuild_fraction=1.0)
+        cache = CSRCache(rebuild_fraction=1.0)
         graph = self._graph(seed=29)
         for step in range(8):
             self._assert_slab_matches_fresh(spec, cache, graph)

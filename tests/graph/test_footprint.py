@@ -11,29 +11,25 @@ sides:
   graph versions, for all four algorithms, both with the cached CSR
   snapshots (the array row-diff path) and without them (the dict fallback);
 * **engine conformance** — every incremental engine must produce bitwise
-  identical states, rounds and edge activations with the footprint enabled
-  and with the ``REPRO_DELTA_FOOTPRINT=0`` escape hatch set, on both
+  identical states, rounds and edge activations whether its footprints read
+  the cached CSR snapshots or are forced onto the dict fallback, on both
   propagation backends.
 """
 
 from __future__ import annotations
 
-import os
+from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
-from repro.graph.footprint import (
-    FOOTPRINT_ENV_VAR,
-    DeltaFootprint,
-    footprint_enabled,
-)
+from repro.graph.footprint import DeltaFootprint
 from repro.graph.graph import Graph
+from repro.incremental import base
 from repro.incremental.revision import changed_out_sources
 
 SETTINGS = settings(
@@ -247,12 +243,16 @@ class TestFootprintConformance:
 
 
 # ----------------------------------------------------------------------
-# the escape hatch: engines bitwise identical with the footprint off
+# engines bitwise identical on the CSR row diffs and the dict fallback
 # ----------------------------------------------------------------------
-def _run_sequence(engine_name, algorithm, backend, graph, deltas, enabled):
-    previous = os.environ.get(FOOTPRINT_ENV_VAR)
-    os.environ[FOOTPRINT_ENV_VAR] = "1" if enabled else "0"
-    try:
+def _dict_footprint(spec, old_graph, new_graph, delta, **_snapshots):
+    """A footprint that ignores the engine's CSR snapshots."""
+    return DeltaFootprint(spec, old_graph, new_graph, delta)
+
+
+def _run_sequence(engine_name, algorithm, backend, graph, deltas, with_csr):
+    footprint_class = DeltaFootprint if with_csr else _dict_footprint
+    with mock.patch.object(base, "DeltaFootprint", footprint_class):
         engine = build_engine(
             engine_name, make_algorithm(algorithm, source=0), backend=backend
         )
@@ -271,15 +271,10 @@ def _run_sequence(engine_name, algorithm, backend, graph, deltas, enabled):
                 )
             )
         return outcomes
-    finally:
-        if previous is None:
-            del os.environ[FOOTPRINT_ENV_VAR]
-        else:
-            os.environ[FOOTPRINT_ENV_VAR] = previous
 
 
 class TestFootprintEngineEquivalence:
-    """REPRO_DELTA_FOOTPRINT=0 must reproduce every engine bitwise."""
+    """The dict-fallback footprint must reproduce every engine bitwise."""
 
     @SETTINGS
     @given(
@@ -306,21 +301,3 @@ class TestFootprintEngineEquivalence:
             on = _run_sequence(engine_name, algorithm, backend, graph, deltas, True)
             off = _run_sequence(engine_name, algorithm, backend, graph, deltas, False)
             assert on == off, (engine_name, algorithm, backend)
-
-
-# ----------------------------------------------------------------------
-# the knob itself
-# ----------------------------------------------------------------------
-class TestFootprintKnob:
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv(FOOTPRINT_ENV_VAR, raising=False)
-        assert footprint_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "OFF", "no"])
-    def test_falsy_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(FOOTPRINT_ENV_VAR, value)
-        assert not footprint_enabled()
-
-    def test_truthy_values_enable(self, monkeypatch):
-        monkeypatch.setenv(FOOTPRINT_ENV_VAR, "1")
-        assert footprint_enabled()

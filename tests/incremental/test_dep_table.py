@@ -5,31 +5,32 @@ with the dict reference (:mod:`repro.incremental.dependency`) across the
 whole selective subsystem: KickStarter's DAG trimming, RisGraph's classified
 single-parent invalidation and Ingress's memoization path — identical final
 states, per-delta metrics (rounds, edge activations) and dependency parents
-over random edge+vertex delta sequences, in both graph orientations, under
-the ``REPRO_DEP_DENSE=0`` escape hatch, and across mid-run demotion when a
+over random edge+vertex delta sequences, in both graph orientations, with
+the dense gate forced shut from the test, and across mid-run demotion when a
 delta introduces factors the array algebra cannot replay.  Layph's selective
 path rides the same matrix (its upper-layer invalidation consumes the
 footprint's row diff rather than the table, but must stay bitwise stable
-under the same knobs).
+across the backends).
 """
 
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.harness import build_engine
-from repro.engine.backends import DEP_DENSE_ENV_VAR
 from repro.engine.algorithms import make_algorithm
 from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.graph import Graph
 from repro.incremental import make_engine
-from repro.incremental.dep_table import DepTable, dep_dense_enabled
+from repro.incremental import selective_base
+from repro.incremental.dep_table import DepTable
 from repro.incremental import dependency
 from repro.workloads.updates import random_edge_delta
 
@@ -224,32 +225,41 @@ class TestDepTableMechanics:
 # ----------------------------------------------------------------------
 # engine equivalence: dense table == dict reference, bitwise
 # ----------------------------------------------------------------------
-def _run_sequence(engine_name, algorithm, backend, graph, deltas, dense, monkeypatch_env):
-    monkeypatch_env(DEP_DENSE_ENV_VAR, "1" if dense else "0")
-    engine = build_engine(engine_name, make_algorithm(algorithm, source=0), backend=backend)
-    engine.initialize(graph.copy())
-    outcomes = []
-    for delta in deltas:
-        result = engine.apply_delta(delta)
-        core = _core(engine)
-        if getattr(core, "dep_table", None) is not None:
-            parents = core.dep_table.to_parents_dict()
-        else:
-            parents = dict(getattr(core, "parents", {}))
-        outcomes.append(
-            (
-                dict(result.states),
-                result.metrics.edge_activations,
-                result.metrics.iterations,
-                result.metrics.activations_per_round,
-                parents,
-            )
+def _dict_gate(self, old_graph):
+    """A dense gate that always fails: every delta runs on the dict store."""
+    return None
+
+
+def _run_sequence(engine_name, algorithm, backend, graph, deltas, dense):
+    engine_class = selective_base.SelectiveDependencyEngine
+    gate = engine_class._sync_dep_table if dense else _dict_gate
+    with mock.patch.object(engine_class, "_sync_dep_table", gate):
+        engine = build_engine(
+            engine_name, make_algorithm(algorithm, source=0), backend=backend
         )
+        engine.initialize(graph.copy())
+        outcomes = []
+        for delta in deltas:
+            result = engine.apply_delta(delta)
+            core = _core(engine)
+            if getattr(core, "dep_table", None) is not None:
+                parents = core.dep_table.to_parents_dict()
+            else:
+                parents = dict(getattr(core, "parents", {}))
+            outcomes.append(
+                (
+                    dict(result.states),
+                    result.metrics.edge_activations,
+                    result.metrics.iterations,
+                    result.metrics.activations_per_round,
+                    parents,
+                )
+            )
     return engine, outcomes
 
 
 class TestDenseDictEquivalence:
-    """Dense table on vs off (and vs the python backend) must be bitwise."""
+    """Dense table vs dict store (and vs the python backend): bitwise."""
 
     @SETTINGS
     @given(
@@ -258,31 +268,16 @@ class TestDenseDictEquivalence:
         st.sampled_from(ALGORITHMS),
     )
     def test_dense_matches_dict_reference(self, data, engine_name, algorithm):
-        import os
-
         graph, deltas = data
+        py_engine, py = _run_sequence(engine_name, algorithm, "python", graph, deltas, True)
+        dense_engine, dense = _run_sequence(
+            engine_name, algorithm, "numpy", graph, deltas, True
+        )
+        dict_engine, dict_ = _run_sequence(
+            engine_name, algorithm, "numpy", graph, deltas, False
+        )
 
-        def set_env(name, value):
-            os.environ[name] = value
-
-        previous = os.environ.get(DEP_DENSE_ENV_VAR)
-        try:
-            py_engine, py = _run_sequence(
-                engine_name, algorithm, "python", graph, deltas, True, set_env
-            )
-            dense_engine, dense = _run_sequence(
-                engine_name, algorithm, "numpy", graph, deltas, True, set_env
-            )
-            dict_engine, dict_ = _run_sequence(
-                engine_name, algorithm, "numpy", graph, deltas, False, set_env
-            )
-        finally:
-            if previous is None:
-                os.environ.pop(DEP_DENSE_ENV_VAR, None)
-            else:
-                os.environ[DEP_DENSE_ENV_VAR] = previous
-
-        # The escape hatch keeps everything on dicts; the python backend too.
+        # A shut gate keeps everything on dicts; the python backend too.
         if engine_name != "layph":
             assert _core(py_engine).dep_table is None
             assert _core(dict_engine).dep_table is None
@@ -299,30 +294,16 @@ class TestDenseDictEquivalence:
     @SETTINGS
     @given(oriented_graph_and_delta_sequence(), st.sampled_from(ALGORITHMS))
     def test_dense_path_engages_under_numpy(self, data, algorithm):
-        import os
-
         graph, deltas = data
-        previous = os.environ.get(DEP_DENSE_ENV_VAR)
-        previous_cache = os.environ.get("REPRO_CSR_CACHE")
-        os.environ.pop(DEP_DENSE_ENV_VAR, None)
-        os.environ["REPRO_CSR_CACHE"] = "1"  # the dense gate requires the cache
-        try:
-            engine = make_engine(
-                "kickstarter", make_algorithm(algorithm, source=0), backend="numpy"
-            )
-            engine.initialize(graph.copy())
-            for delta in deltas:
-                engine.apply_delta(delta)
-            assert engine.dense_deltas == len(deltas)
-            assert engine.dict_deltas == 0
-            assert engine.dep_table is not None
-        finally:
-            if previous is not None:
-                os.environ[DEP_DENSE_ENV_VAR] = previous
-            if previous_cache is None:
-                os.environ.pop("REPRO_CSR_CACHE", None)
-            else:
-                os.environ["REPRO_CSR_CACHE"] = previous_cache
+        engine = make_engine(
+            "kickstarter", make_algorithm(algorithm, source=0), backend="numpy"
+        )
+        engine.initialize(graph.copy())
+        for delta in deltas:
+            engine.apply_delta(delta)
+        assert engine.dense_deltas == len(deltas)
+        assert engine.dict_deltas == 0
+        assert engine.dep_table is not None
 
 
 # ----------------------------------------------------------------------
@@ -333,24 +314,22 @@ class TestDepTableLifecycle:
     def graph(self):
         return erdos_renyi_graph(40, 160, weighted=True, seed=2)
 
-    def test_python_backend_stays_on_dicts(self, graph, monkeypatch):
-        monkeypatch.delenv(DEP_DENSE_ENV_VAR, raising=False)
+    def test_python_backend_stays_on_dicts(self, graph):
         engine = make_engine("risgraph", make_algorithm("sssp", source=0), backend="python")
         engine.initialize(graph.copy())
         engine.apply_delta(random_edge_delta(graph, 3, 3, seed=1, protect=0))
         assert engine.dep_table is None
         assert engine.dict_deltas == 1
 
-    def test_escape_hatch_flip_demotes_next_delta(self, graph, monkeypatch):
-        monkeypatch.delenv(DEP_DENSE_ENV_VAR, raising=False)
-        monkeypatch.setenv("REPRO_CSR_CACHE", "1")  # the dense gate needs it
+    def test_gate_failure_demotes_next_delta(self, graph, monkeypatch):
         engine = make_engine("risgraph", make_algorithm("sssp", source=0), backend="numpy")
         engine.initialize(graph.copy())
         delta = random_edge_delta(graph, 3, 3, seed=4, protect=0)
         engine.apply_delta(delta)
         assert engine.dep_table is not None
         parents_dense = engine.dep_table.to_parents_dict()
-        monkeypatch.setenv(DEP_DENSE_ENV_VAR, "0")
+        # an algebra the array kernels cannot express shuts the dense gate
+        monkeypatch.setattr(selective_base, "classify_spec", lambda spec: None)
         current = delta.apply(graph)
         engine.apply_delta(random_edge_delta(current, 3, 3, seed=5, protect=0))
         assert engine.dep_table is None
@@ -358,9 +337,7 @@ class TestDepTableLifecycle:
         assert set(engine.parents) == set(engine.states)
         assert parents_dense.keys() == set(current.vertices())
 
-    def test_nan_weight_delta_demotes_and_repromores(self, graph, monkeypatch):
-        monkeypatch.delenv(DEP_DENSE_ENV_VAR, raising=False)
-        monkeypatch.setenv("REPRO_CSR_CACHE", "1")  # the dense gate needs it
+    def test_nan_weight_delta_demotes_and_repromores(self, graph):
         engine = make_engine(
             "kickstarter", make_algorithm("sssp", source=0), backend="numpy"
         )
@@ -416,11 +393,6 @@ class TestIncrementalMaintenance:
     patch the forest levels/buckets in place instead of marking them stale
     (no O(V log d) pointer doubling + O(V log V) argsort per single-edge
     delta)."""
-
-    @pytest.fixture(autouse=True)
-    def _csr_cache_on(self, monkeypatch):
-        # the dense table is built on cache-served snapshots
-        monkeypatch.setenv("REPRO_CSR_CACHE", "1")
 
     def _graph(self, seed=7):
         return erdos_renyi_graph(90, 450, weighted=True, seed=seed)

@@ -4,8 +4,8 @@ The bitwise equivalence of the dense store against the dict reference over
 random delta sequences lives in ``tests/test_properties.py``
 (``TestMemoStoreEquivalence``); this module covers the table mechanics —
 amortized growth, NaN masking, index remapping on vertex deltas — plus the
-engine-level lifecycle: activation gates, the ``REPRO_MEMO_DENSE=0`` escape
-hatch, and graceful demotion to the dict reference when the in-edge CSR
+engine-level lifecycle: activation gates, the dict store forced from the
+test, and graceful demotion to the dict reference when the in-edge CSR
 becomes unavailable mid-run.
 """
 
@@ -15,16 +15,11 @@ import numpy as np
 import pytest
 
 from repro.engine.algorithms import PageRank, make_algorithm
-from repro.engine.backends import MEMO_DENSE_ENV_VAR
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import erdos_renyi_graph
 from repro.incremental import make_engine
-from repro.incremental.memo import (
-    MemoRow,
-    MemoTable,
-    memo_dense_enabled,
-    refinement_preamble,
-)
+from repro.incremental.graphbolt import GraphBoltEngine
+from repro.incremental.memo import MemoRow, MemoTable, refinement_preamble
 from repro.workloads.updates import random_edge_delta
 
 
@@ -123,21 +118,6 @@ class TestMemoRow:
         assert values[1] == 2.5
 
 
-class TestMemoKnob:
-    def test_default_enabled(self, monkeypatch):
-        monkeypatch.delenv(MEMO_DENSE_ENV_VAR, raising=False)
-        assert memo_dense_enabled()
-
-    @pytest.mark.parametrize("value", ["0", "false", "OFF", "no"])
-    def test_falsy_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv(MEMO_DENSE_ENV_VAR, value)
-        assert not memo_dense_enabled()
-
-    def test_truthy_values_enable(self, monkeypatch):
-        monkeypatch.setenv(MEMO_DENSE_ENV_VAR, "1")
-        assert memo_dense_enabled()
-
-
 class TestRefinementPreamble:
     """The dense-refinement preamble is one shared helper, not two copies."""
 
@@ -152,11 +132,7 @@ class TestRefinementPreamble:
             engine.csr_cache, spec, engine.graph, csr, dirty
         )
         reference_out = engine.csr_cache.out_csr(spec, engine.graph)
-        if engine.csr_cache.enabled:
-            assert out_csr is reference_out
-        else:
-            assert out_csr.vertex_ids == reference_out.vertex_ids
-            assert np.array_equal(out_csr.targets, reference_out.targets)
+        assert out_csr is reference_out
         assert dirty_mask.dtype == bool and dirty_mask.shape == (csr.num_vertices,)
         assert {csr.vertex_ids[i] for i in np.nonzero(dirty_mask)[0]} == dirty
         _out, empty_mask = refinement_preamble(
@@ -166,7 +142,6 @@ class TestRefinementPreamble:
 
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
     def test_both_engines_route_through_helper(self, engine_name, monkeypatch):
-        monkeypatch.delenv(MEMO_DENSE_ENV_VAR, raising=False)
         import repro.incremental.dzig as dzig_module
         import repro.incremental.graphbolt as graphbolt_module
 
@@ -207,8 +182,7 @@ class TestEngineLifecycle:
         return erdos_renyi_graph(40, 160, weighted=True, seed=2)
 
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
-    def test_dense_store_active_under_numpy(self, graph, engine_name, monkeypatch):
-        monkeypatch.delenv(MEMO_DENSE_ENV_VAR, raising=False)
+    def test_dense_store_active_under_numpy(self, graph, engine_name):
         engine = make_engine(engine_name, make_algorithm("pagerank"), backend="numpy")
         engine.initialize(graph.copy())
         assert engine.memo is not None
@@ -223,7 +197,7 @@ class TestEngineLifecycle:
         assert engine.iterations
 
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
-    def test_escape_hatch_matches_dense_bitwise(self, graph, engine_name, monkeypatch):
+    def test_dict_store_matches_dense_bitwise(self, graph, engine_name, monkeypatch):
         deltas = []
         current = graph
         for seed in (1, 2, 3):
@@ -232,13 +206,15 @@ class TestEngineLifecycle:
             current = delta.apply(current)
 
         def run(dense: bool):
-            if dense:
-                monkeypatch.delenv(MEMO_DENSE_ENV_VAR, raising=False)
-            else:
-                monkeypatch.setenv(MEMO_DENSE_ENV_VAR, "0")
-            engine = make_engine(engine_name, make_algorithm("pagerank"), backend="numpy")
-            initial = engine.initialize(graph.copy())
-            results = [engine.apply_delta(delta) for delta in deltas]
+            with monkeypatch.context() as patch:
+                if not dense:
+                    # no vectorized pull: the engine keeps its dict store
+                    patch.setattr(GraphBoltEngine, "_bsp_csr", lambda self, graph: None)
+                engine = make_engine(
+                    engine_name, make_algorithm("pagerank"), backend="numpy"
+                )
+                initial = engine.initialize(graph.copy())
+                results = [engine.apply_delta(delta) for delta in deltas]
             return engine, initial, results
 
         dense_engine, dense_init, dense_results = run(dense=True)
@@ -259,8 +235,7 @@ class TestEngineLifecycle:
         assert dense_engine.iterations == dict_engine.iterations
 
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
-    def test_nan_factor_delta_demotes_to_dict_reference(self, graph, engine_name, monkeypatch):
-        monkeypatch.delenv(MEMO_DENSE_ENV_VAR, raising=False)
+    def test_nan_factor_delta_demotes_to_dict_reference(self, graph, engine_name):
         spec = _NaNFactorPageRank()
         engine = make_engine(engine_name, spec, backend="numpy")
         engine.initialize(graph.copy())
@@ -292,13 +267,12 @@ class TestEngineLifecycle:
         for dense_level, dict_level in zip(engine.iterations, reference.iterations):
             same(dense_level, dict_level)
 
-    def test_dense_escape_hatch_flip_demotes_next_delta(self, graph, monkeypatch):
-        monkeypatch.delenv(MEMO_DENSE_ENV_VAR, raising=False)
+    def test_gate_failure_demotes_next_delta(self, graph, monkeypatch):
         engine = make_engine("graphbolt", make_algorithm("pagerank"), backend="numpy")
         engine.initialize(graph.copy())
         assert engine.memo is not None
         levels_before = engine.iterations
-        monkeypatch.setenv(MEMO_DENSE_ENV_VAR, "0")
+        monkeypatch.setattr(GraphBoltEngine, "_bsp_csr", lambda self, graph: None)
         delta = random_edge_delta(graph, 3, 3, seed=6, protect=0)
         engine.apply_delta(delta)
         assert engine.memo is None

@@ -222,24 +222,11 @@ class TestLayeredGraphConstruction:
         assert LayphConfig(max_community_size=5).resolved_community_cap(100) == 5
 
 
-class TestUpperLayerCompileReuse:
-    """A rebuild that leaves the skeleton's links unchanged must keep the
-    previous ``FactorAdjacency`` object alive, so the version-keyed CSR
-    compile memo (``master_factor_csr``) carries across deltas."""
-
-    def _layered(self, graph):
-        return LayeredGraph.build(PageRank(), graph, LayphConfig(seed=2))
-
-    def test_noop_rebuild_keeps_adjacency_object(self, community_graph_small):
-        layered = self._layered(community_graph_small)
-        upper = layered.upper_adjacency
-        reuses = layered.upper_reuses
-        layered.rebuild_upper()
-        assert layered.upper_adjacency is upper
-        assert layered.upper_reuses == reuses + 1
+class TestRebuildUpper:
+    """The build's full reassembly installs a fresh ``FactorAdjacency``."""
 
     def test_changed_skeleton_installs_new_adjacency(self, community_graph_small):
-        layered = self._layered(community_graph_small)
+        layered = LayeredGraph.build(PageRank(), community_graph_small, LayphConfig(seed=2))
         upper = layered.upper_adjacency
         rebuilds = layered.upper_rebuilds
         # Two brand-new vertices are outliers; their edge lands on the upper
@@ -251,31 +238,16 @@ class TestUpperLayerCompileReuse:
         # Factors, not weights, live on the upper layer (d / N_u = 0.85 / 1).
         assert [target for target, _factor in layered.upper_adjacency(9901)] == [9902]
 
-    def test_compile_memo_survives_noop_rebuild(self, community_graph_small, monkeypatch):
-        from repro.graph.csr_cache import CSR_CACHE_ENV_VAR, master_factor_csr
-
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
-        layered = self._layered(community_graph_small)
-        universe = set(layered.upper_vertices) | layered.proxy_vertices()
-        compiled = master_factor_csr(layered.upper_adjacency, universe)
-        assert compiled is not None
-        layered.rebuild_upper()
-        # Same adjacency object, same version: the memoized compile is served.
-        assert master_factor_csr(layered.upper_adjacency, universe) is compiled
-
 
 class TestResidentUpperCSR:
     """The compiled upper layer is resident: served across calls, recompiled
     only when the adjacency changed behind its back (a new adjacency object,
-    an out-of-band version bump) or when ``REPRO_CSR_CACHE=0``."""
+    an out-of-band version bump)."""
 
     def _layered(self, graph):
         return LayeredGraph.build(SSSP(source=0), graph, LayphConfig(seed=2))
 
-    def test_repeat_calls_serve_the_resident_snapshot(self, community_graph_small, monkeypatch):
-        from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
-
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+    def test_repeat_calls_serve_the_resident_snapshot(self, community_graph_small):
         layered = self._layered(community_graph_small)
         first = layered.upper_csr()
         assert layered.upper_csr() is first
@@ -283,10 +255,7 @@ class TestResidentUpperCSR:
             set(layered.graph.vertices()) | layered.proxy_vertices()
         )
 
-    def test_out_of_band_version_bump_recompiles(self, community_graph_small, monkeypatch):
-        from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
-
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+    def test_out_of_band_version_bump_recompiles(self, community_graph_small):
         layered = self._layered(community_graph_small)
         first = layered.upper_csr()
         source, target = sorted(layered.upper_vertices)[:2]
@@ -295,23 +264,13 @@ class TestResidentUpperCSR:
         assert second is not first
         assert second.num_edges == first.num_edges + 1
 
-    def test_new_adjacency_object_recompiles(self, community_graph_small, monkeypatch):
-        from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
-
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
+    def test_new_adjacency_object_recompiles(self, community_graph_small):
         layered = self._layered(community_graph_small)
         first = layered.upper_csr()
         layered.upper_adjacency = FactorAdjacency({1: [(2, 0.5)]})
         second = layered.upper_csr()
         assert second is not first
         assert second.num_edges == 1
-
-    def test_cache_disabled_by_env(self, community_graph_small, monkeypatch):
-        from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
-
-        layered = self._layered(community_graph_small)
-        monkeypatch.setenv(CSR_CACHE_ENV_VAR, "0")
-        assert layered.upper_csr() is not layered.upper_csr()
 
     def test_reverse_view_matches_forward_links(self, community_graph_small):
         layered = self._layered(community_graph_small)

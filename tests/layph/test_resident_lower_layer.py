@@ -27,7 +27,7 @@ from repro.engine.algorithms import make_algorithm
 from repro.engine.propagation import FactorAdjacency
 from repro.engine.runner import run_batch
 from repro.graph.csr import FactorCSR
-from repro.graph.csr_cache import csr_cache_enabled, resident_master_csr
+from repro.graph.csr_cache import resident_master_csr
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import community_graph
 from repro.layph.engine import LayphEngine
@@ -260,7 +260,7 @@ def test_every_refresh_matches_a_whole_subgraph_rebuild(monkeypatch, algorithm, 
     assert seen["gone"], "no refresh lost a member"
     assert seen["proxy_moves"], "no refresh changed the replication plan"
     assert seen["exit_dropped"], "no exit proxy went"
-    if backend == "numpy" and csr_cache_enabled():
+    if backend == "numpy":
         assert seen["spliced"] > len(engine.layered.subgraphs), "no memo was carried"
 
 

@@ -1,7 +1,6 @@
 """Regression tests for Layph's diff-based upper-layer maintenance.
 
-With the delta footprint enabled the online engine patches
-``upper_adjacency`` rows in place (:meth:`repro.layph.layered_graph.
+The online engine patches ``upper_adjacency`` rows in place (:meth:`repro.layph.layered_graph.
 LayeredGraph.patch_upper`) instead of reassembling the whole skeleton per
 delta — for every delta kind, vertex removals included — and splices the
 changed rows into the resident compiled upper CSR instead of recompiling it.
@@ -9,7 +8,9 @@ These tests pin the patched structure to a fresh :meth:`_assemble_upper`
 result, and the spliced CSR to a fresh compile, after every delta of edge
 and vertex-churn sequences, and assert through the ``upper_patches``/
 ``upper_reuses``/``upper_rebuilds`` counters and a compile spy that the
-patch path actually engaged (no silent full rebuilds or recompiles).
+patch path actually engaged (no silent full rebuilds or recompiles).  The
+row-level :class:`repro.layph.layered_graph.UpperDiff` it hands the
+selective upload is pinned to a diff of two whole-layer flattens.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ import pytest
 from repro.engine.algorithms import make_algorithm
 from repro.engine.metrics import ExecutionMetrics
 from repro.graph.csr import FactorCSR
-from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
 from repro.graph.delta import GraphDelta
-from repro.graph.footprint import FOOTPRINT_ENV_VAR
 from repro.layph.engine import LayphEngine
+from repro.layph.layered_graph import LayeredGraph
 from repro.layph.vectorized import seed_tainted_upper
 from repro.workloads.datasets import DATASETS
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
@@ -62,15 +62,14 @@ def _churn_sequence(graph, count: int = 12):
 
 def _assert_upper_is_fresh_assembly(layered) -> None:
     fresh_upper, fresh_vertices = layered._assemble_upper()
-    assert layered.upper_adjacency.same_links(fresh_upper)
+    assert layered.upper_adjacency._adjacency == fresh_upper._adjacency
     assert layered.upper_vertices == fresh_vertices
 
 
 @pytest.mark.parametrize("algorithm", ["pagerank", "sssp"])
 @pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_patched_upper_equals_fresh_rebuild(algorithm, backend, monkeypatch):
+def test_patched_upper_equals_fresh_rebuild(algorithm, backend):
     """After every delta the patched upper layer == a fresh reassembly."""
-    monkeypatch.delenv(FOOTPRINT_ENV_VAR, raising=False)
     graph = DATASETS["uk"].build()
     engine = LayphEngine(make_algorithm(algorithm, source=0), backend=backend)
     engine.initialize(graph)
@@ -89,9 +88,8 @@ def test_patched_upper_equals_fresh_rebuild(algorithm, backend, monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_removal_deltas_patch(algorithm, monkeypatch):
+def test_removal_deltas_patch(algorithm):
     """Vertex churn rides the patch path: no reassembly after ``initialize``."""
-    monkeypatch.delenv(FOOTPRINT_ENV_VAR, raising=False)
     graph = DATASETS["uk"].build()
     engine = LayphEngine(make_algorithm(algorithm, source=0))
     engine.initialize(graph)
@@ -152,8 +150,6 @@ def test_spliced_upper_csr_is_bit_identical_to_a_fresh_compile(algorithm, monkey
     vertices plus the live proxies (removed vertices and dropped proxies
     leave it — no id leak); and the whole layer is compiled exactly once.
     """
-    monkeypatch.delenv(FOOTPRINT_ENV_VAR, raising=False)
-    monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
     graph = DATASETS["sk"].build()
     engine = LayphEngine(make_algorithm(algorithm, source=0), backend="numpy")
     engine.initialize(graph)
@@ -201,29 +197,14 @@ def test_spliced_upper_csr_is_bit_identical_to_a_fresh_compile(algorithm, monkey
     assert len(whole_compiles) == 1
 
 
-def test_cache_disabled_compiles_the_upper_layer_fresh(monkeypatch):
-    """``REPRO_CSR_CACHE=0``: nothing resident, every access a fresh compile."""
-    monkeypatch.delenv(FOOTPRINT_ENV_VAR, raising=False)
-    monkeypatch.setenv(CSR_CACHE_ENV_VAR, "0")
-    graph = DATASETS["uk"].build()
-    engine = LayphEngine(make_algorithm("sssp", source=0), backend="numpy")
-    engine.initialize(graph)
-    layered = engine.layered
-    for delta in _churn_sequence(graph, count=4):
-        engine.apply_delta(delta)
-        _assert_upper_is_fresh_assembly(layered)
-    assert layered.upper_csr() is not layered.upper_csr()
-
-
 @pytest.mark.parametrize("algorithm", ["sssp", "bfs"])
-def test_masked_in_link_gather_matches_reverse_scan(algorithm, monkeypatch):
+def test_masked_in_link_gather_matches_reverse_scan(algorithm):
     """``seed_tainted_upper`` == the brute-force walk over a reverse view.
 
     Same seeded messages and the same activation count (one per in-link of
     a tainted vertex, counted before any skip) as the Python reference loop
     of ``LayphEngine._selective_upload``.
     """
-    monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
     graph = DATASETS["uk"].build()
     spec = make_algorithm(algorithm, source=0)
     engine = LayphEngine(spec, backend="numpy")
@@ -261,59 +242,52 @@ def test_masked_in_link_gather_matches_reverse_scan(algorithm, monkeypatch):
     assert expected_activations > 0
 
 
-def test_footprint_disabled_never_patches(monkeypatch):
-    """REPRO_DELTA_FOOTPRINT=0 keeps the original rebuild-and-compare path."""
-    monkeypatch.setenv(FOOTPRINT_ENV_VAR, "0")
-    graph = DATASETS["uk"].build()
-    engine = LayphEngine(make_algorithm("pagerank"))
-    engine.initialize(graph)
-    layered = engine.layered
-    for delta in _delta_sequence(graph, include_vertex_deltas=False)[:5]:
-        engine.apply_delta(delta)
-        _assert_upper_is_fresh_assembly(layered)
-    assert layered.upper_patches == 0
+def _flatten_links(adjacency):
+    """Every ``(source, target)`` link of the layer, the better of parallels."""
+    links = {}
+    for source in adjacency.vertices_with_out_edges():
+        for target, factor in adjacency(source):
+            key = (source, target)
+            links[key] = min(links.get(key, factor), factor)
+    return links
 
 
-def _count_flattens(monkeypatch) -> dict:
-    calls = {"count": 0}
-    original = LayphEngine._flatten_links
+def test_upper_diff_matches_whole_layer_flattens(monkeypatch):
+    """The row-level ``UpperDiff`` == the diff of the old and new flattens.
 
-    def spy(adjacency):
-        calls["count"] += 1
-        return original(adjacency)
-
-    monkeypatch.setattr(LayphEngine, "_flatten_links", staticmethod(spy))
-    return calls
-
-
-@pytest.mark.parametrize("algorithm", ["pagerank", "sssp"])
-def test_flatten_links_never_runs_on_the_per_delta_path(algorithm, monkeypatch):
-    """The O(Lup) whole-layer flattens are gone from the per-delta path.
-
-    Accumulative specs never needed them; the selective upload consumes the
-    :class:`repro.layph.layered_graph.UpperDiff` emitted by ``patch_upper``
-    for every delta kind, vertex removals included.  A spy-count on
-    ``LayphEngine._flatten_links`` proves both.
+    Its changed links are exactly the keys whose factor differs between two
+    whole-layer flattens, and ``old_links_of`` serves the old flatten's row
+    of any vertex, for edge and vertex deltas alike.
     """
-    monkeypatch.delenv(FOOTPRINT_ENV_VAR, raising=False)
-    calls = _count_flattens(monkeypatch)
-    graph = DATASETS["uk"].build()
-    engine = LayphEngine(make_algorithm(algorithm, source=0))
-    engine.initialize(graph)
-    for delta in _delta_sequence(graph, include_vertex_deltas=True):
-        engine.apply_delta(delta)
-    assert calls["count"] == 0
+    diffs = []
+    patch_upper = LayeredGraph.patch_upper
 
+    def recording_patch(self, *args, **kwargs):
+        diff = patch_upper(self, *args, **kwargs)
+        diffs.append(diff)
+        return diff
 
-def test_flatten_links_still_backs_the_footprint_free_reference(monkeypatch):
-    """``REPRO_DELTA_FOOTPRINT=0`` keeps the flatten-based reference diff."""
-    monkeypatch.setenv(FOOTPRINT_ENV_VAR, "0")
-    calls = _count_flattens(monkeypatch)
+    monkeypatch.setattr(LayeredGraph, "patch_upper", recording_patch)
     graph = DATASETS["uk"].build()
     engine = LayphEngine(make_algorithm("sssp", source=0))
     engine.initialize(graph)
-    deltas = _delta_sequence(graph, include_vertex_deltas=True)[:6]
-    for delta in deltas:
+    layered = engine.layered
+    changed_total = 0
+    for delta in _delta_sequence(graph, include_vertex_deltas=True)[:6]:
+        old_links = _flatten_links(layered.upper_adjacency)
         engine.apply_delta(delta)
-    # Two flattens (old and new links) per reassembled selective delta.
-    assert calls["count"] == 2 * len(deltas)
+        new_links = _flatten_links(layered.upper_adjacency)
+        expected = [
+            (source, target, old_links.get((source, target)), new_links.get((source, target)))
+            for source, target in sorted(old_links.keys() | new_links.keys())
+            if old_links.get((source, target)) != new_links.get((source, target))
+        ]
+        diff = diffs[-1]
+        assert list(diff.changed_links()) == expected
+        changed_total += len(expected)
+        old_rows = {}
+        for (source, target), factor in old_links.items():
+            old_rows.setdefault(source, {})[target] = factor
+        for source, row in old_rows.items():
+            assert diff.old_links_of(source) == row
+    assert changed_total > 0

@@ -201,11 +201,9 @@ class TestAssignKernels:
         subgraph = self._shortcut_subgraph()
         assert assign_selective_batch(MaxSpec(), [subgraph], {}, ExecutionMetrics()) is None
 
-    def test_shortcut_csr_cache_invalidated_on_rebuild(self, monkeypatch):
-        from repro.graph.csr_cache import CSR_CACHE_ENV_VAR
+    def test_shortcut_csr_cache_invalidated_on_rebuild(self):
         from repro.layph.vectorized import _shortcut_csr
 
-        monkeypatch.delenv(CSR_CACHE_ENV_VAR, raising=False)
         subgraph = self._shortcut_subgraph()
         first = _shortcut_csr(subgraph)
         assert _shortcut_csr(subgraph) is first

@@ -26,7 +26,6 @@ if ROOT not in sys.path:
 from repro.engine import dense_propagation  # noqa: E402
 from repro.engine.propagation import SilencedAdjacency  # noqa: E402
 from repro.graph.csr import FactorCSR  # noqa: E402
-from repro.graph.csr_cache import CSR_CACHE_ENV_VAR  # noqa: E402
 from repro.layph import vectorized  # noqa: E402
 from repro.layph import shortcuts as shortcuts_module  # noqa: E402
 from repro.layph.engine import LayphEngine  # noqa: E402
@@ -126,7 +125,6 @@ def test_cross_edge_deltas_keep_the_lower_layer_compiled(monkeypatch):
     """web-bfs-bridge's deltas only add edges between communities: no local
     CSR is compiled again (the refresh splices the resident one), and phase
     4 rebuilds the shortcut CSR of a subgraph only when its tables changed."""
-    monkeypatch.setenv(CSR_CACHE_ENV_VAR, "1")
     compiled = []
     compile_adjacency = FactorCSR.from_factor_adjacency.__func__
 

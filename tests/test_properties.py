@@ -9,6 +9,7 @@ algebra and the shortcut folding (Definition 3).
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from repro.graph.csr import FactorCSR
 from repro.graph.csr_cache import CSRCache
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
+from repro.incremental.graphbolt import GraphBoltEngine
 from repro.layph.shortcuts import compute_shortcuts_from
 
 SETTINGS = settings(
@@ -330,7 +332,7 @@ class TestCSRCacheProperties:
     def test_patched_csr_identical_to_fresh_compile(self, data, algorithm):
         graph, deltas = data
         spec = make_algorithm(algorithm, source=0)
-        cache = CSRCache(enabled=True, rebuild_fraction=1.0)
+        cache = CSRCache(rebuild_fraction=1.0)
         current = graph.copy()
         cache.out_csr(spec, current)
         cache.in_csr(spec, current)
@@ -394,9 +396,9 @@ class TestMemoStoreEquivalence:
     """The dense ``MemoTable`` store must be bitwise interchangeable with the
     dict reference: identical memoized iterations, states, rounds and edge
     activations over random delta sequences (vertex additions/removals and
-    index remaps included), in both graph orientations — and flipping the
-    ``REPRO_MEMO_DENSE`` escape hatch must reproduce the dict path under the
-    numpy backend exactly."""
+    index remaps included), in both graph orientations — and the dict store,
+    forced under the numpy backend by shutting the vectorized-pull gate,
+    must reproduce the python backend exactly."""
 
     @SETTINGS
     @given(
@@ -408,22 +410,14 @@ class TestMemoStoreEquivalence:
         graph, deltas = data
 
         def run(backend, memo_dense):
-            import os
-
-            previous = os.environ.get("REPRO_MEMO_DENSE")
-            os.environ["REPRO_MEMO_DENSE"] = "1" if memo_dense else "0"
-            try:
+            gate = GraphBoltEngine._bsp_csr if memo_dense else (lambda self, graph: None)
+            with mock.patch.object(GraphBoltEngine, "_bsp_csr", gate):
                 engine = build_engine(
                     engine_name, make_algorithm(algorithm, source=0), backend=backend
                 )
                 initial = engine.initialize(graph.copy())
                 incremental = [engine.apply_delta(delta) for delta in deltas]
-                return engine, initial, incremental
-            finally:
-                if previous is None:
-                    del os.environ["REPRO_MEMO_DENSE"]
-                else:
-                    os.environ["REPRO_MEMO_DENSE"] = previous
+            return engine, initial, incremental
 
         py_engine, py_init, py_inc = run("python", memo_dense=True)
         dense_engine, dense_init, dense_inc = run("numpy", memo_dense=True)
