@@ -200,6 +200,22 @@ class TestInvalidation:
         )
 
 
+class TestMemoization:
+    """An unchanged graph is served from its one compile, in both
+    orientations, for every algorithm: there is no uncached mode."""
+
+    @pytest.mark.parametrize("orientation", ["out", "in"])
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+    def test_repeat_access_returns_the_compiled_snapshot(self, spec, orientation):
+        graph = _base_graph()
+        cache = CSRCache()
+        get = getattr(cache, f"{orientation}_csr")
+        first = get(spec, graph)
+        assert get(spec, graph) is first
+        assert cache.peek_csr(orientation, spec, graph) is first
+        assert (cache.compiles, cache.hits) == (1, 1)
+
+
 class TestCachedGraphAdjacency:
     def test_matches_factor_adjacency_semantics(self):
         spec = PageRank()
@@ -400,6 +416,19 @@ class TestCompileShortCircuit:
         propagate(spec, adjacency, states, {0: 0.0}, backend="numpy")
         assert FactorCSR.compile_count == 2
         assert states[1] == pytest.approx(2.0)  # 0 ->(3.0? no) — shortest 0->1 = 2.0
+
+    def test_each_adjacency_keeps_its_own_master_memo(self):
+        spec = SSSP(source=0)
+        graph = _base_graph()
+        first = FactorAdjacency.from_graph(spec, graph)
+        second = FactorAdjacency.from_graph(spec, graph)
+        FactorCSR.compile_count = 0
+        self._run(spec, first, graph)
+        self._run(spec, second, graph)
+        assert FactorCSR.compile_count == 2
+        assert resident_master_csr(first) is not resident_master_csr(second)
+        self._run(spec, first, graph)
+        assert FactorCSR.compile_count == 2
 
     def test_master_memo_grows_universe_monotonically(self):
         adjacency = FactorAdjacency({0: [(1, 1.0)]})

@@ -13,7 +13,9 @@ sides:
 * **engine conformance** — every incremental engine must produce bitwise
   identical states, rounds and edge activations whether its footprints read
   the cached CSR snapshots or are forced onto the dict fallback, on both
-  propagation backends.
+  propagation backends;
+* **installation** — every engine builds the footprint of each delta it
+  applies, on both backends, with the membership diff of the two graphs.
 """
 
 from __future__ import annotations
@@ -21,16 +23,19 @@ from __future__ import annotations
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
+from repro.graph.generators import erdos_renyi_graph
 from repro.graph.footprint import DeltaFootprint
 from repro.graph.graph import Graph
 from repro.incremental import base
 from repro.incremental.revision import changed_out_sources
+from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
 SETTINGS = settings(
     max_examples=20,
@@ -301,3 +306,55 @@ class TestFootprintEngineEquivalence:
             on = _run_sequence(engine_name, algorithm, backend, graph, deltas, True)
             off = _run_sequence(engine_name, algorithm, backend, graph, deltas, False)
             assert on == off, (engine_name, algorithm, backend)
+
+
+# ----------------------------------------------------------------------
+# every engine installs the footprint of every delta
+# ----------------------------------------------------------------------
+ENGINE_ALGORITHMS = [
+    ("restart", "sssp"),
+    ("kickstarter", "sssp"),
+    ("risgraph", "bfs"),
+    ("graphbolt", "pagerank"),
+    ("dzig", "php"),
+    ("ingress", "pagerank"),
+    ("layph", "sssp"),
+]
+
+
+class TestEveryEngineInstallsTheFootprint:
+    """No engine has a footprint-free path: each delta it applies leaves
+    behind the footprint of that delta, whose membership diff is the O(V)
+    diff of the two graph versions."""
+
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("engine_name, algorithm", ENGINE_ALGORITHMS)
+    def test_footprint_describes_the_applied_delta(
+        self, engine_name, algorithm, backend
+    ):
+        graph = erdos_renyi_graph(30, 90, weighted=True, seed=4)
+        engine = build_engine(
+            engine_name, make_algorithm(algorithm, source=0), backend=backend
+        )
+        engine.initialize(graph.copy())
+        current = graph
+        for step in range(4):
+            if step % 2:
+                delta = random_edge_delta(current, 3, 3, seed=step, protect=0)
+            else:
+                delta = random_vertex_delta(current, 2, 2, seed=step, protect=0)
+            following = delta.apply(current)
+            engine.apply_delta(delta)
+            core = getattr(engine, "_delegate", engine)  # Ingress delegates
+            footprint = core.footprint
+            assert isinstance(footprint, DeltaFootprint)
+            assert footprint.delta is delta
+            assert footprint.new_graph is core.graph
+            old_vertices = set(current.vertices())
+            new_vertices = set(following.vertices())
+            assert set(core.graph.vertices()) == new_vertices
+            assert footprint.added_vertices == new_vertices - old_vertices
+            assert footprint.removed_vertices == old_vertices - new_vertices
+            assert footprint.touched_vertices == delta.touched_vertices(current)
+            assert footprint.touched_sources == delta.touched_sources(current)
+            current = following

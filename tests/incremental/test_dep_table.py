@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.bench.harness import build_engine
-from repro.engine.algorithms import make_algorithm
+from repro.engine.algorithms import SSSP, make_algorithm
 from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import erdos_renyi_graph
@@ -309,6 +309,12 @@ class TestDenseDictEquivalence:
 # ----------------------------------------------------------------------
 # lifecycle: gates, demotion, re-promotion
 # ----------------------------------------------------------------------
+class _UndeclaredSSSP(SSSP):
+    """SSSP that does not declare its algebra to the array kernels."""
+
+    dense_algebra = None
+
+
 class TestDepTableLifecycle:
     @pytest.fixture()
     def graph(self):
@@ -320,6 +326,26 @@ class TestDepTableLifecycle:
         engine.apply_delta(random_edge_delta(graph, 3, 3, seed=1, protect=0))
         assert engine.dep_table is None
         assert engine.dict_deltas == 1
+
+    @pytest.mark.parametrize("engine_name", ["kickstarter", "risgraph"])
+    def test_undeclared_algebra_stays_on_dicts(self, graph, engine_name):
+        engine = make_engine(engine_name, _UndeclaredSSSP(source=0), backend="numpy")
+        reference = make_engine(
+            engine_name, _UndeclaredSSSP(source=0), backend="python"
+        )
+        engine.initialize(graph.copy())
+        reference.initialize(graph.copy())
+        current = graph
+        for seed in (1, 2, 3):
+            delta = random_edge_delta(current, 3, 3, seed=seed, protect=0)
+            result = engine.apply_delta(delta)
+            expected = reference.apply_delta(delta)
+            assert result.states == expected.states
+            assert result.metrics.edge_activations == expected.metrics.edge_activations
+            current = delta.apply(current)
+        assert engine.dep_table is None
+        assert engine.dict_deltas == 3
+        assert engine.parents == reference.parents
 
     def test_gate_failure_demotes_next_delta(self, graph, monkeypatch):
         engine = make_engine("risgraph", make_algorithm("sssp", source=0), backend="numpy")

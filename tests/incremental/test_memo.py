@@ -176,6 +176,12 @@ class _NaNFactorPageRank(PageRank):
         return super().edge_factor(graph, source, target)
 
 
+class _UndeclaredPageRank(PageRank):
+    """PageRank that does not declare its algebra to the array kernels."""
+
+    dense_algebra = None
+
+
 class TestEngineLifecycle:
     @pytest.fixture()
     def graph(self):
@@ -195,6 +201,27 @@ class TestEngineLifecycle:
         engine.initialize(graph.copy())
         assert engine.memo is None
         assert engine.iterations
+
+    @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
+    def test_undeclared_algebra_stays_on_dicts(self, graph, engine_name):
+        engine = make_engine(engine_name, _UndeclaredPageRank(), backend="numpy")
+        reference = make_engine(engine_name, _UndeclaredPageRank(), backend="python")
+        engine.initialize(graph.copy())
+        reference.initialize(graph.copy())
+        assert engine.memo is None
+        current = graph
+        for seed in (1, 2):
+            delta = random_edge_delta(current, 4, 4, seed=seed, protect=0)
+            result = engine.apply_delta(delta)
+            expected = reference.apply_delta(delta)
+            assert result.states == expected.states
+            assert (
+                result.metrics.activations_per_round
+                == expected.metrics.activations_per_round
+            )
+            current = delta.apply(current)
+        assert engine.memo is None
+        assert engine.iterations == reference.iterations
 
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
     def test_dict_store_matches_dense_bitwise(self, graph, engine_name, monkeypatch):
