@@ -75,15 +75,14 @@ def test_ablation_community_size_cap(benchmark):
 
 
 def test_ablation_incremental_shortcut_update(benchmark, monkeypatch):
-    """Incremental shortcut maintenance vs recomputing affected subgraphs,
-    on the Python reference loops and on the numpy kernels."""
+    """Incremental shortcut maintenance vs recomputing affected subgraphs."""
     graph = dataset("uk")
     delta = edge_delta("uk")
     from repro.layph import layered_graph as layered_graph_module
 
     revision = layered_graph_module.shortcut_revision
 
-    def run(backend: str, incremental: bool) -> int:
+    def run(incremental: bool) -> int:
         # The from-scratch variant makes the revision step decline every
         # vector (as on lost support), so every stale boundary vertex
         # recomputes its shortcut vector from scratch.
@@ -92,21 +91,16 @@ def test_ablation_incremental_shortcut_update(benchmark, monkeypatch):
             "shortcut_revision",
             revision if incremental else (lambda *args, **kwargs: None),
         )
-        engine = LayphEngine(make_algorithm("pagerank"), backend=backend)
+        engine = LayphEngine(make_algorithm("pagerank"))
         engine.initialize(graph)
         return engine.apply_delta(delta).metrics.edge_activations
 
     def run_all():
-        return {
-            (backend, incremental): run(backend, incremental)
-            for backend in ("python", "numpy")
-            for incremental in (True, False)
-        }
+        return {incremental: run(incremental) for incremental in (True, False)}
 
     activations = run_once(benchmark, run_all)
     rows = [
-        [f"{label} ({backend})", activations[(backend, incremental)]]
-        for backend in ("python", "numpy")
+        [label, activations[incremental]]
         for label, incremental in (
             ("incremental shortcut update", True),
             ("recompute touched subgraphs", False),
@@ -119,11 +113,7 @@ def test_ablation_incremental_shortcut_update(benchmark, monkeypatch):
     )
     print("\n" + table)
     record("ablations", table)
-    for backend in ("python", "numpy"):
-        assert activations[(backend, True)] < activations[(backend, False)], backend
-    # both backends do the same F-work
-    assert activations[("python", True)] == activations[("numpy", True)]
-    assert activations[("python", False)] == activations[("numpy", False)]
+    assert activations[True] < activations[False]
 
 
 def test_ablation_sparsity_aware_refinement_shared_baseline(benchmark):
@@ -168,9 +158,9 @@ def test_ablation_sparsity_aware_refinement_shared_baseline(benchmark):
         spec = make_algorithm("pagerank")
         # Shared baseline: one batch materialisation serves both engines.
         shared_start = time.perf_counter()
-        dzig_shared = make_engine("dzig", spec, backend="numpy")
+        dzig_shared = make_engine("dzig", spec)
         dzig_shared.initialize(graph.copy())
-        graphbolt_shared = make_engine("graphbolt", spec, backend="numpy")
+        graphbolt_shared = make_engine("graphbolt", spec)
         graphbolt_shared.adopt_baseline(dzig_shared)
         shared_init_seconds = time.perf_counter() - shared_start
         shared = {
@@ -184,9 +174,9 @@ def test_ablation_sparsity_aware_refinement_shared_baseline(benchmark):
         }
         # Independent baselines: each engine pays its own batch run.
         independent_start = time.perf_counter()
-        dzig_solo = make_engine("dzig", spec, backend="numpy")
+        dzig_solo = make_engine("dzig", spec)
         dzig_solo.initialize(graph.copy())
-        graphbolt_solo = make_engine("graphbolt", spec, backend="numpy")
+        graphbolt_solo = make_engine("graphbolt", spec)
         graphbolt_solo.initialize(graph.copy())
         independent_init_seconds = time.perf_counter() - independent_start
         independent = {

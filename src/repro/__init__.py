@@ -18,29 +18,18 @@ Typical usage::
     result = engine.apply_delta(delta)
     print(result.states[3])
 
-Propagation backends
---------------------
+Array kernels and reference loops
+---------------------------------
 
-The shared delta-accumulative loop has two interchangeable backends: the
-reference pure-Python loop (``"python"``, the default) and a vectorized CSR
-engine (``"numpy"``) that runs every superstep with numpy array operations
-while producing identical converged states, round counts and edge-activation
-counts.  Select a backend:
-
-* per call — ``run_batch(spec, graph, backend="numpy")`` or
-  ``propagate(..., backend="numpy")``;
-* per engine — every engine constructor takes ``backend=``, e.g.
-  ``IngressEngine(spec, backend="numpy")`` or
-  ``LayphEngine(spec, backend="numpy")``;
-* via configuration — ``LayphConfig(backend="numpy")`` also covers Layph's
-  shortcut computation and upper-layer iteration;
-* globally — the ``REPRO_BACKEND`` environment variable (explicit arguments
-  win over it).
-
-Only specs that declare their operator algebra
-(:attr:`repro.engine.AlgorithmSpec.dense_algebra` — set on all four built-in
-algorithms) run vectorized; undeclared or nonstandard specs fall back to the
-Python loop transparently.  See :mod:`repro.engine.backends`.
+Every hot loop — the shared delta-accumulative propagation, the BSP engines'
+memoized iterations, the selective engines' dependency maintenance, Layph's
+shortcuts, upload and assignment — runs as numpy array kernels over compiled
+CSR snapshots, producing the same converged states, round counts and
+edge-activation counts as the reference Python loops, bit for bit.  Nothing
+selects between the two: a kernel runs whenever the spec declares its
+operator algebra (:attr:`repro.engine.AlgorithmSpec.dense_algebra` — set on
+all four built-in algorithms) and its inputs are NaN-free, and otherwise it
+declines and the reference loop runs the call.
 """
 
 from repro.engine.algorithms import BFS, PHP, PageRank, SSSP, make_algorithm

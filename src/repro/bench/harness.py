@@ -62,23 +62,17 @@ def build_engine(
     name: str,
     spec: AlgorithmSpec,
     layph_config: Optional[LayphConfig] = None,
-    backend: Optional[str] = None,
 ) -> IncrementalEngine:
-    """Instantiate an engine by name (including ``layph``).
-
-    ``backend`` selects the propagation backend (see
-    :mod:`repro.engine.backends`) for every engine that runs the shared
-    delta-accumulative loop.
-    """
+    """Instantiate an engine by name (including ``layph``)."""
     lowered = name.lower()
     if lowered == "layph":
-        return LayphEngine(spec, layph_config, backend=backend)
+        return LayphEngine(spec, layph_config)
     if lowered not in ENGINE_REGISTRY:
         raise ValueError(
             f"unknown engine {name!r}; expected one of "
             f"{sorted(ENGINE_REGISTRY) + ['layph']}"
         )
-    return make_engine(lowered, spec, backend=backend)
+    return make_engine(lowered, spec)
 
 
 def engines_for(spec: AlgorithmSpec) -> List[str]:
@@ -100,10 +94,9 @@ def run_engine(
     dataset: str = "",
     check_correctness: bool = False,
     layph_config: Optional[LayphConfig] = None,
-    backend: Optional[str] = None,
 ) -> EngineRun:
     """Initialize one engine and apply a sequence of deltas, summing metrics."""
-    engine = build_engine(engine_name, spec, layph_config, backend=backend)
+    engine = build_engine(engine_name, spec, layph_config)
     engine.initialize(graph)
     total_activations = 0
     total_seconds = 0.0

@@ -9,7 +9,6 @@ activation counts are directly comparable across systems.
 
 from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.algorithms import BFS, PHP, PageRank, SSSP
-from repro.engine.backends import available_backends, register_backend, resolve_backend
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
 from repro.engine.propagation import (
     FactorAdjacency,
@@ -36,7 +35,4 @@ __all__ = [
     "run_batch",
     "states_equal",
     "states_close",
-    "available_backends",
-    "register_backend",
-    "resolve_backend",
 ]

@@ -54,13 +54,13 @@ class AlgorithmSpec(abc.ABC):
     #: neighbor row of every touched source.
     edge_local_factors: bool = False
 
-    #: declared operator algebra for the vectorized propagation backend: an
+    #: declared operator algebra for the array kernels: an
     #: ``(aggregate, combine)`` pair — ``("min", "add")`` for SSSP/BFS-style
     #: selective specs, ``("sum", "mul")`` for PageRank/PHP-style accumulative
     #: specs — or ``None`` (the default), which keeps the spec on the Python
     #: loop.  Only declare it when ``aggregate``/``combine``/``is_significant``
     #: have exactly those standard semantics (no clamping, saturation or
-    #: custom significance): the numpy backend runs plain array ``min``/``+``/
+    #: custom significance): the array kernels run plain ``min``/``+``/
     #: ``×`` in their place, so a declaration on a spec that deviates produces
     #: silently wrong states.  Subclasses of the built-in algorithms that
     #: change operator semantics must reset it to ``None``.

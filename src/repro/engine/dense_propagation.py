@@ -1,17 +1,18 @@
 """Vectorized (numpy) implementation of the delta-accumulative loop.
 
-This is the ``"numpy"`` propagation backend: it compiles an
+This is the array kernel :func:`repro.engine.propagation.propagate` tries
+first on every call: it compiles an
 :class:`AlgorithmSpec` plus a factor adjacency into CSR factor arrays
 (:class:`repro.graph.csr.FactorCSR`) and runs the frontier rounds with numpy
 — ``np.minimum.at`` for selective min-aggregation (SSSP/BFS style) and
 ``np.add.at`` for accumulative sums (PageRank/PHP style).
 
-The backend is a drop-in replacement for the pure-Python loop in
+The kernel is a drop-in replacement for the pure-Python loop in
 :mod:`repro.engine.propagation`: it mutates the same ``states``/``pending``
 dicts and records the same :class:`ExecutionMetrics`.  It is engineered for
 *exact* metric compatibility — identical converged states, round counts,
 per-round edge activations and vertex-update counts — so that the paper's
-Figure 1/6 comparisons are backend-independent:
+Figure 1/6 comparisons do not depend on which of the two ran:
 
 * active vertices are processed in ascending vertex-id order, matching the
   ``sorted(...)`` snapshot of the Python loop;
@@ -24,7 +25,7 @@ Figure 1/6 comparisons are backend-independent:
   leftovers keep the loop alive for one final, unrecorded clearing round —
   is replayed exactly.
 
-The backend handles the standard algebra of the delta-accumulative model
+The kernel handles the standard algebra of the delta-accumulative model
 (``G`` = ``min`` with identity ``+inf`` or ``+`` with identity ``0``;
 ``combine`` = ``+`` with unit ``0`` or ``×`` with unit ``1``, tolerance-based
 significance).  Specs opt in by declaring
@@ -68,7 +69,7 @@ def _uses_default_significance(spec) -> bool:
 def classify_spec(spec) -> Optional[Tuple[str, str]]:
     """The declared-and-verified algebra of ``spec``: ``(aggregate, combine)``.
 
-    The vectorized backend only runs specs that *opt in* by declaring
+    The array kernels only run specs that *opt in* by declaring
     :attr:`AlgorithmSpec.dense_algebra` — point probes alone cannot prove
     that an operator is unclamped/unsaturated everywhere, so an undeclared
     spec always falls back to the Python loop rather than risking silently

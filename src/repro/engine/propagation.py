@@ -8,11 +8,12 @@ pairs).  Using one shared core keeps the edge-activation counts of the
 different systems directly comparable, which is what the paper's Figures 1
 and 6 measure.
 
-The loop has two interchangeable implementations selected through
-:mod:`repro.engine.backends`: the reference pure-Python loop below and the
-vectorized CSR engine of :mod:`repro.engine.dense_propagation`
-(``backend="numpy"``), which produces identical states, round counts and
-edge-activation counts.
+:func:`propagate` first offers every call to the array kernel of
+:mod:`repro.engine.dense_propagation`, which produces identical states,
+round counts and edge-activation counts.  The kernel declines what it cannot
+reproduce bit for bit — a spec without a declared algebra, NaN inputs, an
+adjacency that is a plain callable — and the reference loop below runs
+those calls.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.engine.algorithm import AlgorithmSpec
-from repro.engine.backends import get_backend, resolve_backend
+from repro.engine.dense_propagation import propagate_numpy
 from repro.engine.metrics import ExecutionMetrics
 
 AdjacencyFn = Callable[[int], Iterable[Tuple[int, float]]]
@@ -117,8 +118,8 @@ class SilencedAdjacency:
     they accumulate without re-propagating.  Layph's shortcut computations
     use this to fold paths over internal intermediates only (boundary
     vertices absorb); expressing the silencing structurally — instead of
-    through a stateful closure — is what lets the vectorized backend compile
-    the adjacency to CSR arrays.
+    through a stateful closure — is what lets the array kernel compile the
+    adjacency to CSR arrays.
     """
 
     def __init__(self, base: FactorAdjacency, silenced: Iterable[int]) -> None:
@@ -143,7 +144,6 @@ def propagate(
     metrics: Optional[ExecutionMetrics] = None,
     max_rounds: Optional[int] = None,
     allowed_targets: Optional[Callable[[int], bool]] = None,
-    backend: Optional[str] = None,
 ) -> Dict[int, float]:
     """Run the delta-accumulative loop to convergence.
 
@@ -158,11 +158,6 @@ def propagate(
             returns ``False`` are generated (and counted as activations, the
             ``F`` work has been done) but then discarded.  Layph uses this to
             stop upper-layer messages from descending into internal vertices.
-        backend: propagation backend name (``"python"``/``"numpy"``);
-            ``None`` consults the ``REPRO_BACKEND`` environment variable and
-            defaults to the Python loop.  A non-Python backend that cannot
-            express ``spec``'s algebra falls back to the Python loop
-            transparently.
 
     Returns:
         The ``states`` dict, updated to the converged values.
@@ -173,22 +168,20 @@ def propagate(
     out-edges into the pending map of the next round.  Selective algorithms
     propagate their (improved) new state and stay silent when the pending
     message does not improve the state; accumulative algorithms propagate the
-    applied delta.
+    applied delta.  The array kernel runs the call when it can; the loop
+    below is the reference and runs whatever the kernel declines.
     """
-    resolved = resolve_backend(backend)
-    implementation = get_backend(resolved)
-    if implementation is not None:
-        result = implementation(
-            spec,
-            adjacency,
-            states,
-            pending,
-            metrics=metrics,
-            max_rounds=max_rounds,
-            allowed_targets=allowed_targets,
-        )
-        if result is not None:
-            return result
+    result = propagate_numpy(
+        spec,
+        adjacency,
+        states,
+        pending,
+        metrics=metrics,
+        max_rounds=max_rounds,
+        allowed_targets=allowed_targets,
+    )
+    if result is not None:
+        return result
     if metrics is None:
         metrics = ExecutionMetrics()
     identity = spec.aggregate_identity()

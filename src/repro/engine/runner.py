@@ -28,6 +28,20 @@ class BatchResult:
         return self.states[vertex]
 
 
+def check_backend(backend: Optional[str]) -> None:
+    """Accept the retired ``backend=`` keyword as a no-op, or reject it.
+
+    There is nothing left to select: the array kernels run wherever the
+    algebra allows and the reference loops everywhere else.  ``None`` and
+    ``"numpy"`` change nothing; any other name raises ``ValueError``.
+    """
+    if backend is not None and backend != "numpy":
+        raise ValueError(
+            f"propagation backend {backend!r} was removed: the array kernels "
+            "run wherever the algebra allows and the reference loops elsewhere"
+        )
+
+
 def run_batch(
     spec: AlgorithmSpec,
     graph: Graph,
@@ -39,13 +53,14 @@ def run_batch(
     """Run ``spec`` on ``graph`` to convergence from the initial values.
 
     Returns converged states for every vertex in the graph (unreached
-    vertices keep their initial state, e.g. ``inf`` for SSSP).  ``backend``
-    selects the propagation backend (see :mod:`repro.engine.backends`);
+    vertices keep their initial state, e.g. ``inf`` for SSSP).
     ``adjacency`` optionally injects a pre-built factor adjacency of
     ``graph`` (engines pass their cache-backed view so the CSR compile is
     reused across calls) — it must be equivalent to
-    ``FactorAdjacency.from_graph(spec, graph)``.
+    ``FactorAdjacency.from_graph(spec, graph)``.  ``backend`` is accepted
+    only for compatibility (see :func:`check_backend`).
     """
+    check_backend(backend)
     if metrics is None:
         metrics = ExecutionMetrics()
     if adjacency is None:
@@ -56,5 +71,5 @@ def run_batch(
         for vertex, message in spec.initial_messages(graph).items()
         if spec.is_significant(message)
     }
-    propagate(spec, adjacency, states, pending, metrics, max_rounds=max_rounds, backend=backend)
+    propagate(spec, adjacency, states, pending, metrics, max_rounds=max_rounds)
     return BatchResult(states=states, metrics=metrics)

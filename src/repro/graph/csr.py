@@ -1,24 +1,18 @@
-"""Immutable CSR (compressed sparse row) snapshots of graphs.
+"""Immutable CSR (compressed sparse row) snapshots of factor graphs.
 
 The delta-accumulative engine iterates over out-edges of active vertices many
 times; a CSR layout backed by numpy arrays keeps that loop cache-friendly and
-avoids per-iteration dictionary overhead.  Both CSR views map arbitrary
-vertex identifiers to a dense ``0..n-1`` index space.
-
-Two snapshots are provided:
-
-* :class:`CSRGraph` — the raw weighted graph (``offsets``/``targets``/
-  ``weights``);
-* :class:`FactorCSR` — a *factor* graph: the same layout but carrying the
-  algorithm-specific propagation factors (``edge_factor`` values or shortcut
-  weights) of a :class:`repro.engine.propagation.FactorAdjacency`.  This is
-  what the vectorized propagation backend
-  (:mod:`repro.engine.dense_propagation`) compiles and runs.
+avoids per-iteration dictionary overhead.  :class:`FactorCSR` maps arbitrary
+vertex identifiers to a dense ``0..n-1`` index space and carries the
+algorithm-specific propagation factors (``edge_factor`` values or shortcut
+weights) of a :class:`repro.engine.propagation.FactorAdjacency`.  This is
+what the array propagation kernel (:mod:`repro.engine.dense_propagation`)
+compiles and runs; :class:`FactorCSRView` masks rows of one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,88 +24,19 @@ def expand_edges(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarr
 
     The result is ordered row by row (rows in the order given, slots in CSR
     order), which is exactly the scatter order of the Python propagation loop.
-    Shared by the vectorized backend, the incremental CSR patching and the
-    vectorized Layph/BSP kernels.
+    Shared by the array propagation kernel, the incremental CSR patching and
+    the vectorized Layph/BSP kernels.
     """
     cumulative = np.cumsum(counts)
     row_offset = np.repeat(starts - np.concatenate(([0], cumulative[:-1])), counts)
     return np.arange(total, dtype=np.int64) + row_offset
 
 
-class CSRGraph:
-    """Read-only CSR representation of a directed weighted graph."""
-
-    def __init__(self, graph: Graph) -> None:
-        self._vertex_ids: List[int] = sorted(graph.vertices())
-        self._index: Dict[int, int] = {
-            vertex: position for position, vertex in enumerate(self._vertex_ids)
-        }
-        n = len(self._vertex_ids)
-
-        out_counts = np.zeros(n + 1, dtype=np.int64)
-        for vertex in self._vertex_ids:
-            out_counts[self._index[vertex] + 1] = graph.out_degree(vertex)
-        self._offsets = np.cumsum(out_counts)
-
-        num_edges = int(self._offsets[-1])
-        self._targets = np.empty(num_edges, dtype=np.int64)
-        self._weights = np.empty(num_edges, dtype=np.float64)
-        cursor = np.array(self._offsets[:-1], dtype=np.int64)
-        for vertex in self._vertex_ids:
-            row = self._index[vertex]
-            for target, weight in graph.out_neighbors(vertex).items():
-                position = cursor[row]
-                self._targets[position] = self._index[target]
-                self._weights[position] = weight
-                cursor[row] += 1
-
-        self._out_degree = np.diff(self._offsets)
-
-    # ------------------------------------------------------------------
-    @property
-    def num_vertices(self) -> int:
-        """Number of vertices in the snapshot."""
-        return len(self._vertex_ids)
-
-    @property
-    def num_edges(self) -> int:
-        """Number of directed edges in the snapshot."""
-        return len(self._targets)
-
-    def vertex_id(self, index: int) -> int:
-        """Original vertex id for a dense ``index``."""
-        return self._vertex_ids[index]
-
-    def index_of(self, vertex: int) -> int:
-        """Dense index for an original ``vertex`` id."""
-        return self._index[vertex]
-
-    @property
-    def vertex_ids(self) -> Sequence[int]:
-        """All original vertex ids in dense-index order."""
-        return self._vertex_ids
-
-    def out_degree(self, index: int) -> int:
-        """Out-degree of the vertex at dense ``index``."""
-        return int(self._out_degree[index])
-
-    def out_edges(self, index: int) -> Iterator[Tuple[int, float]]:
-        """Iterate ``(target_index, weight)`` for the vertex at ``index``."""
-        start, end = self._offsets[index], self._offsets[index + 1]
-        for position in range(start, end):
-            yield int(self._targets[position]), float(self._weights[position])
-
-    def out_edge_arrays(self, index: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(targets, weights)`` arrays for the vertex at ``index``."""
-        start, end = self._offsets[index], self._offsets[index + 1]
-        return self._targets[start:end], self._weights[start:end]
-
-
 class FactorCSR:
     """CSR factor arrays (``offsets``/``targets``/``factors``) of a factor graph.
 
     Rows appear in ascending vertex-id order and, within a row, edges keep
-    the order of the source adjacency — the vectorized backend relies on
+    the order of the source adjacency — the array kernels rely on
     this to replay the Python loop's message order exactly (which makes even
     the non-associative float sums of accumulative algorithms bit-for-bit
     reproducible).

@@ -1,10 +1,10 @@
 """Incremental maintenance of compiled CSR snapshots across graph deltas.
 
-PR 1 gave the delta-accumulative loop a vectorized CSR backend, but every
-``propagate`` call recompiled the :class:`repro.graph.csr.FactorCSR` from
-scratch — an O(V+E) Python-level row enumeration that dwarfs the actual
-(small) incremental propagation work of a typical ΔG.  This module closes
-that gap:
+The delta-accumulative loop runs as an array kernel over CSR snapshots, and
+compiling a :class:`repro.graph.csr.FactorCSR` from scratch per
+``propagate`` call — an O(V+E) Python-level row enumeration — would dwarf
+the actual (small) incremental propagation work of a typical ΔG.  This
+module closes that gap:
 
 * :class:`CSRCache` keeps one compiled out-edge factor CSR (and, for the
   pull-based BSP engines, one in-edge factor CSR) alive per engine.  A
@@ -425,8 +425,8 @@ class CachedGraphAdjacency:
     """Callable factor adjacency over a :class:`Graph`, cache-backed.
 
     Drop-in replacement for ``FactorAdjacency.from_graph(spec, graph)`` on the
-    engines' full-graph propagation path: the Python loop iterates it like any
-    adjacency (factors derived on the fly), while the vectorized backend asks
+    engines' full-graph propagation path: the reference loop iterates it like
+    any adjacency (factors derived on the fly), while the array kernel asks
     for :meth:`compiled_csr` and skips both the adjacency materialisation and
     the CSR row enumeration entirely.
     """

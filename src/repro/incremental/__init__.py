@@ -50,16 +50,12 @@ __all__ = [
 ]
 
 
-def make_engine(name: str, spec, backend=None) -> IncrementalEngine:
-    """Instantiate an engine by its registry name.
-
-    ``backend`` selects the propagation backend (see
-    :mod:`repro.engine.backends`); ``None`` defers to ``REPRO_BACKEND``.
-    """
+def make_engine(name: str, spec) -> IncrementalEngine:
+    """Instantiate an engine by its registry name."""
     try:
         engine_class = ENGINE_REGISTRY[name.lower()]
     except KeyError as error:
         raise ValueError(
             f"unknown engine {name!r}; expected one of {sorted(ENGINE_REGISTRY)}"
         ) from error
-    return engine_class(spec, backend=backend)
+    return engine_class(spec)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.engine.algorithm import AlgorithmSpec
-from repro.engine.backends import is_numpy_backend
+from repro.engine.dense_propagation import classify_spec
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
 from repro.engine.propagation import FactorAdjacency
-from repro.engine.runner import BatchResult, run_batch
+from repro.engine.runner import BatchResult, check_backend, run_batch
 from repro.graph.csr_cache import CSRCache
 from repro.graph.delta import GraphDelta
 from repro.graph.footprint import DeltaFootprint
@@ -49,12 +49,11 @@ class IncrementalEngine(abc.ABC):
     #: or "any".
     supported_family: str = "any"
 
-    def __init__(self, spec: AlgorithmSpec, backend: Optional[str] = None) -> None:
+    def __init__(self, spec: AlgorithmSpec, *, backend: Optional[str] = None) -> None:
+        # ``backend`` is accepted only for compatibility (see check_backend)
+        check_backend(backend)
         self._check_supported(spec)
         self.spec = spec
-        #: propagation backend (see :mod:`repro.engine.backends`); ``None``
-        #: defers to the ``REPRO_BACKEND`` environment variable
-        self.backend = backend
         #: compiled-CSR cache of this engine's graph (see
         #: :mod:`repro.graph.csr_cache`); kept in sync with applied deltas
         #: through :meth:`_update_graph`
@@ -104,10 +103,7 @@ class IncrementalEngine(abc.ABC):
     def _initial_run(self, graph: Graph) -> BatchResult:
         """Batch run hook; engines override it to memoize extra structures."""
         return run_batch(
-            self.spec,
-            graph,
-            backend=self.backend,
-            adjacency=self._propagation_adjacency(graph),
+            self.spec, graph, adjacency=self._propagation_adjacency(graph)
         )
 
     # ------------------------------------------------------------------
@@ -287,14 +283,14 @@ class IncrementalEngine(abc.ABC):
     def _propagation_adjacency(self, graph: Graph):
         """Factor adjacency of ``graph`` for full-graph propagation.
 
-        Under the numpy backend this returns the cache-backed view (the
-        vectorized loop then reuses the compiled/patched CSR directly);
-        otherwise the materialised :class:`FactorAdjacency`, which is what
-        the Python loop iterates fastest.
+        For a spec with a declared algebra this is the cache-backed view (the
+        array kernel then reuses the compiled/patched CSR directly); for an
+        undeclared one, which only the reference loop can run, the
+        materialised :class:`FactorAdjacency` that loop iterates fastest.
         """
-        if is_numpy_backend(self.backend):
-            return self.csr_cache.adjacency(self.spec, graph)
-        return FactorAdjacency.from_graph(self.spec, graph)
+        if classify_spec(self.spec) is None:
+            return FactorAdjacency.from_graph(self.spec, graph)
+        return self.csr_cache.adjacency(self.spec, graph)
 
     def _revision_out_csr(self, graph: Graph):
         """Cached out-edge factor CSR for vectorized revision deduction.
@@ -304,8 +300,9 @@ class IncrementalEngine(abc.ABC):
         handed the out-edge CSR snapshots of both graph versions (call this
         once *before* :meth:`_update_graph` for the old graph and once after
         for the new one).  Returns ``None`` — the caller then stays on the
-        dict reference — when the numpy backend is not selected.
+        dict reference — for a spec without a declared algebra, which the
+        array deduction would decline anyway.
         """
-        if not is_numpy_backend(self.backend):
+        if classify_spec(self.spec) is None:
             return None
         return self.csr_cache.out_csr(self.spec, graph)

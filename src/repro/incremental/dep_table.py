@@ -26,7 +26,7 @@ for changes.  :class:`DepTable` closes the gap the same way
 The table is built lazily from the dict reference on the first dense delta,
 remapped with one gather when a delta changes the vertex-id space, and
 **demoted** back to the dict (``to_parents_dict``) whenever the dense gate
-fails: Python backend, an algebra outside min/+, NaN factors or states.
+fails: an algebra outside min/+, NaN factors or states.
 The dict engines in :mod:`repro.incremental.dependency` remain the semantic
 reference; ``tests/incremental/test_dep_table.py`` pins the dense path to it
 bitwise — states, rounds, edge activations — over random edge+vertex delta

@@ -19,9 +19,9 @@ Two tagging granularities are provided:
   activate more edges than the other two systems in Figures 1 and 6.
 
 This module is the *dict reference* of the selective subsystem: it defines
-the semantics, runs under the Python backend, and takes over whenever the
-dense gate fails (NaN factors or states).  Under the numpy backend the same
-operations run as array kernels over the dense
+the semantics, runs every spec without the declared min/+ algebra, and takes
+over whenever the dense gate fails (NaN factors or states).  Otherwise the
+same operations run as array kernels over the dense
 :class:`repro.incremental.dep_table.DepTable`, bitwise identical to these
 loops.
 """

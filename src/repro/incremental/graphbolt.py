@@ -15,11 +15,12 @@ all engines remain directly comparable.
 
 The memoized iterations live in one of two stores:
 
-* the dict reference — ``List[Dict[int, float]]``, one dict per iteration —
-  which the Python backend always uses and which defines the semantics;
 * the dense :class:`repro.incremental.memo.MemoTable` — one float64 matrix
   row per iteration, keyed by the cached in-edge CSR's vertex index — which
-  the numpy backend uses whenever the in-edge CSR can carry it.
+  is used whenever the in-edge CSR can carry it (a declared sum algebra,
+  NaN-free factors);
+* the dict reference — ``List[Dict[int, float]]``, one dict per iteration —
+  which defines the semantics and holds the iterations of every other spec.
   Batch supersteps append rows instead of materialising dicts, and frontier
   refinement becomes pure gather/scatter (no ``np.fromiter`` over dicts).
   Both stores are bitwise interchangeable; when the in-edge CSR becomes
@@ -37,7 +38,6 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.engine.algorithm import AlgorithmSpec
-from repro.engine.backends import is_numpy_backend
 from repro.engine.dense_propagation import AGGREGATE_SUM, COMBINE_MUL, classify_spec
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
 from repro.engine.runner import BatchResult
@@ -62,15 +62,15 @@ class GraphBoltEngine(IncrementalEngine):
     name = "graphbolt"
     supported_family = "accumulative"
 
-    def __init__(self, spec: AlgorithmSpec, backend: Optional[str] = None) -> None:
-        # ``backend="numpy"`` compiles the BSP pulls (batch iterations and
-        # per-iteration refinement) onto the cached in-edge factor CSR; the
+    def __init__(self, spec: AlgorithmSpec, *, backend: Optional[str] = None) -> None:
+        # The BSP pulls (batch iterations and per-iteration refinement) run
+        # on the cached in-edge factor CSR where ``_bsp_csr`` allows; the
         # Python loops below remain the metric-identical reference.
         super().__init__(spec, backend=backend)
         #: dict-reference memoized iterations, ``_iterations[i][v]`` (empty
         #: while the dense store is active)
         self._iterations: List[Dict[int, float]] = []
-        #: dense memoized-iteration store (numpy backend)
+        #: dense memoized-iteration store (``None`` in dict mode)
         self.memo: Optional[MemoTable] = None
         #: ``(graph, version, in_csr)`` stash so one delta's prepare/refine
         #: pair costs a single ``_bsp_csr`` resolution (the NaN-factor gate
@@ -192,13 +192,11 @@ class GraphBoltEngine(IncrementalEngine):
     def _bsp_csr(self, graph: Graph) -> Optional[FactorCSR]:
         """In-edge factor CSR for vectorized pulls, or ``None`` to stay Python.
 
-        Vectorized pulls need the numpy backend to be selected, an algebra
-        the array ops can express (``classify_spec``), and NaN-free factors
-        (the significance comparisons behave identically under NaN for pure
-        sums, but the declared-algebra probe keeps the gate conservative).
+        Vectorized pulls need an algebra the array ops can express
+        (``classify_spec``) and NaN-free factors (the significance
+        comparisons behave identically under NaN for pure sums, but the
+        declared-algebra probe keeps the gate conservative).
         """
-        if not is_numpy_backend(self.backend):
-            return None
         kinds = self._algebra()
         if kinds is None or kinds[0] != AGGREGATE_SUM:
             return None

@@ -92,7 +92,7 @@ class _IngressFreeEngine(IncrementalEngine):
 
         with phases.phase("propagation"):
             adjacency = self._propagation_adjacency(new_graph)
-            propagate(spec, adjacency, states, pending, metrics, backend=self.backend)
+            propagate(spec, adjacency, states, pending, metrics)
 
         return IncrementalResult(states=states, metrics=metrics, phases=phases)
 
@@ -103,12 +103,12 @@ class IngressEngine(IncrementalEngine):
     name = "ingress"
     supported_family = "any"
 
-    def __init__(self, spec: AlgorithmSpec, backend: Optional[str] = None) -> None:
+    def __init__(self, spec: AlgorithmSpec, *, backend: Optional[str] = None) -> None:
         super().__init__(spec, backend=backend)
         if spec.is_selective():
-            self._delegate: IncrementalEngine = _IngressPathEngine(spec, backend=backend)
+            self._delegate: IncrementalEngine = _IngressPathEngine(spec)
         else:
-            self._delegate = _IngressFreeEngine(spec, backend=backend)
+            self._delegate = _IngressFreeEngine(spec)
         # expose the delegate's CSR cache (the facade itself never propagates)
         self.csr_cache = self._delegate.csr_cache
 

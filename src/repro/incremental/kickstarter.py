@@ -10,8 +10,8 @@ Figures 1 and 6 — the ordering this reproduction preserves.
 Like the original system it only supports selective algorithms (SSSP, BFS);
 PageRank/PHP raise ``ValueError`` exactly as the paper notes in Section VI-A.
 
-The engine is a thin policy over the shared dependency machinery: under the
-numpy backend the DAG taint runs as a mask-based frontier walk on the cached
+The engine is a thin policy over the shared dependency machinery: for the
+min/+ algebra the DAG taint runs as a mask-based frontier walk on the cached
 out-edge CSR of the dense :class:`repro.incremental.dep_table.DepTable`.
 """
 

@@ -24,8 +24,8 @@ matrix:
   same way :func:`repro.graph.csr_cache.master_factor_csr` keys its memo.
 
 The dict-backed loops in :mod:`repro.incremental.graphbolt` remain the
-metric-identical reference: they run under the Python backend and whenever
-the in-edge CSR is unavailable (NaN factors, exotic algebra).  The property
+metric-identical reference: they run whenever the in-edge CSR is
+unavailable (NaN factors, an undeclared or exotic algebra).  The property
 tests in ``tests/test_properties.py`` pin the dense store to the reference
 bitwise — iterations, states, rounds and edge activations.
 """

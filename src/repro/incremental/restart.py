@@ -20,9 +20,6 @@ class RestartEngine(IncrementalEngine):
     def _apply_delta(self, delta: GraphDelta) -> IncrementalResult:
         new_graph = self._update_graph(delta)
         result = run_batch(
-            self.spec,
-            new_graph,
-            backend=self.backend,
-            adjacency=self._propagation_adjacency(new_graph),
+            self.spec, new_graph, adjacency=self._propagation_adjacency(new_graph)
         )
         return IncrementalResult(states=result.states, metrics=result.metrics)

@@ -12,7 +12,7 @@ the paper mentions in Section VI-A).
 
 The engine is a thin policy over the shared dependency machinery: the
 safe/unsafe classification reads the recorded parent from whichever store is
-live, and under the numpy backend the single-parent taint is a level-ordered
+live, and for the min/+ algebra the single-parent taint is a level-ordered
 sweep over the dense :class:`repro.incremental.dep_table.DepTable`'s parent
 array.
 """

@@ -12,11 +12,11 @@ per-edge safe/unsafe classification hooks.
 The mechanics behind the template run in one of two interchangeable forms:
 
 * the dict reference — :mod:`repro.incremental.dependency` over per-vertex
-  Python dicts — which defines the semantics and always runs under the
-  Python backend;
+  Python dicts — which defines the semantics and runs every spec without
+  the declared min/+ algebra;
 * the dense :class:`repro.incremental.dep_table.DepTable` — parent, level
   and value arrays keyed by the cached in-edge CSR's vertex index — which
-  the numpy backend uses for the min/+ algebra.
+  runs the min/+ algebra.
   Taint expansion, the trimmed-vertex re-pull and the post-propagation
   parent refresh then run as array kernels over the cached in-/out-edge CSR
   snapshots, bitwise identical to the dict loops (states, rounds, edge
@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.engine.backends import is_numpy_backend
 from repro.engine.dense_propagation import AGGREGATE_MIN, COMBINE_ADD, classify_spec
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
 from repro.engine.propagation import propagate
@@ -113,12 +112,12 @@ class SelectiveDependencyEngine(IncrementalEngine):
     #: whether to pre-classify insertions/deletions as safe (no work needed)
     classify_safe_updates: bool = False
 
-    def __init__(self, spec, backend: Optional[str] = None) -> None:
+    def __init__(self, spec, *, backend: Optional[str] = None) -> None:
         super().__init__(spec, backend=backend)
         #: dict-reference dependency parents; authoritative only while
         #: :attr:`dep_table` is ``None`` (the table owns them otherwise)
         self.parents: Dict[int, Optional[int]] = {}
-        #: dense dependency store (numpy backend), ``None`` in dict mode
+        #: dense dependency store, ``None`` in dict mode
         self.dep_table: Optional[DepTable] = None
         #: deltas applied through the dense / dict machinery (for tests)
         self.dense_deltas = 0
@@ -128,17 +127,11 @@ class SelectiveDependencyEngine(IncrementalEngine):
     # ------------------------------------------------------------------
     def _initial_run(self, graph: Graph) -> BatchResult:
         result = run_batch(
-            self.spec,
-            graph,
-            backend=self.backend,
-            adjacency=self._propagation_adjacency(graph),
+            self.spec, graph, adjacency=self._propagation_adjacency(graph)
         )
         self.parents = dependency.compute_parents(self.spec, graph, result.states)
         self.dep_table = None
-        if is_numpy_backend(self.backend) and classify_spec(self.spec) == (
-            AGGREGATE_MIN,
-            COMBINE_ADD,
-        ):
+        if classify_spec(self.spec) == (AGGREGATE_MIN, COMBINE_ADD):
             # Warm the snapshots the dense dependency path consumes so the
             # first delta patches them instead of compiling mid-stream (the
             # BSP engines warm their in-edge CSR the same way).
@@ -199,16 +192,13 @@ class SelectiveDependencyEngine(IncrementalEngine):
     def _sync_dep_table(self, old_graph: Graph) -> Optional[Tuple[FactorCSR, FactorCSR]]:
         """Pre-delta CSR snapshots when this delta can run dense, else ``None``.
 
-        The dense gate mirrors the memo table's: numpy backend selected, the
-        spec declares the min/+ algebra, no NaN factors or states.  A failed
+        The dense gate mirrors the memo table's: the spec declares the min/+
+        algebra, no NaN factors or states.  A failed
         gate demotes the table to the dict reference (which then handles this
         delta); a later clean delta re-promotes it from the dict.
         """
         spec = self.spec
-        if not is_numpy_backend(self.backend) or classify_spec(spec) != (
-            AGGREGATE_MIN,
-            COMBINE_ADD,
-        ):
+        if classify_spec(spec) != (AGGREGATE_MIN, COMBINE_ADD):
             self._demote_dep_table()
             return None
         in_csr = self.csr_cache.in_csr(spec, old_graph)
@@ -373,7 +363,7 @@ class SelectiveDependencyEngine(IncrementalEngine):
 
         with phases.phase("propagation"):
             adjacency = self._propagation_adjacency(new_graph)
-            propagate(spec, adjacency, states, pending, metrics, backend=self.backend)
+            propagate(spec, adjacency, states, pending, metrics)
 
         with phases.phase(PHASE_MAINTENANCE):
             if table is not None:
@@ -387,7 +377,7 @@ class SelectiveDependencyEngine(IncrementalEngine):
         return IncrementalResult(states=states, metrics=metrics, phases=phases)
 
     # ------------------------------------------------------------------
-    # dense kernels (numpy backend; bitwise equal to the dict reference)
+    # dense kernels (bitwise equal to the dict reference)
     # ------------------------------------------------------------------
     def _trim_and_seed_dense(
         self,

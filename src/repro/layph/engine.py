@@ -26,11 +26,9 @@ recomputation on the updated graph (Theorems 1 and 2).
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.algorithm import AlgorithmSpec
-from repro.engine.backends import is_numpy_backend
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
 from repro.engine.propagation import NonConvergenceError, propagate
 from repro.engine.runner import BatchResult, run_batch
@@ -64,13 +62,11 @@ class LayphEngine(IncrementalEngine):
         self,
         spec: AlgorithmSpec,
         config: Optional[LayphConfig] = None,
+        *,
         backend: Optional[str] = None,
     ) -> None:
-        config = config or LayphConfig()
-        if backend is not None and backend != config.backend:
-            config = replace(config, backend=backend)
-        super().__init__(spec, backend=config.backend)
-        self.config = config
+        super().__init__(spec, backend=backend)
+        self.config = config or LayphConfig()
         self.layered: Optional[LayeredGraph] = None
         #: states of proxy vertices (kept out of the reported results)
         self.proxy_states: Dict[int, float] = {}
@@ -92,10 +88,7 @@ class LayphEngine(IncrementalEngine):
         self.offline_seconds = time.perf_counter() - start
         self.offline_metrics = self.layered.construction_metrics.copy()
         result = run_batch(
-            self.spec,
-            graph,
-            backend=self.backend,
-            adjacency=self._propagation_adjacency(graph),
+            self.spec, graph, adjacency=self._propagation_adjacency(graph)
         )
         self._refresh_local_source_states()
         self._initialise_proxy_states(result.states)
@@ -134,7 +127,6 @@ class LayphEngine(IncrementalEngine):
             source,
             subgraph.boundary,
             self.offline_metrics,
-            backend=self.backend,
         )
         # The source reaches itself at the identity of combine (distance 0).
         self._local_source_states[source] = self.spec.combine_identity()
@@ -294,9 +286,7 @@ class LayphEngine(IncrementalEngine):
                 vertex: work.get(vertex, snapshot_baseline)
                 for vertex in upper_vertices
             }
-            propagate(
-                spec, layered.upper_adjacency, work, lup_pending, metrics, backend=self.backend
-            )
+            propagate(spec, layered.upper_adjacency, work, lup_pending, metrics)
 
         # ------------------------------------------------------------------
         with phases.phase(PHASE_ASSIGN):
@@ -407,10 +397,6 @@ class LayphEngine(IncrementalEngine):
                     lup_pending.get(vertex, identity), message
                 )
 
-    def _vectorized_phases(self) -> bool:
-        """Whether the vectorized upload/assign kernels should be attempted."""
-        return is_numpy_backend(self.backend)
-
     def _local_upload(
         self,
         subgraph,
@@ -422,11 +408,12 @@ class LayphEngine(IncrementalEngine):
 
         Internal states are revised in place (Equation (11)); the messages
         that reach boundary vertices are returned so the caller can feed them
-        into the upper-layer iteration (Equation (7)).  Under the numpy
-        backend the propagation runs on the subgraph's compiled CSR
+        into the upper-layer iteration (Equation (7)).  The propagation runs
+        on the subgraph's compiled CSR
         (:func:`repro.layph.vectorized.local_upload_numpy`), metric-identical
         to the Python loop below, which remains the reference and the
-        fallback for inputs the kernel cannot express (e.g. NaN factors).
+        fallback for specs and inputs the kernel cannot express (an
+        undeclared algebra, NaN factors).
 
         Raises:
             NonConvergenceError: if significant messages remain after the
@@ -434,10 +421,9 @@ class LayphEngine(IncrementalEngine):
                 stale internal states behind and silently corrupt every
                 subsequent delta.
         """
-        if self._vectorized_phases():
-            arrived = local_upload_numpy(self.spec, subgraph, work, local_pending, metrics)
-            if arrived is not None:
-                return arrived
+        arrived = local_upload_numpy(self.spec, subgraph, work, local_pending, metrics)
+        if arrived is not None:
+            return arrived
         spec = self.spec
         identity = spec.aggregate_identity()
         boundary = subgraph.boundary
@@ -558,10 +544,7 @@ class LayphEngine(IncrementalEngine):
 
         for vertex in tainted:
             work[vertex] = identity
-        seeded = self._vectorized_phases() and seed_tainted_upper(
-            spec, layered, tainted, work, lup_pending, metrics
-        )
-        if not seeded:
+        if not seed_tainted_upper(spec, layered, tainted, work, lup_pending, metrics):
             incoming = layered.upper_in_adjacency()
             for vertex in sorted(tainted):
                 best = spec.initial_message(vertex) if vertex >= 0 else identity
@@ -683,7 +666,7 @@ class LayphEngine(IncrementalEngine):
             for index in sorted(to_assign)
             if layered.subgraphs[index].internal
         ]
-        if order and self._vectorized_phases():
+        if order:
             # one kernel call over every assigned subgraph's shortcut rows
             subgraphs = [layered.subgraphs[index] for index in order]
             if spec.is_selective():
@@ -715,8 +698,8 @@ class LayphEngine(IncrementalEngine):
     ) -> None:
         """Best-offer assignment of one subgraph (boundary → internal).
 
-        The reference loop; under the numpy backend every assigned subgraph
-        runs in one vectorized pass instead
+        The reference loop; wherever the algebra allows, every assigned
+        subgraph runs in one vectorized pass instead
         (:func:`repro.layph.vectorized.assign_selective_batch`), which scans
         boundary vertices in the same ascending id order and produces
         identical ``best`` maps, activation counts and state writes.
@@ -772,8 +755,8 @@ class LayphEngine(IncrementalEngine):
     ) -> None:
         """Delta push of one subgraph's boundary changes through its shortcuts.
 
-        The reference loop; under the numpy backend every assigned subgraph
-        runs in one vectorized pass instead
+        The reference loop; wherever the algebra allows, every assigned
+        subgraph runs in one vectorized pass instead
         (:func:`repro.layph.vectorized.assign_accumulative_batch`).  Both
         apply boundary deltas in ascending id order (shortcut-table order
         within a boundary vertex), so the non-associative float sums agree

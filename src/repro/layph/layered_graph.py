@@ -55,10 +55,6 @@ class LayphConfig:
     replication_threshold: int = 3
     #: random seed for community detection
     seed: int = 0
-    #: propagation backend for shortcut computation and the upper-layer
-    #: iteration (see :mod:`repro.engine.backends`); ``None`` defers to the
-    #: ``REPRO_BACKEND`` environment variable
-    backend: Optional[str] = None
 
     def resolved_community_cap(self, num_vertices: int) -> Optional[int]:
         """The community size cap actually used for a graph of this size."""
@@ -308,7 +304,7 @@ class LayeredGraph:
         # subgraph's state cells at once).
         metrics = layered.construction_metrics
         for subgraph in layered.subgraphs:
-            batch = ShortcutBatch(spec, config.backend)
+            batch = ShortcutBatch(spec)
             layered._refresh_subgraph(subgraph, set(subgraph.members), batch, metrics)
             batch.run(metrics)
         layered.rebuild_upper()
@@ -593,7 +589,7 @@ class LayeredGraph:
         totals and its activations are charged to ``metrics`` when given.
         """
         work = ExecutionMetrics()
-        batch = ShortcutBatch(self.spec, self.config.backend)
+        batch = ShortcutBatch(self.spec)
         for index in indices:
             self._refresh_subgraph(self.subgraphs[index], touched, batch, work)
         batch.run(work, per_round=False)
@@ -853,9 +849,9 @@ class LayeredGraph:
         """Reverse view of the upper layer: target -> [(source, factor)].
 
         An O(Lup) walk, built per call: the offline proxy initialisation and
-        the Python-backend trim/seed reference use it.  The numpy backend
-        reads the in-links of the few vertices it needs with a target mask
-        over :meth:`upper_csr` instead
+        the reference trim/seed loop use it.  The array trim/seed reads the
+        in-links of the few vertices it needs with a target mask over
+        :meth:`upper_csr` instead
         (:func:`repro.layph.vectorized.seed_tainted_upper`).
         """
         adjacency = self.upper_adjacency

@@ -15,14 +15,13 @@ vertices of the same subgraph is counted once for every distinct sequence of
 boundary vertices it visits, which is what Theorems 1 and 2 need for both the
 selective and the accumulative algorithm families.
 
-Under a numpy backend the shortcut work runs in the lockstep kernel
+The shortcut work runs in the lockstep kernel
 :func:`repro.parallel.slabs.run_shortcut_solves`, driven by
 :class:`ShortcutBatch`: one call holds the from-scratch solves and the
 incremental revisions of any number of subgraphs (all of one delta's, or
 one subgraph's at build time).  The two-``propagate`` bodies of
-:func:`_propagate_shortcuts` and :func:`_fold_propagate` are the
-Python-backend reference and the fallback for specs or inputs the kernel
-cannot express.
+:func:`_propagate_shortcuts` and :func:`_fold_propagate` are the reference
+and the fallback for specs or inputs the kernel cannot express.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.engine.algorithm import AlgorithmSpec
-from repro.engine.backends import is_numpy_backend
 from repro.engine.dense_propagation import AGGREGATE_MIN, COMBINE_ADD, classify_spec
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency, SilencedAdjacency, propagate
@@ -70,7 +68,6 @@ def compute_shortcuts_from(
     boundary: Set[int],
     metrics: Optional[ExecutionMetrics] = None,
     max_rounds: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[int, float]:
     """Shortcut weights from one boundary vertex to every reachable vertex.
 
@@ -83,7 +80,6 @@ def compute_shortcuts_from(
         metrics: optional activation accounting (shortcut construction and
             maintenance is real work the paper charges to Layph).
         max_rounds: optional safety bound for the local iteration.
-        backend: propagation backend (see :mod:`repro.engine.backends`).
 
     Returns:
         Mapping ``vertex -> shortcut weight``.  The source itself is omitted
@@ -95,12 +91,8 @@ def compute_shortcuts_from(
     :func:`compute_shortcut_vectors`.
     """
     if max_rounds is None:
-        return compute_shortcut_vectors(
-            spec, local_adjacency, [source], boundary, metrics, backend=backend
-        )[0]
-    return _propagate_shortcuts(
-        spec, local_adjacency, source, boundary, metrics, max_rounds, backend
-    )
+        return compute_shortcut_vectors(spec, local_adjacency, [source], boundary, metrics)[0]
+    return _propagate_shortcuts(spec, local_adjacency, source, boundary, metrics, max_rounds)
 
 
 def _propagate_shortcuts(
@@ -110,13 +102,11 @@ def _propagate_shortcuts(
     boundary: Set[int],
     metrics: Optional[ExecutionMetrics] = None,
     max_rounds: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[int, float]:
     """The reference solve: two ``propagate`` calls over silenced views.
 
-    Runs on the Python backend, for a round cap, and whenever the batched
-    kernel cannot express the spec or the factors (see
-    :class:`ShortcutBatch`).
+    Runs for a round cap and whenever the batched kernel cannot express the
+    spec or the factors (see :class:`ShortcutBatch`).
     """
     if metrics is None:
         metrics = ExecutionMetrics()
@@ -132,7 +122,7 @@ def _propagate_shortcuts(
     # only pending vertex), run as a single round with the source un-silenced;
     # every following superstep silences it like any other boundary vertex.
     # Expressing the silencing structurally — instead of through a stateful
-    # closure — is what lets the vectorized backend compile both phases.
+    # closure — is what lets the array kernel compile both phases.
     states: Dict[int, float] = {}
     pending: Dict[int, float] = {source: unit}
     if max_rounds is not None and max_rounds <= 0:
@@ -146,7 +136,6 @@ def _propagate_shortcuts(
             pending,
             metrics,
             max_rounds=1,
-            backend=backend,
         )
         if max_rounds is not None:
             max_rounds -= 1
@@ -158,7 +147,6 @@ def _propagate_shortcuts(
         pending,
         metrics,
         max_rounds=max_rounds,
-        backend=backend,
     )
 
     shortcuts: Dict[int, float] = {}
@@ -246,19 +234,18 @@ class ShortcutBatch:
     kernel sees the blocks' local CSRs as one block-diagonal CSR and every
     job owns only its own block's cells, so a call costs O(Σ job cells),
     never a ``(jobs × Σ rows)`` matrix.  Every vector is bitwise the one
-    the reference bodies produce on the numpy backend — values, dict key
-    order and recorded work.
+    the reference bodies produce — values, dict key order and recorded
+    work.
 
     Jobs the kernel cannot express run the reference bodies instead
-    (:func:`_propagate_shortcuts`, :func:`_fold_propagate`): every job on a
-    non-numpy backend or for an undeclared algebra, a block whose factors
-    carry NaN, a revision whose old vector or messages carry NaN.
+    (:func:`_propagate_shortcuts`, :func:`_fold_propagate`): every job for
+    an undeclared algebra, a block whose factors carry NaN, a revision whose
+    old vector or messages carry NaN.
     """
 
-    def __init__(self, spec: AlgorithmSpec, backend: Optional[str] = None) -> None:
+    def __init__(self, spec: AlgorithmSpec) -> None:
         self.spec = spec
-        self.backend = backend
-        self._kinds = classify_spec(spec) if is_numpy_backend(backend) else None
+        self._kinds = classify_spec(spec)
         self._blocks: List[_Block] = []
 
     def block(self, local_adjacency: FactorAdjacency, boundary: Set[int]) -> _Block:
@@ -472,7 +459,6 @@ class ShortcutBatch:
                 job.source,
                 block.boundary,
                 metrics,
-                backend=self.backend,
             )
         else:
             vector = _revise_reference(
@@ -483,7 +469,6 @@ class ShortcutBatch:
                 job.old_vector,
                 job.pending,
                 metrics,
-                self.backend,
             )
         job.table[job.key] = vector
 
@@ -562,14 +547,12 @@ def compute_shortcut_vectors(
     sources: Sequence[int],
     boundary: Set[int],
     metrics: Optional[ExecutionMetrics] = None,
-    backend: Optional[str] = None,
 ) -> List[Dict[int, float]]:
     """From-scratch shortcut vectors of several sources of one subgraph.
 
     Equal — values, dict order and recorded metrics — to
-    :func:`compute_shortcuts_from` per source in ``sources`` order.  Under a
-    numpy backend all sources run in one lockstep kernel call
-    (:class:`ShortcutBatch`).  Every boundary vertex and every source is
+    :func:`compute_shortcuts_from` per source in ``sources`` order.  All
+    sources run in one lockstep kernel call (:class:`ShortcutBatch`).  Every boundary vertex and every source is
     silenced after the first round, so several sources can share the call
     only when they are all boundary vertices; a single source may be
     internal (the rooted source of a selective algorithm).
@@ -579,7 +562,7 @@ def compute_shortcut_vectors(
     if metrics is None:
         metrics = ExecutionMetrics()
     vectors: Dict[int, Dict[int, float]] = {}
-    batch = ShortcutBatch(spec, backend)
+    batch = ShortcutBatch(spec)
     block = batch.block(local_adjacency, boundary)
     for source in sources:
         batch.solve(block, source, vectors)
@@ -595,7 +578,6 @@ def _fold_propagate(
     vector: Dict[int, float],
     pending: Dict[int, float],
     metrics: ExecutionMetrics,
-    backend: Optional[str] = None,
 ) -> Dict[int, float]:
     """Propagate pending messages over a subgraph with boundary absorption.
 
@@ -609,7 +591,6 @@ def _fold_propagate(
         vector,
         pending,
         metrics,
-        backend=backend,
     )
     return vector
 
@@ -622,13 +603,10 @@ def _revise_reference(
     old_vector: Dict[int, float],
     pending: Dict[int, float],
     metrics: ExecutionMetrics,
-    backend: Optional[str] = None,
 ) -> Dict[int, float]:
     """Fold ``pending`` into a copy of ``old_vector`` and post-filter it."""
     vector = dict(old_vector)
-    _fold_propagate(
-        spec, local_adjacency, source, boundary, vector, dict(pending), metrics, backend=backend
-    )
+    _fold_propagate(spec, local_adjacency, source, boundary, vector, dict(pending), metrics)
     if spec.is_selective():
         identity = spec.aggregate_identity()
         vector = {v: value for v, value in vector.items() if value != identity}

@@ -1,7 +1,7 @@
 """Vectorized (numpy) kernels for Layph's online phases.
 
-Four hot loops of :class:`repro.layph.engine.LayphEngine` run here when the
-``"numpy"`` backend is selected:
+Four hot loops of :class:`repro.layph.engine.LayphEngine` run here whenever
+the spec's algebra and inputs allow:
 
 * :func:`local_upload_numpy` — phase 2's per-subgraph revision-message
   propagation with boundary-absorb semantics, compiled onto the subgraph's

@@ -51,7 +51,7 @@ class StateSnapshot:
     #: vertex -> state value (treat as frozen; the writer never mutates it)
     states: Dict[int, float]
     #: the engine's out-edge factor CSR at publish time, when one was
-    #: compiled (``None`` on the pure-Python backend)
+    #: compiled (``None`` when only the reference loops ran)
     csr: Optional[object]
     #: events quarantined to the dead-letter queue so far
     quarantined: int

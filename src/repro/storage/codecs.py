@@ -218,12 +218,13 @@ def decode_dep_table(meta: dict, arrays: Mapping[str, np.ndarray]) -> DepTable:
 
 
 # ----------------------------------------------------------------------
-# GraphBolt's dict-backed iteration store (Python backend)
+# GraphBolt's dict-backed iteration store (the reference path)
 # ----------------------------------------------------------------------
 def encode_iteration_dicts(iterations: List[Dict[int, float]]) -> Tuple[dict, Arrays]:
     """Encode a ``List[Dict[int, float]]`` memo as per-level id/value arrays.
 
-    The dict store is what the BSP engines memoize under the Python backend;
+    The dict store is what the BSP engines memoize when the in-edge CSR
+    cannot carry their iterations (an undeclared algebra, NaN factors);
     arrays (not JSON) keep the warm-start load O(load) even for hundreds of
     levels.
     """

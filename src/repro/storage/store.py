@@ -172,13 +172,31 @@ def _engine_identity(target) -> dict:
         "algorithm": spec.name,
         "source": getattr(spec, "source", None),
         "damping": getattr(spec, "damping", None),
-        "backend": target.backend,
         "layph_config": None,
     }
     config = getattr(target, "config", None)
     if isinstance(config, LayphConfig):
         identity["layph_config"] = asdict(config)
     return identity
+
+
+def _current_identity(identity: Optional[dict]) -> Optional[dict]:
+    """``identity`` without the ``backend`` keys older stores recorded.
+
+    Stores written before the propagation backend was retired carry a
+    ``backend`` entry at the top level and inside ``layph_config``; it
+    selects nothing any more, so it must neither fail the snapshot's
+    identity check nor reach ``LayphConfig``.
+    """
+    if identity is None:
+        return None
+    current = {key: value for key, value in identity.items() if key != "backend"}
+    config = current.get("layph_config")
+    if config is not None:
+        current["layph_config"] = {
+            key: value for key, value in config.items() if key != "backend"
+        }
+    return current
 
 
 def _spec_from_identity(identity: dict):
@@ -476,7 +494,7 @@ def restore_engine(
         for key, value in baseline_meta.items()
         if key.startswith("app:")
     }
-    identity = json.loads(identity_raw)
+    identity = _current_identity(json.loads(identity_raw))
     spec = _spec_from_identity(identity)
     layph_config = (
         LayphConfig(**identity["layph_config"])
@@ -500,7 +518,7 @@ def restore_engine(
     with _restoring():
         try:
             snapshot_seq, meta, arrays = store.load_snapshot(mmap=mmap)
-            if meta.get("identity") != identity:
+            if _current_identity(meta.get("identity")) != identity:
                 raise SnapshotUnusable("snapshot belongs to a different engine")
             if snapshot_seq != int(meta.get("seq", -1)):
                 raise SnapshotUnusable("snapshot sequence disagrees with sidecar")
@@ -530,12 +548,7 @@ def restore_engine(
             )
             baseline_graph, _baseline_seq = store.edge_store.load_baseline()
             graph_full = _advance_graph(baseline_graph, usable)
-            engine = build_engine(
-                identity["engine"],
-                spec,
-                layph_config,
-                backend=identity.get("backend"),
-            )
+            engine = build_engine(identity["engine"], spec, layph_config)
             engine.initialize(graph_full)
             store.next_seq = last_seq + 1
             store.save(engine)
@@ -552,12 +565,7 @@ def restore_engine(
             engine.last_restore_report = report
             return engine, report
 
-        engine = build_engine(
-            identity["engine"],
-            spec,
-            layph_config,
-            backend=identity.get("backend"),
-        )
+        engine = build_engine(identity["engine"], spec, layph_config)
         target = engine._storage_target()
         target.graph = graph_at
         target.states = decode_float_map(unpack("states", arrays))

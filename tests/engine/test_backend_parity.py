@@ -1,12 +1,14 @@
-"""Bitwise parity of the ``numpy`` backend with the ``python`` reference.
+"""Bitwise parity of the array kernels with the reference loops.
 
-The numpy backend's contract is *bitwise identity* with the Python loops:
-the array kernels reduce in the reference order, so states, round counts,
-edge activations and the selective engines' dependency forests must all
-equal the Python run — not merely approximate it.  The suite drives every
-engine through random delta sequences (edge churn, and edge churn mixed
-with vertex turnover, which shifts the CSR id space) under both backends,
-and checks the batch runner on the same community graph.
+The array kernels' contract is *bitwise identity* with the Python loops:
+they reduce in the reference order, so states, round counts, edge
+activations and the selective engines' dependency forests must all equal
+the reference run — not merely approximate it.  The reference run is the
+same algorithm with its algebra undeclared (:func:`undeclared.undeclared`),
+which every kernel declines.  The suite drives every engine through random
+delta sequences (edge churn, and edge churn mixed with vertex turnover,
+which shifts the CSR id space) on both routes, and checks the batch runner
+on the same community graph.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from repro.engine.algorithms import make_algorithm
 from repro.engine.runner import run_batch
 from repro.graph.generators import community_graph
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
+
+from undeclared import undeclared  # noqa: E402  (tests/)
 
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 ENGINES = ["restart", "kickstarter", "risgraph", "graphbolt", "dzig", "ingress", "layph"]
@@ -56,6 +60,11 @@ def _base_graph():
     )
 
 
+def _hex_states(states):
+    """States as float hex, so equality is bitwise (``-0.0``, NaN)."""
+    return {vertex: float(value).hex() for vertex, value in states.items()}
+
+
 def _metrics_fingerprint(metrics):
     return (
         metrics.iterations,
@@ -91,26 +100,22 @@ def _mixed_delta(graph, step: int):
     )
 
 
-def _run_sequence(engine_name: str, algorithm: str, backend: str, make_delta):
-    spec = make_algorithm(algorithm, source=0)
-    engine = build_engine(engine_name, spec, backend=backend)
+def _run_sequence(engine_name: str, spec, make_delta):
+    engine = build_engine(engine_name, spec)
     graph = _base_graph()
     engine.initialize(graph)
     outputs = []
     for step in range(NUM_DELTAS):
         result = engine.apply_delta(make_delta(graph, step))
-        outputs.append((dict(result.states), _metrics_fingerprint(result.metrics)))
+        outputs.append((_hex_states(result.states), _metrics_fingerprint(result.metrics)))
         graph = engine.graph
     return outputs, _parent_forest(engine)
 
 
 def _assert_parity(engine_name: str, algorithm: str, make_delta) -> None:
-    reference, reference_forest = _run_sequence(
-        engine_name, algorithm, "python", make_delta
-    )
-    vectorized, vectorized_forest = _run_sequence(
-        engine_name, algorithm, "numpy", make_delta
-    )
+    spec = make_algorithm(algorithm, source=0)
+    reference, reference_forest = _run_sequence(engine_name, undeclared(spec), make_delta)
+    vectorized, vectorized_forest = _run_sequence(engine_name, spec, make_delta)
     for step, (expected, actual) in enumerate(zip(reference, vectorized)):
         assert expected[0] == actual[0], f"states diverged at delta {step}"
         assert expected[1] == actual[1], f"metrics diverged at delta {step}"
@@ -131,9 +136,9 @@ def test_engine_parity_over_vertex_turnover(engine_name, algorithm):
 def test_batch_parity(algorithm):
     spec = make_algorithm(algorithm, source=0)
     graph = _base_graph()
-    reference = run_batch(spec, graph, backend="python")
-    vectorized = run_batch(spec, graph, backend="numpy")
-    assert reference.states == vectorized.states
+    reference = run_batch(undeclared(spec), graph)
+    vectorized = run_batch(spec, graph)
+    assert _hex_states(reference.states) == _hex_states(vectorized.states)
     assert _metrics_fingerprint(reference.metrics) == _metrics_fingerprint(
         vectorized.metrics
     )

@@ -1,15 +1,13 @@
-"""Unit tests for the propagation backend registry and the numpy backend."""
+"""Unit tests for the array propagation kernel and its reference fallback.
+
+Each path runs the same algorithm twice: as declared (the array kernel) and
+as its undeclared clone (the reference loop, see :mod:`undeclared`).
+"""
 
 import math
 
 import pytest
 
-from repro.engine.backends import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    get_backend,
-    resolve_backend,
-)
 from repro.engine.dense_propagation import classify_spec, propagate_numpy
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.algorithms import BFS, PHP, PageRank, SSSP
@@ -22,34 +20,7 @@ from repro.engine.propagation import (
 from repro.engine.runner import run_batch
 from repro.graph.graph import Graph
 
-
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert available_backends() == ["numpy", "python"]
-
-    def test_explicit_name_wins(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert resolve_backend("python") == "python"
-
-    def test_env_var_fallback(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert resolve_backend(None) == "numpy"
-
-    def test_default_is_python(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None) == "python"
-
-    @pytest.mark.parametrize("name", ["fortran", "numpy-parallel"])
-    def test_unknown_backend_raises(self, name):
-        with pytest.raises(ValueError):
-            resolve_backend(name)
-
-    def test_names_are_case_insensitive(self):
-        assert resolve_backend("NumPy") == "numpy"
-
-    def test_python_backend_has_no_indirection(self):
-        assert get_backend("python") is None
-        assert callable(get_backend("numpy"))
+from undeclared import undeclared  # noqa: E402  (tests/)
 
 
 class TestClassifySpec:
@@ -84,7 +55,7 @@ class TestClassifySpec:
 
     def test_undeclared_spec_rejected(self):
         # Custom specs must opt in via ``dense_algebra``; without the
-        # declaration the vectorized backend never runs them, even when the
+        # declaration the array kernels never run them, even when the
         # operators would probe as standard.
         from repro.engine.algorithm import AlgorithmSpec
 
@@ -160,7 +131,6 @@ class TestNumpyBackend:
             lambda v: [(v + 1, 1.0)] if v < 3 else [],
             states,
             {0: 0.0},
-            backend="numpy",
         )
         assert states == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
 
@@ -174,8 +144,8 @@ class TestNumpyBackend:
             lambda: PageRank(),
             lambda: PHP(source=0),
         ):
-            py = run_batch(spec_factory(), graph, backend="python")
-            vec = run_batch(spec_factory(), graph, backend="numpy")
+            py = run_batch(undeclared(spec_factory()), graph)
+            vec = run_batch(spec_factory(), graph)
             assert py.states == vec.states
             assert py.metrics.iterations == vec.metrics.iterations
             assert py.metrics.edge_activations == vec.metrics.edge_activations
@@ -185,44 +155,35 @@ class TestNumpyBackend:
     def test_silenced_adjacency_absorbs(self):
         base = FactorAdjacency({0: [(1, 1.0)], 1: [(2, 1.0)]})
         silenced = SilencedAdjacency(base, {1})
-        for backend in ("python", "numpy"):
+        for spec in (undeclared(SSSP(source=0)), SSSP(source=0)):
             states = {}
-            propagate(SSSP(source=0), silenced, states, {0: 0.0}, backend=backend)
+            propagate(spec, silenced, states, {0: 0.0})
             # vertex 1 receives but never re-propagates, so 2 stays unreached
             assert states == {0: 0.0, 1: 1.0}
 
     def test_max_rounds_leaves_pending(self):
         adjacency = FactorAdjacency({0: [(1, 1.0)], 1: [(2, 1.0)]})
-        for backend in ("python", "numpy"):
+        for spec in (undeclared(SSSP(source=0)), SSSP(source=0)):
             states = {}
             pending = {0: 0.0}
             metrics = ExecutionMetrics()
-            propagate(
-                SSSP(source=0),
-                adjacency,
-                states,
-                pending,
-                metrics,
-                max_rounds=1,
-                backend=backend,
-            )
+            propagate(spec, adjacency, states, pending, metrics, max_rounds=1)
             assert metrics.iterations == 1
             assert pending == {1: 1.0}
             assert states == {0: 0.0}
 
     def test_allowed_targets_filters_but_counts_activations(self):
         adjacency = FactorAdjacency({0: [(1, 1.0), (2, 1.0)]})
-        for backend in ("python", "numpy"):
+        for spec in (undeclared(SSSP(source=0)), SSSP(source=0)):
             states = {}
             metrics = ExecutionMetrics()
             propagate(
-                SSSP(source=0),
+                spec,
                 adjacency,
                 states,
                 {0: 0.0},
                 metrics,
                 allowed_targets=lambda v: v != 2,
-                backend=backend,
             )
             assert states == {0: 0.0, 1: 1.0}
             assert metrics.edge_activations == 2
@@ -237,15 +198,15 @@ class TestNumpyBackend:
         assert propagate_numpy(SSSP(source=0), clean, {1: nan}, {0: 0.0}) is None
         assert propagate_numpy(SSSP(source=0), clean, {}, {0: nan}) is None
         # The dispatcher still produces the Python loop's answer.
-        for backend in ("python", "numpy"):
+        for spec in (undeclared(SSSP(source=0)), SSSP(source=0)):
             states = {}
-            propagate(SSSP(source=0), adjacency, states, {0: 0.0}, backend=backend)
+            propagate(spec, adjacency, states, {0: 0.0})
             assert states[0] == 0.0 and states[2] == 1.0
 
     def test_php_source_absorbs(self):
         graph = Graph.from_edges([(0, 1, 1.0), (1, 0, 1.0)])
-        py = run_batch(PHP(source=0), graph, backend="python")
-        vec = run_batch(PHP(source=0), graph, backend="numpy")
+        py = run_batch(undeclared(PHP(source=0)), graph)
+        vec = run_batch(PHP(source=0), graph)
         assert py.states == vec.states
         assert py.metrics.edge_activations == vec.metrics.edge_activations
 
@@ -266,3 +227,37 @@ class TestLocalUploadNonConvergence:
             engine._local_upload(
                 _Subgraph(), {}, {1: 1.0}, ExecutionMetrics()
             )
+
+
+class TestRetiredBackendKeyword:
+    """``backend=`` survives on ``run_batch`` and the engine constructors
+    only so that older callers keep working: ``None`` and ``"numpy"`` change
+    nothing, every other name is refused."""
+
+    def test_numpy_and_none_change_nothing(self):
+        graph = Graph.from_edges([(0, 1, 2.0), (1, 2, 1.0), (0, 2, 5.0)])
+        plain = run_batch(SSSP(source=0), graph)
+        for backend in (None, "numpy"):
+            result = run_batch(SSSP(source=0), graph, backend=backend)
+            assert result.states == plain.states
+            assert result.metrics.edge_activations == plain.metrics.edge_activations
+
+    @pytest.mark.parametrize("name", ["python", "numpy-parallel", "fortran"])
+    def test_other_names_are_refused(self, name):
+        from repro.incremental import GraphBoltEngine, IngressEngine, KickStarterEngine
+        from repro.incremental import RestartEngine
+        from repro.layph.engine import LayphEngine
+
+        graph = Graph.from_edges([(0, 1, 2.0)])
+        with pytest.raises(ValueError, match="removed"):
+            run_batch(SSSP(source=0), graph, backend=name)
+        for engine_class, spec in (
+            (LayphEngine, SSSP(source=0)),
+            (IngressEngine, SSSP(source=0)),
+            (RestartEngine, SSSP(source=0)),
+            (KickStarterEngine, SSSP(source=0)),
+            (GraphBoltEngine, PageRank()),
+        ):
+            with pytest.raises(ValueError, match="removed"):
+                engine_class(spec, backend=name)
+            engine_class(spec)

@@ -23,6 +23,8 @@ from repro.graph.generators import community_graph
 from repro.graph.graph import Graph
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
+from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
+
 ALL_SPECS = [SSSP(source=0), BFS(source=0), PageRank(), PHP(source=0)]
 
 
@@ -249,7 +251,7 @@ class TestCachedGraphAdjacency:
                     if spec.is_significant(m)
                 }
                 metrics = ExecutionMetrics()
-                propagate(spec, adjacency, states, pending, metrics, backend="numpy")
+                propagate(spec, adjacency, states, pending, metrics)
                 results[kind] = (states, metrics)
             assert results["fresh"][0] == results["cached"][0]
             assert (
@@ -318,25 +320,25 @@ class TestUndirectedGraphs:
         delta = GraphDelta.from_edge_changes(additions=[(0, 3, 4.0)], deletions=[(1, 2)])
         spec = make_algorithm("pagerank")
         reference = run_batch(make_algorithm("pagerank"), delta.apply(graph)).states
-        for backend in ("python", "numpy"):
-            engine = make_engine(engine_name, spec, backend=backend)
+        for route in ROUTES:
+            engine = make_engine(engine_name, on_route(spec, route))
             engine.initialize(graph.copy())
             result = engine.apply_delta(delta)
             assert set(result.states) == set(reference)
             for vertex in reference:
                 assert result.states[vertex] == pytest.approx(
                     reference[vertex], abs=1e-4
-                ), (engine_name, backend, vertex)
+                ), (engine_name, route, vertex)
 
 
 class TestEngineDeltaSequences:
     """Engine-level lockdown of the patched-CSR path: a sequence of deltas
-    through Ingress (which propagates over the cached full-graph CSR under
-    the numpy backend) must stay bitwise-identical to the Python backend for
-    all four algorithms."""
+    through Ingress (which propagates over the cached full-graph CSR) must
+    stay bitwise-identical to the reference loops an undeclared algebra takes,
+    for all four algorithms."""
 
     @pytest.mark.parametrize("algorithm", ["sssp", "bfs", "pagerank", "php"])
-    def test_ingress_sequence_identical_across_backends(self, algorithm):
+    def test_ingress_sequence_identical_across_routes(self, algorithm):
         from repro.engine.algorithms import make_algorithm
         from repro.graph.generators import erdos_renyi_graph
         from repro.incremental import make_engine
@@ -344,8 +346,8 @@ class TestEngineDeltaSequences:
 
         graph = erdos_renyi_graph(120, 700, weighted=True, seed=2)
         results = {}
-        for backend in ("python", "numpy"):
-            engine = make_engine("ingress", make_algorithm(algorithm, source=0), backend=backend)
+        for route in ROUTES:
+            engine = make_engine("ingress", on_route(make_algorithm(algorithm, source=0), route))
             engine.initialize(graph.copy())
             current = graph.copy()
             runs = []
@@ -353,9 +355,9 @@ class TestEngineDeltaSequences:
                 delta = random_edge_delta(current, 4, 4, seed=seed, protect=0)
                 runs.append(engine.apply_delta(delta))
                 current = delta.apply(current)
-            results[backend] = (runs, engine)
-        py_runs, _ = results["python"]
-        np_runs, np_engine = results["numpy"]
+            results[route] = (runs, engine)
+        py_runs, _ = results["undeclared"]
+        np_runs, np_engine = results["declared"]
         assert np_engine.csr_cache.patches >= 6  # the CSR was patched, not recompiled
         for py, vec in zip(py_runs, np_runs):
             assert py.states == vec.states
@@ -375,7 +377,7 @@ class TestCompileShortCircuit:
         pending = {
             v: m for v, m in spec.initial_messages(graph).items() if spec.is_significant(m)
         }
-        propagate(spec, adjacency, states, pending, backend="numpy")
+        propagate(spec, adjacency, states, pending)
         return states
 
     def test_repeated_propagate_compiles_once(self):
@@ -401,7 +403,6 @@ class TestCompileShortCircuit:
                 SilencedAdjacency(adjacency, silenced),
                 states,
                 {0: 0.0},
-                backend="numpy",
             )
         assert FactorCSR.compile_count == 1
 
@@ -413,7 +414,7 @@ class TestCompileShortCircuit:
         self._run(spec, adjacency, graph)
         adjacency.add(4, 1, 0.5)
         states = {}
-        propagate(spec, adjacency, states, {0: 0.0}, backend="numpy")
+        propagate(spec, adjacency, states, {0: 0.0})
         assert FactorCSR.compile_count == 2
         assert states[1] == pytest.approx(2.0)  # 0 ->(3.0? no) — shortest 0->1 = 2.0
 

@@ -13,9 +13,10 @@ sides:
 * **engine conformance** — every incremental engine must produce bitwise
   identical states, rounds and edge activations whether its footprints read
   the cached CSR snapshots or are forced onto the dict fallback, on both
-  propagation backends;
+  routes (array kernels, and the reference loops an undeclared algebra
+  takes);
 * **installation** — every engine builds the footprint of each delta it
-  applies, on both backends, with the membership diff of the two graphs.
+  applies, on both routes, with the membership diff of the two graphs.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from repro.graph.graph import Graph
 from repro.incremental import base
 from repro.incremental.revision import changed_out_sources
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
+
+from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
 
 SETTINGS = settings(
     max_examples=20,
@@ -255,11 +258,11 @@ def _dict_footprint(spec, old_graph, new_graph, delta, **_snapshots):
     return DeltaFootprint(spec, old_graph, new_graph, delta)
 
 
-def _run_sequence(engine_name, algorithm, backend, graph, deltas, with_csr):
+def _run_sequence(engine_name, algorithm, route, graph, deltas, with_csr):
     footprint_class = DeltaFootprint if with_csr else _dict_footprint
     with mock.patch.object(base, "DeltaFootprint", footprint_class):
         engine = build_engine(
-            engine_name, make_algorithm(algorithm, source=0), backend=backend
+            engine_name, on_route(make_algorithm(algorithm, source=0), route)
         )
         engine.initialize(graph.copy())
         outcomes = []
@@ -289,10 +292,10 @@ class TestFootprintEngineEquivalence:
     )
     def test_accumulative_engines_identical(self, data, engine_name, algorithm):
         graph, deltas = data
-        for backend in ("python", "numpy"):
-            on = _run_sequence(engine_name, algorithm, backend, graph, deltas, True)
-            off = _run_sequence(engine_name, algorithm, backend, graph, deltas, False)
-            assert on == off, (engine_name, algorithm, backend)
+        for route in ROUTES:
+            on = _run_sequence(engine_name, algorithm, route, graph, deltas, True)
+            off = _run_sequence(engine_name, algorithm, route, graph, deltas, False)
+            assert on == off, (engine_name, algorithm, route)
 
     @SETTINGS
     @given(
@@ -302,10 +305,10 @@ class TestFootprintEngineEquivalence:
     )
     def test_selective_engines_identical(self, data, engine_name, algorithm):
         graph, deltas = data
-        for backend in ("python", "numpy"):
-            on = _run_sequence(engine_name, algorithm, backend, graph, deltas, True)
-            off = _run_sequence(engine_name, algorithm, backend, graph, deltas, False)
-            assert on == off, (engine_name, algorithm, backend)
+        for route in ROUTES:
+            on = _run_sequence(engine_name, algorithm, route, graph, deltas, True)
+            off = _run_sequence(engine_name, algorithm, route, graph, deltas, False)
+            assert on == off, (engine_name, algorithm, route)
 
 
 # ----------------------------------------------------------------------
@@ -327,14 +330,14 @@ class TestEveryEngineInstallsTheFootprint:
     behind the footprint of that delta, whose membership diff is the O(V)
     diff of the two graph versions."""
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("engine_name, algorithm", ENGINE_ALGORITHMS)
     def test_footprint_describes_the_applied_delta(
-        self, engine_name, algorithm, backend
+        self, engine_name, algorithm, route
     ):
         graph = erdos_renyi_graph(30, 90, weighted=True, seed=4)
         engine = build_engine(
-            engine_name, make_algorithm(algorithm, source=0), backend=backend
+            engine_name, on_route(make_algorithm(algorithm, source=0), route)
         )
         engine.initialize(graph.copy())
         current = graph

@@ -14,6 +14,8 @@ from repro.graph.delta import GraphDelta
 from repro.graph.generators import community_graph, erdos_renyi_graph
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
+from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
+
 ALL_ENGINES = ["restart", "kickstarter", "risgraph", "graphbolt", "dzig", "ingress", "layph"]
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 
@@ -141,16 +143,16 @@ class TestFullRemovalDelta:
     """Regression: a delta that deletes *every* vertex leaves a zero-row CSR;
     the vectorized revision deduction must not index into it (it crashed with
     IndexError before the empty-snapshot guard) and every engine must come
-    back with empty states on both backends."""
+    back with empty states on both routes (array kernels, reference loops)."""
 
     @pytest.mark.parametrize("engine_name", ["ingress", "layph", "graphbolt", "dzig"])
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_delete_every_vertex(self, engine_name, backend):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_delete_every_vertex(self, engine_name, route):
         graph = erdos_renyi_graph(12, 30, weighted=True, seed=1)
         delta = GraphDelta()
         for vertex in graph.vertices():
             delta.delete_vertex(vertex)
-        engine = build_engine(engine_name, make_algorithm("pagerank"), backend=backend)
+        engine = build_engine(engine_name, on_route(make_algorithm("pagerank"), route))
         engine.initialize(graph.copy())
         result = engine.apply_delta(delta)
         assert result.states == {}

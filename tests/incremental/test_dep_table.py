@@ -10,7 +10,7 @@ the dense gate forced shut from the test, and across mid-run demotion when a
 delta introduces factors the array algebra cannot replay.  Layph's selective
 path rides the same matrix (its upper-layer invalidation consumes the
 footprint's row diff rather than the table, but must stay bitwise stable
-across the backends).
+across both routes: the declared algebra and its undeclared clone).
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ from repro.incremental import selective_base
 from repro.incremental.dep_table import DepTable
 from repro.incremental import dependency
 from repro.workloads.updates import random_edge_delta
+
+from undeclared import on_route, undeclared  # noqa: E402  (tests/)
 
 SETTINGS = settings(
     max_examples=20,
@@ -230,12 +232,12 @@ def _dict_gate(self, old_graph):
     return None
 
 
-def _run_sequence(engine_name, algorithm, backend, graph, deltas, dense):
+def _run_sequence(engine_name, algorithm, route, graph, deltas, dense):
     engine_class = selective_base.SelectiveDependencyEngine
     gate = engine_class._sync_dep_table if dense else _dict_gate
     with mock.patch.object(engine_class, "_sync_dep_table", gate):
         engine = build_engine(
-            engine_name, make_algorithm(algorithm, source=0), backend=backend
+            engine_name, on_route(make_algorithm(algorithm, source=0), route)
         )
         engine.initialize(graph.copy())
         outcomes = []
@@ -259,7 +261,7 @@ def _run_sequence(engine_name, algorithm, backend, graph, deltas, dense):
 
 
 class TestDenseDictEquivalence:
-    """Dense table vs dict store (and vs the python backend): bitwise."""
+    """Dense table vs dict store (and vs the undeclared clone): bitwise."""
 
     @SETTINGS
     @given(
@@ -269,15 +271,17 @@ class TestDenseDictEquivalence:
     )
     def test_dense_matches_dict_reference(self, data, engine_name, algorithm):
         graph, deltas = data
-        py_engine, py = _run_sequence(engine_name, algorithm, "python", graph, deltas, True)
+        py_engine, py = _run_sequence(
+            engine_name, algorithm, "undeclared", graph, deltas, True
+        )
         dense_engine, dense = _run_sequence(
-            engine_name, algorithm, "numpy", graph, deltas, True
+            engine_name, algorithm, "declared", graph, deltas, True
         )
         dict_engine, dict_ = _run_sequence(
-            engine_name, algorithm, "numpy", graph, deltas, False
+            engine_name, algorithm, "declared", graph, deltas, False
         )
 
-        # A shut gate keeps everything on dicts; the python backend too.
+        # A shut gate keeps everything on dicts; the undeclared clone too.
         if engine_name != "layph":
             assert _core(py_engine).dep_table is None
             assert _core(dict_engine).dep_table is None
@@ -293,10 +297,10 @@ class TestDenseDictEquivalence:
 
     @SETTINGS
     @given(oriented_graph_and_delta_sequence(), st.sampled_from(ALGORITHMS))
-    def test_dense_path_engages_under_numpy(self, data, algorithm):
+    def test_dense_path_engages_for_declared_algebra(self, data, algorithm):
         graph, deltas = data
         engine = make_engine(
-            "kickstarter", make_algorithm(algorithm, source=0), backend="numpy"
+            "kickstarter", make_algorithm(algorithm, source=0)
         )
         engine.initialize(graph.copy())
         for delta in deltas:
@@ -320,8 +324,8 @@ class TestDepTableLifecycle:
     def graph(self):
         return erdos_renyi_graph(40, 160, weighted=True, seed=2)
 
-    def test_python_backend_stays_on_dicts(self, graph):
-        engine = make_engine("risgraph", make_algorithm("sssp", source=0), backend="python")
+    def test_undeclared_clone_stays_on_dicts(self, graph):
+        engine = make_engine("risgraph", undeclared(make_algorithm("sssp", source=0)))
         engine.initialize(graph.copy())
         engine.apply_delta(random_edge_delta(graph, 3, 3, seed=1, protect=0))
         assert engine.dep_table is None
@@ -329,10 +333,8 @@ class TestDepTableLifecycle:
 
     @pytest.mark.parametrize("engine_name", ["kickstarter", "risgraph"])
     def test_undeclared_algebra_stays_on_dicts(self, graph, engine_name):
-        engine = make_engine(engine_name, _UndeclaredSSSP(source=0), backend="numpy")
-        reference = make_engine(
-            engine_name, _UndeclaredSSSP(source=0), backend="python"
-        )
+        engine = make_engine(engine_name, _UndeclaredSSSP(source=0))
+        reference = make_engine(engine_name, make_algorithm("sssp", source=0))
         engine.initialize(graph.copy())
         reference.initialize(graph.copy())
         current = graph
@@ -345,10 +347,11 @@ class TestDepTableLifecycle:
             current = delta.apply(current)
         assert engine.dep_table is None
         assert engine.dict_deltas == 3
-        assert engine.parents == reference.parents
+        assert reference.dep_table is not None
+        assert engine.parents == reference.dep_table.to_parents_dict()
 
     def test_gate_failure_demotes_next_delta(self, graph, monkeypatch):
-        engine = make_engine("risgraph", make_algorithm("sssp", source=0), backend="numpy")
+        engine = make_engine("risgraph", make_algorithm("sssp", source=0))
         engine.initialize(graph.copy())
         delta = random_edge_delta(graph, 3, 3, seed=4, protect=0)
         engine.apply_delta(delta)
@@ -365,10 +368,10 @@ class TestDepTableLifecycle:
 
     def test_nan_weight_delta_demotes_and_repromores(self, graph):
         engine = make_engine(
-            "kickstarter", make_algorithm("sssp", source=0), backend="numpy"
+            "kickstarter", make_algorithm("sssp", source=0)
         )
         reference = make_engine(
-            "kickstarter", make_algorithm("sssp", source=0), backend="python"
+            "kickstarter", undeclared(make_algorithm("sssp", source=0))
         )
         engine.initialize(graph.copy())
         reference.initialize(graph.copy())
@@ -440,7 +443,7 @@ class TestIncrementalMaintenance:
         return levels
 
     def test_dense_deltas_use_partial_value_gathers(self):
-        engine = make_engine("risgraph", make_algorithm("sssp", source=0), backend="numpy")
+        engine = make_engine("risgraph", make_algorithm("sssp", source=0))
         graph = self._graph()
         engine.initialize(graph)
         for step in range(5):
@@ -454,8 +457,8 @@ class TestIncrementalMaintenance:
 
     def test_partial_refresh_matches_dict_reference(self):
         spec = make_algorithm("sssp", source=0)
-        dense = make_engine("risgraph", spec, backend="numpy")
-        reference = make_engine("risgraph", spec, backend="python")
+        dense = make_engine("risgraph", spec)
+        reference = make_engine("risgraph", undeclared(spec))
         graph = self._graph(seed=3)
         dense.initialize(graph)
         reference.initialize(graph.copy())
@@ -470,7 +473,7 @@ class TestIncrementalMaintenance:
         assert dense.dep_table.full_value_gathers == 0
 
     def test_levels_patched_in_place_for_small_deltas(self):
-        engine = make_engine("risgraph", make_algorithm("sssp", source=0), backend="numpy")
+        engine = make_engine("risgraph", make_algorithm("sssp", source=0))
         graph = self._graph(seed=5)
         engine.initialize(graph)
         patched = False
@@ -497,8 +500,8 @@ class TestIncrementalMaintenance:
         """The overlay buckets feed taint_tree; parity over a long sequence
         proves the moved rows are swept at their patched level."""
         spec = make_algorithm("bfs", source=0)
-        dense = make_engine("kickstarter", spec, backend="numpy")
-        reference = make_engine("kickstarter", spec, backend="python")
+        dense = make_engine("kickstarter", spec)
+        reference = make_engine("kickstarter", undeclared(spec))
         graph = self._graph(seed=11)
         dense.initialize(graph)
         reference.initialize(graph.copy())

@@ -22,6 +22,8 @@ from repro.incremental.graphbolt import GraphBoltEngine
 from repro.incremental.memo import MemoRow, MemoTable, refinement_preamble
 from repro.workloads.updates import random_edge_delta
 
+from undeclared import undeclared  # noqa: E402  (tests/)
+
 
 class TestMemoTable:
     def test_append_and_row_roundtrip(self):
@@ -124,7 +126,7 @@ class TestRefinementPreamble:
     def test_out_csr_and_dirty_mask(self):
         graph = erdos_renyi_graph(12, 30, weighted=True, seed=5)
         spec = make_algorithm("pagerank")
-        engine = make_engine("graphbolt", spec, backend="numpy")
+        engine = make_engine("graphbolt", spec)
         engine.initialize(graph.copy())
         csr = engine.csr_cache.in_csr(spec, engine.graph)
         dirty = set(list(csr.vertex_ids)[:3])
@@ -155,7 +157,7 @@ class TestRefinementPreamble:
         monkeypatch.setattr(dzig_module, "refinement_preamble", spy)
 
         graph = erdos_renyi_graph(40, 160, weighted=True, seed=2)
-        engine = make_engine(engine_name, make_algorithm("pagerank"), backend="numpy")
+        engine = make_engine(engine_name, make_algorithm("pagerank"))
         engine.initialize(graph.copy())
         assert engine.memo is not None
         engine.apply_delta(random_edge_delta(graph, 3, 3, seed=9, protect=0))
@@ -165,7 +167,7 @@ class TestRefinementPreamble:
 class _NaNFactorPageRank(PageRank):
     """PageRank whose factors turn NaN on negative-weight edges.
 
-    The declared algebra still probes clean, so the numpy BSP path activates
+    The declared algebra still probes clean, so the array BSP path activates
     on NaN-free graphs; a delta that introduces a negative weight then makes
     the in-edge CSR unusable and must demote the dense store gracefully.
     """
@@ -188,27 +190,28 @@ class TestEngineLifecycle:
         return erdos_renyi_graph(40, 160, weighted=True, seed=2)
 
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
-    def test_dense_store_active_under_numpy(self, graph, engine_name):
-        engine = make_engine(engine_name, make_algorithm("pagerank"), backend="numpy")
+    def test_dense_store_active_for_declared_algebra(self, graph, engine_name):
+        engine = make_engine(engine_name, make_algorithm("pagerank"))
         engine.initialize(graph.copy())
         assert engine.memo is not None
         assert engine.memo.graph_version == engine.graph.version
         assert engine.memo.num_levels == len(engine.iterations)
 
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
-    def test_python_backend_stays_on_dicts(self, graph, engine_name):
-        engine = make_engine(engine_name, make_algorithm("pagerank"), backend="python")
+    def test_undeclared_clone_stays_on_dicts(self, graph, engine_name):
+        engine = make_engine(engine_name, undeclared(make_algorithm("pagerank")))
         engine.initialize(graph.copy())
         assert engine.memo is None
         assert engine.iterations
 
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
     def test_undeclared_algebra_stays_on_dicts(self, graph, engine_name):
-        engine = make_engine(engine_name, _UndeclaredPageRank(), backend="numpy")
-        reference = make_engine(engine_name, _UndeclaredPageRank(), backend="python")
+        engine = make_engine(engine_name, _UndeclaredPageRank())
+        reference = make_engine(engine_name, make_algorithm("pagerank"))
         engine.initialize(graph.copy())
         reference.initialize(graph.copy())
         assert engine.memo is None
+        assert reference.memo is not None
         current = graph
         for seed in (1, 2):
             delta = random_edge_delta(current, 4, 4, seed=seed, protect=0)
@@ -238,7 +241,7 @@ class TestEngineLifecycle:
                     # no vectorized pull: the engine keeps its dict store
                     patch.setattr(GraphBoltEngine, "_bsp_csr", lambda self, graph: None)
                 engine = make_engine(
-                    engine_name, make_algorithm("pagerank"), backend="numpy"
+                    engine_name, make_algorithm("pagerank")
                 )
                 initial = engine.initialize(graph.copy())
                 results = [engine.apply_delta(delta) for delta in deltas]
@@ -264,11 +267,11 @@ class TestEngineLifecycle:
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
     def test_nan_factor_delta_demotes_to_dict_reference(self, graph, engine_name):
         spec = _NaNFactorPageRank()
-        engine = make_engine(engine_name, spec, backend="numpy")
+        engine = make_engine(engine_name, spec)
         engine.initialize(graph.copy())
         assert engine.memo is not None
 
-        reference = make_engine(engine_name, _NaNFactorPageRank(), backend="python")
+        reference = make_engine(engine_name, undeclared(_NaNFactorPageRank()))
         reference.initialize(graph.copy())
 
         source = next(iter(graph.vertices()))
@@ -295,7 +298,7 @@ class TestEngineLifecycle:
             same(dense_level, dict_level)
 
     def test_gate_failure_demotes_next_delta(self, graph, monkeypatch):
-        engine = make_engine("graphbolt", make_algorithm("pagerank"), backend="numpy")
+        engine = make_engine("graphbolt", make_algorithm("pagerank"))
         engine.initialize(graph.copy())
         assert engine.memo is not None
         levels_before = engine.iterations

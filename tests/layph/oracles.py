@@ -154,7 +154,6 @@ def update_shortcut_vector(
     old_vector: Dict[int, float],
     changed_sources: Set[int],
     metrics: Optional[ExecutionMetrics] = None,
-    backend: Optional[str] = None,
 ) -> Optional[Dict[int, float]]:
     """Incrementally update one boundary vertex's shortcut vector.
 
@@ -172,7 +171,7 @@ def update_shortcut_vector(
     if not pending:
         return dict(old_vector)
     vectors: Dict[int, Dict[int, float]] = {}
-    batch = ShortcutBatch(spec, backend)
+    batch = ShortcutBatch(spec)
     batch.revise(batch.block(new_local, boundary), source, old_vector, pending, vectors)
     batch.run(metrics)
     return vectors[source]
@@ -183,14 +182,11 @@ def compute_all_shortcuts(
     local_adjacency: FactorAdjacency,
     boundary: Set[int],
     metrics: Optional[ExecutionMetrics] = None,
-    backend: Optional[str] = None,
 ) -> Dict[int, Dict[int, float]]:
     """Shortcuts from every boundary vertex of a subgraph.
 
     Returns ``{boundary_vertex: {target: weight}}``.
     """
     sources = sorted(boundary)
-    vectors = compute_shortcut_vectors(
-        spec, local_adjacency, sources, boundary, metrics, backend=backend
-    )
+    vectors = compute_shortcut_vectors(spec, local_adjacency, sources, boundary, metrics)
     return dict(zip(sources, vectors))

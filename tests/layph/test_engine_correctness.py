@@ -12,6 +12,8 @@ from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayphConfig
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
+from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
+
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 
 
@@ -123,7 +125,7 @@ def _support_graph() -> Graph:
     return graph
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("algorithm", ["sssp", "bfs"])
 class TestVertexDeletionInvalidates:
     """A deleted upper-layer vertex takes its support with it.
@@ -134,10 +136,10 @@ class TestVertexDeletionInvalidates:
     kept stale, too-short distances.
     """
 
-    def test_deleted_boundary_vertex_was_the_unique_support(self, algorithm, backend):
+    def test_deleted_boundary_vertex_was_the_unique_support(self, algorithm, route):
         graph = _support_graph()
-        spec = make_algorithm(algorithm, source=100)
-        engine = LayphEngine(spec, LayphConfig(seed=4), backend=backend)
+        spec = on_route(make_algorithm(algorithm, source=100), route)
+        engine = LayphEngine(spec, LayphConfig(seed=4))
         engine.initialize(graph)
         layered = engine.layered
         owner = layered.subgraphs[layered.subgraph_of[7]]
@@ -158,10 +160,10 @@ class TestVertexDeletionInvalidates:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_vertex_churn_matches_batch_after_every_delta(
-        self, algorithm, backend, seed, graph
+        self, algorithm, route, seed, graph
     ):
-        spec = make_algorithm(algorithm, source=0)
-        engine = LayphEngine(spec, LayphConfig(seed=4), backend=backend)
+        spec = on_route(make_algorithm(algorithm, source=0), route)
+        engine = LayphEngine(spec, LayphConfig(seed=4))
         engine.initialize(graph)
         assert engine.layered.subgraphs
         current = graph

@@ -13,6 +13,7 @@ from repro.layph.layered_graph import LayeredGraph, LayphConfig
 from repro.layph.shortcuts import compute_shortcuts_from
 
 from oracles import compute_all_shortcuts  # noqa: E402  (tests/layph)
+from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
 
 
 class TestLouvain:
@@ -303,9 +304,9 @@ class TestConstructionMetricsStayBounded:
     """The build records its shortcut rounds; every later rebuild adds only
     totals, so the snapshot payload does not grow with the delta stream."""
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("algorithm", ["sssp", "pagerank"])
-    def test_payload_stable_and_totals_match_the_charges(self, backend, algorithm):
+    def test_payload_stable_and_totals_match_the_charges(self, route, algorithm):
         from repro.engine.algorithms import make_algorithm
         from repro.engine.metrics import ExecutionMetrics
         from repro.graph.generators import community_graph
@@ -319,7 +320,7 @@ class TestConstructionMetricsStayBounded:
             weighted=True,
             seed=13,
         )
-        engine = LayphEngine(make_algorithm(algorithm, source=0), backend=backend)
+        engine = LayphEngine(on_route(make_algorithm(algorithm, source=0), route))
         engine.initialize(graph)
         layered = engine.layered
         construction = layered.construction_metrics

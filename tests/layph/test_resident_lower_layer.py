@@ -6,7 +6,8 @@ split, the dirty rows of its local adjacency (with the memoized compile
 spliced along) and the changed sources its shortcut maintenance starts from.
 Every refresh — the build's included — is checked here against the
 from-scratch derivation of :mod:`oracles`, for all four algorithms
-on both backends, over a delta sequence that mixes intra-subgraph churn,
+on both routes (array kernels, and the reference loops of the undeclared
+clone), over a delta sequence that mixes intra-subgraph churn,
 cross edges, the out-edges of replicated hosts, exit proxies that form and
 go, vertex deletions whose expanded in-edges dirty rows the delta never
 names, and new vertices.
@@ -35,6 +36,7 @@ from repro.layph.layered_graph import LayeredGraph, LayphConfig
 from repro.storage.store import restore_engine
 
 from oracles import changed_local_sources, rebuild_subgraph  # noqa: E402  (tests/layph)
+from undeclared import ROUTES, on_route, undeclared  # noqa: E402  (tests/)
 
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 NUM_DELTAS = 20
@@ -54,8 +56,8 @@ def _graph():
     )
 
 
-def _config(backend):
-    return LayphConfig(seed=11, replication_threshold=2, backend=backend)
+def _config():
+    return LayphConfig(seed=11, replication_threshold=2)
 
 
 def _intra_churn(layered, graph, rng, delta):
@@ -196,9 +198,9 @@ def _assert_proxy_rows_current(layered):
             assert subgraph.local_adjacency(proxy) == want
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_every_refresh_matches_a_whole_subgraph_rebuild(monkeypatch, algorithm, backend):
+def test_every_refresh_matches_a_whole_subgraph_rebuild(monkeypatch, algorithm, route):
     seen = dict.fromkeys(["spliced", "changed", "gone", "proxy_moves", "exit_dropped"], 0)
     recorded = []
     stale = LayeredGraph._stale_shortcut_sources
@@ -244,8 +246,8 @@ def test_every_refresh_matches_a_whole_subgraph_rebuild(monkeypatch, algorithm, 
     monkeypatch.setattr(LayeredGraph, "_stale_shortcut_sources", staticmethod(recording_stale))
     monkeypatch.setattr(LayeredGraph, "_refresh_subgraph", checked_refresh)
 
-    spec = make_algorithm(algorithm, source=0)
-    engine = LayphEngine(spec, config=_config(backend))
+    spec = on_route(make_algorithm(algorithm, source=0), route)
+    engine = LayphEngine(spec, config=_config())
     engine.initialize(_graph())
     assert engine.layered.proxy_vertices(), "no proxy formed"
     tolerance = 1e-9 if spec.is_selective() else 1e-3
@@ -253,14 +255,14 @@ def test_every_refresh_matches_a_whole_subgraph_rebuild(monkeypatch, algorithm, 
     for step in range(NUM_DELTAS):
         result = engine.apply_delta(_next_delta(engine, step, rng))
         _assert_proxy_rows_current(engine.layered)
-        reference = run_batch(spec, engine.graph, backend="python").states
+        reference = run_batch(undeclared(spec), engine.graph).states
         assert spec.states_match(result.states, reference, tolerance=tolerance), f"delta {step}"
 
     assert seen["changed"], "no refresh changed a local row"
     assert seen["gone"], "no refresh lost a member"
     assert seen["proxy_moves"], "no refresh changed the replication plan"
     assert seen["exit_dropped"], "no exit proxy went"
-    if backend == "numpy":
+    if route == "declared":
         assert seen["spliced"] > len(engine.layered.subgraphs), "no memo was carried"
 
 
@@ -282,11 +284,21 @@ def _state_bits(states):
     return [(vertex, float(value).hex()) for vertex, value in states.items()]
 
 
-@pytest.mark.parametrize("backend", ["python", "numpy"])
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("algorithm", ["pagerank", "sssp"])
-def test_restored_engine_continues_bitwise(tmp_path, algorithm, backend):
-    spec = make_algorithm(algorithm, source=0)
-    live = LayphEngine(spec, config=_config(backend))
+def test_restored_engine_continues_bitwise(monkeypatch, tmp_path, algorithm, route):
+    # a store records the algorithm by name, so the restore rebuilds the
+    # spec on the same route as the live engine's
+    from repro.storage import store as store_module
+
+    spec_from_identity = store_module._spec_from_identity
+    monkeypatch.setattr(
+        store_module,
+        "_spec_from_identity",
+        lambda identity: on_route(spec_from_identity(identity), route),
+    )
+    spec = on_route(make_algorithm(algorithm, source=0), route)
+    live = LayphEngine(spec, config=_config())
     live.initialize(_graph())
     rng = random.Random(9)
     for step in range(4):

@@ -1,18 +1,18 @@
 """The lockstep shortcut kernel against the per-vector reference.
 
-Under a numpy backend every shortcut solve and every incremental revision
-of a :class:`repro.layph.shortcuts.ShortcutBatch` — all of one delta's
-refreshed subgraphs — runs in a single
-:func:`repro.parallel.slabs.run_shortcut_solves` call over a ragged,
-block-diagonal layout.  Every vector it produces must equal the
-Python-backend reference (:func:`repro.layph.shortcuts.compute_shortcuts_from`
-per solve, :func:`oracles.update_shortcut_vector` per revision): the same
-values and the same recorded work.  Key order is the one
-the reference's ``propagate`` write-backs leave on the numpy backend — for a
+Every shortcut solve and every incremental revision of a
+:class:`repro.layph.shortcuts.ShortcutBatch` — all of one delta's refreshed
+subgraphs — runs in a single :func:`repro.parallel.slabs.run_shortcut_solves`
+call over a ragged, block-diagonal layout.  Every vector it produces must
+equal the reference loops' (:func:`repro.layph.shortcuts.compute_shortcuts_from`
+per solve, :func:`oracles.update_shortcut_vector` per revision, run on the
+undeclared clone of the spec, see :mod:`undeclared`): the same values and the
+same recorded work.  Key order is the one the reference's ``propagate``
+write-backs leave when the array propagation kernel runs them — for a
 solve, rows touched in round 0 (the source) first, then the rest ascending;
 for a revision, the old keys in place, then the new rows ascending — which
 differs from the Python loop's first-touch order, so it is checked against
-that numpy reference.  The batched phase-4 assignment pass is checked
+that kernel-run reference.  The batched phase-4 assignment pass is checked
 against the per-subgraph reference loops the same way.
 """
 
@@ -46,6 +46,7 @@ from oracles import (  # noqa: E402  (tests/layph)
     compute_all_shortcuts,
     update_shortcut_vector,
 )
+from undeclared import undeclared  # noqa: E402  (tests/)
 
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 
@@ -60,19 +61,19 @@ def _bits(vector):
 
 
 def assert_batch_matches_reference(spec, local, sources, boundary):
-    """One batched call == per-source python reference (values, metrics)
-    and == the numpy two-propagate reference (key order, bits)."""
+    """One batched call == per-source reference loops (values, metrics)
+    and == the kernel-run two-propagate reference (key order, bits)."""
     batched_metrics = ExecutionMetrics()
     batched = compute_shortcut_vectors(
-        spec, local, sources, boundary, batched_metrics, backend="numpy"
+        spec, local, sources, boundary, batched_metrics
     )
     python_metrics = ExecutionMetrics()
     python = [
-        compute_shortcuts_from(spec, local, source, boundary, python_metrics, backend="python")
+        compute_shortcuts_from(undeclared(spec), local, source, boundary, python_metrics)
         for source in sources
     ]
     ordered = [
-        _propagate_shortcuts(spec, local, source, boundary, backend="numpy")
+        _propagate_shortcuts(spec, local, source, boundary)
         for source in sources
     ]
     assert len(batched) == len(sources)
@@ -99,13 +100,13 @@ def test_batched_boundary_solve_equals_per_source_reference(algorithm, seed):
         seed=seed,
     )
     spec = make_algorithm(algorithm, source=0)
-    layered = LayeredGraph.build(spec, graph, LayphConfig(seed=seed, backend="python"))
+    layered = LayeredGraph.build(undeclared(spec), graph, LayphConfig(seed=seed))
     for subgraph in layered.subgraphs:
         sources = sorted(subgraph.boundary)
         batched = assert_batch_matches_reference(
             spec, subgraph.local_adjacency, sources, subgraph.boundary
         )
-        # the Python-backend build holds the reference tables
+        # the undeclared clone's build holds the reference tables
         for source, vector in zip(sources, batched):
             assert vector == subgraph.shortcuts[source]
 
@@ -123,8 +124,8 @@ def test_numpy_build_matches_python_build(algorithm):
         seed=5,
     )
     spec = make_algorithm(algorithm, source=0)
-    python = LayeredGraph.build(spec, graph, LayphConfig(seed=2, backend="python"))
-    numpy = LayeredGraph.build(spec, graph, LayphConfig(seed=2, backend="numpy"))
+    python = LayeredGraph.build(undeclared(spec), graph, LayphConfig(seed=2))
+    numpy = LayeredGraph.build(spec, graph, LayphConfig(seed=2))
     assert numpy.subgraphs, "the graph formed no dense subgraph"
     for ours, reference in zip(numpy.subgraphs, python.subgraphs):
         assert list(ours.shortcuts) == list(reference.shortcuts)
@@ -148,9 +149,8 @@ def test_delta_sequence_tables_match_python(algorithm):
     totals."""
     from repro.workloads.updates import random_edge_delta
 
-    def run(backend: str):
-        spec = make_algorithm(algorithm, source=0)
-        engine = LayphEngine(spec, backend=backend)
+    def run(spec):
+        engine = LayphEngine(spec)
         engine.initialize(
             community_graph(
                 num_communities=3,
@@ -181,8 +181,9 @@ def test_delta_sequence_tables_match_python(algorithm):
             )
         return outputs
 
-    reference = run("python")
-    vectorized = run("numpy")
+    spec = make_algorithm(algorithm, source=0)
+    reference = run(undeclared(spec))
+    vectorized = run(spec)
     for step, (expected, actual) in enumerate(zip(reference, vectorized)):
         assert expected[0] == actual[0], f"states diverged at delta {step}"
         assert expected[1] == actual[1], f"metrics diverged at delta {step}"
@@ -237,7 +238,7 @@ def test_single_internal_source():
 def test_multiple_sources_must_be_boundary():
     with pytest.raises(ValueError):
         compute_shortcut_vectors(
-            SSSP(source=0), _cyclic_local(), [0, 1], {0, 3}, backend="numpy"
+            SSSP(source=0), _cyclic_local(), [0, 1], {0, 3}
         )
 
 
@@ -246,7 +247,7 @@ def test_source_with_an_empty_row(spec):
     """Boundary vertex 4 has no local out-links: one empty round 0."""
     local = _cyclic_local()
     metrics = ExecutionMetrics()
-    vectors = compute_shortcut_vectors(spec, local, [4], {0, 3, 4}, metrics, backend="numpy")
+    vectors = compute_shortcut_vectors(spec, local, [4], {0, 3, 4}, metrics)
     assert vectors == [{}]
     assert (metrics.edge_activations, metrics.vertex_updates, metrics.iterations) == (0, 1, 1)
     assert_batch_matches_reference(spec, local, [0, 3, 4], {0, 3, 4})
@@ -269,7 +270,7 @@ class _AdditiveSum(PageRank):
 def test_insignificant_unit_skips_the_first_round():
     spec = _AdditiveSum()
     assert classify_spec(spec) is not None, "the kernel must handle this algebra"
-    batch = ShortcutBatch(spec, "numpy")
+    batch = ShortcutBatch(spec)
     block = batch.block(_cyclic_local(), {0, 3})
     batch.solve(block, 0, {})
     assert batch.prepare().scalars["run_first"] is False
@@ -281,7 +282,7 @@ def test_nan_factor_takes_the_reference_fallback(monkeypatch):
     local = _cyclic_local()
     local.add(1, 3, math.nan)
     spec = SSSP(source=0)
-    batch = ShortcutBatch(spec, "numpy")
+    batch = ShortcutBatch(spec)
     block = batch.block(local, {0, 3})
     batch.solve(block, 0, {})
     assert batch.prepare() is None
@@ -303,9 +304,9 @@ def test_compute_all_shortcuts_is_one_kernel_call(monkeypatch):
 
     monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", record)
     spec = PageRank(damping=0.5)
-    batched = compute_all_shortcuts(spec, _cyclic_local(), {0, 3}, backend="numpy")
+    batched = compute_all_shortcuts(spec, _cyclic_local(), {0, 3})
     assert calls == [2]
-    python = compute_all_shortcuts(spec, _cyclic_local(), {0, 3}, backend="python")
+    python = compute_all_shortcuts(undeclared(spec), _cyclic_local(), {0, 3})
     assert batched == python
 
 
@@ -336,7 +337,7 @@ def _mutated(local: FactorAdjacency, rng: random.Random) -> FactorAdjacency:
 
 def _subgraph_cases(spec, seed, count=3):
     """``count`` subgraphs of different sizes: (old local, new local,
-    boundary, old tables) from a Python-backend build."""
+    boundary, old tables) from the undeclared clone's build."""
     graph = community_graph(
         num_communities=5,
         community_size_range=(10, 30),
@@ -345,7 +346,7 @@ def _subgraph_cases(spec, seed, count=3):
         weighted=True,
         seed=seed,
     )
-    layered = LayeredGraph.build(spec, graph, LayphConfig(seed=seed, backend="python"))
+    layered = LayeredGraph.build(undeclared(spec), graph, LayphConfig(seed=seed))
     rng = random.Random(seed)
     cases, sizes = [], set()
     for subgraph in layered.subgraphs:
@@ -361,13 +362,13 @@ def _subgraph_cases(spec, seed, count=3):
     return cases
 
 
-def _run_mixed_batch(spec, cases, backend="numpy"):
+def _run_mixed_batch(spec, cases):
     """Queue every boundary source of every case as the refresh loop would
     (revision when the Python half yields messages, solve when it declines;
     the smallest boundary vertex counts as new and is solved) and run the
     batch once.  Returns (tables, kinds, pendings, metrics)."""
     metrics = ExecutionMetrics()
-    batch = ShortcutBatch(spec, backend)
+    batch = ShortcutBatch(spec)
     tables, kinds, pendings = [], [], []
     for old_local, new_local, boundary, old_tables in cases:
         changed = changed_local_sources(old_local, new_local)
@@ -410,19 +411,19 @@ def _assert_mixed_batch_matches_reference(spec, cases, tables, kinds, pendings, 
             want = None
             if kind[source] != "fresh":
                 want = update_shortcut_vector(
-                    spec, old_local, new_local, source, boundary, old_vector, changed,
-                    reference_metrics, backend="python",
+                    undeclared(spec), old_local, new_local, source, boundary, old_vector,
+                    changed, reference_metrics,
                 )
             if want is None:
                 assert kind[source] in ("fresh", "solve")
                 want = compute_shortcuts_from(
-                    spec, new_local, source, boundary, reference_metrics, backend="python"
+                    undeclared(spec), new_local, source, boundary, reference_metrics
                 )
-                order = _propagate_shortcuts(spec, new_local, source, boundary, backend="numpy")
+                order = _propagate_shortcuts(spec, new_local, source, boundary)
             elif kind[source] == "revise":
                 order = _revise_reference(
                     spec, new_local, source, boundary, old_vector, pending_of[source],
-                    ExecutionMetrics(), backend="numpy",
+                    ExecutionMetrics(),
                 )
             else:
                 order = want
@@ -502,21 +503,21 @@ def test_revision_silences_boundary_messages_and_appends_new_rows_ascending(spec
             5: [(2, 0.5)],
         }
     )
-    old_vector = compute_shortcuts_from(spec, old_local, 0, boundary, backend="python")
+    old_vector = compute_shortcuts_from(undeclared(spec), old_local, 0, boundary)
     changed = changed_local_sources(old_local, new_local)
     pending = shortcut_revision(spec, old_local, new_local, 0, boundary, old_vector, changed)
     assert set(pending) == {3, 4}
     metrics = ExecutionMetrics()
     got = update_shortcut_vector(
-        spec, old_local, new_local, 0, boundary, old_vector, changed, metrics, backend="numpy"
+        spec, old_local, new_local, 0, boundary, old_vector, changed, metrics
     )
     reference_metrics = ExecutionMetrics()
     want = update_shortcut_vector(
-        spec, old_local, new_local, 0, boundary, old_vector, changed,
-        reference_metrics, backend="python",
+        undeclared(spec), old_local, new_local, 0, boundary, old_vector, changed,
+        reference_metrics,
     )
     order = _revise_reference(
-        spec, new_local, 0, boundary, old_vector, pending, ExecutionMetrics(), backend="numpy"
+        spec, new_local, 0, boundary, old_vector, pending, ExecutionMetrics()
     )
     assert dict(_bits(got)) == dict(_bits(want))
     assert _bits(got) == _bits(order)
@@ -525,15 +526,15 @@ def test_revision_silences_boundary_messages_and_appends_new_rows_ascending(spec
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_python_backend_batch_runs_the_reference(monkeypatch, algorithm):
+def test_undeclared_batch_runs_the_reference(monkeypatch, algorithm):
     def fail(**_kwargs):
-        raise AssertionError("the python backend must not reach the kernel")
+        raise AssertionError("an undeclared algebra must not reach the kernel")
 
     spec = make_algorithm(algorithm, source=0)
     cases = _subgraph_cases(spec, 3)
     numpy_tables, _kinds, _pendings, numpy_metrics = _run_mixed_batch(spec, cases)
     monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", fail)
-    tables, _kinds, _pendings, metrics = _run_mixed_batch(spec, cases, backend="python")
+    tables, _kinds, _pendings, metrics = _run_mixed_batch(undeclared(spec), cases)
     for table, numpy_table in zip(tables, numpy_tables):
         assert table == numpy_table
     assert _totals(metrics) == _totals(numpy_metrics)
@@ -554,7 +555,7 @@ def _assign_graph():
 
 
 def _internal_source(graph):
-    layered = LayeredGraph.build(SSSP(source=0), graph, LayphConfig(backend="python"))
+    layered = LayeredGraph.build(SSSP(source=0), graph, LayphConfig())
     return min(vertex for subgraph in layered.subgraphs for vertex in subgraph.internal)
 
 
@@ -572,21 +573,23 @@ def _assign_both_ways(monkeypatch, engine, deltas, work):
         monkeypatch.setattr(vectorized, name, observed)
     everything = set(range(len(engine.layered.subgraphs)))
     outcomes = []
-    for vectorized_phases in (True, False):
-        monkeypatch.setattr(engine, "_vectorized_phases", lambda v=vectorized_phases: v)
+    declared = engine.spec
+    for spec in (declared, undeclared(declared)):
+        # the undeclared clone makes both batch kernels decline
+        monkeypatch.setattr(engine, "spec", spec)
         revised = dict(work)
         metrics = ExecutionMetrics()
         engine._assign(everything, set(), deltas, revised, metrics, engine.graph)
         outcomes.append(
             ({vertex: float(value).hex() for vertex, value in revised.items()}, metrics.edge_activations)
         )
-    assert calls == [1], "the numpy path must run one assignment kernel call"
+    assert calls == [1], "the kernel path must run one assignment kernel call"
     return outcomes
 
 
 def test_batched_selective_assign_equals_per_subgraph_loop(monkeypatch):
     graph = _assign_graph()
-    engine = LayphEngine(SSSP(source=_internal_source(graph)), backend="numpy")
+    engine = LayphEngine(SSSP(source=_internal_source(graph)))
     engine.initialize(graph)
     assert engine._local_source_states is not None, "the source must fold local results"
     rng = random.Random(4)
@@ -606,7 +609,7 @@ def test_batched_accumulative_assign_equals_per_subgraph_loop(monkeypatch, algor
     graph = _assign_graph()
     # PHP absorbs its source: an internal one must be skipped, not pushed
     source = _internal_source(graph)
-    engine = LayphEngine(make_algorithm(algorithm, source=source), backend="numpy")
+    engine = LayphEngine(make_algorithm(algorithm, source=source))
     engine.initialize(graph)
     rng = random.Random(5)
     work = dict(engine.states)

@@ -28,6 +28,8 @@ from repro.layph.vectorized import seed_tainted_upper
 from repro.workloads.datasets import DATASETS
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
+from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
+
 NUM_DELTAS = 20
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 
@@ -67,11 +69,11 @@ def _assert_upper_is_fresh_assembly(layered) -> None:
 
 
 @pytest.mark.parametrize("algorithm", ["pagerank", "sssp"])
-@pytest.mark.parametrize("backend", ["python", "numpy"])
-def test_patched_upper_equals_fresh_rebuild(algorithm, backend):
+@pytest.mark.parametrize("route", ROUTES)
+def test_patched_upper_equals_fresh_rebuild(algorithm, route):
     """After every delta the patched upper layer == a fresh reassembly."""
     graph = DATASETS["uk"].build()
-    engine = LayphEngine(make_algorithm(algorithm, source=0), backend=backend)
+    engine = LayphEngine(on_route(make_algorithm(algorithm, source=0), route))
     engine.initialize(graph)
     layered = engine.layered
     rebuilds_after_init = layered.upper_rebuilds
@@ -151,7 +153,7 @@ def test_spliced_upper_csr_is_bit_identical_to_a_fresh_compile(algorithm, monkey
     leave it — no id leak); and the whole layer is compiled exactly once.
     """
     graph = DATASETS["sk"].build()
-    engine = LayphEngine(make_algorithm(algorithm, source=0), backend="numpy")
+    engine = LayphEngine(make_algorithm(algorithm, source=0))
     engine.initialize(graph)
     layered = engine.layered
     assert layered.proxy_vertices()
@@ -207,7 +209,7 @@ def test_masked_in_link_gather_matches_reverse_scan(algorithm):
     """
     graph = DATASETS["uk"].build()
     spec = make_algorithm(algorithm, source=0)
-    engine = LayphEngine(spec, backend="numpy")
+    engine = LayphEngine(spec)
     engine.initialize(graph)
     layered = engine.layered
     identity = spec.aggregate_identity()

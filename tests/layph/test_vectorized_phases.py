@@ -1,10 +1,11 @@
-"""Backend equivalence of Layph's vectorized upload/assign phases.
+"""Equivalence of Layph's vectorized upload/assign phases with the loops.
 
 The numpy kernels in :mod:`repro.layph.vectorized` must be metric-identical
 to the Python reference loops in ``engine.py`` — same revised states, same
 arrived messages, same round counts and edge activations — including the
 NaN-fallback path (inputs the array algebra cannot reproduce run the Python
-loop on both backends).
+loop on both routes).  The reference run is the undeclared clone of the
+spec (see :mod:`undeclared`), which every kernel declines.
 """
 
 import math
@@ -22,6 +23,8 @@ from repro.layph.vectorized import (
     local_upload_numpy,
 )
 from repro.workloads.updates import random_edge_delta
+
+from undeclared import ROUTES, on_route, undeclared  # noqa: E402  (tests/)
 
 
 class _Subgraph:
@@ -58,16 +61,16 @@ class TestLocalUploadKernel:
     @pytest.mark.parametrize("spec", [SSSP(source=0), PageRank()], ids=lambda s: s.name)
     def test_matches_python_loop(self, spec):
         results = {}
-        for backend in ("python", "numpy"):
-            engine = LayphEngine(spec, backend=backend)
+        for route in ROUTES:
+            engine = LayphEngine(on_route(spec, route))
             subgraph = _chain_subgraph()
             work = {2: 10.0 if spec.is_selective() else 0.5, 3: 12.0 if spec.is_selective() else 0.25}
             pending = {2: 4.0, 5: 1.0}
             metrics = ExecutionMetrics()
             arrived = engine._local_upload(subgraph, work, pending, metrics)
-            results[backend] = (arrived, work, metrics)
-        py_arrived, py_work, py_metrics = results["python"]
-        np_arrived, np_work, np_metrics = results["numpy"]
+            results[route] = (arrived, work, metrics)
+        py_arrived, py_work, py_metrics = results["undeclared"]
+        np_arrived, np_work, np_metrics = results["declared"]
         assert py_arrived == np_arrived
         assert py_work == np_work
         assert py_metrics.iterations == np_metrics.iterations
@@ -86,13 +89,13 @@ class TestLocalUploadKernel:
         )
         # the dispatching engine still produces the Python loop's answer
         results = {}
-        for backend in ("python", "numpy"):
-            engine = LayphEngine(PageRank(), backend=backend)
+        for route in ROUTES:
+            engine = LayphEngine(on_route(PageRank(), route))
             work = {}
             metrics = ExecutionMetrics()
             arrived = engine._local_upload(subgraph, work, {2: 1.0}, metrics)
-            results[backend] = (arrived, work, metrics.edge_activations)
-        assert results["python"] == results["numpy"]
+            results[route] = (arrived, work, metrics.edge_activations)
+        assert results["undeclared"] == results["declared"]
 
     def test_nan_state_falls_back(self):
         subgraph = _chain_subgraph()
@@ -114,13 +117,13 @@ class TestLocalUploadKernel:
             is None
         )
 
-    def test_non_convergence_raises_on_numpy_backend(self):
+    def test_non_convergence_raises_in_the_kernel(self):
         # A lossless 2-cycle: PageRank-style messages never decay, so the
         # vectorized upload must hit the round cap and raise like the
         # Python loop does.
         adjacency = FactorAdjacency({1: [(2, 1.0)], 2: [(1, 1.0)]})
         subgraph = _Subgraph(0, boundary=frozenset(), internal={1, 2}, adjacency=adjacency)
-        engine = LayphEngine(PageRank(), backend="numpy")
+        engine = LayphEngine(PageRank())
         with pytest.raises(NonConvergenceError):
             engine._local_upload(subgraph, {}, {1: 1.0}, ExecutionMetrics())
 
@@ -155,19 +158,19 @@ class TestAssignKernels:
         subgraph = self._shortcut_subgraph()
         graph = Graph.from_edges([(0, 2, 1.0), (2, 3, 1.0), (3, 5, 1.0)])
         results = {}
-        for backend in ("python", "numpy"):
+        for route in ROUTES:
             work = {2: 0.25, 3: 0.5}
             metrics = ExecutionMetrics()
             deltas = {0: 0.125, 5: 0.0625}
-            if backend == "numpy":
+            if route == "declared":
                 assert assign_accumulative_batch(spec, [subgraph], deltas, work, metrics, graph)
             else:
-                LayphEngine(spec, backend=backend)._assign_accumulative(
+                LayphEngine(undeclared(spec))._assign_accumulative(
                     subgraph, deltas, work, metrics, graph
                 )
-            results[backend] = (work, metrics.edge_activations)
-        assert results["python"] == results["numpy"]
-        work, activations = results["numpy"]
+            results[route] = (work, metrics.edge_activations)
+        assert results["undeclared"] == results["declared"]
+        work, activations = results["declared"]
         assert work[2] == 0.25 + 0.125 * 1.0
         assert work[3] == 0.5 + 0.125 * 3.0 + 0.0625 * 2.0
         assert activations == 3
@@ -187,7 +190,7 @@ class TestAssignKernels:
                     spec, [subgraph], {0: 0.125, 5: 0.0625}, work, metrics, graph
                 )
             else:
-                LayphEngine(spec, backend="python")._assign_accumulative(
+                LayphEngine(undeclared(spec))._assign_accumulative(
                     subgraph, {0: 0.125, 5: 0.0625}, work, metrics, graph
                 )
             results.append((work, metrics.edge_activations))
@@ -214,9 +217,9 @@ class TestAssignKernels:
 
 
 class TestEngineLevelEquivalence:
-    """Full LayphEngine runs over a community graph: the numpy backend's
-    upload/assign kernels must leave states, rounds and activations
-    bitwise-identical to the Python loops, for all four algorithms."""
+    """Full LayphEngine runs over a community graph: the upload/assign
+    kernels must leave states, rounds and activations bitwise-identical to
+    the Python loops of the undeclared clone, for all four algorithms."""
 
     @pytest.mark.parametrize("algorithm", ["sssp", "bfs", "pagerank", "php"])
     def test_delta_sequence_identical(self, algorithm):
@@ -228,8 +231,8 @@ class TestEngineLevelEquivalence:
             seed=11,
         )
         results = {}
-        for backend in ("python", "numpy"):
-            engine = LayphEngine(make_algorithm(algorithm, source=0), backend=backend)
+        for route in ROUTES:
+            engine = LayphEngine(on_route(make_algorithm(algorithm, source=0), route))
             engine.initialize(graph.copy())
             current = graph.copy()
             runs = []
@@ -237,8 +240,8 @@ class TestEngineLevelEquivalence:
                 delta = random_edge_delta(current, 4, 4, seed=seed, protect=0)
                 runs.append(engine.apply_delta(delta))
                 current = delta.apply(current)
-            results[backend] = runs
-        for py, vec in zip(results["python"], results["numpy"]):
+            results[route] = runs
+        for py, vec in zip(results["undeclared"], results["declared"]):
             assert py.states == vec.states
             assert py.metrics.iterations == vec.metrics.iterations
             assert py.metrics.edge_activations == vec.metrics.edge_activations

@@ -4,7 +4,7 @@ Most Layph property suites run on graphs too small to form more than a
 handful of dense subgraphs, so a wrong lower-layer change can pass them.
 This module replays the first deltas of the benchmark's three web
 workloads (≈ 9k vertices, ~300 planted communities, generated by
-``perf.workloads``) on the numpy backend and checks Layph against a
+``perf.workloads``) on the array kernels and checks Layph against a
 from-scratch batch run after every delta, with the benchmark's own
 tolerances, while the shortcut kernel is observed: one call per subgraph
 at build time, at most one call per delta afterwards, holding the solves
@@ -68,7 +68,7 @@ def test_layph_matches_batch_on_the_web_shape(monkeypatch, workload):
     monkeypatch.setattr(dense_propagation, "build_propagation_slab", slab_observed)
     inputs = generate(WORKLOADS[workload], seed=1, num_events=BATCH_SIZE)
     spec = inputs.workload.spec()
-    engine = LayphEngine(spec, backend="numpy")
+    engine = LayphEngine(spec)
     engine.initialize(inputs.graph)
     assert len(engine.layered.subgraphs) >= 100, "the web shape formed few dense subgraphs"
     built = calls[:]
@@ -109,7 +109,7 @@ def test_scattered_seed_21_stays_with_batch():
     22, 1.1e-2 after delta 24).  Each edge is now rewired by one subgraph."""
     inputs = generate(WORKLOADS["web-pagerank-scattered"], seed=21, num_events=BATCH_SIZE)
     spec = inputs.workload.spec()
-    engine = LayphEngine(spec, backend="numpy")
+    engine = LayphEngine(spec)
     engine.initialize(inputs.graph)
     assert engine.layered.proxy_vertices(), "the stream no longer forms a proxy"
     for step, delta in enumerate(inputs.deltas[:25]):
@@ -161,7 +161,7 @@ def test_cross_edge_deltas_keep_the_lower_layer_compiled(monkeypatch):
         )
 
     inputs = generate(WORKLOADS["web-bfs-bridge"], seed=1, num_events=BATCH_SIZE)
-    engine = LayphEngine(inputs.workload.spec(), backend="numpy")
+    engine = LayphEngine(inputs.workload.spec())
     engine.initialize(inputs.graph)
     subgraphs = engine.layered.subgraphs
     hits = 0

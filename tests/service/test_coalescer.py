@@ -12,8 +12,8 @@ Two layers of property test:
   including row order;
 * engine-level (all 7 engines × applicable algorithms): final states after
   a coalesced-batch run vs a one-event-per-delta run.  Selective engines
-  and the restart baseline are bitwise-invariant to batching (established
-  by the parallel-backend suite), so they must agree exactly; the
+  and the restart baseline are bitwise-invariant to batching, so they
+  must agree exactly; the
   accumulative family's results depend on how the stream is split into
   apply calls (propagation rounds differ), so they agree within the spec
   tolerance — while their *graphs* still agree bitwise.

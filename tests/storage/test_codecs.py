@@ -16,7 +16,6 @@ import json
 import math
 
 import numpy as np
-import pytest
 
 from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
@@ -187,12 +186,12 @@ def test_memo_table_round_trip_with_nan_columns(tmp_path):
 
 def test_memo_table_round_trip_from_live_engine(tmp_path):
     """The memo an actual BSP engine builds survives encode/decode bitwise."""
-    engine = build_engine("graphbolt", make_algorithm("pagerank"), backend="numpy")
+    engine = build_engine("graphbolt", make_algorithm("pagerank"))
     graph = _graph()
     engine.initialize(graph)
     engine.apply_delta(random_edge_delta(graph, 3, 2, seed=3, protect=0))
-    if engine.memo is None:
-        pytest.skip("dense memo store disabled in this configuration")
+    # no configuration turns the dense store off: PageRank declares its algebra
+    assert engine.memo is not None
     meta, arrays = encode_memo_table(engine.memo)
     decoded = decode_memo_table(meta, _npz_round_trip(arrays, tmp_path))
     assert decoded.matches_ids(engine.memo.vertex_ids)
@@ -231,7 +230,7 @@ def test_parent_map_round_trip_with_none_roots():
 
 
 # ----------------------------------------------------------------------
-# iteration dicts (the Python-backend BSP memo)
+# iteration dicts (the BSP memo of the reference path)
 # ----------------------------------------------------------------------
 def test_iteration_dicts_round_trip_with_absent_vertices(tmp_path):
     iterations = [
@@ -287,7 +286,7 @@ def test_layered_graph_state_counters_and_old_snapshots():
     snapshot written by a build that still stored them restores all the
     same; the compiled upper CSR is never stored and recompiles on use."""
     spec = make_algorithm("sssp", source=0)
-    engine = build_engine("layph", spec, backend="numpy")
+    engine = build_engine("layph", spec)
     engine.initialize(_graph())
     engine.apply_delta(random_vertex_delta(engine.graph, 2, 2, seed=5, protect=0))
     layered = engine.layered

@@ -1,10 +1,11 @@
 """The environment variables the library reads.
 
 Every ``REPRO_*`` name is a switch a user has to know about, so the set is
-pinned here: the backend choice and the durable store's three settings.  A
-new name means a new user-facing option and has to be added on purpose.
-The switches that once selected a second, older path are gone; one left
-behind in a user's environment must change nothing.
+pinned here: the durable store's three settings.  A new name means a new
+user-facing option and has to be added on purpose.  The switches that once
+selected a second, older path are gone — the backend choice among them:
+which path runs is decided by the spec's declared algebra and the inputs —
+and one left behind in a user's environment must change nothing.
 """
 
 from __future__ import annotations
@@ -18,24 +19,32 @@ import pytest
 from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.generators import erdos_renyi_graph
+from repro.layph import layered_graph
+from repro.layph.shortcuts import ShortcutBatch
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
+
+from undeclared import undeclared  # noqa: E402  (tests/)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 KNOBS = {
-    "REPRO_BACKEND",
     "REPRO_STORE",
     "REPRO_STORE_AUTOSAVE",
     "REPRO_STORE_COMPACT_EVERY",
 }
 
-RETIRED = (
-    "REPRO_CSR_CACHE",
-    "REPRO_MEMO_DENSE",
-    "REPRO_DEP_DENSE",
-    "REPRO_DELTA_FOOTPRINT",
-    "REPRO_CSR_REBUILD_FRACTION",
-)
+#: each retired name with the stale value that used to select the old path
+RETIRED = {
+    "REPRO_CSR_CACHE": "0",
+    "REPRO_MEMO_DENSE": "0",
+    "REPRO_DEP_DENSE": "0",
+    "REPRO_DELTA_FOOTPRINT": "0",
+    "REPRO_CSR_REBUILD_FRACTION": "0",
+    "REPRO_BACKEND": "python",
+}
+
+#: one engine per dense store: memo table, dependency table, shortcut kernel
+FAMILIES = (("graphbolt", "pagerank"), ("kickstarter", "sssp"), ("layph", "sssp"))
 
 _NAME = re.compile(r"REPRO_[A-Z_]+")
 
@@ -46,7 +55,7 @@ def _string_literals(path: pathlib.Path):
             yield node.value
 
 
-def test_src_reads_exactly_the_four_knobs():
+def test_src_reads_exactly_the_pinned_knobs():
     found = {
         literal
         for path in SRC.rglob("*.py")
@@ -56,8 +65,33 @@ def test_src_reads_exactly_the_four_knobs():
     assert found == KNOBS
 
 
-def _stream_outcomes():
-    """Per-delta results of one engine per dense store, numpy backend."""
+def _run_stream(engine_name, spec, deltas, graph, monkeypatch):
+    """One engine's per-delta results, plus the shortcut batches it opened."""
+    opened = []
+
+    class RecordedBatch(ShortcutBatch):
+        def __init__(self, spec):
+            super().__init__(spec)
+            opened.append(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(layered_graph, "ShortcutBatch", RecordedBatch)
+        engine = build_engine(engine_name, spec)
+        engine.initialize(graph.copy())
+        results = [
+            (
+                result.states,
+                result.metrics.edge_activations,
+                tuple(result.metrics.activations_per_round),
+            )
+            for result in map(engine.apply_delta, deltas)
+        ]
+    assert engine.footprint is not None
+    return engine, results, opened
+
+
+def _stream():
+    """A small graph and a delta stream with edge and vertex churn."""
     graph = erdos_renyi_graph(30, 100, weighted=True, seed=3)
     deltas = []
     current = graph
@@ -68,37 +102,55 @@ def _stream_outcomes():
             delta = random_edge_delta(current, 3, 3, seed=step, protect=0)
         deltas.append(delta)
         current = delta.apply(current)
+    return graph, deltas
+
+
+def _stream_outcomes(monkeypatch):
+    """Per-delta results of one engine per dense store; each must run on
+    its array kernels and dense stores."""
+    graph, deltas = _stream()
     outcomes = {}
-    for engine_name, algorithm in (
-        ("graphbolt", "pagerank"),
-        ("kickstarter", "sssp"),
-        ("layph", "sssp"),
-    ):
-        engine = build_engine(
-            engine_name, make_algorithm(algorithm, source=0), backend="numpy"
+    for engine_name, algorithm in FAMILIES:
+        spec = make_algorithm(algorithm, source=0)
+        engine, outcomes[engine_name], batches = _run_stream(
+            engine_name, spec, deltas, graph, monkeypatch
         )
-        engine.initialize(graph.copy())
-        outcomes[engine_name] = [
-            (
-                result.states,
-                result.metrics.edge_activations,
-                tuple(result.metrics.activations_per_round),
-            )
-            for result in map(engine.apply_delta, deltas)
-        ]
-        assert engine.footprint is not None
         if engine_name == "graphbolt":
             assert engine.memo is not None
         if engine_name == "kickstarter":
             assert engine.dep_table is not None
             assert engine.dense_deltas == len(deltas)
             assert engine.csr_cache.patches > 0
+        if engine_name == "layph":
+            assert batches and all(batch._kinds is not None for batch in batches)
     return outcomes
 
 
 @pytest.mark.parametrize("name", RETIRED)
 def test_retired_knob_changes_nothing(name, monkeypatch):
     monkeypatch.delenv(name, raising=False)
-    expected = _stream_outcomes()
-    monkeypatch.setenv(name, "0")
-    assert _stream_outcomes() == expected
+    expected = _stream_outcomes(monkeypatch)
+    monkeypatch.setenv(name, RETIRED[name])
+    assert _stream_outcomes(monkeypatch) == expected
+
+
+@pytest.mark.parametrize("engine_name, algorithm", FAMILIES)
+def test_undeclared_clone_reaches_the_reference_path(engine_name, algorithm, monkeypatch):
+    """The parity suites compare a spec with its undeclared clone; that only
+    means something if the clone really takes the reference loops and dict
+    stores, and still gets the same answers."""
+    graph, deltas = _stream()
+    spec = make_algorithm(algorithm, source=0)
+    engine, results, batches = _run_stream(
+        engine_name, undeclared(spec), deltas, graph, monkeypatch
+    )
+    if engine_name == "graphbolt":
+        assert engine.memo is None
+        assert engine._iterations and engine.iterations is engine._iterations
+    if engine_name == "kickstarter":
+        assert engine.dep_table is None
+        assert engine.dict_deltas == len(deltas) and engine.dense_deltas == 0
+    if engine_name == "layph":
+        assert batches and all(batch._kinds is None for batch in batches)
+    _engine, declared, _batches = _run_stream(engine_name, spec, deltas, graph, monkeypatch)
+    assert results == declared

@@ -27,6 +27,8 @@ from repro.graph.graph import Graph
 from repro.incremental.graphbolt import GraphBoltEngine
 from repro.layph.shortcuts import compute_shortcuts_from
 
+from undeclared import ROUTES, on_route, undeclared  # noqa: E402  (tests/)
+
 SETTINGS = settings(
     max_examples=25,
     deadline=None,
@@ -263,7 +265,7 @@ class TestIncrementalProperties:
 
 
 # ----------------------------------------------------------------------
-# backend equivalence: python loop vs vectorized CSR engine
+# route equivalence: reference loops (undeclared clone) vs array kernels
 # ----------------------------------------------------------------------
 def _assert_metric_identical(py_metrics, np_metrics):
     assert py_metrics.iterations == np_metrics.iterations
@@ -280,16 +282,17 @@ def _assert_states_identical(left, right, tolerance=1e-9):
         assert a == b or abs(a - b) <= tolerance, (vertex, a, b)
 
 
-class TestBackendEquivalence:
-    """The numpy backend must be metric-compatible with the Python loop:
-    same converged states, same round counts, same per-round edge
-    activations — for all four algorithms, batch and incremental."""
+class TestRouteEquivalence:
+    """The array kernels must be metric-compatible with the Python loops the
+    undeclared clone takes: same converged states, same round counts, same
+    per-round edge activations — for all four algorithms, batch and
+    incremental."""
 
     @SETTINGS
     @given(small_graphs(), st.sampled_from(["sssp", "bfs", "pagerank", "php"]))
-    def test_batch_backends_identical(self, graph, algorithm):
-        py = run_batch(make_algorithm(algorithm, source=0), graph, backend="python")
-        vec = run_batch(make_algorithm(algorithm, source=0), graph, backend="numpy")
+    def test_batch_routes_identical(self, graph, algorithm):
+        py = run_batch(undeclared(make_algorithm(algorithm, source=0)), graph)
+        vec = run_batch(make_algorithm(algorithm, source=0), graph)
         _assert_states_identical(py.states, vec.states)
         _assert_metric_identical(py.metrics, vec.metrics)
 
@@ -299,17 +302,18 @@ class TestBackendEquivalence:
         st.sampled_from(["ingress", "layph", "restart"]),
         st.sampled_from(["sssp", "bfs", "pagerank", "php"]),
     )
-    def test_incremental_backends_identical(self, data, engine_name, algorithm):
+    def test_incremental_routes_identical(self, data, engine_name, algorithm):
         graph, delta = data
         results = {}
-        for backend in ("python", "numpy"):
+        for route in ROUTES:
             engine = build_engine(
-                engine_name, make_algorithm(algorithm, source=0), backend=backend
+                engine_name, on_route(make_algorithm(algorithm, source=0), route)
             )
             engine.initialize(graph.copy())
-            results[backend] = engine.apply_delta(delta)
-        _assert_states_identical(results["python"].states, results["numpy"].states)
-        _assert_metric_identical(results["python"].metrics, results["numpy"].metrics)
+            results[route] = engine.apply_delta(delta)
+        py, vec = results["undeclared"], results["declared"]
+        _assert_states_identical(py.states, vec.states)
+        _assert_metric_identical(py.metrics, vec.metrics)
 
 
 # ----------------------------------------------------------------------
@@ -355,9 +359,9 @@ class TestCSRCacheProperties:
 
 
 # ----------------------------------------------------------------------
-# backend equivalence of the BSP engines (GraphBolt / DZiG)
+# route equivalence of the BSP engines (GraphBolt / DZiG)
 # ----------------------------------------------------------------------
-class TestBSPBackendEquivalence:
+class TestBSPRouteEquivalence:
     """GraphBolt's and DZiG's vectorized BSP pulls must reproduce the Python
     loops exactly: same memoized iterations, converged states, round counts
     and edge activations — batch and incremental."""
@@ -368,18 +372,18 @@ class TestBSPBackendEquivalence:
         st.sampled_from(["graphbolt", "dzig"]),
         st.sampled_from(["pagerank", "php"]),
     )
-    def test_bsp_backends_identical(self, data, engine_name, algorithm):
+    def test_bsp_routes_identical(self, data, engine_name, algorithm):
         graph, delta = data
         results = {}
-        for backend in ("python", "numpy"):
+        for route in ROUTES:
             engine = build_engine(
-                engine_name, make_algorithm(algorithm, source=0), backend=backend
+                engine_name, on_route(make_algorithm(algorithm, source=0), route)
             )
             initial = engine.initialize(graph.copy())
             incremental = engine.apply_delta(delta)
-            results[backend] = (initial, incremental, engine.iterations)
-        py_init, py_inc, py_iters = results["python"]
-        np_init, np_inc, np_iters = results["numpy"]
+            results[route] = (initial, incremental, engine.iterations)
+        py_init, py_inc, py_iters = results["undeclared"]
+        np_init, np_inc, np_iters = results["declared"]
         _assert_states_identical(py_init.states, np_init.states, tolerance=0.0)
         _assert_metric_identical(py_init.metrics, np_init.metrics)
         _assert_states_identical(py_inc.states, np_inc.states, tolerance=0.0)
@@ -397,8 +401,8 @@ class TestMemoStoreEquivalence:
     dict reference: identical memoized iterations, states, rounds and edge
     activations over random delta sequences (vertex additions/removals and
     index remaps included), in both graph orientations — and the dict store,
-    forced under the numpy backend by shutting the vectorized-pull gate,
-    must reproduce the python backend exactly."""
+    forced for the declared algebra by shutting the vectorized-pull gate,
+    must reproduce the undeclared clone exactly."""
 
     @SETTINGS
     @given(
@@ -409,19 +413,19 @@ class TestMemoStoreEquivalence:
     def test_dense_store_matches_dict_reference(self, data, engine_name, algorithm):
         graph, deltas = data
 
-        def run(backend, memo_dense):
+        def run(route, memo_dense):
             gate = GraphBoltEngine._bsp_csr if memo_dense else (lambda self, graph: None)
             with mock.patch.object(GraphBoltEngine, "_bsp_csr", gate):
                 engine = build_engine(
-                    engine_name, make_algorithm(algorithm, source=0), backend=backend
+                    engine_name, on_route(make_algorithm(algorithm, source=0), route)
                 )
                 initial = engine.initialize(graph.copy())
                 incremental = [engine.apply_delta(delta) for delta in deltas]
             return engine, initial, incremental
 
-        py_engine, py_init, py_inc = run("python", memo_dense=True)
-        dense_engine, dense_init, dense_inc = run("numpy", memo_dense=True)
-        dict_engine, dict_init, dict_inc = run("numpy", memo_dense=False)
+        py_engine, py_init, py_inc = run("undeclared", memo_dense=True)
+        dense_engine, dense_init, dense_inc = run("declared", memo_dense=True)
+        dict_engine, dict_init, dict_inc = run("declared", memo_dense=False)
         assert py_engine.memo is None
         assert dict_engine.memo is None
 
