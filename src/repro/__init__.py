@@ -18,18 +18,18 @@ Typical usage::
     result = engine.apply_delta(delta)
     print(result.states[3])
 
-Array kernels and reference loops
----------------------------------
+One algebra, one array-native core
+----------------------------------
 
 Every hot loop — the shared delta-accumulative propagation, the BSP engines'
 memoized iterations, the selective engines' dependency maintenance, Layph's
 shortcuts, upload and assignment — runs as numpy array kernels over compiled
-CSR snapshots, producing the same converged states, round counts and
-edge-activation counts as the reference Python loops, bit for bit.  Nothing
-selects between the two: a kernel runs whenever the spec declares its
-operator algebra (:attr:`repro.engine.AlgorithmSpec.dense_algebra` — set on
-all four built-in algorithms) and its inputs are NaN-free, and otherwise it
-declines and the reference loop runs the call.
+CSR snapshots.  The engines run the algebra a spec declares in
+:attr:`repro.engine.AlgorithmSpec.dense_algebra` — ``("min", "add")`` or
+``("sum", "mul")``, set on all four built-in algorithms — and check it once,
+at construction (``run_batch`` checks it per call); ``initialize`` and
+``apply_delta`` refuse non-finite weights and NaN initial values.  A spec or
+an input outside that contract raises ``ValueError``.
 """
 
 from repro.engine.algorithms import BFS, PHP, PageRank, SSSP, make_algorithm

@@ -54,16 +54,17 @@ class AlgorithmSpec(abc.ABC):
     #: neighbor row of every touched source.
     edge_local_factors: bool = False
 
-    #: declared operator algebra for the array kernels: an
-    #: ``(aggregate, combine)`` pair — ``("min", "add")`` for SSSP/BFS-style
-    #: selective specs, ``("sum", "mul")`` for PageRank/PHP-style accumulative
-    #: specs — or ``None`` (the default), which keeps the spec on the Python
-    #: loop.  Only declare it when ``aggregate``/``combine``/``is_significant``
-    #: have exactly those standard semantics (no clamping, saturation or
-    #: custom significance): the array kernels run plain ``min``/``+``/
-    #: ``×`` in their place, so a declaration on a spec that deviates produces
-    #: silently wrong states.  Subclasses of the built-in algorithms that
-    #: change operator semantics must reset it to ``None``.
+    #: declared operator algebra: ``("min", "add")`` for SSSP/BFS-style
+    #: selective specs or ``("sum", "mul")`` for PageRank/PHP-style
+    #: accumulative specs.  Required: the engines and ``run_batch`` raise
+    #: ``ValueError`` for a spec that leaves it ``None`` (the default) or
+    #: whose ``aggregate``/``combine``/``is_significant``/``negate`` deviate
+    #: from those standard semantics — the array kernels run plain
+    #: ``min``/``+``/``×`` in their place.  ``edge_factor`` must map finite
+    #: weights to finite factors: the engines reject non-finite weights and
+    #: NaN initial values, so that no state is ever NaN.  Subclasses of the
+    #: built-in algorithms that change operator semantics must reset it to
+    #: ``None``, which makes the engines refuse them.
     dense_algebra: Optional[Tuple[str, str]] = None
 
     # ------------------------------------------------------------------

@@ -1,38 +1,36 @@
-"""Vectorized (numpy) implementation of the delta-accumulative loop.
+"""The algebra contract and the array form of the delta-accumulative loop.
 
-This is the array kernel :func:`repro.engine.propagation.propagate` tries
-first on every call: it compiles an
-:class:`AlgorithmSpec` plus a factor adjacency into CSR factor arrays
-(:class:`repro.graph.csr.FactorCSR`) and runs the frontier rounds with numpy
-— ``np.minimum.at`` for selective min-aggregation (SSSP/BFS style) and
-``np.add.at`` for accumulative sums (PageRank/PHP style).
+Every engine runs one algebra, the one the paper defines Layph and Ingress
+over: ``G`` = ``min`` with identity ``+inf`` and ``combine`` = ``+`` with unit
+``0`` (selective: SSSP, BFS), or ``G`` = ``+`` with identity ``0`` and
+``combine`` = ``×`` with unit ``1`` (accumulative: PageRank, PHP), with the
+base class's significance rule and negation.  A spec states which one it
+runs in :attr:`AlgorithmSpec.dense_algebra`; :func:`require_algebra` checks
+the declaration once, at the boundary (engine construction and
+:func:`repro.engine.runner.run_batch`), and raises for anything else.  Past
+that boundary every kernel trusts the declaration.
 
-The kernel is a drop-in replacement for the pure-Python loop in
-:mod:`repro.engine.propagation`: it mutates the same ``states``/``pending``
-dicts and records the same :class:`ExecutionMetrics`.  It is engineered for
-*exact* metric compatibility — identical converged states, round counts,
-per-round edge activations and vertex-update counts — so that the paper's
-Figure 1/6 comparisons do not depend on which of the two ran:
+:func:`build_propagation_slab` compiles one
+:func:`repro.engine.propagation.propagate` call into CSR factor arrays
+(:class:`repro.graph.csr.FactorCSR`) and
+:func:`repro.parallel.slabs.run_propagation` runs the frontier rounds with
+numpy — ``np.minimum.at`` for the selective min, ``np.add.at`` for the
+accumulative sum.  The kernel reproduces the reference loop kept in the
+test oracles (``tests/oracles``) exactly — converged states, round counts,
+per-round edge activations and vertex-update counts:
 
 * active vertices are processed in ascending vertex-id order, matching the
-  ``sorted(...)`` snapshot of the Python loop;
+  reference's ``sorted(...)`` snapshot;
 * CSR rows preserve the adjacency's edge order, and ``np.add.at`` /
   ``np.minimum.at`` apply element-wise *in order* (unbuffered), so even the
-  non-associative float sums of accumulative algorithms reproduce the Python
-  loop's results bit for bit;
+  non-associative float sums of accumulative algorithms match bit for bit;
 * "pending dict" membership is tracked explicitly (a boolean array) so the
-  subtle termination behaviour of the dict-based loop — insignificant
-  leftovers keep the loop alive for one final, unrecorded clearing round —
-  is replayed exactly.
+  termination behaviour of the dict loop — insignificant leftovers keep it
+  alive for one final, unrecorded clearing round — is replayed exactly.
 
-The kernel handles the standard algebra of the delta-accumulative model
-(``G`` = ``min`` with identity ``+inf`` or ``+`` with identity ``0``;
-``combine`` = ``+`` with unit ``0`` or ``×`` with unit ``1``, tolerance-based
-significance).  Specs opt in by declaring
-:attr:`AlgorithmSpec.dense_algebra`; the declaration is sanity-checked with
-point probes at call time — including through the delegation wrappers
-Layph's shortcut computations use — and undeclared or mismatching specs
-silently fall back to the Python loop.
+The engines reject NaN inputs at their boundary (``initialize`` and
+``apply_delta``), so no state is ever NaN: the memo table's "absent vertex"
+marker relies on it.
 """
 
 from __future__ import annotations
@@ -43,14 +41,16 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.engine.algorithm import AlgorithmSpec
-from repro.engine.metrics import ExecutionMetrics
-from repro.graph.csr import FactorCSR, FactorCSRView, expand_edges
-from repro.parallel.slabs import PropagationSlab, run_propagation
+from repro.graph.csr import FactorCSR, FactorCSRView
+from repro.parallel.slabs import PropagationSlab
 
 AGGREGATE_MIN = "min"
 AGGREGATE_SUM = "sum"
 COMBINE_ADD = "add"
 COMBINE_MUL = "mul"
+
+#: the two ``(aggregate, combine)`` pairs every engine runs
+ALGEBRAS = ((AGGREGATE_MIN, COMBINE_ADD), (AGGREGATE_SUM, COMBINE_MUL))
 
 
 def _uses_default_significance(spec) -> bool:
@@ -66,23 +66,27 @@ def _uses_default_significance(spec) -> bool:
     return getattr(spec.is_significant, "__func__", None) is AlgorithmSpec.is_significant
 
 
+def _uses_default_negate(spec) -> bool:
+    """Whether ``spec.negate`` is the base class's arithmetic negation."""
+    return getattr(spec.negate, "__func__", None) is AlgorithmSpec.negate
+
+
 def classify_spec(spec) -> Optional[Tuple[str, str]]:
     """The declared-and-verified algebra of ``spec``: ``(aggregate, combine)``.
 
-    The array kernels only run specs that *opt in* by declaring
-    :attr:`AlgorithmSpec.dense_algebra` — point probes alone cannot prove
-    that an operator is unclamped/unsaturated everywhere, so an undeclared
-    spec always falls back to the Python loop rather than risking silently
-    different states.  The declaration is then sanity-checked: the probes
-    below catch declarations that contradict the actual operators or an
-    overridden :meth:`AlgorithmSpec.is_significant` (delegating wrappers,
-    like Layph's shortcut specs, resolve both the declaration and the bound
-    methods to the wrapped algorithm).  Returns ``None`` — Python fallback —
-    on any mismatch.
+    Point probes alone cannot prove that an operator is unclamped or
+    unsaturated everywhere, so a spec must *declare* its algebra in
+    :attr:`AlgorithmSpec.dense_algebra`.  The declaration is then
+    sanity-checked: the probes below catch declarations that contradict the
+    actual operators or an overridden :meth:`AlgorithmSpec.is_significant`
+    (delegating wrappers, like Layph's shortcut specs, resolve both the
+    declaration and the bound methods to the wrapped algorithm).  Returns
+    ``None`` for an undeclared spec, a pair outside :data:`ALGEBRAS` and on
+    any mismatch.
     """
     try:
         declared = getattr(spec, "dense_algebra", None)
-        if declared is None:
+        if declared is None or tuple(declared) not in ALGEBRAS:
             return None
         aggregate_kind, combine_kind = declared
         if not _uses_default_significance(spec):
@@ -97,7 +101,9 @@ def classify_spec(spec) -> Optional[Tuple[str, str]]:
                 return None
             if spec.is_significant(identity) or not spec.is_significant(1.5):
                 return None
-        elif aggregate_kind == AGGREGATE_SUM:
+            if unit != 0.0 or spec.combine(1.5, 2.25) != 3.75:
+                return None
+        else:
             if selective or identity != 0.0:
                 return None
             if spec.aggregate(1.5, 2.25) != 3.75:
@@ -111,25 +117,35 @@ def classify_spec(spec) -> Optional[Tuple[str, str]]:
                 return None
             if not spec.is_significant(-2.0 * tolerance):
                 return None
-        else:
-            return None
-        if combine_kind == COMBINE_ADD:
-            if unit != 0.0 or spec.combine(1.5, 2.25) != 3.75:
-                return None
-        elif combine_kind == COMBINE_MUL:
             if unit != 1.0 or spec.combine(1.5, 2.0) != 3.0:
                 return None
-        else:
-            return None
     except Exception:
         return None
     return aggregate_kind, combine_kind
 
 
-def _compile_adjacency(
-    adjacency,
-) -> Optional[Callable[[Iterable[int]], FactorCSR]]:
-    """A compiler closure for ``adjacency``, or ``None`` if not materialisable.
+def require_algebra(spec) -> Tuple[str, str]:
+    """The checked algebra of ``spec``, or ``ValueError``.
+
+    The one place the contract is enforced: engine construction and every
+    :func:`repro.engine.runner.run_batch` call run it once, and nothing past
+    them probes the spec again.  A spec passes when :func:`classify_spec`
+    verifies its declaration and it keeps the base class's ``negate``.
+    """
+    kinds = classify_spec(spec)
+    if kinds is None or not _uses_default_negate(spec):
+        raise ValueError(
+            f"{getattr(spec, 'name', type(spec).__name__)!r} does not run the "
+            f"delta-accumulative algebra: declare dense_algebra = "
+            f"{ALGEBRAS[0]!r} (selective) or {ALGEBRAS[1]!r} (accumulative) "
+            "and keep the standard aggregate, combine, is_significant and "
+            "negate operators"
+        )
+    return kinds
+
+
+def _compile_adjacency(adjacency) -> Callable[[Iterable[int]], FactorCSR]:
+    """A compiler closure for ``adjacency``.
 
     Three shapes compile to CSR:
 
@@ -139,11 +155,10 @@ def _compile_adjacency(
     * :class:`FactorAdjacency` and :class:`SilencedAdjacency` compile through
       the :func:`repro.graph.csr_cache.master_factor_csr` memo: one master
       compile per adjacency version, with silenced variants derived as cheap
-      :class:`FactorCSRView` row masks (so repeated ``propagate`` calls over
-      the same adjacency — or Layph's B per-boundary shortcut computations —
-      no longer recompile per call);
-    * arbitrary callables (the general ``AdjacencyFn`` contract) stay on the
-      Python loop.
+      :class:`FactorCSRView` row masks.
+
+    Any other adjacency raises ``TypeError``: every caller in the library
+    passes one of the three.
     """
     from repro.engine.propagation import FactorAdjacency, SilencedAdjacency
     from repro.graph.csr_cache import master_factor_csr
@@ -166,7 +181,10 @@ def _compile_adjacency(
     elif isinstance(adjacency, FactorAdjacency):
         base, silenced = adjacency, None
     else:
-        return None
+        raise TypeError(
+            f"cannot compile a {type(adjacency).__name__} adjacency: pass a "
+            "FactorAdjacency, a SilencedAdjacency or a cache-backed view"
+        )
 
     def compile_with_universe(universe: Iterable[int]) -> FactorCSR:
         master = master_factor_csr(base, universe)
@@ -177,36 +195,23 @@ def _compile_adjacency(
     return compile_with_universe
 
 
-#: flat slot indices of concatenated CSR rows, in exact scatter order
-#: (shared with the cache patching and the vectorized Layph/BSP kernels)
-_expand_edges = expand_edges
-
-
 def build_propagation_slab(
     spec,
     adjacency,
     states: Dict[int, float],
     pending: Dict[int, float],
     allowed_targets: Optional[Callable[[int], bool]] = None,
-) -> Optional[Tuple[PropagationSlab, list]]:
-    """Compile one propagate call into an array slab; ``None`` = fall back.
+) -> Tuple[PropagationSlab, list]:
+    """Compile one propagate call into an array slab.
 
     Returns ``(slab, vertex_ids)`` — the slab carries only arrays and
-    scalars (:class:`repro.parallel.slabs.PropagationSlab`).
-    Incompatibility — an algebra the array kernels cannot express, an
-    adjacency that cannot be materialised, or NaN-carrying inputs — is
-    detected here, before anything is mutated.
+    scalars (:class:`repro.parallel.slabs.PropagationSlab`).  Nothing is
+    mutated here.
     """
-    kinds = classify_spec(spec)
-    if kinds is None:
-        return None
-    compiler = _compile_adjacency(adjacency)
-    if compiler is None:
-        return None
-    aggregate_kind, combine_kind = kinds
+    aggregate_kind, combine_kind = spec.dense_algebra
     selective = aggregate_kind == AGGREGATE_MIN
 
-    csr = compiler(set(states) | set(pending))
+    csr = _compile_adjacency(adjacency)(set(states) | set(pending))
     ids = csr.vertex_ids
     index = csr.index
     n = csr.num_vertices
@@ -228,17 +233,6 @@ def build_propagation_slab(
         position = index[vertex]
         pending_arr[position] = message
         in_dict[position] = True
-
-    # NaN inputs make `min`/comparison semantics diverge between numpy and
-    # the Python loop (np.minimum propagates NaN, Python's branchy min keeps
-    # the non-NaN operand), so the metric-identical contract only covers
-    # NaN-free inputs — hand anything else to the Python loop untouched.
-    if (
-        np.isnan(csr.factors).any()
-        or np.isnan(state_arr).any()
-        or np.isnan(pending_arr).any()
-    ):
-        return None
 
     absorb = np.fromiter((bool(spec.absorbs(vertex)) for vertex in ids), dtype=bool, count=n)
     allowed = (
@@ -278,46 +272,3 @@ def write_back_slab(
     pending.clear()
     for position in np.nonzero(slab.in_dict)[0]:
         pending[ids[position]] = float(slab.pending[position])
-
-
-def record_propagation_rounds(
-    metrics: ExecutionMetrics, rounds: list
-) -> None:
-    """Replay a slab run's per-round triples into the metrics object."""
-    for total, active, updates in rounds:
-        metrics.vertex_updates += updates
-        metrics.record_round(total, active)
-
-
-def propagate_numpy(
-    spec,
-    adjacency,
-    states: Dict[int, float],
-    pending: Dict[int, float],
-    metrics: Optional[ExecutionMetrics] = None,
-    max_rounds: Optional[int] = None,
-    allowed_targets: Optional[Callable[[int], bool]] = None,
-) -> Optional[Dict[int, float]]:
-    """Run the delta-accumulative loop vectorized; ``None`` = cannot handle.
-
-    Mirrors :func:`repro.engine.propagation.propagate` exactly (see module
-    docstring).  This is now a thin adapter: :func:`build_propagation_slab`
-    compiles the call into an array slab and the loop itself runs in the
-    engine-object-free kernel :func:`repro.parallel.slabs.run_propagation`.
-    A ``None`` return leaves ``states``/``pending``/``metrics`` untouched
-    for the Python fallback.
-    """
-    if not pending:
-        # Nothing to propagate; skip the O(V+E) CSR compile the way the
-        # Python loop's ``while pending`` exits immediately.
-        return states
-    built = build_propagation_slab(spec, adjacency, states, pending, allowed_targets)
-    if built is None:
-        return None
-    slab, ids = built
-    if metrics is None:
-        metrics = ExecutionMetrics()
-    rounds = run_propagation(slab, max_rounds)
-    record_propagation_rounds(metrics, rounds)
-    write_back_slab(slab, ids, states, pending)
-    return states

@@ -8,12 +8,9 @@ pairs).  Using one shared core keeps the edge-activation counts of the
 different systems directly comparable, which is what the paper's Figures 1
 and 6 measure.
 
-:func:`propagate` first offers every call to the array kernel of
-:mod:`repro.engine.dense_propagation`, which produces identical states,
-round counts and edge-activation counts.  The kernel declines what it cannot
-reproduce bit for bit — a spec without a declared algebra, NaN inputs, an
-adjacency that is a plain callable — and the reference loop below runs
-those calls.
+:func:`propagate` runs as the array kernel of
+:mod:`repro.engine.dense_propagation`; the reference loop it reproduces bit
+for bit lives with the test oracles.
 """
 
 from __future__ import annotations
@@ -21,8 +18,9 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.engine.algorithm import AlgorithmSpec
-from repro.engine.dense_propagation import propagate_numpy
+from repro.engine.dense_propagation import build_propagation_slab, write_back_slab
 from repro.engine.metrics import ExecutionMetrics
+from repro.parallel.slabs import run_propagation
 
 AdjacencyFn = Callable[[int], Iterable[Tuple[int, float]]]
 
@@ -149,7 +147,8 @@ def propagate(
 
     Args:
         spec: the algorithm (``F``/``G`` and friends).
-        adjacency: vertex -> iterable of ``(target, factor)`` pairs.
+        adjacency: a :class:`FactorAdjacency`, a :class:`SilencedAdjacency`
+            or an engine's cache-backed view of its graph.
         states: vertex -> current state; mutated in place and returned.
         pending: vertex -> accumulated but not yet applied message; consumed.
         metrics: edge activations and rounds are recorded here if given.
@@ -168,63 +167,19 @@ def propagate(
     out-edges into the pending map of the next round.  Selective algorithms
     propagate their (improved) new state and stay silent when the pending
     message does not improve the state; accumulative algorithms propagate the
-    applied delta.  The array kernel runs the call when it can; the loop
-    below is the reference and runs whatever the kernel declines.
+    applied delta.  ``spec`` must have passed
+    :func:`repro.engine.dense_propagation.require_algebra`.
     """
-    result = propagate_numpy(
-        spec,
-        adjacency,
-        states,
-        pending,
-        metrics=metrics,
-        max_rounds=max_rounds,
-        allowed_targets=allowed_targets,
-    )
-    if result is not None:
-        return result
+    if not pending:
+        # Nothing to propagate; skip the O(V+E) CSR compile.
+        return states
+    slab, ids = build_propagation_slab(spec, adjacency, states, pending, allowed_targets)
     if metrics is None:
         metrics = ExecutionMetrics()
-    identity = spec.aggregate_identity()
-    selective = spec.is_selective()
-    rounds = 0
-
-    while pending:
-        if max_rounds is not None and rounds >= max_rounds:
-            break
-        active = sorted(
-            vertex for vertex, message in pending.items() if spec.is_significant(message)
-        )
-        if not active:
-            pending.clear()
-            break
-        round_activations = 0
-        # Snapshot and remove the active entries; messages generated this
-        # round are accumulated for the next round.
-        snapshot = {vertex: pending.pop(vertex) for vertex in active}
-        for vertex, delta in snapshot.items():
-            old_state = states.get(vertex, spec.initial_state(vertex))
-            new_state = spec.aggregate(old_state, delta)
-            if selective:
-                if new_state == old_state:
-                    continue
-                states[vertex] = new_state
-                out_value = new_state
-            else:
-                states[vertex] = new_state
-                out_value = delta
-            metrics.vertex_updates += 1
-            for target, factor in adjacency(vertex):
-                round_activations += 1
-                message = spec.combine(out_value, factor)
-                if allowed_targets is not None and not allowed_targets(target):
-                    continue
-                if spec.absorbs(target):
-                    continue
-                if not spec.is_significant(message):
-                    continue
-                pending[target] = spec.aggregate(pending.get(target, identity), message)
-        metrics.record_round(round_activations, len(snapshot))
-        rounds += 1
+    for total, active, updates in run_propagation(slab, max_rounds):
+        metrics.vertex_updates += updates
+        metrics.record_round(total, active)
+    write_back_slab(slab, ids, states, pending)
     return states
 
 

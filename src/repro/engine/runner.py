@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from repro.engine.algorithm import AlgorithmSpec
+from repro.engine.dense_propagation import require_algebra
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency, propagate
 from repro.graph.graph import Graph
@@ -31,14 +32,14 @@ class BatchResult:
 def check_backend(backend: Optional[str]) -> None:
     """Accept the retired ``backend=`` keyword as a no-op, or reject it.
 
-    There is nothing left to select: the array kernels run wherever the
-    algebra allows and the reference loops everywhere else.  ``None`` and
-    ``"numpy"`` change nothing; any other name raises ``ValueError``.
+    There is nothing left to select: every engine runs the array kernels.
+    ``None`` and ``"numpy"`` change nothing; any other name raises
+    ``ValueError``.
     """
     if backend is not None and backend != "numpy":
         raise ValueError(
-            f"propagation backend {backend!r} was removed: the array kernels "
-            "run wherever the algebra allows and the reference loops elsewhere"
+            f"propagation backend {backend!r} was removed: every engine runs "
+            "the array kernels"
         )
 
 
@@ -58,9 +59,12 @@ def run_batch(
     ``graph`` (engines pass their cache-backed view so the CSR compile is
     reused across calls) — it must be equivalent to
     ``FactorAdjacency.from_graph(spec, graph)``.  ``backend`` is accepted
-    only for compatibility (see :func:`check_backend`).
+    only for compatibility (see :func:`check_backend`).  Raises
+    ``ValueError`` for a spec outside the contract of
+    :func:`repro.engine.dense_propagation.require_algebra`.
     """
     check_backend(backend)
+    require_algebra(spec)
     if metrics is None:
         metrics = ExecutionMetrics()
     if adjacency is None:

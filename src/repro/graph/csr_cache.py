@@ -425,9 +425,9 @@ class CachedGraphAdjacency:
     """Callable factor adjacency over a :class:`Graph`, cache-backed.
 
     Drop-in replacement for ``FactorAdjacency.from_graph(spec, graph)`` on the
-    engines' full-graph propagation path: the reference loop iterates it like
-    any adjacency (factors derived on the fly), while the array kernel asks
-    for :meth:`compiled_csr` and skips both the adjacency materialisation and
+    engines' full-graph propagation path: it iterates like any adjacency
+    (factors derived on the fly), while the array kernel asks for
+    :meth:`compiled_csr` and skips both the adjacency materialisation and
     the CSR row enumeration entirely.
     """
 

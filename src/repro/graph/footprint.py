@@ -447,8 +447,7 @@ class DeltaFootprint:
         the invalidation step and its target keeps a stale supported value.
         This is the weight-level link diff of the delta (edge weights, not
         algorithm factors: a weight change must invalidate BFS dependents
-        even though every BFS factor is 1), expanded once per delta and
-        shared by the dict-reference and dense dependency paths.
+        even though every BFS factor is 1), expanded once per delta.
         """
         if self._invalidation_edges is None:
             old_graph = self.old_graph

@@ -10,6 +10,13 @@ The life cycle follows Equation (4) of the paper:
 
 Engines keep their own mutable copy of the graph so repeated deltas can be
 applied (``Layph acc. inc.`` in Figure 11b accumulates exactly this way).
+
+The engine is where the algebra contract is enforced: construction checks
+the spec once (:func:`repro.engine.dense_propagation.require_algebra`),
+``initialize`` rejects non-finite edge weights and NaN initial states or
+messages, and ``apply_delta`` rejects a delta with intrinsic defects (the
+rule of :meth:`repro.graph.delta.GraphDelta.validate`).  A rejected call
+raises ``ValueError`` and leaves the engine untouched.
 """
 
 from __future__ import annotations
@@ -17,12 +24,14 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.engine.algorithm import AlgorithmSpec
-from repro.engine.dense_propagation import classify_spec
+from repro.engine.dense_propagation import require_algebra
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
-from repro.engine.propagation import FactorAdjacency
 from repro.engine.runner import BatchResult, check_backend, run_batch
 from repro.graph.csr_cache import CSRCache
 from repro.graph.delta import GraphDelta
@@ -52,6 +61,8 @@ class IncrementalEngine(abc.ABC):
     def __init__(self, spec: AlgorithmSpec, *, backend: Optional[str] = None) -> None:
         # ``backend`` is accepted only for compatibility (see check_backend)
         check_backend(backend)
+        #: the spec's checked ``(aggregate, combine)`` pair
+        self.algebra = self._require_algebra(spec)
         self._check_supported(spec)
         self.spec = spec
         #: compiled-CSR cache of this engine's graph (see
@@ -73,6 +84,9 @@ class IncrementalEngine(abc.ABC):
         self.last_restore_report = None
 
     # ------------------------------------------------------------------
+    #: the construction-time algebra check (facades leave it to their delegate)
+    _require_algebra = staticmethod(require_algebra)
+
     @classmethod
     def supports(cls, spec: AlgorithmSpec) -> bool:
         """Whether this engine can execute ``spec``."""
@@ -92,7 +106,13 @@ class IncrementalEngine(abc.ABC):
 
     # ------------------------------------------------------------------
     def initialize(self, graph: Graph) -> BatchResult:
-        """Run the batch computation on ``graph`` and memoize its result."""
+        """Run the batch computation on ``graph`` and memoize its result.
+
+        Raises ``ValueError``, before anything changes, for a non-finite edge
+        weight or a NaN initial state or message (``+inf`` states stay
+        legal: they mark the vertices SSSP/BFS cannot reach).
+        """
+        _reject_invalid_inputs(self.spec, graph)
         self.graph = graph.copy()
         result = self._initial_run(self.graph)
         self.states = dict(result.states)
@@ -119,9 +139,16 @@ class IncrementalEngine(abc.ABC):
         compaction step instead of crashing the apply: the in-memory result
         is already correct, and the WAL above this layer (or the next
         successful compaction) remains the durability story.
+
+        A delta with intrinsic defects (non-finite weights, see
+        :meth:`repro.graph.delta.GraphDelta.validate`) raises ``ValueError``
+        and leaves the engine untouched.
         """
         if self.graph is None:
             raise RuntimeError("initialize() must be called before apply_delta()")
+        problems = delta.validate()
+        if problems:
+            raise ValueError(f"delta rejected: {'; '.join(problems)}")
         start = time.perf_counter()
         result = self._apply_delta(delta)
         result.wall_seconds = time.perf_counter() - start
@@ -281,28 +308,24 @@ class IncrementalEngine(abc.ABC):
         return new_graph
 
     def _propagation_adjacency(self, graph: Graph):
-        """Factor adjacency of ``graph`` for full-graph propagation.
-
-        For a spec with a declared algebra this is the cache-backed view (the
-        array kernel then reuses the compiled/patched CSR directly); for an
-        undeclared one, which only the reference loop can run, the
-        materialised :class:`FactorAdjacency` that loop iterates fastest.
-        """
-        if classify_spec(self.spec) is None:
-            return FactorAdjacency.from_graph(self.spec, graph)
+        """Cache-backed factor adjacency of ``graph`` for full-graph
+        propagation (the array kernel reuses the compiled/patched CSR)."""
         return self.csr_cache.adjacency(self.spec, graph)
 
-    def _revision_out_csr(self, graph: Graph):
-        """Cached out-edge factor CSR for vectorized revision deduction.
 
-        :func:`repro.incremental.revision.accumulative_revision_messages`
-        deduces cancellation/compensation messages with array ops when it is
-        handed the out-edge CSR snapshots of both graph versions (call this
-        once *before* :meth:`_update_graph` for the old graph and once after
-        for the new one).  Returns ``None`` — the caller then stays on the
-        dict reference — for a spec without a declared algebra, which the
-        array deduction would decline anyway.
-        """
-        if classify_spec(self.spec) is None:
-            return None
-        return self.csr_cache.out_csr(self.spec, graph)
+def _reject_invalid_inputs(spec: AlgorithmSpec, graph: Graph) -> None:
+    """Raise ``ValueError`` for inputs outside the algebra contract."""
+    weights = np.fromiter(
+        chain.from_iterable(graph.out_neighbors(v).values() for v in graph.vertices()),
+        np.float64,
+    )
+    if not np.isfinite(weights).all():
+        raise ValueError("graph rejected: it carries a non-finite edge weight")
+    initial = np.fromiter(
+        chain.from_iterable(
+            (spec.initial_state(v), spec.initial_message(v)) for v in graph.vertices()
+        ),
+        np.float64,
+    )
+    if np.isnan(initial).any():
+        raise ValueError(f"graph rejected: {spec.name!r} gives a vertex a NaN initial value")

@@ -1,14 +1,8 @@
 """Dense dependency trees for the selective engines.
 
 KickStarter, RisGraph and Ingress's memoization-path policy maintain the
-value dependencies of converged selective computations as a per-vertex Python
-dict (``{vertex: winning in-neighbor}``, :mod:`repro.incremental.dependency`).
-After PR 4 that left the selective subsystem as the last dict-and-set hot
-path: taint expansion walks supporting edges one Python call at a time,
-trim-and-seed re-aggregates every tainted vertex through ``in_neighbors``
-dictionaries, and the post-propagation parent refresh re-scans every state
-for changes.  :class:`DepTable` closes the gap the same way
-:class:`repro.incremental.memo.MemoTable` did for the BSP engines:
+value dependencies of converged selective computations: which in-edge "won"
+the aggregation at each vertex.  :class:`DepTable` holds them as arrays:
 
 * ``parent_pos`` — the winning in-neighbor of every vertex as a dense
   position (``-1`` = no parent), keyed by the cached in-edge factor CSR's
@@ -23,14 +17,12 @@ for changes.  :class:`DepTable` closes the gap the same way
   (``combine(x_u, f_{u,v}) == x_v``) and the trimmed-vertex re-pull run as
   row gathers instead of dict lookups.
 
-The table is built lazily from the dict reference on the first dense delta,
-remapped with one gather when a delta changes the vertex-id space, and
-**demoted** back to the dict (``to_parents_dict``) whenever the dense gate
-fails: an algebra outside min/+, NaN factors or states.
-The dict engines in :mod:`repro.incremental.dependency` remain the semantic
-reference; ``tests/incremental/test_dep_table.py`` pins the dense path to it
-bitwise — states, rounds, edge activations — over random edge+vertex delta
-sequences.
+The table is built by ``initialize`` (:meth:`DepTable.build`) and remapped
+with one gather when a delta changes the vertex-id space.  The dict walks it
+replaces live with the test oracles (``tests/oracles``), and
+``tests/engine/test_backend_parity.py`` pins the table to them bitwise —
+states, rounds, edge activations and the forest itself — over random
+edge+vertex delta sequences.
 """
 
 from __future__ import annotations
@@ -141,7 +133,7 @@ class DepTable:
         return self.vertex_ids[parent] if parent >= 0 else None
 
     def to_parents_dict(self) -> Dict[int, Optional[int]]:
-        """The dict-reference representation (used on demotion)."""
+        """The forest as a ``{vertex: parent-or-None}`` dict."""
         ids = self.vertex_ids
         return {
             vertex: (ids[int(parent)] if parent >= 0 else None)
@@ -160,7 +152,8 @@ class DepTable:
         identity: float,
         graph_version: Optional[int] = None,
     ) -> "DepTable":
-        """Build the dense table from the dict reference (promotion)."""
+        """The table of a ``{vertex: parent-or-None}`` map (restores a
+        snapshot of the retired dict store)."""
         ids = csr.vertex_ids
         index = csr.index
         n = len(ids)
@@ -178,6 +171,25 @@ class DepTable:
             (states.get(vertex, identity) for vertex in ids), np.float64, count=n
         )
         return cls(ids, index, parent_pos, values, graph_version=graph_version)
+
+    @classmethod
+    def build(
+        cls,
+        in_csr: FactorCSR,
+        states: Mapping[int, float],
+        initial_states: np.ndarray,
+        identity: float,
+        graph_version: Optional[int] = None,
+    ) -> "DepTable":
+        """The table of converged ``states``: every vertex's parent derived
+        from the cached in-edge CSR (``initialize``)."""
+        ids = in_csr.vertex_ids
+        n = len(ids)
+        values = np.fromiter(map(states.__getitem__, ids), np.float64, count=n)
+        parent_pos = _derive_parents(
+            in_csr, np.arange(n, dtype=np.int64), values, initial_states, identity
+        )
+        return cls(ids, in_csr.index, parent_pos, values, graph_version=graph_version)
 
     # ------------------------------------------------------------------
     # delta maintenance
@@ -380,9 +392,8 @@ class DepTable:
     def taint_tree(self, roots: np.ndarray) -> np.ndarray:
         """Boolean mask of the dependency-tree dependents of ``roots``.
 
-        Set-equal to :func:`repro.incremental.dependency.
-        dependents_single_parent`: every vertex whose parent chain passes
-        through a root.  Processed as one sweep in ascending forest-level
+        Every vertex whose parent chain passes through a root (set-equal to
+        the oracles' ``dependents_single_parent``).  Processed as one sweep in ascending forest-level
         order (a parent's level is strictly below its children's), falling
         back to a mask fixpoint when the levels are unavailable.
         """
@@ -454,11 +465,11 @@ class DepTable:
     def taint_dag(self, out_csr: FactorCSR, roots: np.ndarray) -> np.ndarray:
         """Boolean mask of the value-supporting DAG reachable from ``roots``.
 
-        Set-equal to :func:`repro.incremental.dependency.dependents_dag`:
-        a frontier walk on the cached out-edge CSR following every edge whose
-        offer equals its target's (non-identity) state.  ``combine`` is the
-        classified ``+`` (the dense gate admits only the min/+ algebra), so
-        the offers are the exact floats the dict reference computes.
+        A frontier walk on the cached out-edge CSR following every edge whose
+        offer equals its target's (non-identity) state (set-equal to the
+        oracles' ``dependents_dag``).  ``combine`` is the contract's ``+``
+        for selective specs, so the offers are the exact floats the dict
+        walk computes.
         """
         n = self.parent_pos.size
         mask = np.zeros(n, dtype=bool)
@@ -500,8 +511,7 @@ class DepTable:
     ) -> Tuple[np.ndarray, int]:
         """Re-pull every tainted vertex from its non-tainted in-neighbors.
 
-        Array replay of :func:`repro.incremental.dependency.trim_and_seed`:
-        each tainted row's best value starts at its root message and folds
+        Array replay of the oracles' ``trim_and_seed``: each tainted row's best value starts at its root message and folds
         ``min`` over ``x_u + f_{u,v}`` of the surviving (non-tainted,
         non-identity) in-neighbors — ``min`` is order-insensitive and exact,
         so the floats match the dict loop bit for bit.  Returns the per-row
@@ -547,12 +557,8 @@ class DepTable:
         ``seed_rows`` are the rows the engine already knows are stale
         (tainted vertices plus changed-edge endpoints); the refresh adds the
         vertices whose state changed this delta and the out-neighbors of
-        every stale vertex — exactly the stale set of the dict reference's
-        ``_refresh_parents`` — then replays ``compute_parents`` on the cached
-        in-edge CSR: a stale vertex gets the *first* in-neighbor (row order =
-        adjacency insertion order) whose non-identity state offers exactly
-        the vertex's state, or no parent when it holds the identity or its
-        own root value.
+        every stale vertex, then re-derives their parents on the cached
+        in-edge CSR (:func:`_derive_parents`).
 
         ``changed_rows``, when given, is a superset of the rows whose state
         may differ from :attr:`values` (the engine tracks every write to its
@@ -601,31 +607,7 @@ class DepTable:
             self.values = new_values
         rows = np.nonzero(stale)[0]
         if rows.size:
-            parent = np.full(rows.size, -1, dtype=np.int64)
-            needs = (new_values[rows] != identity) & (
-                new_values[rows] != initial_states[rows]
-            )
-            candidate_rows = rows[needs]
-            counts = in_csr.out_degree[candidate_rows]
-            total = int(counts.sum())
-            if total:
-                slots = expand_edges(in_csr.offsets[candidate_rows], counts, total)
-                sources = in_csr.targets[slots]
-                segments = np.repeat(
-                    np.arange(candidate_rows.size, dtype=np.int64), counts
-                )
-                source_values = new_values[sources]
-                offered = source_values + in_csr.factors[slots]
-                valid = (source_values != identity) & (
-                    offered == new_values[candidate_rows][segments]
-                )
-                first = np.full(candidate_rows.size, total, dtype=np.int64)
-                slot_order = np.arange(total, dtype=np.int64)
-                np.minimum.at(first, segments[valid], slot_order[valid])
-                found = first < total
-                winners = np.full(candidate_rows.size, -1, dtype=np.int64)
-                winners[found] = sources[first[found]]
-                parent[np.nonzero(needs)[0]] = winners
+            parent = _derive_parents(in_csr, rows, new_values, initial_states, identity)
             old_parents = self.parent_pos[rows].copy()
             self.parent_pos[rows] = parent
         if graph_version is not None:
@@ -638,3 +620,38 @@ class DepTable:
             self.level_patches += 1
         else:
             self._levels_stale = True
+
+
+def _derive_parents(
+    in_csr: FactorCSR,
+    rows: np.ndarray,
+    values: np.ndarray,
+    initial_states: np.ndarray,
+    identity: float,
+) -> np.ndarray:
+    """The dependency parent (a row, ``-1`` = none) of each of ``rows``.
+
+    A vertex gets the *first* in-neighbor (row order = adjacency insertion
+    order) whose non-identity state offers exactly the vertex's state, or no
+    parent when it holds the identity or its own root value.
+    """
+    parent = np.full(rows.size, -1, dtype=np.int64)
+    needs = (values[rows] != identity) & (values[rows] != initial_states[rows])
+    candidate_rows = rows[needs]
+    counts = in_csr.out_degree[candidate_rows]
+    total = int(counts.sum())
+    if total:
+        slots = expand_edges(in_csr.offsets[candidate_rows], counts, total)
+        sources = in_csr.targets[slots]
+        segments = np.repeat(np.arange(candidate_rows.size, dtype=np.int64), counts)
+        source_values = values[sources]
+        offered = source_values + in_csr.factors[slots]
+        valid = (source_values != identity) & (offered == values[candidate_rows][segments])
+        first = np.full(candidate_rows.size, total, dtype=np.int64)
+        slot_order = np.arange(total, dtype=np.int64)
+        np.minimum.at(first, segments[valid], slot_order[valid])
+        found = first < total
+        winners = np.full(candidate_rows.size, -1, dtype=np.int64)
+        winners[found] = sources[first[found]]
+        parent[np.nonzero(needs)[0]] = winners
+    return parent

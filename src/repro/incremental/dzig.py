@@ -9,37 +9,30 @@ of GraphBolt's ``Σ in-degree(frontier)``, which is why DZiG sits between
 GraphBolt and Ingress in Figures 1 and 6.  When the change set grows dense it
 falls back to GraphBolt-style pulls.
 
-The memoized iterations share GraphBolt's two stores: the dict reference and
-the dense :class:`repro.incremental.memo.MemoTable`.  With the dense store
-active (:meth:`_refine_sparse_dense`) the pre-delta baseline is one matrix
-snapshot (``MemoTable.copy``) instead of a per-level dict copy, the frontier
-and changed sets live as sorted row arrays on the cached CSRs, and the
-dense-fallback / added-vertex pulls are matrix gather/scatter.  Only the
-delta-sized sparse difference push itself stays a Python loop (by design —
-its footprint is the delta's, not the graph's), reading and writing matrix
-rows through :class:`repro.incremental.memo.MemoRow` views.  Both stores are
-bitwise interchangeable.
+The memoized iterations share GraphBolt's
+:class:`repro.incremental.memo.MemoTable`.  The pre-delta baseline is one
+matrix snapshot (``MemoTable.copy``), the frontier and changed sets live as
+sorted row arrays on the cached CSRs, and the dense-fallback / added-vertex
+pulls are matrix gather/scatter.  Only the delta-sized sparse difference
+push itself stays a Python loop (by design — its footprint is the delta's,
+not the graph's), reading and writing matrix rows through
+:class:`repro.incremental.memo.MemoRow` views.
 
 Only accumulative algorithms are supported (PageRank, PHP).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, Optional, Set
 
 import numpy as np
 
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
-from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
 from repro.incremental.base import IncrementalResult
 from repro.incremental.graphbolt import PHASE_SCAN, GraphBoltEngine, _MAX_ITERATIONS
 from repro.incremental.memo import MemoRow, MemoTable, refinement_preamble
-
-#: the pre-delta memoization snapshot: per-level dicts (reference store) or a
-#: dense matrix copy (MemoTable store)
-_OldStore = Union[List[Dict[int, float]], MemoTable]
 
 
 class DZiGEngine(GraphBoltEngine):
@@ -68,20 +61,11 @@ class DZiGEngine(GraphBoltEngine):
             changed_sources = set(footprint.changed_factor_sources)
 
         with phases.phase("sparsity-aware refinement"):
-            # Snapshot the pre-delta memoization: exact difference pushes need
-            # the old per-iteration values and the old edge factors.  The
-            # dense store snapshots with one matrix copy (keeping the *old*
-            # index space); the dict reference copies per level.
-            old_store: _OldStore
-            if self.memo is not None:
-                old_store = self.memo.copy()
-            else:
-                old_store = [dict(level) for level in self._iterations]
+            # Snapshot the pre-delta memoization (one matrix copy, keeping
+            # the *old* index space): exact difference pushes need the old
+            # per-iteration values and the old edge factors.
+            old_store = self.memo.copy()
             self._prepare_iteration_zero(new_graph, added_vertices, removed_vertices)
-            if self.memo is None and isinstance(old_store, MemoTable):
-                # The dense store demoted itself during preparation; the
-                # baseline must follow it to the dict representation.
-                old_store = old_store.to_dicts()
             states = self._refine_sparse(
                 new_graph,
                 old_graph,
@@ -89,42 +73,36 @@ class DZiGEngine(GraphBoltEngine):
                 structurally_dirty,
                 changed_sources,
                 set(added_vertices),
-                removed_vertices,
                 metrics,
             )
 
         return IncrementalResult(states=states, metrics=metrics, phases=phases)
 
     # ------------------------------------------------------------------
-    def _old_level(
-        self, old_store: _OldStore, iteration: int
-    ) -> Union[Dict[int, float], MemoRow]:
+    @staticmethod
+    def _old_level(old_store: MemoTable, iteration: int):
         """Pre-delta memoized values at ``iteration`` (clamped to the tail)."""
-        if isinstance(old_store, MemoTable):
-            if not old_store.num_levels:
-                return {}
-            return old_store.row_view(min(iteration, old_store.num_levels - 1))
-        if not old_store:
+        if not old_store.num_levels:
             return {}
-        return old_store[min(iteration, len(old_store) - 1)]
+        return old_store.row_view(min(iteration, old_store.num_levels - 1))
 
     def _push_differences(
         self,
         new_graph: Graph,
         old_graph: Graph,
         push_sources: Set[int],
-        previous: Union[Dict[int, float], MemoRow],
-        old_previous: Union[Dict[int, float], MemoRow],
-        old_level: Union[Dict[int, float], MemoRow],
-        level: Union[Dict[int, float], MemoRow],
+        previous: MemoRow,
+        old_previous: MemoRow,
+        old_level: MemoRow,
+        level: MemoRow,
         added_vertices: Set[int],
         tolerance: float,
     ) -> tuple:
         """One sparse round: scatter exact contribution differences.
 
-        Shared verbatim between the dict store and the dense store (where the
-        level arguments are :class:`MemoRow` views), so the visit order — and
-        with it every float sum — is identical in both.  Returns
+        The level arguments are :class:`MemoRow` views (the test oracle
+        passes dicts with the same surface), so the visit order — and with
+        it every float sum — is the reference's.  Returns
         ``(activations, changed_now)``.
         """
         spec = self.spec
@@ -182,117 +160,13 @@ class DZiGEngine(GraphBoltEngine):
         self,
         new_graph: Graph,
         old_graph: Graph,
-        old_store: _OldStore,
-        structurally_dirty: Set[int],
-        changed_sources: Set[int],
-        added_vertices: Set[int],
-        removed_vertices: Set[int],
-        metrics: ExecutionMetrics,
-    ) -> Dict[int, float]:
-        spec = self.spec
-        # Same tightened threshold as GraphBolt (see _refine there).
-        tolerance = spec.tolerance() * 0.1
-        if self.memo is not None:
-            csr = self._stashed_bsp_csr(new_graph) or self._bsp_csr(new_graph)
-            if csr is not None and self.memo.matches_ids(csr.vertex_ids):
-                assert isinstance(old_store, MemoTable)
-                return self._refine_sparse_dense(
-                    new_graph,
-                    old_graph,
-                    old_store,
-                    structurally_dirty,
-                    changed_sources,
-                    added_vertices,
-                    metrics,
-                    tolerance,
-                    csr,
-                )
-            # No usable CSR for the new graph: continue on dicts.
-            self._demote_memo()
-            if isinstance(old_store, MemoTable):
-                old_store = old_store.to_dicts()
-        csr = self._bsp_csr(new_graph)
-        num_vertices = max(new_graph.num_vertices(), 1)
-        last_memo = len(self._iterations) - 1
-        #: vertices whose value at the previous iteration differs from the
-        #: pre-delta memoized value (added vertices count as changed)
-        changed_prev: Set[int] = set(added_vertices)
-        iteration = 1
-        while iteration < _MAX_ITERATIONS:
-            in_memo_range = iteration <= last_memo
-            if not in_memo_range and not changed_prev:
-                break
-            push_sources = {
-                v
-                for v in (changed_prev | changed_sources)
-                if new_graph.has_vertex(v) or old_graph.has_vertex(v)
-            }
-            frontier = self._frontier(new_graph, structurally_dirty, changed_prev)
-            if not frontier and not push_sources:
-                break
-            if not in_memo_range:
-                self._iterations.append(dict(self._iterations[iteration - 1]))
-            previous = self._iterations[iteration - 1]
-            old_previous = self._old_level(old_store, iteration - 1)
-            old_level = self._old_level(old_store, iteration)
-            level = self._iterations[iteration]
-            sparse = len(push_sources) <= self.sparsity_threshold * num_vertices
-            activations = 0
-            changed_now: Set[int] = set()
-
-            if sparse and in_memo_range and len(old_store):
-                # Exact difference push: for every source whose contribution
-                # changed, scatter (new contribution - old contribution).
-                activations, changed_now = self._push_differences(
-                    new_graph,
-                    old_graph,
-                    push_sources,
-                    previous,
-                    old_previous,
-                    old_level,
-                    level,
-                    added_vertices,
-                    tolerance,
-                )
-                # Added vertices have no memoized base value; pull them.
-                fresh_pulls = {
-                    vertex
-                    for vertex in added_vertices
-                    if new_graph.has_vertex(vertex) and not spec.absorbs(vertex)
-                }
-                if fresh_pulls:
-                    pulled, pull_changed = self._pull_frontier(
-                        new_graph, previous, fresh_pulls, level, tolerance, csr=csr
-                    )
-                    activations += pulled
-                    changed_now |= pull_changed
-            else:
-                # Dense (or beyond the memoized range): GraphBolt-style pull.
-                pulled, pull_changed = self._pull_frontier(
-                    new_graph, previous, frontier, level, tolerance, csr=csr
-                )
-                activations += pulled
-                changed_now |= pull_changed
-
-            metrics.record_round(activations, len(frontier) or len(push_sources))
-            changed_prev = changed_now
-            iteration += 1
-        return dict(self._iterations[-1])
-
-    # ------------------------------------------------------------------
-    def _refine_sparse_dense(
-        self,
-        new_graph: Graph,
-        old_graph: Graph,
         old_store: MemoTable,
         structurally_dirty: Set[int],
         changed_sources: Set[int],
         added_vertices: Set[int],
         metrics: ExecutionMetrics,
-        tolerance: float,
-        csr: FactorCSR,
     ) -> Dict[int, float]:
-        """Sparsity-aware refinement on the dense memo table.
+        """Sparsity-aware refinement on the memo table.
 
         The changed set is carried as a sorted row array between rounds;
         frontier assembly and push-set sizing are mask operations on the
@@ -303,7 +177,10 @@ class DZiGEngine(GraphBoltEngine):
         identically.
         """
         spec = self.spec
+        # Same tightened threshold as GraphBolt (see _refine there).
+        tolerance = spec.tolerance() * 0.1
         memo = self.memo
+        csr = self.csr_cache.in_csr(spec, new_graph)
         ids = csr.vertex_ids
         index = csr.index
         n = csr.num_vertices

@@ -50,12 +50,12 @@ class _IngressFreeEngine(IncrementalEngine):
 
         with phases.phase("graph update"):
             # Snapshot the pre-delta out-edge CSR before the cache is patched
-            # forward: the vectorized revision deduction reads the old factors
-            # from it (the patched arrays are new objects, so the snapshot
-            # stays valid).
-            old_csr = self._revision_out_csr(old_graph)
+            # forward: the revision deduction reads the old factors from it
+            # (the patched arrays are new objects, so the snapshot stays
+            # valid).
+            old_csr = self.csr_cache.out_csr(spec, old_graph)
             new_graph = self._update_graph(delta)
-            new_csr = self._revision_out_csr(new_graph) if old_csr is not None else None
+            new_csr = self.csr_cache.out_csr(spec, new_graph)
 
         states = dict(self.states)
 
@@ -102,6 +102,8 @@ class IngressEngine(IncrementalEngine):
 
     name = "ingress"
     supported_family = "any"
+    # the delegate checks the algebra, once
+    _require_algebra = staticmethod(lambda spec: None)
 
     def __init__(self, spec: AlgorithmSpec, *, backend: Optional[str] = None) -> None:
         super().__init__(spec, backend=backend)
@@ -109,6 +111,7 @@ class IngressEngine(IncrementalEngine):
             self._delegate: IncrementalEngine = _IngressPathEngine(spec)
         else:
             self._delegate = _IngressFreeEngine(spec)
+        self.algebra = self._delegate.algebra
         # expose the delegate's CSR cache (the facade itself never propagates)
         self.csr_cache = self._delegate.csr_cache
 

@@ -16,18 +16,18 @@ matrix:
 * rows are appended with amortized-doubling growth, so a batch run of ``k``
   supersteps costs O(k·V) array writes and zero dict churn;
 * ``NaN`` marks an absent vertex (a column the current graph does not
-  populate), mirroring a missing key in the dict store;
+  populate), mirroring a missing key in a per-level dict;
 * when a delta adds or removes vertices, :meth:`MemoTable.remap` moves the
   surviving columns to the new CSR index space with one gather (and fills
   brand-new columns across all levels), reusing
   :attr:`repro.graph.graph.Graph.version` for staleness introspection the
   same way :func:`repro.graph.csr_cache.master_factor_csr` keys its memo.
 
-The dict-backed loops in :mod:`repro.incremental.graphbolt` remain the
-metric-identical reference: they run whenever the in-edge CSR is
-unavailable (NaN factors, an undeclared or exotic algebra).  The property
-tests in ``tests/test_properties.py`` pin the dense store to the reference
-bitwise — iterations, states, rounds and edge activations.
+The dict loops these matrices replace live with the test oracles
+(``tests/oracles``); the parity suites pin the table to them bitwise —
+iterations, states, rounds and edge activations.  Because NaN means
+"absent", no real state may ever be NaN: the engines reject NaN inputs at
+their boundary (:mod:`repro.incremental.base`).
 """
 
 from __future__ import annotations
@@ -200,7 +200,7 @@ class MemoTable:
         }
 
     def to_dicts(self) -> List[Dict[int, float]]:
-        """Every level exported as dicts — the dict-reference representation."""
+        """Every level exported as ``{vertex: value}`` dicts."""
         return [self.level_dict(level) for level in range(self.num_levels)]
 
     def copy(self) -> "MemoTable":
@@ -230,7 +230,7 @@ class MemoTable:
         Surviving columns are gathered into their new positions; columns of
         removed vertices are dropped; columns of ``fill`` vertices (the
         delta's additions) are set to the given value at *every* level —
-        exactly the dict reference's ``_prepare_iteration_zero`` behaviour.
+        exactly what the reference's per-level dicts do.
         Any new column not covered by ``fill`` stays ``NaN`` (absent).
         """
         n_new = len(new_vertex_ids)

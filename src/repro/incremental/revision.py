@@ -13,20 +13,13 @@ changes ``u``'s out-adjacency (edges added, removed, re-weighted, or the
 out-degree — and therefore every factor — changes), the revision message to
 each affected target is simply *new contribution minus old contribution*.
 
-Two implementations deduce the messages:
-
-* the dict reference below, which walks the changed sources in ascending id
-  order and their affected targets in adjacency order (old row first, then
-  the new-only targets) — a fully deterministic visit order;
-* :func:`_revision_messages_numpy`, which replays exactly that order with
-  array gathers over the *cached out-edge factor CSRs* of both graph
-  versions (``old_csr``/``new_csr``, see
-  :meth:`repro.incremental.base.IncrementalEngine._revision_out_csr`):
-  contribution differences are computed per ``(source, target)`` slot and
-  accumulated per target with an in-order ``np.add.at``, so the pending map
-  is bitwise equal to the reference's.  Specs outside the standard
-  sum-aggregate algebra (or with a custom ``negate``) fall back to the
-  reference transparently.
+The deduction replays one fully deterministic visit order — changed sources
+in ascending id order, their affected targets in adjacency order (old row
+first, then the new-only targets) — with array gathers over the *cached
+out-edge factor CSRs* of both graph versions: contribution differences are
+computed per ``(source, target)`` slot and accumulated per target with an
+in-order ``np.add.at``, bitwise equal to the dict loop kept with the test
+oracles.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.engine.algorithm import AlgorithmSpec
-from repro.engine.dense_propagation import AGGREGATE_SUM, COMBINE_MUL, classify_spec
+from repro.engine.dense_propagation import COMBINE_MUL
 from repro.graph.csr import FactorCSR, expand_edges
 from repro.graph.graph import Graph
 
@@ -45,16 +38,6 @@ def propagated_mass(spec: AlgorithmSpec, states: Dict[int, float], vertex: int) 
     """Total message mass ``vertex`` has propagated at convergence."""
     state = states.get(vertex, spec.initial_state(vertex))
     return state - spec.initial_state(vertex)
-
-
-def out_factor_map(spec: AlgorithmSpec, graph: Graph, vertex: int) -> Dict[int, float]:
-    """Map target -> edge factor for every out-edge of ``vertex``."""
-    if not graph.has_vertex(vertex):
-        return {}
-    return {
-        target: spec.edge_factor(graph, vertex, target)
-        for target in graph.out_neighbors(vertex)
-    }
 
 
 def changed_out_sources(
@@ -101,11 +84,6 @@ def changed_out_sources(
     return changed
 
 
-def _uses_default_negate(spec) -> bool:
-    """Whether ``spec.negate`` is the base class's arithmetic negation."""
-    return getattr(spec.negate, "__func__", None) is AlgorithmSpec.negate
-
-
 def _revision_messages_numpy(
     spec: AlgorithmSpec,
     states: Dict[int, float],
@@ -113,34 +91,24 @@ def _revision_messages_numpy(
     removed_vertices: Set[int],
     old_csr: FactorCSR,
     new_csr: FactorCSR,
-) -> Optional[Dict[int, float]]:
-    """Vectorized contribution-difference deduction, or ``None`` to fall back.
+) -> Dict[int, float]:
+    """Vectorized contribution-difference deduction.
 
-    ``sources`` must be the ascending list of changed (non-added) vertices;
-    the result is bitwise equal to the dict reference: differences are
-    computed per ``(source, target)`` — matched old/new slots as
-    ``new + (-old)``, old-only as ``0 + (-old)``, new-only as ``new`` — then
-    filtered (significance, removed targets, absorbing targets) and summed
-    per target with ``np.add.at`` in the reference's exact visit order
-    (sources ascending; within a source the old row's slot order first, then
-    the new-only slots in new-row order).
+    ``sources`` must be the ascending list of changed (non-added) vertices.
+    Differences are computed per ``(source, target)`` — matched old/new
+    slots as ``new + (-old)``, old-only as ``0 + (-old)``, new-only as
+    ``new`` — then filtered (significance, removed targets, absorbing
+    targets) and summed per target with ``np.add.at`` in the reference's
+    exact visit order (sources ascending; within a source the old row's slot
+    order first, then the new-only slots in new-row order).
     """
-    kinds = classify_spec(spec)
-    if kinds is None or kinds[0] != AGGREGATE_SUM:
-        return None
-    if not _uses_default_negate(spec):
-        return None
-    if spec.aggregate_identity() != 0.0:
-        return None
-    combine_mul = kinds[1] == COMBINE_MUL
+    combine_mul = spec.dense_algebra[1] == COMBINE_MUL
     tolerance = float(spec.tolerance())
 
     n_src = len(sources)
     mass = np.fromiter(
         (propagated_mass(spec, states, v) for v in sources), np.float64, count=n_src
     )
-    if np.isnan(mass).any():
-        return None
 
     old_index = old_csr.index
     new_index = new_csr.index
@@ -177,8 +145,6 @@ def _revision_messages_numpy(
     new_targets = new_csr.ids_array()[new_csr.targets[new_slots]]
     old_factors = old_csr.factors[old_slots]
     new_factors = new_csr.factors[new_slots]
-    if np.isnan(old_factors).any() or np.isnan(new_factors).any():
-        return None
 
     if combine_mul:
         old_contrib = mass[old_src] * old_factors
@@ -265,10 +231,10 @@ def accumulative_revision_messages(
     old_graph: Graph,
     new_graph: Graph,
     states: Dict[int, float],
+    old_csr: FactorCSR,
+    new_csr: FactorCSR,
     candidates: Optional[Iterable[int]] = None,
     changed: Optional[List[int]] = None,
-    old_csr: Optional[FactorCSR] = None,
-    new_csr: Optional[FactorCSR] = None,
     added_vertices: Optional[Set[int]] = None,
     removed_vertices: Optional[Set[int]] = None,
 ) -> Tuple[Dict[int, float], Set[int], Set[int]]:
@@ -279,6 +245,9 @@ def accumulative_revision_messages(
         old_graph: the graph the memoized ``states`` were computed on.
         new_graph: ``old_graph ⊕ ΔG``.
         states: converged states on ``old_graph``.
+        old_csr: out-edge factor CSR snapshot of ``old_graph`` (taken
+            *before* the delta was applied to the engine's cache).
+        new_csr: out-edge factor CSR snapshot of ``new_graph``.
         candidates: optional superset of the vertices whose out-adjacency may
             have changed (e.g. ``delta.touched_sources(old_graph)``); when
             given, the changed-factor scan is restricted to it instead of
@@ -289,13 +258,6 @@ def accumulative_revision_messages(
             :func:`changed_out_sources(old_graph, new_graph, candidates)
             <changed_out_sources>` result — callers that also meter the
             changed sources pass it in so the scan runs once per delta.
-        old_csr: optional out-edge factor CSR snapshot of ``old_graph``
-            (taken *before* the delta was applied to the engine's cache).
-        new_csr: optional out-edge factor CSR snapshot of ``new_graph``.
-            When both snapshots are given and the spec's algebra is the
-            standard invertible sum, the contribution differences are deduced
-            with array ops (:func:`_revision_messages_numpy`), bitwise equal
-            to the dict reference.
         added_vertices: optional precomputed set of vertices present only in
             ``new_graph`` (e.g. from the engine's
             :class:`repro.graph.footprint.DeltaFootprint`); skips the O(V)
@@ -332,57 +294,17 @@ def accumulative_revision_messages(
     # Vertices whose out-adjacency (targets or factors) changed — comparing
     # out-edge dictionaries directly keeps the logic independent of how the
     # delta was expressed (see :func:`changed_out_sources`).  Ascending order
-    # makes the float accumulation below deterministic (and lets the
-    # vectorized path replay it exactly).  Brand-new vertices have not
-    # propagated anything yet; their root message is injected below and their
-    # out-edges fire naturally during the incremental propagation.
+    # makes the float accumulation deterministic.  Brand-new vertices have
+    # not propagated anything yet; their root message is injected below and
+    # their out-edges fire naturally during the incremental propagation.
     if changed is None:
         changed = changed_out_sources(old_graph, new_graph, candidates)
     sources = [vertex for vertex in changed if vertex not in added_vertices]
-
-    pending: Optional[Dict[int, float]] = None
-    if old_csr is not None and new_csr is not None and sources:
-        pending = _revision_messages_numpy(
-            spec, states, sources, removed_vertices, old_csr, new_csr
-        )
-    if pending is None:
-        pending = {}
-
-        def push(target: int, value: float) -> None:
-            if target in removed_vertices:
-                return
-            if spec.absorbs(target):
-                return
-            pending[target] = spec.aggregate(pending.get(target, identity), value)
-
-        for vertex in sources:
-            mass = propagated_mass(spec, states, vertex)
-            old_factors = out_factor_map(spec, old_graph, vertex)
-            new_factors = (
-                out_factor_map(spec, new_graph, vertex)
-                if vertex not in removed_vertices
-                else {}
-            )
-            # Old-row targets first (adjacency order), then new-only targets
-            # (new adjacency order) — the order the CSR rows materialise.
-            ordered_targets = list(old_factors)
-            ordered_targets += [t for t in new_factors if t not in old_factors]
-            for target in ordered_targets:
-                old_contribution = (
-                    spec.combine(mass, old_factors[target])
-                    if target in old_factors
-                    else identity
-                )
-                new_contribution = (
-                    spec.combine(mass, new_factors[target])
-                    if target in new_factors
-                    else identity
-                )
-                difference = spec.aggregate(
-                    new_contribution, spec.negate(old_contribution)
-                )
-                if spec.is_significant(difference):
-                    push(target, difference)
+    pending = (
+        _revision_messages_numpy(spec, states, sources, removed_vertices, old_csr, new_csr)
+        if sources
+        else {}
+    )
 
     # Root messages of newly added vertices.
     for vertex in sorted(added_vertices):

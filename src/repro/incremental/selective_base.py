@@ -9,21 +9,15 @@ the three engines stay small and their differences explicit: a policy is the
 invalidation — vs ``"dag"`` — conservative supporting-edge trimming) plus the
 per-edge safe/unsafe classification hooks.
 
-The mechanics behind the template run in one of two interchangeable forms:
-
-* the dict reference — :mod:`repro.incremental.dependency` over per-vertex
-  Python dicts — which defines the semantics and runs every spec without
-  the declared min/+ algebra;
-* the dense :class:`repro.incremental.dep_table.DepTable` — parent, level
-  and value arrays keyed by the cached in-edge CSR's vertex index — which
-  runs the min/+ algebra.
-  Taint expansion, the trimmed-vertex re-pull and the post-propagation
-  parent refresh then run as array kernels over the cached in-/out-edge CSR
-  snapshots, bitwise identical to the dict loops (states, rounds, edge
-  activations), and the invalidation inputs come straight from the shared
-  :class:`repro.graph.footprint.DeltaFootprint` (its cached weight-level
-  ``invalidation_edges`` expansion and O(delta) membership diff) instead of
-  per-engine re-expansions.
+The mechanics behind the template run on the dense
+:class:`repro.incremental.dep_table.DepTable` — parent, level and value
+arrays keyed by the cached in-edge CSR's vertex index.  Taint expansion, the
+trimmed-vertex re-pull and the post-propagation parent refresh run as array
+kernels over the cached in-/out-edge CSR snapshots, bitwise identical to the
+dict walks kept with the test oracles (states, rounds, edge activations),
+and the invalidation inputs come straight from the shared
+:class:`repro.graph.footprint.DeltaFootprint` (its cached weight-level
+``invalidation_edges`` expansion and O(delta) membership diff).
 """
 
 from __future__ import annotations
@@ -32,14 +26,12 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.engine.dense_propagation import AGGREGATE_MIN, COMBINE_ADD, classify_spec
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
 from repro.engine.propagation import propagate
 from repro.engine.runner import BatchResult, run_batch
 from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
-from repro.incremental import dependency
 from repro.incremental.base import IncrementalEngine, IncrementalResult
 from repro.incremental.dep_table import DepTable
 
@@ -114,14 +106,10 @@ class SelectiveDependencyEngine(IncrementalEngine):
 
     def __init__(self, spec, *, backend: Optional[str] = None) -> None:
         super().__init__(spec, backend=backend)
-        #: dict-reference dependency parents; authoritative only while
-        #: :attr:`dep_table` is ``None`` (the table owns them otherwise)
-        self.parents: Dict[int, Optional[int]] = {}
-        #: dense dependency store, ``None`` in dict mode
+        #: dense dependency store, built by ``initialize``
         self.dep_table: Optional[DepTable] = None
-        #: deltas applied through the dense / dict machinery (for tests)
+        #: deltas applied (for tests)
         self.dense_deltas = 0
-        self.dict_deltas = 0
         self._initial_state_cache: Optional[Tuple[List[int], np.ndarray]] = None
 
     # ------------------------------------------------------------------
@@ -129,101 +117,55 @@ class SelectiveDependencyEngine(IncrementalEngine):
         result = run_batch(
             self.spec, graph, adjacency=self._propagation_adjacency(graph)
         )
-        self.parents = dependency.compute_parents(self.spec, graph, result.states)
-        self.dep_table = None
-        if classify_spec(self.spec) == (AGGREGATE_MIN, COMBINE_ADD):
-            # Warm the snapshots the dense dependency path consumes so the
-            # first delta patches them instead of compiling mid-stream (the
-            # BSP engines warm their in-edge CSR the same way).
-            self.csr_cache.in_csr(self.spec, graph)
-            self.csr_cache.out_csr(self.spec, graph)
+        in_csr = self.csr_cache.in_csr(self.spec, graph)
+        # warm the out-edge snapshot too, so the first delta patches it
+        self.csr_cache.out_csr(self.spec, graph)
+        self.dep_table = DepTable.build(
+            in_csr,
+            result.states,
+            self._initial_state_array(in_csr),
+            self.spec.aggregate_identity(),
+            graph_version=graph.version,
+        )
         return result
 
-    # ------------------------------------------------------------------
-    # dense-table plumbing
-    # ------------------------------------------------------------------
     def _parent_of(self, vertex: int) -> Optional[int]:
-        """Recorded dependency parent, served from whichever store is live."""
-        if self.dep_table is not None:
-            return self.dep_table.parent_of(vertex)
-        return self.parents.get(vertex)
-
-    def _demote_dep_table(self) -> None:
-        """Hand authority back to the dict reference (one O(V) export)."""
-        if self.dep_table is not None:
-            self.parents = self.dep_table.to_parents_dict()
-            self.dep_table = None
+        """Recorded dependency parent of ``vertex`` (``None`` = root)."""
+        return self.dep_table.parent_of(vertex)
 
     # ------------------------------------------------------------------
     # durable snapshots (repro.storage)
     # ------------------------------------------------------------------
     def _snapshot_extras(self):
-        from repro.storage.codecs import encode_dep_table, encode_parent_map, pack
+        from repro.storage.codecs import encode_dep_table, pack
 
+        table_meta, table_arrays = encode_dep_table(self.dep_table)
         meta = {
-            "store": "table" if self.dep_table is not None else "dict",
+            "store": "table",
             "dense_deltas": self.dense_deltas,
-            "dict_deltas": self.dict_deltas,
+            "dep_table": table_meta,
         }
-        # The parents dict travels in both modes: it is the authority in dict
-        # mode, and in table mode it is what a later gate-failure demotion
-        # would have been re-exported from anyway.
-        arrays = dict(pack("parents", encode_parent_map(self.parents)))
-        if self.dep_table is not None:
-            table_meta, table_arrays = encode_dep_table(self.dep_table)
-            meta["dep_table"] = table_meta
-            arrays.update(pack("dep_table", table_arrays))
-        return meta, arrays
+        return meta, dict(pack("dep_table", table_arrays))
 
     def _restore_extras(self, meta: dict, arrays) -> None:
         from repro.storage.codecs import decode_dep_table, decode_parent_map, unpack
 
-        self.parents = decode_parent_map(unpack("parents", arrays))
         if meta.get("store") == "table":
             self.dep_table = decode_dep_table(
                 meta["dep_table"], unpack("dep_table", arrays)
             )
         else:
-            self.dep_table = None
-        self.dense_deltas = int(meta.get("dense_deltas", 0))
-        self.dict_deltas = int(meta.get("dict_deltas", 0))
-        self._initial_state_cache = None
-
-    def _sync_dep_table(self, old_graph: Graph) -> Optional[Tuple[FactorCSR, FactorCSR]]:
-        """Pre-delta CSR snapshots when this delta can run dense, else ``None``.
-
-        The dense gate mirrors the memo table's: the spec declares the min/+
-        algebra, no NaN factors or states.  A failed
-        gate demotes the table to the dict reference (which then handles this
-        delta); a later clean delta re-promotes it from the dict.
-        """
-        spec = self.spec
-        if classify_spec(spec) != (AGGREGATE_MIN, COMBINE_ADD):
-            self._demote_dep_table()
-            return None
-        in_csr = self.csr_cache.in_csr(spec, old_graph)
-        out_csr = self.csr_cache.out_csr(spec, old_graph)
-        if np.isnan(in_csr.factors).any() or np.isnan(out_csr.factors).any():
-            self._demote_dep_table()
-            return None
-        table = self.dep_table
-        if table is not None and not table.matches_ids(in_csr.vertex_ids):
-            # The id space drifted outside apply_delta; trust nothing.
-            self._demote_dep_table()
-            table = None
-        if table is None:
-            table = DepTable.from_parents(
-                in_csr,
+            # a snapshot of the retired dict store: promote its parents map
+            graph = self._require_graph()
+            self.dep_table = DepTable.from_parents(
+                self.csr_cache.in_csr(self.spec, graph),
                 self.states,
-                self.parents,
-                spec.aggregate_identity(),
-                graph_version=old_graph.version,
+                decode_parent_map(unpack("parents", arrays)),
+                self.spec.aggregate_identity(),
+                graph_version=graph.version,
             )
-            self.dep_table = table
-        if np.isnan(table.values).any():
-            self._demote_dep_table()
-            return None
-        return in_csr, out_csr
+        self.dense_deltas = int(meta.get("dense_deltas", 0))
+        self._initial_state_cache = None
 
     def _initial_state_array(self, csr: FactorCSR) -> np.ndarray:
         """Per-row ``initial_state`` values, rebuilt only when the ids change."""
@@ -245,9 +187,11 @@ class SelectiveDependencyEngine(IncrementalEngine):
         phases = PhaseTimer()
         old_graph = self._require_graph()
         identity = spec.aggregate_identity()
+        cache = self.csr_cache
 
         with phases.phase("graph update"):
-            dense_csrs = self._sync_dep_table(old_graph)
+            old_in_csr = cache.in_csr(spec, old_graph)
+            old_out_csr = cache.out_csr(spec, old_graph)
             new_graph = self._update_graph(delta)
             # The footprint caches the delta expansion and the weight-level
             # link diff (weight changes made explicit as delete + add).
@@ -255,30 +199,11 @@ class SelectiveDependencyEngine(IncrementalEngine):
             added, deleted = footprint.invalidation_edges
             added_vertices = footprint.added_vertices
             removed_vertices = footprint.removed_vertices
-            new_in_csr = new_out_csr = None
-            if dense_csrs is not None:
-                new_in_csr = self.csr_cache.in_csr(spec, new_graph)
-                new_out_csr = self.csr_cache.out_csr(spec, new_graph)
-                if (
-                    np.isnan(new_in_csr.factors).any()
-                    or np.isnan(new_out_csr.factors).any()
-                ):
-                    # The delta introduced factors the array algebra cannot
-                    # replay; this delta (and every following one until they
-                    # disappear) runs on the dict reference.
-                    self._demote_dep_table()
-                    dense_csrs = None
+            new_in_csr = cache.in_csr(spec, new_graph)
+            new_out_csr = cache.out_csr(spec, new_graph)
 
-        states: Dict[int, float] = (
-            _TrackedStates(self.states)
-            if dense_csrs is not None
-            else dict(self.states)
-        )
-        table = self.dep_table if dense_csrs is not None else None
-        if table is not None:
-            self.dense_deltas += 1
-        else:
-            self.dict_deltas += 1
+        states = _TrackedStates(self.states)
+        self.dense_deltas += 1
 
         with phases.phase(PHASE_INVALIDATION):
             roots: Set[int] = set()
@@ -294,31 +219,11 @@ class SelectiveDependencyEngine(IncrementalEngine):
                         continue
                 if new_graph.has_vertex(target):
                     roots.add(target)
-            if table is not None:
-                old_in_csr, old_out_csr = dense_csrs
-                root_rows = np.fromiter(
-                    (old_in_csr.index[v] for v in roots), np.int64, count=len(roots)
-                )
-                if self.tainting == "dag":
-                    mask = table.taint_dag(old_out_csr, root_rows)
-                else:
-                    mask = table.taint_tree(root_rows)
-                tainted_ids = old_in_csr.ids_array()[np.nonzero(mask)[0]].tolist()
-                if removed_vertices:
-                    tainted = {v for v in tainted_ids if new_graph.has_vertex(v)}
-                else:
-                    tainted = set(tainted_ids)
-            else:
-                if self.tainting == "dag":
-                    tainted = dependency.dependents_dag(spec, old_graph, states, roots)
-                else:
-                    tainted = dependency.dependents_single_parent(
-                        self.parents, old_graph, roots
-                    )
-                tainted = {vertex for vertex in tainted if new_graph.has_vertex(vertex)}
+            tainted = self._taint(old_graph, states, roots, old_in_csr, old_out_csr)
+            if removed_vertices:
+                tainted = {v for v in tainted if new_graph.has_vertex(v)}
             for vertex in removed_vertices:
                 states.pop(vertex, None)
-                self.parents.pop(vertex, None)
             # Only a vertex added by this delta can be missing a state (the
             # memoized states always cover the previous graph).
             for vertex in added_vertices:
@@ -326,18 +231,7 @@ class SelectiveDependencyEngine(IncrementalEngine):
                     states[vertex] = spec.initial_state(vertex)
 
         with phases.phase(PHASE_TRIM):
-            if table is not None:
-                pending = self._trim_and_seed_dense(
-                    table, new_in_csr, new_graph, states, tainted, metrics
-                )
-            else:
-                pending = dependency.trim_and_seed(spec, new_graph, states, tainted)
-                # Re-aggregating each tainted vertex from its surviving
-                # in-edges is F-work; count it like the C++ systems count
-                # their edge visits.
-                metrics.edge_activations += sum(
-                    new_graph.in_degree(vertex) for vertex in tainted
-                )
+            pending = self._trim_and_seed(new_in_csr, new_graph, states, tainted, metrics)
 
         with phases.phase("compensation"):
             for source, target, _weight in added:
@@ -366,30 +260,51 @@ class SelectiveDependencyEngine(IncrementalEngine):
             propagate(spec, adjacency, states, pending, metrics)
 
         with phases.phase(PHASE_MAINTENANCE):
-            if table is not None:
-                self._refresh_parents_dense(
-                    table, new_in_csr, new_out_csr, new_graph, states, tainted,
-                    added, deleted,
-                )
-            else:
-                self._refresh_parents(new_graph, states, tainted, added, deleted)
+            self._refresh_parents(
+                new_in_csr, new_out_csr, new_graph, states, tainted, added, deleted
+            )
 
         return IncrementalResult(states=states, metrics=metrics, phases=phases)
 
     # ------------------------------------------------------------------
-    # dense kernels (bitwise equal to the dict reference)
+    # dense kernels (bitwise equal to the dict walks of the test oracles)
     # ------------------------------------------------------------------
-    def _trim_and_seed_dense(
+    def _taint(
         self,
-        table: DepTable,
+        old_graph: Graph,
+        states: Dict[int, float],
+        roots: Set[int],
+        old_in_csr: FactorCSR,
+        old_out_csr: FactorCSR,
+    ) -> Set[int]:
+        """The dependents of ``roots`` in ``old_graph``: the dependency
+        tree's (``"tree"``) or the supporting DAG's (``"dag"``)."""
+        table = self.dep_table
+        root_rows = np.fromiter(
+            (old_in_csr.index[v] for v in roots), np.int64, count=len(roots)
+        )
+        if self.tainting == "dag":
+            mask = table.taint_dag(old_out_csr, root_rows)
+        else:
+            mask = table.taint_tree(root_rows)
+        return set(old_in_csr.ids_array()[np.nonzero(mask)[0]].tolist())
+
+    def _trim_and_seed(
+        self,
         in_csr: FactorCSR,
         new_graph: Graph,
         states: Dict[int, float],
         tainted: Set[int],
         metrics: ExecutionMetrics,
     ) -> Dict[int, float]:
-        """Array replay of :func:`repro.incremental.dependency.trim_and_seed`."""
+        """Reset the tainted vertices and seed their recovery from their
+        surviving in-neighbors plus their own root message (the trimmed
+        approximation); returns the pending map that restarts propagation.
+
+        Every in-edge of a tainted vertex is one edge activation (the F-work
+        the C++ systems count as their edge visits)."""
         spec = self.spec
+        table = self.dep_table
         identity = spec.aggregate_identity()
         # Move the table to the post-delta index space first: brand-new
         # columns take their freshly seeded initial states from ``states``.
@@ -410,9 +325,8 @@ class SelectiveDependencyEngine(IncrementalEngine):
                 pending[vertex] = value
         return pending
 
-    def _refresh_parents_dense(
+    def _refresh_parents(
         self,
-        table: DepTable,
         in_csr: FactorCSR,
         out_csr: FactorCSR,
         graph: Graph,
@@ -421,13 +335,14 @@ class SelectiveDependencyEngine(IncrementalEngine):
         added,
         deleted,
     ) -> None:
-        """Array replay of :meth:`_refresh_parents` on the dense table.
+        """Refresh the dependency parents of every vertex whose support may
+        have changed: tainted vertices, endpoints of changed edges, and the
+        out-neighbors of vertices whose state changed.
 
         The seed rows are the tainted vertices plus the endpoints of changed
         edges; :meth:`DepTable.refresh` detects the changed-state vertices by
         comparing its value array against the post-propagation states and
-        expands every stale vertex's out-neighbors on the cached out-CSR —
-        the same stale set the dict reference assembles with Python scans.
+        expands every stale vertex's out-neighbors on the cached out-CSR.
         """
         index = in_csr.index
         seeds: Set[int] = set(tainted)
@@ -438,11 +353,8 @@ class SelectiveDependencyEngine(IncrementalEngine):
         seed_rows = np.fromiter(
             (index[v] for v in seeds), np.int64, count=len(seeds)
         )
-        changed_rows = None
-        if isinstance(states, _TrackedStates):
-            touched = [index[v] for v in states.touched if v in index]
-            changed_rows = np.fromiter(touched, np.int64, count=len(touched))
-        table.refresh(
+        touched = [index[v] for v in states.touched if v in index]
+        self.dep_table.refresh(
             in_csr,
             out_csr,
             states,
@@ -450,7 +362,7 @@ class SelectiveDependencyEngine(IncrementalEngine):
             self._initial_state_array(in_csr),
             self.spec.aggregate_identity(),
             graph_version=graph.version,
-            changed_rows=changed_rows,
+            changed_rows=np.fromiter(touched, np.int64, count=len(touched)),
         )
 
     # ------------------------------------------------------------------
@@ -482,30 +394,3 @@ class SelectiveDependencyEngine(IncrementalEngine):
         identity = spec.aggregate_identity()
         current = states.get(target, identity)
         return spec.aggregate(current, offered) != current
-
-    def _refresh_parents(
-        self,
-        graph: Graph,
-        states: Dict[int, float],
-        tainted: Set[int],
-        added,
-        deleted,
-    ) -> None:
-        """Refresh the dependency parents of every vertex whose support may
-        have changed: tainted vertices, endpoints of changed edges, and the
-        out-neighbors of vertices whose state changed."""
-        stale: Set[int] = set()
-        for vertex in tainted:
-            if graph.has_vertex(vertex):
-                stale.add(vertex)
-                stale.update(graph.out_neighbors(vertex))
-        for source, target, _ in list(added) + list(deleted):
-            for vertex in (source, target):
-                if graph.has_vertex(vertex):
-                    stale.add(vertex)
-                    stale.update(graph.out_neighbors(vertex))
-        for vertex, value in states.items():
-            if graph.has_vertex(vertex) and self.states.get(vertex) != value:
-                stale.add(vertex)
-                stale.update(graph.out_neighbors(vertex))
-        dependency.compute_parents(self.spec, graph, states, stale, self.parents)

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
-from repro.engine.propagation import NonConvergenceError, propagate
+from repro.engine.propagation import propagate
 from repro.engine.runner import BatchResult, run_batch
 from repro.graph.delta import GraphDelta
 from repro.graph.footprint import DeltaFootprint
@@ -188,9 +188,9 @@ class LayphEngine(IncrementalEngine):
         # ------------------------------------------------------------------
         with phases.phase(PHASE_UPDATE):
             selective = spec.is_selective()
-            # Pre-delta out-edge CSR snapshot for the vectorized revision
-            # deduction (the cache is patched forward just below).
-            old_out_csr = None if selective else self._revision_out_csr(old_graph)
+            # Pre-delta out-edge CSR snapshot for the revision deduction (the
+            # cache is patched forward just below).
+            old_out_csr = None if selective else self.csr_cache.out_csr(spec, old_graph)
             new_graph = self._update_graph(delta)
             layered.graph = new_graph
             footprint = self.footprint
@@ -263,12 +263,8 @@ class LayphEngine(IncrementalEngine):
                     lup_pending,
                     metrics,
                     footprint,
-                    old_csr=old_out_csr,
-                    new_csr=(
-                        self._revision_out_csr(new_graph)
-                        if old_out_csr is not None
-                        else None
-                    ),
+                    old_out_csr,
+                    self.csr_cache.out_csr(spec, new_graph),
                 )
 
         # ------------------------------------------------------------------
@@ -341,16 +337,16 @@ class LayphEngine(IncrementalEngine):
         lup_pending: Dict[int, float],
         metrics: ExecutionMetrics,
         footprint: DeltaFootprint,
-        old_csr=None,
-        new_csr=None,
+        old_csr,
+        new_csr,
     ) -> None:
         """Deduce revision messages and fold the internal ones to boundaries.
 
         ``footprint`` (the engine's shared
         :class:`repro.graph.footprint.DeltaFootprint`) supplies the
-        changed-source scan and the membership diff computed once per delta.
-        ``old_csr``/``new_csr`` let the deduction itself run vectorized on
-        the cached out-edge CSRs.
+        changed-source scan and the membership diff computed once per delta;
+        the deduction runs on the out-edge CSRs ``old_csr``/``new_csr`` of
+        both graph versions.
         """
         spec = self.spec
         layered = self._require_layered()
@@ -362,9 +358,9 @@ class LayphEngine(IncrementalEngine):
             old_graph,
             new_graph,
             self.states,
+            old_csr,
+            new_csr,
             changed=changed,
-            old_csr=old_csr,
-            new_csr=new_csr,
             added_vertices=footprint.added_vertices,
             removed_vertices=footprint.removed_vertices,
         )
@@ -410,64 +406,15 @@ class LayphEngine(IncrementalEngine):
         that reach boundary vertices are returned so the caller can feed them
         into the upper-layer iteration (Equation (7)).  The propagation runs
         on the subgraph's compiled CSR
-        (:func:`repro.layph.vectorized.local_upload_numpy`), metric-identical
-        to the Python loop below, which remains the reference and the
-        fallback for specs and inputs the kernel cannot express (an
-        undeclared algebra, NaN factors).
+        (:func:`repro.layph.vectorized.local_upload_numpy`).
 
         Raises:
-            NonConvergenceError: if significant messages remain after the
-                round cap.  Returning the partial result instead would leave
-                stale internal states behind and silently corrupt every
-                subsequent delta.
+            repro.engine.propagation.NonConvergenceError: if significant
+                messages remain after the round cap.  Returning the partial
+                result instead would leave stale internal states behind and
+                silently corrupt every subsequent delta.
         """
-        arrived = local_upload_numpy(self.spec, subgraph, work, local_pending, metrics)
-        if arrived is not None:
-            return arrived
-        spec = self.spec
-        identity = spec.aggregate_identity()
-        boundary = subgraph.boundary
-        adjacency = subgraph.local_adjacency
-        pending = dict(local_pending)
-        arrived: Dict[int, float] = {}
-        rounds = 0
-        max_rounds = 10_000
-        while pending:
-            active = sorted(
-                vertex for vertex, message in pending.items() if spec.is_significant(message)
-            )
-            if not active:
-                break
-            if rounds >= max_rounds:
-                raise NonConvergenceError(
-                    f"local revision-message upload in subgraph {subgraph.index} "
-                    f"did not converge within {max_rounds} rounds for "
-                    f"{spec.name!r}; {len(active)} significant pending "
-                    "messages remain"
-                )
-            snapshot = {vertex: pending.pop(vertex) for vertex in active}
-            activations = 0
-            for vertex, message in snapshot.items():
-                if vertex in boundary:
-                    # Boundary vertices accumulate but never re-propagate here;
-                    # their own revision happens on the upper layer.
-                    arrived[vertex] = spec.aggregate(arrived.get(vertex, identity), message)
-                    continue
-                old_state = work.get(vertex, spec.initial_state(vertex))
-                new_state = spec.aggregate(old_state, message)
-                if spec.is_selective() and new_state == old_state:
-                    continue
-                work[vertex] = new_state
-                out_value = new_state if spec.is_selective() else message
-                for target, factor in adjacency(vertex):
-                    activations += 1
-                    produced = spec.combine(out_value, factor)
-                    if spec.absorbs(target) or not spec.is_significant(produced):
-                        continue
-                    pending[target] = spec.aggregate(pending.get(target, identity), produced)
-            metrics.record_round(activations, len(snapshot))
-            rounds += 1
-        return arrived
+        return local_upload_numpy(self.spec, subgraph, work, local_pending, metrics)
 
     def _selective_upload(
         self,
@@ -544,22 +491,7 @@ class LayphEngine(IncrementalEngine):
 
         for vertex in tainted:
             work[vertex] = identity
-        if not seed_tainted_upper(spec, layered, tainted, work, lup_pending, metrics):
-            incoming = layered.upper_in_adjacency()
-            for vertex in sorted(tainted):
-                best = spec.initial_message(vertex) if vertex >= 0 else identity
-                for source, factor in incoming.get(vertex, []):
-                    metrics.edge_activations += 1
-                    if source in tainted:
-                        continue
-                    source_state = work.get(source, identity)
-                    if source_state == identity:
-                        continue
-                    best = spec.aggregate(best, spec.combine(source_state, factor))
-                if spec.is_significant(best):
-                    lup_pending[vertex] = spec.aggregate(
-                        lup_pending.get(vertex, identity), best
-                    )
+        self._seed_tainted_upper(tainted, work, lup_pending, metrics)
 
         # Compensation from new or improved upper links.
         for source, target, old_factor, new_factor in changed_links:
@@ -597,6 +529,19 @@ class LayphEngine(IncrementalEngine):
                         lup_pending[boundary_vertex] = spec.aggregate(
                             lup_pending.get(boundary_vertex, identity), folded
                         )
+
+    def _seed_tainted_upper(
+        self,
+        tainted: Set[int],
+        work: Dict[int, float],
+        lup_pending: Dict[int, float],
+        metrics: ExecutionMetrics,
+    ) -> None:
+        """Re-seed every tainted upper vertex from its surviving in-links
+        (:func:`repro.layph.vectorized.seed_tainted_upper`)."""
+        seed_tainted_upper(
+            self.spec, self._require_layered(), tainted, work, lup_pending, metrics
+        )
 
     def _upper_dependents(
         self,
@@ -645,7 +590,6 @@ class LayphEngine(IncrementalEngine):
         new_graph: Graph,
     ) -> None:
         """Push boundary results down to internal vertices through shortcuts."""
-        spec = self.spec
         layered = self._require_layered()
 
         # Which subgraphs need assignment: those rebuilt this round plus those
@@ -660,62 +604,35 @@ class LayphEngine(IncrementalEngine):
                 to_assign.add(index)
         to_assign = {index for index in to_assign if index < len(layered.subgraphs)}
 
-        source = self._source_vertex()
-        order = [
-            index
+        subgraphs = [
+            layered.subgraphs[index]
             for index in sorted(to_assign)
             if layered.subgraphs[index].internal
         ]
-        if order:
-            # one kernel call over every assigned subgraph's shortcut rows
-            subgraphs = [layered.subgraphs[index] for index in order]
-            if spec.is_selective():
-                best_maps = assign_selective_batch(spec, subgraphs, work, metrics)
-                if best_maps is not None:
-                    for subgraph, best in zip(subgraphs, best_maps):
-                        self._finish_selective_assign(
-                            subgraph, best, work, new_graph, source
-                        )
-                    return
-            elif assign_accumulative_batch(
-                spec, subgraphs, deltas, work, metrics, new_graph
-            ):
-                return
-        for index in order:
-            subgraph = layered.subgraphs[index]
-            if spec.is_selective():
-                self._assign_selective(subgraph, work, metrics, new_graph, source)
-            else:
-                self._assign_accumulative(subgraph, deltas, work, metrics, new_graph)
+        if subgraphs:
+            self._assign_subgraphs(
+                subgraphs, deltas, work, metrics, new_graph, self._source_vertex()
+            )
 
-    def _assign_selective(
+    def _assign_subgraphs(
         self,
-        subgraph,
+        subgraphs,
+        deltas: Dict[int, float],
         work: Dict[int, float],
         metrics: ExecutionMetrics,
         new_graph: Graph,
         source: Optional[int],
     ) -> None:
-        """Best-offer assignment of one subgraph (boundary → internal).
-
-        The reference loop; wherever the algebra allows, every assigned
-        subgraph runs in one vectorized pass instead
-        (:func:`repro.layph.vectorized.assign_selective_batch`), which scans
-        boundary vertices in the same ascending id order and produces
-        identical ``best`` maps, activation counts and state writes.
-        """
+        """One kernel call over every assigned subgraph's shortcut rows:
+        the best boundary offers (selective) or the boundary deltas
+        (accumulative) pushed down to the internal vertices."""
         spec = self.spec
-        identity = spec.aggregate_identity()
-        best = {vertex: spec.initial_message(vertex) for vertex in subgraph.internal}
-        for boundary_vertex in sorted(subgraph.boundary):
-            boundary_state = work.get(boundary_vertex, identity)
-            if boundary_state == identity:
-                continue
-            for target, factor in subgraph.internal_shortcuts(boundary_vertex).items():
-                metrics.edge_activations += 1
-                candidate = spec.combine(boundary_state, factor)
-                best[target] = spec.aggregate(best[target], candidate)
-        self._finish_selective_assign(subgraph, best, work, new_graph, source)
+        if not spec.is_selective():
+            assign_accumulative_batch(spec, subgraphs, deltas, work, metrics, new_graph)
+            return
+        best_maps = assign_selective_batch(spec, subgraphs, work, metrics)
+        for subgraph, best in zip(subgraphs, best_maps):
+            self._finish_selective_assign(subgraph, best, work, new_graph, source)
 
     def _finish_selective_assign(
         self,
@@ -725,11 +642,7 @@ class LayphEngine(IncrementalEngine):
         new_graph: Graph,
         source: Optional[int],
     ) -> None:
-        """Fold the source's local results into ``best`` and write it back.
-
-        Shared by the reference scan above and the vectorized pass, which
-        hand in their ``best`` maps.
-        """
+        """Fold the source's local results into ``best`` and write it back."""
         spec = self.spec
         layered = self._require_layered()
         if (
@@ -744,37 +657,6 @@ class LayphEngine(IncrementalEngine):
         for target, value in best.items():
             if new_graph.has_vertex(target):
                 work[target] = value
-
-    def _assign_accumulative(
-        self,
-        subgraph,
-        deltas: Dict[int, float],
-        work: Dict[int, float],
-        metrics: ExecutionMetrics,
-        new_graph: Graph,
-    ) -> None:
-        """Delta push of one subgraph's boundary changes through its shortcuts.
-
-        The reference loop; wherever the algebra allows, every assigned
-        subgraph runs in one vectorized pass instead
-        (:func:`repro.layph.vectorized.assign_accumulative_batch`).  Both
-        apply boundary deltas in ascending id order (shortcut-table order
-        within a boundary vertex), so the non-associative float sums agree
-        bit for bit.
-        """
-        spec = self.spec
-        for boundary_vertex in sorted(subgraph.boundary):
-            difference = deltas.get(boundary_vertex)
-            if difference is None or not spec.is_significant(difference):
-                continue
-            for target, factor in subgraph.internal_shortcuts(boundary_vertex).items():
-                if spec.absorbs(target) or not new_graph.has_vertex(target):
-                    continue
-                metrics.edge_activations += 1
-                work[target] = spec.aggregate(
-                    work.get(target, spec.initial_state(target)),
-                    spec.combine(difference, factor),
-                )
 
     # ------------------------------------------------------------------
     # durable snapshots (repro.storage)

@@ -19,9 +19,8 @@ The shortcut work runs in the lockstep kernel
 :func:`repro.parallel.slabs.run_shortcut_solves`, driven by
 :class:`ShortcutBatch`: one call holds the from-scratch solves and the
 incremental revisions of any number of subgraphs (all of one delta's, or
-one subgraph's at build time).  The two-``propagate`` bodies of
-:func:`_propagate_shortcuts` and :func:`_fold_propagate` are the reference
-and the fallback for specs or inputs the kernel cannot express.
+one subgraph's at build time).  The two-``propagate`` reference bodies it
+reproduces bit for bit live with the test oracles.
 """
 
 from __future__ import annotations
@@ -32,34 +31,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.engine.algorithm import AlgorithmSpec
-from repro.engine.dense_propagation import AGGREGATE_MIN, COMBINE_ADD, classify_spec
+from repro.engine.dense_propagation import AGGREGATE_MIN, COMBINE_ADD
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.propagation import FactorAdjacency, SilencedAdjacency, propagate
-from repro.graph.csr import FactorCSR
+from repro.engine.propagation import FactorAdjacency
 from repro.graph.csr_cache import master_factor_csr
 from repro.parallel.slabs import run_shortcut_solves
-
-class _NeutralSpec:
-    """Thin wrapper: same algorithm, neutral initial values.
-
-    States play the role of "aggregated received messages", so every vertex
-    starts from the aggregation identity and no vertex carries a root message
-    (Equation (6)).
-    """
-
-    def __init__(self, spec: AlgorithmSpec) -> None:
-        self._spec = spec
-        self._identity = spec.aggregate_identity()
-
-    def __getattr__(self, item):
-        return getattr(self._spec, item)
-
-    def initial_state(self, vertex: int) -> float:
-        return self._identity
-
-    def initial_message(self, vertex: int) -> float:
-        return self._identity
-
 
 def compute_shortcuts_from(
     spec: AlgorithmSpec,
@@ -67,7 +43,6 @@ def compute_shortcuts_from(
     source: int,
     boundary: Set[int],
     metrics: Optional[ExecutionMetrics] = None,
-    max_rounds: Optional[int] = None,
 ) -> Dict[int, float]:
     """Shortcut weights from one boundary vertex to every reachable vertex.
 
@@ -79,7 +54,6 @@ def compute_shortcuts_from(
             messages but do not re-propagate them (internal-only paths).
         metrics: optional activation accounting (shortcut construction and
             maintenance is real work the paper charges to Layph).
-        max_rounds: optional safety bound for the local iteration.
 
     Returns:
         Mapping ``vertex -> shortcut weight``.  The source itself is omitted
@@ -87,86 +61,9 @@ def compute_shortcuts_from(
         (only possible for accumulative algorithms), in which case the entry
         carries only that cyclic surplus, never the injected unit.
 
-    Without a round cap this is the one-source case of
-    :func:`compute_shortcut_vectors`.
+    This is the one-source case of :func:`compute_shortcut_vectors`.
     """
-    if max_rounds is None:
-        return compute_shortcut_vectors(spec, local_adjacency, [source], boundary, metrics)[0]
-    return _propagate_shortcuts(spec, local_adjacency, source, boundary, metrics, max_rounds)
-
-
-def _propagate_shortcuts(
-    spec: AlgorithmSpec,
-    local_adjacency: FactorAdjacency,
-    source: int,
-    boundary: Set[int],
-    metrics: Optional[ExecutionMetrics] = None,
-    max_rounds: Optional[int] = None,
-) -> Dict[int, float]:
-    """The reference solve: two ``propagate`` calls over silenced views.
-
-    Runs for a round cap and whenever the batched kernel cannot express the
-    spec or the factors (see :class:`ShortcutBatch`).
-    """
-    if metrics is None:
-        metrics = ExecutionMetrics()
-    unit = spec.combine_identity()
-    identity = spec.aggregate_identity()
-
-    # Boundary vertices must not re-propagate (paths fold over internal
-    # intermediates only); the source scatters exactly once, for the injected
-    # unit message — mass returning to it through internal cycles is recorded
-    # in its own shortcut entry but not re-emitted, otherwise the cycle would
-    # be double counted when the upper layer applies the self-shortcut.  The
-    # one-shot emission is exactly the first superstep (the source is the
-    # only pending vertex), run as a single round with the source un-silenced;
-    # every following superstep silences it like any other boundary vertex.
-    # Expressing the silencing structurally — instead of through a stateful
-    # closure — is what lets the array kernel compile both phases.
-    states: Dict[int, float] = {}
-    pending: Dict[int, float] = {source: unit}
-    if max_rounds is not None and max_rounds <= 0:
-        return {}
-    neutral = _NeutralSpec(spec)
-    if spec.is_significant(unit):
-        propagate(
-            neutral,
-            SilencedAdjacency(local_adjacency, boundary - {source}),
-            states,
-            pending,
-            metrics,
-            max_rounds=1,
-        )
-        if max_rounds is not None:
-            max_rounds -= 1
-
-    propagate(
-        neutral,
-        SilencedAdjacency(local_adjacency, boundary | {source}),
-        states,
-        pending,
-        metrics,
-        max_rounds=max_rounds,
-    )
-
-    shortcuts: Dict[int, float] = {}
-    for vertex, value in states.items():
-        if vertex == source:
-            # Remove the injected unit: the shortcut b -> b must only carry
-            # mass returned through internal cycles, not the empty path.
-            if spec.is_selective():
-                continue
-            surplus = value - unit
-            if spec.is_significant(surplus):
-                shortcuts[vertex] = surplus
-            continue
-        if spec.is_selective():
-            if value != identity:
-                shortcuts[vertex] = value
-        else:
-            if spec.is_significant(value):
-                shortcuts[vertex] = value
-    return shortcuts
+    return compute_shortcut_vectors(spec, local_adjacency, [source], boundary, metrics)[0]
 
 
 class _Block:
@@ -176,7 +73,7 @@ class _Block:
 
     def __init__(self, local_adjacency: FactorAdjacency, boundary: Set[int]) -> None:
         self.local_adjacency = local_adjacency
-        #: the boundary the reference silences (internal sources excluded)
+        #: the boundary silenced after round 0 (internal sources excluded)
         self.boundary = boundary
         self.jobs: List["_Job"] = []
 
@@ -234,18 +131,12 @@ class ShortcutBatch:
     kernel sees the blocks' local CSRs as one block-diagonal CSR and every
     job owns only its own block's cells, so a call costs O(Σ job cells),
     never a ``(jobs × Σ rows)`` matrix.  Every vector is bitwise the one
-    the reference bodies produce — values, dict key order and recorded
-    work.
-
-    Jobs the kernel cannot express run the reference bodies instead
-    (:func:`_propagate_shortcuts`, :func:`_fold_propagate`): every job for
-    an undeclared algebra, a block whose factors carry NaN, a revision whose
-    old vector or messages carry NaN.
+    the reference bodies of the test oracles produce — values, dict key
+    order and recorded work.
     """
 
     def __init__(self, spec: AlgorithmSpec) -> None:
         self.spec = spec
-        self._kinds = classify_spec(spec)
         self._blocks: List[_Block] = []
 
     def block(self, local_adjacency: FactorAdjacency, boundary: Set[int]) -> _Block:
@@ -276,15 +167,12 @@ class ShortcutBatch:
     def run(self, metrics: ExecutionMetrics, per_round: bool = True) -> None:
         """Produce every queued vector; ``metrics`` receives the work.
 
-        Jobs that need a reference body run first, then the kernel call.
-        With ``per_round`` each kernel job's rounds are replayed into
-        ``metrics`` in job order, exactly as one reference body per vector
-        records them; without it only the totals (activations, vertex
-        updates, rounds) are added.
+        With ``per_round`` each job's rounds are replayed into ``metrics`` in
+        job order, exactly as one reference body per vector records them;
+        without it only the totals (activations, vertex updates, rounds) are
+        added.
         """
-        call, reference = self._compile()
-        for job in reference:
-            self._run_reference(job, metrics)
+        call = self.prepare()
         if call is not None:
             arrays = call.arrays
             record = run_shortcut_solves(**arrays, **call.scalars)
@@ -299,37 +187,25 @@ class ShortcutBatch:
             )
 
     def prepare(self) -> Optional[KernelCall]:
-        """The whole batch as one kernel call; ``None`` when some job needs
-        a reference body."""
-        call, reference = self._compile()
-        return None if reference or call is None else call
-
-    # ------------------------------------------------------------------
-    def _compile(self) -> Tuple[Optional[KernelCall], List[_Job]]:
-        """Split the queued jobs into one kernel call and the reference rest."""
+        """The whole batch as one kernel call; ``None`` when no job is queued."""
         spec = self.spec
-        kinds = self._kinds
-        reference: List[_Job] = []
+        kinds = spec.dense_algebra
         compiled = []  # (csr, silenced degree, jobs)
         for block in self._blocks:
             if not block.jobs:
                 continue
-            csr = None if kinds is None else self._block_csr(block)
-            if csr is None:
-                reference.extend(block.jobs)
-                continue
-            jobs = []
+            silenced = self._silenced(block)
+            # a revision message may aim at a vertex with no local row left
+            universe = set(silenced)
             for job in block.jobs:
-                if job.solve or self._revision_fits(job, csr.index):
-                    jobs.append(job)
-                else:
-                    reference.append(job)
-            if jobs:
-                silenced_degree = csr.out_degree.copy()
-                silenced_degree[[csr.index[vertex] for vertex in self._silenced(block)]] = 0
-                compiled.append((csr, silenced_degree, jobs))
+                if not job.solve:
+                    universe.update(job.pending)
+            csr = master_factor_csr(block.local_adjacency, universe)
+            silenced_degree = csr.out_degree.copy()
+            silenced_degree[[csr.index[vertex] for vertex in silenced]] = 0
+            compiled.append((csr, silenced_degree, block.jobs))
         if not compiled:
-            return None, reference
+            return None
 
         selective = kinds[0] == AGGREGATE_MIN
         identity = float(spec.aggregate_identity())
@@ -413,7 +289,7 @@ class ShortcutBatch:
             "identity": identity,
             "tolerance": 0.0 if selective else float(spec.tolerance()),
         }
-        call = KernelCall(
+        return KernelCall(
             jobs=jobs,
             ids=ids,
             starts=starts.tolist(),
@@ -423,7 +299,6 @@ class ShortcutBatch:
             scalars=scalars,
             unit=unit,
         )
-        return call, reference
 
     @staticmethod
     def _silenced(block: _Block) -> Set[int]:
@@ -431,46 +306,6 @@ class ShortcutBatch:
         silenced = set(block.boundary)
         silenced.update(job.source for job in block.jobs)
         return silenced
-
-    def _block_csr(self, block: _Block) -> Optional[FactorCSR]:
-        """The block's local CSR, or ``None`` when a factor is NaN."""
-        silenced = self._silenced(block)
-        csr = master_factor_csr(block.local_adjacency, silenced)
-        if np.isnan(csr.factors).any():
-            return None
-        return csr
-
-    @staticmethod
-    def _revision_fits(job: _Job, index: Dict[int, int]) -> bool:
-        """Whether the kernel reproduces this revision: no NaN among its
-        inputs, every message aimed at a row of the block."""
-        values = np.fromiter(job.old_vector.values(), np.float64, count=len(job.old_vector))
-        messages = np.fromiter(job.pending.values(), np.float64, count=len(job.pending))
-        if np.isnan(values).any() or np.isnan(messages).any():
-            return False
-        return all(vertex in index for vertex in job.pending)
-
-    def _run_reference(self, job: _Job, metrics: ExecutionMetrics) -> None:
-        block = job.block
-        if job.solve:
-            vector = _propagate_shortcuts(
-                self.spec,
-                block.local_adjacency,
-                job.source,
-                block.boundary,
-                metrics,
-            )
-        else:
-            vector = _revise_reference(
-                self.spec,
-                block.local_adjacency,
-                job.source,
-                block.boundary,
-                job.old_vector,
-                job.pending,
-                metrics,
-            )
-        job.table[job.key] = vector
 
     def merge(
         self,
@@ -568,52 +403,6 @@ def compute_shortcut_vectors(
         batch.solve(block, source, vectors)
     batch.run(metrics)
     return [vectors[source] for source in sources]
-
-
-def _fold_propagate(
-    spec: AlgorithmSpec,
-    local_adjacency: FactorAdjacency,
-    source: int,
-    boundary: Set[int],
-    vector: Dict[int, float],
-    pending: Dict[int, float],
-    metrics: ExecutionMetrics,
-) -> Dict[int, float]:
-    """Propagate pending messages over a subgraph with boundary absorption.
-
-    The reference revision body: messages spread along intra-subgraph
-    links, boundary vertices (and the source) accumulate without
-    re-emitting.
-    """
-    propagate(
-        _NeutralSpec(spec),
-        SilencedAdjacency(local_adjacency, boundary | {source}),
-        vector,
-        pending,
-        metrics,
-    )
-    return vector
-
-
-def _revise_reference(
-    spec: AlgorithmSpec,
-    local_adjacency: FactorAdjacency,
-    source: int,
-    boundary: Set[int],
-    old_vector: Dict[int, float],
-    pending: Dict[int, float],
-    metrics: ExecutionMetrics,
-) -> Dict[int, float]:
-    """Fold ``pending`` into a copy of ``old_vector`` and post-filter it."""
-    vector = dict(old_vector)
-    _fold_propagate(spec, local_adjacency, source, boundary, vector, dict(pending), metrics)
-    if spec.is_selective():
-        identity = spec.aggregate_identity()
-        vector = {v: value for v, value in vector.items() if value != identity}
-        vector.pop(source, None)
-    else:
-        vector = {v: value for v, value in vector.items() if spec.is_significant(value)}
-    return vector
 
 
 def shortcut_revision(

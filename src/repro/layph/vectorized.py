@@ -15,29 +15,23 @@ the spec's algebra and inputs allow:
 * :func:`seed_tainted_upper` — phase 2's trim/seed of invalidated upper
   vertices, a target-mask gather over the resident upper out-CSR.
 
-Every kernel is engineered for exact metric compatibility with the Python
-reference loops in ``engine.py`` — identical revised states, arrived
-messages, round counts and edge activations — using the same ordering
-arguments as :mod:`repro.engine.dense_propagation` (ascending-vertex active
-order, CSR slot order for the unbuffered ``np.add.at`` scatters).  Inputs the
-array algebra cannot reproduce bit-for-bit (undeclared algebras, NaN-carrying
-factors or states) make the kernels return ``None`` and the caller falls back
-to the Python loop.
+Every kernel reproduces the reference loops kept with the test oracles
+(``tests/oracles``) exactly — identical revised states, arrived messages,
+round counts and edge activations — using the same ordering arguments as
+:mod:`repro.engine.dense_propagation` (ascending-vertex active order, CSR
+slot order for the unbuffered ``np.add.at`` scatters).  They trust the
+algebra the engine checked at construction and its NaN-free inputs.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.engine.dense_propagation import (
-    AGGREGATE_MIN,
-    COMBINE_ADD,
-    classify_spec,
-)
+from repro.engine.dense_propagation import AGGREGATE_MIN, COMBINE_ADD
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import NonConvergenceError
 from repro.graph.csr import expand_edges
@@ -60,19 +54,13 @@ def build_upload_slab(
     subgraph,
     work: Dict[int, float],
     local_pending: Dict[int, float],
-) -> Optional[Tuple[PropagationSlab, list]]:
+) -> Tuple[PropagationSlab, list]:
     """Compile one subgraph's local upload into an array slab.
 
     Returns ``(slab, vertex_ids)`` with the slab in upload mode (boundary
-    mask + arrived accumulator set), or ``None`` when the array algebra
-    cannot express the spec / the inputs carry NaN — the caller then falls
-    back to the Python loop.  Nothing is mutated here, so a ``None`` return
-    is always safe.
+    mask + arrived accumulator set).  Nothing is mutated here.
     """
-    kinds = classify_spec(spec)
-    if kinds is None:
-        return None
-    aggregate_kind, combine_kind = kinds
+    aggregate_kind, combine_kind = spec.dense_algebra
     selective = aggregate_kind == AGGREGATE_MIN
 
     adjacency = subgraph.local_adjacency
@@ -100,15 +88,6 @@ def build_upload_slab(
         position = index[vertex]
         pending_arr[position] = message
         in_dict[position] = True
-
-    # NaN makes the branchy Python min/compare semantics diverge from the
-    # array ops; hand such inputs back to the Python loop untouched.
-    if (
-        np.isnan(csr.factors).any()
-        or np.isnan(state_arr).any()
-        or np.isnan(pending_arr).any()
-    ):
-        return None
 
     boundary_mask = np.zeros(n, dtype=bool)
     for vertex in boundary:
@@ -145,22 +124,18 @@ def local_upload_numpy(
     local_pending: Dict[int, float],
     metrics: ExecutionMetrics,
     max_rounds: int = 10_000,
-) -> Optional[Dict[int, float]]:
-    """Vectorized ``LayphEngine._local_upload``; ``None`` = cannot handle.
+) -> Dict[int, float]:
+    """Vectorized ``LayphEngine._local_upload``.
 
-    Mirrors the Python loop exactly: internal vertices revise their state in
+    Mirrors the reference loop exactly: internal vertices revise their state in
     place and scatter along the local adjacency, boundary vertices accumulate
     into the returned ``arrived`` map without re-propagating, rounds and edge
     activations are recorded identically (and, like the reference, no
     ``vertex_updates`` are counted).  The loop itself is the array kernel
     :func:`repro.parallel.slabs.run_upload` over the slab built by
-    :func:`build_upload_slab`; incompatibility is detected before anything
-    is mutated.
+    :func:`build_upload_slab`.
     """
-    built = build_upload_slab(spec, subgraph, work, local_pending)
-    if built is None:
-        return None
-    slab, ids = built
+    slab, ids = build_upload_slab(spec, subgraph, work, local_pending)
     try:
         rounds = run_upload(slab, max_rounds)
     except SlabNonConvergence as error:
@@ -281,18 +256,15 @@ def assign_selective_batch(
     subgraphs,
     work: Dict[int, float],
     metrics: ExecutionMetrics,
-) -> Optional[List[Dict[int, float]]]:
+) -> List[Dict[int, float]]:
     """Vectorized best-offer scan of several subgraphs' shortcuts in one
-    kernel call; ``None`` = fall back.
+    kernel call (selective specs).
 
     Returns, per subgraph, the ``best`` map (internal vertex → best boundary
-    offer) the Python loop would produce — the caller then folds the
+    offer) the reference loop would produce — the caller then folds the
     internal-source results and writes the values back, exactly as in the
     reference.
     """
-    kinds = classify_spec(spec)
-    if kinds is None or kinds[0] != AGGREGATE_MIN:
-        return None
     csrs = [_shortcut_csr(subgraph) for subgraph in subgraphs]
     offsets, counts, targets, factors = _stacked_rows(csrs)
     identity = spec.aggregate_identity()
@@ -302,8 +274,6 @@ def assign_selective_batch(
         np.float64,
         count=len(boundary_ids),
     )
-    if np.isnan(factors).any() or np.isnan(boundary_states).any():
-        return None
     internal_ids = list(chain.from_iterable(csr.internal_ids for csr in csrs))
     best = np.fromiter(
         (spec.initial_message(vertex) for vertex in internal_ids),
@@ -318,7 +288,7 @@ def assign_selective_batch(
         boundary_states,
         best,
         identity,
-        kinds[1] == COMBINE_ADD,
+        spec.dense_algebra[1] == COMBINE_ADD,
     )
     values = best.tolist()
     maps = []
@@ -337,9 +307,9 @@ def assign_accumulative_batch(
     work: Dict[int, float],
     metrics: ExecutionMetrics,
     new_graph: Graph,
-) -> bool:
+) -> None:
     """Vectorized delta push through several subgraphs' shortcuts in one
-    kernel call; ``False`` = fall back (nothing mutated).
+    kernel call (accumulative specs).
 
     Applies ``combine(difference, factor)`` of every boundary vertex with a
     significant delta to its internal shortcut targets, in the Python loop's
@@ -347,26 +317,21 @@ def assign_accumulative_batch(
     not counting — absorbing or vanished targets.  Only the targets some
     live row reaches are read from and written back to ``work``.
     """
-    kinds = classify_spec(spec)
-    if kinds is None or kinds[0] == AGGREGATE_MIN:
-        return False
     csrs = [_shortcut_csr(subgraph) for subgraph in subgraphs]
     offsets, counts, targets, factors = _stacked_rows(csrs)
-    if np.isnan(factors).any():
-        return False
     boundary_ids = list(chain.from_iterable(csr.boundary_ids for csr in csrs))
     differences = np.fromiter(
         (deltas.get(vertex, 0.0) for vertex in boundary_ids),
         np.float64,
         count=len(boundary_ids),
     )
-    # the classified accumulative significance rule (NaN is never live)
+    # the contract's accumulative significance rule
     live = np.abs(differences) > float(spec.tolerance())
     live_rows = np.flatnonzero(live)
     live_counts = counts[live_rows]
     total = int(live_counts.sum())
     if not total:
-        return True
+        return
 
     # Gather only the reached targets, renumbered densely (the kernel never
     # reads the targets of rows no live source owns).
@@ -380,8 +345,6 @@ def assign_accumulative_batch(
         np.float64,
         count=len(ids),
     )
-    if np.isnan(values).any():
-        return False
     allowed = np.fromiter(
         (not spec.absorbs(vertex) and new_graph.has_vertex(vertex) for vertex in ids),
         bool,
@@ -398,12 +361,11 @@ def assign_accumulative_batch(
         live,
         values,
         allowed,
-        kinds[1] == COMBINE_ADD,
+        spec.dense_algebra[1] == COMBINE_ADD,
     )
     metrics.edge_activations += applied
     rows = np.flatnonzero(touched)
     work.update(zip([ids[row] for row in rows.tolist()], values[rows].tolist()))
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -416,10 +378,10 @@ def seed_tainted_upper(
     work: Dict[int, float],
     lup_pending: Dict[int, float],
     metrics: ExecutionMetrics,
-) -> bool:
-    """Vectorized trim/seed of invalidated upper vertices; ``False`` = fall back.
+) -> None:
+    """Vectorized trim/seed of invalidated upper vertices.
 
-    Mirrors the reference loop in ``LayphEngine._selective_upload`` exactly:
+    Mirrors the reference loop exactly:
     every in-link of a tainted vertex counts one edge activation (before any
     skip), tainted and identity-state sources contribute nothing (the caller
     reset tainted states to the identity, so one state mask covers both
@@ -432,17 +394,11 @@ def seed_tainted_upper(
     mask — one O(Lup) array pass that picks the slots pointing at a tainted
     vertex — so no reverse view of the whole layer is ever built; source
     states materialise for the picked slots' rows only.  Selective
-    (min-aggregate) specs only; NaN in factors, states or initial messages
-    hands back to the Python loop before anything is mutated.
+    (min-aggregate) specs only.
     """
-    kinds = classify_spec(spec)
-    if kinds is None or kinds[0] != AGGREGATE_MIN:
-        return False
-    combine_add = kinds[1] == COMBINE_ADD
+    combine_add = spec.dense_algebra[1] == COMBINE_ADD
     identity = float(spec.aggregate_identity())
     csr = layered.upper_csr()
-    if np.isnan(csr.factors).any():
-        return False
     rows = sorted(tainted)
     best = np.fromiter(
         (
@@ -452,8 +408,6 @@ def seed_tainted_upper(
         np.float64,
         count=len(rows),
     )
-    if np.isnan(best).any():
-        return False
     # position of each tainted vertex in ``rows``, by CSR row (-1: not tainted)
     position_of_row = np.full(csr.num_vertices, -1, dtype=np.int64)
     index = csr.index
@@ -471,8 +425,6 @@ def seed_tainted_upper(
             np.float64,
             count=live_rows.size,
         )[inverse]
-        if np.isnan(states).any():
-            return False
         keep = states != identity
         if combine_add:
             offers = states[keep] + csr.factors[slots[keep]]
@@ -484,4 +436,3 @@ def seed_tainted_upper(
         value = float(best[position])
         if spec.is_significant(value):
             lup_pending[vertex] = spec.aggregate(lup_pending.get(vertex, identity), value)
-    return True

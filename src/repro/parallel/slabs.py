@@ -10,8 +10,8 @@ and Python scalars bundled into :class:`PropagationSlab`: no ``Graph``, no
 keeps every kernel testable on hand-built arrays, and it is the seam a
 compiled kernel (numba, C) would replace without touching the engines.
 
-The algebra is the classified delta-accumulative one (see
-:func:`repro.engine.dense_propagation.classify_spec`), reduced to scalars:
+The algebra is the checked delta-accumulative one (see
+:func:`repro.engine.dense_propagation.require_algebra`), reduced to scalars:
 
 * ``selective`` — ``min`` aggregation with identity ``+inf`` (SSSP/BFS
   style) when true, ``+`` aggregation with identity ``0`` (PageRank/PHP
@@ -24,7 +24,9 @@ The algebra is the classified delta-accumulative one (see
 Every kernel preserves the bitwise-identity contract of the object-based
 entry points that build the slabs: active vertices in ascending dense-index
 order, CSR slot order for the unbuffered ``np.add.at`` / ``np.minimum.at``
-scatters, and the dict-loop termination quirks replayed exactly.  This
+scatters, and the dict-loop termination quirks replayed exactly.  The
+engines reject NaN inputs at their boundary, so no kernel guards against
+them.  This
 module must not import anything from ``repro`` — the lint test
 ``tests/parallel/test_slab_signatures.py`` enforces both the import
 discipline and the arrays-and-scalars-only call signatures.
@@ -528,12 +530,8 @@ def pull_rows(
     if total:
         slots = expand_slots(offsets[frontier_rows], counts, total)
         sources = targets[slots]
+        # every column is populated: remaps fill each added vertex's column
         source_values = previous[sources]
-        nan_mask = np.isnan(source_values)
-        if nan_mask.any():
-            # Absent source columns fall back to the root message, the dict
-            # reference's ``previous.get(u, initial_message(u))``.
-            source_values = np.where(nan_mask, root[sources], source_values)
         if combine_add:
             contributions = source_values + factors[slots]
         else:
@@ -543,8 +541,6 @@ def pull_rows(
             np.repeat(np.arange(frontier_rows.size, dtype=np.int64), counts),
             contributions,
         )
-    reference = level[frontier_rows]
-    with np.errstate(invalid="ignore"):
-        unchanged = np.abs(values - reference) <= tolerance
+    unchanged = np.abs(values - level[frontier_rows]) <= tolerance
     level[frontier_rows] = values
     return total, frontier_rows[~unchanged]

@@ -218,15 +218,14 @@ def decode_dep_table(meta: dict, arrays: Mapping[str, np.ndarray]) -> DepTable:
 
 
 # ----------------------------------------------------------------------
-# GraphBolt's dict-backed iteration store (the reference path)
+# GraphBolt's retired dict-backed iteration store (read by restores)
 # ----------------------------------------------------------------------
 def encode_iteration_dicts(iterations: List[Dict[int, float]]) -> Tuple[dict, Arrays]:
     """Encode a ``List[Dict[int, float]]`` memo as per-level id/value arrays.
 
-    The dict store is what the BSP engines memoize when the in-edge CSR
-    cannot carry their iterations (an undeclared algebra, NaN factors);
-    arrays (not JSON) keep the warm-start load O(load) even for hundreds of
-    levels.
+    The BSP engines wrote their iterations this way before the dict store
+    was retired; a restore still reads such snapshots.  Arrays (not JSON)
+    keep the warm-start load O(load) even for hundreds of levels.
     """
     arrays: Arrays = {}
     for level, iteration in enumerate(iterations):

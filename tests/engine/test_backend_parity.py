@@ -4,11 +4,11 @@ The array kernels' contract is *bitwise identity* with the Python loops:
 they reduce in the reference order, so states, round counts, edge
 activations and the selective engines' dependency forests must all equal
 the reference run — not merely approximate it.  The reference run is the
-same algorithm with its algebra undeclared (:func:`undeclared.undeclared`),
-which every kernel declines.  The suite drives every engine through random
-delta sequences (edge churn, and edge churn mixed with vertex turnover,
-which shifts the CSR id space) on both routes, and checks the batch runner
-on the same community graph.
+same engine with every kernel bound to its oracle loop
+(:func:`oracles.oracle_engine`).  The suite drives every engine through
+random delta sequences (edge churn, and edge churn mixed with vertex
+turnover, which shifts the CSR id space) on both routes, and checks the
+batch runner on the same community graph.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.engine.runner import run_batch
 from repro.graph.generators import community_graph
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
-from undeclared import undeclared  # noqa: E402  (tests/)
+from oracles import oracle_engine, oracle_run_batch  # noqa: E402  (tests/)
 
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 ENGINES = ["restart", "kickstarter", "risgraph", "graphbolt", "dzig", "ingress", "layph"]
@@ -77,6 +77,7 @@ def _metrics_fingerprint(metrics):
 
 def _parent_forest(engine):
     """The selective engines' dependency forest, whichever store holds it."""
+    engine = engine._storage_target()
     if getattr(engine, "dep_table", None) is not None:
         return engine.dep_table.to_parents_dict()
     parents = getattr(engine, "parents", None)
@@ -100,8 +101,7 @@ def _mixed_delta(graph, step: int):
     )
 
 
-def _run_sequence(engine_name: str, spec, make_delta):
-    engine = build_engine(engine_name, spec)
+def _run_sequence(engine, make_delta):
     graph = _base_graph()
     engine.initialize(graph)
     outputs = []
@@ -114,8 +114,8 @@ def _run_sequence(engine_name: str, spec, make_delta):
 
 def _assert_parity(engine_name: str, algorithm: str, make_delta) -> None:
     spec = make_algorithm(algorithm, source=0)
-    reference, reference_forest = _run_sequence(engine_name, undeclared(spec), make_delta)
-    vectorized, vectorized_forest = _run_sequence(engine_name, spec, make_delta)
+    reference, reference_forest = _run_sequence(oracle_engine(engine_name, spec), make_delta)
+    vectorized, vectorized_forest = _run_sequence(build_engine(engine_name, spec), make_delta)
     for step, (expected, actual) in enumerate(zip(reference, vectorized)):
         assert expected[0] == actual[0], f"states diverged at delta {step}"
         assert expected[1] == actual[1], f"metrics diverged at delta {step}"
@@ -136,7 +136,7 @@ def test_engine_parity_over_vertex_turnover(engine_name, algorithm):
 def test_batch_parity(algorithm):
     spec = make_algorithm(algorithm, source=0)
     graph = _base_graph()
-    reference = run_batch(undeclared(spec), graph)
+    reference = oracle_run_batch(spec, graph)
     vectorized = run_batch(spec, graph)
     assert _hex_states(reference.states) == _hex_states(vectorized.states)
     assert _metrics_fingerprint(reference.metrics) == _metrics_fingerprint(

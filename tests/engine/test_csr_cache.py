@@ -23,7 +23,7 @@ from repro.graph.generators import community_graph
 from repro.graph.graph import Graph
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
-from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
+from oracles import ROUTES, engine_on_route  # noqa: E402  (tests/)
 
 ALL_SPECS = [SSSP(source=0), BFS(source=0), PageRank(), PHP(source=0)]
 
@@ -314,14 +314,13 @@ class TestUndirectedGraphs:
         # endpoints (review regression): incremental == batch on G ⊕ ΔG.
         from repro.engine.algorithms import make_algorithm
         from repro.engine.runner import run_batch
-        from repro.incremental import make_engine
 
         graph = self._undirected_graph()
         delta = GraphDelta.from_edge_changes(additions=[(0, 3, 4.0)], deletions=[(1, 2)])
         spec = make_algorithm("pagerank")
         reference = run_batch(make_algorithm("pagerank"), delta.apply(graph)).states
         for route in ROUTES:
-            engine = make_engine(engine_name, on_route(spec, route))
+            engine = engine_on_route(engine_name, spec, route)
             engine.initialize(graph.copy())
             result = engine.apply_delta(delta)
             assert set(result.states) == set(reference)
@@ -334,20 +333,19 @@ class TestUndirectedGraphs:
 class TestEngineDeltaSequences:
     """Engine-level lockdown of the patched-CSR path: a sequence of deltas
     through Ingress (which propagates over the cached full-graph CSR) must
-    stay bitwise-identical to the reference loops an undeclared algebra takes,
-    for all four algorithms."""
+    stay bitwise-identical to the oracle engine's reference loops, for all
+    four algorithms."""
 
     @pytest.mark.parametrize("algorithm", ["sssp", "bfs", "pagerank", "php"])
     def test_ingress_sequence_identical_across_routes(self, algorithm):
         from repro.engine.algorithms import make_algorithm
         from repro.graph.generators import erdos_renyi_graph
-        from repro.incremental import make_engine
         from repro.workloads.updates import random_edge_delta
 
         graph = erdos_renyi_graph(120, 700, weighted=True, seed=2)
         results = {}
         for route in ROUTES:
-            engine = make_engine("ingress", on_route(make_algorithm(algorithm, source=0), route))
+            engine = engine_on_route("ingress", make_algorithm(algorithm, source=0), route)
             engine.initialize(graph.copy())
             current = graph.copy()
             runs = []
@@ -356,7 +354,7 @@ class TestEngineDeltaSequences:
                 runs.append(engine.apply_delta(delta))
                 current = delta.apply(current)
             results[route] = (runs, engine)
-        py_runs, _ = results["undeclared"]
+        py_runs, _ = results["oracle"]
         np_runs, np_engine = results["declared"]
         assert np_engine.csr_cache.patches >= 6  # the CSR was patched, not recompiled
         for py, vec in zip(py_runs, np_runs):
@@ -536,9 +534,7 @@ class TestSlabsFromPatchedSnapshots:
         return delta
 
     def _slab(self, spec, cache: CSRCache, graph: Graph):
-        built = build_propagation_slab(spec, cache.adjacency(spec, graph), {}, {0: 1.0})
-        assert built is not None, "slab compilation unexpectedly fell back"
-        return built
+        return build_propagation_slab(spec, cache.adjacency(spec, graph), {}, {0: 1.0})
 
     def _assert_slab_matches_fresh(self, spec, cache: CSRCache, graph: Graph) -> None:
         slab, ids = self._slab(spec, cache, graph)

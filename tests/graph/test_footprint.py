@@ -13,8 +13,7 @@ sides:
 * **engine conformance** — every incremental engine must produce bitwise
   identical states, rounds and edge activations whether its footprints read
   the cached CSR snapshots or are forced onto the dict fallback, on both
-  routes (array kernels, and the reference loops an undeclared algebra
-  takes);
+  routes (array kernels, and the reference loops of the oracle engine);
 * **installation** — every engine builds the footprint of each delta it
   applies, on both routes, with the membership diff of the two graphs.
 """
@@ -27,7 +26,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
@@ -38,7 +36,7 @@ from repro.incremental import base
 from repro.incremental.revision import changed_out_sources
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
-from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
+from oracles import ROUTES, engine_on_route  # noqa: E402  (tests/)
 
 SETTINGS = settings(
     max_examples=20,
@@ -261,9 +259,7 @@ def _dict_footprint(spec, old_graph, new_graph, delta, **_snapshots):
 def _run_sequence(engine_name, algorithm, route, graph, deltas, with_csr):
     footprint_class = DeltaFootprint if with_csr else _dict_footprint
     with mock.patch.object(base, "DeltaFootprint", footprint_class):
-        engine = build_engine(
-            engine_name, on_route(make_algorithm(algorithm, source=0), route)
-        )
+        engine = engine_on_route(engine_name, make_algorithm(algorithm, source=0), route)
         engine.initialize(graph.copy())
         outcomes = []
         for delta in deltas:
@@ -336,9 +332,7 @@ class TestEveryEngineInstallsTheFootprint:
         self, engine_name, algorithm, route
     ):
         graph = erdos_renyi_graph(30, 90, weighted=True, seed=4)
-        engine = build_engine(
-            engine_name, on_route(make_algorithm(algorithm, source=0), route)
-        )
+        engine = engine_on_route(engine_name, make_algorithm(algorithm, source=0), route)
         engine.initialize(graph.copy())
         current = graph
         for step in range(4):

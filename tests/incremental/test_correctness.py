@@ -14,7 +14,7 @@ from repro.graph.delta import GraphDelta
 from repro.graph.generators import community_graph, erdos_renyi_graph
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
-from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
+from oracles import ROUTES, engine_on_route  # noqa: E402  (tests/)
 
 ALL_ENGINES = ["restart", "kickstarter", "risgraph", "graphbolt", "dzig", "ingress", "layph"]
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
@@ -152,7 +152,7 @@ class TestFullRemovalDelta:
         delta = GraphDelta()
         for vertex in graph.vertices():
             delta.delete_vertex(vertex)
-        engine = build_engine(engine_name, on_route(make_algorithm("pagerank"), route))
+        engine = engine_on_route(engine_name, make_algorithm("pagerank"), route)
         engine.initialize(graph.copy())
         result = engine.apply_delta(delta)
         assert result.states == {}

@@ -1,40 +1,34 @@
 """Property and lifecycle tests for the dense dependency table.
 
 ``repro.incremental.dep_table.DepTable`` must be bitwise interchangeable
-with the dict reference (:mod:`repro.incremental.dependency`) across the
-whole selective subsystem: KickStarter's DAG trimming, RisGraph's classified
-single-parent invalidation and Ingress's memoization path — identical final
-states, per-delta metrics (rounds, edge activations) and dependency parents
-over random edge+vertex delta sequences, in both graph orientations, with
-the dense gate forced shut from the test, and across mid-run demotion when a
-delta introduces factors the array algebra cannot replay.  Layph's selective
-path rides the same matrix (its upper-layer invalidation consumes the
-footprint's row diff rather than the table, but must stay bitwise stable
-across both routes: the declared algebra and its undeclared clone).
+with the dict walks of the test oracles (:mod:`oracles.dependency`) across
+the whole selective subsystem: KickStarter's DAG trimming, RisGraph's
+classified single-parent invalidation and Ingress's memoization path —
+identical final states, per-delta metrics (rounds, edge activations) and
+dependency parents over random edge+vertex delta sequences, in both graph
+orientations.  Layph's selective path rides the same matrix (its upper-layer
+invalidation consumes the footprint's row diff rather than the table, but
+must stay bitwise stable across both routes: its kernels and the oracle).
 """
 
 from __future__ import annotations
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench.harness import build_engine
-from repro.engine.algorithms import SSSP, make_algorithm
+from repro.engine.algorithms import make_algorithm
 from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.graph import Graph
 from repro.incremental import make_engine
-from repro.incremental import selective_base
 from repro.incremental.dep_table import DepTable
-from repro.incremental import dependency
 from repro.workloads.updates import random_edge_delta
 
-from undeclared import on_route, undeclared  # noqa: E402  (tests/)
+from oracles import dependency, engine_on_route, oracle_engine  # noqa: E402  (tests/)
 
 SETTINGS = settings(
     max_examples=20,
@@ -227,41 +221,31 @@ class TestDepTableMechanics:
 # ----------------------------------------------------------------------
 # engine equivalence: dense table == dict reference, bitwise
 # ----------------------------------------------------------------------
-def _dict_gate(self, old_graph):
-    """A dense gate that always fails: every delta runs on the dict store."""
-    return None
-
-
-def _run_sequence(engine_name, algorithm, route, graph, deltas, dense):
-    engine_class = selective_base.SelectiveDependencyEngine
-    gate = engine_class._sync_dep_table if dense else _dict_gate
-    with mock.patch.object(engine_class, "_sync_dep_table", gate):
-        engine = build_engine(
-            engine_name, on_route(make_algorithm(algorithm, source=0), route)
-        )
-        engine.initialize(graph.copy())
-        outcomes = []
-        for delta in deltas:
-            result = engine.apply_delta(delta)
-            core = _core(engine)
-            if getattr(core, "dep_table", None) is not None:
-                parents = core.dep_table.to_parents_dict()
-            else:
-                parents = dict(getattr(core, "parents", {}))
-            outcomes.append(
-                (
-                    dict(result.states),
-                    result.metrics.edge_activations,
-                    result.metrics.iterations,
-                    result.metrics.activations_per_round,
-                    parents,
-                )
+def _run_sequence(engine_name, algorithm, route, graph, deltas):
+    engine = engine_on_route(engine_name, make_algorithm(algorithm, source=0), route)
+    engine.initialize(graph.copy())
+    outcomes = []
+    for delta in deltas:
+        result = engine.apply_delta(delta)
+        core = _core(engine)
+        if getattr(core, "dep_table", None) is not None:
+            parents = core.dep_table.to_parents_dict()
+        else:
+            parents = dict(getattr(core, "parents", {}))
+        outcomes.append(
+            (
+                dict(result.states),
+                result.metrics.edge_activations,
+                result.metrics.iterations,
+                result.metrics.activations_per_round,
+                parents,
             )
+        )
     return engine, outcomes
 
 
 class TestDenseDictEquivalence:
-    """Dense table vs dict store (and vs the undeclared clone): bitwise."""
+    """Dense table vs the oracle's dict store: bitwise."""
 
     @SETTINGS
     @given(
@@ -271,29 +255,19 @@ class TestDenseDictEquivalence:
     )
     def test_dense_matches_dict_reference(self, data, engine_name, algorithm):
         graph, deltas = data
-        py_engine, py = _run_sequence(
-            engine_name, algorithm, "undeclared", graph, deltas, True
-        )
-        dense_engine, dense = _run_sequence(
-            engine_name, algorithm, "declared", graph, deltas, True
-        )
-        dict_engine, dict_ = _run_sequence(
-            engine_name, algorithm, "declared", graph, deltas, False
-        )
+        py_engine, py = _run_sequence(engine_name, algorithm, "oracle", graph, deltas)
+        _dense_engine, dense = _run_sequence(engine_name, algorithm, "declared", graph, deltas)
 
-        # A shut gate keeps everything on dicts; the undeclared clone too.
+        # the oracle keeps its forest in the dict store
         if engine_name != "layph":
             assert _core(py_engine).dep_table is None
-            assert _core(dict_engine).dep_table is None
-            assert _core(dict_engine).dict_deltas == len(deltas)
 
-        for other in (dense, dict_):
-            for mine, theirs in zip(other, py):
-                assert mine[0] == theirs[0]  # states, bitwise
-                assert mine[1] == theirs[1]  # edge activations
-                assert mine[2] == theirs[2]  # rounds
-                assert mine[3] == theirs[3]  # per-round activations
-                assert mine[4] == theirs[4]  # dependency parents
+        for mine, theirs in zip(dense, py):
+            assert mine[0] == theirs[0]  # states, bitwise
+            assert mine[1] == theirs[1]  # edge activations
+            assert mine[2] == theirs[2]  # rounds
+            assert mine[3] == theirs[3]  # per-round activations
+            assert mine[4] == theirs[4]  # dependency parents
 
     @SETTINGS
     @given(oriented_graph_and_delta_sequence(), st.sampled_from(ALGORITHMS))
@@ -306,17 +280,7 @@ class TestDenseDictEquivalence:
         for delta in deltas:
             engine.apply_delta(delta)
         assert engine.dense_deltas == len(deltas)
-        assert engine.dict_deltas == 0
         assert engine.dep_table is not None
-
-
-# ----------------------------------------------------------------------
-# lifecycle: gates, demotion, re-promotion
-# ----------------------------------------------------------------------
-class _UndeclaredSSSP(SSSP):
-    """SSSP that does not declare its algebra to the array kernels."""
-
-    dense_algebra = None
 
 
 class TestDepTableLifecycle:
@@ -324,95 +288,34 @@ class TestDepTableLifecycle:
     def graph(self):
         return erdos_renyi_graph(40, 160, weighted=True, seed=2)
 
-    def test_undeclared_clone_stays_on_dicts(self, graph):
-        engine = make_engine("risgraph", undeclared(make_algorithm("sssp", source=0)))
-        engine.initialize(graph.copy())
-        engine.apply_delta(random_edge_delta(graph, 3, 3, seed=1, protect=0))
-        assert engine.dep_table is None
-        assert engine.dict_deltas == 1
+    def test_initialize_builds_the_oracle_forest(self, graph):
+        for name in ("kickstarter", "risgraph", "ingress"):
+            engine = make_engine(name, make_algorithm("sssp", source=0))
+            reference = oracle_engine(name, make_algorithm("sssp", source=0))
+            engine.initialize(graph.copy())
+            reference.initialize(graph.copy())
+            assert _core(engine).dep_table.to_parents_dict() == _core(reference).parents
 
-    @pytest.mark.parametrize("engine_name", ["kickstarter", "risgraph"])
-    def test_undeclared_algebra_stays_on_dicts(self, graph, engine_name):
-        engine = make_engine(engine_name, _UndeclaredSSSP(source=0))
-        reference = make_engine(engine_name, make_algorithm("sssp", source=0))
-        engine.initialize(graph.copy())
-        reference.initialize(graph.copy())
-        current = graph
-        for seed in (1, 2, 3):
-            delta = random_edge_delta(current, 3, 3, seed=seed, protect=0)
-            result = engine.apply_delta(delta)
-            expected = reference.apply_delta(delta)
-            assert result.states == expected.states
-            assert result.metrics.edge_activations == expected.metrics.edge_activations
-            current = delta.apply(current)
-        assert engine.dep_table is None
-        assert engine.dict_deltas == 3
-        assert reference.dep_table is not None
-        assert engine.parents == reference.dep_table.to_parents_dict()
-
-    def test_gate_failure_demotes_next_delta(self, graph, monkeypatch):
-        engine = make_engine("risgraph", make_algorithm("sssp", source=0))
-        engine.initialize(graph.copy())
-        delta = random_edge_delta(graph, 3, 3, seed=4, protect=0)
-        engine.apply_delta(delta)
-        assert engine.dep_table is not None
-        parents_dense = engine.dep_table.to_parents_dict()
-        # an algebra the array kernels cannot express shuts the dense gate
-        monkeypatch.setattr(selective_base, "classify_spec", lambda spec: None)
-        current = delta.apply(graph)
-        engine.apply_delta(random_edge_delta(current, 3, 3, seed=5, protect=0))
-        assert engine.dep_table is None
-        # Demotion exported the dense parents into the dict store.
-        assert set(engine.parents) == set(engine.states)
-        assert parents_dense.keys() == set(current.vertices())
-
-    def test_nan_weight_delta_demotes_and_repromores(self, graph):
-        engine = make_engine(
-            "kickstarter", make_algorithm("sssp", source=0)
-        )
-        reference = make_engine(
-            "kickstarter", undeclared(make_algorithm("sssp", source=0))
-        )
+    def test_nan_weight_delta_is_rejected(self, graph):
+        engine = make_engine("kickstarter", make_algorithm("sssp", source=0))
+        reference = oracle_engine("kickstarter", make_algorithm("sssp", source=0))
         engine.initialize(graph.copy())
         reference.initialize(graph.copy())
+        before = (engine.graph, dict(engine.states), engine.dep_table.to_parents_dict())
 
-        # A NaN weight lands in the cached CSR factors (demoting the dense
-        # path) but hangs off a fresh, source-unreachable vertex so the NaN
-        # never propagates — selective propagation of a NaN value would
-        # otherwise round forever (NaN != NaN counts as a change each time).
         poison = GraphDelta()
         poison.add_edge(9998, 9999, math.nan)
-        result = engine.apply_delta(poison)
-        expected = reference.apply_delta(poison)
-        # The NaN factor forced the dict reference mid-run.
-        assert engine.dep_table is None
-        assert engine.dict_deltas == 1
+        with pytest.raises(ValueError, match="non-finite weight"):
+            engine.apply_delta(poison)
+        assert engine.graph is before[0]
+        assert engine.states == before[1]
+        assert engine.dep_table.to_parents_dict() == before[2]
+        assert engine.dense_deltas == 0
 
-        def same(left, right):
-            assert set(left) == set(right)
-            for vertex in left:
-                a, b = left[vertex], right[vertex]
-                assert a == b or (math.isnan(a) and math.isnan(b)), (vertex, a, b)
-
-        same(result.states, expected.states)
-
-        # Removing the NaN edge re-promotes the table from the dict store on
-        # the next clean delta (the gate inspects the pre-delta snapshots,
-        # which still carry the NaN factor during the curing delta itself).
-        cure = GraphDelta()
-        cure.delete_edge(9998, 9999)
-        result = engine.apply_delta(cure)
-        expected = reference.apply_delta(cure)
-        assert engine.dep_table is None
-        same(result.states, expected.states)
-
-        current = cure.apply(poison.apply(graph))
-        clean = random_edge_delta(current, 3, 3, seed=9, protect=0)
+        clean = random_edge_delta(graph, 3, 3, seed=9, protect=0)
         result = engine.apply_delta(clean)
         expected = reference.apply_delta(clean)
-        assert engine.dep_table is not None
-        assert engine.dense_deltas == 1
-        same(result.states, expected.states)
+        assert result.states == expected.states
         assert engine.dep_table.to_parents_dict() == reference.parents
 
 
@@ -458,7 +361,7 @@ class TestIncrementalMaintenance:
     def test_partial_refresh_matches_dict_reference(self):
         spec = make_algorithm("sssp", source=0)
         dense = make_engine("risgraph", spec)
-        reference = make_engine("risgraph", undeclared(spec))
+        reference = oracle_engine("risgraph", spec)
         graph = self._graph(seed=3)
         dense.initialize(graph)
         reference.initialize(graph.copy())
@@ -501,7 +404,7 @@ class TestIncrementalMaintenance:
         proves the moved rows are swept at their patched level."""
         spec = make_algorithm("bfs", source=0)
         dense = make_engine("kickstarter", spec)
-        reference = make_engine("kickstarter", undeclared(spec))
+        reference = oracle_engine("kickstarter", spec)
         graph = self._graph(seed=11)
         dense.initialize(graph)
         reference.initialize(graph.copy())

@@ -1,12 +1,11 @@
 """Unit tests for the dense memoized-iteration store (``repro.incremental.memo``).
 
-The bitwise equivalence of the dense store against the dict reference over
-random delta sequences lives in ``tests/test_properties.py``
+The bitwise equivalence of the dense store against the oracle's dict store
+over random delta sequences lives in ``tests/test_properties.py``
 (``TestMemoStoreEquivalence``); this module covers the table mechanics —
 amortized growth, NaN masking, index remapping on vertex deltas — plus the
-engine-level lifecycle: activation gates, the dict store forced from the
-test, and graceful demotion to the dict reference when the in-edge CSR
-becomes unavailable mid-run.
+engine-level lifecycle: the store built by ``initialize``, parity with the
+oracle, and a NaN-weight delta refused without touching the store.
 """
 
 import math
@@ -14,15 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.engine.algorithms import PageRank, make_algorithm
+from repro.engine.algorithms import make_algorithm
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import erdos_renyi_graph
 from repro.incremental import make_engine
-from repro.incremental.graphbolt import GraphBoltEngine
 from repro.incremental.memo import MemoRow, MemoTable, refinement_preamble
 from repro.workloads.updates import random_edge_delta
 
-from undeclared import undeclared  # noqa: E402  (tests/)
+from oracles import oracle_engine  # noqa: E402  (tests/)
 
 
 class TestMemoTable:
@@ -164,26 +162,6 @@ class TestRefinementPreamble:
         assert calls, f"{engine_name} did not use the shared preamble helper"
 
 
-class _NaNFactorPageRank(PageRank):
-    """PageRank whose factors turn NaN on negative-weight edges.
-
-    The declared algebra still probes clean, so the array BSP path activates
-    on NaN-free graphs; a delta that introduces a negative weight then makes
-    the in-edge CSR unusable and must demote the dense store gracefully.
-    """
-
-    def edge_factor(self, graph, source, target):
-        if graph.out_neighbors(source).get(target, 1.0) < 0:
-            return math.nan
-        return super().edge_factor(graph, source, target)
-
-
-class _UndeclaredPageRank(PageRank):
-    """PageRank that does not declare its algebra to the array kernels."""
-
-    dense_algebra = None
-
-
 class TestEngineLifecycle:
     @pytest.fixture()
     def graph(self):
@@ -198,36 +176,7 @@ class TestEngineLifecycle:
         assert engine.memo.num_levels == len(engine.iterations)
 
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
-    def test_undeclared_clone_stays_on_dicts(self, graph, engine_name):
-        engine = make_engine(engine_name, undeclared(make_algorithm("pagerank")))
-        engine.initialize(graph.copy())
-        assert engine.memo is None
-        assert engine.iterations
-
-    @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
-    def test_undeclared_algebra_stays_on_dicts(self, graph, engine_name):
-        engine = make_engine(engine_name, _UndeclaredPageRank())
-        reference = make_engine(engine_name, make_algorithm("pagerank"))
-        engine.initialize(graph.copy())
-        reference.initialize(graph.copy())
-        assert engine.memo is None
-        assert reference.memo is not None
-        current = graph
-        for seed in (1, 2):
-            delta = random_edge_delta(current, 4, 4, seed=seed, protect=0)
-            result = engine.apply_delta(delta)
-            expected = reference.apply_delta(delta)
-            assert result.states == expected.states
-            assert (
-                result.metrics.activations_per_round
-                == expected.metrics.activations_per_round
-            )
-            current = delta.apply(current)
-        assert engine.memo is None
-        assert engine.iterations == reference.iterations
-
-    @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
-    def test_dict_store_matches_dense_bitwise(self, graph, engine_name, monkeypatch):
+    def test_dict_store_matches_dense_bitwise(self, graph, engine_name):
         deltas = []
         current = graph
         for seed in (1, 2, 3):
@@ -235,22 +184,13 @@ class TestEngineLifecycle:
             deltas.append(delta)
             current = delta.apply(current)
 
-        def run(dense: bool):
-            with monkeypatch.context() as patch:
-                if not dense:
-                    # no vectorized pull: the engine keeps its dict store
-                    patch.setattr(GraphBoltEngine, "_bsp_csr", lambda self, graph: None)
-                engine = make_engine(
-                    engine_name, make_algorithm("pagerank")
-                )
-                initial = engine.initialize(graph.copy())
-                results = [engine.apply_delta(delta) for delta in deltas]
-            return engine, initial, results
+        def run(engine):
+            initial = engine.initialize(graph.copy())
+            return engine, initial, [engine.apply_delta(delta) for delta in deltas]
 
-        dense_engine, dense_init, dense_results = run(dense=True)
-        dict_engine, dict_init, dict_results = run(dense=False)
-        assert dense_engine.memo is not None
-        assert dict_engine.memo is None
+        spec = make_algorithm("pagerank")
+        dense_engine, dense_init, dense_results = run(make_engine(engine_name, spec))
+        dict_engine, dict_init, dict_results = run(oracle_engine(engine_name, spec))
         assert dense_init.states == dict_init.states
         for dense_result, dict_result in zip(dense_results, dict_results):
             assert dense_result.states == dict_result.states
@@ -265,45 +205,17 @@ class TestEngineLifecycle:
         assert dense_engine.iterations == dict_engine.iterations
 
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
-    def test_nan_factor_delta_demotes_to_dict_reference(self, graph, engine_name):
-        spec = _NaNFactorPageRank()
-        engine = make_engine(engine_name, spec)
+    def test_nan_weight_delta_is_rejected(self, graph, engine_name):
+        engine = make_engine(engine_name, make_algorithm("pagerank"))
         engine.initialize(graph.copy())
-        assert engine.memo is not None
-
-        reference = make_engine(engine_name, undeclared(_NaNFactorPageRank()))
-        reference.initialize(graph.copy())
+        before = (engine.graph, dict(engine.states), engine.iterations)
 
         source = next(iter(graph.vertices()))
         target = next(t for t in graph.out_neighbors(source))
         delta = GraphDelta()
-        delta.add_edge(source, target, -5.0)
-
-        result = engine.apply_delta(delta)
-        expected = reference.apply_delta(delta)
-        # The dense store demoted itself and refinement continued on dicts.
-        assert engine.memo is None
-        assert engine.iterations
-
-        def same(left, right):
-            assert set(left) == set(right)
-            for vertex in left:
-                a, b = left[vertex], right[vertex]
-                assert a == b or (math.isnan(a) and math.isnan(b)), (vertex, a, b)
-
-        # The NaN factor propagates NaN values identically on both paths.
-        same(result.states, expected.states)
-        assert len(engine.iterations) == len(reference.iterations)
-        for dense_level, dict_level in zip(engine.iterations, reference.iterations):
-            same(dense_level, dict_level)
-
-    def test_gate_failure_demotes_next_delta(self, graph, monkeypatch):
-        engine = make_engine("graphbolt", make_algorithm("pagerank"))
-        engine.initialize(graph.copy())
-        assert engine.memo is not None
-        levels_before = engine.iterations
-        monkeypatch.setattr(GraphBoltEngine, "_bsp_csr", lambda self, graph: None)
-        delta = random_edge_delta(graph, 3, 3, seed=6, protect=0)
-        engine.apply_delta(delta)
-        assert engine.memo is None
-        assert len(engine.iterations) >= len(levels_before)
+        delta.add_edge(source, target, math.nan)
+        with pytest.raises(ValueError, match="non-finite weight"):
+            engine.apply_delta(delta)
+        assert engine.graph is before[0]
+        assert engine.states == before[1]
+        assert engine.iterations == before[2]

@@ -12,7 +12,7 @@ from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayphConfig
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
-from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
+from oracles import ROUTES, engine_on_route  # noqa: E402  (tests/)
 
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 
@@ -138,8 +138,8 @@ class TestVertexDeletionInvalidates:
 
     def test_deleted_boundary_vertex_was_the_unique_support(self, algorithm, route):
         graph = _support_graph()
-        spec = on_route(make_algorithm(algorithm, source=100), route)
-        engine = LayphEngine(spec, LayphConfig(seed=4))
+        spec = make_algorithm(algorithm, source=100)
+        engine = engine_on_route("layph", spec, route, LayphConfig(seed=4))
         engine.initialize(graph)
         layered = engine.layered
         owner = layered.subgraphs[layered.subgraph_of[7]]
@@ -162,8 +162,8 @@ class TestVertexDeletionInvalidates:
     def test_random_vertex_churn_matches_batch_after_every_delta(
         self, algorithm, route, seed, graph
     ):
-        spec = on_route(make_algorithm(algorithm, source=0), route)
-        engine = LayphEngine(spec, LayphConfig(seed=4))
+        spec = make_algorithm(algorithm, source=0)
+        engine = engine_on_route("layph", spec, route, LayphConfig(seed=4))
         engine.initialize(graph)
         assert engine.layered.subgraphs
         current = graph

@@ -12,8 +12,8 @@ from repro.layph.dense import classify_boundary, is_dense, select_dense_subgraph
 from repro.layph.layered_graph import LayeredGraph, LayphConfig
 from repro.layph.shortcuts import compute_shortcuts_from
 
-from oracles import compute_all_shortcuts  # noqa: E402  (tests/layph)
-from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
+from oracles.layph import compute_all_shortcuts  # noqa: E402  (tests/layph)
+from oracles import ROUTES, engine_on_route  # noqa: E402  (tests/)
 
 
 class TestLouvain:
@@ -310,7 +310,6 @@ class TestConstructionMetricsStayBounded:
         from repro.engine.algorithms import make_algorithm
         from repro.engine.metrics import ExecutionMetrics
         from repro.graph.generators import community_graph
-        from repro.layph.engine import LayphEngine
         from repro.workloads.updates import random_edge_delta
 
         graph = community_graph(
@@ -320,7 +319,7 @@ class TestConstructionMetricsStayBounded:
             weighted=True,
             seed=13,
         )
-        engine = LayphEngine(on_route(make_algorithm(algorithm, source=0), route))
+        engine = engine_on_route("layph", make_algorithm(algorithm, source=0), route)
         engine.initialize(graph)
         layered = engine.layered
         construction = layered.construction_metrics

@@ -17,7 +17,7 @@ from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayphConfig
 from repro.layph.shortcuts import compute_shortcuts_from
 
-from oracles import update_shortcut_vector  # noqa: E402  (tests/layph)
+from oracles.layph import update_shortcut_vector  # noqa: E402  (tests/layph)
 
 # Intra-subgraph edges of the example's dense subgraph, entry v0, exit v4.
 OLD_EDGES = {

@@ -6,8 +6,8 @@ split, the dirty rows of its local adjacency (with the memoized compile
 spliced along) and the changed sources its shortcut maintenance starts from.
 Every refresh — the build's included — is checked here against the
 from-scratch derivation of :mod:`oracles`, for all four algorithms
-on both routes (array kernels, and the reference loops of the undeclared
-clone), over a delta sequence that mixes intra-subgraph churn,
+on both routes (array kernels, and the reference loops of the oracle
+engine), over a delta sequence that mixes intra-subgraph churn,
 cross edges, the out-edges of replicated hosts, exit proxies that form and
 go, vertex deletions whose expanded in-edges dirty rows the delta never
 names, and new vertices.
@@ -26,17 +26,15 @@ import pytest
 
 from repro.engine.algorithms import make_algorithm
 from repro.engine.propagation import FactorAdjacency
-from repro.engine.runner import run_batch
 from repro.graph.csr import FactorCSR
 from repro.graph.csr_cache import resident_master_csr
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import community_graph
-from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayeredGraph, LayphConfig
 from repro.storage.store import restore_engine
 
-from oracles import changed_local_sources, rebuild_subgraph  # noqa: E402  (tests/layph)
-from undeclared import ROUTES, on_route, undeclared  # noqa: E402  (tests/)
+from oracles.layph import changed_local_sources, rebuild_subgraph  # noqa: E402  (tests/layph)
+from oracles import ROUTES, engine_on_route, oracle_run_batch  # noqa: E402  (tests/)
 
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 NUM_DELTAS = 20
@@ -246,8 +244,8 @@ def test_every_refresh_matches_a_whole_subgraph_rebuild(monkeypatch, algorithm, 
     monkeypatch.setattr(LayeredGraph, "_stale_shortcut_sources", staticmethod(recording_stale))
     monkeypatch.setattr(LayeredGraph, "_refresh_subgraph", checked_refresh)
 
-    spec = on_route(make_algorithm(algorithm, source=0), route)
-    engine = LayphEngine(spec, config=_config())
+    spec = make_algorithm(algorithm, source=0)
+    engine = engine_on_route("layph", spec, route, _config())
     engine.initialize(_graph())
     assert engine.layered.proxy_vertices(), "no proxy formed"
     tolerance = 1e-9 if spec.is_selective() else 1e-3
@@ -255,7 +253,7 @@ def test_every_refresh_matches_a_whole_subgraph_rebuild(monkeypatch, algorithm, 
     for step in range(NUM_DELTAS):
         result = engine.apply_delta(_next_delta(engine, step, rng))
         _assert_proxy_rows_current(engine.layered)
-        reference = run_batch(undeclared(spec), engine.graph).states
+        reference = oracle_run_batch(spec, engine.graph).states
         assert spec.states_match(result.states, reference, tolerance=tolerance), f"delta {step}"
 
     assert seen["changed"], "no refresh changed a local row"
@@ -287,18 +285,16 @@ def _state_bits(states):
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("algorithm", ["pagerank", "sssp"])
 def test_restored_engine_continues_bitwise(monkeypatch, tmp_path, algorithm, route):
-    # a store records the algorithm by name, so the restore rebuilds the
-    # spec on the same route as the live engine's
-    from repro.storage import store as store_module
+    # the restore rebuilds the engine on the same route as the live one
+    from repro.bench import harness
 
-    spec_from_identity = store_module._spec_from_identity
     monkeypatch.setattr(
-        store_module,
-        "_spec_from_identity",
-        lambda identity: on_route(spec_from_identity(identity), route),
+        harness,
+        "build_engine",
+        lambda name, spec, config=None: engine_on_route(name, spec, route, config),
     )
-    spec = on_route(make_algorithm(algorithm, source=0), route)
-    live = LayphEngine(spec, config=_config())
+    spec = make_algorithm(algorithm, source=0)
+    live = engine_on_route("layph", spec, route, _config())
     live.initialize(_graph())
     rng = random.Random(9)
     for step in range(4):

@@ -4,10 +4,9 @@ Every shortcut solve and every incremental revision of a
 :class:`repro.layph.shortcuts.ShortcutBatch` — all of one delta's refreshed
 subgraphs — runs in a single :func:`repro.parallel.slabs.run_shortcut_solves`
 call over a ragged, block-diagonal layout.  Every vector it produces must
-equal the reference loops' (:func:`repro.layph.shortcuts.compute_shortcuts_from`
-per solve, :func:`oracles.update_shortcut_vector` per revision, run on the
-undeclared clone of the spec, see :mod:`undeclared`): the same values and the
-same recorded work.  Key order is the one the reference's ``propagate``
+equal the reference loops' (:func:`oracles.loops.propagate_shortcuts` per
+solve, :func:`oracles.loops.revise_shortcuts` per revision): the same values
+and the same recorded work.  Key order is the one the reference's ``propagate``
 write-backs leave when the array propagation kernel runs them — for a
 solve, rows touched in round 0 (the source) first, then the rest ascending;
 for a revision, the old keys in place, then the new rows ascending — which
@@ -20,33 +19,30 @@ from __future__ import annotations
 
 import math
 import random
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine.algorithms import PHP, SSSP, PageRank, make_algorithm
-from repro.engine.dense_propagation import classify_spec
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.propagation import FactorAdjacency
+from repro.engine.propagation import FactorAdjacency, propagate
 from repro.graph.generators import community_graph
 from repro.layph import shortcuts as shortcuts_module
 from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayeredGraph, LayphConfig
 from repro.layph.shortcuts import (
     ShortcutBatch,
-    _propagate_shortcuts,
-    _revise_reference,
     compute_shortcut_vectors,
-    compute_shortcuts_from,
     shortcut_revision,
 )
 
-from oracles import (  # noqa: E402  (tests/layph)
+from oracles import ROUTES, loops, oracle_class, oracle_engine, oracle_loops  # noqa: E402  (tests/)
+from oracles.layph import (  # noqa: E402  (tests/)
     changed_local_sources,
     compute_all_shortcuts,
     update_shortcut_vector,
 )
-from undeclared import undeclared  # noqa: E402  (tests/)
 
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 
@@ -69,11 +65,11 @@ def assert_batch_matches_reference(spec, local, sources, boundary):
     )
     python_metrics = ExecutionMetrics()
     python = [
-        compute_shortcuts_from(undeclared(spec), local, source, boundary, python_metrics)
+        loops.propagate_shortcuts(spec, local, source, boundary, python_metrics)
         for source in sources
     ]
     ordered = [
-        _propagate_shortcuts(spec, local, source, boundary)
+        loops.propagate_shortcuts(spec, local, source, boundary, propagate_with=propagate)
         for source in sources
     ]
     assert len(batched) == len(sources)
@@ -100,13 +96,14 @@ def test_batched_boundary_solve_equals_per_source_reference(algorithm, seed):
         seed=seed,
     )
     spec = make_algorithm(algorithm, source=0)
-    layered = LayeredGraph.build(undeclared(spec), graph, LayphConfig(seed=seed))
+    with oracle_loops():
+        layered = LayeredGraph.build(spec, graph, LayphConfig(seed=seed))
     for subgraph in layered.subgraphs:
         sources = sorted(subgraph.boundary)
         batched = assert_batch_matches_reference(
             spec, subgraph.local_adjacency, sources, subgraph.boundary
         )
-        # the undeclared clone's build holds the reference tables
+        # the oracle build holds the reference tables
         for source, vector in zip(sources, batched):
             assert vector == subgraph.shortcuts[source]
 
@@ -124,7 +121,8 @@ def test_numpy_build_matches_python_build(algorithm):
         seed=5,
     )
     spec = make_algorithm(algorithm, source=0)
-    python = LayeredGraph.build(undeclared(spec), graph, LayphConfig(seed=2))
+    with oracle_loops():
+        python = LayeredGraph.build(spec, graph, LayphConfig(seed=2))
     numpy = LayeredGraph.build(spec, graph, LayphConfig(seed=2))
     assert numpy.subgraphs, "the graph formed no dense subgraph"
     for ours, reference in zip(numpy.subgraphs, python.subgraphs):
@@ -149,8 +147,7 @@ def test_delta_sequence_tables_match_python(algorithm):
     totals."""
     from repro.workloads.updates import random_edge_delta
 
-    def run(spec):
-        engine = LayphEngine(spec)
+    def run(engine):
         engine.initialize(
             community_graph(
                 num_communities=3,
@@ -182,8 +179,8 @@ def test_delta_sequence_tables_match_python(algorithm):
         return outputs
 
     spec = make_algorithm(algorithm, source=0)
-    reference = run(undeclared(spec))
-    vectorized = run(spec)
+    reference = run(oracle_engine("layph", spec))
+    vectorized = run(LayphEngine(spec))
     for step, (expected, actual) in enumerate(zip(reference, vectorized)):
         assert expected[0] == actual[0], f"states diverged at delta {step}"
         assert expected[1] == actual[1], f"metrics diverged at delta {step}"
@@ -253,45 +250,37 @@ def test_source_with_an_empty_row(spec):
     assert_batch_matches_reference(spec, local, [0, 3, 4], {0, 3, 4})
 
 
-class _AdditiveSum(PageRank):
-    """A ``(sum, add)`` algebra: the unit 0 is insignificant, so no solve
-    ever runs its first round (``run_first`` false)."""
-
-    name = "additive-sum"
-    dense_algebra = ("sum", "add")
-
-    def combine(self, message: float, factor: float) -> float:
-        return message + factor
-
-    def combine_identity(self) -> float:
-        return 0.0
-
-
-def test_insignificant_unit_skips_the_first_round():
-    spec = _AdditiveSum()
-    assert classify_spec(spec) is not None, "the kernel must handle this algebra"
-    batch = ShortcutBatch(spec)
-    block = batch.block(_cyclic_local(), {0, 3})
-    batch.solve(block, 0, {})
-    assert batch.prepare().scalars["run_first"] is False
-    batched = assert_batch_matches_reference(spec, _cyclic_local(), [0, 3], {0, 3})
-    assert batched == [{}, {}]
-
-
-def test_nan_factor_takes_the_reference_fallback(monkeypatch):
-    local = _cyclic_local()
-    local.add(1, 3, math.nan)
-    spec = SSSP(source=0)
-    batch = ShortcutBatch(spec)
-    block = batch.block(local, {0, 3})
-    batch.solve(block, 0, {})
-    assert batch.prepare() is None
+def test_nan_weight_delta_never_reaches_the_shortcut_kernel(monkeypatch):
+    """A NaN weight is refused at the engine's boundary: no shortcut is
+    solved or revised for it and the engine keeps its states and graph."""
+    graph = community_graph(
+        num_communities=3,
+        community_size_range=(14, 20),
+        intra_edge_probability=0.3,
+        inter_edges_per_community=3,
+        weighted=True,
+        seed=47,
+    )
+    engine = LayphEngine(SSSP(source=0))
+    engine.initialize(graph)
+    subgraph = engine.layered.subgraphs[0]
+    source = min(subgraph.internal)
+    target = next(iter(graph.out_neighbors(source)))
+    before = (engine.graph, dict(engine.states), _shortcut_values(engine.layered))
 
     def fail(**_kwargs):
-        raise AssertionError("NaN factors must not reach the kernel")
+        raise AssertionError("a rejected delta must not reach the kernel")
 
     monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", fail)
-    assert_batch_matches_reference(spec, local, [0, 3], {0, 3})
+    from repro.graph.delta import GraphDelta
+
+    poison = GraphDelta()
+    poison.add_edge(source, target, math.nan)
+    with pytest.raises(ValueError, match="non-finite weight"):
+        engine.apply_delta(poison)
+    assert engine.graph is before[0]
+    assert engine.states == before[1]
+    assert _shortcut_values(engine.layered) == before[2]
 
 
 def test_compute_all_shortcuts_is_one_kernel_call(monkeypatch):
@@ -306,7 +295,10 @@ def test_compute_all_shortcuts_is_one_kernel_call(monkeypatch):
     spec = PageRank(damping=0.5)
     batched = compute_all_shortcuts(spec, _cyclic_local(), {0, 3})
     assert calls == [2]
-    python = compute_all_shortcuts(undeclared(spec), _cyclic_local(), {0, 3})
+    python = {
+        source: loops.propagate_shortcuts(spec, _cyclic_local(), source, {0, 3})
+        for source in (0, 3)
+    }
     assert batched == python
 
 
@@ -337,7 +329,7 @@ def _mutated(local: FactorAdjacency, rng: random.Random) -> FactorAdjacency:
 
 def _subgraph_cases(spec, seed, count=3):
     """``count`` subgraphs of different sizes: (old local, new local,
-    boundary, old tables) from the undeclared clone's build."""
+    boundary, old tables) from the oracle build."""
     graph = community_graph(
         num_communities=5,
         community_size_range=(10, 30),
@@ -346,7 +338,8 @@ def _subgraph_cases(spec, seed, count=3):
         weighted=True,
         seed=seed,
     )
-    layered = LayeredGraph.build(undeclared(spec), graph, LayphConfig(seed=seed))
+    with oracle_loops():
+        layered = LayeredGraph.build(spec, graph, LayphConfig(seed=seed))
     rng = random.Random(seed)
     cases, sizes = [], set()
     for subgraph in layered.subgraphs:
@@ -410,20 +403,23 @@ def _assert_mixed_batch_matches_reference(spec, cases, tables, kinds, pendings, 
             old_vector = old_tables[source]
             want = None
             if kind[source] != "fresh":
-                want = update_shortcut_vector(
-                    undeclared(spec), old_local, new_local, source, boundary, old_vector,
-                    changed, reference_metrics,
-                )
+                with oracle_loops():
+                    want = update_shortcut_vector(
+                        spec, old_local, new_local, source, boundary, old_vector,
+                        changed, reference_metrics,
+                    )
             if want is None:
                 assert kind[source] in ("fresh", "solve")
-                want = compute_shortcuts_from(
-                    undeclared(spec), new_local, source, boundary, reference_metrics
+                want = loops.propagate_shortcuts(
+                    spec, new_local, source, boundary, reference_metrics
                 )
-                order = _propagate_shortcuts(spec, new_local, source, boundary)
+                order = loops.propagate_shortcuts(
+                    spec, new_local, source, boundary, propagate_with=propagate
+                )
             elif kind[source] == "revise":
-                order = _revise_reference(
+                order = loops.revise_shortcuts(
                     spec, new_local, source, boundary, old_vector, pending_of[source],
-                    ExecutionMetrics(),
+                    ExecutionMetrics(), propagate_with=propagate,
                 )
             else:
                 order = want
@@ -465,27 +461,6 @@ def test_one_call_mixes_solves_and_revisions_across_subgraphs(monkeypatch, algor
         ), "no accumulative revision carried a negative message"
 
 
-def test_nan_block_takes_the_reference_while_the_others_share_the_call(monkeypatch):
-    calls = []
-    kernel = shortcuts_module.run_shortcut_solves
-
-    def observed(**kwargs):
-        calls.append(int(kwargs["job_shift"].size))
-        return kernel(**kwargs)
-
-    monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", observed)
-    spec = PageRank(damping=0.85)
-    cases = _subgraph_cases(spec, 3)
-    old_local, new_local, boundary, old_tables = cases[1]
-    source = min(new_local.vertices_with_out_edges())
-    new_local.add(source, new_local(source)[0][0], math.nan)
-    tables, kinds, pendings, metrics = _run_mixed_batch(spec, cases)
-    queued = [sum(kind != "keep" for kind in kinds[i].values()) for i in range(3)]
-    assert queued[1], "the NaN block queued no job"
-    assert calls == [queued[0] + queued[2]], "the NaN block must leave the kernel call"
-    _assert_mixed_batch_matches_reference(spec, cases, tables, kinds, pendings, metrics)
-
-
 @pytest.mark.parametrize("spec", [PageRank(damping=0.5), SSSP(source=99)], ids=lambda s: s.name)
 def test_revision_silences_boundary_messages_and_appends_new_rows_ascending(spec):
     """A revision message reaching boundary vertex 4 in round 0 must not be
@@ -503,7 +478,7 @@ def test_revision_silences_boundary_messages_and_appends_new_rows_ascending(spec
             5: [(2, 0.5)],
         }
     )
-    old_vector = compute_shortcuts_from(undeclared(spec), old_local, 0, boundary)
+    old_vector = loops.propagate_shortcuts(spec, old_local, 0, boundary)
     changed = changed_local_sources(old_local, new_local)
     pending = shortcut_revision(spec, old_local, new_local, 0, boundary, old_vector, changed)
     assert set(pending) == {3, 4}
@@ -512,12 +487,14 @@ def test_revision_silences_boundary_messages_and_appends_new_rows_ascending(spec
         spec, old_local, new_local, 0, boundary, old_vector, changed, metrics
     )
     reference_metrics = ExecutionMetrics()
-    want = update_shortcut_vector(
-        undeclared(spec), old_local, new_local, 0, boundary, old_vector, changed,
-        reference_metrics,
-    )
-    order = _revise_reference(
-        spec, new_local, 0, boundary, old_vector, pending, ExecutionMetrics()
+    with oracle_loops():
+        want = update_shortcut_vector(
+            spec, old_local, new_local, 0, boundary, old_vector, changed,
+            reference_metrics,
+        )
+    order = loops.revise_shortcuts(
+        spec, new_local, 0, boundary, old_vector, pending, ExecutionMetrics(),
+        propagate_with=propagate,
     )
     assert dict(_bits(got)) == dict(_bits(want))
     assert _bits(got) == _bits(order)
@@ -526,15 +503,16 @@ def test_revision_silences_boundary_messages_and_appends_new_rows_ascending(spec
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-def test_undeclared_batch_runs_the_reference(monkeypatch, algorithm):
+def test_oracle_batch_runs_the_reference(monkeypatch, algorithm):
     def fail(**_kwargs):
-        raise AssertionError("an undeclared algebra must not reach the kernel")
+        raise AssertionError("the oracle batch must not reach the kernel")
 
     spec = make_algorithm(algorithm, source=0)
     cases = _subgraph_cases(spec, 3)
     numpy_tables, _kinds, _pendings, numpy_metrics = _run_mixed_batch(spec, cases)
     monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", fail)
-    tables, _kinds, _pendings, metrics = _run_mixed_batch(undeclared(spec), cases)
+    with oracle_loops():
+        tables, _kinds, _pendings, metrics = _run_mixed_batch(spec, cases)
     for table, numpy_table in zip(tables, numpy_tables):
         assert table == numpy_table
     assert _totals(metrics) == _totals(numpy_metrics)
@@ -573,10 +551,10 @@ def _assign_both_ways(monkeypatch, engine, deltas, work):
         monkeypatch.setattr(vectorized, name, observed)
     everything = set(range(len(engine.layered.subgraphs)))
     outcomes = []
-    declared = engine.spec
-    for spec in (declared, undeclared(declared)):
-        # the undeclared clone makes both batch kernels decline
-        monkeypatch.setattr(engine, "spec", spec)
+    oracle = types.MethodType(oracle_class(LayphEngine)._assign_subgraphs, engine)
+    for route in ROUTES[::-1]:
+        if route == "oracle":
+            monkeypatch.setattr(engine, "_assign_subgraphs", oracle)
         revised = dict(work)
         metrics = ExecutionMetrics()
         engine._assign(everything, set(), deltas, revised, metrics, engine.graph)

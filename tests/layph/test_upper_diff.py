@@ -28,7 +28,7 @@ from repro.layph.vectorized import seed_tainted_upper
 from repro.workloads.datasets import DATASETS
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
-from undeclared import ROUTES, on_route  # noqa: E402  (tests/)
+from oracles import ROUTES, engine_on_route  # noqa: E402  (tests/)
 
 NUM_DELTAS = 20
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
@@ -73,7 +73,7 @@ def _assert_upper_is_fresh_assembly(layered) -> None:
 def test_patched_upper_equals_fresh_rebuild(algorithm, route):
     """After every delta the patched upper layer == a fresh reassembly."""
     graph = DATASETS["uk"].build()
-    engine = LayphEngine(on_route(make_algorithm(algorithm, source=0), route))
+    engine = engine_on_route("layph", make_algorithm(algorithm, source=0), route)
     engine.initialize(graph)
     layered = engine.layered
     rebuilds_after_init = layered.upper_rebuilds
@@ -205,7 +205,7 @@ def test_masked_in_link_gather_matches_reverse_scan(algorithm):
 
     Same seeded messages and the same activation count (one per in-link of
     a tainted vertex, counted before any skip) as the Python reference loop
-    of ``LayphEngine._selective_upload``.
+    of the oracle engine.
     """
     graph = DATASETS["uk"].build()
     spec = make_algorithm(algorithm, source=0)
@@ -238,7 +238,7 @@ def test_masked_in_link_gather_matches_reverse_scan(algorithm):
 
         pending = {}
         metrics = ExecutionMetrics()
-        assert seed_tainted_upper(spec, layered, tainted, work, pending, metrics)
+        seed_tainted_upper(spec, layered, tainted, work, pending, metrics)
         assert pending == expected_pending
         assert metrics.edge_activations == expected_activations
     assert expected_activations > 0

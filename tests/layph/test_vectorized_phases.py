@@ -1,11 +1,10 @@
 """Equivalence of Layph's vectorized upload/assign phases with the loops.
 
 The numpy kernels in :mod:`repro.layph.vectorized` must be metric-identical
-to the Python reference loops in ``engine.py`` — same revised states, same
-arrived messages, same round counts and edge activations — including the
-NaN-fallback path (inputs the array algebra cannot reproduce run the Python
-loop on both routes).  The reference run is the undeclared clone of the
-spec (see :mod:`undeclared`), which every kernel declines.
+to the Python reference loops — same revised states, same arrived messages,
+same round counts and edge activations.  The reference run is the oracle
+engine (:func:`oracles.oracle_engine`), whose seams run those loops.  NaN
+inputs never reach the kernels: the engine refuses them at its boundary.
 """
 
 import math
@@ -15,16 +14,13 @@ import pytest
 from repro.engine.algorithms import PageRank, SSSP, make_algorithm
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency, NonConvergenceError
+from repro.graph.delta import GraphDelta
 from repro.graph.generators import community_graph
 from repro.layph.engine import LayphEngine
-from repro.layph.vectorized import (
-    assign_accumulative_batch,
-    assign_selective_batch,
-    local_upload_numpy,
-)
+from repro.layph.vectorized import assign_accumulative_batch, assign_selective_batch
 from repro.workloads.updates import random_edge_delta
 
-from undeclared import ROUTES, on_route, undeclared  # noqa: E402  (tests/)
+from oracles import ROUTES, engine_on_route, oracle_engine  # noqa: E402  (tests/)
 
 
 class _Subgraph:
@@ -45,6 +41,16 @@ class _Subgraph:
         }
 
 
+def _community():
+    return community_graph(
+        num_communities=6,
+        community_size_range=(15, 30),
+        intra_edge_probability=0.35,
+        weighted=True,
+        seed=11,
+    )
+
+
 def _chain_subgraph():
     # boundary 1 feeds internal chain 2 -> 3 -> 4, boundary 5 absorbs
     adjacency = FactorAdjacency(
@@ -62,14 +68,14 @@ class TestLocalUploadKernel:
     def test_matches_python_loop(self, spec):
         results = {}
         for route in ROUTES:
-            engine = LayphEngine(on_route(spec, route))
+            engine = engine_on_route("layph", spec, route)
             subgraph = _chain_subgraph()
             work = {2: 10.0 if spec.is_selective() else 0.5, 3: 12.0 if spec.is_selective() else 0.25}
             pending = {2: 4.0, 5: 1.0}
             metrics = ExecutionMetrics()
             arrived = engine._local_upload(subgraph, work, pending, metrics)
             results[route] = (arrived, work, metrics)
-        py_arrived, py_work, py_metrics = results["undeclared"]
+        py_arrived, py_work, py_metrics = results["oracle"]
         np_arrived, np_work, np_metrics = results["declared"]
         assert py_arrived == np_arrived
         assert py_work == np_work
@@ -80,42 +86,35 @@ class TestLocalUploadKernel:
         # the reference loop counts no vertex updates, neither must the kernel
         assert np_metrics.vertex_updates == 0
 
-    def test_nan_factor_falls_back(self):
-        adjacency = FactorAdjacency({1: [(2, math.nan)], 2: [(3, 1.0)]})
-        subgraph = _Subgraph(0, boundary={1, 3}, internal={2}, adjacency=adjacency)
-        assert (
-            local_upload_numpy(SSSP(source=0), subgraph, {}, {1: 1.0}, ExecutionMetrics())
-            is None
-        )
-        # the dispatching engine still produces the Python loop's answer
-        results = {}
-        for route in ROUTES:
-            engine = LayphEngine(on_route(PageRank(), route))
-            work = {}
-            metrics = ExecutionMetrics()
-            arrived = engine._local_upload(subgraph, work, {2: 1.0}, metrics)
-            results[route] = (arrived, work, metrics.edge_activations)
-        assert results["undeclared"] == results["declared"]
+    def test_nan_weight_is_rejected_before_the_upload(self, monkeypatch):
+        from repro.layph import vectorized
 
-    def test_nan_state_falls_back(self):
-        subgraph = _chain_subgraph()
-        assert (
-            local_upload_numpy(
-                PageRank(), subgraph, {3: math.nan}, {2: 1.0}, ExecutionMetrics()
-            )
-            is None
-        )
+        engine = LayphEngine(PageRank())
+        engine.initialize(_community())
+        before = (engine.graph, dict(engine.states), dict(engine.proxy_states))
 
-    def test_undeclared_algebra_falls_back(self):
-        class MaxSpec(SSSP):
-            def aggregate(self, left, right):
-                return max(left, right)
+        def fail(*_args, **_kwargs):
+            raise AssertionError("a rejected delta must not reach the upload")
 
-        subgraph = _chain_subgraph()
-        assert (
-            local_upload_numpy(MaxSpec(), subgraph, {}, {2: 1.0}, ExecutionMetrics())
-            is None
-        )
+        monkeypatch.setattr(vectorized, "run_upload", fail)
+        subgraph = engine.layered.subgraphs[0]
+        source = min(subgraph.internal)
+        poison = GraphDelta()
+        poison.add_edge(source, next(iter(engine.graph.out_neighbors(source))), math.nan)
+        with pytest.raises(ValueError, match="non-finite weight"):
+            engine.apply_delta(poison)
+        assert engine.graph is before[0]
+        assert (engine.states, engine.proxy_states) == before[1:]
+
+    def test_nan_state_is_rejected_at_initialize(self):
+        class NaNState(PageRank):
+            def initial_state(self, vertex):
+                return math.nan if vertex == 3 else super().initial_state(vertex)
+
+        engine = LayphEngine(NaNState())
+        with pytest.raises(ValueError, match="NaN initial value"):
+            engine.initialize(_community())
+        assert engine.graph is None and engine.states == {} and engine.layered is None
 
     def test_non_convergence_raises_in_the_kernel(self):
         # A lossless 2-cycle: PageRank-style messages never decay, so the
@@ -163,13 +162,13 @@ class TestAssignKernels:
             metrics = ExecutionMetrics()
             deltas = {0: 0.125, 5: 0.0625}
             if route == "declared":
-                assert assign_accumulative_batch(spec, [subgraph], deltas, work, metrics, graph)
+                assign_accumulative_batch(spec, [subgraph], deltas, work, metrics, graph)
             else:
-                LayphEngine(undeclared(spec))._assign_accumulative(
-                    subgraph, deltas, work, metrics, graph
+                oracle_engine("layph", spec)._assign_subgraphs(
+                    [subgraph], deltas, work, metrics, graph, None
                 )
             results[route] = (work, metrics.edge_activations)
-        assert results["undeclared"] == results["declared"]
+        assert results["oracle"] == results["declared"]
         work, activations = results["declared"]
         assert work[2] == 0.25 + 0.125 * 1.0
         assert work[3] == 0.5 + 0.125 * 3.0 + 0.0625 * 2.0
@@ -186,23 +185,15 @@ class TestAssignKernels:
             work = {2: 0.25, 3: 0.5}
             metrics = ExecutionMetrics()
             if vectorized:
-                assert assign_accumulative_batch(
+                assign_accumulative_batch(
                     spec, [subgraph], {0: 0.125, 5: 0.0625}, work, metrics, graph
                 )
             else:
-                LayphEngine(undeclared(spec))._assign_accumulative(
-                    subgraph, {0: 0.125, 5: 0.0625}, work, metrics, graph
+                oracle_engine("layph", spec)._assign_subgraphs(
+                    [subgraph], {0: 0.125, 5: 0.0625}, work, metrics, graph, None
                 )
             results.append((work, metrics.edge_activations))
         assert results[0] == results[1] == ({2: 0.25 + 0.125, 3: 0.5}, 1)
-
-    def test_assign_kernels_reject_undeclared_algebra(self):
-        class MaxSpec(SSSP):
-            def aggregate(self, left, right):
-                return max(left, right)
-
-        subgraph = self._shortcut_subgraph()
-        assert assign_selective_batch(MaxSpec(), [subgraph], {}, ExecutionMetrics()) is None
 
     def test_shortcut_csr_cache_invalidated_on_rebuild(self):
         from repro.layph.vectorized import _shortcut_csr
@@ -219,20 +210,14 @@ class TestAssignKernels:
 class TestEngineLevelEquivalence:
     """Full LayphEngine runs over a community graph: the upload/assign
     kernels must leave states, rounds and activations bitwise-identical to
-    the Python loops of the undeclared clone, for all four algorithms."""
+    the oracle engine's Python loops, for all four algorithms."""
 
     @pytest.mark.parametrize("algorithm", ["sssp", "bfs", "pagerank", "php"])
     def test_delta_sequence_identical(self, algorithm):
-        graph = community_graph(
-            num_communities=6,
-            community_size_range=(15, 30),
-            intra_edge_probability=0.35,
-            weighted=True,
-            seed=11,
-        )
+        graph = _community()
         results = {}
         for route in ROUTES:
-            engine = LayphEngine(on_route(make_algorithm(algorithm, source=0), route))
+            engine = engine_on_route("layph", make_algorithm(algorithm, source=0), route)
             engine.initialize(graph.copy())
             current = graph.copy()
             runs = []
@@ -241,7 +226,7 @@ class TestEngineLevelEquivalence:
                 runs.append(engine.apply_delta(delta))
                 current = delta.apply(current)
             results[route] = runs
-        for py, vec in zip(results["undeclared"], results["declared"]):
+        for py, vec in zip(results["oracle"], results["declared"]):
             assert py.states == vec.states
             assert py.metrics.iterations == vec.metrics.iterations
             assert py.metrics.edge_activations == vec.metrics.edge_activations

@@ -18,12 +18,9 @@ Two tagging granularities are provided:
   models KickStarter's coarser approximation trimming and is what makes it
   activate more edges than the other two systems in Figures 1 and 6.
 
-This module is the *dict reference* of the selective subsystem: it defines
-the semantics, runs every spec without the declared min/+ algebra, and takes
-over whenever the dense gate fails (NaN factors or states).  Otherwise the
-same operations run as array kernels over the dense
-:class:`repro.incremental.dep_table.DepTable`, bitwise identical to these
-loops.
+These dict walks are the reference the dense
+:class:`repro.incremental.dep_table.DepTable` kernels of the selective
+engines are checked against, bit for bit.
 """
 
 from __future__ import annotations
@@ -169,3 +166,33 @@ def trim_and_seed(
         if spec.is_significant(best):
             pending[vertex] = spec.aggregate(pending.get(vertex, identity), best)
     return pending
+
+
+def refresh_parents(
+    spec: AlgorithmSpec,
+    graph: Graph,
+    old_states: Dict[int, float],
+    states: Dict[int, float],
+    tainted: Set[int],
+    added,
+    deleted,
+    parents: Dict[int, Optional[int]],
+) -> None:
+    """Refresh the dependency parents of every vertex whose support may
+    have changed: tainted vertices, endpoints of changed edges, and the
+    out-neighbors of vertices whose state changed."""
+    stale: Set[int] = set()
+    for vertex in tainted:
+        if graph.has_vertex(vertex):
+            stale.add(vertex)
+            stale.update(graph.out_neighbors(vertex))
+    for source, target, _ in list(added) + list(deleted):
+        for vertex in (source, target):
+            if graph.has_vertex(vertex):
+                stale.add(vertex)
+                stale.update(graph.out_neighbors(vertex))
+    for vertex, value in states.items():
+        if graph.has_vertex(vertex) and old_states.get(vertex) != value:
+            stale.add(vertex)
+            stale.update(graph.out_neighbors(vertex))
+    compute_parents(spec, graph, states, stale, parents)

@@ -1,9 +1,11 @@
-"""Stores written before the propagation backend was retired restore warm.
+"""Stores written by older versions restore warm.
 
-Such a store records a ``"backend"`` entry in its engine identity (in the
-snapshot sidecar and the SQLite baseline alike) and, for Layph, another one
-inside ``layph_config``.  The entry selects nothing any more: a restore must
-ignore it, come back warm, and continue bitwise like the live engine.
+A store written before the propagation backend was retired records a
+``"backend"`` entry in its engine identity (in the snapshot sidecar and the
+SQLite baseline alike) and, for Layph, another one inside ``layph_config``.
+The entry selects nothing any more: a restore must ignore it, come back
+warm, and continue bitwise like the live engine.  A selective engine saved
+by the retired dict dependency store restores the same way.
 """
 
 from __future__ import annotations
@@ -83,3 +85,72 @@ def test_store_with_backend_entries_restores_warm(tmp_path, monkeypatch, engine_
         assert _bits(got.states) == _bits(want.states), f"delta {step}"
         assert got.metrics.edge_activations == want.metrics.edge_activations
         assert got.metrics.activations_per_round == want.metrics.activations_per_round
+
+
+def _dict_store_extras(engine):
+    """Snapshot extras as the retired dict stores wrote them."""
+    from repro.storage.codecs import encode_iteration_dicts, encode_parent_map, pack
+
+    if hasattr(engine, "dep_table"):
+        meta = {"store": "dict", "dense_deltas": 0, "dict_deltas": engine.dense_deltas}
+        parents = encode_parent_map(engine.dep_table.to_parents_dict())
+        return meta, dict(pack("parents", parents))
+    iter_meta, iter_arrays = encode_iteration_dicts(engine.iterations)
+    return {"store": "dicts", "iterations": iter_meta}, pack("iterations", iter_arrays)
+
+
+@pytest.mark.parametrize(
+    "engine_name, algorithm",
+    [
+        ("kickstarter", "sssp"),
+        ("risgraph", "sssp"),
+        ("ingress", "bfs"),
+        ("graphbolt", "pagerank"),
+        ("dzig", "php"),
+    ],
+)
+def test_dict_store_snapshot_restores_warm(tmp_path, monkeypatch, engine_name, algorithm):
+    """An engine saved by a retired dict store (extras ``"store": "dict"``
+    with the selective ``parents`` map, ``"dicts"`` with the BSP levels)
+    restores warm by promoting it, and continues bitwise, dependency forest
+    and memoized levels included."""
+    live = build_engine(engine_name, make_algorithm(algorithm, source=0))
+    live.initialize(_graph())
+    for step in range(2):
+        live.apply_delta(_delta(live, step))
+    with monkeypatch.context() as patch:
+        patch.setattr(type(live._storage_target()), "_snapshot_extras", _dict_store_extras)
+        live.save(str(tmp_path / "live"), compact_every=100)
+    [sidecar] = glob.glob(str(tmp_path / "live" / "snapshot-*.json"))
+    assert json.loads(open(sidecar, "rb").read())["meta"]["extras"]["store"] in ("dict", "dicts")
+    for step in range(2, 4):
+        live.apply_delta(_delta(live, step))  # logged, replayed by the restore
+
+    shutil.copytree(tmp_path / "live", tmp_path / "copy")
+    restored, report = restore_engine(str(tmp_path / "copy"))
+    assert report.warm, report.reason
+    assert _bits(restored.states) == _bits(live.states)
+
+    def store(engine):
+        target = engine._storage_target()
+        if hasattr(target, "dep_table"):
+            return target.dep_table.to_parents_dict()
+        return target.iterations
+
+    assert store(restored) == store(live)
+    for step in range(4, 8):
+        delta = _delta(live, step)
+        want = live.apply_delta(delta)
+        got = restored.apply_delta(delta)
+        assert _bits(got.states) == _bits(want.states), f"delta {step}"
+        assert got.metrics.activations_per_round == want.metrics.activations_per_round
+        assert store(restored) == store(live), f"delta {step}"
+
+
+def test_new_snapshots_write_the_table_only(tmp_path):
+    live = build_engine("kickstarter", make_algorithm("sssp", source=0))
+    live.initialize(_graph())
+    live.save(str(tmp_path / "store"))
+    [sidecar] = glob.glob(str(tmp_path / "store" / "snapshot-*.json"))
+    extras = json.loads(open(sidecar, "rb").read())["meta"]["extras"]
+    assert extras["store"] == "table" and "dict_deltas" not in extras

@@ -4,8 +4,8 @@ Every ``REPRO_*`` name is a switch a user has to know about, so the set is
 pinned here: the durable store's three settings.  A new name means a new
 user-facing option and has to be added on purpose.  The switches that once
 selected a second, older path are gone — the backend choice among them:
-which path runs is decided by the spec's declared algebra and the inputs —
-and one left behind in a user's environment must change nothing.
+every engine runs its array kernels — and one left behind in a user's
+environment must change nothing.
 """
 
 from __future__ import annotations
@@ -16,14 +16,14 @@ import re
 
 import pytest
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.generators import erdos_renyi_graph
 from repro.layph import layered_graph
+from repro.layph import shortcuts as shortcuts_module
 from repro.layph.shortcuts import ShortcutBatch
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
-from undeclared import undeclared  # noqa: E402  (tests/)
+from oracles import engine_on_route  # noqa: E402  (tests/)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -65,7 +65,7 @@ def test_src_reads_exactly_the_pinned_knobs():
     assert found == KNOBS
 
 
-def _run_stream(engine_name, spec, deltas, graph, monkeypatch):
+def _run_stream(engine_name, spec, deltas, graph, monkeypatch, route="declared"):
     """One engine's per-delta results, plus the shortcut batches it opened."""
     opened = []
 
@@ -76,7 +76,7 @@ def _run_stream(engine_name, spec, deltas, graph, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(layered_graph, "ShortcutBatch", RecordedBatch)
-        engine = build_engine(engine_name, spec)
+        engine = engine_on_route(engine_name, spec, route)
         engine.initialize(graph.copy())
         results = [
             (
@@ -122,7 +122,7 @@ def _stream_outcomes(monkeypatch):
             assert engine.dense_deltas == len(deltas)
             assert engine.csr_cache.patches > 0
         if engine_name == "layph":
-            assert batches and all(batch._kinds is not None for batch in batches)
+            assert batches
     return outcomes
 
 
@@ -135,22 +135,26 @@ def test_retired_knob_changes_nothing(name, monkeypatch):
 
 
 @pytest.mark.parametrize("engine_name, algorithm", FAMILIES)
-def test_undeclared_clone_reaches_the_reference_path(engine_name, algorithm, monkeypatch):
-    """The parity suites compare a spec with its undeclared clone; that only
-    means something if the clone really takes the reference loops and dict
+def test_oracle_engine_reaches_the_reference_path(engine_name, algorithm, monkeypatch):
+    """The parity suites compare an engine with its oracle; that only means
+    something if the oracle really takes the reference loops and dict
     stores, and still gets the same answers."""
     graph, deltas = _stream()
     spec = make_algorithm(algorithm, source=0)
-    engine, results, batches = _run_stream(
-        engine_name, undeclared(spec), deltas, graph, monkeypatch
-    )
+
+    def no_kernel(*_args, **_kwargs):
+        raise AssertionError("the oracle must not reach an array kernel")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(shortcuts_module, "run_shortcut_solves", no_kernel)
+        engine, results, batches = _run_stream(
+            engine_name, spec, deltas, graph, monkeypatch, route="oracle"
+        )
     if engine_name == "graphbolt":
-        assert engine.memo is None
-        assert engine._iterations and engine.iterations is engine._iterations
+        assert isinstance(engine.memo, list) and engine.iterations is engine.memo
     if engine_name == "kickstarter":
-        assert engine.dep_table is None
-        assert engine.dict_deltas == len(deltas) and engine.dense_deltas == 0
+        assert engine.dep_table is None and engine.parents
     if engine_name == "layph":
-        assert batches and all(batch._kinds is None for batch in batches)
+        assert batches
     _engine, declared, _batches = _run_stream(engine_name, spec, deltas, graph, monkeypatch)
     assert results == declared

@@ -9,7 +9,6 @@ algebra and the shortcut folding (Definition 3).
 from __future__ import annotations
 
 import math
-from unittest import mock
 
 import numpy as np
 
@@ -24,10 +23,9 @@ from repro.graph.csr import FactorCSR
 from repro.graph.csr_cache import CSRCache
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
-from repro.incremental.graphbolt import GraphBoltEngine
 from repro.layph.shortcuts import compute_shortcuts_from
 
-from undeclared import ROUTES, on_route, undeclared  # noqa: E402  (tests/)
+from oracles import ROUTES, engine_on_route, loops, oracle_run_batch  # noqa: E402  (tests/)
 
 SETTINGS = settings(
     max_examples=25,
@@ -265,7 +263,7 @@ class TestIncrementalProperties:
 
 
 # ----------------------------------------------------------------------
-# route equivalence: reference loops (undeclared clone) vs array kernels
+# route equivalence: reference loops (oracle engine) vs array kernels
 # ----------------------------------------------------------------------
 def _assert_metric_identical(py_metrics, np_metrics):
     assert py_metrics.iterations == np_metrics.iterations
@@ -284,14 +282,14 @@ def _assert_states_identical(left, right, tolerance=1e-9):
 
 class TestRouteEquivalence:
     """The array kernels must be metric-compatible with the Python loops the
-    undeclared clone takes: same converged states, same round counts, same
+    oracle engine runs: same converged states, same round counts, same
     per-round edge activations — for all four algorithms, batch and
     incremental."""
 
     @SETTINGS
     @given(small_graphs(), st.sampled_from(["sssp", "bfs", "pagerank", "php"]))
     def test_batch_routes_identical(self, graph, algorithm):
-        py = run_batch(undeclared(make_algorithm(algorithm, source=0)), graph)
+        py = oracle_run_batch(make_algorithm(algorithm, source=0), graph)
         vec = run_batch(make_algorithm(algorithm, source=0), graph)
         _assert_states_identical(py.states, vec.states)
         _assert_metric_identical(py.metrics, vec.metrics)
@@ -306,12 +304,10 @@ class TestRouteEquivalence:
         graph, delta = data
         results = {}
         for route in ROUTES:
-            engine = build_engine(
-                engine_name, on_route(make_algorithm(algorithm, source=0), route)
-            )
+            engine = engine_on_route(engine_name, make_algorithm(algorithm, source=0), route)
             engine.initialize(graph.copy())
             results[route] = engine.apply_delta(delta)
-        py, vec = results["undeclared"], results["declared"]
+        py, vec = results["oracle"], results["declared"]
         _assert_states_identical(py.states, vec.states)
         _assert_metric_identical(py.metrics, vec.metrics)
 
@@ -376,13 +372,11 @@ class TestBSPRouteEquivalence:
         graph, delta = data
         results = {}
         for route in ROUTES:
-            engine = build_engine(
-                engine_name, on_route(make_algorithm(algorithm, source=0), route)
-            )
+            engine = engine_on_route(engine_name, make_algorithm(algorithm, source=0), route)
             initial = engine.initialize(graph.copy())
             incremental = engine.apply_delta(delta)
             results[route] = (initial, incremental, engine.iterations)
-        py_init, py_inc, py_iters = results["undeclared"]
+        py_init, py_inc, py_iters = results["oracle"]
         np_init, np_inc, np_iters = results["declared"]
         _assert_states_identical(py_init.states, np_init.states, tolerance=0.0)
         _assert_metric_identical(py_init.metrics, np_init.metrics)
@@ -398,11 +392,9 @@ class TestBSPRouteEquivalence:
 # ----------------------------------------------------------------------
 class TestMemoStoreEquivalence:
     """The dense ``MemoTable`` store must be bitwise interchangeable with the
-    dict reference: identical memoized iterations, states, rounds and edge
-    activations over random delta sequences (vertex additions/removals and
-    index remaps included), in both graph orientations — and the dict store,
-    forced for the declared algebra by shutting the vectorized-pull gate,
-    must reproduce the undeclared clone exactly."""
+    oracle's dict store: identical memoized iterations, states, rounds and
+    edge activations over random delta sequences (vertex additions/removals
+    and index remaps included), in both graph orientations."""
 
     @SETTINGS
     @given(
@@ -413,46 +405,36 @@ class TestMemoStoreEquivalence:
     def test_dense_store_matches_dict_reference(self, data, engine_name, algorithm):
         graph, deltas = data
 
-        def run(route, memo_dense):
-            gate = GraphBoltEngine._bsp_csr if memo_dense else (lambda self, graph: None)
-            with mock.patch.object(GraphBoltEngine, "_bsp_csr", gate):
-                engine = build_engine(
-                    engine_name, on_route(make_algorithm(algorithm, source=0), route)
-                )
-                initial = engine.initialize(graph.copy())
-                incremental = [engine.apply_delta(delta) for delta in deltas]
+        def run(route):
+            engine = engine_on_route(engine_name, make_algorithm(algorithm, source=0), route)
+            initial = engine.initialize(graph.copy())
+            incremental = [engine.apply_delta(delta) for delta in deltas]
             return engine, initial, incremental
 
-        py_engine, py_init, py_inc = run("undeclared", memo_dense=True)
-        dense_engine, dense_init, dense_inc = run("declared", memo_dense=True)
-        dict_engine, dict_init, dict_inc = run("declared", memo_dense=False)
-        assert py_engine.memo is None
-        assert dict_engine.memo is None
+        py_engine, py_init, py_inc = run("oracle")
+        dense_engine, dense_init, dense_inc = run("declared")
 
-        for other_init, other_inc in ((dense_init, dense_inc), (dict_init, dict_inc)):
-            _assert_states_identical(py_init.states, other_init.states, tolerance=0.0)
-            _assert_metric_identical(py_init.metrics, other_init.metrics)
-            for py_result, other_result in zip(py_inc, other_inc):
-                _assert_states_identical(
-                    py_result.states, other_result.states, tolerance=0.0
-                )
-                _assert_metric_identical(py_result.metrics, other_result.metrics)
+        _assert_states_identical(py_init.states, dense_init.states, tolerance=0.0)
+        _assert_metric_identical(py_init.metrics, dense_init.metrics)
+        for py_result, dense_result in zip(py_inc, dense_inc):
+            _assert_states_identical(py_result.states, dense_result.states, tolerance=0.0)
+            _assert_metric_identical(py_result.metrics, dense_result.metrics)
 
         py_iters = py_engine.iterations
-        for other in (dense_engine, dict_engine):
-            other_iters = other.iterations
-            assert len(py_iters) == len(other_iters)
-            for py_level, other_level in zip(py_iters, other_iters):
-                assert py_level == other_level
+        dense_iters = dense_engine.iterations
+        assert len(py_iters) == len(dense_iters)
+        for py_level, dense_level in zip(py_iters, dense_iters):
+            assert py_level == dense_level
 
 
 # ----------------------------------------------------------------------
 # vectorized revision-message deduction == dict reference, bitwise
 # ----------------------------------------------------------------------
 class TestRevisionMessageEquivalence:
-    """``accumulative_revision_messages`` with the out-edge CSR snapshots must
-    produce the exact pending map of the dict reference (same targets, same
-    float bits), and candidate narrowing must never change the outcome."""
+    """``accumulative_revision_messages`` over the out-edge CSR snapshots
+    must produce the exact pending map of the oracle's dict deduction (same
+    targets, same float bits), and candidate narrowing must never change the
+    outcome."""
 
     @SETTINGS
     @given(
@@ -468,22 +450,20 @@ class TestRevisionMessageEquivalence:
         states = run_batch(spec, current).states
         for delta in deltas:
             updated = delta.apply(current)
-            reference = accumulative_revision_messages(spec, current, updated, states)
+            reference = loops.accumulative_revision_messages(spec, current, updated, states)
+            old_csr = FactorCSR.from_graph(spec, current)
+            new_csr = FactorCSR.from_graph(spec, updated)
             narrowed = accumulative_revision_messages(
                 spec,
                 current,
                 updated,
                 states,
+                old_csr,
+                new_csr,
                 candidates=delta.touched_sources(current),
             )
             vectorized = accumulative_revision_messages(
-                spec,
-                current,
-                updated,
-                states,
-                candidates=delta.touched_sources(current),
-                old_csr=FactorCSR.from_graph(spec, current),
-                new_csr=FactorCSR.from_graph(spec, updated),
+                spec, current, updated, states, old_csr, new_csr
             )
             for other in (narrowed, vectorized):
                 assert other[1] == reference[1]
