@@ -1,18 +1,19 @@
 """Network front-end throughput: HTTP loopback ingest vs in-process submit.
 
-The :mod:`repro.service.net` front end puts the streaming service behind a
-hand-rolled asyncio HTTP/1.1 server.  This benchmark measures what the wire
-costs on top of the WAL'd submit path: the same event stream is ingested
-(a) straight through ``UpdateService.submit`` (the PR-8 baseline), (b) over
-loopback HTTP one event per request, and (c) over loopback HTTP in grid
-batches — then the read path is sampled with ``/value`` round-trips for a
-wire-level query p50/p99.  Every HTTP 200 is a durable ack, so the deltas
-between rows are pure protocol overhead, not durability shortcuts.
+The :mod:`repro.service.net` front end puts the streaming service behind the
+standard library's threaded HTTP/1.1 server; :class:`ServiceClient` drives it
+over one keep-alive ``http.client`` connection.  This benchmark measures what
+the wire costs on top of the WAL'd submit path: the same event stream is
+ingested (a) straight through ``UpdateService.submit`` (the in-process
+baseline), (b) over loopback HTTP one event per request, and (c) over
+loopback HTTP in grid batches — then the read path is sampled with
+``/value`` round-trips for a wire-level query p50/p99.  Every HTTP 200 is a
+durable ack, so the deltas between rows are pure protocol overhead, not
+durability shortcuts.
 """
 
 from __future__ import annotations
 
-import asyncio
 import tempfile
 import time
 
@@ -20,10 +21,10 @@ import pytest
 
 from conftest import dataset, record, run_once
 
-from repro.bench.harness import build_engine
 from repro.bench.reporting import format_table
 from repro.engine.algorithms import make_algorithm
-from repro.service import AsyncServiceClient, UpdateService, serve
+from repro.incremental import make_engine
+from repro.service import ServiceClient, UpdateService, serve
 from repro.workloads.updates import poisoned_event_stream
 
 NUM_EVENTS = 200
@@ -33,7 +34,7 @@ QUERY_SAMPLES = 100
 
 def _service(directory):
     graph = dataset("uk")
-    engine = build_engine("kickstarter", make_algorithm("sssp", source=0))
+    engine = make_engine("kickstarter", make_algorithm("sssp", source=0))
     engine.initialize(graph)
     events = list(
         poisoned_event_stream(
@@ -72,18 +73,18 @@ def _inprocess_row():
     }
 
 
-async def _wire_rows():
+def _wire_rows():
     service, events = _service(tempfile.mkdtemp(prefix="net-bench-wire-"))
     rows = []
     try:
-        server = await serve(service, "127.0.0.1", 0)
-        client = AsyncServiceClient("127.0.0.1", server.port)
+        server = serve(service, "127.0.0.1", 0)
+        client = ServiceClient("127.0.0.1", server.port)
         try:
             half = NUM_EVENTS // 2
             # (b) one event per HTTP request
             started = time.perf_counter()
             for seq, update in enumerate(events[:half], start=1):
-                status, _doc = await client.submit(update, seq=seq)
+                status, _doc = client.submit(update, seq=seq)
                 assert status == 200
             elapsed = time.perf_counter() - started
             rows.append({"path": "HTTP singles", "updates_per_s": half / elapsed})
@@ -91,7 +92,7 @@ async def _wire_rows():
             started = time.perf_counter()
             for base in range(half, NUM_EVENTS, BATCH):
                 chunk = events[base : base + BATCH]
-                status, doc = await client.submit_batch(
+                status, doc = client.submit_batch(
                     [(base + i + 1, update) for i, update in enumerate(chunk)]
                 )
                 assert status == 200 and len(doc["acks"]) == len(chunk)
@@ -99,22 +100,22 @@ async def _wire_rows():
             rows.append(
                 {"path": f"HTTP batches of {BATCH}", "updates_per_s": (NUM_EVENTS - half) / elapsed}
             )
-            status, _doc = await client.drain(timeout=300.0)
+            status, _doc = client.drain(timeout=300.0)
             assert status == 200
             latencies = []
             for _ in range(QUERY_SAMPLES):
                 t0 = time.perf_counter()
-                status, doc = await client.value(0)
+                status, doc = client.value(0)
                 latencies.append(time.perf_counter() - t0)
                 assert status == 200
             for row in rows:
                 row["query_p50_us"] = _percentile(latencies, 0.50) * 1e6
                 row["query_p99_us"] = _percentile(latencies, 0.99) * 1e6
-            status, doc = await client.health()
+            status, doc = client.health()
             assert status == 200 and doc["published_seq"] == NUM_EVENTS
         finally:
-            await client.close()
-            await server.aclose()
+            client.close()
+            server.close()
     finally:
         if not service.health()["dead"]:
             service.close()
@@ -123,7 +124,7 @@ async def _wire_rows():
 
 def _run():
     rows = [_inprocess_row()]
-    rows.extend(asyncio.run(_wire_rows()))
+    rows.extend(_wire_rows())
     return rows
 
 

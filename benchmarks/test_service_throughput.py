@@ -20,9 +20,9 @@ import pytest
 
 from conftest import dataset, record, run_once
 
-from repro.bench.harness import build_engine
 from repro.bench.reporting import format_table
 from repro.engine.algorithms import make_algorithm
+from repro.incremental import make_engine
 from repro.service import UpdateService
 from repro.workloads.updates import poisoned_event_stream
 
@@ -62,7 +62,7 @@ def _serve(engine_name, algorithm):
     stream = poisoned_event_stream(
         graph, num_events=NUM_EVENTS, seed=11, poison_rate=0.0, protect=0
     )
-    engine = build_engine(engine_name, make_algorithm(algorithm, source=0))
+    engine = make_engine(engine_name, make_algorithm(algorithm, source=0))
     engine.initialize(graph)
     directory = tempfile.mkdtemp(prefix="svc-bench-")
     service = UpdateService(engine, directory, batch_size=BATCH, max_queue=512)

@@ -19,10 +19,10 @@ import time
 
 from conftest import record, run_once
 
-from repro.bench.harness import build_engine
 from repro.bench.reporting import format_table
 from repro.engine.algorithms import make_algorithm
 from repro.graph.generators import erdos_renyi_graph
+from repro.incremental import make_engine
 from repro.storage.edge_store import DurableEdgeStore
 from repro.storage.store import restore_engine
 
@@ -43,7 +43,7 @@ def test_warm_start_speedup(benchmark, tmp_path):
     def run_grid():
         cells = {}
         for engine_name, algorithm in COMBOS:
-            seed_engine = build_engine(engine_name, _spec(algorithm))
+            seed_engine = make_engine(engine_name, _spec(algorithm))
             seed_engine.initialize(graph)
             store_dir = str(tmp_path / f"{engine_name}-{algorithm}")
             seed_engine.save(store_dir)
@@ -53,7 +53,7 @@ def test_warm_start_speedup(benchmark, tmp_path):
             edge_store = DurableEdgeStore(os.path.join(store_dir, "graph.db"))
             reloaded, _last_seq = edge_store.load_baseline()
             edge_store.close()
-            cold_engine = build_engine(engine_name, _spec(algorithm))
+            cold_engine = make_engine(engine_name, _spec(algorithm))
             cold_engine.initialize(reloaded)
             cold_seconds = time.perf_counter() - start
 

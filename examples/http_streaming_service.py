@@ -9,7 +9,7 @@ vertices through a push subscription, and a poison event shows up in the
 structured 200 payload as a quarantine diagnosis instead of failing the
 request.  The example drives :func:`repro.service.serve` end to end:
 
-1. boot an asyncio HTTP front end on an ephemeral loopback port;
+1. boot the threaded HTTP front end on an ephemeral loopback port;
 2. subscribe to the smallest-distance top-5 and collect pushed deltas
    (long-poll) while batched submits stream in;
 3. submit a NaN-weight poison event and read its dead-letter diagnosis
@@ -25,16 +25,15 @@ Run with::
 
 from __future__ import annotations
 
-import asyncio
 import shutil
 import tempfile
 
-from repro.bench.harness import build_engine
 from repro.bench.reporting import format_table
 from repro.engine.algorithms import make_algorithm
 from repro.graph.delta import EdgeUpdate, UpdateKind
 from repro.graph.generators import community_graph
-from repro.service import AsyncServiceClient, UpdateService, serve
+from repro.incremental import make_engine
+from repro.service import ServiceClient, UpdateService, serve
 from repro.workloads.updates import poisoned_event_stream
 
 NUM_EVENTS = 64
@@ -50,7 +49,7 @@ def build_service(directory):
         weighted=True,
         seed=5,
     )
-    engine = build_engine("kickstarter", make_algorithm("sssp", source=0))
+    engine = make_engine("kickstarter", make_algorithm("sssp", source=0))
     engine.initialize(graph)
     events = list(
         poisoned_event_stream(
@@ -60,18 +59,18 @@ def build_service(directory):
     return UpdateService(engine, directory, batch_size=BATCH), events, graph
 
 
-async def demo(service, events) -> None:
-    server = await serve(service, "127.0.0.1", 0)
-    client = AsyncServiceClient("127.0.0.1", server.port)
+def demo(service, events) -> None:
+    server = serve(service, "127.0.0.1", 0)
+    client = ServiceClient("127.0.0.1", server.port)
     try:
-        status, health = await client.health()
+        status, health = client.health()
         print(f"serving on 127.0.0.1:{server.port} (health {status}: "
               f"ready={health['ready']}, published_seq={health['published_seq']})")
 
         # --------------------------------------------------------------
         # watch the five nearest vertices before any traffic arrives
         # --------------------------------------------------------------
-        status, sub = await client.subscribe_topk(5, largest=False)
+        status, sub = client.subscribe_topk(5, largest=False)
         assert status == 200
         print(f"subscribed {sub['id']}: baseline top-5 at seq {sub['seq']} = "
               f"{[v for v, _ in sub['baseline']]}")
@@ -83,7 +82,7 @@ async def demo(service, events) -> None:
         acked = 0
         for base in range(0, NUM_EVENTS, BATCH):
             chunk = events[base : base + BATCH]
-            status, doc = await client.submit_batch(
+            status, doc = client.submit_batch(
                 [(base + i + 1, update) for i, update in enumerate(chunk)]
             )
             assert status == 200
@@ -91,7 +90,7 @@ async def demo(service, events) -> None:
         print(f"submitted {acked} events over the wire, all durably acked")
 
         # resubmitting an acked seq is a dup-ack, not a double apply
-        status, doc = await client.submit(events[0], seq=1)
+        status, doc = client.submit(events[0], seq=1)
         assert status == 200 and doc["duplicates"] == [1]
         print("resubmit of seq 1 dup-acked (idempotent ingest)")
 
@@ -100,7 +99,7 @@ async def demo(service, events) -> None:
         # quarantine diagnosis once the writer dead-letters it
         # --------------------------------------------------------------
         poison = EdgeUpdate(UpdateKind.ADD_EDGE, 0, 1, weight=float("nan"))
-        status, doc = await client.submit(poison, seq=NUM_EVENTS + 1, timeout=30.0)
+        status, doc = client.submit(poison, seq=NUM_EVENTS + 1, timeout=30.0)
         assert status == 200
         diagnosis = doc.get("quarantine", {}).get(str(NUM_EVENTS + 1))
         print(f"poison event diagnosed in the 200 payload: {diagnosis['problems']}")
@@ -109,22 +108,22 @@ async def demo(service, events) -> None:
         # drain, confirm the dead-letter verdict, then fold the pushed
         # deltas into the final ranking
         # --------------------------------------------------------------
-        status, _doc = await client.drain(timeout=60.0)
+        status, _doc = client.drain(timeout=60.0)
         assert status == 200
-        status, dlq = await client.dlq()
+        status, dlq = client.dlq()
         seqs = [entry["seq"] for entry in dlq["entries"]]
         print(f"dead-letter queue over the wire: seqs {seqs}")
         assert seqs == [NUM_EVENTS + 1]
         last = [tuple(pair) for pair in sub["baseline"]]
         deltas = 0
         while True:
-            status, doc = await client.poll(sub["id"], wait=0.2)
+            status, doc = client.poll(sub["id"], wait=0.2)
             if status != 200 or not doc["deltas"]:
                 break
             for delta in doc["deltas"]:
                 last = [tuple(pair) for pair in delta["topk"]]
                 deltas += 1
-        status, top = await client.topk(5, largest=False)
+        status, top = client.topk(5, largest=False)
         final = [tuple(pair) for pair in top["entries"]]
         rows = [
             ["pushed deltas", deltas],
@@ -134,10 +133,10 @@ async def demo(service, events) -> None:
         ]
         print("\n" + format_table(["", "value"], rows, title="Subscription push"))
         assert last == final
-        await client.unsubscribe(sub["id"])
+        client.unsubscribe(sub["id"])
     finally:
-        await client.close()
-        await server.aclose()
+        client.close()
+        server.close()
 
 
 def main() -> None:
@@ -145,7 +144,7 @@ def main() -> None:
     service, events, graph = build_service(directory)
     print(f"graph: {graph.num_vertices()} vertices, {graph.num_edges()} edges")
     try:
-        asyncio.run(demo(service, events))
+        demo(service, events)
     finally:
         service.close()
         shutil.rmtree(directory)

@@ -27,10 +27,10 @@ from __future__ import annotations
 import shutil
 import tempfile
 
-from repro.bench.harness import build_engine
 from repro.bench.reporting import format_table
 from repro.engine.algorithms import make_algorithm
 from repro.graph.generators import community_graph
+from repro.incremental import make_engine
 from repro.service import FaultInjector, ServiceKilled, ServiceDead, UpdateService
 from repro.workloads.updates import poisoned_event_stream
 
@@ -39,7 +39,7 @@ KILL_SEQ = 60
 
 
 def build_service(graph, directory, faults=None):
-    engine = build_engine("kickstarter", make_algorithm("sssp", source=0))
+    engine = make_engine("kickstarter", make_algorithm("sssp", source=0))
     engine.initialize(graph)
     return UpdateService(engine, directory, batch_size=8, faults=faults)
 

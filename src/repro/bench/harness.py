@@ -15,8 +15,7 @@ from repro.engine.algorithms import make_algorithm
 from repro.engine.runner import run_batch
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
-from repro.incremental import ENGINE_REGISTRY, IncrementalEngine, make_engine
-from repro.layph.engine import LayphEngine
+from repro.incremental import make_engine
 from repro.layph.layered_graph import LayphConfig
 
 
@@ -58,23 +57,6 @@ class ExperimentResult:
         return {name: run.wall_seconds / base for name, run in runs.items()}
 
 
-def build_engine(
-    name: str,
-    spec: AlgorithmSpec,
-    layph_config: Optional[LayphConfig] = None,
-) -> IncrementalEngine:
-    """Instantiate an engine by name (including ``layph``)."""
-    lowered = name.lower()
-    if lowered == "layph":
-        return LayphEngine(spec, layph_config)
-    if lowered not in ENGINE_REGISTRY:
-        raise ValueError(
-            f"unknown engine {name!r}; expected one of "
-            f"{sorted(ENGINE_REGISTRY) + ['layph']}"
-        )
-    return make_engine(lowered, spec)
-
-
 def engines_for(spec: AlgorithmSpec) -> List[str]:
     """Engines applicable to an algorithm, in the paper's presentation order.
 
@@ -96,7 +78,7 @@ def run_engine(
     layph_config: Optional[LayphConfig] = None,
 ) -> EngineRun:
     """Initialize one engine and apply a sequence of deltas, summing metrics."""
-    engine = build_engine(engine_name, spec, layph_config)
+    engine = make_engine(engine_name, spec, layph_config)
     engine.initialize(graph)
     total_activations = 0
     total_seconds = 0.0

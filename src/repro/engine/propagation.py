@@ -15,7 +15,7 @@ for bit lives with the test oracles.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.dense_propagation import build_propagation_slab, write_back_slab
@@ -181,14 +181,3 @@ def propagate(
         metrics.record_round(total, active)
     write_back_slab(slab, ids, states, pending)
     return states
-
-
-def inject(
-    spec: AlgorithmSpec,
-    pending: Dict[int, float],
-    messages: Mapping[int, float],
-) -> None:
-    """Aggregate ``messages`` into a pending map in place."""
-    identity = spec.aggregate_identity()
-    for vertex, value in messages.items():
-        pending[vertex] = spec.aggregate(pending.get(vertex, identity), value)

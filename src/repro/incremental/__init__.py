@@ -50,12 +50,18 @@ __all__ = [
 ]
 
 
-def make_engine(name: str, spec) -> IncrementalEngine:
-    """Instantiate an engine by its registry name."""
+def make_engine(name: str, spec, layph_config=None) -> IncrementalEngine:
+    """Instantiate an engine by its registry name, or ``layph``."""
+    lowered = name.lower()
+    if lowered == "layph":
+        from repro.layph.engine import LayphEngine  # layph builds on this package
+
+        return LayphEngine(spec, layph_config)
     try:
-        engine_class = ENGINE_REGISTRY[name.lower()]
+        engine_class = ENGINE_REGISTRY[lowered]
     except KeyError as error:
         raise ValueError(
-            f"unknown engine {name!r}; expected one of {sorted(ENGINE_REGISTRY)}"
+            f"unknown engine {name!r}; expected one of "
+            f"{sorted(ENGINE_REGISTRY) + ['layph']}"
         ) from error
     return engine_class(spec)

@@ -6,11 +6,11 @@ acknowledgement, a coalescing single-writer apply loop with watchdog,
 retries and bisect-and-quarantine, immutable versioned snapshots on the
 read path, and crash recovery from the service directory.
 
-``repro.service.net`` puts that API on the network — an asyncio HTTP/1.1
-front end (``serve()`` / ``ServiceServer`` / ``AsyncServiceClient``) with
-idempotent submits, 429 backpressure, and push subscriptions
-(``SubscriptionRegistry``) delivering snapshot-diff deltas over long-poll
-and chunked streams.
+``repro.service.net`` puts that API on the network — a threaded HTTP/1.1
+front end on the standard library's ``http.server`` and ``http.client``
+(``serve()`` / ``ServiceServer`` / ``ServiceClient``) with idempotent
+submits, 429 backpressure, and push subscriptions (``SubscriptionRegistry``)
+delivering snapshot-diff deltas over long-poll and chunked streams.
 """
 
 from repro.service.coalescer import (
@@ -29,8 +29,8 @@ from repro.service.faults import (
     ServiceOverloaded,
 )
 from repro.service.net import (
-    AsyncServiceClient,
     HttpError,
+    ServiceClient,
     ServiceServer,
     serve,
     value_from_wire,
@@ -54,7 +54,6 @@ from repro.service.subscriptions import (
 __all__ = [
     "AdaptiveBatchSizer",
     "ApplyTimeout",
-    "AsyncServiceClient",
     "DeadLetterQueue",
     "Event",
     "EventLog",
@@ -64,6 +63,7 @@ __all__ = [
     "NO_FAULTS",
     "QuarantinedEvent",
     "STAGES",
+    "ServiceClient",
     "ServiceDead",
     "ServiceKilled",
     "ServiceOverloaded",

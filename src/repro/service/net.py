@@ -1,11 +1,11 @@
-"""Asyncio HTTP front end for :class:`~repro.service.service.UpdateService`.
+"""HTTP front end for :class:`~repro.service.service.UpdateService`.
 
 The service's submit/snapshot API is already thread-safe; this module puts
-it on a loopback (or any) TCP port with nothing but the stdlib: an
-``asyncio.start_server`` accept loop speaking hand-rolled HTTP/1.1 —
-request-line + headers + Content-Length bodies, keep-alive, chunked
-transfer encoding for push streams.  No new dependencies, no
-``http.server``.
+it on a loopback (or any) TCP port with nothing but the standard library:
+:class:`http.server.ThreadingHTTPServer` on the server side, one thread per
+connection calling the service directly, and :class:`http.client.HTTPConnection`
+in :class:`ServiceClient`.  Keep-alive, request parsing and chunked decoding
+are the standard library's; this module only routes and renders JSON.
 
 Contract highlights (the README carries the full endpoint table):
 
@@ -14,25 +14,26 @@ Contract highlights (the README carries the full endpoint table):
   with the seq listed under ``duplicates``) instead of re-enqueueing —
   exactly the :meth:`UpdateService.submit_event` semantics, so an HTTP 200
   means *fsync'd, survives any crash*, and retrying a lost response is
-  always safe.  Poison events are still acked (durability first), with the
-  quarantine diagnosis carried in the response so the client knows the
-  event will land in the DLQ rather than the graph.
+  safe whenever every event carries a seq.  Poison events are still acked
+  (durability first), with the quarantine diagnosis carried in the response
+  so the client knows the event will land in the DLQ rather than the graph.
 * **backpressure maps to 429.**  A full ingest queue raises
   ``ServiceOverloaded``, which becomes ``429 Too Many Requests`` with a
-  ``Retry-After`` header; blocking submits run on a small thread pool via
-  ``run_in_executor`` so slow ingestion never stalls the event loop serving
-  reads.
-* **per-endpoint timeouts.**  Every handler runs under ``asyncio.wait_for``
-  with a per-class budget (query/submit/drain/poll); expiry returns ``504``
-  with a structured body rather than holding the connection.
+  ``Retry-After`` header.  A blocking submit holds only its own
+  connection's thread, so slow ingestion never stalls the readers.
+* **bounded waits, bounded threads.**  Submit, drain and long-poll waits are
+  client-chosen but clamped to the module constants below; the query
+  endpoints read the immutable published snapshot and never wait.  At most
+  :data:`MAX_CONNECTIONS` connections (and so handler threads) are open at
+  once; the next connect gets an immediate ``503 too_many_connections``.
 * **subscriptions push, slow consumers are evicted.**  ``POST /subscribe``
   registers a top-k or vertex-set watch against the service's
   :class:`~repro.service.subscriptions.SubscriptionRegistry`; deltas arrive
   over long-poll (``GET /subscription/{id}/poll?wait=``) or a chunked NDJSON
-  stream (``GET /subscription/{id}/stream``).  A subscriber that stops
-  draining is evicted by the bounded queue and sees ``410 Gone`` (or an
-  ``evicted`` stream record) with a resubscribe hint — the writer thread
-  never blocks on a socket.
+  stream (``GET /subscription/{id}/stream``), both blocking in
+  :meth:`Subscription.take`.  A subscriber that stops draining is evicted by
+  the bounded queue and sees ``410 Gone`` (or an ``evicted`` stream record)
+  with a resubscribe hint — the writer thread never blocks on a socket.
 
 Values cross the wire as JSON numbers when finite (``repr`` round-trips
 float64 exactly) and as the strings ``"nan"``/``"inf"``/``"-inf"``
@@ -46,13 +47,15 @@ harness SIGKILLs mid-stream to prove acked-over-the-wire events survive.
 
 from __future__ import annotations
 
-import asyncio
 import contextlib
-import functools
+import http.client
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+import threading
+from collections import Counter
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from socketserver import TCPServer
+from typing import Dict, Iterator, List, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.graph.delta import update_intrinsic_problems
@@ -60,31 +63,21 @@ from repro.service.events import update_from_payload, update_payload
 from repro.service.faults import ServiceDead, ServiceOverloaded
 from repro.service.subscriptions import SubscriptionEvicted
 
-REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    409: "Conflict",
-    410: "Gone",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
-
-#: per-endpoint-class time budgets (seconds); ``ServiceServer(timeouts=...)``
-#: overrides individual keys
-DEFAULT_TIMEOUTS = {
-    "query": 5.0,  # health/ready/value/topk/dlq/subscribe
-    "submit": 30.0,  # POST /submit end to end (incl. WAL backpressure waits)
-    "drain": 120.0,
-    "poll": 30.0,  # ceiling on one long-poll / stream heartbeat interval
-    "idle": 60.0,  # keep-alive connection idle cutoff
-}
-
+#: open connections (= handler threads); the next connect gets a 503
+MAX_CONNECTIONS = 64
+#: request body cap in bytes (413 beyond)
+MAX_BODY = 1 << 20
 MAX_EVENTS_PER_SUBMIT = 1024
+#: ceilings on the client-chosen waits (seconds)
+SUBMIT_WAIT_MAX = 30.0  # POST /submit backpressure wait
+DRAIN_WAIT_MAX = 120.0
+POLL_WAIT_MAX = 30.0  # one long-poll, and the stream's heartbeat interval
+#: long-poll wait when the request names none
+DEFAULT_POLL_WAIT = 10.0
+#: a keep-alive connection idle this long is closed
+IDLE_TIMEOUT = 60.0
+
+RESUBSCRIBE_HINT = "resubscribe for a fresh baseline"
 
 
 def wire_value(value: float):
@@ -117,6 +110,12 @@ def _jsonable(value):
     return str(value)
 
 
+def _dumps(payload) -> bytes:
+    return json.dumps(
+        _jsonable(payload), separators=(",", ":"), allow_nan=False
+    ).encode("utf-8")
+
+
 class HttpError(Exception):
     """A request that maps to a specific HTTP status with a JSON body."""
 
@@ -126,14 +125,12 @@ class HttpError(Exception):
         error: str,
         detail: Optional[str] = None,
         *,
-        retry_after: Optional[float] = None,
         extra: Optional[dict] = None,
     ) -> None:
         super().__init__(detail or error)
         self.status = status
         self.error = error
         self.detail = detail
-        self.retry_after = retry_after
         self.extra = dict(extra or {})
 
     def payload(self) -> dict:
@@ -142,61 +139,6 @@ class HttpError(Exception):
             body["detail"] = self.detail
         body.update(self.extra)
         return body
-
-    def headers(self) -> List[Tuple[str, str]]:
-        if self.retry_after is None:
-            return []
-        return [("retry-after", f"{self.retry_after:g}")]
-
-
-def _render(
-    status: int,
-    payload,
-    *,
-    close: bool = False,
-    extra_headers=(),
-) -> bytes:
-    body = json.dumps(
-        _jsonable(payload), separators=(",", ":"), allow_nan=False
-    ).encode("utf-8")
-    lines = [
-        f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}",
-        "content-type: application/json",
-        f"content-length: {len(body)}",
-        f"connection: {'close' if close else 'keep-alive'}",
-    ]
-    lines.extend(f"{name}: {value}" for name, value in extra_headers)
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
-
-
-async def _read_request(reader: asyncio.StreamReader, max_body: int):
-    """One request off a keep-alive connection; ``None`` at clean EOF."""
-    line = await reader.readline()
-    if not line:
-        return None
-    try:
-        method, target, _version = line.decode("latin-1").split()
-    except ValueError:
-        raise HttpError(400, "bad_request_line", repr(line[:120]))
-    headers: Dict[str, str] = {}
-    for _ in range(64):
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    else:
-        raise HttpError(400, "too_many_headers", "more than 64 header lines")
-    try:
-        length = int(headers.get("content-length") or 0)
-    except ValueError:
-        raise HttpError(400, "bad_content_length", headers.get("content-length"))
-    if length > max_body:
-        raise HttpError(413, "body_too_large", f"{length} bytes > cap {max_body}")
-    body = await reader.readexactly(length) if length > 0 else b""
-    parsed = urlsplit(target)
-    return method.upper(), parsed.path, parse_qs(parsed.query), headers, body
 
 
 def _parse_json(body: bytes) -> dict:
@@ -211,236 +153,237 @@ def _parse_json(body: bytes) -> dict:
     return doc
 
 
-class ServiceServer:
+def _clamped_wait(raw, ceiling: float, error: str = "bad_timeout") -> float:
+    try:
+        wait = float(raw)
+    except (TypeError, ValueError):
+        raise HttpError(400, error, repr(raw))
+    return min(max(wait, 0.0), ceiling)
+
+
+class ServiceServer(ThreadingHTTPServer):
     """One HTTP front end bound to one :class:`UpdateService`.
 
-    Usage (inside a running event loop)::
+    Usage::
 
-        server = await serve(service, port=0)     # port 0 -> ephemeral
+        server = serve(service, port=0)     # port 0 -> ephemeral
         ...
-        await server.aclose()
-
-    ``max_connections`` bounds concurrent sockets (excess connects get an
-    immediate 503); ``max_body`` bounds request bodies (413 beyond).
+        server.close()
     """
 
-    def __init__(
-        self,
-        service,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        max_connections: int = 64,
-        max_body: int = 1 << 20,
-        submit_workers: int = 4,
-        timeouts: Optional[dict] = None,
-        default_poll_wait: float = 10.0,
-    ) -> None:
+    def __init__(self, service, host: str = "127.0.0.1", port: int = 0) -> None:
         self.service = service
-        self.host = host
-        self.port = port
-        self.max_connections = max_connections
-        self.max_body = max_body
-        self.timeouts = dict(DEFAULT_TIMEOUTS)
-        if timeouts:
-            self.timeouts.update(timeouts)
-        self.default_poll_wait = default_poll_wait
-        self.stats = {
-            "requests": 0,
-            "errors": 0,
-            "overloaded": 0,
-            "rejected_connections": 0,
-            "streams": 0,
-        }
-        self._executor = ThreadPoolExecutor(
-            max_workers=submit_workers, thread_name_prefix="service-net"
+        #: requests, errors, overloaded, rejected_connections, streams
+        self.stats: Counter = Counter()
+        self._stats_lock = threading.Lock()
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+        self._rejection = self._response_bytes(
+            503,
+            {
+                "error": "too_many_connections",
+                "detail": f"at most {MAX_CONNECTIONS} concurrent connections",
+            },
         )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._active = 0
+        self._thread: Optional[threading.Thread] = None
+        super().__init__((host, port), _Handler)
 
-    async def start(self) -> "ServiceServer":
-        self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._on_connection, self.host, self.port
+    def server_bind(self) -> None:
+        # TCPServer's bind, without HTTPServer's reverse lookup of the host
+        TCPServer.server_bind(self)
+        self.host, self.port = self.server_address[:2]
+
+    @staticmethod
+    def _response_bytes(status: int, payload) -> bytes:
+        body = _dumps(payload)
+        reason = BaseHTTPRequestHandler.responses[status][0]
+        head = (
+            f"HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nConnection: close\r\n\r\n"
         )
-        self.port = self._server.sockets[0].getsockname()[1]
+        return head.encode("latin-1") + body
+
+    def count(self, key: str) -> None:
+        with self._stats_lock:
+            self.stats[key] += 1
+
+    def start(self) -> "ServiceServer":
+        self._thread = threading.Thread(
+            target=self.serve_forever,
+            kwargs={"poll_interval": 0.05},
+            name="service-net",
+            daemon=True,
+        )
+        self._thread.start()
         return self
 
-    async def aclose(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            with contextlib.suppress(Exception):
-                await self._server.wait_closed()
-            self._server = None
-        self._executor.shutdown(wait=False)
+    def close(self) -> None:
+        if self._thread is not None:
+            self.shutdown()
+            self._thread.join()
+            self._thread = None
+        self.server_close()
 
     # ------------------------------------------------------------------
-    # connection handling
+    # the connection cap
     # ------------------------------------------------------------------
-    async def _on_connection(self, reader, writer) -> None:
-        if self._active >= self.max_connections:
-            self.stats["rejected_connections"] += 1
-            with contextlib.suppress(Exception):
-                writer.write(
-                    _render(
-                        503,
-                        {
-                            "error": "too_many_connections",
-                            "detail": f"at most {self.max_connections} "
-                            "concurrent connections",
-                        },
-                        close=True,
-                    )
-                )
-                await writer.drain()
-            writer.close()
+    def process_request(self, request, client_address) -> None:
+        if not self._slots.acquire(blocking=False):
+            self.count("rejected_connections")
+            with contextlib.suppress(OSError):
+                request.sendall(self._rejection)
+                request.setblocking(False)
+                request.recv(1 << 16)  # read what was sent so close() is a FIN
+            self.shutdown_request(request)
             return
-        self._active += 1
         try:
-            await self._serve_connection(reader, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._active -= 1
-            with contextlib.suppress(Exception):
-                writer.close()
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()
+            raise
 
-    async def _serve_connection(self, reader, writer) -> None:
-        while True:
-            try:
-                request = await asyncio.wait_for(
-                    _read_request(reader, self.max_body), self.timeouts["idle"]
-                )
-            except (asyncio.TimeoutError, asyncio.IncompleteReadError):
-                return
-            except HttpError as error:
-                writer.write(_render(error.status, error.payload(), close=True))
-                await writer.drain()
-                return
-            if request is None:
-                return
-            method, path, query, headers, body = request
-            self.stats["requests"] += 1
-            parts = [part for part in path.split("/") if part]
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
+
+
+class _Handler(BaseHTTPRequestHandler):
+    """Routes one connection's requests to the service, replying JSON."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = IDLE_TIMEOUT
+    disable_nagle_algorithm = True
+    server: ServiceServer
+
+    def log_message(self, format, *args) -> None:  # noqa: A002 - stdlib name
+        pass
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """Protocol errors the stdlib detects get a JSON body as well."""
+        self.close_connection = True
+        self._reply(code, {"error": message or self.responses[code][0]})
+
+    def _reply(self, status: int, payload, headers=()) -> None:
+        body = _dumps(payload)
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        for name, value in headers:
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def _handle(self) -> None:
+        server = self.server
+        server.count("requests")
+        parsed = urlsplit(self.path)
+        parts = [part for part in parsed.path.split("/") if part]
+        headers = []
+        try:
+            body = self._body()
             if (
-                method == "GET"
+                self.command == "GET"
                 and len(parts) == 3
                 and parts[0] == "subscription"
                 and parts[2] == "stream"
             ):
-                # a stream takes over the connection until eviction/shutdown
-                await self._handle_stream(writer, parts[1])
+                self._stream(parts[1])
                 return
-            close_after = headers.get("connection", "").lower() == "close"
-            try:
-                status, payload, extra = await self._dispatch(
-                    method, parts, query, body
-                )
-            except HttpError as error:
-                self.stats["errors"] += 1
-                if error.status == 429:
-                    self.stats["overloaded"] += 1
-                status, payload, extra = error.status, error.payload(), error.headers()
-            except asyncio.TimeoutError:
-                self.stats["errors"] += 1
-                status, payload, extra = (
-                    504,
-                    {"error": "endpoint_timeout", "detail": f"{method} {path}"},
-                    [],
-                )
-            except Exception as error:  # pragma: no cover - defensive surface
-                self.stats["errors"] += 1
-                status, payload, extra = (
-                    500,
-                    {
-                        "error": "internal",
-                        "detail": f"{type(error).__name__}: {error}",
-                    },
-                    [],
-                )
-            writer.write(
-                _render(status, payload, close=close_after, extra_headers=extra)
-            )
-            await writer.drain()
-            if close_after:
-                return
+            status, payload = self._dispatch(parts, parse_qs(parsed.query), body)
+        except HttpError as error:
+            server.count("errors")
+            if error.status == 429:
+                server.count("overloaded")
+                headers = [("Retry-After", "1")]
+            status, payload = error.status, error.payload()
+        except Exception as error:  # pragma: no cover - defensive surface
+            server.count("errors")
+            status, payload = 500, {
+                "error": "internal",
+                "detail": f"{type(error).__name__}: {error}",
+            }
+        self._reply(status, payload, headers)
 
-    def _timed(self, key: str, coro):
-        return asyncio.wait_for(coro, self.timeouts[key])
+    do_GET = do_POST = do_DELETE = do_PUT = do_PATCH = _handle
 
-    async def _run_blocking(self, func, *args):
-        return await self._loop.run_in_executor(
-            self._executor, functools.partial(func, *args)
-        )
+    def _body(self) -> bytes:
+        raw = self.headers.get("Content-Length")
+        try:
+            length = int(raw or 0)
+        except ValueError:
+            self.close_connection = True  # the body's end is unknown
+            raise HttpError(400, "bad_content_length", raw)
+        if length > MAX_BODY:
+            self.close_connection = True  # the body stays unread
+            raise HttpError(413, "body_too_large", f"{length} bytes > cap {MAX_BODY}")
+        return self.rfile.read(length) if length > 0 else b""
 
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    async def _dispatch(self, method: str, parts: List[str], query, body):
+    def _dispatch(self, parts: List[str], query, body: bytes):
+        method = self.command
         if parts == ["health"]:
-            self._require(method, "GET", parts)
-            return await self._timed("query", self._health())
+            self._require("GET", parts)
+            return 200, self.server.service.health()
         if parts == ["ready"]:
-            self._require(method, "GET", parts)
-            return await self._timed("query", self._ready())
+            self._require("GET", parts)
+            return self._ready()
         if len(parts) == 2 and parts[0] == "value":
-            self._require(method, "GET", parts)
-            return await self._timed("query", self._value(parts[1]))
+            self._require("GET", parts)
+            return self._value(parts[1])
         if parts == ["topk"]:
-            self._require(method, "GET", parts)
-            return await self._timed("query", self._topk(query))
+            self._require("GET", parts)
+            return self._topk(query)
         if parts == ["dlq"]:
-            self._require(method, "GET", parts)
-            return await self._timed("query", self._dlq())
+            self._require("GET", parts)
+            return self._dlq()
         if parts == ["submit"]:
-            self._require(method, "POST", parts)
-            return await self._timed("submit", self._submit(body))
+            self._require("POST", parts)
+            return self._submit(body)
         if parts == ["drain"]:
-            self._require(method, "POST", parts)
-            return await self._drain(body)
+            self._require("POST", parts)
+            return self._drain(body)
         if parts == ["subscribe"]:
-            self._require(method, "POST", parts)
-            return await self._timed("query", self._subscribe(body))
+            self._require("POST", parts)
+            return self._subscribe(body)
         if len(parts) >= 2 and parts[0] == "subscription":
-            sub_id = parts[1]
             if len(parts) == 2 and method == "DELETE":
-                return await self._timed("query", self._unsubscribe(sub_id))
+                return self._unsubscribe(parts[1])
             if len(parts) == 3 and parts[2] == "poll" and method == "GET":
-                return await self._poll(sub_id, query)
+                return self._poll(parts[1], query)
             raise HttpError(405, "method_not_allowed", "/".join(parts))
         raise HttpError(404, "unknown_endpoint", "/" + "/".join(parts))
 
-    @staticmethod
-    def _require(method: str, expected: str, parts: List[str]) -> None:
-        if method != expected:
+    def _require(self, expected: str, parts: List[str]) -> None:
+        if self.command != expected:
             raise HttpError(
                 405,
                 "method_not_allowed",
-                f"{method} /{'/'.join(parts)} (use {expected})",
+                f"{self.command} /{'/'.join(parts)} (use {expected})",
             )
 
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
-    async def _health(self):
-        return 200, self.service.health(), []
-
-    async def _ready(self):
-        health = self.service.health()
+    def _ready(self):
+        health = self.server.service.health()
         payload = {
             "ready": health["ready"],
             "replaying": health["replaying"],
             "dead": health["dead"],
         }
-        return (200 if health["ready"] else 503), payload, []
+        return (200 if health["ready"] else 503), payload
 
-    async def _value(self, raw_vertex: str):
+    def _value(self, raw_vertex: str):
         try:
             vertex = int(raw_vertex)
         except ValueError:
             raise HttpError(400, "bad_vertex", f"not an integer: {raw_vertex!r}")
-        snapshot = self.service.snapshot()
+        snapshot = self.server.service.snapshot()
         if vertex not in snapshot.states:
             raise HttpError(
                 404,
@@ -448,19 +391,15 @@ class ServiceServer:
                 f"vertex {vertex} not in snapshot seq {snapshot.seq}",
             )
         value = float(snapshot.states[vertex])
-        return (
-            200,
-            {
-                "vertex": vertex,
-                "value": wire_value(value),
-                "hex": value.hex(),  # bit-exact round-trip for verification
-                "seq": snapshot.seq,
-                "checksum": snapshot.checksum,
-            },
-            [],
-        )
+        return 200, {
+            "vertex": vertex,
+            "value": wire_value(value),
+            "hex": value.hex(),  # bit-exact round-trip for verification
+            "seq": snapshot.seq,
+            "checksum": snapshot.checksum,
+        }
 
-    async def _topk(self, query):
+    def _topk(self, query):
         try:
             k = int(query.get("k", ["8"])[0])
         except ValueError:
@@ -472,21 +411,17 @@ class ServiceServer:
             "false",
             "no",
         )
-        snapshot = self.service.snapshot()
+        snapshot = self.server.service.snapshot()
         entries = snapshot.top_k(k, largest=largest)
-        return (
-            200,
-            {
-                "k": k,
-                "largest": largest,
-                "seq": snapshot.seq,
-                "checksum": snapshot.checksum,
-                "entries": [[vertex, wire_value(value)] for vertex, value in entries],
-            },
-            [],
-        )
+        return 200, {
+            "k": k,
+            "largest": largest,
+            "seq": snapshot.seq,
+            "checksum": snapshot.checksum,
+            "entries": [[vertex, wire_value(value)] for vertex, value in entries],
+        }
 
-    async def _dlq(self):
+    def _dlq(self):
         entries = [
             {
                 "seq": entry.seq,
@@ -494,11 +429,11 @@ class ServiceServer:
                 "problems": list(entry.problems),
                 "recovered": entry.recovered,
             }
-            for entry in self.service.dlq.entries()
+            for entry in self.server.service.dlq.entries()
         ]
-        return 200, {"entries": entries}, []
+        return 200, {"entries": entries}
 
-    async def _submit(self, body: bytes):
+    def _submit(self, body: bytes):
         doc = _parse_json(body)
         raw_events = doc.get("events")
         if raw_events is None:
@@ -532,46 +467,24 @@ class ServiceServer:
                 except (TypeError, ValueError):
                     raise HttpError(400, "bad_seq", f"events[{index}].seq: {seq!r}")
             parsed.append((seq, update))
-        try:
-            timeout = float(doc.get("timeout", 10.0))
-        except (TypeError, ValueError):
-            raise HttpError(400, "bad_timeout", repr(doc.get("timeout")))
-        timeout = min(max(timeout, 0.0), self.timeouts["submit"])
-        return await self._run_blocking(self._submit_blocking, parsed, timeout)
-
-    def _submit_blocking(self, parsed, timeout: float):
-        """Runs on the thread pool: WAL each event; partial acks survive
-        an error (the client learns exactly which seqs are durable)."""
+        timeout = _clamped_wait(doc.get("timeout", 10.0), SUBMIT_WAIT_MAX)
+        # WAL each event; partial acks survive an error (the client learns
+        # exactly which seqs are durable)
         acks: List[int] = []
         duplicates: List[int] = []
         quarantine: Dict[str, dict] = {}
         for seq, update in parsed:
+            progress = {"acks": acks, "duplicates": duplicates}
             try:
-                acked, duplicate = self.service.submit_event(
+                acked, duplicate = self.server.service.submit_event(
                     update, seq=seq, timeout=timeout
                 )
             except ServiceOverloaded as error:
-                raise HttpError(
-                    429,
-                    "overloaded",
-                    str(error),
-                    retry_after=1.0,
-                    extra={"acks": acks, "duplicates": duplicates},
-                )
+                raise HttpError(429, "overloaded", str(error), extra=progress)
             except ServiceDead as error:
-                raise HttpError(
-                    503,
-                    "service_unavailable",
-                    str(error),
-                    extra={"acks": acks, "duplicates": duplicates},
-                )
+                raise HttpError(503, "service_unavailable", str(error), extra=progress)
             except ValueError as error:
-                raise HttpError(
-                    409,
-                    "seq_conflict",
-                    str(error),
-                    extra={"acks": acks, "duplicates": duplicates},
-                )
+                raise HttpError(409, "seq_conflict", str(error), extra=progress)
             acks.append(acked)
             if duplicate:
                 duplicates.append(acked)
@@ -586,26 +499,21 @@ class ServiceServer:
         payload = {"acks": acks, "duplicates": duplicates}
         if quarantine:
             payload["quarantine"] = quarantine
-        return 200, payload, []
+        return 200, payload
 
-    async def _drain(self, body: bytes):
+    def _drain(self, body: bytes):
         doc = _parse_json(body)
+        timeout = _clamped_wait(doc.get("timeout", 30.0), DRAIN_WAIT_MAX)
+        service = self.server.service
         try:
-            timeout = float(doc.get("timeout", 30.0))
-        except (TypeError, ValueError):
-            raise HttpError(400, "bad_timeout", repr(doc.get("timeout")))
-        timeout = min(max(timeout, 0.0), self.timeouts["drain"])
-        try:
-            await asyncio.wait_for(
-                self._run_blocking(self.service.drain, timeout), timeout + 5.0
-            )
+            service.drain(timeout)
         except ServiceDead as error:
             raise HttpError(503, "service_unavailable", str(error))
-        except TimeoutError as error:  # asyncio.TimeoutError is a subclass
+        except TimeoutError as error:
             raise HttpError(504, "drain_timeout", str(error) or "drain timed out")
-        return 200, {"drained": True, "health": self.service.health()}, []
+        return 200, {"drained": True, "health": service.health()}
 
-    async def _subscribe(self, body: bytes):
+    def _subscribe(self, body: bytes):
         doc = _parse_json(body)
         kind = doc.get("kind", "topk")
         max_pending = doc.get("max_pending")
@@ -614,7 +522,7 @@ class ServiceServer:
                 max_pending = int(max_pending)
             except (TypeError, ValueError):
                 raise HttpError(400, "bad_max_pending", repr(doc.get("max_pending")))
-        registry = self.service.subscriptions
+        registry = self.server.service.subscriptions
         try:
             if kind == "topk":
                 sub = registry.subscribe_topk(
@@ -635,243 +543,158 @@ class ServiceServer:
                 )
         except (ValueError, RuntimeError) as error:
             raise HttpError(400, "bad_subscription", str(error))
-        return (
-            200,
-            {
-                "id": sub.id,
-                "kind": sub.kind,
-                "seq": sub.baseline_seq,
-                "baseline": sub.baseline,
-                "max_pending": sub.max_pending,
-            },
-            [],
-        )
+        return 200, {
+            "id": sub.id,
+            "kind": sub.kind,
+            "seq": sub.baseline_seq,
+            "baseline": sub.baseline,
+            "max_pending": sub.max_pending,
+        }
 
-    def _get_subscription(self, sub_id: str):
-        sub = self.service.subscriptions.get(sub_id)
+    def _subscription(self, sub_id: str):
+        sub = self.server.service.subscriptions.get(sub_id)
         if sub is None:
             raise HttpError(
-                404,
-                "unknown_subscription",
-                sub_id,
-                extra={"hint": "resubscribe for a fresh baseline"},
+                404, "unknown_subscription", sub_id, extra={"hint": RESUBSCRIBE_HINT}
             )
         return sub
 
-    async def _poll(self, sub_id: str, query):
-        sub = self._get_subscription(sub_id)
+    def _poll(self, sub_id: str, query):
+        sub = self._subscription(sub_id)
+        raw = query.get("wait", [DEFAULT_POLL_WAIT])[0]
+        wait = _clamped_wait(raw, POLL_WAIT_MAX, "bad_wait")
         try:
-            wait = float(query.get("wait", [self.default_poll_wait])[0])
-        except ValueError:
-            raise HttpError(400, "bad_wait", str(query.get("wait")))
-        wait = min(max(wait, 0.0), self.timeouts["poll"])
-        loop = asyncio.get_running_loop()
-        ready = asyncio.Event()
-
-        def waker() -> None:
-            with contextlib.suppress(RuntimeError):
-                loop.call_soon_threadsafe(ready.set)
-
-        sub.register_waker(waker)
-        try:
-            if wait > 0:
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(ready.wait(), wait)
-        finally:
-            sub.discard_waker(waker)
-        try:
-            deltas = sub.take_nowait()
+            deltas = sub.take(wait)
         except SubscriptionEvicted as error:
             raise HttpError(
-                410,
-                "subscriber_evicted",
-                str(error),
-                extra={"hint": "resubscribe for a fresh baseline"},
+                410, "subscriber_evicted", str(error), extra={"hint": RESUBSCRIBE_HINT}
             )
-        return (
-            200,
-            {"id": sub.id, "deltas": deltas, "closed": sub.closed},
-            [],
-        )
+        return 200, {"id": sub.id, "deltas": deltas, "closed": sub.closed}
 
-    async def _unsubscribe(self, sub_id: str):
-        if not self.service.subscriptions.unsubscribe(sub_id):
+    def _unsubscribe(self, sub_id: str):
+        if not self.server.service.subscriptions.unsubscribe(sub_id):
             raise HttpError(404, "unknown_subscription", sub_id)
-        return 200, {"id": sub_id, "unsubscribed": True}, []
+        return 200, {"id": sub_id, "unsubscribed": True}
 
-    async def _handle_stream(self, writer, sub_id: str) -> None:
-        try:
-            sub = self._get_subscription(sub_id)
-        except HttpError as error:
-            writer.write(_render(error.status, error.payload(), close=True))
-            await writer.drain()
-            return
-        self.stats["streams"] += 1
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"content-type: application/x-ndjson\r\n"
-            b"transfer-encoding: chunked\r\n"
-            b"connection: close\r\n\r\n"
-        )
-        loop = asyncio.get_running_loop()
+    def _stream(self, sub_id: str) -> None:
+        """A chunked NDJSON push stream; it holds the connection until the
+        subscription closes or is evicted, or the reader hangs up."""
+        self.close_connection = True
+        sub = self._subscription(sub_id)
+        self.server.count("streams")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/x-ndjson")
+        self.send_header("Transfer-Encoding", "chunked")
+        self.send_header("Connection", "close")
+        self.end_headers()
         try:
             # hello record re-anchors a reconnecting reader on the baseline
-            await self._write_chunk(
-                writer,
+            self._chunk(
                 {
                     "kind": "hello",
                     "id": sub.id,
                     "seq": sub.baseline_seq,
                     "baseline": sub.baseline,
-                },
+                }
             )
             while True:
-                ready = asyncio.Event()
-
-                def waker() -> None:
-                    with contextlib.suppress(RuntimeError):
-                        loop.call_soon_threadsafe(ready.set)
-
-                sub.register_waker(waker)
                 try:
-                    await asyncio.wait_for(ready.wait(), self.timeouts["poll"])
-                except asyncio.TimeoutError:
-                    await self._write_chunk(
-                        writer,
-                        {
-                            "kind": "heartbeat",
-                            "seq": self.service.snapshot().seq,
-                        },
-                    )
-                    continue
-                finally:
-                    sub.discard_waker(waker)
-                try:
-                    deltas = sub.take_nowait()
+                    deltas = sub.take(POLL_WAIT_MAX)
                 except SubscriptionEvicted as error:
-                    await self._write_chunk(
-                        writer,
+                    self._chunk(
                         {
                             "kind": "evicted",
                             "detail": str(error),
-                            "hint": "resubscribe for a fresh baseline",
-                        },
+                            "hint": RESUBSCRIBE_HINT,
+                        }
                     )
                     break
                 for delta in deltas:
-                    await self._write_chunk(writer, delta)
-                if sub.closed and not deltas:
-                    await self._write_chunk(writer, {"kind": "closed"})
+                    self._chunk(delta)
+                if not deltas and sub.closed:
+                    self._chunk({"kind": "closed"})
                     break
-            writer.write(b"0\r\n\r\n")
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError, asyncio.TimeoutError):
-            return
+                if not deltas:  # the wait ran out: prove the stream is alive
+                    seq = self.server.service.snapshot().seq
+                    self._chunk({"kind": "heartbeat", "seq": seq})
+            self.wfile.write(b"0\r\n\r\n")
+        except OSError:
+            return  # the reader hung up
 
-    async def _write_chunk(self, writer, payload) -> None:
-        data = (
-            json.dumps(_jsonable(payload), separators=(",", ":"), allow_nan=False)
-            + "\n"
-        ).encode("utf-8")
-        writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
-        await writer.drain()
+    def _chunk(self, payload) -> None:
+        data = _dumps(payload) + b"\n"
+        self.wfile.write(b"%x\r\n%s\r\n" % (len(data), data))
 
 
-async def serve(service, host: str = "127.0.0.1", port: int = 0, **kwargs):
-    """Boot a :class:`ServiceServer` on ``host:port`` and return it started."""
-    server = ServiceServer(service, host, port, **kwargs)
-    return await server.start()
+def serve(service, host: str = "127.0.0.1", port: int = 0) -> ServiceServer:
+    """Boot a :class:`ServiceServer` on ``host:port`` and return it serving
+    on a background thread; :meth:`ServiceServer.close` stops it."""
+    return ServiceServer(service, host, port).start()
 
 
 # ----------------------------------------------------------------------
 # client
 # ----------------------------------------------------------------------
-async def _read_response(reader: asyncio.StreamReader):
-    status_line = await reader.readline()
-    if not status_line:
-        raise ConnectionError("server closed the connection")
-    status = int(status_line.split()[1])
-    headers: Dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n", b""):
-            break
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length") or 0)
-    body = await reader.readexactly(length) if length > 0 else b""
-    return status, headers, body
+def _resendable(method: str, path: str, payload) -> bool:
+    """May a request whose response was lost be sent again?
+
+    Reads and drains repeat harmlessly; a submit does only when every event
+    carries a seq, which the server dup-acks.  A seq-less submit may already
+    be WAL'd, and a resend would enqueue it twice.
+    """
+    if method == "GET" or path == "/drain":
+        return True
+    if path != "/submit" or not isinstance(payload, dict):
+        return False
+    events = payload.get("events", [payload])
+    return all(
+        isinstance(entry, dict) and entry.get("seq") is not None for entry in events
+    )
 
 
-class AsyncServiceClient:
-    """Minimal asyncio client for :class:`ServiceServer`.
+class ServiceClient:
+    """Minimal synchronous client for :class:`ServiceServer`.
 
-    One keep-alive connection for request/response endpoints (reconnects
-    transparently after a drop), plus :meth:`stream` generators that each
-    open their own connection.  Methods return ``(status, doc)`` — callers
-    decide what a non-200 means for them.
+    One keep-alive connection for request/response endpoints (reopened
+    after a drop, resending only what is safe to repeat), plus
+    :meth:`stream` generators that each open their own connection.  Methods
+    return ``(status, doc)`` — callers decide what a non-200 means for them.
     """
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._conn = http.client.HTTPConnection(host, port)
 
-    async def connect(self) -> None:
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
+    def close(self) -> None:
+        self._conn.close()
 
-    async def close(self) -> None:
-        if self._writer is not None:
-            self._writer.close()
-            with contextlib.suppress(Exception):
-                await self._writer.wait_closed()
-        self._reader = self._writer = None
-
-    async def request(self, method: str, path: str, payload=None):
-        body = (
-            json.dumps(
-                _jsonable(payload), separators=(",", ":"), allow_nan=False
-            ).encode("utf-8")
-            if payload is not None
-            else b""
-        )
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"host: {self.host}\r\n"
-            "content-type: application/json\r\n"
-            f"content-length: {len(body)}\r\n\r\n"
-        ).encode("latin-1")
+    def request(self, method: str, path: str, payload=None):
+        body = _dumps(payload) if payload is not None else None
+        headers = {"Content-Type": "application/json"} if body is not None else {}
         for attempt in (0, 1):
-            if self._writer is None:
-                await self.connect()
             try:
-                self._writer.write(head + body)
-                await self._writer.drain()
-                status, headers, raw = await _read_response(self._reader)
+                self._conn.request(method, path, body, headers)
+                response = self._conn.getresponse()
+                raw = response.read()
                 break
-            except (ConnectionError, asyncio.IncompleteReadError):
-                await self.close()
-                if attempt:
+            except (OSError, http.client.HTTPException):
+                self._conn.close()
+                if attempt or not _resendable(method, path, payload):
                     raise
-        if headers.get("connection", "").lower() == "close":
-            await self.close()
         doc = json.loads(raw.decode("utf-8")) if raw else {}
-        return status, doc
+        return response.status, doc
 
     # -- conveniences --------------------------------------------------
-    async def submit(self, update, seq: Optional[int] = None, timeout=None):
+    def submit(self, update, seq: Optional[int] = None, timeout=None):
         entry: dict = {"update": update_payload(update)}
         if seq is not None:
             entry["seq"] = seq
         if timeout is not None:
             entry["timeout"] = timeout
-        return await self.request("POST", "/submit", entry)
+        return self.request("POST", "/submit", entry)
 
-    async def submit_batch(self, events, timeout=None):
+    def submit_batch(self, events, timeout=None):
         """``events`` is an iterable of ``(seq_or_None, update)`` pairs."""
         doc: dict = {
             "events": [
@@ -883,89 +706,66 @@ class AsyncServiceClient:
         }
         if timeout is not None:
             doc["timeout"] = timeout
-        return await self.request("POST", "/submit", doc)
+        return self.request("POST", "/submit", doc)
 
-    async def value(self, vertex: int):
-        return await self.request("GET", f"/value/{vertex}")
+    def value(self, vertex: int):
+        return self.request("GET", f"/value/{vertex}")
 
-    async def topk(self, k: int, largest: bool = True):
+    def topk(self, k: int, largest: bool = True):
         flag = "true" if largest else "false"
-        return await self.request("GET", f"/topk?k={k}&largest={flag}")
+        return self.request("GET", f"/topk?k={k}&largest={flag}")
 
-    async def health(self):
-        return await self.request("GET", "/health")
+    def health(self):
+        return self.request("GET", "/health")
 
-    async def ready(self):
-        return await self.request("GET", "/ready")
+    def ready(self):
+        return self.request("GET", "/ready")
 
-    async def dlq(self):
-        return await self.request("GET", "/dlq")
+    def dlq(self):
+        return self.request("GET", "/dlq")
 
-    async def drain(self, timeout: float = 30.0):
-        return await self.request("POST", "/drain", {"timeout": timeout})
+    def drain(self, timeout: float = 30.0):
+        return self.request("POST", "/drain", {"timeout": timeout})
 
-    async def subscribe_topk(self, k: int, largest: bool = True, max_pending=None):
+    def subscribe_topk(self, k: int, largest: bool = True, max_pending=None):
         doc: dict = {"kind": "topk", "k": k, "largest": largest}
         if max_pending is not None:
             doc["max_pending"] = max_pending
-        return await self.request("POST", "/subscribe", doc)
+        return self.request("POST", "/subscribe", doc)
 
-    async def subscribe_vertices(self, vertices, max_pending=None):
+    def subscribe_vertices(self, vertices, max_pending=None):
         doc: dict = {"kind": "vertices", "vertices": list(vertices)}
         if max_pending is not None:
             doc["max_pending"] = max_pending
-        return await self.request("POST", "/subscribe", doc)
+        return self.request("POST", "/subscribe", doc)
 
-    async def poll(self, sub_id: str, wait: float = 5.0):
-        return await self.request("GET", f"/subscription/{sub_id}/poll?wait={wait}")
+    def poll(self, sub_id: str, wait: float = 5.0):
+        return self.request("GET", f"/subscription/{sub_id}/poll?wait={wait}")
 
-    async def unsubscribe(self, sub_id: str):
-        return await self.request("DELETE", f"/subscription/{sub_id}")
+    def unsubscribe(self, sub_id: str):
+        return self.request("DELETE", f"/subscription/{sub_id}")
 
-    async def stream(self, sub_id: str) -> AsyncIterator[dict]:
+    def stream(self, sub_id: str) -> Iterator[dict]:
         """Yield push records (hello/deltas/heartbeats/evicted/closed) from
         a chunked stream on a dedicated connection."""
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+        conn = http.client.HTTPConnection(self.host, self.port)
         try:
-            writer.write(
-                (
-                    f"GET /subscription/{sub_id}/stream HTTP/1.1\r\n"
-                    f"host: {self.host}\r\ncontent-length: 0\r\n\r\n"
-                ).encode("latin-1")
-            )
-            await writer.drain()
-            status_line = await reader.readline()
-            status = int(status_line.split()[1])
-            headers: Dict[str, str] = {}
-            while True:
-                raw = await reader.readline()
-                if raw in (b"\r\n", b"\n", b""):
-                    break
-                name, sep, value = raw.decode("latin-1").partition(":")
-                if sep:
-                    headers[name.strip().lower()] = value.strip()
-            if status != 200:
-                length = int(headers.get("content-length") or 0)
-                body = await reader.readexactly(length) if length else b""
-                doc = json.loads(body.decode("utf-8")) if body else {}
-                raise HttpError(status, doc.get("error", "stream_failed"),
-                                doc.get("detail"), extra=doc)
-            while True:
-                size_line = await reader.readline()
-                if not size_line:
-                    return
-                size = int(size_line.strip() or b"0", 16)
-                if size == 0:
-                    return
-                data = await reader.readexactly(size)
-                await reader.readexactly(2)  # chunk-terminating CRLF
-                for line in data.decode("utf-8").splitlines():
-                    if line:
-                        yield json.loads(line)
+            conn.request("GET", f"/subscription/{sub_id}/stream")
+            response = conn.getresponse()
+            if response.status != 200:
+                raw = response.read()
+                doc = json.loads(raw.decode("utf-8")) if raw else {}
+                raise HttpError(
+                    response.status,
+                    doc.get("error", "stream_failed"),
+                    doc.get("detail"),
+                    extra=doc,
+                )
+            for line in response:
+                if line.strip():
+                    yield json.loads(line)
         finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+            conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -995,10 +795,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """
     import argparse
     import os
-    import sys
 
-    from repro.bench.harness import build_engine
     from repro.engine.algorithms import make_algorithm
+    from repro.incremental import make_engine
     from repro.service.service import UpdateService
 
     parser = argparse.ArgumentParser(description=__doc__)
@@ -1018,7 +817,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             args.directory, batch_size=args.batch_size
         )
     else:
-        engine = build_engine(
+        engine = make_engine(
             args.engine, make_algorithm(args.algorithm, source=args.source)
         )
         engine.initialize(demo_graph(args.seed))
@@ -1026,18 +825,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             engine, args.directory, batch_size=args.batch_size
         )
 
-    async def run() -> None:
-        server = await serve(service, host=args.host, port=args.port)
-        print(f"LISTENING {server.host} {server.port}", flush=True)
-        try:
-            await asyncio.Event().wait()  # serve until killed
-        finally:
-            await server.aclose()
-
+    server = ServiceServer(service, args.host, args.port)
+    print(f"LISTENING {server.host} {server.port}", flush=True)
     try:
-        asyncio.run(run())
+        server.serve_forever(poll_interval=0.05)  # serve until killed
     except KeyboardInterrupt:
         service.close()
+    finally:
+        server.server_close()
     return 0
 
 

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import time
 import uuid
 from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -113,9 +112,8 @@ class Subscription:
     """One registered watch and its bounded delta queue.
 
     Created through :class:`SubscriptionRegistry`; consumed with
-    :meth:`take` (blocking, for threads) or :meth:`take_nowait` +
-    :meth:`register_waker` (for asyncio front ends).  All delta payloads are
-    plain JSON-ready dicts.
+    :meth:`take`, which blocks up to a timeout until a publish, close or
+    eviction wakes it.  All delta payloads are plain JSON-ready dicts.
     """
 
     def __init__(
@@ -145,13 +143,11 @@ class Subscription:
         self.evicted = False
         self.closed = False
         self.pushed = 0
-        self.delivered = 0
         self._last_topk: Optional[List[Tuple[int, float]]] = (
             list(baseline) if kind == "topk" and baseline is not None else None
         )
         self._pending: deque = deque()
         self._cond = threading.Condition()
-        self._wakers: List[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # producer side (writer thread, via the registry)
@@ -232,95 +228,35 @@ class Subscription:
             else:
                 self._pending.append(delta)
                 self.pushed += 1
-            self._wake_locked()
-
-    def _wake_locked(self) -> None:
-        self._cond.notify_all()
-        wakers, self._wakers = self._wakers, []
-        for waker in wakers:
-            try:
-                waker()
-            except Exception:
-                pass  # a waker on a dead event loop must not hurt the writer
+            self._cond.notify_all()
 
     def _close(self) -> None:
         with self._cond:
             self.closed = True
-            self._wake_locked()
+            self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # consumer side
     # ------------------------------------------------------------------
-    def register_waker(self, waker: Callable[[], None]) -> None:
-        """Call ``waker`` (from any thread) once something is consumable.
+    def take(self, timeout: Optional[float] = None) -> List[dict]:
+        """Drain pending deltas, waiting up to ``timeout`` for the first.
 
-        Fires immediately if deltas are already pending or the subscription
-        is evicted/closed; otherwise fires on the next push.  Asyncio front
-        ends pass ``loop.call_soon_threadsafe(event.set)`` wrappers.
+        Returns ``[]`` on timeout (at once for ``timeout=0``) or when the
+        subscription was closed (service shutdown / unsubscribe); raises
+        :class:`SubscriptionEvicted` after a slow-consumer drop (eviction
+        clears the queue, so it raises as soon as it happened).
         """
         with self._cond:
-            if self._pending or self.evicted or self.closed:
-                fire = True
-            else:
-                self._wakers.append(waker)
-                fire = False
-        if fire:
-            waker()
-
-    def discard_waker(self, waker: Callable[[], None]) -> None:
-        with self._cond:
-            try:
-                self._wakers.remove(waker)
-            except ValueError:
-                pass
-
-    def take_nowait(self) -> List[dict]:
-        """Drain pending deltas; ``[]`` when idle.
-
-        Raises :class:`SubscriptionEvicted` once the queue was dropped for
-        slowness (after any deltas pushed before the eviction are gone —
-        eviction clears them, so this is immediate in practice).
-        """
-        with self._cond:
+            self._cond.wait_for(
+                lambda: self._pending or self.evicted or self.closed, timeout
+            )
             if self._pending:
                 out = list(self._pending)
                 self._pending.clear()
-                self.delivered += len(out)
                 return out
             if self.evicted:
                 raise SubscriptionEvicted(EVICTION_HINT)
             return []
-
-    def take(self, timeout: Optional[float] = None) -> List[dict]:
-        """Blocking :meth:`take_nowait`: wait up to ``timeout`` for deltas.
-
-        Returns ``[]`` on timeout or when the subscription was closed
-        (service shutdown / unsubscribe); raises :class:`SubscriptionEvicted`
-        after a slow-consumer drop.
-        """
-        deadline = None if timeout is None else time.monotonic() + max(0.0, timeout)
-        with self._cond:
-            while True:
-                if self._pending:
-                    out = list(self._pending)
-                    self._pending.clear()
-                    self.delivered += len(out)
-                    return out
-                if self.evicted:
-                    raise SubscriptionEvicted(EVICTION_HINT)
-                if self.closed:
-                    return []
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return []
-                    self._cond.wait(remaining)
-
-    def pending(self) -> int:
-        with self._cond:
-            return len(self._pending)
 
 
 class SubscriptionRegistry:
@@ -344,8 +280,6 @@ class SubscriptionRegistry:
         self._default_max_pending = max_pending
         self._counter = itertools.count(1)
         self.closed = False
-        #: publishes that fanned out to at least one live subscriber
-        self.publishes = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -462,7 +396,6 @@ class SubscriptionRegistry:
             changed, removed = snapshot_diff(old, new)
             for sub in subs:
                 sub._offer(new, changed, removed)
-            self.publishes += 1
 
     def close(self) -> None:
         """Service shutdown: wake and close every subscriber."""

@@ -1,12 +1,12 @@
 """Array codecs for the snapshot halves of the durable store.
 
 Each codec turns one expensive derived structure — :class:`FactorCSR` arrays,
-:class:`MemoTable` matrices, :class:`DepTable` forests, ordered state dicts,
-:class:`FactorAdjacency` rows — into plain numpy arrays (packed into one
-``.npz`` under a key prefix) plus a JSON-able meta fragment, and back.  The
-round-trip contract is **bitwise**: every float travels as its raw 8 bytes,
-every id list keeps its order, and ``NaN`` columns (a :class:`MemoTable`'s
-"absent vertex" marker) survive because the arrays are stored, not re-derived.
+:class:`MemoTable` matrices, :class:`DepTable` forests, ordered state dicts —
+into plain numpy arrays (packed into one ``.npz`` under a key prefix) plus a
+JSON-able meta fragment, and back.  The round-trip contract is **bitwise**:
+every float travels as its raw 8 bytes, every id list keeps its order, and
+``NaN`` columns (a :class:`MemoTable`'s "absent vertex" marker) survive
+because the arrays are stored, not re-derived.
 
 Decoders copy by default so the restored structures are mutable even when the
 snapshot was opened with ``mmap_mode="r"``; pass ``copy=False`` for read-only
@@ -19,7 +19,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.engine.propagation import FactorAdjacency
 from repro.graph.csr import FactorCSR
 from repro.incremental.dep_table import DepTable
 from repro.incremental.memo import MemoTable
@@ -243,32 +242,6 @@ def decode_iteration_dicts(
         decode_float_map(unpack(f"level{level}", arrays))
         for level in range(int(meta["num_levels"]))
     ]
-
-
-# ----------------------------------------------------------------------
-# FactorAdjacency (Layph's upper layer and subgraph-local adjacencies)
-# ----------------------------------------------------------------------
-def encode_factor_adjacency(adjacency: FactorAdjacency) -> dict:
-    """JSON-able form of a factor adjacency (row order + version preserved)."""
-    return {
-        "rows": [
-            [source, [[target, factor] for target, factor in row]]
-            for source, row in adjacency._adjacency.items()
-        ],
-        "version": adjacency._version,
-    }
-
-
-def decode_factor_adjacency(payload: dict) -> FactorAdjacency:
-    """Decode :func:`encode_factor_adjacency` output."""
-    adjacency = FactorAdjacency(
-        {
-            int(source): [(int(target), float(factor)) for target, factor in row]
-            for source, row in payload["rows"]
-        }
-    )
-    adjacency._version = int(payload["version"])
-    return adjacency
 
 
 # ----------------------------------------------------------------------

@@ -475,7 +475,7 @@ def restore_engine(
         StoreError: the directory holds no usable baseline at all, or the
             ``REPRO_STORE=0`` escape hatch is set.
     """
-    from repro.bench.harness import build_engine
+    from repro.incremental import make_engine
 
     if not storage_enabled():
         raise StoreError("durable storage is disabled (REPRO_STORE=0)")
@@ -548,7 +548,7 @@ def restore_engine(
             )
             baseline_graph, _baseline_seq = store.edge_store.load_baseline()
             graph_full = _advance_graph(baseline_graph, usable)
-            engine = build_engine(identity["engine"], spec, layph_config)
+            engine = make_engine(identity["engine"], spec, layph_config)
             engine.initialize(graph_full)
             store.next_seq = last_seq + 1
             store.save(engine)
@@ -565,7 +565,7 @@ def restore_engine(
             engine.last_restore_report = report
             return engine, report
 
-        engine = build_engine(identity["engine"], spec, layph_config)
+        engine = make_engine(identity["engine"], spec, layph_config)
         target = engine._storage_target()
         target.graph = graph_at
         target.states = decode_float_map(unpack("states", arrays))

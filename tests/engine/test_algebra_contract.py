@@ -15,13 +15,13 @@ import math
 
 import pytest
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import PageRank, SSSP, make_algorithm
 from repro.engine.dense_propagation import classify_spec
 from repro.engine.runner import run_batch
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import community_graph
 from repro.graph.graph import Graph
+from repro.incremental import make_engine
 from repro.workloads.updates import random_edge_delta
 
 ENGINES = ("restart", "kickstarter", "risgraph", "graphbolt", "dzig", "ingress", "layph")
@@ -88,7 +88,7 @@ def _construct(target, spec):
     if target == "run_batch":
         run_batch(spec, Graph.from_edges([(0, 1, 1.0)]))
     else:
-        build_engine(target, spec)
+        make_engine(target, spec)
 
 
 @pytest.mark.parametrize("spec_class", DEVIATING, ids=lambda cls: cls.__name__)
@@ -114,7 +114,7 @@ def test_the_contract_runs_the_probes_once_per_engine(monkeypatch):
     )
     for name in ENGINES:
         calls.clear()
-        build_engine(name, make_algorithm("pagerank" if name in ("graphbolt", "dzig") else "sssp"))
+        make_engine(name, make_algorithm("pagerank" if name in ("graphbolt", "dzig") else "sssp"))
         assert len(calls) == 1, name
 
 
@@ -145,7 +145,7 @@ def _snapshot(engine):
 @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_initialize_rejects_non_finite_weights(engine_name, weight):
-    engine = build_engine(engine_name, make_algorithm(_algorithm(engine_name), source=0))
+    engine = make_engine(engine_name, make_algorithm(_algorithm(engine_name), source=0))
     graph = _graph()
     graph.add_edge(0, 1, weight)
     with pytest.raises(ValueError, match="non-finite edge weight"):
@@ -168,7 +168,7 @@ class _NaNStatePageRank(PageRank):
     [("ingress", _NaNRootSSSP), ("layph", _NaNRootSSSP), ("graphbolt", _NaNStatePageRank)],
 )
 def test_initialize_rejects_nan_initial_values(engine_name, spec_class):
-    engine = build_engine(engine_name, spec_class())
+    engine = make_engine(engine_name, spec_class())
     with pytest.raises(ValueError, match="NaN initial value"):
         engine.initialize(_graph())
     assert engine.graph is None and engine.states == {}
@@ -178,7 +178,7 @@ def test_unreachable_vertices_initialise_at_infinity():
     graph = _graph()
     graph.add_edge(900, 901, 1.0)  # a component the source cannot reach
     for name in ("kickstarter", "risgraph", "ingress", "layph"):
-        engine = build_engine(name, SSSP(source=0))
+        engine = make_engine(name, SSSP(source=0))
         engine.initialize(graph)
         assert engine.states[900] == math.inf and engine.states[901] == math.inf
         engine.apply_delta(random_edge_delta(engine.graph, 2, 2, seed=1, protect=0))
@@ -189,7 +189,7 @@ def test_unreachable_vertices_initialise_at_infinity():
 @pytest.mark.parametrize("weight", [math.nan, math.inf])
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_apply_delta_rejects_non_finite_weights_and_changes_nothing(engine_name, weight):
-    engine = build_engine(engine_name, make_algorithm(_algorithm(engine_name), source=0))
+    engine = make_engine(engine_name, make_algorithm(_algorithm(engine_name), source=0))
     engine.initialize(_graph())
     engine.apply_delta(random_edge_delta(engine.graph, 2, 2, seed=2, protect=0))
     before = _snapshot(engine)
@@ -202,7 +202,7 @@ def test_apply_delta_rejects_non_finite_weights_and_changes_nothing(engine_name,
     assert after[0] is before[0] and after[1:] == before[1:]
     # and the engine carries on exactly as if the delta had never come
     delta = random_edge_delta(engine.graph, 3, 2, seed=3, protect=0)
-    twin = build_engine(engine_name, make_algorithm(_algorithm(engine_name), source=0))
+    twin = make_engine(engine_name, make_algorithm(_algorithm(engine_name), source=0))
     twin.initialize(_graph())
     twin.apply_delta(random_edge_delta(twin.graph, 2, 2, seed=2, protect=0))
     assert engine.apply_delta(delta).states == twin.apply_delta(delta).states

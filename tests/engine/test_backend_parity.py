@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.engine.runner import run_batch
 from repro.graph.generators import community_graph
+from repro.incremental import make_engine
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
 from oracles import oracle_engine, oracle_run_batch  # noqa: E402  (tests/)
@@ -115,7 +115,7 @@ def _run_sequence(engine, make_delta):
 def _assert_parity(engine_name: str, algorithm: str, make_delta) -> None:
     spec = make_algorithm(algorithm, source=0)
     reference, reference_forest = _run_sequence(oracle_engine(engine_name, spec), make_delta)
-    vectorized, vectorized_forest = _run_sequence(build_engine(engine_name, spec), make_delta)
+    vectorized, vectorized_forest = _run_sequence(make_engine(engine_name, spec), make_delta)
     for step, (expected, actual) in enumerate(zip(reference, vectorized)):
         assert expected[0] == actual[0], f"states diverged at delta {step}"
         assert expected[1] == actual[1], f"metrics diverged at delta {step}"

@@ -6,12 +6,13 @@ for every engine, every supported algorithm, and several kinds of deltas.
 
 import pytest
 
-from repro.bench.harness import build_engine, engines_for
+from repro.bench.harness import engines_for
 from repro.engine.algorithms import make_algorithm
 from repro.engine.convergence import states_close
 from repro.engine.runner import run_batch
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import community_graph, erdos_renyi_graph
+from repro.incremental import make_engine
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
 from oracles import ROUTES, engine_on_route  # noqa: E402  (tests/)
@@ -42,7 +43,7 @@ def _tolerance_for(spec) -> float:
 
 def _check(engine_name: str, algorithm: str, graph, delta: GraphDelta, source: int = 0):
     spec = make_algorithm(algorithm, source=source)
-    engine = build_engine(engine_name, spec)
+    engine = make_engine(engine_name, spec)
     engine.initialize(graph)
     result = engine.apply_delta(delta)
     reference = run_batch(make_algorithm(algorithm, source=source), delta.apply(graph)).states
@@ -126,7 +127,7 @@ class TestEngineMatchesRestart:
         if not _applicable(engine_name, algorithm):
             pytest.skip("engine does not support this algorithm family")
         spec = make_algorithm(algorithm, source=0)
-        engine = build_engine(engine_name, spec)
+        engine = make_engine(engine_name, spec)
         engine.initialize(base_graph)
         graph = base_graph
         for seed in (11, 12, 13):
@@ -170,6 +171,6 @@ class TestEngineSelection:
 
     def test_unsupported_combination_raises(self):
         with pytest.raises(ValueError):
-            build_engine("kickstarter", make_algorithm("pagerank"))
+            make_engine("kickstarter", make_algorithm("pagerank"))
         with pytest.raises(ValueError):
-            build_engine("graphbolt", make_algorithm("sssp"))
+            make_engine("graphbolt", make_algorithm("sssp"))

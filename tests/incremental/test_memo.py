@@ -14,9 +14,11 @@ import numpy as np
 import pytest
 
 from repro.engine.algorithms import make_algorithm
+from repro.engine.runner import run_batch
 from repro.graph.delta import GraphDelta
-from repro.graph.generators import erdos_renyi_graph
+from repro.graph.generators import community_graph, erdos_renyi_graph
 from repro.incremental import make_engine
+from repro.incremental.graphbolt import GraphBoltEngine
 from repro.incremental.memo import MemoRow, MemoTable, refinement_preamble
 from repro.workloads.updates import random_edge_delta
 
@@ -203,6 +205,46 @@ class TestEngineLifecycle:
                 == dict_result.metrics.active_vertices_per_round
             )
         assert dense_engine.iterations == dict_engine.iterations
+
+    def test_dzig_pulls_a_fresh_vertex_inside_a_sparse_round(self, monkeypatch):
+        # a new vertex wired 0 -> n -> 1 makes DZiG pull n in its sparse
+        # rounds (GraphBolt's fresh-vertex pull); the result must equal the
+        # oracle's bit for bit and the batch run within tolerance
+        graph = community_graph(
+            num_communities=8,
+            community_size_range=(40, 50),
+            intra_edge_probability=0.1,
+            inter_edges_per_community=4,
+            seed=3,
+        )
+        fresh = max(graph.vertices()) + 1
+        delta = GraphDelta()
+        delta.add_vertex(fresh)
+        delta.add_edge(0, fresh)
+        delta.add_edge(fresh, 1)
+        pulls = []
+        pull = GraphBoltEngine._pull_frontier_memo
+
+        def spy(self, csr, memo, iteration, vertices, *args):
+            pulls.append(set(vertices))
+            return pull(self, csr, memo, iteration, vertices, *args)
+
+        monkeypatch.setattr(GraphBoltEngine, "_pull_frontier_memo", spy)
+        spec = make_algorithm("pagerank")
+        engine = make_engine("dzig", spec)
+        engine.initialize(graph.copy())
+        result = engine.apply_delta(delta)
+        assert pulls and all(vertices == {fresh} for vertices in pulls)
+
+        oracle = oracle_engine("dzig", spec)
+        oracle.initialize(graph.copy())
+        expected = oracle.apply_delta(delta)
+        def bits(states):
+            return {vertex: float(value).hex() for vertex, value in states.items()}
+
+        assert bits(result.states) == bits(expected.states)
+        batch = run_batch(spec, engine.graph).states
+        assert spec.states_match(result.states, batch, tolerance=1e-3)
 
     @pytest.mark.parametrize("engine_name", ["graphbolt", "dzig"])
     def test_nan_weight_delta_is_rejected(self, graph, engine_name):

@@ -286,11 +286,11 @@ def _state_bits(states):
 @pytest.mark.parametrize("algorithm", ["pagerank", "sssp"])
 def test_restored_engine_continues_bitwise(monkeypatch, tmp_path, algorithm, route):
     # the restore rebuilds the engine on the same route as the live one
-    from repro.bench import harness
+    import repro.incremental
 
     monkeypatch.setattr(
-        harness,
-        "build_engine",
+        repro.incremental,
+        "make_engine",
         lambda name, spec, config=None: engine_on_route(name, spec, route, config),
     )
     spec = make_algorithm(algorithm, source=0)

@@ -21,11 +21,11 @@ import contextlib
 import functools
 from typing import Dict, Set
 
-from repro.bench.harness import build_engine
 from repro.engine import runner
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.runner import BatchResult, run_batch
 from repro.incremental import ENGINE_REGISTRY, ingress, selective_base
+from repro.incremental import make_engine
 from repro.incremental.dzig import DZiGEngine
 from repro.incremental.graphbolt import _MAX_ITERATIONS, GraphBoltEngine
 from repro.incremental.selective_base import SelectiveDependencyEngine
@@ -87,7 +87,7 @@ def engine_on_route(name: str, spec, route: str, layph_config=None):
         raise ValueError(f"unknown route {route!r}")
     if route == "oracle":
         return oracle_engine(name, spec, layph_config)
-    return build_engine(name, spec, layph_config)
+    return make_engine(name, spec, layph_config)
 
 
 class _OracleEngine:

@@ -30,10 +30,10 @@ import time
 
 import pytest
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.delta import EdgeUpdate, UpdateKind
 from repro.graph.generators import community_graph
+from repro.incremental import make_engine
 from repro.service import (
     FaultInjector,
     ServiceDead,
@@ -129,7 +129,7 @@ def _applied_ranges(service_dir):
 
 
 def _service(tmp_path, graph, engine_name, algorithm, faults=None, **kwargs):
-    engine = build_engine(engine_name, make_algorithm(algorithm, source=0))
+    engine = make_engine(engine_name, make_algorithm(algorithm, source=0))
     engine.initialize(graph)
     kwargs.setdefault("batch_size", BATCH)
     kwargs.setdefault("compact_every", COMPACT_EVERY)

@@ -25,11 +25,11 @@ import random
 
 import pytest
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.delta import EdgeUpdate, GraphDelta, UpdateKind, VertexUpdate
 from repro.graph.generators import community_graph
 from repro.graph.graph import Graph
+from repro.incremental import make_engine
 from repro.service.coalescer import (
     FIG10_BATCH_SIZES,
     AdaptiveBatchSizer,
@@ -216,7 +216,7 @@ def test_coalesced_batches_match_one_at_a_time(engine_name, algorithm):
     base = _base_graph()
     spec = make_algorithm(algorithm, source=0)
 
-    reference = build_engine(engine_name, spec)
+    reference = make_engine(engine_name, spec)
     reference.initialize(base)
     events = _stream(base, 60, seed=42)
     for event in events:
@@ -227,7 +227,7 @@ def test_coalesced_batches_match_one_at_a_time(engine_name, algorithm):
             delta.edge_updates.append(event)
         reference.apply_delta(delta)
 
-    subject = build_engine(engine_name, spec)
+    subject = make_engine(engine_name, spec)
     subject.initialize(base)
     rng = random.Random(7)
     for batch in _random_batches(events, rng):

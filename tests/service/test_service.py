@@ -15,10 +15,10 @@ import time
 
 import pytest
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.delta import EdgeUpdate, UpdateKind, VertexUpdate
 from repro.graph.generators import community_graph
+from repro.incremental import make_engine
 from repro.service import (
     Event,
     EventLog,
@@ -44,7 +44,7 @@ def _graph(seed=5):
 
 
 def _engine(graph, name="kickstarter", algorithm="sssp"):
-    engine = build_engine(name, make_algorithm(algorithm, source=0))
+    engine = make_engine(name, make_algorithm(algorithm, source=0))
     engine.initialize(graph)
     return engine
 

@@ -7,22 +7,23 @@ NaN states, ±inf, -0.0) *and* over real published-snapshot sequences from
 one selective engine (kickstarter/sssp, whose states hold infinities) and
 one accumulative engine (ingress/pagerank).  The rest covers subscription
 semantics: baseline-vs-delta completeness at the subscribe boundary, top-k
-watch pushes, vertex watches, slow-consumer eviction, waker delivery, and
-registry close on service shutdown.
+watch pushes, vertex watches, slow-consumer eviction, a publish waking a
+blocked take, and registry close on service shutdown.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.delta import EdgeUpdate, UpdateKind
 from repro.graph.generators import community_graph
+from repro.incremental import make_engine
 from repro.service import UpdateService
 from repro.service.snapshot import StateSnapshot
 from repro.service.subscriptions import (
@@ -145,7 +146,7 @@ def test_snapshot_diff_matches_brute_force_on_engine_sequences(
     engine keeps unreachable vertices at +inf, exercising the non-finite
     compare on real data)."""
     graph = _graph()
-    engine = build_engine(engine_name, make_algorithm(algorithm, source=0))
+    engine = make_engine(engine_name, make_algorithm(algorithm, source=0))
     engine.initialize(graph)
     service = UpdateService(engine, str(tmp_path / "svc"), batch_size=8)
     chain = [service.snapshot()]
@@ -230,25 +231,37 @@ def test_slow_consumer_is_evicted_not_blocking():
         registry.publish(old, new)  # never drained
     assert sub.evicted
     with pytest.raises(SubscriptionEvicted):
-        sub.take_nowait()
+        sub.take(timeout=0)
     # evicted subs receive nothing further and the writer path stays happy
     registry.publish(snapshots[-2], snapshots[-1])
     assert registry.evictions() == 1
 
 
-def test_waker_fires_immediately_when_pending_or_evicted():
+def test_publish_wakes_a_blocked_take():
     registry = SubscriptionRegistry(max_pending=1)
     old = _snapshot(1, {1: 1.0})
     sub = registry.subscribe_vertices([1], snapshot=old)
-    fired = threading.Event()
-    sub.register_waker(fired.set)
-    assert not fired.is_set()
-    registry.publish(old, _snapshot(2, {1: 2.0}))
-    assert fired.wait(1.0)
-    # pending now: a fresh waker fires synchronously
-    fired2 = threading.Event()
-    sub.register_waker(fired2.set)
-    assert fired2.is_set()
+    results = []
+    thread = threading.Thread(target=lambda: results.append(sub.take(timeout=10.0)))
+    thread.start()
+    time.sleep(0.05)  # let the taker block
+    started = time.monotonic()
+    new = _snapshot(2, {1: 2.0})
+    registry.publish(old, new)
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert time.monotonic() - started < 5.0, "the publish did not wake the take"
+    assert [delta["changed"] for delta in results[0]] == [[[1, 2.0]]]
+    # pending deltas and an eviction both end a take at once
+    registry.publish(new, _snapshot(3, {1: 3.0}))
+    assert sub.take(timeout=10.0)[0]["seq"] == 3
+    for seq in (4, 5):
+        previous = _snapshot(seq - 1, {1: seq - 1.0})
+        registry.publish(previous, _snapshot(seq, {1: float(seq)}))
+    started = time.monotonic()
+    with pytest.raises(SubscriptionEvicted):
+        sub.take(timeout=10.0)
+    assert time.monotonic() - started < 5.0
 
 
 def test_unsubscribe_and_registry_close_wake_blocked_takers():
@@ -274,7 +287,7 @@ def test_service_publishes_to_live_subscription(tmp_path):
     """End-to-end in-process: watch top-k through a real service; the final
     pushed ranking equals the drained snapshot's own top_k."""
     graph = _graph()
-    engine = build_engine("kickstarter", make_algorithm("sssp", source=0))
+    engine = make_engine("kickstarter", make_algorithm("sssp", source=0))
     engine.initialize(graph)
     service = UpdateService(engine, str(tmp_path / "svc"), batch_size=8)
     try:

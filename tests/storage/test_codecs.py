@@ -17,26 +17,28 @@ import math
 
 import numpy as np
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.engine.propagation import FactorAdjacency
 from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import community_graph
 from repro.graph.graph import Graph
+from repro.incremental import make_engine
 from repro.incremental.dep_table import DepTable
 from repro.incremental.memo import MemoTable
-from repro.layph.layered_graph import LayeredGraph
+from repro.layph.layered_graph import (
+    LayeredGraph,
+    _adjacency_from_state,
+    _adjacency_state,
+)
 from repro.storage.codecs import (
     decode_dep_table,
-    decode_factor_adjacency,
     decode_factor_csr,
     decode_float_map,
     decode_iteration_dicts,
     decode_memo_table,
     decode_parent_map,
     encode_dep_table,
-    encode_factor_adjacency,
     encode_factor_csr,
     encode_float_map,
     encode_iteration_dicts,
@@ -186,7 +188,7 @@ def test_memo_table_round_trip_with_nan_columns(tmp_path):
 
 def test_memo_table_round_trip_from_live_engine(tmp_path):
     """The memo an actual BSP engine builds survives encode/decode bitwise."""
-    engine = build_engine("graphbolt", make_algorithm("pagerank"))
+    engine = make_engine("graphbolt", make_algorithm("pagerank"))
     graph = _graph()
     engine.initialize(graph)
     engine.apply_delta(random_edge_delta(graph, 3, 2, seed=3, protect=0))
@@ -245,14 +247,15 @@ def test_iteration_dicts_round_trip_with_absent_vertices(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# FactorAdjacency (Layph upper layer / subgraph-local adjacencies)
+# FactorAdjacency (Layph upper layer / subgraph-local adjacencies), in the
+# JSON form the layered-graph state carries it
 # ----------------------------------------------------------------------
 def test_factor_adjacency_round_trip_preserves_rows_and_version():
     spec = make_algorithm("pagerank")
     graph = _graph()
     adjacency = FactorAdjacency.from_graph(spec, graph)
     adjacency._version = 42
-    decoded = decode_factor_adjacency(encode_factor_adjacency(adjacency))
+    decoded = _adjacency_from_state(json.loads(json.dumps(_adjacency_state(adjacency))))
     assert decoded._version == 42
     assert list(decoded._adjacency) == list(adjacency._adjacency)
     for source in adjacency._adjacency:
@@ -264,7 +267,7 @@ def test_factor_adjacency_round_trip_preserves_rows_and_version():
 # ----------------------------------------------------------------------
 def test_layered_graph_state_round_trip():
     spec = make_algorithm("sssp", source=0)
-    engine = build_engine("layph", spec)
+    engine = make_engine("layph", spec)
     graph = _graph()
     engine.initialize(graph)
     # mutate past the initial build so replication indexes are non-trivial
@@ -275,7 +278,7 @@ def test_layered_graph_state_round_trip():
     assert rebuilt.to_state() == state
     # the skeleton is behaviorally identical, not just structurally: the
     # rebuilt upper layer serves the same adjacency rows
-    assert encode_factor_adjacency(rebuilt.upper_adjacency) == encode_factor_adjacency(
+    assert _adjacency_state(rebuilt.upper_adjacency) == _adjacency_state(
         layered.upper_adjacency
     )
 
@@ -286,7 +289,7 @@ def test_layered_graph_state_counters_and_old_snapshots():
     snapshot written by a build that still stored them restores all the
     same; the compiled upper CSR is never stored and recompiles on use."""
     spec = make_algorithm("sssp", source=0)
-    engine = build_engine("layph", spec)
+    engine = make_engine("layph", spec)
     engine.initialize(_graph())
     engine.apply_delta(random_vertex_delta(engine.graph, 2, 2, seed=5, protect=0))
     layered = engine.layered

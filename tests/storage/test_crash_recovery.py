@@ -34,9 +34,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import pytest
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.generators import community_graph
+from repro.incremental import make_engine
 from repro.storage.store import restore_engine
 from repro.workloads.updates import random_edge_delta
 
@@ -164,7 +164,7 @@ def _build_reference(engine_name, algorithm, tmp_path_factory) -> ReferenceRun:
     root = tmp_path_factory.mktemp(f"ref-{engine_name}-{algorithm}")
     store_dir = root / "store"
     spec = make_algorithm(algorithm, source=0)
-    engine = build_engine(engine_name, spec)
+    engine = make_engine(engine_name, spec)
     engine.initialize(_base_graph())
     engine.save(str(store_dir), compact_every=COMPACT_EVERY)
 

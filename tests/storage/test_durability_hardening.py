@@ -26,9 +26,9 @@ import warnings
 
 import pytest
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.generators import community_graph
+from repro.incremental import make_engine
 from repro.storage import edge_store as edge_store_module
 from repro.storage import store as store_module
 from repro.storage.edge_store import CrcLog, fsync_dir
@@ -49,7 +49,7 @@ def _graph():
 
 def _engine_with_store(tmp_path, compact_every=100):
     spec = make_algorithm("sssp", source=0)
-    engine = build_engine("kickstarter", spec)
+    engine = make_engine("kickstarter", spec)
     engine.initialize(_graph())
     store = engine.save(str(tmp_path / "store"), compact_every=compact_every)
     return engine, store
@@ -120,7 +120,7 @@ def test_autosave_oserror_becomes_warning(monkeypatch):
     import tempfile
 
     monkeypatch.setattr(tempfile, "mkdtemp", broken_mkdtemp)
-    engine = build_engine("kickstarter", make_algorithm("sssp", source=0))
+    engine = make_engine("kickstarter", make_algorithm("sssp", source=0))
     with pytest.warns(RuntimeWarning, match="autosave failed"):
         engine.initialize(_graph())
     # initialization completed despite the failed autosave

@@ -27,9 +27,9 @@ import shutil
 
 import pytest
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.generators import community_graph
+from repro.incremental import make_engine
 from repro.storage.edge_store import StoreError
 from repro.storage.store import EngineStore, restore_engine
 from repro.workloads.updates import random_edge_delta
@@ -52,7 +52,7 @@ def _graph():
 def populated_store(tmp_path):
     """A reference engine with an attached store and a few logged deltas."""
     spec = make_algorithm("sssp", source=0)
-    engine = build_engine("kickstarter", spec)
+    engine = make_engine("kickstarter", spec)
     engine.initialize(_graph())
     store_dir = tmp_path / "store"
     engine.save(str(store_dir), compact_every=100)  # keep every record in the log
@@ -75,7 +75,7 @@ def _assert_demotes(store_dir, reason_fragment, reference):
     assert list(engine.graph.edges()) == list(reference.graph.edges())
     # the demoted engine is a clean cold start on that graph — bitwise equal
     # to a from-scratch engine
-    cold = build_engine("kickstarter", make_algorithm("sssp", source=0))
+    cold = make_engine("kickstarter", make_algorithm("sssp", source=0))
     cold.initialize(reference.graph)
     assert engine.states == cold.states
     # the demote path re-saved a fresh snapshot, so the *next* restore is warm
@@ -195,7 +195,7 @@ def test_empty_directory_raises_store_error(tmp_path):
 # ----------------------------------------------------------------------
 def test_repro_store_0_disables_save_and_restore(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", "0")
-    engine = build_engine("graphbolt", make_algorithm("pagerank"))
+    engine = make_engine("graphbolt", make_algorithm("pagerank"))
     engine.initialize(_graph())
     assert engine.save(str(tmp_path / "store")) is None
     assert engine._store is None
@@ -223,7 +223,7 @@ def test_repro_store_0_does_not_break_existing_store(populated_store, monkeypatc
 # ----------------------------------------------------------------------
 def test_autosave_attaches_a_store_on_initialize(monkeypatch):
     monkeypatch.setenv("REPRO_STORE_AUTOSAVE", "1")
-    engine = build_engine("ingress", make_algorithm("sssp", source=0))
+    engine = make_engine("ingress", make_algorithm("sssp", source=0))
     engine.initialize(_graph())
     target = engine._storage_target()
     store = target._store

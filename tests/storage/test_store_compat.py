@@ -16,9 +16,9 @@ import shutil
 
 import pytest
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import make_algorithm
 from repro.graph.generators import community_graph
+from repro.incremental import make_engine
 from repro.storage import store as store_module
 from repro.storage.store import restore_engine
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
@@ -59,7 +59,7 @@ def test_store_with_backend_entries_restores_warm(tmp_path, monkeypatch, engine_
             recorded["layph_config"]["backend"] = "python"
         return recorded
 
-    live = build_engine(engine_name, make_algorithm(algorithm, source=0))
+    live = make_engine(engine_name, make_algorithm(algorithm, source=0))
     live.initialize(_graph())
     with monkeypatch.context() as patch:
         patch.setattr(store_module, "_engine_identity", with_backend_entries)
@@ -114,7 +114,7 @@ def test_dict_store_snapshot_restores_warm(tmp_path, monkeypatch, engine_name, a
     with the selective ``parents`` map, ``"dicts"`` with the BSP levels)
     restores warm by promoting it, and continues bitwise, dependency forest
     and memoized levels included."""
-    live = build_engine(engine_name, make_algorithm(algorithm, source=0))
+    live = make_engine(engine_name, make_algorithm(algorithm, source=0))
     live.initialize(_graph())
     for step in range(2):
         live.apply_delta(_delta(live, step))
@@ -148,7 +148,7 @@ def test_dict_store_snapshot_restores_warm(tmp_path, monkeypatch, engine_name, a
 
 
 def test_new_snapshots_write_the_table_only(tmp_path):
-    live = build_engine("kickstarter", make_algorithm("sssp", source=0))
+    live = make_engine("kickstarter", make_algorithm("sssp", source=0))
     live.initialize(_graph())
     live.save(str(tmp_path / "store"))
     [sidecar] = glob.glob(str(tmp_path / "store" / "snapshot-*.json"))

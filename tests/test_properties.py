@@ -14,7 +14,6 @@ import numpy as np
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.bench.harness import build_engine
 from repro.engine.algorithms import PageRank, SSSP, make_algorithm
 from repro.engine.convergence import states_close
 from repro.engine.propagation import FactorAdjacency
@@ -23,6 +22,7 @@ from repro.graph.csr import FactorCSR
 from repro.graph.csr_cache import CSRCache
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
+from repro.incremental import make_engine
 from repro.layph.shortcuts import compute_shortcuts_from
 
 from oracles import ROUTES, engine_on_route, loops, oracle_run_batch  # noqa: E402  (tests/)
@@ -244,7 +244,7 @@ class TestIncrementalProperties:
     def test_selective_engines_match_restart(self, data, engine_name):
         graph, delta = data
         spec = make_algorithm("sssp", source=0)
-        engine = build_engine(engine_name, spec)
+        engine = make_engine(engine_name, spec)
         engine.initialize(graph)
         result = engine.apply_delta(delta)
         reference = run_batch(make_algorithm("sssp", source=0), delta.apply(graph)).states
@@ -255,7 +255,7 @@ class TestIncrementalProperties:
     def test_accumulative_engines_match_restart(self, data, engine_name):
         graph, delta = data
         spec = make_algorithm("pagerank")
-        engine = build_engine(engine_name, spec)
+        engine = make_engine(engine_name, spec)
         engine.initialize(graph)
         result = engine.apply_delta(delta)
         reference = run_batch(make_algorithm("pagerank"), delta.apply(graph)).states
