@@ -40,8 +40,3 @@ def format_table(
     lines.append("  ".join("-" * width for width in widths))
     lines.extend(render_row(row) for row in materialized)
     return "\n".join(lines)
-
-
-def format_ratio(value: float) -> str:
-    """Format a normalized ratio the way the paper reports speedups."""
-    return f"{value:.2f}x"

@@ -19,7 +19,7 @@ shortcut with the very same ``combine`` operator.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.graph.graph import Graph
 
@@ -188,13 +188,6 @@ class AlgorithmSpec(abc.ABC):
     def initial_messages(self, graph: Graph) -> Messages:
         """Initial root message for every vertex of ``graph``."""
         return {vertex: self.initial_message(vertex) for vertex in graph.vertices()}
-
-    def aggregate_all(self, values: Iterable[float]) -> float:
-        """Fold ``values`` with ``G`` starting from the identity."""
-        result = self.aggregate_identity()
-        for value in values:
-            result = self.aggregate(result, value)
-        return result
 
     def states_match(
         self, left: VertexStates, right: VertexStates, tolerance: Optional[float] = None

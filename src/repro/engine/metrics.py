@@ -86,10 +86,3 @@ class PhaseTimer:
     def as_dict(self) -> Dict[str, float]:
         """Snapshot of all phase durations."""
         return dict(self._elapsed)
-
-    def proportions(self) -> Dict[str, float]:
-        """Per-phase share of the total time (empty dict if nothing timed)."""
-        total = self.total()
-        if total == 0.0:
-            return {}
-        return {name: value / total for name, value in self._elapsed.items()}

@@ -69,10 +69,6 @@ class FactorAdjacency:
         :meth:`replace_rows`.  Keys the CSR compile memo."""
         return self._version
 
-    def out_edges(self, vertex: int) -> List[Tuple[int, float]]:
-        """Out-edges (with factors) of ``vertex``."""
-        return self._adjacency.get(vertex, [])
-
     def __call__(self, vertex: int) -> List[Tuple[int, float]]:
         return self._adjacency.get(vertex, [])
 

@@ -279,10 +279,6 @@ class Graph:
             merged[neighbor] = merged.get(neighbor, 0.0) + weight
         return merged
 
-    def total_edge_weight(self) -> float:
-        """Sum of all edge weights (each directed edge counted once)."""
-        return sum(weight for _, _, weight in self.edges())
-
     def __contains__(self, vertex: int) -> bool:
         return self.has_vertex(vertex)
 

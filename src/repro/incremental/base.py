@@ -62,7 +62,7 @@ class IncrementalEngine(abc.ABC):
         # ``backend`` is accepted only for compatibility (see check_backend)
         check_backend(backend)
         #: the spec's checked ``(aggregate, combine)`` pair
-        self.algebra = self._require_algebra(spec)
+        self.algebra = require_algebra(spec)
         self._check_supported(spec)
         self.spec = spec
         #: compiled-CSR cache of this engine's graph (see
@@ -84,9 +84,6 @@ class IncrementalEngine(abc.ABC):
         self.last_restore_report = None
 
     # ------------------------------------------------------------------
-    #: the construction-time algebra check (facades leave it to their delegate)
-    _require_algebra = staticmethod(require_algebra)
-
     @classmethod
     def supports(cls, spec: AlgorithmSpec) -> bool:
         """Whether this engine can execute ``spec``."""
@@ -117,7 +114,6 @@ class IncrementalEngine(abc.ABC):
         result = self._initial_run(self.graph)
         self.states = dict(result.states)
         self.initial_metrics = result.metrics
-        self._maybe_autosave()
         return result
 
     def _initial_run(self, graph: Graph) -> BatchResult:
@@ -178,77 +174,29 @@ class IncrementalEngine(abc.ABC):
     # durable storage (see repro.storage; imports stay lazy because the
     # storage package's restore path imports the engine registry)
     # ------------------------------------------------------------------
-    def save(self, directory: str, compact_every: Optional[int] = None):
+    def save(self, directory: str):
         """Persist the engine to ``directory`` and attach the store.
 
         Once attached, every subsequent ``apply_delta`` appends one fsync'd
-        log record, and ``compact_every`` records trigger an automatic
-        re-save (compaction).  Returns the attached
-        :class:`repro.storage.store.EngineStore`, or ``None`` when the
-        ``REPRO_STORE=0`` escape hatch disables all persistence.
+        log record, and every :data:`repro.storage.store.COMPACT_EVERY`
+        records trigger an automatic re-save (compaction).  Returns the
+        attached :class:`repro.storage.store.EngineStore`;
+        :func:`repro.storage.store.restore_engine` rebuilds the engine.
         """
-        from repro.storage import storage_enabled
         from repro.storage.store import EngineStore
 
-        if not storage_enabled():
-            return None
-        target = self._storage_target()
-        store = target._store
+        store = self._store
         if store is None or store.directory != directory:
             if store is not None:
                 store.close()
-            store = EngineStore(directory, compact_every=compact_every)
-            target._store = store
+            store = EngineStore(directory)
+            self._store = store
         store.save(self)
         return store
 
-    @classmethod
-    def restore(cls, directory: str, mmap: bool = False) -> "IncrementalEngine":
-        """Rebuild an engine from a store directory (warm when possible).
-
-        Convenience wrapper around
-        :func:`repro.storage.store.restore_engine`; the recovery-path report
-        is available as ``engine.last_restore_report``.
-        """
-        from repro.storage.store import restore_engine
-
-        engine, _report = restore_engine(directory, mmap=mmap)
-        return engine
-
-    def _maybe_autosave(self) -> None:
-        """Autosave hook of ``initialize`` (the ``REPRO_STORE_AUTOSAVE`` leg).
-
-        Saves the freshly initialized engine to a temporary store directory
-        so the whole test suite exercises the log/snapshot machinery.  Never
-        fires during a restore (the demote path re-initializes through here)
-        or when a store is already attached.
-        """
-        from repro.storage import autosave_enabled
-
-        if self._store is not None or not autosave_enabled():
-            return
-        from repro.storage.store import restoring_active
-
-        if restoring_active():
-            return
-        import tempfile
-        import warnings
-
-        try:
-            self.save(tempfile.mkdtemp(prefix="repro-store-"))
-        except OSError as error:
-            warnings.warn(
-                f"autosave failed ({error}); continuing without a store",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-
-    def _storage_target(self) -> "IncrementalEngine":
-        """The engine object that owns the persisted state (facades override)."""
-        return self
-
-    def _post_restore_sync(self) -> None:
-        """Hook run after a warm restore installed state (facades override)."""
+    def detach_store(self) -> None:
+        """Stop logging deltas to the attached store (which stays open)."""
+        self._store = None
 
     def _snapshot_extras(self):
         """Engine-specific snapshot halves: ``(json_meta, numpy_arrays)``.

@@ -11,13 +11,16 @@ algebraic properties:
   converged states (:mod:`repro.incremental.revision`), then propagated with
   the ordinary delta-accumulative loop.
 
+``IngressEngine(spec)`` makes that choice at construction and returns the
+policy engine itself (one of two :class:`IngressEngine` subclasses), so the
+object the caller holds owns every piece of state: the durable store and the
+update service use it like any other engine.
+
 Layph is implemented on top of this engine, exactly as in the paper
 (Section VI: "We implement Layph on top of Ingress").
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
@@ -28,18 +31,38 @@ from repro.incremental.revision import accumulative_revision_messages
 from repro.incremental.selective_base import SelectiveDependencyEngine
 
 
-class _IngressPathEngine(SelectiveDependencyEngine):
-    """Memoization-path policy used for selective algorithms."""
+class IngressEngine(IncrementalEngine):
+    """Picks the memoization policy from the algorithm family.
+
+    Constructing ``IngressEngine(spec)`` builds the memoization-path engine
+    for a selective spec and the memoization-free engine for an
+    accumulative one; both answer to the store identity ``"ingress"``.
+    """
 
     name = "ingress"
+    supported_family = "any"
+    #: which memoization policy the algorithm selected
+    policy: str
+
+    def __new__(cls, spec: AlgorithmSpec, *args, **kwargs):
+        if cls is IngressEngine:
+            cls = _IngressPathEngine if spec.is_selective() else _IngressFreeEngine
+        return super().__new__(cls)
+
+
+class _IngressPathEngine(IngressEngine, SelectiveDependencyEngine):
+    """Memoization-path policy used for selective algorithms."""
+
+    policy = "memoization-path"
+    supported_family = "selective"
     tainting = "tree"
     classify_safe_updates = False
 
 
-class _IngressFreeEngine(IncrementalEngine):
+class _IngressFreeEngine(IngressEngine):
     """Memoization-free policy used for accumulative algorithms."""
 
-    name = "ingress"
+    policy = "memoization-free"
     supported_family = "accumulative"
 
     def _apply_delta(self, delta: GraphDelta) -> IncrementalResult:
@@ -95,62 +118,3 @@ class _IngressFreeEngine(IncrementalEngine):
             propagate(spec, adjacency, states, pending, metrics)
 
         return IncrementalResult(states=states, metrics=metrics, phases=phases)
-
-
-class IngressEngine(IncrementalEngine):
-    """Facade that picks the memoization policy from the algorithm family."""
-
-    name = "ingress"
-    supported_family = "any"
-    # the delegate checks the algebra, once
-    _require_algebra = staticmethod(lambda spec: None)
-
-    def __init__(self, spec: AlgorithmSpec, *, backend: Optional[str] = None) -> None:
-        super().__init__(spec, backend=backend)
-        if spec.is_selective():
-            self._delegate: IncrementalEngine = _IngressPathEngine(spec)
-        else:
-            self._delegate = _IngressFreeEngine(spec)
-        self.algebra = self._delegate.algebra
-        # expose the delegate's CSR cache (the facade itself never propagates)
-        self.csr_cache = self._delegate.csr_cache
-
-    @property
-    def policy(self) -> str:
-        """Which memoization policy was selected for the algorithm."""
-        return (
-            "memoization-path"
-            if isinstance(self._delegate, _IngressPathEngine)
-            else "memoization-free"
-        )
-
-    def initialize(self, graph):
-        result = self._delegate.initialize(graph)
-        self.graph = self._delegate.graph
-        self.states = dict(self._delegate.states)
-        self.initial_metrics = self._delegate.initial_metrics
-        return result
-
-    def apply_delta(
-        self, delta: GraphDelta, log_meta: Optional[dict] = None
-    ) -> IncrementalResult:
-        result = self._delegate.apply_delta(delta, log_meta=log_meta)
-        self.graph = self._delegate.graph
-        self.states = dict(self._delegate.states)
-        return result
-
-    def _apply_delta(self, delta: GraphDelta) -> IncrementalResult:  # pragma: no cover
-        raise NotImplementedError("IngressEngine delegates apply_delta")
-
-    # ------------------------------------------------------------------
-    # durable storage: the delegate owns every piece of persisted state, so
-    # the store attaches there (its log hook fires inside the delegate's
-    # ``apply_delta``) and the facade just re-syncs its mirror fields.
-    # ------------------------------------------------------------------
-    def _storage_target(self) -> IncrementalEngine:
-        return self._delegate
-
-    def _post_restore_sync(self) -> None:
-        self.graph = self._delegate.graph
-        self.states = dict(self._delegate.states)
-        self.initial_metrics = self._delegate.initial_metrics

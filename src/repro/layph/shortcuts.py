@@ -283,7 +283,6 @@ class ShortcutBatch:
             "final_mask": np.zeros(cells, dtype=bool),
         }
         scalars = {
-            "run_first": bool(spec.is_significant(unit)),
             "selective": selective,
             "combine_add": kinds[1] == COMBINE_ADD,
             "identity": identity,

@@ -305,7 +305,6 @@ def run_shortcut_solves(
     in_dict: np.ndarray,
     first_mask: np.ndarray,
     final_mask: np.ndarray,
-    run_first: bool,
     selective: bool,
     combine_add: bool,
     identity: float,
@@ -327,8 +326,8 @@ def run_shortcut_solves(
       source's cell, round 0 reads ``full_degree`` (only the source is
       pending then, so this re-opens exactly its row) and every later round
       ``silenced_degree`` — every boundary row, the sources among them,
-      zeroed.  Without ``run_first`` the unit is insignificant and round 0
-      already reads ``silenced_degree`` (it ends the solve at once).
+      zeroed.  The algebra contract makes the unit significant (0 for
+      min/+, 1 for sum/×), so round 0 always runs.
     * A *revision* folds the pending revision messages the caller seeded
       into a state row seeded from the old shortcut vector, reading
       ``silenced_degree`` throughout.
@@ -344,7 +343,7 @@ def run_shortcut_solves(
 
     On return ``states`` holds every job's final states, ``final_mask``
     marks the cells written at all and ``first_mask`` those written in
-    round 0 (only with ``run_first``) — the merge rebuilds the reference's
+    round 0 — the merge rebuilds the reference's
     dict insertion order from them.
 
     Returns the per-round ``(activations, active, updates)`` triples as four
@@ -386,7 +385,7 @@ def run_shortcut_solves(
         shift = job_shift[job_of]
         rows = scatterers - shift
         counts = silenced_degree[rows]
-        if first_round and run_first:
+        if first_round:
             counts = np.where(job_solves[job_of], full_degree[rows], counts)
         total = int(counts.sum())
         if total:
@@ -419,7 +418,7 @@ def run_shortcut_solves(
                 np.bincount(job_of, minlength=jobs)[live],
             )
         )
-        if first_round and run_first:
+        if first_round:
             first_mask[...] = final_mask
         first_round = False
     if not recorded:

@@ -55,8 +55,8 @@ import random
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Iterable, List, Optional, Tuple
 
 from repro.graph.delta import (
     GraphDelta,
@@ -218,7 +218,6 @@ class UpdateService:
         backoff_base: float = 0.005,
         backoff_cap: float = 0.25,
         jitter_seed: int = 0,
-        compact_every: Optional[int] = None,
         faults: Optional[FaultInjector] = None,
         _recovery: Optional[dict] = None,
     ) -> None:
@@ -238,7 +237,6 @@ class UpdateService:
         self._max_apply_retries = max_apply_retries
         self._backoff_base = backoff_base
         self._backoff_cap = backoff_cap
-        self._compact_every = compact_every
         self._rng = random.Random(jitter_seed)
 
         self._cond = threading.Condition()
@@ -265,11 +263,9 @@ class UpdateService:
                     "UpdateService.recover() to resume it"
                 )
             self.wal = EventLog(wal_path)
-            # attach the durable store (None under REPRO_STORE=0: the
-            # service still runs, but kills are only recoverable back to
-            # the WAL replay from the initial graph)
-            self._store = engine.save(engine_dir, compact_every=compact_every)
+            self._store = engine.save(engine_dir)
             self._last_walled = 0
+            self._recovery_floor = 0
             self._disposed = 0
             self._applied = 0
             self._replay_target = 0
@@ -279,8 +275,9 @@ class UpdateService:
             self.wal = _recovery["wal"]
             self._store = _recovery["store"]
             self._last_walled = _recovery["last_walled"]
-            self._disposed = _recovery["floor"]
-            self._applied = _recovery["floor"]
+            self._recovery_floor = _recovery["floor"]
+            self._disposed = self._recovery_floor
+            self._applied = self._recovery_floor
             # not "ready" until the WAL suffix above the floor is replayed:
             # queries before that would serve acknowledged-but-stale state
             self._replay_target = _recovery["last_walled"]
@@ -301,6 +298,16 @@ class UpdateService:
             target=self._writer_loop, name="service-writer", daemon=True
         )
         self._writer.start()
+
+    @property
+    def recovery_floor(self) -> int:
+        """The highest WAL seq whose effect the engine store already held
+        when this service was recovered (0 for a fresh service).
+
+        Events at or below it are never replayed; a dead-letter entry is
+        ``recovered`` exactly when its seq is at or below it.
+        """
+        return self._recovery_floor
 
     # ------------------------------------------------------------------
     # ingest path
@@ -522,14 +529,9 @@ class UpdateService:
         with self._cond:
             while self._appending:  # never under an in-flight append
                 self._cond.wait()
-        for closer in (self.wal.close, self.dlq.close):
+        for closer in (self.wal.close, self.dlq.close, self._store.close):
             try:
                 closer()
-            except Exception:
-                pass
-        if self._store is not None:
-            try:
-                self._store.close()
             except Exception:
                 pass
 
@@ -646,18 +648,16 @@ class UpdateService:
 
     def _fold(self, events: List[Event]) -> GraphDelta:
         """One range's canonical delta against the engine's current graph."""
-        target = self.engine._storage_target()
+        graph = self.engine.graph
         first = events[0].update
         if isinstance(first, VertexUpdate):
             assert len(events) == 1  # segmentation makes vertex events singletons
-            if first.kind is UpdateKind.DELETE_VERTEX and not target.graph.has_vertex(
+            if first.kind is UpdateKind.DELETE_VERTEX and not graph.has_vertex(
                 first.vertex
             ):
                 return GraphDelta()  # no-op, exactly like GraphDelta.apply
             return GraphDelta(vertex_updates=[first])
-        return coalesce_edge_run(
-            target.graph, [event.update for event in events]
-        )
+        return coalesce_edge_run(graph, [event.update for event in events])
 
     def _apply_with_retries(
         self, delta: GraphDelta, lo: int, hi: int, num_events: int
@@ -692,6 +692,9 @@ class UpdateService:
         self, delta: GraphDelta, lo: int, hi: int, attempt: int
     ) -> None:
         self._fire_or_die("pre_apply", lo=lo, hi=hi, attempt=attempt)
+        # stamped before the apply so a compaction triggered *by* this apply
+        # folds the correct watermark into the baseline
+        self._store.app_meta["applied_event_seq"] = str(hi)
         # bind the engine *now*: after a watchdog timeout swaps in a restored
         # engine, the abandoned apply thread must keep operating on the old
         # (store-detached) object, never on the replacement
@@ -729,15 +732,7 @@ class UpdateService:
         self, engine, delta: GraphDelta, lo: int, hi: int, attempt: int
     ) -> None:
         self._fire_or_die("mid_apply", lo=lo, hi=hi, attempt=attempt)
-        store = engine._storage_target()._store
-        if store is not None:
-            # stamped before the apply so a compaction triggered *by* this
-            # apply folds the correct watermark into the baseline
-            store.app_meta["applied_event_seq"] = str(hi)
         engine.apply_delta(delta, log_meta={"events": [lo, hi]})
-
-    def _engine_store(self):
-        return self.engine._storage_target()._store
 
     def _rebuild_engine_after_timeout(self) -> None:
         """Discard the (possibly mid-mutation) engine and restore it from
@@ -746,24 +741,15 @@ class UpdateService:
         The stuck apply keeps running in its abandoned daemon thread; the
         store is detached *first*, so even if it eventually completes it
         cannot append to the log of the engine we are about to trust.
-        Without a store (``REPRO_STORE=0``) the engine is retried as-is.
         """
-        store = self._engine_store()
-        if store is None:
-            return
         from repro.storage.store import restore_engine
 
-        target = self.engine._storage_target()
-        target._store = None
-        store.close()
-        engine, _report = restore_engine(
-            os.path.join(self.directory, self.ENGINE_DIR),
-            compact_every=self._compact_every,
-        )
-        fresh_store = engine._storage_target()._store
-        fresh_store.app_meta["applied_event_seq"] = str(self._applied)
+        self.engine.detach_store()
+        self._store.close()
+        engine, _report = restore_engine(os.path.join(self.directory, self.ENGINE_DIR))
+        engine._store.app_meta["applied_event_seq"] = str(self._applied)
         self.engine = engine
-        self._store = fresh_store
+        self._store = engine._store
         self.stats.watchdog_restores += 1
 
     def _quarantine(self, event: Event, problems, kind: str) -> None:
@@ -790,12 +776,12 @@ class UpdateService:
             self._cond.notify_all()
 
     def _capture_snapshot(self, seq: int) -> StateSnapshot:
-        target = self.engine._storage_target()
-        csr = target.csr_cache.peek_csr("out", target.spec, target.graph)
+        engine = self.engine
+        csr = engine.csr_cache.peek_csr("out", engine.spec, engine.graph)
         return StateSnapshot.capture(
             seq=seq,
-            graph_version=target.graph.version,
-            states=target.states,
+            graph_version=engine.graph.version,
+            states=engine.states,
             csr=csr,
             quarantined=len(self.dlq),
         )
@@ -827,7 +813,6 @@ class UpdateService:
         backoff_base: float = 0.005,
         backoff_cap: float = 0.25,
         jitter_seed: int = 0,
-        compact_every: Optional[int] = None,
         faults: Optional[FaultInjector] = None,
     ) -> "UpdateService":
         """Resume a service from the directory a previous instance left.
@@ -842,8 +827,8 @@ class UpdateService:
         from repro.storage.store import restore_engine
 
         engine_dir = os.path.join(directory, cls.ENGINE_DIR)
-        engine, report = restore_engine(engine_dir, compact_every=compact_every)
-        store = engine._storage_target()._store
+        engine, report = restore_engine(engine_dir)
+        store = engine._store
         floor = int(store.app_meta.get("applied_event_seq", "0"))
         records, _discarded = store.log.read()
         for record in records:
@@ -914,7 +899,6 @@ class UpdateService:
             backoff_base=backoff_base,
             backoff_cap=backoff_cap,
             jitter_seed=jitter_seed,
-            compact_every=compact_every,
             faults=faults,
             _recovery={
                 "wal": wal,

@@ -24,75 +24,20 @@ Lifecycle (``log → snapshot → compact → restore → demote``):
   surfaced and the :class:`repro.storage.store.RestoreReport` records which
   path ran.
 
-Environment knobs:
-
-* ``REPRO_STORE=0`` — escape hatch: ``engine.save`` becomes a no-op and
-  nothing is ever written (everything stays in memory);
-* ``REPRO_STORE_AUTOSAVE=1`` — every ``engine.initialize`` saves to a fresh
-  temporary store and logs every subsequent delta (the CI persistence leg
-  runs the whole tier-1 suite in this mode);
-* ``REPRO_STORE_COMPACT_EVERY`` — log records between automatic compactions
-  (default 16).
+There is nothing to configure: ``engine.save(dir)`` attaches a store,
+:func:`repro.storage.store.restore_engine` is the way back, and the log is
+compacted every :data:`repro.storage.store.COMPACT_EVERY` (16) records.
 """
 
 from __future__ import annotations
 
-import os
-
-#: escape hatch: set to 0 to keep everything in memory
-STORE_ENV_VAR = "REPRO_STORE"
-#: opt-in: autosave every initialized engine to a temporary store
-AUTOSAVE_ENV_VAR = "REPRO_STORE_AUTOSAVE"
-#: log records between automatic compactions
-COMPACT_EVERY_ENV_VAR = "REPRO_STORE_COMPACT_EVERY"
-#: default compaction threshold
-DEFAULT_COMPACT_EVERY = 16
-
-_FALSY = {"0", "false", "off", "no"}
-
-
-def env_flag_enabled(name: str, default: str = "1") -> bool:
-    """Whether a boolean environment knob is enabled.
-
-    The falsy spellings are ``0``/``false``/``off``/``no``, case-insensitive.
-    """
-    return os.environ.get(name, default).strip().lower() not in _FALSY
-
-
-def storage_enabled() -> bool:
-    """Whether the durable store is enabled (the ``REPRO_STORE`` knob)."""
-    return env_flag_enabled(STORE_ENV_VAR)
-
-
-def autosave_enabled() -> bool:
-    """Whether ``initialize`` auto-saves engines (CI persistence leg)."""
-    if not storage_enabled():
-        return False
-    raw = os.environ.get(AUTOSAVE_ENV_VAR, "").strip()
-    if not raw:
-        return False
-    return env_flag_enabled(AUTOSAVE_ENV_VAR, default="0")
-
-
-def compact_every_default() -> int:
-    """The configured automatic-compaction threshold."""
-    raw = os.environ.get(COMPACT_EVERY_ENV_VAR)
-    if raw is None:
-        return DEFAULT_COMPACT_EVERY
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_COMPACT_EVERY
-    return value if value > 0 else DEFAULT_COMPACT_EVERY
-
-
-from repro.storage.edge_store import (  # noqa: E402
+from repro.storage.edge_store import (
     DeltaLog,
     DurableEdgeStore,
     LogRecord,
     StoreError,
 )
-from repro.storage.store import (  # noqa: E402
+from repro.storage.store import (
     EngineStore,
     RestoreReport,
     SnapshotUnusable,
@@ -100,13 +45,6 @@ from repro.storage.store import (  # noqa: E402
 )
 
 __all__ = [
-    "STORE_ENV_VAR",
-    "AUTOSAVE_ENV_VAR",
-    "COMPACT_EVERY_ENV_VAR",
-    "DEFAULT_COMPACT_EVERY",
-    "storage_enabled",
-    "autosave_enabled",
-    "compact_every_default",
     "DeltaLog",
     "DurableEdgeStore",
     "LogRecord",

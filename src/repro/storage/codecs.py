@@ -8,9 +8,7 @@ every float travels as its raw 8 bytes, every id list keeps its order, and
 ``NaN`` columns (a :class:`MemoTable`'s "absent vertex" marker) survive
 because the arrays are stored, not re-derived.
 
-Decoders copy by default so the restored structures are mutable even when the
-snapshot was opened with ``mmap_mode="r"``; pass ``copy=False`` for read-only
-consumers (the out-of-core path keeps CSR arrays memory-mapped this way).
+Decoders copy, so the restored structures own their (writable) arrays.
 """
 
 from __future__ import annotations
@@ -37,10 +35,6 @@ def unpack(prefix: str, arrays: Mapping[str, np.ndarray]) -> Arrays:
     return {
         key[len(lead) :]: value for key, value in arrays.items() if key.startswith(lead)
     }
-
-
-def _materialise(array: np.ndarray, copy: bool) -> np.ndarray:
-    return np.array(array) if copy else array
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +135,7 @@ def encode_factor_csr(csr: FactorCSR) -> Arrays:
     }
 
 
-def decode_factor_csr(arrays: Mapping[str, np.ndarray], copy: bool = True) -> FactorCSR:
+def decode_factor_csr(arrays: Mapping[str, np.ndarray]) -> FactorCSR:
     """Decode into a :class:`FactorCSR` without counting as a compile.
 
     The direct constructor rebuilds the id index and does not bump
@@ -150,9 +144,9 @@ def decode_factor_csr(arrays: Mapping[str, np.ndarray], copy: bool = True) -> Fa
     """
     return FactorCSR(
         [int(vertex) for vertex in arrays["ids"]],
-        _materialise(arrays["offsets"], copy),
-        _materialise(arrays["targets"], copy),
-        _materialise(arrays["factors"], copy),
+        np.array(arrays["offsets"]),
+        np.array(arrays["targets"]),
+        np.array(arrays["factors"]),
     )
 
 

@@ -139,13 +139,6 @@ class DurableEdgeStore:
     # ------------------------------------------------------------------
     # meta
     # ------------------------------------------------------------------
-    def get_meta(self, key: str) -> Optional[str]:
-        """The stored ``meta`` value for ``key``, or ``None``."""
-        row = self._connection.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)
-        ).fetchone()
-        return row[0] if row is not None else None
-
     def meta_dict(self) -> Dict[str, str]:
         """Every ``meta`` key/value pair."""
         return dict(self._connection.execute("SELECT key, value FROM meta"))

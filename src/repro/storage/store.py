@@ -7,7 +7,6 @@ One :class:`EngineStore` binds an engine to a store directory::
     snapshot-<seq>.npz  array snapshot of the derived state at sequence <seq>
     snapshot-<seq>.json sidecar: snapshot meta + sha256 of the ``.npz``
     MANIFEST.json       atomic pointer to the live snapshot (+ sidecar sha256)
-    snapshot-<seq>.arrays/  extracted members for ``mmap_mode="r"`` loading
 
 ``save`` writes in crash-safe order — snapshot arrays, sidecar, manifest (each
 ``os.replace``'d into place), then the SQLite baseline in one transaction,
@@ -34,9 +33,7 @@ import contextlib
 import hashlib
 import json
 import os
-import shutil
 import warnings
-import zipfile
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -46,7 +43,6 @@ from repro.engine.algorithms import make_algorithm
 from repro.engine.metrics import ExecutionMetrics
 from repro.graph.delta import GraphDelta
 from repro.layph.layered_graph import LayphConfig
-from repro.storage import compact_every_default, storage_enabled
 from repro.storage.codecs import (
     decode_factor_csr,
     decode_float_map,
@@ -65,6 +61,10 @@ from repro.storage.edge_store import (
     StoreError,
     fsync_dir,
 )
+
+
+#: log records between automatic compactions (a full :meth:`EngineStore.save`)
+COMPACT_EVERY = 16
 
 
 class SnapshotUnusable(StoreError):
@@ -90,27 +90,6 @@ class RestoreReport:
     replayed_deltas: int
     #: torn/corrupt/stale log lines dropped by the longest-valid-prefix read
     discarded_log_records: int
-
-
-# ----------------------------------------------------------------------
-# restore re-entrancy guard (suppresses autosave during a demote's cold init)
-# ----------------------------------------------------------------------
-_RESTORE_DEPTH = 0
-
-
-def restoring_active() -> bool:
-    """Whether a restore is running (``_maybe_autosave`` checks this)."""
-    return _RESTORE_DEPTH > 0
-
-
-@contextlib.contextmanager
-def _restoring():
-    global _RESTORE_DEPTH
-    _RESTORE_DEPTH += 1
-    try:
-        yield
-    finally:
-        _RESTORE_DEPTH -= 1
 
 
 # ----------------------------------------------------------------------
@@ -164,17 +143,17 @@ def _metrics_from_state(state: Optional[dict]) -> Optional[ExecutionMetrics]:
     )
 
 
-def _engine_identity(target) -> dict:
+def _engine_identity(engine) -> dict:
     """Everything needed to rebuild the engine object from scratch."""
-    spec = target.spec
+    spec = engine.spec
     identity = {
-        "engine": target.name,
+        "engine": engine.name,
         "algorithm": spec.name,
         "source": getattr(spec, "source", None),
         "damping": getattr(spec, "damping", None),
         "layph_config": None,
     }
-    config = getattr(target, "config", None)
+    config = getattr(engine, "config", None)
     if isinstance(config, LayphConfig):
         identity["layph_config"] = asdict(config)
     return identity
@@ -216,7 +195,7 @@ class EngineStore:
 
     Attach happens through ``engine.save(directory)`` or
     :func:`restore_engine`; once attached, every ``apply_delta`` appends one
-    fsync'd log record and ``compact_every`` records trigger a full
+    fsync'd log record and every :data:`COMPACT_EVERY` records trigger a full
     :meth:`save` (snapshot + baseline fold + log truncation).
     """
 
@@ -224,14 +203,11 @@ class EngineStore:
     DELTA_LOG = "delta.log"
     MANIFEST = "MANIFEST.json"
 
-    def __init__(self, directory: str, compact_every: Optional[int] = None) -> None:
+    def __init__(self, directory: str) -> None:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
         self.edge_store = DurableEdgeStore(os.path.join(directory, self.GRAPH_DB))
         self.log = DeltaLog(os.path.join(directory, self.DELTA_LOG))
-        self.compact_every = (
-            compact_every if compact_every is not None else compact_every_default()
-        )
         #: sequence number the next logged delta receives
         self.next_seq = 1
         #: log records appended since the last :meth:`save`
@@ -270,14 +246,14 @@ class EngineStore:
 
     def compaction_due(self) -> bool:
         """Whether enough records accumulated to fold the log into SQLite."""
-        return self.records_since_compact >= self.compact_every
+        return self.records_since_compact >= COMPACT_EVERY
 
     # ------------------------------------------------------------------
     # save / compaction
     # ------------------------------------------------------------------
-    def _snapshot_paths(self, seq: int) -> Tuple[str, str, str]:
+    def _snapshot_paths(self, seq: int) -> Tuple[str, str]:
         base = os.path.join(self.directory, f"snapshot-{seq}")
-        return base + ".npz", base + ".json", base + ".arrays"
+        return base + ".npz", base + ".json"
 
     def save(self, engine) -> None:
         """Full save: snapshot, manifest, SQLite baseline, log truncation.
@@ -285,19 +261,18 @@ class EngineStore:
         The write order is what makes every kill point recoverable; see the
         module docstring.
         """
-        target = engine._storage_target()
-        graph = target.graph
+        graph = engine.graph
         if graph is None:
             raise RuntimeError("initialize() must be called before save()")
         last_seq = self.next_seq - 1
-        identity = _engine_identity(target)
+        identity = _engine_identity(engine)
 
         meta: dict = {
             "format": STORE_FORMAT,
             "seq": last_seq,
             "graph_version": graph.version,
             "identity": identity,
-            "initial_metrics": _metrics_state(target.initial_metrics),
+            "initial_metrics": _metrics_state(engine.initial_metrics),
         }
         arrays: Dict[str, np.ndarray] = {}
         # the snapshot carries its own adjacency arrays: a warm restore then
@@ -306,19 +281,19 @@ class EngineStore:
         graph_meta, graph_arrays = encode_graph_arrays(graph)
         meta["graph"] = graph_meta
         arrays.update(pack("graph", graph_arrays))
-        arrays.update(pack("states", encode_float_map(target.states)))
+        arrays.update(pack("states", encode_float_map(engine.states)))
         captured_csr: List[str] = []
         for orientation in ("out", "in"):
-            csr = target.csr_cache.peek_csr(orientation, target.spec, graph)
+            csr = engine.csr_cache.peek_csr(orientation, engine.spec, graph)
             if csr is not None:
                 captured_csr.append(orientation)
                 arrays.update(pack(f"csr_{orientation}", encode_factor_csr(csr)))
         meta["csr"] = captured_csr
-        extras_meta, extras_arrays = target._snapshot_extras()
+        extras_meta, extras_arrays = engine._snapshot_extras()
         meta["extras"] = extras_meta
         arrays.update(pack("extras", extras_arrays))
 
-        npz_path, sidecar_path, _arrays_dir = self._snapshot_paths(last_seq)
+        npz_path, sidecar_path = self._snapshot_paths(last_seq)
         tmp = npz_path + ".tmp"
         with open(tmp, "wb") as handle:
             np.savez(handle, **arrays)
@@ -356,19 +331,14 @@ class EngineStore:
         for entry in os.listdir(self.directory):
             if not entry.startswith("snapshot-") or entry in keep:
                 continue
-            path = os.path.join(self.directory, entry)
-            if entry.endswith(".arrays"):
-                shutil.rmtree(path, ignore_errors=True)
-            elif entry.endswith((".npz", ".json", ".tmp")):
+            if entry.endswith((".npz", ".json", ".tmp")):
                 with contextlib.suppress(OSError):
-                    os.remove(path)
+                    os.remove(os.path.join(self.directory, entry))
 
     # ------------------------------------------------------------------
     # snapshot loading
     # ------------------------------------------------------------------
-    def load_snapshot(
-        self, mmap: bool = False
-    ) -> Tuple[int, dict, Mapping[str, np.ndarray]]:
+    def load_snapshot(self) -> Tuple[int, dict, Mapping[str, np.ndarray]]:
         """``(seq, meta, arrays)`` of the manifest's snapshot, fully verified.
 
         Raises:
@@ -388,7 +358,7 @@ class EngineStore:
                 f"manifest format {manifest.get('format')} != {STORE_FORMAT}"
             )
         seq = int(manifest["snapshot_seq"])
-        npz_path, sidecar_path, arrays_dir = self._snapshot_paths(seq)
+        npz_path, sidecar_path = self._snapshot_paths(seq)
         try:
             with open(sidecar_path, "rb") as handle:
                 sidecar_bytes = handle.read()
@@ -406,19 +376,6 @@ class EngineStore:
             raise SnapshotUnusable(
                 f"snapshot format {meta.get('format')} != {STORE_FORMAT}"
             )
-        if mmap:
-            # ``np.load(npz, mmap_mode=...)`` cannot map zip members; extract
-            # them once and map each ``.npy`` read-only.
-            arrays: Dict[str, np.ndarray] = {}
-            with zipfile.ZipFile(npz_path) as archive:
-                members = archive.namelist()
-                archive.extractall(arrays_dir)
-            for member in members:
-                key = member[: -len(".npy")] if member.endswith(".npy") else member
-                arrays[key] = np.load(
-                    os.path.join(arrays_dir, member), mmap_mode="r"
-                )
-            return seq, meta, arrays
         with np.load(npz_path) as archive:
             return seq, meta, {key: archive[key] for key in archive.files}
 
@@ -459,11 +416,7 @@ def _advance_graph(graph, records: List[LogRecord]):
     return graph
 
 
-def restore_engine(
-    directory: str,
-    mmap: bool = False,
-    compact_every: Optional[int] = None,
-):
+def restore_engine(directory: str):
     """Rebuild an engine from a store directory.
 
     Returns ``(engine, report)``.  The warm path resumes bitwise-identical to
@@ -472,14 +425,11 @@ def restore_engine(
     comes back attached to the store, so subsequent deltas keep logging.
 
     Raises:
-        StoreError: the directory holds no usable baseline at all, or the
-            ``REPRO_STORE=0`` escape hatch is set.
+        StoreError: the directory holds no usable baseline at all.
     """
     from repro.incremental import make_engine
 
-    if not storage_enabled():
-        raise StoreError("durable storage is disabled (REPRO_STORE=0)")
-    store = EngineStore(directory, compact_every=compact_every)
+    store = EngineStore(directory)
     try:
         baseline_meta = store.edge_store.baseline_meta()
         identity_raw = baseline_meta.get("identity")
@@ -515,78 +465,72 @@ def restore_engine(
 
     last_seq = baseline_seq + len(usable)
 
-    with _restoring():
-        try:
-            snapshot_seq, meta, arrays = store.load_snapshot(mmap=mmap)
-            if _current_identity(meta.get("identity")) != identity:
-                raise SnapshotUnusable("snapshot belongs to a different engine")
-            if snapshot_seq != int(meta.get("seq", -1)):
-                raise SnapshotUnusable("snapshot sequence disagrees with sidecar")
-            if not baseline_seq <= snapshot_seq <= last_seq:
-                raise SnapshotUnusable(
-                    f"snapshot seq {snapshot_seq} outside recoverable range "
-                    f"[{baseline_seq}, {last_seq}]"
-                )
-            graph_meta = meta.get("graph")
-            if graph_meta is None:
-                raise SnapshotUnusable("snapshot holds no graph arrays")
-            # the snapshot's own adjacency arrays are the warm path's graph;
-            # the SQLite rows back only the demote path (this keeps the warm
-            # restore free of the row-by-row edge-list rebuild)
-            graph_at = decode_graph_arrays(graph_meta, unpack("graph", arrays))
-            if graph_at.version != int(meta["graph_version"]):
-                raise SnapshotUnusable(
-                    f"snapshot graph version {meta['graph_version']} != "
-                    f"decoded {graph_at.version}"
-                )
-        except SnapshotUnusable as error:
-            warnings.warn(
-                f"durable store {directory}: {error}; demoting to cold "
-                "batch initialization",
-                RuntimeWarning,
-                stacklevel=2,
+    try:
+        snapshot_seq, meta, arrays = store.load_snapshot()
+        if _current_identity(meta.get("identity")) != identity:
+            raise SnapshotUnusable("snapshot belongs to a different engine")
+        if snapshot_seq != int(meta.get("seq", -1)):
+            raise SnapshotUnusable("snapshot sequence disagrees with sidecar")
+        if not baseline_seq <= snapshot_seq <= last_seq:
+            raise SnapshotUnusable(
+                f"snapshot seq {snapshot_seq} outside recoverable range "
+                f"[{baseline_seq}, {last_seq}]"
             )
-            baseline_graph, _baseline_seq = store.edge_store.load_baseline()
-            graph_full = _advance_graph(baseline_graph, usable)
-            engine = make_engine(identity["engine"], spec, layph_config)
-            engine.initialize(graph_full)
-            store.next_seq = last_seq + 1
-            store.save(engine)
-            target = engine._storage_target()
-            target._store = store
-            report = RestoreReport(
-                warm=False,
-                reason=str(error),
-                baseline_seq=baseline_seq,
-                snapshot_seq=None,
-                replayed_deltas=0,
-                discarded_log_records=discarded,
+        graph_meta = meta.get("graph")
+        if graph_meta is None:
+            raise SnapshotUnusable("snapshot holds no graph arrays")
+        # the snapshot's own adjacency arrays are the warm path's graph;
+        # the SQLite rows back only the demote path (this keeps the warm
+        # restore free of the row-by-row edge-list rebuild)
+        graph_at = decode_graph_arrays(graph_meta, unpack("graph", arrays))
+        if graph_at.version != int(meta["graph_version"]):
+            raise SnapshotUnusable(
+                f"snapshot graph version {meta['graph_version']} != "
+                f"decoded {graph_at.version}"
             )
-            engine.last_restore_report = report
-            return engine, report
-
+    except SnapshotUnusable as error:
+        warnings.warn(
+            f"durable store {directory}: {error}; demoting to cold "
+            "batch initialization",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        baseline_graph, _baseline_seq = store.edge_store.load_baseline()
+        graph_full = _advance_graph(baseline_graph, usable)
         engine = make_engine(identity["engine"], spec, layph_config)
-        target = engine._storage_target()
-        target.graph = graph_at
-        target.states = decode_float_map(unpack("states", arrays))
-        target.initial_metrics = _metrics_from_state(meta.get("initial_metrics"))
-        for orientation in meta.get("csr", ()):
-            csr = decode_factor_csr(
-                unpack(f"csr_{orientation}", arrays), copy=not mmap
-            )
-            target.csr_cache.install_csr(orientation, target.spec, graph_at, csr)
-        target._restore_extras(meta.get("extras", {}), unpack("extras", arrays))
-        engine._post_restore_sync()
+        engine.initialize(graph_full)
+        store.next_seq = last_seq + 1
+        store.save(engine)
+        engine._store = store
+        report = RestoreReport(
+            warm=False,
+            reason=str(error),
+            baseline_seq=baseline_seq,
+            snapshot_seq=None,
+            replayed_deltas=0,
+            discarded_log_records=discarded,
+        )
+        engine.last_restore_report = report
+        return engine, report
 
-        # Replay the log suffix through the *live* path (the store is not
-        # attached yet, so replayed deltas cannot double-log).
-        replay = usable[snapshot_seq - baseline_seq :]
-        for record in replay:
-            engine.apply_delta(record.to_delta())
+    engine = make_engine(identity["engine"], spec, layph_config)
+    engine.graph = graph_at
+    engine.states = decode_float_map(unpack("states", arrays))
+    engine.initial_metrics = _metrics_from_state(meta.get("initial_metrics"))
+    for orientation in meta.get("csr", ()):
+        csr = decode_factor_csr(unpack(f"csr_{orientation}", arrays))
+        engine.csr_cache.install_csr(orientation, engine.spec, graph_at, csr)
+    engine._restore_extras(meta.get("extras", {}), unpack("extras", arrays))
+
+    # Replay the log suffix through the *live* path (the store is not
+    # attached yet, so replayed deltas cannot double-log).
+    replay = usable[snapshot_seq - baseline_seq :]
+    for record in replay:
+        engine.apply_delta(record.to_delta())
 
     store.next_seq = last_seq + 1
     store.records_since_compact = len(usable)
-    target._store = store
+    engine._store = store
     report = RestoreReport(
         warm=True,
         reason="snapshot",

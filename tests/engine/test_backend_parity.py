@@ -77,7 +77,6 @@ def _metrics_fingerprint(metrics):
 
 def _parent_forest(engine):
     """The selective engines' dependency forest, whichever store holds it."""
-    engine = engine._storage_target()
     if getattr(engine, "dep_table", None) is not None:
         return engine.dep_table.to_parents_dict()
     parents = getattr(engine, "parents", None)

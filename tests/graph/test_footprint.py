@@ -342,14 +342,13 @@ class TestEveryEngineInstallsTheFootprint:
                 delta = random_vertex_delta(current, 2, 2, seed=step, protect=0)
             following = delta.apply(current)
             engine.apply_delta(delta)
-            core = getattr(engine, "_delegate", engine)  # Ingress delegates
-            footprint = core.footprint
+            footprint = engine.footprint
             assert isinstance(footprint, DeltaFootprint)
             assert footprint.delta is delta
-            assert footprint.new_graph is core.graph
+            assert footprint.new_graph is engine.graph
             old_vertices = set(current.vertices())
             new_vertices = set(following.vertices())
-            assert set(core.graph.vertices()) == new_vertices
+            assert set(engine.graph.vertices()) == new_vertices
             assert footprint.added_vertices == new_vertices - old_vertices
             assert footprint.removed_vertices == old_vertices - new_vertices
             assert footprint.touched_vertices == delta.touched_vertices(current)

@@ -40,11 +40,6 @@ ENGINES = ("kickstarter", "risgraph", "ingress", "layph")
 ALGORITHMS = ("sssp", "bfs")
 
 
-def _core(engine):
-    """The object carrying the dependency stores (Ingress delegates)."""
-    return getattr(engine, "_delegate", engine)
-
-
 # ----------------------------------------------------------------------
 # strategies (mirroring tests/test_properties.py)
 # ----------------------------------------------------------------------
@@ -227,11 +222,10 @@ def _run_sequence(engine_name, algorithm, route, graph, deltas):
     outcomes = []
     for delta in deltas:
         result = engine.apply_delta(delta)
-        core = _core(engine)
-        if getattr(core, "dep_table", None) is not None:
-            parents = core.dep_table.to_parents_dict()
+        if getattr(engine, "dep_table", None) is not None:
+            parents = engine.dep_table.to_parents_dict()
         else:
-            parents = dict(getattr(core, "parents", {}))
+            parents = dict(getattr(engine, "parents", {}))
         outcomes.append(
             (
                 dict(result.states),
@@ -260,7 +254,7 @@ class TestDenseDictEquivalence:
 
         # the oracle keeps its forest in the dict store
         if engine_name != "layph":
-            assert _core(py_engine).dep_table is None
+            assert py_engine.dep_table is None
 
         for mine, theirs in zip(dense, py):
             assert mine[0] == theirs[0]  # states, bitwise
@@ -294,7 +288,7 @@ class TestDepTableLifecycle:
             reference = oracle_engine(name, make_algorithm("sssp", source=0))
             engine.initialize(graph.copy())
             reference.initialize(graph.copy())
-            assert _core(engine).dep_table.to_parents_dict() == _core(reference).parents
+            assert engine.dep_table.to_parents_dict() == reference.parents
 
     def test_nan_weight_delta_is_rejected(self, graph):
         engine = make_engine("kickstarter", make_algorithm("sssp", source=0))

@@ -24,7 +24,7 @@ from typing import Dict, Set
 from repro.engine import runner
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.runner import BatchResult, run_batch
-from repro.incremental import ENGINE_REGISTRY, ingress, selective_base
+from repro.incremental import ingress, selective_base
 from repro.incremental import make_engine
 from repro.incremental.dzig import DZiGEngine
 from repro.incremental.graphbolt import _MAX_ITERATIONS, GraphBoltEngine
@@ -73,12 +73,8 @@ def oracle_engine(name: str, spec, layph_config=None):
     """Engine ``name`` with every kernel bound to its reference loop."""
     if name == "layph":
         return oracle_class(LayphEngine)(spec, layph_config)
-    engine = oracle_class(ENGINE_REGISTRY[name])(spec)
-    delegate = getattr(engine, "_delegate", None)
-    if delegate is not None:  # Ingress picks its policy engine at construction
-        engine._delegate = oracle_class(type(delegate))(spec)
-        engine.csr_cache = engine._delegate.csr_cache
-    return engine
+    # Ingress picks its policy class at construction: bind that class
+    return oracle_class(type(make_engine(name, spec)))(spec)
 
 
 def engine_on_route(name: str, spec, route: str, layph_config=None):
@@ -100,9 +96,6 @@ class _OracleEngine:
     def apply_delta(self, delta, log_meta=None):
         with oracle_loops():
             return super().apply_delta(delta, log_meta=log_meta)
-
-    def _maybe_autosave(self) -> None:
-        """The reference stores are not persisted."""
 
 
 class _OracleSelective:

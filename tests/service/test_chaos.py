@@ -40,6 +40,7 @@ from repro.service import (
     ServiceKilled,
     UpdateService,
 )
+from repro.storage import store as store_module
 from repro.storage.store import EngineStore
 from repro.storage.edge_store import DeltaLog
 
@@ -49,6 +50,13 @@ POISON_SEQS = (29, 65, 150)  # batches 4, 9 and 19 — away from the kills
 KILL_SEQ = 100  # inside batch 13, a poison-free batch
 STREAM_SEED = 3
 COMPACT_EVERY = 100_000  # keep every log record: the harness audits them
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _keep_every_log_record():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store_module, "COMPACT_EVERY", COMPACT_EVERY)
+        yield
 
 
 def _graph():
@@ -132,7 +140,6 @@ def _service(tmp_path, graph, engine_name, algorithm, faults=None, **kwargs):
     engine = make_engine(engine_name, make_algorithm(algorithm, source=0))
     engine.initialize(graph)
     kwargs.setdefault("batch_size", BATCH)
-    kwargs.setdefault("compact_every", COMPACT_EVERY)
     kwargs.setdefault("backoff_base", 0.001)
     return UpdateService(engine, str(tmp_path), faults=faults, **kwargs)
 
@@ -164,7 +171,7 @@ def _finish(service):
 
 
 @pytest.fixture(scope="module")
-def reference():
+def reference(_keep_every_log_record):
     """Fault-free reference run (module-scoped: every scenario compares to it)."""
     import tempfile, shutil
 
@@ -226,6 +233,7 @@ def test_kill_at_stage_recovers_bitwise(tmp_path, reference, stage, when):
     faults = FaultInjector()
     faults.arm(stage, ServiceKilled, when=when)
     service = _service(tmp_path, graph, "kickstarter", "sssp", faults=faults)
+    assert service.recovery_floor == 0
     reader = _Reader(service)
     reader.start()
     try:
@@ -237,9 +245,7 @@ def test_kill_at_stage_recovers_bitwise(tmp_path, reference, stage, when):
     assert not service.ready()
     assert reader.errors == []
 
-    recovered = UpdateService.recover(
-        str(tmp_path), batch_size=BATCH, compact_every=COMPACT_EVERY, backoff_base=0.001
-    )
+    recovered = UpdateService.recover(str(tmp_path), batch_size=BATCH, backoff_base=0.001)
     reader2 = _Reader(recovered)
     reader2.start()
     try:
@@ -251,8 +257,10 @@ def test_kill_at_stage_recovers_bitwise(tmp_path, reference, stage, when):
         recovered.close()
     assert reader2.errors == []
     _assert_equivalent(outcome, results["kickstarter", "sssp"], _applied_ranges(str(tmp_path)))
-    # the recovered DLQ marks replay-rebuilt entries
-    assert all(entry.recovered or entry.seq > 96 for entry in recovered.dlq.entries())
+    # an entry is rebuilt by recovery exactly when its seq is at or below the
+    # recovery floor; above it, replay re-quarantines it live
+    floor = recovered.recovery_floor
+    assert all(entry.recovered == (entry.seq <= floor) for entry in recovered.dlq.entries())
 
 
 def test_kill_recovers_bitwise_for_accumulative_engine(tmp_path, reference):
@@ -267,9 +275,7 @@ def test_kill_recovers_bitwise_for_accumulative_engine(tmp_path, reference):
     service = _service(tmp_path, graph, "ingress", "pagerank", faults=faults)
     died = _run_to_completion(service, stream)
     assert died
-    recovered = UpdateService.recover(
-        str(tmp_path), batch_size=BATCH, compact_every=COMPACT_EVERY, backoff_base=0.001
-    )
+    recovered = UpdateService.recover(str(tmp_path), batch_size=BATCH, backoff_base=0.001)
     try:
         assert not _run_to_completion(recovered, stream)
         outcome = _finish(recovered)
@@ -297,16 +303,13 @@ def test_double_kill_across_incarnations(tmp_path, reference):
     middle = UpdateService.recover(
         str(tmp_path),
         batch_size=BATCH,
-        compact_every=COMPACT_EVERY,
         backoff_base=0.001,
         faults=second,
     )
     assert _run_to_completion(middle, stream)
     assert second.fired
 
-    final = UpdateService.recover(
-        str(tmp_path), batch_size=BATCH, compact_every=COMPACT_EVERY, backoff_base=0.001
-    )
+    final = UpdateService.recover(str(tmp_path), batch_size=BATCH, backoff_base=0.001)
     try:
         assert not _run_to_completion(final, stream)
         outcome = _finish(final)
@@ -410,9 +413,7 @@ def test_resubmit_after_quarantine_across_recovery(tmp_path, reference):
 
     assert dlq_log_seqs() == [POISON_SEQS[0]]  # quarantined before the kill
 
-    recovered = UpdateService.recover(
-        str(tmp_path), batch_size=BATCH, compact_every=COMPACT_EVERY, backoff_base=0.001
-    )
+    recovered = UpdateService.recover(str(tmp_path), batch_size=BATCH, backoff_base=0.001)
     try:
         # floor 28 < 29: the logged quarantine is above the floor, so the
         # DLQ starts empty and replay re-quarantines 29 deterministically

@@ -151,15 +151,17 @@ def test_factor_csr_round_trip_after_vertex_removal():
     assert np.array_equal(decoded.targets, csr.targets)
 
 
-def test_factor_csr_mmap_decode_copies_by_default(tmp_path):
+def test_factor_csr_decode_copies_read_only_arrays(tmp_path):
     spec = make_algorithm("sssp", source=0)
     csr = FactorCSR.from_graph(spec, _graph())
     arrays = _npz_round_trip(encode_factor_csr(csr), tmp_path, mmap=True)
     assert not arrays["factors"].flags.writeable  # really memory-mapped
-    decoded = decode_factor_csr(arrays)  # copy=True default
-    assert decoded.factors.flags.writeable
-    shared = decode_factor_csr(arrays, copy=False)  # out-of-core consumer
-    assert shared.factors is arrays["factors"]
+    decoded = decode_factor_csr(arrays)
+    for name in ("offsets", "targets", "factors"):
+        array = getattr(decoded, name)
+        assert array.flags.writeable
+        assert not np.shares_memory(array, arrays[name])
+        assert np.array_equal(array, getattr(csr, name))
 
 
 # ----------------------------------------------------------------------

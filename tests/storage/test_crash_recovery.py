@@ -18,6 +18,10 @@ leaves on disk — and then restores every copy:
 * a restore from mid-sequence replays the rest of the sequence bitwise;
 * truncating the log's final line (a kill mid-append) resumes at ``k-1``.
 
+A shorter stream that mixes vertex additions/deletions with edge deltas (and
+compacts inside the run) restores warm and bitwise at each of its
+boundaries too.
+
 The reference run per combo is cached at module scope: the boundary copies
 are pristine (every test re-copies before restoring, since a restored engine
 re-attaches the store and keeps logging into its directory).
@@ -37,13 +41,17 @@ import pytest
 from repro.engine.algorithms import make_algorithm
 from repro.graph.generators import community_graph
 from repro.incremental import make_engine
+from repro.storage import store as store_module
 from repro.storage.store import restore_engine
-from repro.workloads.updates import random_edge_delta
+from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 ENGINES = ["restart", "kickstarter", "risgraph", "graphbolt", "dzig", "ingress", "layph"]
 NUM_DELTAS = 20
 COMPACT_EVERY = 7
+#: the vertex-churn stream: a compaction falls inside it
+CHURN_DELTAS = 6
+CHURN_COMPACT_EVERY = 4
 
 
 def _applicable(engine_name: str, algorithm: str) -> bool:
@@ -88,15 +96,15 @@ def _metrics_fingerprint(metrics):
     )
 
 
-def _parent_forest(target):
+def _parent_forest(engine):
     """The selective engines' dependency forest, whichever store holds it."""
-    if getattr(target, "dep_table", None) is not None:
-        return target.dep_table.to_parents_dict()
-    parents = getattr(target, "parents", None)
+    if getattr(engine, "dep_table", None) is not None:
+        return engine.dep_table.to_parents_dict()
+    parents = getattr(engine, "parents", None)
     return dict(parents) if parents is not None else None
 
 
-def _extras_fingerprint(target):
+def _extras_fingerprint(engine):
     """Canonical form of the engine's cross-delta derived state.
 
     ``_snapshot_extras`` is exactly the state the store claims to preserve
@@ -104,7 +112,7 @@ def _extras_fingerprint(target):
     states), so fingerprinting its two halves — JSON meta canonically, arrays
     as raw bytes (bitwise, hence NaN-safe) — compares all of it at once.
     """
-    meta, arrays = target._snapshot_extras()
+    meta, arrays = engine._snapshot_extras()
     return (
         json.dumps(meta, sort_keys=True),
         {
@@ -138,13 +146,12 @@ class ReferenceRun:
 
 
 def _capture(engine) -> Checkpoint:
-    target = engine._storage_target()
     return Checkpoint(
         states=dict(engine.states),
         edges=list(engine.graph.edges()),
         version=engine.graph.version,
-        forest=_parent_forest(target),
-        extras=_extras_fingerprint(target),
+        forest=_parent_forest(engine),
+        extras=_extras_fingerprint(engine),
     )
 
 
@@ -160,13 +167,32 @@ def _reference_run(engine_name, algorithm, tmp_path_factory) -> ReferenceRun:
     return run
 
 
+def _edge_churn(graph, step: int):
+    return random_edge_delta(graph, num_additions=3, num_deletions=2, seed=100 + step, protect=0)
+
+
+def _vertex_churn(graph, step: int):
+    """Vertex turnover on even steps, edge churn on odd ones."""
+    if step % 2 == 0:
+        return random_vertex_delta(graph, 2, 2, seed=200 + step, protect=0)
+    return random_edge_delta(graph, 3, 2, seed=200 + step, protect=0)
+
+
 def _build_reference(engine_name, algorithm, tmp_path_factory) -> ReferenceRun:
-    root = tmp_path_factory.mktemp(f"ref-{engine_name}-{algorithm}")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(store_module, "COMPACT_EVERY", COMPACT_EVERY)
+        root = tmp_path_factory.mktemp(f"ref-{engine_name}-{algorithm}")
+        return _record_reference(engine_name, algorithm, root, _edge_churn, NUM_DELTAS)
+
+
+def _record_reference(engine_name, algorithm, root, make_delta, num_deltas) -> ReferenceRun:
+    """Run ``num_deltas`` deltas with a store attached, copying the store
+    directory (and capturing a checkpoint) at every delta boundary."""
     store_dir = root / "store"
     spec = make_algorithm(algorithm, source=0)
     engine = make_engine(engine_name, spec)
     engine.initialize(_base_graph())
-    engine.save(str(store_dir), compact_every=COMPACT_EVERY)
+    engine.save(str(store_dir))
 
     boundary_dirs: List[Path] = []
     checkpoints: List[Checkpoint] = []
@@ -180,10 +206,8 @@ def _build_reference(engine_name, algorithm, tmp_path_factory) -> ReferenceRun:
         checkpoints.append(_capture(engine))
 
     snapshot_boundary(0)
-    for step in range(NUM_DELTAS):
-        delta = random_edge_delta(
-            engine.graph, num_additions=3, num_deletions=2, seed=100 + step, protect=0
-        )
+    for step in range(num_deltas):
+        delta = make_delta(engine.graph, step)
         deltas.append(delta)
         result = engine.apply_delta(delta)
         step_outputs.append(
@@ -208,12 +232,11 @@ def _restore_copy(boundary_dir: Path, scratch: Path, tag: str):
 
 
 def _assert_checkpoint(engine, checkpoint: Checkpoint, label: str) -> None:
-    target = engine._storage_target()
     assert dict(engine.states) == checkpoint.states, f"states diverged at {label}"
     assert list(engine.graph.edges()) == checkpoint.edges, f"edges diverged at {label}"
     assert engine.graph.version == checkpoint.version, f"version diverged at {label}"
-    assert _parent_forest(target) == checkpoint.forest, f"forest diverged at {label}"
-    assert _extras_fingerprint(target) == checkpoint.extras, (
+    assert _parent_forest(engine) == checkpoint.forest, f"forest diverged at {label}"
+    assert _extras_fingerprint(engine) == checkpoint.extras, (
         f"derived state (memo/dep/layered) diverged at {label}"
     )
 
@@ -325,3 +348,30 @@ def test_torn_tail_at_every_nonempty_boundary(
     # compaction fires every COMPACT_EVERY records, so exactly those
     # boundaries had empty logs
     assert torn == NUM_DELTAS - NUM_DELTAS // COMPACT_EVERY
+
+
+# ----------------------------------------------------------------------
+# vertex churn: added and deleted vertices through the log and a compaction
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("engine_name,algorithm", COMBOS)
+def test_vertex_churn_restores_at_every_boundary(
+    engine_name, algorithm, tmp_path, monkeypatch
+):
+    """Vertex deltas are logged, compacted and replayed like edge deltas.
+
+    A stream alternating vertex turnover with edge churn runs with a
+    compaction inside it; every boundary restores warm and lands bitwise on
+    the uninterrupted engine, derived state included.
+    """
+    monkeypatch.setattr(store_module, "COMPACT_EVERY", CHURN_COMPACT_EVERY)
+    ref = _record_reference(engine_name, algorithm, tmp_path, _vertex_churn, CHURN_DELTAS)
+    # the boundary right after the compaction holds an empty log
+    assert (ref.boundary_dirs[CHURN_COMPACT_EVERY] / "delta.log").stat().st_size == 0
+    for k, checkpoint in enumerate(ref.checkpoints):
+        engine, report = restore_engine(str(ref.boundary_dirs[k]))
+        try:
+            assert report.warm, f"churn boundary {k} demoted: {report.reason}"
+            assert report.discarded_log_records == 0
+            _assert_checkpoint(engine, checkpoint, f"churn boundary {k}")
+        finally:
+            engine._store.close()

@@ -8,8 +8,8 @@ was made explicit:
   rename can no longer resurrect the old file name on journaling
   filesystems.
 * *Persistence failures degrade, never crash*: an ``OSError`` out of the
-  delta log or the autosave path becomes a ``RuntimeWarning`` and the
-  in-memory engine keeps working.
+  delta log becomes a ``RuntimeWarning`` and the in-memory engine keeps
+  working.
 * *A torn log append cannot poison the log*: ``CrcLog.append_payload`` rolls
   the file back to the pre-append offset when the write fails partway, so a
   failed append in the *middle* of a session never hides the records
@@ -22,7 +22,6 @@ annotations and the baseline-folded ``app_meta`` watermark.
 from __future__ import annotations
 
 import os
-import warnings
 
 import pytest
 
@@ -32,7 +31,7 @@ from repro.incremental import make_engine
 from repro.storage import edge_store as edge_store_module
 from repro.storage import store as store_module
 from repro.storage.edge_store import CrcLog, fsync_dir
-from repro.storage.store import EngineStore, restore_engine
+from repro.storage.store import restore_engine
 from repro.workloads.updates import random_edge_delta
 
 
@@ -47,11 +46,11 @@ def _graph():
     )
 
 
-def _engine_with_store(tmp_path, compact_every=100):
+def _engine_with_store(tmp_path):
     spec = make_algorithm("sssp", source=0)
     engine = make_engine("kickstarter", spec)
     engine.initialize(_graph())
-    store = engine.save(str(tmp_path / "store"), compact_every=compact_every)
+    store = engine.save(str(tmp_path / "store"))
     return engine, store
 
 
@@ -108,24 +107,6 @@ def test_apply_delta_survives_log_oserror(tmp_path, monkeypatch):
     # the engine keeps serving further deltas without a store write
     with pytest.warns(RuntimeWarning, match="delta applied in memory only"):
         engine.apply_delta(random_edge_delta(engine.graph, 2, 1, seed=4, protect=0))
-
-
-def test_autosave_oserror_becomes_warning(monkeypatch):
-    monkeypatch.setenv("REPRO_STORE", "1")
-    monkeypatch.setenv("REPRO_STORE_AUTOSAVE", "1")
-
-    def broken_mkdtemp(*args, **kwargs):
-        raise OSError(30, "Read-only file system")
-
-    import tempfile
-
-    monkeypatch.setattr(tempfile, "mkdtemp", broken_mkdtemp)
-    engine = make_engine("kickstarter", make_algorithm("sssp", source=0))
-    with pytest.warns(RuntimeWarning, match="autosave failed"):
-        engine.initialize(_graph())
-    # initialization completed despite the failed autosave
-    assert engine.states
-    assert engine._storage_target()._store is None
 
 
 # ----------------------------------------------------------------------
@@ -194,8 +175,6 @@ def test_app_meta_survives_baseline_fold(tmp_path):
     restored, report = restore_engine(str(tmp_path / "store"))
     try:
         assert report.warm, report.reason
-        assert (
-            restored._storage_target()._store.app_meta["applied_event_seq"] == "42"
-        )
+        assert restored._store.app_meta["applied_event_seq"] == "42"
     finally:
-        restored._storage_target()._store.close()
+        restored._store.close()

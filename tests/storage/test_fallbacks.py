@@ -11,10 +11,6 @@ engine on the same graph bitwise.
 Log corruption is softer still: torn or garbage tail lines are discarded by
 the longest-valid-prefix read, the log is rewritten clean, and recovery stays
 *warm* at the last intact record.
-
-The ``REPRO_STORE=0`` escape hatch turns the whole subsystem off (save is a
-no-op, restore refuses), and ``REPRO_STORE_AUTOSAVE=1`` makes every
-``initialize`` exercise the log/snapshot machinery against a throwaway store.
 """
 
 from __future__ import annotations
@@ -31,7 +27,7 @@ from repro.engine.algorithms import make_algorithm
 from repro.graph.generators import community_graph
 from repro.incremental import make_engine
 from repro.storage.edge_store import StoreError
-from repro.storage.store import EngineStore, restore_engine
+from repro.storage.store import restore_engine
 from repro.workloads.updates import random_edge_delta
 
 NUM_DELTAS = 5
@@ -55,7 +51,7 @@ def populated_store(tmp_path):
     engine = make_engine("kickstarter", spec)
     engine.initialize(_graph())
     store_dir = tmp_path / "store"
-    engine.save(str(store_dir), compact_every=100)  # keep every record in the log
+    engine.save(str(store_dir))  # NUM_DELTAS < COMPACT_EVERY: every record stays logged
     for step in range(NUM_DELTAS):
         engine.apply_delta(
             random_edge_delta(engine.graph, 3, 2, seed=50 + step, protect=0)
@@ -79,9 +75,8 @@ def _assert_demotes(store_dir, reason_fragment, reference):
     cold.initialize(reference.graph)
     assert engine.states == cold.states
     # the demote path re-saved a fresh snapshot, so the *next* restore is warm
-    target = engine._storage_target()
-    assert target._store is not None
-    assert target._store.saves >= 1
+    assert engine._store is not None
+    assert engine._store.saves >= 1
     again, report2 = restore_engine(str(store_dir))
     assert report2.warm, report2.reason
     assert again.states == engine.states
@@ -188,68 +183,6 @@ def test_empty_directory_raises_store_error(tmp_path):
     """No baseline at all is a hard error, not a silent empty engine."""
     with pytest.raises(StoreError, match="no baseline"):
         restore_engine(str(tmp_path))
-
-
-# ----------------------------------------------------------------------
-# REPRO_STORE=0: the subsystem is fully off
-# ----------------------------------------------------------------------
-def test_repro_store_0_disables_save_and_restore(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_STORE", "0")
-    engine = make_engine("graphbolt", make_algorithm("pagerank"))
-    engine.initialize(_graph())
-    assert engine.save(str(tmp_path / "store")) is None
-    assert engine._store is None
-    assert not os.path.exists(tmp_path / "store") or not os.listdir(
-        tmp_path / "store"
-    )
-    with pytest.raises(StoreError, match="REPRO_STORE=0"):
-        restore_engine(str(tmp_path / "store"))
-    # deltas still apply normally with persistence off
-    engine.apply_delta(random_edge_delta(engine.graph, 2, 1, seed=1, protect=0))
-
-
-def test_repro_store_0_does_not_break_existing_store(populated_store, monkeypatch):
-    """Flipping the hatch off after a store exists leaves its files intact."""
-    _reference, store_dir = populated_store
-    before = sorted(os.listdir(store_dir))
-    monkeypatch.setenv("REPRO_STORE", "0")
-    with pytest.raises(StoreError):
-        restore_engine(str(store_dir))
-    assert sorted(os.listdir(store_dir)) == before
-
-
-# ----------------------------------------------------------------------
-# REPRO_STORE_AUTOSAVE=1: initialize() exercises the store machinery
-# ----------------------------------------------------------------------
-def test_autosave_attaches_a_store_on_initialize(monkeypatch):
-    monkeypatch.setenv("REPRO_STORE_AUTOSAVE", "1")
-    engine = make_engine("ingress", make_algorithm("sssp", source=0))
-    engine.initialize(_graph())
-    target = engine._storage_target()
-    store = target._store
-    assert store is not None
-    try:
-        assert os.path.exists(os.path.join(store.directory, EngineStore.GRAPH_DB))
-        assert os.path.exists(os.path.join(store.directory, EngineStore.MANIFEST))
-        # the autosaved store restores warm and bitwise
-        restored, report = restore_engine(store.directory)
-        assert report.warm, report.reason
-        assert restored.states == engine.states
-    finally:
-        store.close()
-        shutil.rmtree(store.directory, ignore_errors=True)
-
-
-def test_autosave_does_not_fire_during_demote(populated_store, monkeypatch):
-    """The demote path re-initializes; that must not recurse into autosave."""
-    reference, store_dir = populated_store
-    os.remove(store_dir / "MANIFEST.json")
-    monkeypatch.setenv("REPRO_STORE_AUTOSAVE", "1")
-    with pytest.warns(RuntimeWarning, match="demoting to cold"):
-        engine, report = restore_engine(str(store_dir))
-    assert report.warm is False
-    # the engine's store is the original directory, not an autosave tempdir
-    assert engine._storage_target()._store.directory == str(store_dir)
 
 
 # ----------------------------------------------------------------------

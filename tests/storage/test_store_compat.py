@@ -63,7 +63,7 @@ def test_store_with_backend_entries_restores_warm(tmp_path, monkeypatch, engine_
     live.initialize(_graph())
     with monkeypatch.context() as patch:
         patch.setattr(store_module, "_engine_identity", with_backend_entries)
-        live.save(str(tmp_path / "live"), compact_every=100)
+        live.save(str(tmp_path / "live"))
     for step in range(3):
         live.apply_delta(_delta(live, step))  # logged, replayed by the restore
 
@@ -119,8 +119,8 @@ def test_dict_store_snapshot_restores_warm(tmp_path, monkeypatch, engine_name, a
     for step in range(2):
         live.apply_delta(_delta(live, step))
     with monkeypatch.context() as patch:
-        patch.setattr(type(live._storage_target()), "_snapshot_extras", _dict_store_extras)
-        live.save(str(tmp_path / "live"), compact_every=100)
+        patch.setattr(type(live), "_snapshot_extras", _dict_store_extras)
+        live.save(str(tmp_path / "live"))
     [sidecar] = glob.glob(str(tmp_path / "live" / "snapshot-*.json"))
     assert json.loads(open(sidecar, "rb").read())["meta"]["extras"]["store"] in ("dict", "dicts")
     for step in range(2, 4):
@@ -132,10 +132,9 @@ def test_dict_store_snapshot_restores_warm(tmp_path, monkeypatch, engine_name, a
     assert _bits(restored.states) == _bits(live.states)
 
     def store(engine):
-        target = engine._storage_target()
-        if hasattr(target, "dep_table"):
-            return target.dep_table.to_parents_dict()
-        return target.iterations
+        if hasattr(engine, "dep_table"):
+            return engine.dep_table.to_parents_dict()
+        return engine.iterations
 
     assert store(restored) == store(live)
     for step in range(4, 8):

@@ -1,11 +1,12 @@
 """The environment variables the library reads.
 
 Every ``REPRO_*`` name is a switch a user has to know about, so the set is
-pinned here: the durable store's three settings.  A new name means a new
-user-facing option and has to be added on purpose.  The switches that once
-selected a second, older path are gone — the backend choice among them:
-every engine runs its array kernels — and one left behind in a user's
-environment must change nothing.
+pinned here, and it is empty.  A new name means a new user-facing option and
+has to be added on purpose.  The switches that once selected a second, older
+path are gone — the backend choice and the durable store's settings among
+them: every engine runs its array kernels, and a store exists exactly when
+``engine.save`` attached one — and one left behind in a user's environment
+must change nothing.
 """
 
 from __future__ import annotations
@@ -27,11 +28,7 @@ from oracles import engine_on_route  # noqa: E402  (tests/)
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
-KNOBS = {
-    "REPRO_STORE",
-    "REPRO_STORE_AUTOSAVE",
-    "REPRO_STORE_COMPACT_EVERY",
-}
+KNOBS: set = set()
 
 #: each retired name with the stale value that used to select the old path
 RETIRED = {
@@ -41,6 +38,9 @@ RETIRED = {
     "REPRO_DELTA_FOOTPRINT": "0",
     "REPRO_CSR_REBUILD_FRACTION": "0",
     "REPRO_BACKEND": "python",
+    "REPRO_STORE": "0",
+    "REPRO_STORE_AUTOSAVE": "1",
+    "REPRO_STORE_COMPACT_EVERY": "3",
 }
 
 #: one engine per dense store: memo table, dependency table, shortcut kernel
@@ -115,6 +115,7 @@ def _stream_outcomes(monkeypatch):
         engine, outcomes[engine_name], batches = _run_stream(
             engine_name, spec, deltas, graph, monkeypatch
         )
+        assert engine._store is None  # only save() attaches a store
         if engine_name == "graphbolt":
             assert engine.memo is not None
         if engine_name == "kickstarter":
