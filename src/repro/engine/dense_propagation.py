@@ -36,6 +36,7 @@ marker relies on it.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 import numpy as np
@@ -200,9 +201,17 @@ def build_propagation_slab(
     adjacency,
     states: Dict[int, float],
     pending: Dict[int, float],
-    allowed_targets: Optional[Callable[[int], bool]] = None,
+    owned: Optional[Iterable[int]] = None,
 ) -> Tuple[PropagationSlab, list]:
     """Compile one propagate call into an array slab.
+
+    ``owned`` is the vertex set whose states the iteration reads and writes
+    (Layph passes its skeleton); by default every id of the compiled CSR
+    starts from ``states``.  With ``owned`` only ``owned`` and the keys of
+    ``pending`` start from ``states`` (and have their absorb flag read);
+    every other entry stays at the identity.  That is exact when no link of
+    ``adjacency`` targets a vertex outside them, as every link of Layph's
+    upper layer targets an upper vertex.
 
     Returns ``(slab, vertex_ids)`` — the slab carries only arrays and
     scalars (:class:`repro.parallel.slabs.PropagationSlab`).  Nothing is
@@ -211,20 +220,32 @@ def build_propagation_slab(
     aggregate_kind, combine_kind = spec.dense_algebra
     selective = aggregate_kind == AGGREGATE_MIN
 
-    csr = _compile_adjacency(adjacency)(set(states) | set(pending))
+    universe = set(states if owned is None else owned)
+    universe.update(pending)
+    csr = _compile_adjacency(adjacency)(universe)
     ids = csr.vertex_ids
     index = csr.index
     n = csr.num_vertices
     identity = math.inf if selective else 0.0
     tolerance = 0.0 if selective else float(spec.tolerance())
 
-    state_arr = np.fromiter(
+    if owned is None:
+        members, rows = ids, slice(None)
+    else:
+        members = list(universe)
+        rows = np.fromiter((index[vertex] for vertex in members), np.int64, count=len(members))
+    state_arr = np.full(n, identity, dtype=np.float64)
+    state_arr[rows] = np.fromiter(
         (
             states[vertex] if vertex in states else float(spec.initial_state(vertex))
-            for vertex in ids
+            for vertex in members
         ),
         dtype=np.float64,
-        count=n,
+        count=len(members),
+    )
+    absorb = np.zeros(n, dtype=bool)
+    absorb[rows] = np.fromiter(
+        (bool(spec.absorbs(vertex)) for vertex in members), dtype=bool, count=len(members)
     )
 
     pending_arr = np.full(n, identity, dtype=np.float64)
@@ -233,13 +254,6 @@ def build_propagation_slab(
         position = index[vertex]
         pending_arr[position] = message
         in_dict[position] = True
-
-    absorb = np.fromiter((bool(spec.absorbs(vertex)) for vertex in ids), dtype=bool, count=n)
-    allowed = (
-        np.fromiter((bool(allowed_targets(vertex)) for vertex in ids), dtype=bool, count=n)
-        if allowed_targets is not None
-        else None
-    )
 
     slab = PropagationSlab(
         offsets=csr.offsets,
@@ -251,7 +265,6 @@ def build_propagation_slab(
         in_dict=in_dict,
         state_touched=np.zeros(n, dtype=bool),
         absorb=absorb,
-        allowed=allowed,
         selective=selective,
         combine_add=combine_kind == COMBINE_ADD,
         identity=identity,
@@ -265,10 +278,21 @@ def write_back_slab(
     ids: list,
     states: Dict[int, float],
     pending: Dict[int, float],
-) -> None:
-    """Split a finished slab back into the ``states``/``pending`` dicts."""
-    for position in np.nonzero(slab.state_touched)[0]:
-        states[ids[position]] = float(slab.state[position])
+    started: np.ndarray,
+) -> Dict[int, float]:
+    """Split a finished slab back into the ``states``/``pending`` dicts.
+
+    ``started`` is the slab's state array as it was before the run.
+    Returns the write-back journal: ``{vertex: state before the run}`` for
+    every vertex whose state the run changed, in ascending id order.
+    """
+    touched = np.flatnonzero(slab.state_touched)
+    vertices = [ids[row] for row in touched.tolist()]
+    final = slab.state[touched]
+    before = started[touched]
+    states.update(zip(vertices, final.tolist()))
+    journal = dict(compress(zip(vertices, before.tolist()), (final != before).tolist()))
     pending.clear()
     for position in np.nonzero(slab.in_dict)[0]:
         pending[ids[position]] = float(slab.pending[position])
+    return journal

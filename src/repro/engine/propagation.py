@@ -137,7 +137,7 @@ def propagate(
     pending: Dict[int, float],
     metrics: Optional[ExecutionMetrics] = None,
     max_rounds: Optional[int] = None,
-    allowed_targets: Optional[Callable[[int], bool]] = None,
+    owned: Optional[Iterable[int]] = None,
 ) -> Dict[int, float]:
     """Run the delta-accumulative loop to convergence.
 
@@ -145,17 +145,20 @@ def propagate(
         spec: the algorithm (``F``/``G`` and friends).
         adjacency: a :class:`FactorAdjacency`, a :class:`SilencedAdjacency`
             or an engine's cache-backed view of its graph.
-        states: vertex -> current state; mutated in place and returned.
+        states: vertex -> current state; mutated in place.
         pending: vertex -> accumulated but not yet applied message; consumed.
         metrics: edge activations and rounds are recorded here if given.
         max_rounds: optional safety bound on the number of supersteps.
-        allowed_targets: optional predicate; messages to vertices for which it
-            returns ``False`` are generated (and counted as activations, the
-            ``F`` work has been done) but then discarded.  Layph uses this to
-            stop upper-layer messages from descending into internal vertices.
+        owned: optional vertex set whose states the iteration reads and
+            writes.  Layph passes its skeleton, so its upper-layer iteration
+            costs O(skeleton) instead of O(V); every link of ``adjacency``
+            must then target ``owned`` or a key of ``pending`` (see
+            :func:`repro.engine.dense_propagation.build_propagation_slab`).
 
     Returns:
-        The ``states`` dict, updated to the converged values.
+        The write-back journal: ``{vertex: state before the call}`` for every
+        vertex whose state changed (a vertex absent from ``states`` started
+        from ``spec.initial_state``), in ascending vertex order.
 
     The loop is round based: every round processes a snapshot of the vertices
     whose pending message is significant, applies the aggregation ``G`` to
@@ -168,12 +171,12 @@ def propagate(
     """
     if not pending:
         # Nothing to propagate; skip the O(V+E) CSR compile.
-        return states
-    slab, ids = build_propagation_slab(spec, adjacency, states, pending, allowed_targets)
+        return {}
+    slab, ids = build_propagation_slab(spec, adjacency, states, pending, owned)
+    started = slab.state.copy()
     if metrics is None:
         metrics = ExecutionMetrics()
     for total, active, updates in run_propagation(slab, max_rounds):
         metrics.vertex_updates += updates
         metrics.record_round(total, active)
-    write_back_slab(slab, ids, states, pending)
-    return states
+    return write_back_slab(slab, ids, states, pending, started)

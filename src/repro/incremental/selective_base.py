@@ -247,13 +247,11 @@ class SelectiveDependencyEngine(IncrementalEngine):
                 ):
                     continue
                 pending[target] = spec.aggregate(pending.get(target, identity), offered)
-            for vertex in new_graph.vertices():
-                if vertex not in old_graph and spec.is_significant(
-                    spec.initial_message(vertex)
-                ):
-                    pending[vertex] = spec.aggregate(
-                        pending.get(vertex, identity), spec.initial_message(vertex)
-                    )
+            # root messages of brand-new vertices (a new source)
+            for vertex in added_vertices:
+                root = spec.initial_message(vertex)
+                if spec.is_significant(root):
+                    pending[vertex] = spec.aggregate(pending.get(vertex, identity), root)
 
         with phases.phase("propagation"):
             adjacency = self._propagation_adjacency(new_graph)

@@ -198,9 +198,6 @@ class LayphEngine(IncrementalEngine):
             added_vertices = footprint.added_vertices
             removed_vertices = footprint.removed_vertices
 
-            # a copy: the patch below edits the set in place
-            old_upper_vertices = set(layered.upper_vertices) if selective else set()
-
             affected = layered.affected_subgraphs(touched)
             affected |= layered.remove_vertices(removed_vertices)
             pre_sources = layered.subgraph_upper_sources(affected)
@@ -208,6 +205,9 @@ class LayphEngine(IncrementalEngine):
             layered.rebuild_subgraphs(sorted(affected), touched, metrics)
             post_sources = layered.subgraph_upper_sources(affected)
             post_boundaries = layered.subgraph_boundaries(affected)
+            added_upper = (post_boundaries - pre_boundaries) | added_vertices
+            # vertices the patch below brings onto the skeleton
+            joined_upper = {v for v in added_upper if v not in layered.upper_vertices}
             link_diff = layered.patch_upper(
                 pre_sources
                 | post_sources
@@ -215,14 +215,12 @@ class LayphEngine(IncrementalEngine):
                 | added_vertices
                 | removed_vertices,
                 removed_upper=(pre_boundaries - post_boundaries) | removed_vertices,
-                added_upper=(post_boundaries - pre_boundaries) | added_vertices,
+                added_upper=added_upper,
                 want_diff=selective,
             )
 
             for vertex in added_vertices:
                 work[vertex] = spec.initial_state(vertex)
-            # boundaries and outliers; every proxy is a boundary vertex
-            upper_vertices = layered.upper_vertices
 
             source = self._source_vertex()
             self._old_local_source_states = (
@@ -248,8 +246,7 @@ class LayphEngine(IncrementalEngine):
             if spec.is_selective():
                 self._selective_upload(
                     link_diff,
-                    old_upper_vertices,
-                    upper_vertices,
+                    joined_upper,
                     work,
                     lup_pending,
                     metrics,
@@ -278,25 +275,32 @@ class LayphEngine(IncrementalEngine):
             for proxy in self.proxy_states:
                 if proxy not in proxies:
                     work.pop(proxy, None)
-            before: Dict[int, float] = {
-                vertex: work.get(vertex, snapshot_baseline)
-                for vertex in upper_vertices
-            }
-            propagate(spec, layered.upper_adjacency, work, lup_pending, metrics)
+            # The slab indexes the resident upper CSR: after a build or a
+            # restore, compile it over its whole id space (the graph's
+            # vertices and the proxies), not over the skeleton alone.
+            layered.upper_csr()
+            journal = propagate(
+                spec,
+                layered.upper_adjacency,
+                work,
+                lup_pending,
+                metrics,
+                # boundaries and outliers; every proxy is a boundary vertex
+                owned=layered.upper_vertices,
+            )
 
         # ------------------------------------------------------------------
         with phases.phase(PHASE_ASSIGN):
+            # The iteration's write-back journal is the trigger: the upper
+            # vertices whose state it changed, with their pre-iteration state
+            # (every pending key and every link target is an upper vertex).
             changed_upper: Set[int] = set()
             deltas: Dict[int, float] = {}
-            for vertex in upper_vertices:
-                after = work.get(vertex, snapshot_baseline)
-                if after == before[vertex]:
-                    # untouched by the iteration: almost every vertex
-                    continue
+            for vertex, before in journal.items():
                 if selective:
                     changed_upper.add(vertex)
                 else:
-                    difference = after - before[vertex]
+                    difference = work[vertex] - before
                     if spec.is_significant(difference):
                         changed_upper.add(vertex)
                         deltas[vertex] = difference
@@ -305,13 +309,9 @@ class LayphEngine(IncrementalEngine):
             )
 
         # ------------------------------------------------------------------
-        self.proxy_states = {p: work.get(p, snapshot_baseline) for p in proxies}
-        # the default is evaluated only for the (rare) vertices work lacks
-        result_states = {
-            vertex: work[vertex] if vertex in work else spec.initial_state(vertex)
-            for vertex in new_graph.vertices()
-        }
-        return IncrementalResult(states=result_states, metrics=metrics, phases=phases)
+        # what is left once the proxies are out are the graph's vertices
+        self.proxy_states = {p: work.pop(p, snapshot_baseline) for p in proxies}
+        return IncrementalResult(states=work, metrics=metrics, phases=phases)
 
     # ------------------------------------------------------------------
     # phase 2 helpers
@@ -372,8 +372,12 @@ class LayphEngine(IncrementalEngine):
                 new_graph.out_degree(vertex) if new_graph.has_vertex(vertex) else 0,
             )
 
+        # In vertex order: the deduction's key order is no part of its
+        # contract, and the subgraphs upload (and record their rounds) in the
+        # order their first message arrives here.
         per_subgraph: Dict[int, Dict[int, float]] = {}
-        for vertex, message in pending_full.items():
+        for vertex in sorted(pending_full):
+            message = pending_full[vertex]
             if not new_graph.has_vertex(vertex):
                 continue
             index = layered.subgraph_of.get(vertex)
@@ -419,8 +423,7 @@ class LayphEngine(IncrementalEngine):
     def _selective_upload(
         self,
         link_diff: UpperDiff,
-        old_upper_vertices: Set[int],
-        current_upper: Set[int],
+        joined_upper: Set[int],
         work: Dict[int, float],
         lup_pending: Dict[int, float],
         metrics: ExecutionMetrics,
@@ -440,8 +443,8 @@ class LayphEngine(IncrementalEngine):
         ``work`` must still hold the pre-delta states of the vertices and
         proxies this delta removed: all their out-links are removed links,
         and whether one supported its target can only be told from the
-        source's old state.  ``current_upper`` is the post-delta upper vertex
-        set (proxies included).
+        source's old state.  ``joined_upper`` are the vertices (proxies
+        included) this delta brought onto the upper layer.
         """
         spec = self.spec
         layered = self._require_layered()
@@ -478,16 +481,17 @@ class LayphEngine(IncrementalEngine):
             if self._supports(old_value, target_state):
                 roots.add(vertex)
 
+        current_upper = layered.upper_vertices
         tainted = self._upper_dependents(link_diff, work, roots)
+        tainted &= current_upper
         # Upper-layer vertices with no trustworthy upper-layer history are
         # treated as invalid too: fresh proxies and brand-new graph vertices
         # (no state at all), and vertices that were internal before this
         # delta (their old value was supported by intra-subgraph structure
         # that has just been rebuilt, so no link diff can vouch for it).
-        for vertex in current_upper:
-            if vertex not in work or vertex not in old_upper_vertices:
-                tainted.add(vertex)
-        tainted &= current_upper
+        # Every vertex that was on the upper layer before has a state, so
+        # these are exactly the vertices that joined it.
+        tainted |= joined_upper
 
         for vertex in tainted:
             work[vertex] = identity

@@ -102,7 +102,6 @@ class PropagationSlab:
     state_touched: np.ndarray
     # masks
     absorb: np.ndarray
-    allowed: Optional[np.ndarray] = None
     boundary: Optional[np.ndarray] = None
     arrived: Optional[np.ndarray] = None
     arrived_touched: Optional[np.ndarray] = None
@@ -126,7 +125,6 @@ def gather_messages(
     targets: np.ndarray,
     factors: np.ndarray,
     absorb: np.ndarray,
-    allowed: Optional[np.ndarray],
     starts: np.ndarray,
     counts: np.ndarray,
     total: int,
@@ -149,8 +147,6 @@ def gather_messages(
     else:
         messages = messages * factors[slots]
     keep = ~absorb[edge_targets]
-    if allowed is not None:
-        keep &= allowed[edge_targets]
     if selective:
         keep &= messages != identity
     else:
@@ -230,7 +226,6 @@ def propagation_superstep(slab: PropagationSlab) -> Optional[Tuple[int, int, int
             slab.targets,
             slab.factors,
             slab.absorb,
-            slab.allowed,
             slab.offsets[scatterers],
             counts,
             total,

@@ -106,21 +106,22 @@ class TestNumpyBackend:
             assert pending == {1: 1.0}
             assert states == {0: 0.0}
 
-    def test_allowed_targets_filters_but_counts_activations(self):
-        adjacency = FactorAdjacency({0: [(1, 1.0), (2, 1.0)]})
+    def test_journal_holds_the_start_of_every_changed_state(self):
+        # 3 is already at its best distance; 2 is absent from the states
+        adjacency = FactorAdjacency({0: [(1, 1.0), (3, 5.0)], 1: [(2, 1.0), (3, 1.0)]})
         for run in PROPAGATIONS:
-            states = {}
-            metrics = ExecutionMetrics()
-            run(
-                SSSP(source=0),
-                adjacency,
-                states,
-                {0: 0.0},
-                metrics,
-                allowed_targets=lambda v: v != 2,
-            )
-            assert states == {0: 0.0, 1: 1.0}
-            assert metrics.edge_activations == 2
+            states = {0: 4.0, 1: 9.0, 3: 2.0}
+            journal = run(SSSP(source=0), adjacency, states, {0: 0.0})
+            assert journal == {0: 4.0, 1: 9.0, 2: float("inf")}
+            assert list(journal) == [0, 1, 2]
+            assert states == {0: 0.0, 1: 1.0, 3: 2.0, 2: 2.0}
+        # an accumulative state that returns to its start leaves no entry
+        seesaw = FactorAdjacency({0: [(1, 1.0)], 1: [(0, -1.0)]})
+        for run in PROPAGATIONS:
+            states = {0: 1.0}
+            journal = run(PageRank(), seesaw, states, {0: 0.5}, max_rounds=3)
+            assert states == {0: 1.0, 1: 0.5}
+            assert journal == {1: 0.0}
 
     def test_php_source_absorbs(self):
         graph = Graph.from_edges([(0, 1, 1.0), (1, 0, 1.0)])

@@ -8,7 +8,10 @@ workloads (≈ 9k vertices, ~300 planted communities, generated by
 from-scratch batch run after every delta, with the benchmark's own
 tolerances, while the shortcut kernel is observed: one call per subgraph
 at build time, at most one call per delta afterwards, holding the solves
-and revisions of several subgraphs.
+and revisions of several subgraphs.  The upper-layer iteration is observed
+too: its slab reads the states of the skeleton and of the pending vertices
+only, and its write-back journal triggers the same assignment as a full
+before/after scan of the skeleton.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-from repro.engine import dense_propagation  # noqa: E402
+from repro.engine import propagation  # noqa: E402
 from repro.engine.propagation import SilencedAdjacency  # noqa: E402
 from repro.graph.csr import FactorCSR  # noqa: E402
 from repro.layph import vectorized  # noqa: E402
+from repro.layph import engine as layph_engine  # noqa: E402
 from repro.layph import shortcuts as shortcuts_module  # noqa: E402
 from repro.layph.engine import LayphEngine  # noqa: E402
 
@@ -58,14 +62,14 @@ def test_layph_matches_batch_on_the_web_shape(monkeypatch, workload):
 
     monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", observed)
     silenced_slabs = []
-    build_slab = dense_propagation.build_propagation_slab
+    build_slab = propagation.build_propagation_slab
 
     def slab_observed(spec, adjacency, *args, **kwargs):
         if isinstance(adjacency, SilencedAdjacency):
             silenced_slabs.append(adjacency)
         return build_slab(spec, adjacency, *args, **kwargs)
 
-    monkeypatch.setattr(dense_propagation, "build_propagation_slab", slab_observed)
+    monkeypatch.setattr(propagation, "build_propagation_slab", slab_observed)
     inputs = generate(WORKLOADS[workload], seed=1, num_events=BATCH_SIZE)
     spec = inputs.workload.spec()
     engine = LayphEngine(spec)
@@ -181,3 +185,92 @@ def test_cross_edge_deltas_keep_the_lower_layer_compiled(monkeypatch):
         assert set(built) <= changed, f"delta {step} rebuilt unchanged shortcut CSRs"
         hits += len(asked) - len(built)
     assert hits, "phase 4 never reused a shortcut CSR"
+
+
+class _ReadLog(dict):
+    """A copy of a states dict that logs every vertex looked up in it."""
+
+    def __init__(self, states):
+        super().__init__(states)
+        self.read = set()
+
+    def __contains__(self, vertex):
+        self.read.add(vertex)
+        return super().__contains__(vertex)
+
+    def __getitem__(self, vertex):
+        self.read.add(vertex)
+        return super().__getitem__(vertex)
+
+
+@pytest.mark.parametrize("workload", ["web-sssp-local", "web-pagerank-scattered"])
+def test_upper_iteration_is_sized_by_the_skeleton(monkeypatch, workload):
+    inputs = generate(WORKLOADS[workload], seed=1, num_events=BATCH_SIZE)
+    spec = inputs.workload.spec()
+    engine = LayphEngine(spec)
+    engine.initialize(inputs.graph)
+    layered = engine.layered
+    num_vertices = inputs.graph.num_vertices()
+    baseline = spec.aggregate_identity() if spec.is_selective() else 0.0
+
+    slabs = []
+    build_slab = propagation.build_propagation_slab
+
+    def slab_observed(spec, adjacency, states, pending, owned=None):
+        if adjacency is not layered.upper_adjacency:
+            return build_slab(spec, adjacency, states, pending, owned)
+        log = _ReadLog(states)
+        built = build_slab(spec, adjacency, log, pending, owned)
+        slabs.append((log.read, layered.upper_vertices | set(pending)))
+        return built
+
+    monkeypatch.setattr(propagation, "build_propagation_slab", slab_observed)
+
+    scans = []
+    iterate = layph_engine.propagate
+
+    def scanned(spec, adjacency, work, pending, metrics, owned=None):
+        """The trigger as a full before/after scan of the skeleton."""
+        upper = layered.upper_vertices
+        before = {vertex: work.get(vertex, baseline) for vertex in upper}
+        journal = iterate(spec, adjacency, work, pending, metrics, owned=owned)
+        changed, deltas = set(), {}
+        for vertex in upper:
+            after = work.get(vertex, baseline)
+            if after == before[vertex]:
+                continue
+            difference = after - before[vertex]
+            if spec.is_selective():
+                changed.add(vertex)
+            elif spec.is_significant(difference):
+                changed.add(vertex)
+                deltas[vertex] = difference
+        scans.append((changed, deltas))
+        return journal
+
+    monkeypatch.setattr(layph_engine, "propagate", scanned)
+    triggers = []
+    assign = engine._assign
+
+    def assign_observed(affected, changed_upper, deltas, *rest):
+        triggers.append((set(changed_upper), dict(deltas)))
+        return assign(affected, changed_upper, deltas, *rest)
+
+    monkeypatch.setattr(engine, "_assign", assign_observed)
+
+    changed_any = False
+    for step, delta in enumerate(inputs.deltas[:DELTAS]):
+        del slabs[:], scans[:], triggers[:]
+        engine.apply_delta(delta)
+        changed_any = changed_any or bool(triggers[0][0])
+        assert len(triggers) == 1
+        if not scans:
+            # nothing pending: no upper iteration, nothing triggered
+            assert triggers == [(set(), {})]
+            continue
+        assert len(slabs) == 1, f"delta {step} built {len(slabs)} upper slabs"
+        read, skeleton_and_pending = slabs[0]
+        assert read == skeleton_and_pending, f"delta {step} read states off the skeleton"
+        assert len(read) < 0.5 * num_vertices
+        assert triggers == scans, f"delta {step}: the journal's trigger missed the scan's"
+    assert changed_any, "no delta changed the skeleton"

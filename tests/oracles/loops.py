@@ -10,7 +10,7 @@ second optimisation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import NonConvergenceError, SilencedAdjacency
@@ -24,17 +24,21 @@ def propagate(
     pending: Dict[int, float],
     metrics: Optional[ExecutionMetrics] = None,
     max_rounds: Optional[int] = None,
-    allowed_targets: Optional[Callable[[int], bool]] = None,
+    owned: Optional[Iterable[int]] = None,
 ) -> Dict[int, float]:
     """The delta-accumulative loop of :func:`repro.engine.propagation.propagate`.
 
-    ``adjacency`` is any callable vertex -> ``(target, factor)`` pairs.
+    ``adjacency`` is any callable vertex -> ``(target, factor)`` pairs.  The
+    loop reads states on demand, so ``owned`` (the kernel's bound on the
+    states it materialises) changes nothing here.  Returns the write-back
+    journal: the state each changed vertex started from, by vertex.
     """
     if metrics is None:
         metrics = ExecutionMetrics()
     identity = spec.aggregate_identity()
     selective = spec.is_selective()
     rounds = 0
+    started: Dict[int, float] = {}
 
     while pending:
         if max_rounds is not None and rounds >= max_rounds:
@@ -51,6 +55,7 @@ def propagate(
         snapshot = {vertex: pending.pop(vertex) for vertex in active}
         for vertex, delta in snapshot.items():
             old_state = states.get(vertex, spec.initial_state(vertex))
+            started.setdefault(vertex, old_state)
             new_state = spec.aggregate(old_state, delta)
             if selective:
                 if new_state == old_state:
@@ -64,8 +69,6 @@ def propagate(
             for target, factor in adjacency(vertex):
                 round_activations += 1
                 message = spec.combine(out_value, factor)
-                if allowed_targets is not None and not allowed_targets(target):
-                    continue
                 if spec.absorbs(target):
                     continue
                 if not spec.is_significant(message):
@@ -73,7 +76,11 @@ def propagate(
                 pending[target] = spec.aggregate(pending.get(target, identity), message)
         metrics.record_round(round_activations, len(snapshot))
         rounds += 1
-    return states
+    return {
+        vertex: before
+        for vertex, before in sorted(started.items())
+        if states.get(vertex, before) != before
+    }
 
 
 def local_upload(
