@@ -12,9 +12,9 @@ module closes that gap:
   — only the rows whose adjacency (and therefore factors) changed are
   re-enumerated in Python; everything else is moved with O(E) numpy
   gather/scatter, which has a far smaller constant than the per-edge Python
-  loop of a fresh compile.  When a delta touches more than
-  ``rebuild_fraction`` of the edges the patch is abandoned and the next
-  access recompiles from scratch (amortized rebuild).
+  loop of a fresh compile.  Every delta is patched, however large: a patch
+  re-enumerates at most the rows a fresh compile would.  Only a splice
+  that cannot be done drops the entry, and the next access recompiles.
 * Staleness is detected through :attr:`repro.graph.graph.Graph.version`:
   every cache entry records the graph object *and* its version counter at
   compile/patch time, so any out-of-band mutation (one not announced through
@@ -52,10 +52,6 @@ import numpy as np
 from repro.graph.csr import FactorCSR, expand_edges
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
-
-#: default fraction of edges a delta may touch before a patch is abandoned
-DEFAULT_REBUILD_FRACTION = 0.25
-
 
 # ----------------------------------------------------------------------
 # delta patching
@@ -235,9 +231,9 @@ def _patch_csr(
     new_graph: Graph,
     delta: GraphDelta,
     orientation: str,
-    rebuild_fraction: float,
 ) -> Optional[FactorCSR]:
-    """Patched snapshot for ``new_graph``, or ``None`` when a rebuild is due.
+    """Patched snapshot for ``new_graph``, or ``None`` when the splice
+    cannot be done (:func:`splice_rows`).
 
     Only the changed rows are re-enumerated in Python; :func:`splice_rows`
     moves the rest.  The result is bit-for-bit identical to a fresh compile
@@ -250,8 +246,6 @@ def _patch_csr(
         # update, so both endpoints' rows change.
         added = added + [(t, s, w) for s, t, w in added if s != t]
         deleted = deleted + [(t, s, w) for s, t, w in deleted if s != t]
-    if len(added) + len(deleted) > rebuild_fraction * max(old_csr.num_edges, 1):
-        return None
 
     changed = _changed_row_vertices(
         spec, orientation, added, deleted, old_graph, new_graph
@@ -301,9 +295,7 @@ class CSRCache:
     mutations are never served stale.
     """
 
-    def __init__(self, rebuild_fraction: float = DEFAULT_REBUILD_FRACTION) -> None:
-        #: delta-to-edges ratio beyond which patches give way to rebuilds
-        self.rebuild_fraction = rebuild_fraction
+    def __init__(self) -> None:
         self._entries: Dict[str, _Entry] = {}
         #: statistics (exposed for tests and benchmark reporting)
         self.compiles = 0
@@ -373,8 +365,8 @@ class CSRCache:
         """Advance every cached snapshot from ``old_graph`` to ``new_graph``.
 
         Entries that do not match ``(spec, old_graph, version)`` — or whose
-        patch exceeds the rebuild threshold — are dropped and recompiled
-        lazily on the next access.
+        splice cannot be done — are dropped and recompiled lazily on the
+        next access.
         """
         for orientation in list(self._entries):
             entry = self._entries[orientation]
@@ -388,13 +380,7 @@ class CSRCache:
                 continue
             try:
                 patched = _patch_csr(
-                    spec,
-                    entry.csr,
-                    old_graph,
-                    new_graph,
-                    delta,
-                    orientation,
-                    self.rebuild_fraction,
+                    spec, entry.csr, old_graph, new_graph, delta, orientation
                 )
             except Exception:
                 patched = None

@@ -36,9 +36,9 @@ exposes
 * the same results as sorted ``numpy`` index vectors (``*_array``) for the
   vectorized paths.
 
-When the CSR snapshots are unavailable (a spec without a declared algebra,
-patch abandoned for an amortized rebuild) the footprint falls back to dict comparisons — still
-computed once per delta.  The conformance suite in
+When the CSR snapshots are unavailable (an orientation the engine never
+compiled, or a splice that could not be done) the footprint falls back to
+dict comparisons — still computed once per delta.  The conformance suite in
 ``tests/graph/test_footprint.py`` pins every footprint field, on both paths,
 to a brute-force recomputation from the two graphs.
 """

@@ -12,9 +12,9 @@ the paper mentions in Section VI-A).
 
 The engine is a thin policy over the shared dependency machinery: the
 safe/unsafe classification reads the recorded parent from whichever store is
-live, and for the min/+ algebra the single-parent taint is a level-ordered
-sweep over the dense :class:`repro.incremental.dep_table.DepTable`'s parent
-array.
+live, and for the min/+ algebra the single-parent taint is a frontier walk
+on the cached out-edge CSR that follows the dense
+:class:`repro.incremental.dep_table.DepTable`'s parent links.
 """
 
 from __future__ import annotations

@@ -10,14 +10,17 @@ invalidation — vs ``"dag"`` — conservative supporting-edge trimming) plus th
 per-edge safe/unsafe classification hooks.
 
 The mechanics behind the template run on the dense
-:class:`repro.incremental.dep_table.DepTable` — parent, level and value
-arrays keyed by the cached in-edge CSR's vertex index.  Taint expansion, the
+:class:`repro.incremental.dep_table.DepTable` — parent and value arrays keyed
+by the cached in-edge CSR's vertex index.  Taint expansion, the
 trimmed-vertex re-pull and the post-propagation parent refresh run as array
 kernels over the cached in-/out-edge CSR snapshots, bitwise identical to the
 dict walks kept with the test oracles (states, rounds, edge activations),
 and the invalidation inputs come straight from the shared
 :class:`repro.graph.footprint.DeltaFootprint` (its cached weight-level
-``invalidation_edges`` expansion and O(delta) membership diff).
+``invalidation_edges`` expansion and O(delta) membership diff).  The refresh
+re-reads only the states the delta can have written: the tainted vertices,
+the added vertices and the keys of the write-back journal ``propagate``
+returns.
 """
 
 from __future__ import annotations
@@ -39,54 +42,6 @@ from repro.incremental.dep_table import DepTable
 PHASE_INVALIDATION = "invalidation"
 PHASE_TRIM = "trim and seed"
 PHASE_MAINTENANCE = "dependency maintenance"
-
-
-class _TrackedStates(dict):
-    """Working-states dict that records every key written since creation.
-
-    The dense maintenance path hands the touched keys to
-    :meth:`DepTable.refresh` as the candidate rows of its incremental value
-    gather — the table's value column is fully synchronized with the states
-    at the start of each delta, so only keys written during the delta
-    (invalidation pops and seeds, trim resets, the propagation write-back)
-    can diverge, and every such write lands on one of the methods below.
-    """
-
-    __slots__ = ("touched",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.touched: Set[int] = set()
-
-    def __setitem__(self, key, value) -> None:
-        self.touched.add(key)
-        super().__setitem__(key, value)
-
-    def __delitem__(self, key) -> None:
-        self.touched.add(key)
-        super().__delitem__(key)
-
-    def pop(self, key, *default):
-        self.touched.add(key)
-        return super().pop(key, *default)
-
-    def popitem(self):
-        key, value = super().popitem()
-        self.touched.add(key)
-        return key, value
-
-    def setdefault(self, key, default=None):
-        self.touched.add(key)
-        return super().setdefault(key, default)
-
-    def update(self, *args, **kwargs) -> None:
-        merged = dict(*args, **kwargs)
-        self.touched.update(merged)
-        super().update(merged)
-
-    def clear(self) -> None:
-        self.touched.update(self)
-        super().clear()
 
 
 class SelectiveDependencyEngine(IncrementalEngine):
@@ -202,7 +157,7 @@ class SelectiveDependencyEngine(IncrementalEngine):
             new_in_csr = cache.in_csr(spec, new_graph)
             new_out_csr = cache.out_csr(spec, new_graph)
 
-        states = _TrackedStates(self.states)
+        states = dict(self.states)
         self.dense_deltas += 1
 
         with phases.phase(PHASE_INVALIDATION):
@@ -255,11 +210,18 @@ class SelectiveDependencyEngine(IncrementalEngine):
 
         with phases.phase("propagation"):
             adjacency = self._propagation_adjacency(new_graph)
-            propagate(spec, adjacency, states, pending, metrics)
+            journal = propagate(spec, adjacency, states, pending, metrics)
 
         with phases.phase(PHASE_MAINTENANCE):
             self._refresh_parents(
-                new_in_csr, new_out_csr, new_graph, states, tainted, added, deleted
+                new_in_csr,
+                new_out_csr,
+                new_graph,
+                states,
+                tainted,
+                added,
+                deleted,
+                journal,
             )
 
         return IncrementalResult(states=states, metrics=metrics, phases=phases)
@@ -284,7 +246,7 @@ class SelectiveDependencyEngine(IncrementalEngine):
         if self.tainting == "dag":
             mask = table.taint_dag(old_out_csr, root_rows)
         else:
-            mask = table.taint_tree(root_rows)
+            mask = table.taint_tree(old_out_csr, root_rows)
         return set(old_in_csr.ids_array()[np.nonzero(mask)[0]].tolist())
 
     def _trim_and_seed(
@@ -332,15 +294,18 @@ class SelectiveDependencyEngine(IncrementalEngine):
         tainted: Set[int],
         added,
         deleted,
+        journal: Dict[int, float],
     ) -> None:
         """Refresh the dependency parents of every vertex whose support may
         have changed: tainted vertices, endpoints of changed edges, and the
         out-neighbors of vertices whose state changed.
 
         The seed rows are the tainted vertices plus the endpoints of changed
-        edges; :meth:`DepTable.refresh` detects the changed-state vertices by
-        comparing its value array against the post-propagation states and
-        expands every stale vertex's out-neighbors on the cached out-CSR.
+        edges.  A state can only have been written if its vertex was
+        tainted (trim reset), added (seeded) or is a key of the propagation
+        ``journal``; :meth:`DepTable.refresh` re-reads those rows, detects
+        the changed-state vertices and expands every stale vertex's
+        out-neighbors on the cached out-CSR.
         """
         index = in_csr.index
         seeds: Set[int] = set(tainted)
@@ -348,19 +313,16 @@ class SelectiveDependencyEngine(IncrementalEngine):
             for vertex in (source, target):
                 if graph.has_vertex(vertex):
                     seeds.add(vertex)
-        seed_rows = np.fromiter(
-            (index[v] for v in seeds), np.int64, count=len(seeds)
-        )
-        touched = [index[v] for v in states.touched if v in index]
+        written = set(tainted).union(self.footprint.added_vertices, journal)
         self.dep_table.refresh(
             in_csr,
             out_csr,
             states,
-            seed_rows,
+            np.fromiter((index[v] for v in seeds), np.int64, count=len(seeds)),
+            np.fromiter((index[v] for v in written), np.int64, count=len(written)),
             self._initial_state_array(in_csr),
             self.spec.aggregate_identity(),
             graph_version=graph.version,
-            changed_rows=np.fromiter(touched, np.int64, count=len(touched)),
         )
 
     # ------------------------------------------------------------------

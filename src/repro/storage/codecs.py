@@ -181,7 +181,7 @@ def decode_memo_table(meta: dict, arrays: Mapping[str, np.ndarray]) -> MemoTable
 # DepTable
 # ----------------------------------------------------------------------
 def encode_dep_table(table: DepTable) -> Tuple[dict, Arrays]:
-    """Encode a dependency table (parents + values; levels are derived)."""
+    """Encode a dependency table (its ids, parent positions and values)."""
     meta = {"graph_version": table.graph_version}
     arrays = {
         "ids": np.asarray(table.vertex_ids, dtype=np.int64),
@@ -192,13 +192,7 @@ def encode_dep_table(table: DepTable) -> Tuple[dict, Arrays]:
 
 
 def decode_dep_table(meta: dict, arrays: Mapping[str, np.ndarray]) -> DepTable:
-    """Decode into a :class:`DepTable`.
-
-    The forest levels, child index and move overlays are deliberately *not*
-    persisted: they are deterministic functions of ``parent_pos`` rebuilt
-    lazily (pointer doubling) on the first taint after restore, so dropping
-    them keeps the snapshot small without breaking bitwise equivalence.
-    """
+    """Decode into a :class:`DepTable` (the table is exactly its arrays)."""
     ids = [int(vertex) for vertex in arrays["ids"]]
     graph_version = meta.get("graph_version")
     return DepTable(

@@ -89,7 +89,7 @@ class TestDeltaPatching:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_patched_arrays_match_fresh_compile(self, spec):
         graph = _base_graph()
-        cache = CSRCache(rebuild_fraction=1.0)
+        cache = CSRCache()
         cache.out_csr(spec, graph)
         cache.in_csr(spec, graph)
         assert cache.compiles == 2
@@ -129,22 +129,32 @@ class TestDeltaPatching:
         )
         assert_csr_identical(cache.out_csr(spec, graph), via_adjacency)
 
-    def test_rebuild_threshold_abandons_patch(self):
+    def test_large_delta_patches(self):
+        """A delta touching half the edges (more than a quarter) is patched
+        like any other, and the patch equals a fresh compile."""
         spec = SSSP(source=0)
         graph = _base_graph()
-        cache = CSRCache(rebuild_fraction=0.1)
+        cache = CSRCache()
         cache.out_csr(spec, graph)
+        cache.in_csr(spec, graph)
         delta = GraphDelta.from_edge_changes(
             additions=[(0, 3, 1.0), (1, 4, 1.0), (4, 2, 1.0)], deletions=[(0, 2)]
         )
+        assert len(delta.added_edges(graph)) + len(delta.deleted_edges(graph)) > (
+            graph.num_edges() / 4
+        )
         new_graph = delta.apply(graph)
         cache.apply_delta(spec, graph, new_graph, delta)
-        assert cache.rebuilds == 1
-        assert cache.patches == 0
-        # the next access recompiles lazily and is correct
+        assert cache.patches == 2
+        assert cache.rebuilds == 0
         assert_csr_identical(
             cache.out_csr(spec, new_graph), FactorCSR.from_graph(spec, new_graph)
         )
+        assert_csr_identical(
+            cache.in_csr(spec, new_graph),
+            FactorCSR.from_graph_in_edges(spec, new_graph),
+        )
+        assert cache.compiles == 2
 
 
 class TestInvalidation:
@@ -282,7 +292,7 @@ class TestUndirectedGraphs:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
     def test_patched_csr_matches_fresh_compile_undirected(self, spec):
         graph = self._undirected_graph()
-        cache = CSRCache(rebuild_fraction=1.0)
+        cache = CSRCache()
         cache.out_csr(spec, graph)
         cache.in_csr(spec, graph)
         deltas = [
@@ -548,7 +558,7 @@ class TestSlabsFromPatchedSnapshots:
     @pytest.mark.parametrize("algorithm", ["sssp", "bfs", "pagerank", "php"])
     def test_weight_delta_sequence_patches_in_place(self, algorithm):
         spec = make_algorithm(algorithm, source=0)
-        cache = CSRCache(rebuild_fraction=1.0)
+        cache = CSRCache()
         graph = self._graph(seed=13)
         self._assert_slab_matches_fresh(spec, cache, graph)
         for step in range(6):
@@ -563,7 +573,7 @@ class TestSlabsFromPatchedSnapshots:
     @pytest.mark.parametrize("algorithm", ["sssp", "pagerank"])
     def test_structural_churn_stays_bitwise(self, algorithm):
         spec = make_algorithm(algorithm, source=0)
-        cache = CSRCache(rebuild_fraction=1.0)
+        cache = CSRCache()
         graph = self._graph(seed=29)
         for step in range(8):
             self._assert_slab_matches_fresh(spec, cache, graph)

@@ -26,7 +26,7 @@ from repro.graph.generators import erdos_renyi_graph
 from repro.graph.graph import Graph
 from repro.incremental import make_engine
 from repro.incremental.dep_table import DepTable
-from repro.workloads.updates import random_edge_delta
+from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
 from oracles import dependency, engine_on_route, oracle_engine  # noqa: E402  (tests/)
 
@@ -145,37 +145,69 @@ class TestDepTableMechanics:
         assert table.parent_of(0) is None
         assert table.values.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
 
-    def test_levels_follow_forest_depth(self):
-        spec, graph, csr = _chain_csr(6)
-        states = {v: float(v) for v in range(6)}
-        parents = {0: None, 1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
-        table = DepTable.from_parents(csr, states, parents, math.inf)
-        levels = table.forest_levels()
-        assert levels is not None
-        assert levels.tolist() == [0, 1, 2, 3, 4, 5]
-
-    def test_parent_cycle_disables_levels_but_not_taint(self):
-        spec, graph, csr = _chain_csr(4)
-        states = {v: 0.0 for v in range(4)}
-        # 2 and 3 support each other (a zero-weight loop shape).
-        parents = {0: None, 1: 0, 2: 3, 3: 2}
-        table = DepTable.from_parents(csr, states, parents, math.inf)
-        assert table.forest_levels() is None
-        mask = table.taint_tree(np.array([table.index[0]], dtype=np.int64))
-        tainted = {table.vertex_ids[i] for i in np.nonzero(mask)[0]}
-        assert tainted == {0, 1}
-
-    def test_taint_tree_matches_dict_reference(self):
-        spec, graph, csr = _chain_csr(8)
-        states = {v: float(v) for v in range(8)}
-        parents = dependency.compute_parents(spec, graph, states)
-        table = DepTable.from_parents(csr, states, parents, math.inf)
-        roots = {3}
-        expected = dependency.dependents_single_parent(parents, graph, roots)
-        mask = table.taint_tree(
-            np.array([csr.index[v] for v in roots], dtype=np.int64)
+    def test_taint_tree_crosses_parent_cycles(self):
+        """A zero-weight support loop can make the parent links a cycle; the
+        walk's visited mask stops on it, from a root on or off the loop."""
+        spec = make_algorithm("sssp", source=0)
+        graph = Graph.from_edges(
+            [
+                (0, 1, 1.0),
+                (1, 2, 1.0),
+                (2, 3, 0.0),
+                (3, 2, 0.0),
+                (3, 4, 1.0),
+                (1, 5, 2.0),
+            ]
         )
-        assert {table.vertex_ids[i] for i in np.nonzero(mask)[0]} == expected
+        states = {0: 0.0, 1: 1.0, 2: 2.0, 3: 2.0, 4: 3.0, 5: 3.0}
+        # 2 and 3 support each other: the loop hangs off no root, and 4
+        # hangs off the loop.
+        parents = {0: None, 1: 0, 2: 3, 3: 2, 4: 3, 5: 1}
+        in_csr = FactorCSR.from_graph_in_edges(spec, graph)
+        out_csr = FactorCSR.from_graph(spec, graph)
+        table = DepTable.from_parents(in_csr, states, parents, math.inf)
+        for roots, expected in (
+            ({0}, {0, 1, 5}),
+            ({1}, {1, 5}),
+            ({2}, {2, 3, 4}),
+            ({3}, {2, 3, 4}),
+            ({4}, {4}),
+            ({1, 3}, {1, 2, 3, 4, 5}),
+        ):
+            assert dependency.dependents_single_parent(parents, graph, roots) == expected
+            mask = table.taint_tree(
+                out_csr, np.array([table.index[v] for v in roots], dtype=np.int64)
+            )
+            assert {table.vertex_ids[i] for i in np.nonzero(mask)[0]} == expected
+
+    @pytest.mark.parametrize("seed", [None, 1, 4, 9, 16])
+    def test_taint_tree_matches_dict_reference(self, seed):
+        """On the 8-vertex chain (``seed=None``) and on the shortest-path
+        forests of random graphs, from several root sets."""
+        if seed is None:
+            spec, graph, _ = _chain_csr(8)
+        else:
+            spec = make_algorithm("sssp", source=0)
+            graph = erdos_renyi_graph(60, 240, weighted=True, seed=seed)
+        from repro.engine.runner import run_batch
+
+        states = run_batch(spec, graph).states
+        parents = dependency.compute_parents(spec, graph, states)
+        in_csr = FactorCSR.from_graph_in_edges(spec, graph)
+        out_csr = FactorCSR.from_graph(spec, graph)
+        table = DepTable.from_parents(in_csr, states, parents, math.inf)
+        vertices = sorted(graph.vertices())
+        rng = np.random.default_rng(seed)
+        root_sets = [{3}, {0}, set(vertices)]
+        root_sets += [
+            set(rng.choice(vertices, size=k, replace=False).tolist()) for k in (1, 2, 5)
+        ]
+        for roots in root_sets:
+            expected = dependency.dependents_single_parent(parents, graph, roots)
+            mask = table.taint_tree(
+                out_csr, np.array([in_csr.index[v] for v in roots], dtype=np.int64)
+            )
+            assert {table.vertex_ids[i] for i in np.nonzero(mask)[0]} == expected
 
     def test_taint_dag_matches_dict_reference(self):
         spec = make_algorithm("sssp", source=0)
@@ -314,30 +346,13 @@ class TestDepTableLifecycle:
 
 
 class TestIncrementalMaintenance:
-    """PR 6 satellites: the per-delta refresh re-gathers only the rows the
-    engine actually wrote (no O(V) value sweep), and small parent changes
-    patch the forest levels/buckets in place instead of marking them stale
-    (no O(V log d) pointer doubling + O(V log V) argsort per single-edge
-    delta)."""
+    """The per-delta refresh re-gathers only the rows the engine can have
+    written (tainted, added, and the propagation journal's keys), so it
+    must stay bitwise with the oracle's full-graph refresh, and the table's
+    values must mirror the engine's states after every delta."""
 
     def _graph(self, seed=7):
         return erdos_renyi_graph(90, 450, weighted=True, seed=seed)
-
-    def _fresh_levels(self, table):
-        """Independent per-row walk to the root (None on a parent cycle)."""
-        parent = table.parent_pos
-        levels = np.zeros(parent.size, dtype=np.int64)
-        for row in range(parent.size):
-            seen = set()
-            position, depth = int(parent[row]), 0
-            while position >= 0 and position not in seen:
-                seen.add(position)
-                depth += 1
-                position = int(parent[position])
-            if position >= 0:
-                return None
-            levels[row] = depth
-        return levels
 
     def test_dense_deltas_use_partial_value_gathers(self):
         engine = make_engine("risgraph", make_algorithm("sssp", source=0))
@@ -347,10 +362,8 @@ class TestIncrementalMaintenance:
             delta = random_edge_delta(graph, 3, 2, seed=70 + step, protect=0)
             engine.apply_delta(delta)
             graph = engine.graph
-        table = engine.dep_table
-        assert table is not None
-        assert table.partial_value_gathers == engine.dense_deltas == 5
-        assert table.full_value_gathers == 0
+        assert engine.dep_table is not None
+        assert engine.dense_deltas == 5
 
     def test_partial_refresh_matches_dict_reference(self):
         spec = make_algorithm("sssp", source=0)
@@ -367,35 +380,29 @@ class TestIncrementalMaintenance:
             assert got.metrics.edge_activations == want.metrics.edge_activations
             graph = dense.graph
         assert dense.dep_table.to_parents_dict() == reference.parents
-        assert dense.dep_table.full_value_gathers == 0
 
-    def test_levels_patched_in_place_for_small_deltas(self):
-        engine = make_engine("risgraph", make_algorithm("sssp", source=0))
-        graph = self._graph(seed=5)
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("engine_name", ["kickstarter", "risgraph", "ingress"])
+    def test_values_mirror_states_after_every_delta(self, engine_name, algorithm):
+        """The invariant the partial gather trusts: a journal that missed a
+        written row would otherwise surface only as a later wrong parent."""
+        engine = make_engine(engine_name, make_algorithm(algorithm, source=0))
+        graph = self._graph(seed=23)
         engine.initialize(graph)
-        patched = False
-        for step in range(8):
-            delta = random_edge_delta(graph, 2, 2, seed=900 + step, protect=0)
+        for step in range(10):
+            if step % 3 == 2:
+                delta = random_vertex_delta(graph, 2, 2, seed=40 + step, protect=0)
+            else:
+                delta = random_edge_delta(graph, 4, 4, seed=40 + step, protect=0)
             engine.apply_delta(delta)
             graph = engine.graph
             table = engine.dep_table
-            assert table is not None
-            levels = table.forest_levels()
-            expected = self._fresh_levels(table)
-            if levels is None:
-                assert expected is None
-            else:
-                assert expected is not None
-                assert np.array_equal(levels, expected)
-            patched = patched or table.level_patches > 0
-        assert patched, "no delta exercised the in-place level patch"
-        # patches must dominate: rebuilds only happen on materialization or
-        # when a delta drags a large subtree / remaps the id space
-        assert table.level_patches >= table.level_rebuilds
+            assert table.vertex_ids == sorted(graph.vertices())
+            mirrored = [engine.states[vertex] for vertex in table.vertex_ids]
+            assert table.values.tolist() == mirrored
 
     def test_patched_taint_matches_dict_reference(self):
-        """The overlay buckets feed taint_tree; parity over a long sequence
-        proves the moved rows are swept at their patched level."""
+        """Taint parity with the oracle over a long delta sequence."""
         spec = make_algorithm("bfs", source=0)
         dense = make_engine("kickstarter", spec)
         reference = oracle_engine("kickstarter", spec)

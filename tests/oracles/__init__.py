@@ -123,7 +123,9 @@ class _OracleSelective:
         metrics.edge_activations += sum(new_graph.in_degree(vertex) for vertex in tainted)
         return pending
 
-    def _refresh_parents(self, in_csr, out_csr, graph, states, tainted, added, deleted):
+    def _refresh_parents(
+        self, in_csr, out_csr, graph, states, tainted, added, deleted, journal
+    ):
         dependency.refresh_parents(
             self.spec, graph, self.states, states, tainted, added, deleted, self.parents
         )

@@ -222,8 +222,6 @@ def test_dep_table_round_trip(tmp_path):
     assert list(decoded.vertex_ids) == ids
     assert decoded.to_parents_dict() == table.to_parents_dict()
     assert decoded.values.tobytes() == table.values.tobytes()
-    # levels are rebuilt lazily, not persisted
-    assert decoded.forest_levels() is not None
 
 
 def test_parent_map_round_trip_with_none_roots():

@@ -332,7 +332,7 @@ class TestCSRCacheProperties:
     def test_patched_csr_identical_to_fresh_compile(self, data, algorithm):
         graph, deltas = data
         spec = make_algorithm(algorithm, source=0)
-        cache = CSRCache(rebuild_fraction=1.0)
+        cache = CSRCache()
         current = graph.copy()
         cache.out_csr(spec, current)
         cache.in_csr(spec, current)
