@@ -1,10 +1,10 @@
 """Delta-accumulative propagation core.
 
-Every engine in the repository — the batch runner, the incremental baselines,
-Layph's shortcut calculation, its per-subgraph message upload and its
-upper-layer iteration — executes the same round-based propagation loop defined
-here, over a *factor adjacency* (vertex -> list of ``(target, factor)``
-pairs).  Using one shared core keeps the edge-activation counts of the
+Every engine in the repository — the batch runner, the incremental baselines
+and Layph's upper-layer iteration — executes the same round-based propagation
+loop defined here, over a *factor adjacency* (vertex -> list of ``(target,
+factor)`` pairs); Layph's shortcut solves and local uploads run its lockstep
+variant (:func:`repro.parallel.slabs.run_shortcut_solves`).  Using one shared core keeps the edge-activation counts of the
 different systems directly comparable, which is what the paper's Figures 1
 and 6 measure.
 
@@ -29,7 +29,8 @@ class NonConvergenceError(RuntimeError):
     """A propagation loop hit its round cap with significant messages left.
 
     Returning partial results would silently leave stale states behind, so
-    the engines raise instead (see ``LayphEngine._local_upload``).
+    the engines raise instead (see :func:`repro.layph.shortcuts.local_uploads`,
+    whose kernel call also carries Layph's shortcut solves).
     """
 
 

@@ -38,11 +38,10 @@ from repro.graph.graph import Graph
 from repro.incremental.base import IncrementalEngine, IncrementalResult
 from repro.incremental.revision import accumulative_revision_messages
 from repro.layph.layered_graph import LayeredGraph, LayphConfig, UpperDiff
-from repro.layph.shortcuts import compute_shortcuts_from
+from repro.layph.shortcuts import compute_shortcuts_from, local_uploads
 from repro.layph.vectorized import (
     assign_accumulative_batch,
     assign_selective_batch,
-    local_upload_numpy,
     seed_tainted_upper,
 )
 
@@ -304,9 +303,7 @@ class LayphEngine(IncrementalEngine):
                     if spec.is_significant(difference):
                         changed_upper.add(vertex)
                         deltas[vertex] = difference
-            self._assign(
-                affected, changed_upper, deltas, work, metrics, new_graph
-            )
+            self._assign(affected, changed_upper, deltas, work, metrics)
 
         # ------------------------------------------------------------------
         # what is left once the proxies are out are the graph's vertices
@@ -346,7 +343,12 @@ class LayphEngine(IncrementalEngine):
         :class:`repro.graph.footprint.DeltaFootprint`) supplies the
         changed-source scan and the membership diff computed once per delta;
         the deduction runs on the out-edge CSRs ``old_csr``/``new_csr`` of
-        both graph versions.
+        both graph versions.  Every reached subgraph uploads its messages
+        in one kernel call (:func:`repro.layph.shortcuts.local_uploads`).
+
+        Raises:
+            repro.engine.propagation.NonConvergenceError: if an upload still
+                holds significant messages after the round cap.
         """
         spec = self.spec
         layered = self._require_layered()
@@ -389,36 +391,12 @@ class LayphEngine(IncrementalEngine):
                     lup_pending.get(vertex, identity), message
                 )
 
-        for index, local_pending in per_subgraph.items():
-            subgraph = layered.subgraphs[index]
-            arrived = self._local_upload(subgraph, work, local_pending, metrics)
+        uploads = [(layered.subgraphs[index], pending) for index, pending in per_subgraph.items()]
+        for arrived in local_uploads(spec, uploads, work, metrics):
             for vertex, message in arrived.items():
                 lup_pending[vertex] = spec.aggregate(
                     lup_pending.get(vertex, identity), message
                 )
-
-    def _local_upload(
-        self,
-        subgraph,
-        work: Dict[int, float],
-        local_pending: Dict[int, float],
-        metrics: ExecutionMetrics,
-    ) -> Dict[int, float]:
-        """Propagate revision messages inside one subgraph (boundary absorbs).
-
-        Internal states are revised in place (Equation (11)); the messages
-        that reach boundary vertices are returned so the caller can feed them
-        into the upper-layer iteration (Equation (7)).  The propagation runs
-        on the subgraph's compiled CSR
-        (:func:`repro.layph.vectorized.local_upload_numpy`).
-
-        Raises:
-            repro.engine.propagation.NonConvergenceError: if significant
-                messages remain after the round cap.  Returning the partial
-                result instead would leave stale internal states behind and
-                silently corrupt every subsequent delta.
-        """
-        return local_upload_numpy(self.spec, subgraph, work, local_pending, metrics)
 
     def _selective_upload(
         self,
@@ -591,7 +569,6 @@ class LayphEngine(IncrementalEngine):
         deltas: Dict[int, float],
         work: Dict[int, float],
         metrics: ExecutionMetrics,
-        new_graph: Graph,
     ) -> None:
         """Push boundary results down to internal vertices through shortcuts."""
         layered = self._require_layered()
@@ -606,7 +583,6 @@ class LayphEngine(IncrementalEngine):
                 index = layered.proxy_owner_of(vertex)
             if index is not None:
                 to_assign.add(index)
-        to_assign = {index for index in to_assign if index < len(layered.subgraphs)}
 
         subgraphs = [
             layered.subgraphs[index]
@@ -614,9 +590,7 @@ class LayphEngine(IncrementalEngine):
             if layered.subgraphs[index].internal
         ]
         if subgraphs:
-            self._assign_subgraphs(
-                subgraphs, deltas, work, metrics, new_graph, self._source_vertex()
-            )
+            self._assign_subgraphs(subgraphs, deltas, work, metrics, self._source_vertex())
 
     def _assign_subgraphs(
         self,
@@ -624,26 +598,25 @@ class LayphEngine(IncrementalEngine):
         deltas: Dict[int, float],
         work: Dict[int, float],
         metrics: ExecutionMetrics,
-        new_graph: Graph,
         source: Optional[int],
     ) -> None:
         """One kernel call over every assigned subgraph's shortcut rows:
         the best boundary offers (selective) or the boundary deltas
-        (accumulative) pushed down to the internal vertices."""
+        (accumulative) pushed down to the internal vertices, which are
+        always graph vertices (a removed vertex leaves its subgraph)."""
         spec = self.spec
         if not spec.is_selective():
-            assign_accumulative_batch(spec, subgraphs, deltas, work, metrics, new_graph)
+            assign_accumulative_batch(spec, subgraphs, deltas, work, metrics)
             return
         best_maps = assign_selective_batch(spec, subgraphs, work, metrics)
         for subgraph, best in zip(subgraphs, best_maps):
-            self._finish_selective_assign(subgraph, best, work, new_graph, source)
+            self._finish_selective_assign(subgraph, best, work, source)
 
     def _finish_selective_assign(
         self,
         subgraph,
         best: Dict[int, float],
         work: Dict[int, float],
-        new_graph: Graph,
         source: Optional[int],
     ) -> None:
         """Fold the source's local results into ``best`` and write it back."""
@@ -658,9 +631,7 @@ class LayphEngine(IncrementalEngine):
                 folded = self._local_source_states.get(target)
                 if folded is not None:
                     best[target] = spec.aggregate(best[target], folded)
-        for target, value in best.items():
-            if new_graph.has_vertex(target):
-                work[target] = value
+        work.update(best)
 
     # ------------------------------------------------------------------
     # durable snapshots (repro.storage)

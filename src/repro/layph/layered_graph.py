@@ -35,7 +35,7 @@ from repro.graph.graph import Graph
 from repro.layph.community import louvain_communities
 from repro.layph.dense import select_dense_subgraphs
 from repro.layph.replication import HostIndex, ReplicationPlan, plan_replication
-from repro.layph.shortcuts import ShortcutBatch, shortcut_revision
+from repro.layph.shortcuts import ShortcutBatch, ShortcutTable, shortcut_revision
 
 
 @dataclass
@@ -86,8 +86,9 @@ class DenseSubgraph:
     upper_links: List[Tuple[int, int, float]] = field(default_factory=list)
     #: intra-subgraph factor adjacency (members and proxies), patched in place
     local_adjacency: FactorAdjacency = field(default_factory=FactorAdjacency)
-    #: boundary vertex -> {target vertex -> shortcut factor}
-    shortcuts: Dict[int, Dict[int, float]] = field(default_factory=dict)
+    #: the shortcut tables, one row per boundary vertex (empty until the
+    #: first refresh)
+    shortcuts: ShortcutTable = field(default_factory=lambda: ShortcutTable((), 0.0))
     #: the members' outside neighbours; a restore rebuilds it from the graph
     hosts: HostIndex = field(default_factory=HostIndex, compare=False, repr=False)
 
@@ -103,21 +104,20 @@ class DenseSubgraph:
 
     def shortcut_count(self) -> int:
         """Number of shortcut entries (the Figure 11a space metric)."""
-        return sum(len(targets) for targets in self.shortcuts.values())
+        return self.shortcuts.count()
 
     def boundary_shortcut_links(self) -> Iterable[Tuple[int, int, float]]:
         """Shortcuts whose target is a boundary vertex (they live on Lup)."""
-        boundary = self.boundary
-        for source, targets in self.shortcuts.items():
-            for target, factor in targets.items():
-                if target in boundary:
-                    yield source, target, factor
+        table = self.shortcuts
+        for source in table.sources:
+            for target, factor in table.links_to_sources(source):
+                yield source, target, factor
 
     def internal_shortcuts(self, source: int) -> Dict[int, float]:
         """Shortcuts from ``source`` restricted to internal targets."""
         return {
             target: factor
-            for target, factor in self.shortcuts.get(source, {}).items()
+            for target, factor in self.shortcuts.vector(source).items()
             if target in self.internal
         }
 
@@ -345,12 +345,12 @@ class LayeredGraph:
         keep their weights; Section IV-B).  A split or table that did not
         change keeps its object, so the caches keyed on them stay valid.
 
-        Nothing is solved or folded here: a stale vector gets a placeholder
-        preserving the sorted-key order and a job in ``batch`` — a revision
-        when :func:`repro.layph.shortcuts.shortcut_revision` yields its
-        messages (charged to ``metrics``), a from-scratch solve when it
-        cannot (new boundary vertices, selective support loss).  The caller
-        runs the batch.
+        Nothing is solved or folded here: the subgraph gets a new table
+        whose stale rows are jobs in ``batch`` — a revision when
+        :func:`repro.layph.shortcuts.shortcut_revision` yields its messages
+        (charged to ``metrics``), a from-scratch solve when it cannot (new
+        boundary vertices, selective support loss) — and whose other rows
+        the batch copies from the old table.  The caller runs the batch.
         """
         spec = self.spec
         graph = self.graph
@@ -467,15 +467,14 @@ class LayeredGraph:
         if not stale_sources and not boundary_changed:
             return
         old_local = FactorAdjacency(old_rows)
-        block = batch.block(local, boundary)
-        shortcuts: Dict[int, Dict[int, float]] = {}
-        for vertex in sorted(boundary):
-            old_vector = old_shortcuts.get(vertex)
-            if vertex not in stale_sources and old_vector is not None:
-                shortcuts[vertex] = old_vector
+        sources = sorted(boundary)
+        block = None
+        for vertex in sources:
+            known = vertex in old_shortcuts.rows
+            if vertex not in stale_sources and known:
                 continue
             pending: Optional[Dict[int, float]] = None
-            if not boundary_changed and old_vector is not None:
+            if not boundary_changed and known:
                 # Incremental shortcut maintenance (Section IV-B): revise the
                 # memoized weights with the changed links' revision messages.
                 pending = shortcut_revision(
@@ -484,20 +483,23 @@ class LayeredGraph:
                     local,
                     vertex,
                     boundary,
-                    old_vector,
+                    old_shortcuts,
                     changed_sources,
                     metrics,
                 )
             if pending is not None and not pending:
-                shortcuts[vertex] = dict(old_vector)
                 continue
-            # a placeholder keeps the sorted key order
-            shortcuts[vertex] = {}
+            if block is None:
+                block = batch.block(local, boundary, old_shortcuts, sources, subgraph.index)
             if pending is None:
-                batch.solve(block, vertex, shortcuts)
+                batch.solve(block, vertex)
             else:
-                batch.revise(block, vertex, old_vector, pending, shortcuts)
-        subgraph.shortcuts = shortcuts
+                batch.revise(block, vertex, pending)
+        if block is None and boundary_changed:
+            # no job: the batch copies the kept rows into the new row set
+            block = batch.block(local, boundary, old_shortcuts, sources, subgraph.index)
+        if block is not None:
+            subgraph.shortcuts = block.table
 
     def _reindex_subgraph(
         self,
@@ -542,7 +544,7 @@ class LayeredGraph:
     @staticmethod
     def _stale_shortcut_sources(
         changed_sources: Set[int],
-        old_shortcuts: Dict[int, Dict[int, float]],
+        old_shortcuts: ShortcutTable,
         old_boundary: Set[int],
         new_boundary: Set[int],
     ) -> Set[int]:
@@ -562,16 +564,16 @@ class LayeredGraph:
             # Vertices that moved between boundary and internal change the
             # absorption pattern of every path that crosses them.
             changed_sources = set(changed_sources) | (old_boundary ^ new_boundary)
-        stale: Set[int] = set()
-        for vertex in new_boundary:
-            old_vector = old_shortcuts.get(vertex)
-            if old_vector is None:
-                stale.add(vertex)
-                continue
-            reach = set(old_vector) | {vertex}
-            if reach & changed_sources:
-                stale.add(vertex)
-        return stale
+        # the old rows whose region (their shortcut targets) holds a change
+        index = old_shortcuts.index
+        columns = [index[vertex] for vertex in changed_sources if vertex in index]
+        reaches = (old_shortcuts.block[:, columns] != old_shortcuts.identity).any(axis=1)
+        rows = old_shortcuts.rows
+        return {
+            vertex
+            for vertex in new_boundary
+            if vertex not in rows or vertex in changed_sources or reaches[rows[vertex]]
+        }
 
     def rebuild_subgraphs(
         self,
@@ -776,15 +778,9 @@ class LayeredGraph:
                 indices.add(own)
             for index in sorted(indices):
                 if index == own:
-                    subgraph = self.subgraphs[index]
-                    targets = subgraph.shortcuts.get(vertex)
-                    if targets:
-                        boundary = subgraph.boundary
-                        row.extend(
-                            (target, factor)
-                            for target, factor in targets.items()
-                            if target in boundary
-                        )
+                    table = self.subgraphs[index].shortcuts
+                    if vertex in table.rows:
+                        row.extend(table.links_to_sources(vertex))
                 if buckets is not None and index in buckets:
                     row.extend(buckets[index])
 
@@ -900,14 +896,18 @@ class LayeredGraph:
         """JSON-able state of the layered graph (everything but spec/graph/config).
 
         Orders matter and are preserved verbatim wherever a consumer folds
-        floats over them: each subgraph's ``upper_links`` list, its shortcut
-        tables' dict orders, the local and upper adjacencies' row orders (and
-        their mutation counters, which key the compiled-CSR memos), and the
-        nested ``_upper_links_by_source`` buckets whose inner lists
-        :meth:`patch_upper` extends rows with.  Pure sets (members, boundary
-        splits, rewired edges, upper vertices) are stored sorted — their
-        consumers are set operations, keyed lookups, or sorted iterations.
-        The compiled upper CSR is not stored; it is compiled on first use.
+        floats over them: each subgraph's ``upper_links`` list, the local and
+        upper adjacencies' row orders (and their mutation counters, which key
+        the compiled-CSR memos), and the nested ``_upper_links_by_source``
+        buckets whose inner lists :meth:`patch_upper` extends rows with.
+        Each shortcut table is stored as its rows' ``[target, weight]``
+        entries, ascending; its order is no part of the contract — no target
+        receives two entries of one row — so any order restores the same
+        table (stores written while the tables were dicts kept dict order).
+        Pure sets (members, boundary splits, rewired edges, upper vertices)
+        are stored sorted — their consumers are set operations, keyed
+        lookups, or sorted iterations.  The compiled upper CSR is not
+        stored; it is compiled on first use.
         """
         return {
             "subgraphs": [
@@ -928,7 +928,7 @@ class LayeredGraph:
                     "local_adjacency": _adjacency_state(subgraph.local_adjacency),
                     "shortcuts": [
                         [source, [[target, factor] for target, factor in row.items()]]
-                        for source, row in subgraph.shortcuts.items()
+                        for source, row in subgraph.shortcuts.vectors().items()
                     ],
                 }
                 for subgraph in self.subgraphs
@@ -1012,12 +1012,15 @@ class LayeredGraph:
                     for source, target, factor in entry["upper_links"]
                 ],
                 local_adjacency=_adjacency_from_state(entry["local_adjacency"]),
-                shortcuts={
-                    int(source): {
-                        int(target): float(factor) for target, factor in row
-                    }
-                    for source, row in entry["shortcuts"]
-                },
+                shortcuts=ShortcutTable.from_vectors(
+                    {
+                        int(source): {
+                            int(target): float(factor) for target, factor in row
+                        }
+                        for source, row in entry["shortcuts"]
+                    },
+                    float(spec.aggregate_identity()),
+                ),
             )
             subgraph.hosts.update(graph, subgraph.members, subgraph.members)
             layered.subgraphs.append(subgraph)

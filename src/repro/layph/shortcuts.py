@@ -15,17 +15,24 @@ vertices of the same subgraph is counted once for every distinct sequence of
 boundary vertices it visits, which is what Theorems 1 and 2 need for both the
 selective and the accumulative algorithm families.
 
-The shortcut work runs in the lockstep kernel
+A subgraph holds its shortcuts as a :class:`ShortcutTable`: a dense float64
+block with one row per boundary vertex (ascending) and one column per vertex
+of the subgraph's compiled local CSR (ascending ids), the aggregation
+identity marking "no shortcut".
+
+The work runs in the lockstep kernel
 :func:`repro.parallel.slabs.run_shortcut_solves`, driven by
 :class:`ShortcutBatch`: one call holds the from-scratch solves and the
 incremental revisions of any number of subgraphs (all of one delta's, or
-one subgraph's at build time).  The two-``propagate`` reference bodies it
-reproduces bit for bit live with the test oracles.
+one subgraph's at build time), or phase 2's revision-message uploads of
+every subgraph a delta reaches (:func:`local_uploads`).  A job's kernel
+cells share its table's column index, so an old row seeds a revision and a
+finished row lands in the table as one slice copy.  The reference bodies the
+kernel reproduces bit for bit live with the test oracles.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -33,9 +40,111 @@ import numpy as np
 from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.dense_propagation import AGGREGATE_MIN, COMBINE_ADD
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.propagation import FactorAdjacency
+from repro.engine.propagation import FactorAdjacency, NonConvergenceError
 from repro.graph.csr_cache import master_factor_csr
-from repro.parallel.slabs import run_shortcut_solves
+from repro.parallel.slabs import SlabNonConvergence, run_shortcut_solves
+
+#: rounds a kernel call may run before it raises :class:`NonConvergenceError`
+MAX_ROUNDS = 10_000
+
+
+class ShortcutTable:
+    """One dense subgraph's shortcut tables as a dense block.
+
+    Row ``rows[b]`` of ``block`` is the shortcut vector of source ``b``
+    (``sources`` ascending); column ``index[v]`` the weight to ``v``
+    (``columns`` ascending).  ``identity`` — the aggregation identity —
+    marks "no shortcut", so two tables hold the same shortcuts when their
+    :meth:`vectors` are equal, whatever their column lists.
+    """
+
+    __slots__ = ("sources", "rows", "identity", "columns", "index", "block", "_links")
+
+    def __init__(self, sources: Sequence[int], identity: float) -> None:
+        self.sources: List[int] = list(sources)
+        self.rows: Dict[int, int] = {source: row for row, source in enumerate(self.sources)}
+        self.identity = identity
+        self.fill([], np.full((len(self.sources), 0), identity))
+
+    def fill(self, columns: List[int], block: np.ndarray, index=None) -> "ShortcutTable":
+        """Install the block's values over the (ascending) ``columns``."""
+        self.columns = columns
+        self.index: Dict[int, int] = (
+            index if index is not None else {vertex: column for column, vertex in enumerate(columns)}
+        )
+        self.block = block
+        self._links: Optional[Dict[int, List[Tuple[int, float]]]] = None
+        return self
+
+    def fill_vectors(self, vectors: Dict[int, Dict[int, float]]) -> "ShortcutTable":
+        """Install ``{source: {target: weight}}`` over every target's column."""
+        targets = set()
+        for vector in vectors.values():
+            targets.update(vector)
+        self.fill(sorted(targets), np.full((len(self.sources), len(targets)), self.identity))
+        for source, vector in vectors.items():
+            columns = [self.index[target] for target in vector]
+            self.block[self.rows[source], columns] = list(vector.values())
+        return self
+
+    @classmethod
+    def from_vectors(
+        cls, vectors: Dict[int, Dict[int, float]], identity: float
+    ) -> "ShortcutTable":
+        """The table of ``{source: {target: weight}}``."""
+        return cls(sorted(vectors), identity).fill_vectors(vectors)
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    def vector(self, source: int) -> Dict[int, float]:
+        """``source``'s shortcut weights by target, ascending."""
+        row = self.rows.get(source)
+        if row is None:
+            return {}
+        values = self.block[row]
+        present = np.flatnonzero(values != self.identity)
+        columns = self.columns
+        return dict(zip([columns[c] for c in present.tolist()], values[present].tolist()))
+
+    def vectors(self) -> Dict[int, Dict[int, float]]:
+        """Every row as ``{source: {target: weight}}``."""
+        return {source: self.vector(source) for source in self.sources}
+
+    def count(self) -> int:
+        """Number of shortcut entries."""
+        return int(np.count_nonzero(self.block != self.identity))
+
+    def links_to_sources(self, source: int) -> List[Tuple[int, float]]:
+        """``source``'s shortcuts to the table's sources — the boundary, so
+        its links on the upper layer — in ascending target order (read off
+        the block once per table; the caller must not mutate the list)."""
+        if self._links is None:
+            index = self.index
+            targets = [vertex for vertex in self.sources if vertex in index]
+            values = self.block[:, [index[vertex] for vertex in targets]]
+            rows, picks = np.nonzero(values != self.identity)
+            self._links = {vertex: [] for vertex in self.sources}
+            for row, pick, weight in zip(rows.tolist(), picks.tolist(), values[rows, picks].tolist()):
+                self._links[self.sources[row]].append((targets[pick], weight))
+        return self._links[source]
+
+    def project(self, sources: Sequence[int], columns: List[int], index: Dict[int, int]) -> np.ndarray:
+        """The rows of ``sources`` over another ascending column list
+        (``index`` maps its ids to columns); entries outside it drop out."""
+        rows = [self.rows[source] for source in sources]
+        if columns == self.columns:
+            return self.block[rows]
+        projected = np.full((len(rows), len(columns)), self.identity)
+        mine, theirs = [], []
+        for column, vertex in enumerate(self.columns):
+            position = index.get(vertex)
+            if position is not None:
+                mine.append(column)
+                theirs.append(position)
+        projected[:, theirs] = self.block[np.ix_(rows, mine)]
+        return projected
+
 
 def compute_shortcuts_from(
     spec: AlgorithmSpec,
@@ -67,268 +176,227 @@ def compute_shortcuts_from(
 
 
 class _Block:
-    """One subgraph's local adjacency, a diagonal block of a kernel call."""
+    """One subgraph's local adjacency, a diagonal block of a kernel call.
 
-    __slots__ = ("local_adjacency", "boundary", "jobs")
+    ``table`` (``None`` for an upload) receives the solved and revised rows
+    when the batch runs; its other rows keep their ``old`` row.
+    """
 
-    def __init__(self, local_adjacency: FactorAdjacency, boundary: Set[int]) -> None:
+    __slots__ = ("local_adjacency", "boundary", "label", "old", "table", "jobs", "csr",
+                 "silenced_rows", "start", "arrived")
+
+    def __init__(self, local_adjacency, boundary, label, old, table) -> None:
         self.local_adjacency = local_adjacency
         #: the boundary silenced after round 0 (internal sources excluded)
         self.boundary = boundary
+        #: the subgraph index a non-convergence error names
+        self.label = label
+        self.old: Optional[ShortcutTable] = old
+        self.table: Optional[ShortcutTable] = table
         self.jobs: List["_Job"] = []
+        #: an upload's messages that reached the boundary, once the batch ran
+        self.arrived: Dict[int, float] = {}
 
 
 class _Job:
-    """One shortcut vector to produce: a solve, or a revision of
-    ``old_vector`` by the revision messages ``pending``; the result is
-    stored as ``table[key]``."""
+    """One kernel job: a solve from ``source``, a revision of ``source``'s
+    old row by the messages ``pending``, or (``source`` ``None``) the
+    upload of ``pending`` into the states ``work``."""
 
-    __slots__ = ("block", "source", "old_vector", "pending", "table", "key")
+    __slots__ = ("source", "pending", "work", "start")
 
-    def __init__(self, block, source, old_vector, pending, table, key) -> None:
-        self.block = block
+    def __init__(self, source, pending, work=None) -> None:
         self.source = source
-        self.old_vector = old_vector
         self.pending = pending
-        self.table = table
-        self.key = key
+        self.work = work
 
     @property
     def solve(self) -> bool:
-        return self.old_vector is None
+        return self.pending is None
 
-
-@dataclass
-class KernelCall:
-    """A :class:`ShortcutBatch` compiled to the arguments of
-    :func:`repro.parallel.slabs.run_shortcut_solves`.
-
-    ``arrays`` and ``scalars`` are exactly the kernel's arguments, and
-    :meth:`ShortcutBatch.merge` turns the kernel's output back into vectors.
-    """
-
-    jobs: List[_Job]
-    #: per job: vertex id of every local row (the CSR's own list: shortcut
-    #: keys share its int objects instead of minting one per table entry)
-    ids: List[List[int]]
-    #: per job: first cell, number of cells, local row of the source
-    starts: List[int]
-    sizes: List[int]
-    source_rows: List[int]
-    arrays: Dict[str, np.ndarray]
-    scalars: Dict[str, object]
-    unit: float
+    @property
+    def upload(self) -> bool:
+        return self.source is None
 
 
 class ShortcutBatch:
-    """Shortcut solves and revisions of one or more subgraphs, run as one
-    call of the lockstep kernel :func:`repro.parallel.slabs.run_shortcut_solves`.
+    """Shortcut solves and revisions, or revision-message uploads, of one or
+    more subgraphs, run as one call of the lockstep kernel
+    :func:`repro.parallel.slabs.run_shortcut_solves`.
 
     Callers open one block per subgraph (:meth:`block`), queue its jobs —
-    :meth:`solve` for a from-scratch vector, :meth:`revise` for an
-    incremental revision of an old vector by its revision messages
-    (:func:`shortcut_revision`) — and :meth:`run` the batch once.  The
-    kernel sees the blocks' local CSRs as one block-diagonal CSR and every
-    job owns only its own block's cells, so a call costs O(Σ job cells),
-    never a ``(jobs × Σ rows)`` matrix.  Every vector is bitwise the one
-    the reference bodies of the test oracles produce — values, dict key
-    order and recorded work.
+    :meth:`solve` for a from-scratch row, :meth:`revise` for an incremental
+    revision of an old row by its revision messages
+    (:func:`shortcut_revision`), :meth:`upload` for phase 2's local
+    propagation — and :meth:`run` the batch once.  The kernel sees the
+    blocks' local CSRs as one block-diagonal CSR and every job owns only its
+    own block's cells, so a call costs O(Σ job cells), never a
+    ``(jobs × Σ rows)`` matrix.  Every row, upload and recorded round is
+    bitwise the one the reference bodies of the test oracles produce.
     """
 
     def __init__(self, spec: AlgorithmSpec) -> None:
         self.spec = spec
         self._blocks: List[_Block] = []
 
-    def block(self, local_adjacency: FactorAdjacency, boundary: Set[int]) -> _Block:
-        """Open the block of one subgraph."""
-        block = _Block(local_adjacency, boundary)
+    def block(self, local_adjacency, boundary, old=None, sources=None, label=None) -> _Block:
+        """Open the block of one subgraph (``label``: its index); with
+        ``sources`` its ``table`` gets those rows (ascending), the rows
+        without a job copied from the ``old`` table."""
+        table = None
+        if sources is not None:
+            table = ShortcutTable(sources, float(self.spec.aggregate_identity()))
+        block = _Block(local_adjacency, boundary, label, old, table)
         self._blocks.append(block)
         return block
 
-    def solve(self, block: _Block, source: int, table: dict, key=None) -> None:
-        """Queue the from-scratch vector of ``source`` into ``table[key]``
-        (``key`` defaults to ``source``)."""
-        block.jobs.append(_Job(block, source, None, None, table, source if key is None else key))
+    def solve(self, block: _Block, source: int) -> None:
+        """Queue the from-scratch row of ``source``."""
+        block.jobs.append(_Job(source, None))
 
-    def revise(
-        self,
-        block: _Block,
-        source: int,
-        old_vector: Dict[int, float],
-        pending: Dict[int, float],
-        table: dict,
-        key=None,
-    ) -> None:
-        """Queue the revision of ``old_vector`` by ``pending`` into ``table[key]``."""
-        block.jobs.append(
-            _Job(block, source, old_vector, pending, table, source if key is None else key)
-        )
+    def revise(self, block: _Block, source: int, pending: Dict[int, float]) -> None:
+        """Queue the revision of ``source``'s old row by ``pending``."""
+        block.jobs.append(_Job(source, pending))
+
+    def upload(self, block: _Block, pending: Dict[int, float], work: Dict[int, float]) -> None:
+        """Queue the upload of ``pending`` (internal vertices revise their
+        states in ``work``; the boundary collects ``block.arrived``)."""
+        block.jobs.append(_Job(None, pending, work))
 
     def run(self, metrics: ExecutionMetrics, per_round: bool = True) -> None:
-        """Produce every queued vector; ``metrics`` receives the work.
+        """Run every queued job; ``metrics`` receives the work.
 
         With ``per_round`` each job's rounds are replayed into ``metrics`` in
-        job order, exactly as one reference body per vector records them;
+        job order, exactly as one reference body per job records them;
         without it only the totals (activations, vertex updates, rounds) are
-        added.
-        """
-        call = self.prepare()
-        if call is not None:
-            arrays = call.arrays
-            record = run_shortcut_solves(**arrays, **call.scalars)
-            self.merge(
-                call,
-                record,
-                arrays["states"],
-                arrays["first_mask"],
-                arrays["final_mask"],
-                metrics,
-                per_round,
-            )
+        added.  Uploads count no vertex updates, like their reference.
 
-    def prepare(self) -> Optional[KernelCall]:
-        """The whole batch as one kernel call; ``None`` when no job is queued."""
+        Raises:
+            NonConvergenceError: if a job still holds significant messages
+                after :data:`MAX_ROUNDS` rounds; nothing is written then.
+        """
+        blocks = [block for block in self._blocks if block.jobs]
+        if blocks:
+            arrays, scalars = self._prepare(blocks)
+            jobs = [(block, job) for block in blocks for job in block.jobs]
+            try:
+                record = run_shortcut_solves(**arrays, **scalars)
+            except SlabNonConvergence as error:
+                block, job = jobs[error.jobs[0]]
+                what = "local revision-message upload" if job.upload else "shortcut solve"
+                where = "" if block.label is None else f" in subgraph {block.label}"
+                raise NonConvergenceError(
+                    f"{what}{where} did not converge within {MAX_ROUNDS} rounds for "
+                    f"{self.spec.name!r}; {error.remaining} significant pending "
+                    "messages remain"
+                ) from None
+            uploads = np.array([job.upload for _block, job in jobs], dtype=bool)
+            self._record(record, uploads, metrics, per_round)
+            self._merge(blocks, arrays["states"], arrays["final_mask"])
+        for block in self._blocks:
+            if not block.jobs and block.table is not None:
+                old = block.old
+                block.table.fill(old.columns, old.project(block.table.sources, old.columns, old.index), old.index)
+
+    def _prepare(self, blocks: List[_Block]):
+        """The blocks as the kernel's ``(arrays, scalars)`` arguments."""
         spec = self.spec
         kinds = spec.dense_algebra
-        compiled = []  # (csr, silenced degree, jobs)
-        for block in self._blocks:
-            if not block.jobs:
-                continue
-            silenced = self._silenced(block)
+        identity = float(spec.aggregate_identity())
+        unit = float(spec.combine_identity())
+        offsets, targets, factors, full_degree, silenced_degree, absorb = [], [], [], [], [], []
+        shifts: List[int] = []
+        sizes: List[int] = []
+        seeds: List[Tuple[int, np.ndarray]] = []
+        pending_cells: List[int] = []
+        pending_values: List[float] = []
+        row_base = slot_base = cell = 0
+        for block in blocks:
+            silenced = set(block.boundary)
+            silenced.update(job.source for job in block.jobs if not job.upload)
             # a revision message may aim at a vertex with no local row left
             universe = set(silenced)
             for job in block.jobs:
                 if not job.solve:
                     universe.update(job.pending)
             csr = master_factor_csr(block.local_adjacency, universe)
-            silenced_degree = csr.out_degree.copy()
-            silenced_degree[[csr.index[vertex] for vertex in silenced]] = 0
-            compiled.append((csr, silenced_degree, block.jobs))
-        if not compiled:
-            return None
-
-        selective = kinds[0] == AGGREGATE_MIN
-        identity = float(spec.aggregate_identity())
-        unit = float(spec.combine_identity())
-        offsets, targets, factors, full_degree, silenced, absorb = [], [], [], [], [], []
-        jobs: List[_Job] = []
-        # per job: its block's row ids, id -> row map and first global row
-        ids: List[List[int]] = []
-        indexes: List[Dict[int, int]] = []
-        job_rows: List[int] = []
-        row_base = slot_base = 0
-        for csr, silenced_degree, block_jobs in compiled:
+            ids, index, n = csr.vertex_ids, csr.index, csr.num_vertices
+            silenced_rows = np.array([index[vertex] for vertex in silenced], dtype=np.int64)
+            degree = csr.out_degree.copy()
+            degree[silenced_rows] = 0
             offsets.append(csr.offsets[:-1] + slot_base)
             targets.append(csr.targets + row_base)
             factors.append(csr.factors)
             full_degree.append(csr.out_degree)
-            silenced.append(silenced_degree)
-            absorb.append(
-                np.fromiter(
-                    (bool(spec.absorbs(vertex)) for vertex in csr.vertex_ids),
-                    dtype=bool,
-                    count=csr.num_vertices,
-                )
-            )
-            jobs.extend(block_jobs)
-            ids.extend([csr.vertex_ids] * len(block_jobs))
-            indexes.extend([csr.index] * len(block_jobs))
-            job_rows.extend([row_base] * len(block_jobs))
-            row_base += csr.num_vertices
+            silenced_degree.append(degree)
+            absorb.append(np.array([bool(spec.absorbs(vertex)) for vertex in ids], dtype=bool))
+            block.csr, block.silenced_rows, block.start = csr, silenced_rows, cell
+
+            revised = [job.source for job in block.jobs if not job.solve and not job.upload]
+            old_rows = iter(block.old.project(revised, ids, index)) if revised else None
+            for job in block.jobs:
+                job.start = cell
+                shifts.append(cell - row_base)
+                sizes.append(n)
+                if job.solve:
+                    pending_cells.append(cell + index[job.source])
+                    pending_values.append(unit)
+                else:
+                    if job.upload:
+                        # internal cells start from the states, boundary ones absorb
+                        work = job.work
+                        seed = np.array(
+                            [work[v] if v in work else spec.initial_state(v) for v in ids],
+                            dtype=np.float64,
+                        )
+                        seed[silenced_rows] = identity
+                    else:
+                        seed = next(old_rows)
+                    seeds.append((cell, seed))
+                    for vertex, message in job.pending.items():
+                        pending_cells.append(cell + index[vertex])
+                        pending_values.append(message)
+                cell += n
+            row_base += n
             slot_base += int(csr.targets.size)
 
-        sizes = [len(job_ids) for job_ids in ids]
-        starts = np.zeros(len(jobs), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        cells = int(starts[-1]) + sizes[-1]
-        states = np.full(cells, identity, dtype=np.float64)
-        pending = np.full(cells, identity, dtype=np.float64)
-        in_dict = np.zeros(cells, dtype=bool)
-        source_rows: List[int] = []
-        state_cells: List[int] = []
-        state_values: List[float] = []
-        pending_cells: List[int] = []
-        pending_values: List[float] = []
-        for job, index, start in zip(jobs, indexes, starts.tolist()):
-            source_rows.append(index[job.source])
-            if job.solve:
-                pending_cells.append(start + index[job.source])
-                pending_values.append(unit)
-                continue
-            for vertex, value in job.old_vector.items():
-                row = index.get(vertex)
-                if row is not None:
-                    state_cells.append(start + row)
-                    state_values.append(value)
-            for vertex, value in job.pending.items():
-                pending_cells.append(start + index[vertex])
-                pending_values.append(value)
-        states[state_cells] = state_values
+        states = np.full(cell, identity, dtype=np.float64)
+        for start, seed in seeds:
+            states[start : start + seed.size] = seed
+        pending = np.full(cell, identity, dtype=np.float64)
         pending[pending_cells] = pending_values
+        in_dict = np.zeros(cell, dtype=bool)
         in_dict[pending_cells] = True
+        selective = kinds[0] == AGGREGATE_MIN
         arrays = {
             "offsets": np.concatenate(offsets),
             "targets": np.concatenate(targets),
             "factors": np.concatenate(factors),
             "full_degree": np.concatenate(full_degree),
-            "silenced_degree": np.concatenate(silenced),
+            "silenced_degree": np.concatenate(silenced_degree),
             "absorb": np.concatenate(absorb),
-            "cell_job": np.repeat(np.arange(len(jobs), dtype=np.int64), sizes),
-            "job_shift": starts - np.asarray(job_rows, dtype=np.int64),
-            "job_solves": np.fromiter((job.solve for job in jobs), dtype=bool, count=len(jobs)),
+            "cell_job": np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+            "job_shift": np.asarray(shifts, dtype=np.int64),
+            "job_solves": np.array([job.solve for block in blocks for job in block.jobs], dtype=bool),
             "states": states,
             "pending": pending,
             "in_dict": in_dict,
-            "first_mask": np.zeros(cells, dtype=bool),
-            "final_mask": np.zeros(cells, dtype=bool),
+            "final_mask": np.zeros(cell, dtype=bool),
         }
         scalars = {
             "selective": selective,
             "combine_add": kinds[1] == COMBINE_ADD,
             "identity": identity,
             "tolerance": 0.0 if selective else float(spec.tolerance()),
+            "max_rounds": MAX_ROUNDS,
         }
-        return KernelCall(
-            jobs=jobs,
-            ids=ids,
-            starts=starts.tolist(),
-            sizes=sizes,
-            source_rows=source_rows,
-            arrays=arrays,
-            scalars=scalars,
-            unit=unit,
-        )
+        return arrays, scalars
 
     @staticmethod
-    def _silenced(block: _Block) -> Set[int]:
-        """Rows with no out-links after round 0: the boundary and the sources."""
-        silenced = set(block.boundary)
-        silenced.update(job.source for job in block.jobs)
-        return silenced
-
-    def merge(
-        self,
-        call: KernelCall,
-        record: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        states: np.ndarray,
-        first_mask: np.ndarray,
-        final_mask: np.ndarray,
-        metrics: ExecutionMetrics,
-        per_round: bool = True,
-    ) -> None:
-        """Store a finished kernel call's vectors and record its work.
-
-        A solve rebuilds the reference's dict insertion order — rows
-        touched in round 0 ascending, then the rows touched later ascending,
-        which is how the reference's two write-backs insert them — and drops
-        the identity / insignificant values; its source's own entry keeps
-        only the surplus over the injected unit (accumulative algorithms;
-        selective ones drop it).  A revision updates the old vector's keys
-        in place and appends the newly touched rows ascending, as the
-        reference's write-back does, then applies the reference's
-        post-filter.
-        """
+    def _record(record, uploads: np.ndarray, metrics: ExecutionMetrics, per_round: bool) -> None:
+        """Add a finished call's work to ``metrics``."""
         round_job, activations, active, updates = record
+        updates = np.where(uploads[round_job], 0, updates)
         if per_round:
             order = np.argsort(round_job, kind="stable")
             for total, count, updated in zip(
@@ -341,38 +409,48 @@ class ShortcutBatch:
             metrics.vertex_updates += int(updates.sum())
             metrics.iterations += int(round_job.size)
 
-        scalars = call.scalars
-        selective = scalars["selective"]
-        identity = scalars["identity"]
-        tolerance = scalars["tolerance"]
-        unit = call.unit
-        for job, ids, start, size, source_row in zip(
-            call.jobs, call.ids, call.starts, call.sizes, call.source_rows
-        ):
-            end = start + size
-            final = final_mask[start:end]
-            if job.solve:
-                first = first_mask[start:end]
-                order = np.concatenate((np.flatnonzero(first), np.flatnonzero(final & ~first)))
-                values = states[start + order]
-                own = order == source_row
-                if selective:
-                    keep = (values != identity) & ~own
-                else:
-                    values = np.where(own, values - unit, values)
-                    keep = np.abs(values) > tolerance
-                rows = order[keep].tolist()
-                job.table[job.key] = dict(zip([ids[row] for row in rows], values[keep].tolist()))
+    def _merge(self, blocks: List[_Block], states: np.ndarray, final_mask: np.ndarray) -> None:
+        """Write a finished call's rows into the tables and its uploads into
+        their states and arrived messages.
+
+        A row's post-filter is the reference's: a selective row drops its
+        source's own entry, an accumulative solve keeps only the surplus
+        over the injected unit there, and accumulative weights within the
+        tolerance of zero are no shortcut.
+        """
+        spec = self.spec
+        selective = spec.dense_algebra[0] == AGGREGATE_MIN
+        identity = float(spec.aggregate_identity())
+        for block in blocks:
+            csr = block.csr
+            ids, n = csr.vertex_ids, csr.num_vertices
+            if block.table is None:
+                at_boundary = np.zeros(n, dtype=bool)
+                at_boundary[block.silenced_rows] = True
+                for job in block.jobs:
+                    values = states[job.start : job.start + n]
+                    written = final_mask[job.start : job.start + n]
+                    revised = np.flatnonzero(written & ~at_boundary)
+                    job.work.update(zip([ids[row] for row in revised.tolist()], values[revised].tolist()))
+                    arrived = np.flatnonzero(written & at_boundary)
+                    block.arrived = dict(zip([ids[row] for row in arrived.tolist()], values[arrived].tolist()))
                 continue
-            rows = np.flatnonzero(final)
-            vector = dict(job.old_vector)
-            vector.update(zip([ids[row] for row in rows.tolist()], states[start + rows].tolist()))
+            table, jobs = block.table, block.jobs
+            finished = states[block.start : block.start + len(jobs) * n].reshape(len(jobs), n)
+            own = np.array([csr.index[job.source] for job in jobs], dtype=np.int64)
             if selective:
-                vector = {v: value for v, value in vector.items() if value != identity}
-                vector.pop(job.source, None)
+                finished[np.arange(len(jobs)), own] = identity
             else:
-                vector = {v: value for v, value in vector.items() if abs(value) > tolerance}
-            job.table[job.key] = vector
+                solved = np.flatnonzero([job.solve for job in jobs])
+                finished[solved, own[solved]] -= float(spec.combine_identity())
+                finished[np.abs(finished) <= float(spec.tolerance())] = identity
+            values = np.full((len(table), n), identity)
+            values[[table.rows[job.source] for job in jobs]] = finished
+            queued = {job.source for job in jobs}
+            kept = [source for source in table.sources if source not in queued]
+            if kept:
+                values[[table.rows[source] for source in kept]] = block.old.project(kept, ids, csr.index)
+            table.fill(ids, values, csr.index)
 
 
 def compute_shortcut_vectors(
@@ -384,9 +462,9 @@ def compute_shortcut_vectors(
 ) -> List[Dict[int, float]]:
     """From-scratch shortcut vectors of several sources of one subgraph.
 
-    Equal — values, dict order and recorded metrics — to
-    :func:`compute_shortcuts_from` per source in ``sources`` order.  All
-    sources run in one lockstep kernel call (:class:`ShortcutBatch`).  Every boundary vertex and every source is
+    Equal — values and recorded metrics — to :func:`compute_shortcuts_from`
+    per source in ``sources`` order.  All sources run in one lockstep kernel
+    call (:class:`ShortcutBatch`).  Every boundary vertex and every source is
     silenced after the first round, so several sources can share the call
     only when they are all boundary vertices; a single source may be
     internal (the rooted source of a selective algorithm).
@@ -395,13 +473,43 @@ def compute_shortcut_vectors(
         raise ValueError("only boundary vertices can share a shortcut solve")
     if metrics is None:
         metrics = ExecutionMetrics()
-    vectors: Dict[int, Dict[int, float]] = {}
     batch = ShortcutBatch(spec)
-    block = batch.block(local_adjacency, boundary)
+    block = batch.block(local_adjacency, boundary, sources=sorted(set(sources)))
     for source in sources:
-        batch.solve(block, source, vectors)
+        batch.solve(block, source)
     batch.run(metrics)
-    return [vectors[source] for source in sources]
+    return [block.table.vector(source) for source in sources]
+
+
+def local_uploads(
+    spec: AlgorithmSpec,
+    uploads: Sequence[Tuple[object, Dict[int, float]]],
+    work: Dict[int, float],
+    metrics: ExecutionMetrics,
+) -> List[Dict[int, float]]:
+    """Phase 2's revision-message uploads, one kernel call for all subgraphs.
+
+    ``uploads`` pairs each subgraph with the messages pending at its
+    internal vertices.  Internal vertices revise their states in ``work``
+    in place and scatter along the local adjacency (Equation (11)); boundary
+    vertices absorb, and the messages that reach them are returned per
+    subgraph, to be fed into the upper-layer iteration (Equation (7)).
+    Rounds are recorded subgraph by subgraph in ``uploads`` order.
+
+    Raises:
+        NonConvergenceError: if a subgraph's upload still holds significant
+            messages after :data:`MAX_ROUNDS` rounds.  Returning partial
+            results would leave stale internal states behind and silently
+            corrupt every subsequent delta.
+    """
+    batch = ShortcutBatch(spec)
+    blocks = []
+    for subgraph, pending in uploads:
+        block = batch.block(subgraph.local_adjacency, subgraph.boundary, label=subgraph.index)
+        batch.upload(block, pending, work)
+        blocks.append(block)
+    batch.run(metrics)
+    return [block.arrived for block in blocks]
 
 
 def shortcut_revision(
@@ -410,25 +518,32 @@ def shortcut_revision(
     new_local: FactorAdjacency,
     source: int,
     boundary: Set[int],
-    old_vector: Dict[int, float],
+    old: ShortcutTable,
     changed_sources: Set[int],
     metrics: Optional[ExecutionMetrics] = None,
 ) -> Optional[Dict[int, float]]:
     """The revision messages that update one boundary vertex's shortcut vector.
 
     Mirrors the paper's incremental shortcut maintenance (Section IV-B): the
-    weights memoized in ``old_vector`` are to be revised with the messages
-    induced by the changed intra-subgraph links (one ``F`` application per
-    changed link, charged to ``metrics``) instead of being recomputed from
-    scratch.  Returns the pending messages to fold into the old vector — an
-    empty map means the vector is unchanged — or ``None`` when an exact
-    cheap update is not possible (a selective algorithm losing a supporting
-    link needs the full trim machinery; the caller then recomputes).
+    weights memoized in ``source``'s row of ``old`` are to be revised with
+    the messages induced by the changed intra-subgraph links (one ``F``
+    application per changed link, charged to ``metrics``) instead of being
+    recomputed from scratch.  Returns the pending messages to fold into the
+    old row — an empty map means the row is unchanged — or ``None`` when an
+    exact cheap update is not possible (a selective algorithm losing a
+    supporting link needs the full trim machinery; the caller then
+    recomputes).
     """
     if metrics is None:
         metrics = ExecutionMetrics()
     identity = spec.aggregate_identity()
     unit = spec.combine_identity()
+    row = old.block[old.rows[source]]
+    index = old.index
+
+    def old_weight(vertex: int) -> float:
+        column = index.get(vertex)
+        return identity if column is None else float(row[column])
 
     def emitted_mass(vertex: int) -> float:
         # Mass available at a vertex for onward propagation: the injected unit
@@ -438,7 +553,7 @@ def shortcut_revision(
             return unit
         if vertex in boundary:
             return identity
-        return old_vector.get(vertex, identity)
+        return old_weight(vertex)
 
     pending: Dict[int, float] = {}
     for vertex in changed_sources:
@@ -459,9 +574,9 @@ def shortcut_revision(
                 ):
                     # A path may have been lost; only the trim machinery can
                     # tell, so report "cannot update cheaply".
-                    supported = old_vector.get(target)
+                    supported = old_weight(target)
                     offered = spec.combine(available, old_factor)
-                    if supported is not None and offered <= supported + 1e-12:
+                    if supported != identity and offered <= supported + 1e-12:
                         return None
                 if new_factor is not None:
                     offer = spec.combine(available, new_factor)

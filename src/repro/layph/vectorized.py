@@ -1,23 +1,21 @@
 """Vectorized (numpy) kernels for Layph's online phases.
 
-Four hot loops of :class:`repro.layph.engine.LayphEngine` run here whenever
-the spec's algebra and inputs allow:
+Three hot loops of :class:`repro.layph.engine.LayphEngine` run here (phase
+2's local upload runs with the shortcut solves, as jobs of the lockstep
+kernel in :mod:`repro.layph.shortcuts`):
 
-* :func:`local_upload_numpy` — phase 2's per-subgraph revision-message
-  propagation with boundary-absorb semantics, compiled onto the subgraph's
-  local factor adjacency (one master CSR per adjacency object, memoized
-  through :func:`repro.graph.csr_cache.master_factor_csr`);
 * :func:`assign_selective_batch` / :func:`assign_accumulative_batch` —
   phase 4's shortcut scans over every assigned subgraph in one kernel call,
-  stacked from per-subgraph boundary→internal shortcut CSRs that are cached
-  on the :class:`DenseSubgraph` and invalidated whenever the subgraph's
-  shortcut tables are rebuilt;
+  stacked from per-subgraph boundary→internal shortcut CSRs that are read
+  off the subgraph's :class:`repro.layph.shortcuts.ShortcutTable`, cached
+  on the :class:`DenseSubgraph` and invalidated whenever a refresh installs
+  a new table or internal set;
 * :func:`seed_tainted_upper` — phase 2's trim/seed of invalidated upper
   vertices, a target-mask gather over the resident upper out-CSR.
 
 Every kernel reproduces the reference loops kept with the test oracles
-(``tests/oracles``) exactly — identical revised states, arrived messages,
-round counts and edge activations — using the same ordering arguments as
+(``tests/oracles``) exactly — identical revised states, round counts and
+edge activations — using the same ordering arguments as
 :mod:`repro.engine.dense_propagation` (ascending-vertex active order, CSR
 slot order for the unbuffered ``np.add.at`` scatters).  They trust the
 algebra the engine checked at construction and its NaN-free inputs.
@@ -25,193 +23,68 @@ algebra the engine checked at construction and its NaN-free inputs.
 
 from __future__ import annotations
 
-import math
-from itertools import chain
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.engine.dense_propagation import AGGREGATE_MIN, COMBINE_ADD
+from repro.engine.dense_propagation import COMBINE_ADD
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.propagation import NonConvergenceError
 from repro.graph.csr import expand_edges
-from repro.graph.csr_cache import master_factor_csr
-from repro.graph.graph import Graph
-from repro.parallel.slabs import (
-    PropagationSlab,
-    SlabNonConvergence,
-    assign_best_offers,
-    assign_deltas,
-    run_upload,
-)
-
-
-# ----------------------------------------------------------------------
-# phase 2: local revision-message upload
-# ----------------------------------------------------------------------
-def build_upload_slab(
-    spec,
-    subgraph,
-    work: Dict[int, float],
-    local_pending: Dict[int, float],
-) -> Tuple[PropagationSlab, list]:
-    """Compile one subgraph's local upload into an array slab.
-
-    Returns ``(slab, vertex_ids)`` with the slab in upload mode (boundary
-    mask + arrived accumulator set).  Nothing is mutated here.
-    """
-    aggregate_kind, combine_kind = spec.dense_algebra
-    selective = aggregate_kind == AGGREGATE_MIN
-
-    adjacency = subgraph.local_adjacency
-    boundary = subgraph.boundary
-    universe = set(local_pending) | set(boundary)
-    csr = master_factor_csr(adjacency, universe)
-
-    ids = csr.vertex_ids
-    index = csr.index
-    n = csr.num_vertices
-    identity = math.inf if selective else 0.0
-    tolerance = 0.0 if selective else float(spec.tolerance())
-
-    state_arr = np.fromiter(
-        (
-            work[vertex] if vertex in work else float(spec.initial_state(vertex))
-            for vertex in ids
-        ),
-        np.float64,
-        count=n,
-    )
-    pending_arr = np.full(n, identity, dtype=np.float64)
-    in_dict = np.zeros(n, dtype=bool)
-    for vertex, message in local_pending.items():
-        position = index[vertex]
-        pending_arr[position] = message
-        in_dict[position] = True
-
-    boundary_mask = np.zeros(n, dtype=bool)
-    for vertex in boundary:
-        position = index.get(vertex)
-        if position is not None:
-            boundary_mask[position] = True
-    absorb = np.fromiter((bool(spec.absorbs(v)) for v in ids), bool, count=n)
-
-    slab = PropagationSlab(
-        offsets=csr.offsets,
-        targets=csr.targets,
-        factors=csr.factors,
-        out_degree=csr.out_degree,
-        state=state_arr,
-        pending=pending_arr,
-        in_dict=in_dict,
-        state_touched=np.zeros(n, dtype=bool),
-        absorb=absorb,
-        boundary=boundary_mask,
-        arrived=np.full(n, identity, dtype=np.float64),
-        arrived_touched=np.zeros(n, dtype=bool),
-        selective=selective,
-        combine_add=combine_kind == COMBINE_ADD,
-        identity=identity,
-        tolerance=tolerance,
-    )
-    return slab, ids
-
-
-def local_upload_numpy(
-    spec,
-    subgraph,
-    work: Dict[int, float],
-    local_pending: Dict[int, float],
-    metrics: ExecutionMetrics,
-    max_rounds: int = 10_000,
-) -> Dict[int, float]:
-    """Vectorized ``LayphEngine._local_upload``.
-
-    Mirrors the reference loop exactly: internal vertices revise their state in
-    place and scatter along the local adjacency, boundary vertices accumulate
-    into the returned ``arrived`` map without re-propagating, rounds and edge
-    activations are recorded identically (and, like the reference, no
-    ``vertex_updates`` are counted).  The loop itself is the array kernel
-    :func:`repro.parallel.slabs.run_upload` over the slab built by
-    :func:`build_upload_slab`.
-    """
-    slab, ids = build_upload_slab(spec, subgraph, work, local_pending)
-    try:
-        rounds = run_upload(slab, max_rounds)
-    except SlabNonConvergence as error:
-        # The reference loop records the completed rounds before raising.
-        for total, active, _updates in error.recorded:
-            metrics.record_round(total, active)
-        raise NonConvergenceError(
-            f"local revision-message upload in subgraph {subgraph.index} "
-            f"did not converge within {max_rounds} rounds for "
-            f"{spec.name!r}; {error.remaining} significant pending "
-            "messages remain"
-        ) from None
-    for total, active, _updates in rounds:
-        metrics.record_round(total, active)
-    for position in np.nonzero(slab.state_touched)[0]:
-        work[ids[position]] = float(slab.state[position])
-    return {
-        ids[position]: float(slab.arrived[position])
-        for position in np.nonzero(slab.arrived_touched)[0]
-    }
+from repro.parallel.slabs import assign_best_offers, assign_deltas
 
 
 # ----------------------------------------------------------------------
 # phase 4: shortcut CSR of one dense subgraph
 # ----------------------------------------------------------------------
 class _ShortcutCSR:
-    """Boundary→internal shortcut tables of one subgraph as CSR arrays.
+    """Boundary→internal shortcut rows of one subgraph as CSR arrays.
 
-    Row ``i`` lists the internal-target shortcut entries of the ``i``-th
-    boundary vertex (ascending id), each entry in the shortcut table's
-    insertion order — the exact scan order of the Python assignment loops.
+    Row ``i`` lists the internal-target entries of the table's ``i``-th
+    source (the boundary, ascending), targets ascending: each target gets
+    at most one entry per row, so it receives its entries in ascending
+    boundary order, as the Python assignment loops apply them.  Targets
+    index ``internal_ids``; ``absorb`` and ``initial`` (the initial
+    messages) are read once per table.
     """
 
     __slots__ = (
         "boundary_ids",
         "internal_ids",
-        "internal_index",
+        "absorb",
+        "initial",
         "offsets",
         "targets",
         "factors",
         "counts",
     )
 
-    def __init__(self, subgraph) -> None:
-        self.boundary_ids = sorted(subgraph.boundary)
-        self.internal_ids = sorted(subgraph.internal)
-        self.internal_index = {
-            vertex: position for position, vertex in enumerate(self.internal_ids)
-        }
-        internal = subgraph.internal
-        index = self.internal_index
-        targets: List[int] = []
-        factors: List[float] = []
-        counts: List[int] = []
-        for vertex in self.boundary_ids:
-            before = len(targets)
-            for target, factor in subgraph.shortcuts.get(vertex, {}).items():
-                if target in internal:
-                    targets.append(index[target])
-                    factors.append(factor)
-            counts.append(len(targets) - before)
-        self.counts = np.array(counts, dtype=np.int64)
-        self.offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    def __init__(self, spec, subgraph) -> None:
+        table = subgraph.shortcuts
+        self.boundary_ids = table.sources
+        internal = sorted(subgraph.internal)
+        self.internal_ids = np.array(internal, dtype=np.int64)
+        self.absorb = np.array([bool(spec.absorbs(vertex)) for vertex in internal], dtype=bool)
+        self.initial = np.array([spec.initial_message(vertex) for vertex in internal], dtype=np.float64)
+        index = table.index
+        positions = [position for position, vertex in enumerate(internal) if vertex in index]
+        columns = [index[internal[position]] for position in positions]
+        entries = table.block[:, columns]
+        present = entries != table.identity
+        self.counts = np.count_nonzero(present, axis=1).astype(np.int64)
+        self.offsets = np.zeros(len(table) + 1, dtype=np.int64)
         np.cumsum(self.counts, out=self.offsets[1:])
-        self.targets = np.array(targets, dtype=np.int64)
-        self.factors = np.array(factors, dtype=np.float64)
+        self.targets = np.asarray(positions, dtype=np.int64)[np.nonzero(present)[1]]
+        self.factors = entries[present]
 
 
-def _shortcut_csr(subgraph) -> _ShortcutCSR:
+def _shortcut_csr(spec, subgraph) -> _ShortcutCSR:
     """Per-subgraph shortcut CSR, cached until the tables change.
 
-    ``LayeredGraph._refresh_subgraph`` never mutates the ``shortcuts`` /
-    ``internal`` containers: a refresh that changes them installs new ones
-    and one that does not keeps the old objects, so identity of those
-    objects is the invalidation key (the cache holds strong references,
-    which keeps the identities stable).
+    ``LayeredGraph._refresh_subgraph`` never mutates a table or the
+    ``internal`` set: a refresh that changes them installs new ones and one
+    that does not keeps the old objects, so identity of those objects is
+    the invalidation key (the cache holds strong references, which keeps
+    the identities stable).
     """
     cached = getattr(subgraph, "_shortcut_csr_cache", None)
     if (
@@ -220,7 +93,7 @@ def _shortcut_csr(subgraph) -> _ShortcutCSR:
         and cached[1] is subgraph.internal
     ):
         return cached[2]
-    compiled = _ShortcutCSR(subgraph)
+    compiled = _ShortcutCSR(spec, subgraph)
     subgraph._shortcut_csr_cache = (subgraph.shortcuts, subgraph.internal, compiled)
     return compiled
 
@@ -232,7 +105,7 @@ def _stacked_rows(csrs) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     """The shortcut CSRs of several subgraphs as one CSR.
 
     Row ``i`` of the result is the ``i``-th boundary row in subgraph order;
-    targets index the concatenation of the subgraphs' internal id lists.
+    targets index the concatenation of the subgraphs' internal id arrays.
     Every internal vertex belongs to exactly one subgraph, so each target
     still receives its entries in its own subgraph's scan order.
     """
@@ -242,7 +115,7 @@ def _stacked_rows(csrs) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         offsets.append(csr.offsets[:-1] + slot_base)
         targets.append(csr.targets + target_base)
         slot_base += int(csr.targets.size)
-        target_base += len(csr.internal_ids)
+        target_base += int(csr.internal_ids.size)
     return (
         np.concatenate(offsets),
         np.concatenate([csr.counts for csr in csrs]),
@@ -265,21 +138,15 @@ def assign_selective_batch(
     internal-source results and writes the values back, exactly as in the
     reference.
     """
-    csrs = [_shortcut_csr(subgraph) for subgraph in subgraphs]
+    csrs = [_shortcut_csr(spec, subgraph) for subgraph in subgraphs]
     offsets, counts, targets, factors = _stacked_rows(csrs)
     identity = spec.aggregate_identity()
-    boundary_ids = list(chain.from_iterable(csr.boundary_ids for csr in csrs))
     boundary_states = np.fromiter(
-        (work.get(vertex, identity) for vertex in boundary_ids),
+        (work.get(vertex, identity) for csr in csrs for vertex in csr.boundary_ids),
         np.float64,
-        count=len(boundary_ids),
+        count=counts.size,
     )
-    internal_ids = list(chain.from_iterable(csr.internal_ids for csr in csrs))
-    best = np.fromiter(
-        (spec.initial_message(vertex) for vertex in internal_ids),
-        np.float64,
-        count=len(internal_ids),
-    )
+    best = np.concatenate([csr.initial for csr in csrs])
     metrics.edge_activations += assign_best_offers(
         offsets,
         counts,
@@ -294,8 +161,8 @@ def assign_selective_batch(
     maps = []
     start = 0
     for csr in csrs:
-        end = start + len(csr.internal_ids)
-        maps.append(dict(zip(csr.internal_ids, values[start:end])))
+        end = start + int(csr.internal_ids.size)
+        maps.append(dict(zip(csr.internal_ids.tolist(), values[start:end])))
         start = end
     return maps
 
@@ -306,24 +173,22 @@ def assign_accumulative_batch(
     deltas: Dict[int, float],
     work: Dict[int, float],
     metrics: ExecutionMetrics,
-    new_graph: Graph,
 ) -> None:
     """Vectorized delta push through several subgraphs' shortcuts in one
     kernel call (accumulative specs).
 
     Applies ``combine(difference, factor)`` of every boundary vertex with a
     significant delta to its internal shortcut targets, in the Python loop's
-    exact order (ascending boundary id, table order within), skipping — and
-    not counting — absorbing or vanished targets.  Only the targets some
-    live row reaches are read from and written back to ``work``.
+    order (ascending boundary id), skipping — and not counting — absorbing
+    targets.  Only the targets some live row reaches are read from and
+    written back to ``work``.
     """
-    csrs = [_shortcut_csr(subgraph) for subgraph in subgraphs]
+    csrs = [_shortcut_csr(spec, subgraph) for subgraph in subgraphs]
     offsets, counts, targets, factors = _stacked_rows(csrs)
-    boundary_ids = list(chain.from_iterable(csr.boundary_ids for csr in csrs))
     differences = np.fromiter(
-        (deltas.get(vertex, 0.0) for vertex in boundary_ids),
+        (deltas.get(vertex, 0.0) for csr in csrs for vertex in csr.boundary_ids),
         np.float64,
-        count=len(boundary_ids),
+        count=counts.size,
     )
     # the contract's accumulative significance rule
     live = np.abs(differences) > float(spec.tolerance())
@@ -335,22 +200,13 @@ def assign_accumulative_batch(
 
     # Gather only the reached targets, renumbered densely (the kernel never
     # reads the targets of rows no live source owns).
-    internal_ids = list(chain.from_iterable(csr.internal_ids for csr in csrs))
-    reached_mask = np.zeros(len(internal_ids), dtype=bool)
+    internal_ids = np.concatenate([csr.internal_ids for csr in csrs])
+    reached_mask = np.zeros(internal_ids.size, dtype=bool)
     reached_mask[targets[expand_edges(offsets[live_rows], live_counts, total)]] = True
     reached = np.flatnonzero(reached_mask)
-    ids = [internal_ids[target] for target in reached.tolist()]
-    values = np.fromiter(
-        (work[vertex] if vertex in work else float(spec.initial_state(vertex)) for vertex in ids),
-        np.float64,
-        count=len(ids),
-    )
-    allowed = np.fromiter(
-        (not spec.absorbs(vertex) and new_graph.has_vertex(vertex) for vertex in ids),
-        bool,
-        count=len(ids),
-    )
-    position = np.zeros(len(internal_ids), dtype=np.int64)
+    ids = internal_ids[reached].tolist()
+    values = np.fromiter((work[vertex] for vertex in ids), np.float64, count=len(ids))
+    position = np.zeros(internal_ids.size, dtype=np.int64)
     position[reached] = np.arange(reached.size, dtype=np.int64)
     touched, applied = assign_deltas(
         offsets,
@@ -360,7 +216,7 @@ def assign_accumulative_batch(
         np.where(live, differences, 0.0),
         live,
         values,
-        allowed,
+        ~np.concatenate([csr.absorb for csr in csrs])[reached],
         spec.dense_algebra[1] == COMBINE_ADD,
     )
     metrics.edge_activations += applied

@@ -1,14 +1,16 @@
 """Array-only kernel slabs: the numpy hot loops, free of engine objects.
 
 Every vectorized kernel of the reproduction — the delta-accumulative
-superstep of :mod:`repro.engine.dense_propagation`, Layph's per-subgraph
-local upload and shortcut assignments (:mod:`repro.layph.vectorized`), and
-the BSP refinement pulls of the GraphBolt/DZiG engines — bottoms out in the
+superstep of :mod:`repro.engine.dense_propagation`, Layph's lockstep
+shortcut / upload kernel and its shortcut assignments
+(:mod:`repro.layph.shortcuts`, :mod:`repro.layph.vectorized`), and the BSP
+refinement pulls of the GraphBolt/DZiG engines — bottoms out in the
 functions of this module.  They operate exclusively on plain numpy arrays
-and Python scalars bundled into :class:`PropagationSlab`: no ``Graph``, no
-``AlgorithmSpec``, no engine objects, no adjacency callables.  That boundary
-keeps every kernel testable on hand-built arrays, and it is the seam a
-compiled kernel (numba, C) would replace without touching the engines.
+and Python scalars (one propagation's are bundled into
+:class:`PropagationSlab`): no ``Graph``, no ``AlgorithmSpec``, no engine
+objects, no adjacency callables.  That boundary keeps every kernel testable
+on hand-built arrays, and it is the seam a compiled kernel (numba, C) would
+replace without touching the engines.
 
 The algebra is the checked delta-accumulative one (see
 :func:`repro.engine.dense_propagation.require_algebra`), reduced to scalars:
@@ -55,27 +57,20 @@ def expand_slots(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarr
 
 
 class SlabNonConvergence(Exception):
-    """A capped slab run still holds significant pending messages.
+    """A capped kernel run still holds significant pending messages.
 
-    The object-based adapters translate this into the engine-level
+    The object-based callers translate this into the engine-level
     :class:`repro.engine.propagation.NonConvergenceError` (the slab layer
-    cannot import it).
+    cannot import it); ``jobs`` are the jobs still pending, ascending.
     """
 
-    def __init__(
-        self,
-        remaining: int,
-        rounds: int,
-        recorded: Optional[List[Tuple[int, int, int]]] = None,
-    ) -> None:
+    def __init__(self, remaining: int, rounds: int, jobs: List[int]) -> None:
         super().__init__(
             f"{remaining} significant pending messages remain after {rounds} rounds"
         )
         self.remaining = remaining
         self.rounds = rounds
-        #: the per-round triples completed before the cap (the reference
-        #: loop records them in its metrics before raising)
-        self.recorded = recorded if recorded is not None else []
+        self.jobs = jobs
 
 
 @dataclass
@@ -83,11 +78,9 @@ class PropagationSlab:
     """One propagation work unit as plain arrays plus algebra scalars.
 
     The CSR block (``offsets``/``targets``/``factors``/``out_degree``) and
-    the masks are read-only during a run; the per-vertex working arrays
-    (``state``/``pending``/``in_dict``/``state_touched`` and the optional
-    ``arrived`` pair) are mutated in place.  ``boundary`` switches a slab
-    into upload mode: active boundary rows accumulate into ``arrived``
-    instead of revising their state (Layph's phase-2 semantics).
+    the absorb mask are read-only during a run; the per-vertex working
+    arrays (``state``/``pending``/``in_dict``/``state_touched``) are mutated
+    in place.
     """
 
     # CSR block (read-only during the run)
@@ -100,11 +93,7 @@ class PropagationSlab:
     pending: np.ndarray
     in_dict: np.ndarray
     state_touched: np.ndarray
-    # masks
     absorb: np.ndarray
-    boundary: Optional[np.ndarray] = None
-    arrived: Optional[np.ndarray] = None
-    arrived_touched: Optional[np.ndarray] = None
     # algebra scalars
     selective: bool = True
     combine_add: bool = True
@@ -112,13 +101,41 @@ class PropagationSlab:
     tolerance: float = 0.0
 
 
-def significant_count(slab: PropagationSlab) -> int:
-    """Number of pending entries that would activate next round."""
-    if slab.selective:
-        mask = (slab.pending != slab.identity) & slab.in_dict
+def take_active(
+    pending: np.ndarray,
+    in_dict: np.ndarray,
+    selective: bool,
+    identity: float,
+    tolerance: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pop the significant pending entries: ``(active, deltas)``, ascending."""
+    if selective:
+        significant = (pending != identity) & in_dict
     else:
-        mask = (np.abs(slab.pending) > slab.tolerance) & slab.in_dict
-    return int(np.count_nonzero(mask))
+        significant = (np.abs(pending) > tolerance) & in_dict
+    active = np.flatnonzero(significant)
+    deltas = pending[active]
+    pending[active] = identity
+    in_dict[active] = False
+    return active, deltas
+
+
+def apply_deltas(
+    state: np.ndarray, active: np.ndarray, deltas: np.ndarray, selective: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fold ``deltas`` into ``state``: ``(scatterers, out_values)``.
+
+    A selective row scatters its improved state, an accumulative one its
+    delta.
+    """
+    old_states = state[active]
+    if selective:
+        new_states = np.minimum(old_states, deltas)
+        improved = new_states != old_states
+        state[active[improved]] = new_states[improved]
+        return active[improved], new_states[improved]
+    state[active] = old_states + deltas
+    return active, deltas
 
 
 def gather_messages(
@@ -133,11 +150,13 @@ def gather_messages(
     combine_add: bool,
     identity: float,
     tolerance: float,
+    shift: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The scatter half of one superstep: ``(kept_targets, kept_messages)``.
 
     Pure gather — no per-vertex state is touched — over the CSR rows
-    ``[starts, starts+counts)`` in row order.
+    ``[starts, starts+counts)`` in row order; ``shift`` (one per row) moves
+    each row's targets into its job's cells.
     """
     slots = expand_slots(starts, counts, total)
     edge_targets = targets[slots]
@@ -151,91 +170,46 @@ def gather_messages(
         keep &= messages != identity
     else:
         keep &= np.abs(messages) > tolerance
+    if shift is not None:
+        edge_targets = edge_targets + np.repeat(shift, counts)
     return edge_targets[keep], messages[keep]
 
 
 def scatter_messages(
-    slab: PropagationSlab, kept_targets: np.ndarray, kept_messages: np.ndarray
+    pending: np.ndarray,
+    in_dict: np.ndarray,
+    kept_targets: np.ndarray,
+    kept_messages: np.ndarray,
+    selective: bool,
 ) -> None:
     """Apply kept messages to the pending array (unbuffered, slot order)."""
-    if kept_targets.size == 0:
-        return
-    if slab.selective:
-        np.minimum.at(slab.pending, kept_targets, kept_messages)
+    if selective:
+        np.minimum.at(pending, kept_targets, kept_messages)
     else:
-        np.add.at(slab.pending, kept_targets, kept_messages)
-    slab.in_dict[kept_targets] = True
+        np.add.at(pending, kept_targets, kept_messages)
+    in_dict[kept_targets] = True
 
 
 def propagation_superstep(slab: PropagationSlab) -> Optional[Tuple[int, int, int]]:
     """One superstep; ``(activations, active, updates)`` or ``None`` when
     no pending entry is significant (the caller decides how to terminate).
     """
-    pending, in_dict = slab.pending, slab.in_dict
-    identity = slab.identity
-    if slab.selective:
-        significant = (pending != identity) & in_dict
-    else:
-        significant = (np.abs(pending) > slab.tolerance) & in_dict
-    active = np.nonzero(significant)[0]
+    active, deltas = take_active(
+        slab.pending, slab.in_dict, slab.selective, slab.identity, slab.tolerance
+    )
     if active.size == 0:
         return None
-    deltas = pending[active]
-    pending[active] = identity
-    in_dict[active] = False
-
-    if slab.boundary is not None:
-        # Upload mode: boundary rows accumulate into ``arrived`` and never
-        # re-propagate (their revision happens on the upper layer).
-        at_boundary = slab.boundary[active]
-        boundary_idx = active[at_boundary]
-        if boundary_idx.size:
-            boundary_deltas = deltas[at_boundary]
-            if slab.selective:
-                slab.arrived[boundary_idx] = np.minimum(
-                    slab.arrived[boundary_idx], boundary_deltas
-                )
-            else:
-                slab.arrived[boundary_idx] = (
-                    slab.arrived[boundary_idx] + boundary_deltas
-                )
-            slab.arrived_touched[boundary_idx] = True
-        internal_idx = active[~at_boundary]
-        internal_deltas = deltas[~at_boundary]
-    else:
-        internal_idx, internal_deltas = active, deltas
-
-    state = slab.state
-    old_states = state[internal_idx]
-    if slab.selective:
-        new_states = np.minimum(old_states, internal_deltas)
-        improved = new_states != old_states
-        scatterers = internal_idx[improved]
-        state[scatterers] = new_states[improved]
-        out_values = new_states[improved]
-    else:
-        state[internal_idx] = old_states + internal_deltas
-        scatterers = internal_idx
-        out_values = internal_deltas
+    scatterers, out_values = apply_deltas(slab.state, active, deltas, slab.selective)
     slab.state_touched[scatterers] = True
 
     counts = slab.out_degree[scatterers]
     total = int(counts.sum())
     if total:
         kept_targets, kept_messages = gather_messages(
-            slab.targets,
-            slab.factors,
-            slab.absorb,
-            slab.offsets[scatterers],
-            counts,
-            total,
-            out_values,
-            slab.selective,
-            slab.combine_add,
-            slab.identity,
-            slab.tolerance,
+            slab.targets, slab.factors, slab.absorb, slab.offsets[scatterers], counts, total,
+            out_values, slab.selective, slab.combine_add, slab.identity, slab.tolerance,
         )
-        scatter_messages(slab, kept_targets, kept_messages)
+        scatter_messages(slab.pending, slab.in_dict, kept_targets, kept_messages, slab.selective)
     return total, int(active.size), int(scatterers.size)
 
 
@@ -262,29 +236,6 @@ def run_propagation(
     return rounds
 
 
-def run_upload(slab: PropagationSlab, max_rounds: int) -> List[Tuple[int, int, int]]:
-    """Run one local upload (boundary-absorb) slab to convergence.
-
-    Like :func:`run_propagation` but with Layph's upload semantics: hitting
-    the round cap with significant messages still pending raises
-    :class:`SlabNonConvergence` *before* consuming them (a partial upload
-    would leave stale internal states behind), and insignificant leftovers
-    simply end the loop (the upload discards its pending array).
-    """
-    rounds: List[Tuple[int, int, int]] = []
-    while slab.in_dict.any():
-        if len(rounds) >= max_rounds:
-            remaining = significant_count(slab)
-            if remaining:
-                raise SlabNonConvergence(remaining, len(rounds), rounds)
-            break
-        step = propagation_superstep(slab)
-        if step is None:
-            break
-        rounds.append(step)
-    return rounds
-
-
 def run_shortcut_solves(
     offsets: np.ndarray,
     targets: np.ndarray,
@@ -298,21 +249,21 @@ def run_shortcut_solves(
     states: np.ndarray,
     pending: np.ndarray,
     in_dict: np.ndarray,
-    first_mask: np.ndarray,
     final_mask: np.ndarray,
     selective: bool,
     combine_add: bool,
     identity: float,
     tolerance: float,
+    max_rounds: int,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shortcut solves and revisions of several subgraphs, in lockstep.
+    """Shortcut solves, revisions and uploads of several subgraphs, in lockstep.
 
     The CSR block (``offsets`` … ``absorb``, one entry per row) is the
     block-diagonal union of the subgraphs' local CSRs: ``targets`` hold
     global row ids and ``offsets`` the start slot of every row.  A *job*
     owns the rows of one subgraph only: its cells are a contiguous range of
     the flat per-cell arrays (``cell_job``, ``states``, ``pending``,
-    ``in_dict`` and the masks), and the cell of global row ``r`` in job
+    ``in_dict`` and ``final_mask``), and the cell of global row ``r`` in job
     ``j`` is ``r + job_shift[j]``.  No job ever touches another job's
     cells, so the jobs share nothing but the CSR block.
 
@@ -323,9 +274,11 @@ def run_shortcut_solves(
       ``silenced_degree`` — every boundary row, the sources among them,
       zeroed.  The algebra contract makes the unit significant (0 for
       min/+, 1 for sum/×), so round 0 always runs.
-    * A *revision* folds the pending revision messages the caller seeded
-      into a state row seeded from the old shortcut vector, reading
-      ``silenced_degree`` throughout.
+    * A *revision* folds the pending messages the caller seeded into the
+      states it seeded, reading ``silenced_degree`` throughout: a shortcut
+      revision starts from the old shortcut row, an upload from the
+      internal vertices' states with the boundary cells at the identity
+      (they then accumulate the messages that arrive there).
 
     Active cells are taken in ascending flat order, which is ascending row
     order within each job, and the messages of a round are scattered with
@@ -336,10 +289,10 @@ def run_shortcut_solves(
     cell; its insignificant leftovers stay pending and are never read
     again, as in the one-vector loop.
 
-    On return ``states`` holds every job's final states, ``final_mask``
-    marks the cells written at all and ``first_mask`` those written in
-    round 0 — the merge rebuilds the reference's
-    dict insertion order from them.
+    On return ``states`` holds every job's final states and ``final_mask``
+    marks the cells a round wrote.  A round that would start with
+    significant messages after ``max_rounds`` rounds raises
+    :class:`SlabNonConvergence` naming the jobs still pending.
 
     Returns the per-round ``(activations, active, updates)`` triples as four
     arrays ``(job, activations, active, updates)``, one entry per round in
@@ -347,33 +300,18 @@ def run_shortcut_solves(
     a round.
     """
     jobs = int(job_shift.size)
-    first_mask[...] = False
     final_mask[...] = False
     recorded: List[Tuple[np.ndarray, ...]] = []
     first_round = True
     while True:
-        if selective:
-            significant = (pending != identity) & in_dict
-        else:
-            significant = (np.abs(pending) > tolerance) & in_dict
-        active = np.flatnonzero(significant)
+        active, deltas = take_active(pending, in_dict, selective, identity, tolerance)
         if active.size == 0:
             break
-        deltas = pending[active]
-        pending[active] = identity
-        in_dict[active] = False
-
-        old_states = states[active]
-        if selective:
-            new_states = np.minimum(old_states, deltas)
-            improved = new_states != old_states
-            scatterers = active[improved]
-            out_values = new_states[improved]
-            states[scatterers] = out_values
-        else:
-            states[active] = old_states + deltas
-            scatterers = active
-            out_values = deltas
+        if len(recorded) >= max_rounds:
+            stuck = np.bincount(cell_job[active], minlength=jobs)
+            stalled = np.flatnonzero(stuck)
+            raise SlabNonConvergence(int(stuck[stalled[0]]), len(recorded), stalled.tolist())
+        scatterers, out_values = apply_deltas(states, active, deltas, selective)
         final_mask[scatterers] = True
 
         job_of = cell_job[scatterers]
@@ -384,24 +322,11 @@ def run_shortcut_solves(
             counts = np.where(job_solves[job_of], full_degree[rows], counts)
         total = int(counts.sum())
         if total:
-            slots = expand_slots(offsets[rows], counts, total)
-            edge_targets = targets[slots]
-            messages = np.repeat(out_values, counts)
-            if combine_add:
-                messages = messages + factors[slots]
-            else:
-                messages = messages * factors[slots]
-            keep = ~absorb[edge_targets]
-            if selective:
-                keep &= messages != identity
-            else:
-                keep &= np.abs(messages) > tolerance
-            flat_targets = (edge_targets + np.repeat(shift, counts))[keep]
-            if selective:
-                np.minimum.at(pending, flat_targets, messages[keep])
-            else:
-                np.add.at(pending, flat_targets, messages[keep])
-            in_dict[flat_targets] = True
+            kept_targets, kept_messages = gather_messages(
+                targets, factors, absorb, offsets[rows], counts, total,
+                out_values, selective, combine_add, identity, tolerance, shift,
+            )
+            scatter_messages(pending, in_dict, kept_targets, kept_messages, selective)
 
         active_per = np.bincount(cell_job[active], minlength=jobs)
         live = np.flatnonzero(active_per)
@@ -413,8 +338,6 @@ def run_shortcut_solves(
                 np.bincount(job_of, minlength=jobs)[live],
             )
         )
-        if first_round:
-            first_mask[...] = final_mask
         first_round = False
     if not recorded:
         empty = np.zeros(0, dtype=np.int64)

@@ -133,7 +133,7 @@ class TestNumpyBackend:
 
 class TestLocalUploadNonConvergence:
     def test_raises_instead_of_returning_partial_results(self):
-        from repro.layph.engine import LayphEngine
+        from repro.layph.shortcuts import local_uploads
 
         class _Subgraph:
             index = 0
@@ -142,11 +142,21 @@ class TestLocalUploadNonConvergence:
             # decay, so the upload loop can never converge.
             local_adjacency = FactorAdjacency({1: [(2, 1.0)], 2: [(1, 1.0)]})
 
-        engine = LayphEngine(PageRank())
-        with pytest.raises(NonConvergenceError):
-            engine._local_upload(
-                _Subgraph(), {}, {1: 1.0}, ExecutionMetrics()
+        class _Converging:
+            index = 1
+            boundary = frozenset({4})
+            local_adjacency = FactorAdjacency({3: [(4, 0.5)]})
+
+        # the stuck upload raises through the batched call it shares
+        work = {}
+        with pytest.raises(NonConvergenceError, match="upload in subgraph 0 "):
+            local_uploads(
+                PageRank(),
+                [(_Converging(), {3: 1.0}), (_Subgraph(), {1: 1.0})],
+                work,
+                ExecutionMetrics(),
             )
+        assert work == {}, "a failed call writes no state back"
 
 
 class TestRetiredBackendKeyword:

@@ -266,7 +266,7 @@ def test_every_refresh_matches_a_whole_subgraph_rebuild(monkeypatch, algorithm, 
 
 def _tables(engine):
     return [
-        [(source, _state_bits(row)) for source, row in subgraph.shortcuts.items()]
+        [(source, _state_bits(row)) for source, row in subgraph.shortcuts.vectors().items()]
         for subgraph in engine.layered.subgraphs
     ]
 

@@ -3,16 +3,13 @@
 Every shortcut solve and every incremental revision of a
 :class:`repro.layph.shortcuts.ShortcutBatch` — all of one delta's refreshed
 subgraphs — runs in a single :func:`repro.parallel.slabs.run_shortcut_solves`
-call over a ragged, block-diagonal layout.  Every vector it produces must
-equal the reference loops' (:func:`oracles.loops.propagate_shortcuts` per
-solve, :func:`oracles.loops.revise_shortcuts` per revision): the same values
-and the same recorded work.  Key order is the one the reference's ``propagate``
-write-backs leave when the array propagation kernel runs them — for a
-solve, rows touched in round 0 (the source) first, then the rest ascending;
-for a revision, the old keys in place, then the new rows ascending — which
-differs from the Python loop's first-touch order, so it is checked against
-that kernel-run reference.  The batched phase-4 assignment pass is checked
-against the per-subgraph reference loops the same way.
+call over a ragged, block-diagonal layout, and lands in the subgraphs'
+:class:`repro.layph.shortcuts.ShortcutTable` blocks.  Every row it produces
+must equal the reference loops' (:func:`oracles.loops.propagate_shortcuts`
+per solve, :func:`oracles.loops.revise_shortcuts` per revision) as a map —
+the same weights, bit for bit, and the same recorded work; a row has no key
+order.  The batched phase-4 assignment pass is checked against the
+per-subgraph reference loops the same way.
 """
 
 from __future__ import annotations
@@ -26,14 +23,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine.algorithms import PHP, SSSP, PageRank, make_algorithm
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.propagation import FactorAdjacency, propagate
+from repro.engine.propagation import FactorAdjacency, NonConvergenceError
 from repro.graph.generators import community_graph
 from repro.layph import shortcuts as shortcuts_module
 from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayeredGraph, LayphConfig
 from repro.layph.shortcuts import (
     ShortcutBatch,
+    ShortcutTable,
     compute_shortcut_vectors,
+    compute_shortcuts_from,
     shortcut_revision,
 )
 
@@ -52,13 +51,13 @@ def _totals(metrics: ExecutionMetrics):
 
 
 def _bits(vector):
-    """Key order and exact bits of one vector (NaN-safe)."""
-    return [(vertex, float(value).hex()) for vertex, value in vector.items()]
+    """Exact bits of one vector by key (NaN-safe)."""
+    return {vertex: float(value).hex() for vertex, value in vector.items()}
 
 
 def assert_batch_matches_reference(spec, local, sources, boundary):
-    """One batched call == per-source reference loops (values, metrics)
-    and == the kernel-run two-propagate reference (key order, bits)."""
+    """One batched call == per-source reference loops (weights bit for
+    bit, metrics)."""
     batched_metrics = ExecutionMetrics()
     batched = compute_shortcut_vectors(
         spec, local, sources, boundary, batched_metrics
@@ -68,14 +67,9 @@ def assert_batch_matches_reference(spec, local, sources, boundary):
         loops.propagate_shortcuts(spec, local, source, boundary, python_metrics)
         for source in sources
     ]
-    ordered = [
-        loops.propagate_shortcuts(spec, local, source, boundary, propagate_with=propagate)
-        for source in sources
-    ]
     assert len(batched) == len(sources)
-    for source, got, want, order in zip(sources, batched, python, ordered):
-        assert dict(_bits(got)) == dict(_bits(want)), f"values differ for source {source}"
-        assert _bits(got) == _bits(order), f"key order differs for source {source}"
+    for source, got, want in zip(sources, batched, python):
+        assert _bits(got) == _bits(want), f"values differ for source {source}"
     assert _totals(batched_metrics) == _totals(python_metrics)
     return batched
 
@@ -105,7 +99,7 @@ def test_batched_boundary_solve_equals_per_source_reference(algorithm, seed):
         )
         # the oracle build holds the reference tables
         for source, vector in zip(sources, batched):
-            assert vector == subgraph.shortcuts[source]
+            assert vector == subgraph.shortcuts.vector(source)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -126,17 +120,19 @@ def test_numpy_build_matches_python_build(algorithm):
     numpy = LayeredGraph.build(spec, graph, LayphConfig(seed=2))
     assert numpy.subgraphs, "the graph formed no dense subgraph"
     for ours, reference in zip(numpy.subgraphs, python.subgraphs):
-        assert list(ours.shortcuts) == list(reference.shortcuts)
-        assert ours.shortcuts == reference.shortcuts
+        assert ours.shortcuts.sources == reference.shortcuts.sources
+        assert _table_bits(ours.shortcuts) == _table_bits(reference.shortcuts)
     assert _totals(numpy.construction_metrics) == _totals(python.construction_metrics)
 
 
+def _table_bits(table):
+    """A shortcut table as ``{source: {target: bits}}``."""
+    return {source: _bits(row) for source, row in table.vectors().items()}
+
+
 def _shortcut_values(layered):
-    """Every subgraph's shortcut tables as exact bits, key order aside."""
-    return [
-        {source: dict(_bits(row)) for source, row in subgraph.shortcuts.items()}
-        for subgraph in layered.subgraphs
-    ]
+    """Every subgraph's shortcut tables as exact bits."""
+    return [_table_bits(subgraph.shortcuts) for subgraph in layered.subgraphs]
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -211,7 +207,6 @@ def test_internal_cycles_keep_the_source_surplus(spec):
     # entry carries only that surplus, never the injected unit
     assert 0 < batched[0][0] < 1.0
     assert 0 < batched[1][3] < 1.0
-    assert list(batched[0])[0] == 0, "the round-0 row leads the insertion order"
 
 
 def test_absorbing_rooted_source_inside_the_subgraph():
@@ -230,6 +225,27 @@ def test_single_internal_source():
     )
     batched = assert_batch_matches_reference(spec, local, [1], {0, 3})
     assert batched[0] == {2: 1.0, 0: 5.0, 3: 2.0}
+
+
+def test_lossless_internal_cycle_raises_instead_of_looping():
+    """Messages circling 1 -> 2 -> 1 at factor 1.0 never decay: the solve
+    stops at the round cap instead of running forever."""
+    local = FactorAdjacency({0: [(1, 1.0)], 1: [(2, 1.0)], 2: [(1, 1.0)]})
+    with pytest.raises(NonConvergenceError, match="did not converge within 10000 rounds"):
+        compute_shortcuts_from(PageRank(), local, 0, {0})
+
+
+def test_non_convergence_names_the_subgraph():
+    """A stuck job fails the whole call, named by its block's subgraph."""
+    spec = PageRank()
+    batch = ShortcutBatch(spec)
+    batch.solve(batch.block(_cyclic_local(), {0, 3}, sources=[0, 3], label=4), 0)
+    stuck = FactorAdjacency({0: [(1, 1.0)], 1: [(2, 1.0)], 2: [(1, 1.0)]})
+    block = batch.block(stuck, {0}, sources=[0], label=7)
+    batch.solve(block, 0)
+    with pytest.raises(NonConvergenceError, match="shortcut solve in subgraph 7 "):
+        batch.run(ExecutionMetrics())
+    assert block.table.vectors() == {0: {}}, "a failed call fills no row"
 
 
 def test_multiple_sources_must_be_boundary():
@@ -357,36 +373,35 @@ def _subgraph_cases(spec, seed, count=3):
 
 def _run_mixed_batch(spec, cases):
     """Queue every boundary source of every case as the refresh loop would
-    (revision when the Python half yields messages, solve when it declines;
-    the smallest boundary vertex counts as new and is solved) and run the
-    batch once.  Returns (tables, kinds, pendings, metrics)."""
+    (revision when the Python half yields messages, solve when it declines,
+    the old row kept when the messages are empty; the smallest boundary
+    vertex counts as new and is solved) and run the batch once.  Returns
+    (tables, kinds, pendings, metrics)."""
     metrics = ExecutionMetrics()
     batch = ShortcutBatch(spec)
     tables, kinds, pendings = [], [], []
-    for old_local, new_local, boundary, old_tables in cases:
+    for old_local, new_local, boundary, old_table in cases:
         changed = changed_local_sources(old_local, new_local)
-        block = batch.block(new_local, boundary)
-        table, kind, pending_of = {}, {}, {}
+        block = batch.block(new_local, boundary, old_table, sorted(boundary))
+        kind, pending_of = {}, {}
         for source in sorted(boundary):
             if source == min(boundary):
                 kind[source] = "fresh"
-                batch.solve(block, source, table)
+                batch.solve(block, source)
                 continue
-            old_vector = old_tables[source]
             pending = shortcut_revision(
-                spec, old_local, new_local, source, boundary, old_vector, changed, metrics
+                spec, old_local, new_local, source, boundary, old_table, changed, metrics
             )
             pending_of[source] = pending
             if pending is None:
                 kind[source] = "solve"
-                batch.solve(block, source, table)
+                batch.solve(block, source)
             elif pending:
                 kind[source] = "revise"
-                batch.revise(block, source, old_vector, pending, table)
+                batch.revise(block, source, pending)
             else:
                 kind[source] = "keep"
-                table[source] = dict(old_vector)
-        tables.append(table)
+        tables.append(block.table)
         kinds.append(kind)
         pendings.append(pending_of)
     batch.run(metrics)
@@ -395,12 +410,12 @@ def _run_mixed_batch(spec, cases):
 
 def _assert_mixed_batch_matches_reference(spec, cases, tables, kinds, pendings, metrics):
     reference_metrics = ExecutionMetrics()
-    for (old_local, new_local, boundary, old_tables), table, kind, pending_of in zip(
+    for (old_local, new_local, boundary, old_table), table, kind, pending_of in zip(
         cases, tables, kinds, pendings
     ):
         changed = changed_local_sources(old_local, new_local)
         for source in sorted(boundary):
-            old_vector = old_tables[source]
+            old_vector = old_table.vector(source)
             want = None
             if kind[source] != "fresh":
                 with oracle_loops():
@@ -413,19 +428,8 @@ def _assert_mixed_batch_matches_reference(spec, cases, tables, kinds, pendings, 
                 want = loops.propagate_shortcuts(
                     spec, new_local, source, boundary, reference_metrics
                 )
-                order = loops.propagate_shortcuts(
-                    spec, new_local, source, boundary, propagate_with=propagate
-                )
-            elif kind[source] == "revise":
-                order = loops.revise_shortcuts(
-                    spec, new_local, source, boundary, old_vector, pending_of[source],
-                    ExecutionMetrics(), propagate_with=propagate,
-                )
-            else:
-                order = want
-            got = table[source]
-            assert dict(_bits(got)) == dict(_bits(want)), f"values differ for source {source}"
-            assert _bits(got) == _bits(order), f"key order differs for source {source}"
+            got = table.vector(source)
+            assert _bits(got) == _bits(want), f"values differ for source {source}"
     assert _totals(metrics) == _totals(reference_metrics)
 
 
@@ -462,10 +466,10 @@ def test_one_call_mixes_solves_and_revisions_across_subgraphs(monkeypatch, algor
 
 
 @pytest.mark.parametrize("spec", [PageRank(damping=0.5), SSSP(source=99)], ids=lambda s: s.name)
-def test_revision_silences_boundary_messages_and_appends_new_rows_ascending(spec):
+def test_revision_silences_boundary_messages(spec):
     """A revision message reaching boundary vertex 4 in round 0 must not be
-    re-emitted along 4's own link, and the rows the revision touches first
-    (3, then 5) are appended after the old keys in ascending order."""
+    re-emitted along 4's own link, and the rows the revision reaches (3,
+    then 5) gain weights the old row did not have."""
     boundary = {0, 4}
     old_local = FactorAdjacency({0: [(1, 0.5)], 1: [(2, 0.5)], 2: [(4, 0.5)], 4: [(1, 0.5)]})
     new_local = FactorAdjacency(
@@ -479,8 +483,9 @@ def test_revision_silences_boundary_messages_and_appends_new_rows_ascending(spec
         }
     )
     old_vector = loops.propagate_shortcuts(spec, old_local, 0, boundary)
+    old_table = ShortcutTable.from_vectors({0: old_vector}, spec.aggregate_identity())
     changed = changed_local_sources(old_local, new_local)
-    pending = shortcut_revision(spec, old_local, new_local, 0, boundary, old_vector, changed)
+    pending = shortcut_revision(spec, old_local, new_local, 0, boundary, old_table, changed)
     assert set(pending) == {3, 4}
     metrics = ExecutionMetrics()
     got = update_shortcut_vector(
@@ -492,13 +497,8 @@ def test_revision_silences_boundary_messages_and_appends_new_rows_ascending(spec
             spec, old_local, new_local, 0, boundary, old_vector, changed,
             reference_metrics,
         )
-    order = loops.revise_shortcuts(
-        spec, new_local, 0, boundary, old_vector, pending, ExecutionMetrics(),
-        propagate_with=propagate,
-    )
-    assert dict(_bits(got)) == dict(_bits(want))
-    assert _bits(got) == _bits(order)
-    assert list(got)[-2:] == [3, 5], "new rows are appended ascending"
+    assert _bits(got) == _bits(want)
+    assert {3, 5} <= set(got) and not {3, 5} & set(old_vector)
     assert _totals(metrics) == _totals(reference_metrics)
 
 
@@ -514,7 +514,7 @@ def test_oracle_batch_runs_the_reference(monkeypatch, algorithm):
     with oracle_loops():
         tables, _kinds, _pendings, metrics = _run_mixed_batch(spec, cases)
     for table, numpy_table in zip(tables, numpy_tables):
-        assert table == numpy_table
+        assert table.vectors() == numpy_table.vectors()
     assert _totals(metrics) == _totals(numpy_metrics)
 
 
@@ -557,7 +557,7 @@ def _assign_both_ways(monkeypatch, engine, deltas, work):
             monkeypatch.setattr(engine, "_assign_subgraphs", oracle)
         revised = dict(work)
         metrics = ExecutionMetrics()
-        engine._assign(everything, set(), deltas, revised, metrics, engine.graph)
+        engine._assign(everything, set(), deltas, revised, metrics)
         outcomes.append(
             ({vertex: float(value).hex() for vertex, value in revised.items()}, metrics.edge_activations)
         )

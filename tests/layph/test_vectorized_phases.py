@@ -1,10 +1,12 @@
 """Equivalence of Layph's vectorized upload/assign phases with the loops.
 
-The numpy kernels in :mod:`repro.layph.vectorized` must be metric-identical
-to the Python reference loops — same revised states, same arrived messages,
-same round counts and edge activations.  The reference run is the oracle
-engine (:func:`oracles.oracle_engine`), whose seams run those loops.  NaN
-inputs never reach the kernels: the engine refuses them at its boundary.
+The numpy kernels — phase 2's batched upload
+(:func:`repro.layph.shortcuts.local_uploads`) and phase 4's assignment in
+:mod:`repro.layph.vectorized` — must be metric-identical to the Python
+reference loops: same revised states, same arrived messages, same round
+counts and edge activations.  The reference run is the oracle engine
+(:func:`oracles.oracle_engine`), whose seams run those loops.  NaN inputs
+never reach the kernels: the engine refuses them at its boundary.
 """
 
 import math
@@ -14,31 +16,29 @@ import pytest
 from repro.engine.algorithms import PageRank, SSSP, make_algorithm
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency, NonConvergenceError
+from repro.engine.runner import run_batch
 from repro.graph.delta import GraphDelta
 from repro.graph.generators import community_graph
+from repro.layph import engine as layph_engine
 from repro.layph.engine import LayphEngine
+from repro.layph.layered_graph import DenseSubgraph
+from repro.layph.shortcuts import ShortcutTable, local_uploads
 from repro.layph.vectorized import assign_accumulative_batch, assign_selective_batch
 from repro.workloads.updates import random_edge_delta
 
-from oracles import ROUTES, engine_on_route, oracle_engine  # noqa: E402  (tests/)
+from oracles import ROUTES, engine_on_route, oracle_engine, oracle_loops  # noqa: E402  (tests/)
 
 
-class _Subgraph:
-    """Minimal stand-in for a DenseSubgraph in direct kernel tests."""
-
-    def __init__(self, index, boundary, internal, adjacency, shortcuts=None):
-        self.index = index
-        self.boundary = frozenset(boundary)
-        self.internal = set(internal)
-        self.local_adjacency = adjacency
-        self.shortcuts = shortcuts or {}
-
-    def internal_shortcuts(self, source):
-        return {
-            target: factor
-            for target, factor in self.shortcuts.get(source, {}).items()
-            if target in self.internal
-        }
+def _subgraph(index, entry, exit_, internal, adjacency=None, shortcuts=None):
+    return DenseSubgraph(
+        index=index,
+        members=set(entry) | set(exit_) | set(internal),
+        entry=set(entry),
+        exit=set(exit_),
+        internal=set(internal),
+        local_adjacency=adjacency or FactorAdjacency(),
+        shortcuts=shortcuts or ShortcutTable((), 0.0),
+    )
 
 
 def _community():
@@ -51,16 +51,17 @@ def _community():
     )
 
 
-def _chain_subgraph():
-    # boundary 1 feeds internal chain 2 -> 3 -> 4, boundary 5 absorbs
+def _chain_subgraph(index=0, shift=0):
+    # boundary 1 feeds internal chain 2 -> 3 -> 4, boundary 5 absorbs (ids
+    # moved up by ``shift``: subgraphs never share a vertex)
     adjacency = FactorAdjacency(
         {
-            1: [(2, 1.0)],
-            2: [(3, 2.0)],
-            3: [(4, 1.0), (5, 3.0)],
+            1 + shift: [(2 + shift, 1.0)],
+            2 + shift: [(3 + shift, 2.0)],
+            3 + shift: [(4 + shift, 1.0), (5 + shift, 3.0)],
         }
     )
-    return _Subgraph(0, boundary={1, 5}, internal={2, 3, 4}, adjacency=adjacency)
+    return _subgraph(index, {1 + shift}, {5 + shift}, {2 + shift, 3 + shift, 4 + shift}, adjacency)
 
 
 class TestLocalUploadKernel:
@@ -68,12 +69,15 @@ class TestLocalUploadKernel:
     def test_matches_python_loop(self, spec):
         results = {}
         for route in ROUTES:
-            engine = engine_on_route("layph", spec, route)
-            subgraph = _chain_subgraph()
+            uploads = [(_chain_subgraph(0), {2: 4.0, 5: 1.0}), (_chain_subgraph(1, 10), {13: 2.0})]
             work = {2: 10.0 if spec.is_selective() else 0.5, 3: 12.0 if spec.is_selective() else 0.25}
-            pending = {2: 4.0, 5: 1.0}
+            work[13] = work[3]
             metrics = ExecutionMetrics()
-            arrived = engine._local_upload(subgraph, work, pending, metrics)
+            if route == "oracle":
+                with oracle_loops():
+                    arrived = local_uploads(spec, uploads, work, metrics)
+            else:
+                arrived = local_uploads(spec, uploads, work, metrics)
             results[route] = (arrived, work, metrics)
         py_arrived, py_work, py_metrics = results["oracle"]
         np_arrived, np_work, np_metrics = results["declared"]
@@ -87,8 +91,6 @@ class TestLocalUploadKernel:
         assert np_metrics.vertex_updates == 0
 
     def test_nan_weight_is_rejected_before_the_upload(self, monkeypatch):
-        from repro.layph import vectorized
-
         engine = LayphEngine(PageRank())
         engine.initialize(_community())
         before = (engine.graph, dict(engine.states), dict(engine.proxy_states))
@@ -96,7 +98,7 @@ class TestLocalUploadKernel:
         def fail(*_args, **_kwargs):
             raise AssertionError("a rejected delta must not reach the upload")
 
-        monkeypatch.setattr(vectorized, "run_upload", fail)
+        monkeypatch.setattr(layph_engine, "local_uploads", fail)
         subgraph = engine.layered.subgraphs[0]
         source = min(subgraph.internal)
         poison = GraphDelta()
@@ -116,34 +118,34 @@ class TestLocalUploadKernel:
             engine.initialize(_community())
         assert engine.graph is None and engine.states == {} and engine.layered is None
 
-    def test_non_convergence_raises_in_the_kernel(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_non_convergence_raises_in_the_kernel(self, route):
         # A lossless 2-cycle: PageRank-style messages never decay, so the
-        # vectorized upload must hit the round cap and raise like the
-        # Python loop does.
+        # batched upload must hit the round cap and raise like the Python
+        # loop does, naming the subgraph.
         adjacency = FactorAdjacency({1: [(2, 1.0)], 2: [(1, 1.0)]})
-        subgraph = _Subgraph(0, boundary=frozenset(), internal={1, 2}, adjacency=adjacency)
-        engine = LayphEngine(PageRank())
-        with pytest.raises(NonConvergenceError):
-            engine._local_upload(subgraph, {}, {1: 1.0}, ExecutionMetrics())
+        stuck = _subgraph(3, (), (), {1, 2}, adjacency)
+        uploads = [(_chain_subgraph(), {2: 0.5}), (stuck, {1: 1.0})]
+        with pytest.raises(NonConvergenceError, match="subgraph 3 did not converge"):
+            if route == "oracle":
+                with oracle_loops():
+                    local_uploads(PageRank(), uploads, {}, ExecutionMetrics())
+            else:
+                local_uploads(PageRank(), uploads, {}, ExecutionMetrics())
 
 
 class TestAssignKernels:
-    def _shortcut_subgraph(self):
-        subgraph = _Subgraph(
-            1,
-            boundary={0, 5},
-            internal={2, 3},
-            adjacency=FactorAdjacency(),
-            shortcuts={
-                0: {2: 1.0, 3: 3.0, 5: 4.0},  # the boundary target lives on Lup
-                5: {3: 2.0},
-            },
-        )
-        return subgraph
+    def _shortcut_subgraph(self, spec):
+        vectors = {
+            0: {2: 1.0, 3: 3.0, 5: 4.0},  # the boundary target lives on Lup
+            5: {3: 2.0},
+        }
+        table = ShortcutTable.from_vectors(vectors, spec.aggregate_identity())
+        return _subgraph(1, {0}, {5}, {2, 3}, shortcuts=table)
 
     def test_selective_assign_matches_python(self):
         spec = SSSP(source=0)
-        subgraph = self._shortcut_subgraph()
+        subgraph = self._shortcut_subgraph(spec)
         work = {0: 1.0, 5: 2.5}
         metrics = ExecutionMetrics()
         [best] = assign_selective_batch(spec, [subgraph], work, metrics)
@@ -151,21 +153,18 @@ class TestAssignKernels:
         assert metrics.edge_activations == 3  # two internal entries of 0, one of 5
 
     def test_accumulative_assign_matches_python(self):
-        from repro.graph.graph import Graph
-
         spec = PageRank()
-        subgraph = self._shortcut_subgraph()
-        graph = Graph.from_edges([(0, 2, 1.0), (2, 3, 1.0), (3, 5, 1.0)])
+        subgraph = self._shortcut_subgraph(spec)
         results = {}
         for route in ROUTES:
             work = {2: 0.25, 3: 0.5}
             metrics = ExecutionMetrics()
             deltas = {0: 0.125, 5: 0.0625}
             if route == "declared":
-                assign_accumulative_batch(spec, [subgraph], deltas, work, metrics, graph)
+                assign_accumulative_batch(spec, [subgraph], deltas, work, metrics)
             else:
                 oracle_engine("layph", spec)._assign_subgraphs(
-                    [subgraph], deltas, work, metrics, graph, None
+                    [subgraph], deltas, work, metrics, None
                 )
             results[route] = (work, metrics.edge_activations)
         assert results["oracle"] == results["declared"]
@@ -174,35 +173,17 @@ class TestAssignKernels:
         assert work[3] == 0.5 + 0.125 * 3.0 + 0.0625 * 2.0
         assert activations == 3
 
-    def test_accumulative_assign_skips_vanished_targets(self):
-        from repro.graph.graph import Graph
-
-        spec = PageRank()
-        subgraph = self._shortcut_subgraph()
-        graph = Graph.from_edges([(0, 2, 1.0), (2, 5, 1.0)])  # 3 is gone
-        results = []
-        for vectorized in (True, False):
-            work = {2: 0.25, 3: 0.5}
-            metrics = ExecutionMetrics()
-            if vectorized:
-                assign_accumulative_batch(
-                    spec, [subgraph], {0: 0.125, 5: 0.0625}, work, metrics, graph
-                )
-            else:
-                oracle_engine("layph", spec)._assign_subgraphs(
-                    [subgraph], {0: 0.125, 5: 0.0625}, work, metrics, graph, None
-                )
-            results.append((work, metrics.edge_activations))
-        assert results[0] == results[1] == ({2: 0.25 + 0.125, 3: 0.5}, 1)
-
     def test_shortcut_csr_cache_invalidated_on_rebuild(self):
         from repro.layph.vectorized import _shortcut_csr
 
-        subgraph = self._shortcut_subgraph()
-        first = _shortcut_csr(subgraph)
-        assert _shortcut_csr(subgraph) is first
-        subgraph.shortcuts = {0: {2: 9.0}}  # a rebuild installs fresh tables
-        second = _shortcut_csr(subgraph)
+        spec = PageRank()
+        subgraph = self._shortcut_subgraph(spec)
+        first = _shortcut_csr(spec, subgraph)
+        assert _shortcut_csr(spec, subgraph) is first
+        assert first.targets.tolist() == [0, 1, 1]  # internal positions of 2, 3, 3
+        # a rebuild installs a fresh table
+        subgraph.shortcuts = ShortcutTable.from_vectors({0: {2: 9.0}}, 0.0)
+        second = _shortcut_csr(spec, subgraph)
         assert second is not first
         assert second.factors.tolist() == [9.0]
 
@@ -231,3 +212,37 @@ class TestEngineLevelEquivalence:
             assert py.metrics.iterations == vec.metrics.iterations
             assert py.metrics.edge_activations == vec.metrics.edge_activations
             assert py.metrics.activations_per_round == vec.metrics.activations_per_round
+
+    @pytest.mark.parametrize("algorithm", ["sssp", "pagerank", "php"])
+    def test_member_deletions_match_the_oracle(self, algorithm):
+        """Internal members deleted through ``apply_delta`` leave their
+        subgraph before phase 4 assigns it, so the assignment reads and
+        writes graph vertices only: both routes agree bitwise, and with a
+        batch run over the updated graph."""
+        spec = make_algorithm(algorithm, source=0)
+        engines = {route: engine_on_route("layph", spec, route) for route in ROUTES}
+        for engine in engines.values():
+            engine.initialize(_community())
+        layered = engines["declared"].layered
+        tolerance = 1e-9 if spec.is_selective() else 1e-3
+        for step in range(3):
+            victims = [
+                min(subgraph.internal - {0})
+                for subgraph in layered.subgraphs[step::3]
+                if subgraph.internal - {0}
+            ]
+            assert victims, "no internal member to delete"
+            delta = GraphDelta()
+            for vertex in victims:
+                delta.delete_vertex(vertex)
+            results = {route: engine.apply_delta(delta) for route, engine in engines.items()}
+            oracle, declared = results["oracle"], results["declared"]
+            assert {v: x.hex() for v, x in oracle.states.items()} == {
+                v: x.hex() for v, x in declared.states.items()
+            }, f"delta {step}"
+            assert oracle.metrics.activations_per_round == declared.metrics.activations_per_round
+            assert oracle.metrics.edge_activations == declared.metrics.edge_activations
+            assert not set(victims) & set(declared.states)
+            assert not any(set(victims) & subgraph.members for subgraph in layered.subgraphs)
+            reference = run_batch(spec, engines["declared"].graph).states
+            assert spec.states_match(declared.states, reference, tolerance=tolerance)

@@ -7,11 +7,14 @@ workloads (≈ 9k vertices, ~300 planted communities, generated by
 ``perf.workloads``) on the array kernels and checks Layph against a
 from-scratch batch run after every delta, with the benchmark's own
 tolerances, while the shortcut kernel is observed: one call per subgraph
-at build time, at most one call per delta afterwards, holding the solves
-and revisions of several subgraphs.  The upper-layer iteration is observed
-too: its slab reads the states of the skeleton and of the pending vertices
-only, and its write-back journal triggers the same assignment as a full
-before/after scan of the skeleton.
+at build time, at most one call per delta afterwards for the refresh,
+holding the solves and revisions of several subgraphs, and at most one
+more holding every subgraph's upload.  The batched upload is checked against the
+per-subgraph reference loop, and the tables' size against the dict tables
+they replaced.  The upper-layer iteration is observed too: its slab reads
+the states of the skeleton and of the pending vertices only, and its
+write-back journal triggers the same assignment as a full before/after scan
+of the skeleton.
 """
 
 from __future__ import annotations
@@ -27,12 +30,17 @@ if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
 from repro.engine import propagation  # noqa: E402
+from repro.engine.algorithms import make_algorithm  # noqa: E402
+from repro.engine.metrics import ExecutionMetrics  # noqa: E402
 from repro.engine.propagation import SilencedAdjacency  # noqa: E402
 from repro.graph.csr import FactorCSR  # noqa: E402
 from repro.layph import vectorized  # noqa: E402
 from repro.layph import engine as layph_engine  # noqa: E402
 from repro.layph import shortcuts as shortcuts_module  # noqa: E402
 from repro.layph.engine import LayphEngine  # noqa: E402
+from repro.layph.layered_graph import LayeredGraph  # noqa: E402
+
+from oracles import loops  # noqa: E402  (tests/)
 
 from perf.replay import batch_reference, matches_batch  # noqa: E402
 from perf.workloads import BATCH_SIZE, WORKLOADS, generate  # noqa: E402
@@ -53,14 +61,25 @@ def _call_shape(kwargs):
     "workload", ["web-bfs-bridge", "web-pagerank-scattered", "web-sssp-local"]
 )
 def test_layph_matches_batch_on_the_web_shape(monkeypatch, workload):
-    calls = []
+    calls, uploads = [], []
     kernel = shortcuts_module.run_shortcut_solves
+    uploading = []
 
     def observed(**arrays_and_scalars):
-        calls.append(_call_shape(arrays_and_scalars))
+        (uploads if uploading else calls).append(_call_shape(arrays_and_scalars))
         return kernel(**arrays_and_scalars)
 
     monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", observed)
+    upload = layph_engine.local_uploads
+
+    def upload_observed(*args):
+        uploading.append(True)
+        try:
+            return upload(*args)
+        finally:
+            uploading.pop()
+
+    monkeypatch.setattr(layph_engine, "local_uploads", upload_observed)
     silenced_slabs = []
     build_slab = propagation.build_propagation_slab
 
@@ -83,12 +102,14 @@ def test_layph_matches_batch_on_the_web_shape(monkeypatch, workload):
         "the offline build must run one call per subgraph"
     )
 
-    online = []
+    online, uploaded = [], []
     for step, delta in enumerate(inputs.deltas[:DELTAS]):
-        del calls[:]
+        del calls[:], uploads[:]
         result = engine.apply_delta(delta)
         assert len(calls) <= 1, f"delta {step} ran {len(calls)} shortcut kernel calls"
+        assert len(uploads) <= 1, f"delta {step} ran {len(uploads)} upload kernel calls"
         online.extend(calls)
+        uploaded.extend(uploads)
         assert matches_batch(spec, result.states, batch_reference(spec, engine.graph)), (
             f"{workload}: Layph diverged from run_batch at delta {step}"
         )
@@ -104,6 +125,70 @@ def test_layph_matches_batch_on_the_web_shape(monkeypatch, workload):
     assert any(
         wanted(subgraphs, revisions) for subgraphs, _solves, revisions in online
     ), f"no delta's kernel call had the workload's shape: {online}"
+    if spec.is_selective():
+        assert not uploaded, "a selective spec uploads through the upper layer"
+    else:
+        # every reached subgraph uploads in the delta's one call
+        assert max(subgraphs for subgraphs, _s, _r in uploaded) >= 2
+
+
+def _bits(states):
+    return {vertex: float(value).hex() for vertex, value in states.items()}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("algorithm", ["pagerank", "php"])
+def test_batched_upload_matches_the_per_subgraph_loop(monkeypatch, algorithm, seed):
+    """Each delta's one upload call against ``loops.local_upload`` run
+    subgraph by subgraph on a copy of the same states: revised states,
+    arrived messages, activations and per-round lists, bit for bit."""
+    inputs = generate(WORKLOADS["web-pagerank-scattered"], seed=seed, num_events=BATCH_SIZE)
+    spec = inputs.workload.spec() if algorithm == "pagerank" else make_algorithm("php", source=1)
+    checked = []
+    upload = layph_engine.local_uploads
+
+    def compared(spec, uploads, work, metrics):
+        reference_work, reference = dict(work), ExecutionMetrics()
+        want = [
+            loops.local_upload(
+                spec, subgraph.local_adjacency, subgraph.boundary, subgraph.index,
+                reference_work, pending, reference,
+            )
+            for subgraph, pending in uploads
+        ]
+        got_metrics = ExecutionMetrics()
+        got = upload(spec, uploads, work, got_metrics)
+        assert [_bits(arrived) for arrived in got] == [_bits(arrived) for arrived in want]
+        assert _bits(work) == _bits(reference_work)
+        assert got_metrics.activations_per_round == reference.activations_per_round
+        assert got_metrics.active_vertices_per_round == reference.active_vertices_per_round
+        assert (got_metrics.edge_activations, got_metrics.vertex_updates) == (
+            reference.edge_activations,
+            0,
+        )
+        checked.append(len(uploads))
+        metrics.merge(got_metrics)
+        return got
+
+    monkeypatch.setattr(layph_engine, "local_uploads", compared)
+    engine = LayphEngine(spec)
+    engine.initialize(inputs.graph)
+    for delta in inputs.deltas[:DELTAS]:
+        engine.apply_delta(delta)
+    assert len(checked) == DELTAS
+    # PageRank reaches several subgraphs per delta; PHP mass stays near its source
+    assert max(checked) >= (2 if algorithm == "pagerank" else 1)
+
+
+def test_shortcut_tables_keep_the_dict_tables_size():
+    """The block tables hold exactly the entries the dict tables held (the
+    counts the dict tables had on these graphs, seed 1)."""
+    counts = {}
+    for workload in ("web-sssp-local", "web-pagerank-scattered"):
+        inputs = generate(WORKLOADS[workload], seed=1, num_events=BATCH_SIZE)
+        layered = LayeredGraph.build(inputs.workload.spec(), inputs.graph)
+        counts[workload] = layered.shortcut_count()
+    assert counts == {"web-sssp-local": 68324, "web-pagerank-scattered": 67534}
 
 
 def test_scattered_seed_21_stays_with_batch():
@@ -143,23 +228,23 @@ def test_cross_edge_deltas_keep_the_lower_layer_compiled(monkeypatch):
     class ObservedShortcutCSR(shortcut_csr):
         __slots__ = ()
 
-        def __init__(self, subgraph):
+        def __init__(self, spec, subgraph):
             built.append(subgraph.index)
-            super().__init__(subgraph)
+            super().__init__(spec, subgraph)
 
     monkeypatch.setattr(vectorized, "_ShortcutCSR", ObservedShortcutCSR)
     asked = []
     cached_csr = vectorized._shortcut_csr
 
-    def observed_shortcut_csr(subgraph):
+    def observed_shortcut_csr(spec, subgraph):
         asked.append(subgraph.index)
-        return cached_csr(subgraph)
+        return cached_csr(spec, subgraph)
 
     monkeypatch.setattr(vectorized, "_shortcut_csr", observed_shortcut_csr)
 
     def snapshot(subgraph):
         return (
-            [(source, list(row.items())) for source, row in subgraph.shortcuts.items()],
+            subgraph.shortcuts.vectors(),
             set(subgraph.internal),
             subgraph.boundary,
         )

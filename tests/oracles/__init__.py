@@ -3,8 +3,9 @@
 The library runs one array-native core.  Its reference — the dict-and-loop
 definitions every kernel reproduces bit for bit — lives here:
 
-* :mod:`oracles.loops` — the propagation loop, Layph's local upload, the
-  shortcut solve/revision bodies and the dict revision-message deduction;
+* :mod:`oracles.loops` — the propagation loop, the bodies of Layph's
+  lockstep kernel calls (shortcut solves and revisions, local uploads) and
+  the dict revision-message deduction;
 * :mod:`oracles.dependency` — the selective engines' dependency walks;
 * :mod:`oracles.layph` — from-scratch rebuilds of Layph's resident lower
   layer.
@@ -326,10 +327,8 @@ class _OracleDZiG:
 
 
 class _OracleLayph:
-    """Layph's upload, upper-layer seeding and assignment loops."""
-
-    def _local_upload(self, subgraph, work, local_pending, metrics):
-        return loops.local_upload(self.spec, subgraph, work, local_pending, metrics)
+    """Layph's upper-layer seeding and assignment loops (its uploads run
+    through the ``ShortcutBatch.run`` seam)."""
 
     def _seed_tainted_upper(self, tainted, work, lup_pending, metrics):
         spec = self.spec
@@ -348,7 +347,7 @@ class _OracleLayph:
             if spec.is_significant(best):
                 lup_pending[vertex] = spec.aggregate(lup_pending.get(vertex, identity), best)
 
-    def _assign_subgraphs(self, subgraphs, deltas, work, metrics, new_graph, source):
+    def _assign_subgraphs(self, subgraphs, deltas, work, metrics, source):
         spec = self.spec
         identity = spec.aggregate_identity()
         for subgraph in subgraphs:
@@ -363,7 +362,7 @@ class _OracleLayph:
                         metrics.edge_activations += 1
                         candidate = spec.combine(boundary_state, factor)
                         best[target] = spec.aggregate(best[target], candidate)
-                self._finish_selective_assign(subgraph, best, work, new_graph, source)
+                self._finish_selective_assign(subgraph, best, work, source)
                 continue
             # delta push of the boundary changes through the shortcuts
             for boundary_vertex in sorted(subgraph.boundary):
@@ -371,13 +370,10 @@ class _OracleLayph:
                 if difference is None or not spec.is_significant(difference):
                     continue
                 for target, factor in subgraph.internal_shortcuts(boundary_vertex).items():
-                    if spec.absorbs(target) or not new_graph.has_vertex(target):
+                    if spec.absorbs(target):
                         continue
                     metrics.edge_activations += 1
-                    work[target] = spec.aggregate(
-                        work.get(target, spec.initial_state(target)),
-                        spec.combine(difference, factor),
-                    )
+                    work[target] = spec.aggregate(work[target], spec.combine(difference, factor))
 
 
 #: engine class -> the mixin binding its kernel methods (most derived first)

@@ -21,7 +21,12 @@ from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency
 from repro.layph.dense import BoundaryClassification, classify_boundary
 from repro.layph.replication import ReplicationPlan
-from repro.layph.shortcuts import ShortcutBatch, compute_shortcut_vectors, shortcut_revision
+from repro.layph.shortcuts import (
+    ShortcutBatch,
+    ShortcutTable,
+    compute_shortcut_vectors,
+    shortcut_revision,
+)
 
 
 def plan_replication_scan(
@@ -163,18 +168,19 @@ def update_shortcut_vector(
     """
     if metrics is None:
         metrics = ExecutionMetrics()
+    old = ShortcutTable.from_vectors({source: old_vector}, spec.aggregate_identity())
     pending = shortcut_revision(
-        spec, old_local, new_local, source, boundary, old_vector, changed_sources, metrics
+        spec, old_local, new_local, source, boundary, old, changed_sources, metrics
     )
     if pending is None:
         return None
     if not pending:
         return dict(old_vector)
-    vectors: Dict[int, Dict[int, float]] = {}
     batch = ShortcutBatch(spec)
-    batch.revise(batch.block(new_local, boundary), source, old_vector, pending, vectors)
+    block = batch.block(new_local, boundary, old, [source])
+    batch.revise(block, source, pending)
     batch.run(metrics)
-    return vectors[source]
+    return block.table.vector(source)
 
 
 def compute_all_shortcuts(

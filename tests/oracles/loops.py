@@ -1,8 +1,9 @@
 """The reference loops: one Python loop per array kernel of the library.
 
 Each function here is the dict-and-loop definition of what an array kernel
-computes; the kernel must match it bit for bit — states, dict key order,
-round counts, per-round edge activations.  They run specs through the public
+computes; the kernel must match it bit for bit — states, round counts,
+per-round edge activations, and dict key order where a library consumer
+reads it (a shortcut row has none).  They run specs through the public
 operators (``aggregate``, ``combine``, ``is_significant``, ``negate``) one
 value at a time, which is what makes them the semantics rather than a
 second optimisation.
@@ -85,17 +86,17 @@ def propagate(
 
 def local_upload(
     spec,
-    subgraph,
+    adjacency,
+    boundary,
+    label,
     work: Dict[int, float],
     local_pending: Dict[int, float],
     metrics: ExecutionMetrics,
 ) -> Dict[int, float]:
-    """Layph's per-subgraph upload (``LayphEngine._local_upload``):
+    """One subgraph's upload (one job of ``repro.layph.shortcuts.local_uploads``):
     internal vertices revise and scatter, boundary vertices accumulate the
     arrived messages without re-propagating."""
     identity = spec.aggregate_identity()
-    boundary = subgraph.boundary
-    adjacency = subgraph.local_adjacency
     pending = dict(local_pending)
     arrived: Dict[int, float] = {}
     rounds = 0
@@ -108,7 +109,7 @@ def local_upload(
             break
         if rounds >= max_rounds:
             raise NonConvergenceError(
-                f"local revision-message upload in subgraph {subgraph.index} "
+                f"local revision-message upload in subgraph {label} "
                 f"did not converge within {max_rounds} rounds for "
                 f"{spec.name!r}; {len(active)} significant pending "
                 "messages remain"
@@ -268,28 +269,40 @@ def revise_shortcuts(
 
 
 def run_shortcut_batch(batch, metrics: ExecutionMetrics, per_round: bool = True) -> None:
-    """``ShortcutBatch.run`` with every job on the reference bodies.
+    """``ShortcutBatch.run`` with every job on the reference bodies: the
+    tables are filled from the vectors, the uploads run one by one.
 
     ``per_round=False`` adds the same totals a per-round replay would.
     """
+    spec = batch.spec
     target = metrics if per_round else ExecutionMetrics()
     for block in batch._blocks:
+        vectors = {}
         for job in block.jobs:
-            if job.solve:
-                vector = propagate_shortcuts(
-                    batch.spec, block.local_adjacency, job.source, block.boundary, target
+            if job.upload:
+                block.arrived = local_upload(
+                    spec, block.local_adjacency, block.boundary, block.label,
+                    job.work, job.pending, target,
+                )
+            elif job.solve:
+                vectors[job.source] = propagate_shortcuts(
+                    spec, block.local_adjacency, job.source, block.boundary, target
                 )
             else:
-                vector = revise_shortcuts(
-                    batch.spec,
+                vectors[job.source] = revise_shortcuts(
+                    spec,
                     block.local_adjacency,
                     job.source,
                     block.boundary,
-                    job.old_vector,
+                    block.old.vector(job.source),
                     job.pending,
                     target,
                 )
-            job.table[job.key] = vector
+        if block.table is not None:
+            for source in block.table.sources:
+                if source not in vectors:
+                    vectors[source] = block.old.vector(source)
+            block.table.fill_vectors(vectors)
     if not per_round:
         metrics.edge_activations += target.edge_activations
         metrics.vertex_updates += target.vertex_updates

@@ -5,7 +5,9 @@ A store written before the propagation backend was retired records a
 SQLite baseline alike) and, for Layph, another one inside ``layph_config``.
 The entry selects nothing any more: a restore must ignore it, come back
 warm, and continue bitwise like the live engine.  A selective engine saved
-by the retired dict dependency store restores the same way.
+by the retired dict dependency store restores the same way, and so does a
+Layph store whose shortcut tables were written in a dict's insertion order
+rather than ascending.
 """
 
 from __future__ import annotations
@@ -144,6 +146,58 @@ def test_dict_store_snapshot_restores_warm(tmp_path, monkeypatch, engine_name, a
         assert _bits(got.states) == _bits(want.states), f"delta {step}"
         assert got.metrics.activations_per_round == want.metrics.activations_per_round
         assert store(restored) == store(live), f"delta {step}"
+
+
+@pytest.mark.parametrize("algorithm", ["sssp", "pagerank"])
+def test_dict_ordered_shortcut_tables_restore_warm(tmp_path, monkeypatch, algorithm):
+    """Stores written while the shortcut tables were dicts list each row's
+    entries in the dict's insertion order.  Such a store restores warm into
+    the block tables, equal as maps, and its next deltas are bitwise equal
+    to a cold engine's that never saw a store."""
+    from repro.layph.layered_graph import LayeredGraph
+
+    to_state = LayeredGraph.to_state
+
+    def dict_ordered(layered):
+        state = to_state(layered)
+        for subgraph in state["subgraphs"]:
+            subgraph["shortcuts"] = [
+                [source, list(reversed(row))] for source, row in subgraph["shortcuts"]
+            ]
+        return state
+
+    spec = make_algorithm(algorithm, source=0)
+    live = make_engine("layph", spec)
+    cold = make_engine("layph", spec)
+    for engine in (live, cold):
+        engine.initialize(_graph())
+    for step in range(2):
+        delta = _delta(live, step)
+        live.apply_delta(delta)
+        cold.apply_delta(delta)
+    with monkeypatch.context() as patch:
+        patch.setattr(LayeredGraph, "to_state", dict_ordered)
+        live.save(str(tmp_path / "live"))
+    [sidecar] = glob.glob(str(tmp_path / "live" / "snapshot-*.json"))
+    written = json.loads(open(sidecar, "rb").read())["meta"]["extras"]["layered"]
+    assert any(
+        [target for target, _w in row] != sorted(target for target, _w in row)
+        for subgraph in written["subgraphs"]
+        for _source, row in subgraph["shortcuts"]
+    ), "no row was written out of order"
+
+    shutil.copytree(tmp_path / "live", tmp_path / "copy")
+    restored, report = restore_engine(str(tmp_path / "copy"))
+    assert report.warm, report.reason
+    for ours, theirs in zip(restored.layered.subgraphs, cold.layered.subgraphs):
+        assert ours.shortcuts.vectors() == theirs.shortcuts.vectors()
+    for step in range(2, 6):
+        delta = _delta(cold, step)
+        want = cold.apply_delta(delta)
+        got = restored.apply_delta(delta)
+        assert _bits(got.states) == _bits(want.states), f"delta {step}"
+        assert got.metrics.activations_per_round == want.metrics.activations_per_round
+        assert got.metrics.edge_activations == want.metrics.edge_activations
 
 
 def test_new_snapshots_write_the_table_only(tmp_path):
