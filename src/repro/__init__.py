@@ -45,7 +45,7 @@ from repro.incremental import (
     RisGraphEngine,
 )
 from repro.layph.engine import LayphEngine
-from repro.layph.layered_graph import LayeredGraph, LayphConfig, build_layered_graph
+from repro.layph.layered_graph import LayeredGraph, LayphConfig
 
 __version__ = "1.0.0"
 
@@ -67,6 +67,5 @@ __all__ = [
     "LayphEngine",
     "LayeredGraph",
     "LayphConfig",
-    "build_layered_graph",
     "__version__",
 ]

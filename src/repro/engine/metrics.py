@@ -53,6 +53,29 @@ class ExecutionMetrics:
         clone.active_vertices_per_round = list(self.active_vertices_per_round)
         return clone
 
+    def to_state(self) -> dict:
+        """JSON-able form (durable snapshots)."""
+        return {
+            "edge_activations": self.edge_activations,
+            "vertex_updates": self.vertex_updates,
+            "iterations": self.iterations,
+            "activations_per_round": list(self.activations_per_round),
+            "active_vertices_per_round": list(self.active_vertices_per_round),
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "ExecutionMetrics":
+        """Rebuild the counters from :meth:`to_state` output."""
+        return cls(
+            edge_activations=int(state["edge_activations"]),
+            vertex_updates=int(state["vertex_updates"]),
+            iterations=int(state["iterations"]),
+            activations_per_round=[int(n) for n in state["activations_per_round"]],
+            active_vertices_per_round=[
+                int(n) for n in state["active_vertices_per_round"]
+            ],
+        )
+
 
 class PhaseTimer:
     """Wall-clock timer keyed by phase name (Figure 7 runtime breakdown)."""

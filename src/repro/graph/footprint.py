@@ -32,9 +32,7 @@ exposes
   the BSP engines, answered by diffing the cached old/new CSR rows with
   array ops (an order-insensitive row comparison that matches the dict
   references' map equality exactly) instead of re-evaluating ``edge_factor``
-  in Python,
-* the same results as sorted ``numpy`` index vectors (``*_array``) for the
-  vectorized paths.
+  in Python.
 
 When the CSR snapshots are unavailable (an orientation the engine never
 compiled, or a splice that could not be done) the footprint falls back to
@@ -144,11 +142,6 @@ def _rows_differ(
             seg_sorted = seg_k[order_o]
             mask[check_positions[seg_sorted[mismatch]]] = True
     return mask
-
-
-def _id_array(vertices: Set[int]) -> np.ndarray:
-    """Sorted int64 index vector of a vertex-id set."""
-    return np.fromiter(sorted(vertices), np.int64, count=len(vertices))
 
 
 class DeltaFootprint:
@@ -280,12 +273,6 @@ class DeltaFootprint:
             )
         return self._changed_sources
 
-    @property
-    def changed_source_array(self) -> np.ndarray:
-        """:attr:`changed_sources` as an int64 index vector."""
-        changed = self.changed_sources
-        return np.fromiter(changed, np.int64, count=len(changed))
-
     # ------------------------------------------------------------------
     # changed out-factors — DZiG's push-source scan
     # ------------------------------------------------------------------
@@ -334,11 +321,6 @@ class DeltaFootprint:
                         changed.add(vertex)
                 self._changed_factor_sources = changed
         return self._changed_factor_sources
-
-    @property
-    def changed_factor_source_array(self) -> np.ndarray:
-        """:attr:`changed_factor_sources` as a sorted int64 index vector."""
-        return _id_array(self.changed_factor_sources)
 
     # ------------------------------------------------------------------
     # structurally-dirty targets — the BSP engines' refinement roots
@@ -426,11 +408,6 @@ class DeltaFootprint:
                 self._dirty_targets = dirty
         return self._dirty_targets
 
-    @property
-    def dirty_target_array(self) -> np.ndarray:
-        """:attr:`dirty_targets` as a sorted int64 index vector."""
-        return _id_array(self.dirty_targets)
-
     # ------------------------------------------------------------------
     # weight-level link diff — the selective engines' invalidation input
     # ------------------------------------------------------------------
@@ -466,17 +443,6 @@ class DeltaFootprint:
                     )
             self._invalidation_edges = (self.added_edges, deleted)
         return self._invalidation_edges
-
-    # ------------------------------------------------------------------
-    @property
-    def added_vertex_array(self) -> np.ndarray:
-        """:attr:`added_vertices` as a sorted int64 index vector."""
-        return _id_array(self.added_vertices)
-
-    @property
-    def removed_vertex_array(self) -> np.ndarray:
-        """:attr:`removed_vertices` as a sorted int64 index vector."""
-        return _id_array(self.removed_vertices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

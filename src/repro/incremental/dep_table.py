@@ -17,7 +17,9 @@ pre-delta graph, which shares the table's index: the dependency *tree*
 (RisGraph/Ingress) follows the out-edges that are a target's parent link,
 the conservative dependency *DAG* (KickStarter) every out-edge whose offer
 equals its target's state.  The visited mask keeps the walk finite on the
-parent cycles zero-weight support loops can form.
+parent cycles zero-weight support loops can form.  The DAG walk is public
+(:func:`supported_dependents`): Layph's selective upload runs it on its
+skeleton's CSR, reading states from its working map instead of a table.
 
 The table is built by ``initialize`` (:meth:`DepTable.build`) and remapped
 with one gather when a delta changes the vertex-id space.  The dict walks it
@@ -211,27 +213,19 @@ class DepTable:
         """
         parent = self.parent_pos
         return _walk(
-            out_csr, roots, lambda sources, slots, ends: parent[ends] == sources
+            out_csr,
+            roots,
+            lambda frontier, counts, slots, ends: parent[ends]
+            == np.repeat(frontier, counts),
         )
 
     def taint_dag(self, out_csr: FactorCSR, roots: np.ndarray) -> np.ndarray:
         """Boolean mask of the value-supporting DAG reachable from ``roots``.
 
-        The same walk following every edge whose offer equals its target's
-        (non-identity) state (set-equal to the oracles' ``dependents_dag``).
-        ``combine`` is the contract's ``+`` for selective specs, so the
-        offers are the exact floats the dict walk computes.
+        :func:`supported_dependents` over the table's values (set-equal to
+        the oracles' ``dependents_dag``).
         """
-        values = self.values
-        factors = out_csr.factors
-
-        def supports(sources, slots, ends):
-            target_values = values[ends]
-            return (target_values != math.inf) & (
-                values[sources] + factors[slots] == target_values
-            )
-
-        return _walk(out_csr, roots, supports)
+        return supported_dependents(out_csr, roots, self.values.__getitem__)
 
     # ------------------------------------------------------------------
     # trim and seed
@@ -327,13 +321,41 @@ class DepTable:
             self.graph_version = graph_version
 
 
+def supported_dependents(
+    out_csr: FactorCSR,
+    roots: np.ndarray,
+    states_of: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Boolean mask of the selective dependency DAG reachable from ``roots``.
+
+    The walk follows every out-edge whose offer ``x_u + f_{u,v}`` equals its
+    target's non-identity state exactly: every state a selective
+    propagation writes is its root value or one in-edge's offer, so ``==``
+    finds every support and no slack is needed.  ``states_of(rows)``
+    returns the states of the given rows of ``out_csr`` (a table column
+    gather, or Layph's lookup into its working map); ``combine`` is the
+    contract's ``+`` for selective specs, so the offers are the exact
+    floats the propagation computed.
+    """
+    factors = out_csr.factors
+
+    def supports(frontier, counts, slots, ends):
+        target_states = states_of(ends)
+        offers = np.repeat(states_of(frontier), counts) + factors[slots]
+        return (target_states != math.inf) & (offers == target_states)
+
+    return _walk(out_csr, roots, supports)
+
+
 def _walk(
     out_csr: FactorCSR,
     roots: np.ndarray,
-    follows: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    follows: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """Boolean mask of the rows reachable from ``roots`` along the out-edges
-    ``follows(sources, slots, targets)`` accepts, one frontier per step."""
+    ``follows(frontier, counts, slots, targets)`` accepts (``counts``: each
+    frontier row's out-degree, so ``np.repeat(frontier, counts)`` is every
+    slot's source row), one frontier per step."""
     mask = np.zeros(out_csr.num_vertices, dtype=bool)
     frontier = np.unique(roots)
     while frontier.size:
@@ -343,9 +365,8 @@ def _walk(
         if not total:
             break
         slots = expand_edges(out_csr.offsets[frontier], counts, total)
-        sources = np.repeat(frontier, counts)
         ends = out_csr.targets[slots]
-        frontier = np.unique(ends[~mask[ends] & follows(sources, slots, ends)])
+        frontier = np.unique(ends[~mask[ends] & follows(frontier, counts, slots, ends)])
     return mask
 
 

@@ -20,7 +20,7 @@ computation on the upper layer, and revision-message assignment.
 
 from repro.layph.community import louvain_communities
 from repro.layph.dense import BoundaryClassification, classify_boundary, is_dense
-from repro.layph.layered_graph import DenseSubgraph, LayeredGraph, LayphConfig, build_layered_graph
+from repro.layph.layered_graph import DenseSubgraph, LayeredGraph, LayphConfig
 from repro.layph.engine import LayphEngine
 
 __all__ = [
@@ -31,6 +31,5 @@ __all__ = [
     "DenseSubgraph",
     "LayeredGraph",
     "LayphConfig",
-    "build_layered_graph",
     "LayphEngine",
 ]

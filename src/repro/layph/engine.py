@@ -7,10 +7,17 @@ Online processing of a batch update ΔG runs the paper's four phases:
    local rows and their compiled form, shortcuts); the upper layer's dirty
    rows are re-derived and spliced into its resident compiled form.
 2. **Revision messages upload** — revision messages are deduced from the
-   memoized states (selective algorithms: dependency invalidation on the
-   upper layer; accumulative algorithms: cancellation/compensation messages à
-   la Ingress), and the messages that originate inside affected subgraphs are
-   propagated locally until they reach the subgraph boundary.
+   memoized states, and the messages that originate inside affected
+   subgraphs are propagated locally until they reach the subgraph boundary.
+   Selective algorithms invalidate on the upper layer as Ingress's
+   KickStarter-style DAG policy does: the targets a worsened or removed
+   skeleton link (or a grown folded root value) supported exactly are the
+   roots of :func:`repro.incremental.dep_table.supported_dependents` on the
+   pre-delta skeleton CSR, and the tainted vertices are re-seeded from their
+   surviving in-links.  ``==`` is exact because the skeleton's states are
+   seeded from its own links at ``initialize``: every one is its root value,
+   its folded value or one upper in-link's offer.  Accumulative algorithms
+   send cancellation/compensation messages à la Ingress.
 3. **Iterative computation on the upper layer** — the global iteration runs
    on the small skeleton only.
 4. **Revision messages assignment** — boundary results are pushed down to the
@@ -26,18 +33,22 @@ recomputation on the updated graph (Theorems 1 and 2).
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
+
+import numpy as np
 
 from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.metrics import ExecutionMetrics, PhaseTimer
 from repro.engine.propagation import propagate
 from repro.engine.runner import BatchResult, run_batch
+from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
 from repro.graph.footprint import DeltaFootprint
 from repro.graph.graph import Graph
 from repro.incremental.base import IncrementalEngine, IncrementalResult
+from repro.incremental.dep_table import supported_dependents
 from repro.incremental.revision import accumulative_revision_messages
-from repro.layph.layered_graph import LayeredGraph, LayphConfig, UpperDiff
+from repro.layph.layered_graph import ChangedLink, LayeredGraph, LayphConfig
 from repro.layph.shortcuts import compute_shortcuts_from, local_uploads
 from repro.layph.vectorized import (
     assign_accumulative_batch,
@@ -90,7 +101,13 @@ class LayphEngine(IncrementalEngine):
             self.spec, graph, adjacency=self._propagation_adjacency(graph)
         )
         self._refresh_local_source_states()
-        self._initialise_proxy_states(result.states)
+        if self.spec.is_selective():
+            self._seed_skeleton(result.states)
+        else:
+            identity = self.spec.aggregate_identity()
+            self.proxy_states = {
+                proxy: identity for proxy in self.layered.proxy_vertices()
+            }
         return result
 
     def _require_layered(self) -> LayeredGraph:
@@ -130,43 +147,62 @@ class LayphEngine(IncrementalEngine):
         # The source reaches itself at the identity of combine (distance 0).
         self._local_source_states[source] = self.spec.combine_identity()
 
-    def _initialise_proxy_states(self, states: Dict[int, float]) -> None:
-        """Give every proxy a state consistent with its upper-layer in-links."""
-        layered = self._require_layered()
-        self.proxy_states = {}
-        proxies = layered.proxy_vertices()
-        if not proxies:
-            return
-        if not self.spec.is_selective():
-            for proxy in proxies:
-                self.proxy_states[proxy] = self.spec.aggregate_identity()
-            return
-        incoming = layered.upper_in_adjacency()
-        merged = dict(states)
-        for subgraph in layered.subgraphs:
-            for proxy in subgraph.proxies:
-                value = self._selective_pull(proxy, incoming, merged)
-                if self._local_source_states is not None and proxy in self._local_source_states:
-                    value = self.spec.aggregate(value, self._local_source_states[proxy])
-                self.proxy_states[proxy] = value
-                merged[proxy] = value
+    def _seed_skeleton(self, states: Dict[int, float]) -> None:
+        """Converge the skeleton from its own links (selective specs).
 
-    def _selective_pull(
-        self,
-        vertex: int,
-        incoming: Dict[int, List[Tuple[int, float]]],
-        states: Dict[int, float],
-    ) -> float:
-        """Best value offered to ``vertex`` by its upper-layer in-links."""
+        The upper vertices and the proxies restart from the identity, and one
+        ``propagate`` over the upper layer, seeded with the root messages and
+        the folded root message of Equation (7), converges them; the internal
+        vertices keep their values in ``states``.  A flat batch run groups
+        path sums differently from the shortcuts, so its skeleton states can
+        sit ulps off every in-link's offer; after this every skeleton state
+        is its root value, its folded value or exactly one upper in-link's
+        offer, which phase 2's exact support walk relies on.  Updates
+        ``states`` in place, replaces :attr:`proxy_states` and meters the
+        F-work into :attr:`offline_metrics`.
+        """
+        layered = self._require_layered()
+        identity = self.spec.aggregate_identity()
+        upper = layered.upper_vertices  # every proxy is a boundary vertex
+        for vertex in upper:
+            states[vertex] = identity
+        pending: Dict[int, float] = {}
+        self._root_messages(upper, pending)
+        # compile over the whole id space (the graph's vertices and proxies)
+        layered.upper_csr()
+        propagate(
+            self.spec,
+            layered.upper_adjacency,
+            states,
+            pending,
+            self.offline_metrics,
+            owned=upper,
+        )
+        self.proxy_states = {proxy: states.pop(proxy) for proxy in layered.proxy_vertices()}
+
+    def _root_messages(self, vertices: Iterable[int], pending: Dict[int, float]) -> None:
+        """Fold into ``pending`` the significant root messages of ``vertices``
+        and the folded root message of an internal source (Equation (7)):
+        its internal-only results at its subgraph's boundary."""
         spec = self.spec
         identity = spec.aggregate_identity()
-        best = spec.initial_message(vertex) if vertex >= 0 else identity
-        for source, factor in incoming.get(vertex, []):
-            source_state = states.get(source, identity)
-            if source_state == identity:
-                continue
-            best = spec.aggregate(best, spec.combine(source_state, factor))
-        return best
+        for vertex in vertices:
+            root = spec.initial_message(vertex)
+            if spec.is_significant(root):
+                pending[vertex] = spec.aggregate(pending.get(vertex, identity), root)
+        if self._local_source_states is None:
+            return
+        layered = self._require_layered()
+        source = self._source_vertex()
+        index = layered.subgraph_of.get(source) if source is not None else None
+        if index is None:
+            return
+        for boundary_vertex in layered.subgraphs[index].boundary:
+            folded = self._local_source_states.get(boundary_vertex)
+            if folded is not None and spec.is_significant(folded):
+                pending[boundary_vertex] = spec.aggregate(
+                    pending.get(boundary_vertex, identity), folded
+                )
 
     # ------------------------------------------------------------------
     # online phase
@@ -187,8 +223,11 @@ class LayphEngine(IncrementalEngine):
         # ------------------------------------------------------------------
         with phases.phase(PHASE_UPDATE):
             selective = spec.is_selective()
-            # Pre-delta out-edge CSR snapshot for the revision deduction (the
-            # cache is patched forward just below).
+            # Pre-delta snapshots, taken before the patches below move the
+            # caches forward: the skeleton's out-CSR for the selective
+            # invalidation walk (the splice builds a new object, so holding
+            # this one copies nothing), the graph's for the revision deduction.
+            old_upper_csr = layered.upper_csr() if selective else None
             old_out_csr = None if selective else self.csr_cache.out_csr(spec, old_graph)
             new_graph = self._update_graph(delta)
             layered.graph = new_graph
@@ -207,7 +246,7 @@ class LayphEngine(IncrementalEngine):
             added_upper = (post_boundaries - pre_boundaries) | added_vertices
             # vertices the patch below brings onto the skeleton
             joined_upper = {v for v in added_upper if v not in layered.upper_vertices}
-            link_diff = layered.patch_upper(
+            changed_links = layered.patch_upper(
                 pre_sources
                 | post_sources
                 | footprint.touched_sources
@@ -215,7 +254,6 @@ class LayphEngine(IncrementalEngine):
                 | removed_vertices,
                 removed_upper=(pre_boundaries - post_boundaries) | removed_vertices,
                 added_upper=added_upper,
-                want_diff=selective,
             )
 
             for vertex in added_vertices:
@@ -227,7 +265,7 @@ class LayphEngine(IncrementalEngine):
                 if self._local_source_states is not None
                 else None
             )
-            if spec.is_selective() and source is not None:
+            if selective and source is not None:
                 source_index = layered.subgraph_of.get(source)
                 if source_index is None or source_index in affected:
                     # The source's subgraph was rebuilt, or the source moved
@@ -237,14 +275,13 @@ class LayphEngine(IncrementalEngine):
 
         # ------------------------------------------------------------------
         lup_pending: Dict[int, float] = {}
-        snapshot_baseline = (
-            0.0 if not spec.is_selective() else identity
-        )
+        snapshot_baseline = identity if selective else 0.0
 
         with phases.phase(PHASE_UPLOAD):
-            if spec.is_selective():
+            if selective:
                 self._selective_upload(
-                    link_diff,
+                    old_upper_csr,
+                    changed_links,
                     joined_upper,
                     work,
                     lup_pending,
@@ -313,19 +350,6 @@ class LayphEngine(IncrementalEngine):
     # ------------------------------------------------------------------
     # phase 2 helpers
     # ------------------------------------------------------------------
-    def _supports(self, offered: float, target_state: float) -> bool:
-        """Whether an offered value supports a target's state.
-
-        Shortcut weights are sums (or products) grouped differently from the
-        flat batch propagation, so the comparison must allow for a relative
-        floating-point slack; being slightly generous here only ever taints
-        more vertices, which is safe.
-        """
-        if offered == target_state:
-            return True
-        scale = max(1.0, abs(target_state))
-        return abs(offered - target_state) <= 1e-9 * scale
-
     def _accumulative_upload(
         self,
         old_graph: Graph,
@@ -400,7 +424,8 @@ class LayphEngine(IncrementalEngine):
 
     def _selective_upload(
         self,
-        link_diff: UpperDiff,
+        old_upper_csr: FactorCSR,
+        changed_links: List[ChangedLink],
         joined_upper: Set[int],
         work: Dict[int, float],
         lup_pending: Dict[int, float],
@@ -410,13 +435,14 @@ class LayphEngine(IncrementalEngine):
         """Invalidate, trim and seed the upper layer for selective algorithms.
 
         Upper-layer links whose factor grew or disappeared may have supported
-        their target; the dependents of such targets (following supporting
-        links of the *old* upper layer) are reset to the identity and
-        re-seeded from their surviving in-links.  Links that are new or whose
-        factor shrank contribute compensation messages.  ``link_diff`` is the
-        delta's upper-row diff (:class:`repro.layph.layered_graph.UpperDiff`)
-        — an unchanged ``(source, target)`` link can never be a root or a
-        compensation, so iterating only the changed pairs is enough.
+        their target; the dependents of such targets along the supporting
+        links of the *pre-delta* skeleton (``old_upper_csr``,
+        :func:`repro.incremental.dep_table.supported_dependents`) are reset
+        to the identity and re-seeded from their surviving in-links.  Links
+        that are new or whose factor shrank contribute compensation messages.
+        ``changed_links`` is :meth:`LayeredGraph.patch_upper`'s changed-link
+        list — an unchanged ``(source, target)`` link can never be a root or
+        a compensation, so iterating only the changed pairs is enough.
 
         ``work`` must still hold the pre-delta states of the vertices and
         proxies this delta removed: all their out-links are removed links,
@@ -427,7 +453,6 @@ class LayphEngine(IncrementalEngine):
         spec = self.spec
         layered = self._require_layered()
         identity = spec.aggregate_identity()
-        changed_links = list(link_diff.changed_links())
 
         # Invalidation roots from worsened/removed upper links.
         roots: Set[int] = set()
@@ -436,11 +461,10 @@ class LayphEngine(IncrementalEngine):
                 continue
             if new_factor is not None and new_factor <= old_factor:
                 continue
-            source_state = work.get(source, identity)
             target_state = work.get(target, identity)
-            if source_state == identity or target_state == identity:
-                continue
-            if self._supports(spec.combine(source_state, old_factor), target_state):
+            if target_state != identity and (
+                spec.combine(work.get(source, identity), old_factor) == target_state
+            ):
                 roots.add(target)
 
         # Invalidation roots from the folded root message of an internal
@@ -453,15 +477,26 @@ class LayphEngine(IncrementalEngine):
             new_value = new_folded.get(vertex)
             if new_value is not None and new_value <= old_value:
                 continue
-            target_state = work.get(vertex, identity)
-            if target_state == identity:
-                continue
-            if self._supports(old_value, target_state):
+            if old_value != identity and work.get(vertex, identity) == old_value:
                 roots.add(vertex)
 
-        current_upper = layered.upper_vertices
-        tainted = self._upper_dependents(link_diff, work, roots)
-        tainted &= current_upper
+        ids = old_upper_csr.vertex_ids
+        index = old_upper_csr.index
+
+        def states_of(rows: np.ndarray) -> np.ndarray:
+            return np.fromiter(
+                (work.get(ids[row], identity) for row in rows.tolist()),
+                np.float64,
+                count=rows.size,
+            )
+
+        mask = supported_dependents(
+            old_upper_csr,
+            np.fromiter((index[v] for v in roots if v in index), np.int64),
+            states_of,
+        )
+        tainted = {ids[row] for row in np.flatnonzero(mask).tolist()}
+        tainted &= layered.upper_vertices
         # Upper-layer vertices with no trustworthy upper-layer history are
         # treated as invalid too: fresh proxies and brand-new graph vertices
         # (no state at all), and vertices that were internal before this
@@ -495,22 +530,7 @@ class LayphEngine(IncrementalEngine):
 
         # Root messages: brand-new vertices that carry one (a new source), and
         # the folded root message of an internal source (Equation (7)).
-        for vertex in added_vertices:
-            root = spec.initial_message(vertex)
-            if spec.is_significant(root):
-                lup_pending[vertex] = spec.aggregate(
-                    lup_pending.get(vertex, identity), root
-                )
-        if self._local_source_states is not None:
-            source = self._source_vertex()
-            index = layered.subgraph_of.get(source) if source is not None else None
-            if index is not None:
-                for boundary_vertex in layered.subgraphs[index].boundary:
-                    folded = self._local_source_states.get(boundary_vertex)
-                    if folded is not None and spec.is_significant(folded):
-                        lup_pending[boundary_vertex] = spec.aggregate(
-                            lup_pending.get(boundary_vertex, identity), folded
-                        )
+        self._root_messages(added_vertices, lup_pending)
 
     def _seed_tainted_upper(
         self,
@@ -524,40 +544,6 @@ class LayphEngine(IncrementalEngine):
         seed_tainted_upper(
             self.spec, self._require_layered(), tainted, work, lup_pending, metrics
         )
-
-    def _upper_dependents(
-        self,
-        link_diff: UpperDiff,
-        work: Dict[int, float],
-        roots: Set[int],
-    ) -> Set[int]:
-        """Dependents of ``roots`` along supporting links of the old Lup.
-
-        The old out-links are pulled per visited vertex from ``link_diff``
-        (captured rows for the dirty sources, the untouched adjacency rows
-        for everything else), so the walk costs O(region), not O(Lup).
-        """
-        spec = self.spec
-        identity = spec.aggregate_identity()
-        tainted: Set[int] = set()
-        stack = list(roots)
-        while stack:
-            vertex = stack.pop()
-            if vertex in tainted:
-                continue
-            tainted.add(vertex)
-            source_state = work.get(vertex, identity)
-            if source_state == identity:
-                continue
-            for target, factor in link_diff.old_links_of(vertex).items():
-                if target in tainted:
-                    continue
-                target_state = work.get(target, identity)
-                if target_state == identity:
-                    continue
-                if self._supports(spec.combine(source_state, factor), target_state):
-                    stack.append(target)
-        return tainted
 
     # ------------------------------------------------------------------
     # phase 4
@@ -643,18 +629,10 @@ class LayphEngine(IncrementalEngine):
         meta = {
             "layered": layered.to_state(),
             "offline_seconds": self.offline_seconds,
-            "offline_metrics": {
-                "edge_activations": self.offline_metrics.edge_activations,
-                "vertex_updates": self.offline_metrics.vertex_updates,
-                "iterations": self.offline_metrics.iterations,
-                "activations_per_round": list(
-                    self.offline_metrics.activations_per_round
-                ),
-                "active_vertices_per_round": list(
-                    self.offline_metrics.active_vertices_per_round
-                ),
-            },
+            "offline_metrics": self.offline_metrics.to_state(),
             "has_local_source_states": self._local_source_states is not None,
+            # the skeleton was seeded from its own links (``_seed_skeleton``)
+            "exact_skeleton": True,
         }
         arrays = dict(pack("proxy_states", encode_float_map(self.proxy_states)))
         if self._local_source_states is not None:
@@ -671,18 +649,7 @@ class LayphEngine(IncrementalEngine):
             self.spec, graph, self.config, meta["layered"]
         )
         self.offline_seconds = float(meta["offline_seconds"])
-        offline = meta["offline_metrics"]
-        self.offline_metrics = ExecutionMetrics(
-            edge_activations=int(offline["edge_activations"]),
-            vertex_updates=int(offline["vertex_updates"]),
-            iterations=int(offline["iterations"]),
-            activations_per_round=[
-                int(count) for count in offline["activations_per_round"]
-            ],
-            active_vertices_per_round=[
-                int(count) for count in offline["active_vertices_per_round"]
-            ],
-        )
+        self.offline_metrics = ExecutionMetrics.from_state(meta["offline_metrics"])
         self.proxy_states = decode_float_map(unpack("proxy_states", arrays))
         if meta.get("has_local_source_states"):
             self._local_source_states = decode_float_map(
@@ -693,3 +660,8 @@ class LayphEngine(IncrementalEngine):
         # ``_old_local_source_states`` is rewritten at the start of every
         # ``_apply_delta`` before it is read, so a fresh ``None`` is exact.
         self._old_local_source_states = None
+        if self.spec.is_selective() and not meta.get("exact_skeleton"):
+            # Written before the skeleton was seeded from its own links: its
+            # states may hold batch values an ulp off every in-link's offer,
+            # which the exact support walk would not follow.
+            self._seed_skeleton(self.states)

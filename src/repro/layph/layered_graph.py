@@ -164,67 +164,9 @@ def _dedup_min_links(row: Iterable[Tuple[int, float]]) -> Dict[int, float]:
     return links
 
 
-class UpperDiff:
-    """Row-level upper-layer link diff of one delta (selective upload input).
-
-    Produced by :meth:`LayeredGraph.patch_upper`: the dirty sources' old rows
-    captured before the patch, their freshly derived new rows, and the
-    patched adjacency for everything else (rows outside the dirty set are
-    untouched, so their pre- and post-delta links coincide).  Exposes exactly
-    what the selective invalidation needs — the changed ``(source, target)``
-    factor pairs, and the *old* deduplicated out-links of any vertex for the
-    dependents walk — in O(dirty rows).
-    """
-
-    __slots__ = ("adjacency", "dirty", "old_rows", "new_rows", "_old_dedup")
-
-    def __init__(
-        self,
-        adjacency: FactorAdjacency,
-        dirty: Set[int],
-        old_rows: Dict[int, List[Tuple[int, float]]],
-        new_rows: Dict[int, List[Tuple[int, float]]],
-    ) -> None:
-        self.adjacency = adjacency
-        self.dirty = dirty
-        self.old_rows = old_rows
-        self.new_rows = new_rows
-        #: memo of the dirty rows' deduplicated old links — the diff is
-        #: per-delta and immutable, and both ``changed_links`` and the
-        #: dependents walk ask for the same rows
-        self._old_dedup: Dict[int, Dict[int, float]] = {}
-
-    def _old_dedup_of(self, source: int) -> Dict[int, float]:
-        links = self._old_dedup.get(source)
-        if links is None:
-            links = _dedup_min_links(self.old_rows.get(source, ()))
-            self._old_dedup[source] = links
-        return links
-
-    def old_links_of(self, source: int) -> Dict[int, float]:
-        """The pre-delta deduplicated out-links of ``source`` on Lup."""
-        if source in self.dirty:
-            return self._old_dedup_of(source)
-        return _dedup_min_links(self.adjacency(source))
-
-    def changed_links(
-        self,
-    ) -> Iterable[Tuple[int, int, Optional[float], Optional[float]]]:
-        """Every ``(source, target, old_factor, new_factor)`` that differs.
-
-        A pair absent on one side carries ``None`` there; only dirty rows can
-        differ, so the iteration is O(dirty rows).
-        """
-        for source in sorted(self.dirty):
-            old = self._old_dedup_of(source)
-            new = _dedup_min_links(self.new_rows.get(source, ()))
-            if old == new:
-                continue
-            for target in sorted(old.keys() | new.keys()):
-                old_factor = old.get(target)
-                new_factor = new.get(target)
-                if old_factor != new_factor:
-                    yield source, target, old_factor, new_factor
+#: one changed skeleton link: ``(source, target, old_factor, new_factor)``,
+#: ``None`` on the side where the link is absent
+ChangedLink = Tuple[int, int, Optional[float], Optional[float]]
 
 
 class LayeredGraph:
@@ -703,8 +645,7 @@ class LayeredGraph:
         dirty_sources: Set[int],
         removed_upper: Set[int],
         added_upper: Set[int],
-        want_diff: bool = False,
-    ) -> Optional["UpperDiff"]:
+    ) -> List[ChangedLink]:
         """Maintain the upper layer in place from a delta's row footprint.
 
         ``dirty_sources`` must cover every vertex whose upper row can differ
@@ -738,10 +679,11 @@ class LayeredGraph:
         leave its id space, so the next upper-layer ``propagate`` runs on a
         snapshot bit-identical to a fresh compile without compiling one.
 
-        With ``want_diff`` the old rows of the dirty sources are captured
-        before the patch and returned as an :class:`UpperDiff` — the
-        O(dirty-rows) link diff the selective upload consumes instead of
-        flattening the whole upper layer twice per delta.
+        For a selective spec, returns every ``(source, target, old_factor,
+        new_factor)`` whose better-of-parallels factor the patch changed
+        (``None`` where the link is absent), sources then targets ascending
+        — the skeleton's changed-link list, read off the dirty rows only.
+        For an accumulative spec the list is empty: nothing reads it.
         """
         spec = self.spec
         graph = self.graph
@@ -785,16 +727,20 @@ class LayeredGraph:
                     row.extend(buckets[index])
 
         adjacency = self.upper_adjacency
-        diff: Optional[UpperDiff] = None
-        if want_diff:
-            # ``replace_rows`` installs new list objects, so holding the old
-            # per-row references is a zero-copy snapshot of the old rows.
-            diff = UpperDiff(
-                adjacency,
-                set(rows),
-                {vertex: adjacency(vertex) for vertex in rows},
-                rows,
-            )
+        changed_links: List[ChangedLink] = []
+        # only the selective upload reads the link diff (accumulative
+        # revision messages come from the graph)
+        for vertex in sorted(rows) if spec.is_selective() else ():
+            old_row = adjacency(vertex)
+            if old_row == rows[vertex]:
+                continue
+            old = _dedup_min_links(old_row)
+            new = _dedup_min_links(rows[vertex])
+            for target in sorted(old.keys() | new.keys()):
+                old_factor = old.get(target)
+                new_factor = new.get(target)
+                if old_factor != new_factor:
+                    changed_links.append((vertex, target, old_factor, new_factor))
         resident = resident_master_csr(adjacency)
         changed = adjacency.replace_rows(rows)
         if changed:
@@ -822,7 +768,7 @@ class LayeredGraph:
                     joining,
                     leaving,
                 )
-        return diff
+        return changed_links
 
     def upper_csr(self) -> FactorCSR:
         """Compiled out-CSR of the upper layer over the graph's vertices and
@@ -840,22 +786,6 @@ class LayeredGraph:
             universe.update(self._proxy_owner)
             csr = master_factor_csr(adjacency, universe)
         return csr
-
-    def upper_in_adjacency(self) -> Dict[int, List[Tuple[int, float]]]:
-        """Reverse view of the upper layer: target -> [(source, factor)].
-
-        An O(Lup) walk, built per call: the offline proxy initialisation and
-        the reference trim/seed loop use it.  The array trim/seed reads the
-        in-links of the few vertices it needs with a target mask over
-        :meth:`upper_csr` instead
-        (:func:`repro.layph.vectorized.seed_tainted_upper`).
-        """
-        adjacency = self.upper_adjacency
-        incoming: Dict[int, List[Tuple[int, float]]] = {}
-        for source in adjacency.vertices_with_out_edges():
-            for target, factor in adjacency(source):
-                incoming.setdefault(target, []).append((source, factor))
-        return incoming
 
     # ------------------------------------------------------------------
     # bookkeeping for deltas
@@ -943,17 +873,7 @@ class LayeredGraph:
                 [sub, host, side, proxy]
                 for (sub, host, side), proxy in self._proxy_registry.items()
             ],
-            "construction_metrics": {
-                "edge_activations": self.construction_metrics.edge_activations,
-                "vertex_updates": self.construction_metrics.vertex_updates,
-                "iterations": self.construction_metrics.iterations,
-                "activations_per_round": list(
-                    self.construction_metrics.activations_per_round
-                ),
-                "active_vertices_per_round": list(
-                    self.construction_metrics.active_vertices_per_round
-                ),
-            },
+            "construction_metrics": self.construction_metrics.to_state(),
             "rewired_counts": [
                 [source, target, count]
                 for (source, target), count in self._rewired_counts.items()
@@ -1034,17 +954,8 @@ class LayeredGraph:
             (int(sub), int(host), str(side)): int(proxy)
             for sub, host, side, proxy in payload["proxy_registry"]
         }
-        metrics_state = payload["construction_metrics"]
-        layered.construction_metrics = ExecutionMetrics(
-            edge_activations=int(metrics_state["edge_activations"]),
-            vertex_updates=int(metrics_state["vertex_updates"]),
-            iterations=int(metrics_state["iterations"]),
-            activations_per_round=[
-                int(count) for count in metrics_state["activations_per_round"]
-            ],
-            active_vertices_per_round=[
-                int(count) for count in metrics_state["active_vertices_per_round"]
-            ],
+        layered.construction_metrics = ExecutionMetrics.from_state(
+            payload["construction_metrics"]
         )
         layered._rewired_counts = {
             (int(source), int(target)): int(count)
@@ -1089,9 +1000,3 @@ class LayeredGraph:
             f"shortcuts={self.shortcut_count()})"
         )
 
-
-def build_layered_graph(
-    spec: AlgorithmSpec, graph: Graph, config: Optional[LayphConfig] = None
-) -> LayeredGraph:
-    """Convenience wrapper around :meth:`LayeredGraph.build`."""
-    return LayeredGraph.build(spec, graph, config)

@@ -118,29 +118,11 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def _metrics_state(metrics: Optional[ExecutionMetrics]) -> Optional[dict]:
-    if metrics is None:
-        return None
-    return {
-        "edge_activations": metrics.edge_activations,
-        "vertex_updates": metrics.vertex_updates,
-        "iterations": metrics.iterations,
-        "activations_per_round": list(metrics.activations_per_round),
-        "active_vertices_per_round": list(metrics.active_vertices_per_round),
-    }
+    return None if metrics is None else metrics.to_state()
 
 
 def _metrics_from_state(state: Optional[dict]) -> Optional[ExecutionMetrics]:
-    if state is None:
-        return None
-    return ExecutionMetrics(
-        edge_activations=int(state["edge_activations"]),
-        vertex_updates=int(state["vertex_updates"]),
-        iterations=int(state["iterations"]),
-        activations_per_round=[int(count) for count in state["activations_per_round"]],
-        active_vertices_per_round=[
-            int(count) for count in state["active_vertices_per_round"]
-        ],
-    )
+    return None if state is None else ExecutionMetrics.from_state(state)
 
 
 def _engine_identity(engine) -> dict:

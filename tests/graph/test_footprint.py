@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -219,32 +218,6 @@ class TestFootprintConformance:
                 assert footprint.changed_sources == expected_changed
                 assert footprint.dirty_targets == expected_dirty
                 assert footprint.changed_factor_sources == expected_factor_sources
-            current = updated
-
-    @SETTINGS
-    @given(graph_and_delta_sequence(max_deltas=2), st.sampled_from(ALGORITHMS))
-    def test_array_views_match_sets(self, data, algorithm):
-        graph, deltas = data
-        spec = make_algorithm(algorithm, source=0)
-        current = graph
-        for delta in deltas:
-            updated = delta.apply(current)
-            for footprint in _footprints(spec, current, updated, delta):
-                for array, values in (
-                    (footprint.changed_source_array, footprint.changed_sources),
-                    (
-                        footprint.changed_factor_source_array,
-                        sorted(footprint.changed_factor_sources),
-                    ),
-                    (footprint.dirty_target_array, sorted(footprint.dirty_targets)),
-                    (footprint.added_vertex_array, sorted(footprint.added_vertices)),
-                    (
-                        footprint.removed_vertex_array,
-                        sorted(footprint.removed_vertices),
-                    ),
-                ):
-                    assert array.dtype == np.int64
-                    assert array.tolist() == list(values)
             current = updated
 
 

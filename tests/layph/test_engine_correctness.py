@@ -10,9 +10,11 @@ from repro.graph.generators import community_graph
 from repro.graph.graph import Graph
 from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayphConfig
+from repro.storage.store import restore_engine
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
 from oracles import ROUTES, engine_on_route  # noqa: E402  (tests/)
+from oracles.layph import assert_exact_skeleton  # noqa: E402  (tests/)
 
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
 
@@ -160,12 +162,15 @@ class TestVertexDeletionInvalidates:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_vertex_churn_matches_batch_after_every_delta(
-        self, algorithm, route, seed, graph
+        self, algorithm, route, seed, graph, tmp_path
     ):
+        """Also pins the skeleton to exact states (:func:`assert_exact_skeleton`)
+        after ``initialize``, after every delta and after a warm restore."""
         spec = make_algorithm(algorithm, source=0)
         engine = engine_on_route("layph", spec, route, LayphConfig(seed=4))
         engine.initialize(graph)
         assert engine.layered.subgraphs
+        assert_exact_skeleton(engine)
         current = graph
         for step in range(8):
             delta = random_vertex_delta(
@@ -177,6 +182,11 @@ class TestVertexDeletionInvalidates:
             assert spec.states_match(result.states, reference, tolerance=1e-9), (
                 f"delta {step} of churn sequence {seed}"
             )
+            assert_exact_skeleton(engine)
+        engine.save(str(tmp_path / "store"))
+        restored, report = restore_engine(str(tmp_path / "store"))
+        assert report.warm, report.reason
+        assert_exact_skeleton(restored)
 
 
 class TestLayphInternals:

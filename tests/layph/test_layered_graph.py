@@ -12,7 +12,7 @@ from repro.layph.dense import classify_boundary, is_dense, select_dense_subgraph
 from repro.layph.layered_graph import LayeredGraph, LayphConfig
 from repro.layph.shortcuts import compute_shortcuts_from
 
-from oracles.layph import compute_all_shortcuts  # noqa: E402  (tests/layph)
+from oracles.layph import compute_all_shortcuts, upper_in_adjacency  # noqa: E402  (tests/layph)
 from oracles import ROUTES, engine_on_route  # noqa: E402  (tests/)
 
 
@@ -275,7 +275,7 @@ class TestResidentUpperCSR:
 
     def test_reverse_view_matches_forward_links(self, community_graph_small):
         layered = self._layered(community_graph_small)
-        incoming = layered.upper_in_adjacency()
+        incoming = upper_in_adjacency(layered)
         forward = set()
         for source in layered.upper_adjacency.vertices_with_out_edges():
             for target, factor in layered.upper_adjacency(source):

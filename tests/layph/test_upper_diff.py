@@ -9,8 +9,8 @@ result, and the spliced CSR to a fresh compile, after every delta of edge
 and vertex-churn sequences, and assert through the ``upper_patches``/
 ``upper_reuses``/``upper_rebuilds`` counters and a compile spy that the
 patch path actually engaged (no silent full rebuilds or recompiles).  The
-row-level :class:`repro.layph.layered_graph.UpperDiff` it hands the
-selective upload is pinned to a diff of two whole-layer flattens.
+changed-link list the patch hands the selective upload is pinned to a diff
+of two whole-layer flattens.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.workloads.datasets import DATASETS
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
 from oracles import ROUTES, engine_on_route  # noqa: E402  (tests/)
+from oracles.layph import upper_in_adjacency  # noqa: E402  (tests/)
 
 NUM_DELTAS = 20
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
@@ -150,23 +151,24 @@ def test_spliced_upper_csr_is_bit_identical_to_a_fresh_compile(algorithm, monkey
 
     Ids, offsets, targets and factor bits; the id space is exactly the live
     vertices plus the live proxies (removed vertices and dropped proxies
-    leave it — no id leak); and the whole layer is compiled exactly once.
+    leave it — no id leak); and the whole layer is compiled exactly once
+    (by ``initialize`` for a selective spec, which seeds the skeleton on
+    it, on first use otherwise).
     """
     graph = DATASETS["sk"].build()
     engine = LayphEngine(make_algorithm(algorithm, source=0))
-    engine.initialize(graph)
-    layered = engine.layered
-    assert layered.proxy_vertices()
-
     whole_compiles = []
     original = FactorCSR.from_factor_adjacency.__func__
 
     def spy(cls, adjacency, universe=(), silenced=None):
-        if adjacency is layered.upper_adjacency:
+        if engine.layered is not None and adjacency is engine.layered.upper_adjacency:
             whole_compiles.append(1)
         return original(cls, adjacency, universe=universe, silenced=silenced)
 
     monkeypatch.setattr(FactorCSR, "from_factor_adjacency", classmethod(spy))
+    engine.initialize(graph)
+    layered = engine.layered
+    assert layered.proxy_vertices()
     layered.upper_csr()
     assert len(whole_compiles) == 1
 
@@ -214,7 +216,7 @@ def test_masked_in_link_gather_matches_reverse_scan(algorithm):
     layered = engine.layered
     identity = spec.aggregate_identity()
     upper = sorted(layered.upper_vertices)
-    incoming = layered.upper_in_adjacency()
+    incoming = upper_in_adjacency(layered)
 
     for stride in (1, 7, 40):
         tainted = set(upper[::stride])
@@ -255,19 +257,17 @@ def _flatten_links(adjacency):
 
 
 def test_upper_diff_matches_whole_layer_flattens(monkeypatch):
-    """The row-level ``UpperDiff`` == the diff of the old and new flattens.
-
-    Its changed links are exactly the keys whose factor differs between two
-    whole-layer flattens, and ``old_links_of`` serves the old flatten's row
-    of any vertex, for edge and vertex deltas alike.
-    """
-    diffs = []
+    """``patch_upper``'s changed-link list == the diff of the old and new
+    flattens: exactly the keys whose factor differs between two whole-layer
+    flattens, in ``(source, target)`` order, for edge and vertex deltas
+    alike."""
+    returned = []
     patch_upper = LayeredGraph.patch_upper
 
     def recording_patch(self, *args, **kwargs):
-        diff = patch_upper(self, *args, **kwargs)
-        diffs.append(diff)
-        return diff
+        changed = patch_upper(self, *args, **kwargs)
+        returned.append(changed)
+        return changed
 
     monkeypatch.setattr(LayeredGraph, "patch_upper", recording_patch)
     graph = DATASETS["uk"].build()
@@ -284,12 +284,6 @@ def test_upper_diff_matches_whole_layer_flattens(monkeypatch):
             for source, target in sorted(old_links.keys() | new_links.keys())
             if old_links.get((source, target)) != new_links.get((source, target))
         ]
-        diff = diffs[-1]
-        assert list(diff.changed_links()) == expected
+        assert returned[-1] == expected
         changed_total += len(expected)
-        old_rows = {}
-        for (source, target), factor in old_links.items():
-            old_rows.setdefault(source, {})[target] = factor
-        for source, row in old_rows.items():
-            assert diff.old_links_of(source) == row
     assert changed_total > 0

@@ -8,7 +8,7 @@ definitions every kernel reproduces bit for bit — lives here:
   the dict revision-message deduction;
 * :mod:`oracles.dependency` — the selective engines' dependency walks;
 * :mod:`oracles.layph` — from-scratch rebuilds of Layph's resident lower
-  layer.
+  layer, and the skeleton's reverse view.
 
 :func:`oracle_engine` builds a library engine whose kernel seams are bound
 to those loops, and whose memo and dependency stores are the reference's
@@ -35,6 +35,7 @@ from repro.layph.engine import LayphEngine
 from repro.layph.shortcuts import ShortcutBatch
 
 from oracles import dependency, loops
+from oracles.layph import upper_in_adjacency
 
 #: ``(owner, name, reference)``: the module-level kernel seams
 _SEAMS = (
@@ -333,7 +334,7 @@ class _OracleLayph:
     def _seed_tainted_upper(self, tainted, work, lup_pending, metrics):
         spec = self.spec
         identity = spec.aggregate_identity()
-        incoming = self._require_layered().upper_in_adjacency()
+        incoming = upper_in_adjacency(self._require_layered())
         for vertex in sorted(tainted):
             best = spec.initial_message(vertex) if vertex >= 0 else identity
             for source, factor in incoming.get(vertex, []):

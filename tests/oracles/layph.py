@@ -9,7 +9,9 @@ from scratch, and the changed sources found by comparing every row.
 
 And two compositions of :mod:`repro.layph.shortcuts` for one subgraph:
 one boundary vertex's incremental shortcut update, and every boundary
-vertex's from-scratch vector.
+vertex's from-scratch vector.  Last, the upper layer's reverse view
+(:func:`upper_in_adjacency`), the reference for reading a skeleton vertex's
+in-links.
 """
 
 from __future__ import annotations
@@ -196,3 +198,56 @@ def compute_all_shortcuts(
     sources = sorted(boundary)
     vectors = compute_shortcut_vectors(spec, local_adjacency, sources, boundary, metrics)
     return dict(zip(sources, vectors))
+
+
+def upper_in_adjacency(layered) -> Dict[int, List[Tuple[int, float]]]:
+    """Reverse view of the upper layer: target -> [(source, factor)].
+
+    An O(Lup) walk, built per call: the reference trim/seed loop and the
+    invariant checks read the skeleton's in-links off it; the array
+    trim/seed reads them with a target mask over ``layered.upper_csr()``
+    instead (:func:`repro.layph.vectorized.seed_tainted_upper`).
+    """
+    adjacency = layered.upper_adjacency
+    incoming: Dict[int, List[Tuple[int, float]]] = {}
+    for source in adjacency.vertices_with_out_edges():
+        for target, factor in adjacency(source):
+            incoming.setdefault(target, []).append((source, factor))
+    return incoming
+
+
+def assert_exact_skeleton(engine) -> None:
+    """Every non-identity skeleton and proxy state of a selective Layph
+    engine is, compared with ``==``, its root message, its folded root
+    value (Equation (7)) or ``combine(state, factor)`` of one of its
+    current upper in-links — the invariant the exact support walk of
+    phase 2 relies on."""
+    spec = engine.spec
+    layered = engine.layered
+    identity = spec.aggregate_identity()
+    states = dict(engine.states)
+    states.update(engine.proxy_states)
+    folded = {}
+    if engine._local_source_states is not None:
+        index = layered.subgraph_of[spec.source]
+        folded = {
+            vertex: engine._local_source_states[vertex]
+            for vertex in layered.subgraphs[index].boundary
+            if vertex in engine._local_source_states
+        }
+    incoming = upper_in_adjacency(layered)
+    unexplained = []
+    for vertex in sorted(layered.upper_vertices | layered.proxy_vertices()):
+        state = states[vertex]
+        if state == identity:
+            continue
+        offers = [spec.initial_message(vertex) if vertex >= 0 else identity]
+        if vertex in folded:
+            offers.append(folded[vertex])
+        offers.extend(
+            spec.combine(states.get(source, identity), factor)
+            for source, factor in incoming.get(vertex, ())
+        )
+        if not any(offer == state for offer in offers):
+            unexplained.append(vertex)
+    assert not unexplained, f"{len(unexplained)} skeleton states match no offer"

@@ -7,7 +7,8 @@ The entry selects nothing any more: a restore must ignore it, come back
 warm, and continue bitwise like the live engine.  A selective engine saved
 by the retired dict dependency store restores the same way, and so does a
 Layph store whose shortcut tables were written in a dict's insertion order
-rather than ascending.
+rather than ascending.  A selective Layph store written before the skeleton
+was seeded from its own links restores warm with its skeleton re-seeded.
 """
 
 from __future__ import annotations
@@ -19,11 +20,15 @@ import shutil
 import pytest
 
 from repro.engine.algorithms import make_algorithm
+from repro.engine.runner import run_batch
 from repro.graph.generators import community_graph
 from repro.incremental import make_engine
+from repro.layph.engine import LayphEngine
 from repro.storage import store as store_module
 from repro.storage.store import restore_engine
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
+
+from oracles.layph import assert_exact_skeleton  # noqa: E402  (tests/)
 
 
 def _graph():
@@ -207,3 +212,49 @@ def test_new_snapshots_write_the_table_only(tmp_path):
     [sidecar] = glob.glob(str(tmp_path / "store" / "snapshot-*.json"))
     extras = json.loads(open(sidecar, "rb").read())["meta"]["extras"]
     assert extras["store"] == "table" and "dict_deltas" not in extras
+
+
+def test_selective_layph_store_without_exact_skeleton_marker_reseeds(tmp_path, monkeypatch):
+    """A selective Layph snapshot written before the skeleton was seeded
+    from its own links holds the flat batch run's skeleton states, some an
+    ulp off every in-link's offer, and no ``exact_skeleton`` marker.  It
+    restores warm with its skeleton re-seeded: exact again, within 1e-9 of
+    ``run_batch``, and so are the next deltas.  A marked snapshot restores
+    bitwise."""
+    spec = make_algorithm("sssp", source=0)
+    live = make_engine("layph", spec)
+    live.initialize(_graph())
+    live.save(str(tmp_path / "marked"))
+    marked, report = restore_engine(str(tmp_path / "marked"))
+    assert report.warm, report.reason
+    assert _bits(marked.states) == _bits(live.states)
+    assert _bits(marked.proxy_states) == _bits(live.proxy_states)
+
+    # what an older initialize left: the flat batch values everywhere
+    live.states = dict(run_batch(spec, live.graph).states)
+    with pytest.raises(AssertionError, match="match no offer"):
+        assert_exact_skeleton(live)
+    snapshot_extras = LayphEngine._snapshot_extras
+
+    def unmarked(engine):
+        meta, arrays = snapshot_extras(engine)
+        del meta["exact_skeleton"]
+        return meta, arrays
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LayphEngine, "_snapshot_extras", unmarked)
+        live.save(str(tmp_path / "old"))
+    [sidecar] = glob.glob(str(tmp_path / "old" / "snapshot-*.json"))
+    assert "exact_skeleton" not in json.loads(open(sidecar, "rb").read())["meta"]["extras"]
+
+    restored, report = restore_engine(str(tmp_path / "old"))
+    assert report.warm, report.reason
+    assert_exact_skeleton(restored)
+    assert spec.states_match(
+        restored.states, run_batch(spec, restored.graph).states, tolerance=1e-9
+    )
+    for step in range(6):
+        result = restored.apply_delta(_delta(restored, step))
+        reference = run_batch(spec, restored.graph).states
+        assert spec.states_match(result.states, reference, tolerance=1e-9), f"delta {step}"
+        assert_exact_skeleton(restored)
