@@ -28,6 +28,8 @@ class EngineRun:
     dataset: str
     edge_activations: int
     wall_seconds: float
+    #: Layph's closed-form sum/mul shortcut solves, which activate no edge
+    dense_multiply_adds: int = 0
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     correct: Optional[bool] = None
 
@@ -80,13 +82,14 @@ def run_engine(
     """Initialize one engine and apply a sequence of deltas, summing metrics."""
     engine = make_engine(engine_name, spec, layph_config)
     engine.initialize(graph)
-    total_activations = 0
+    total_activations = total_multiply_adds = 0
     total_seconds = 0.0
     phase_seconds: Dict[str, float] = {}
     result = None
     for delta in deltas:
         result = engine.apply_delta(delta)
         total_activations += result.metrics.edge_activations
+        total_multiply_adds += result.metrics.dense_multiply_adds
         total_seconds += result.wall_seconds
         for phase, seconds in result.phases.as_dict().items():
             phase_seconds[phase] = phase_seconds.get(phase, 0.0) + seconds
@@ -105,6 +108,7 @@ def run_engine(
         dataset=dataset,
         edge_activations=total_activations,
         wall_seconds=total_seconds,
+        dense_multiply_adds=total_multiply_adds,
         phase_seconds=phase_seconds,
         correct=correct,
     )

@@ -22,6 +22,9 @@ class ExecutionMetrics:
     edge_activations: int = 0
     vertex_updates: int = 0
     iterations: int = 0
+    #: multiply-adds of dense linear solves (Layph's closed-form sum/mul
+    #: shortcut rows): work that applies no ``F``, so no edge activation
+    dense_multiply_adds: int = 0
     #: per-superstep counts of edge activations
     activations_per_round: List[int] = field(default_factory=list)
     #: per-superstep counts of distinct active vertices
@@ -39,6 +42,7 @@ class ExecutionMetrics:
         self.edge_activations += other.edge_activations
         self.vertex_updates += other.vertex_updates
         self.iterations += other.iterations
+        self.dense_multiply_adds += other.dense_multiply_adds
         self.activations_per_round.extend(other.activations_per_round)
         self.active_vertices_per_round.extend(other.active_vertices_per_round)
 
@@ -48,6 +52,7 @@ class ExecutionMetrics:
             edge_activations=self.edge_activations,
             vertex_updates=self.vertex_updates,
             iterations=self.iterations,
+            dense_multiply_adds=self.dense_multiply_adds,
         )
         clone.activations_per_round = list(self.activations_per_round)
         clone.active_vertices_per_round = list(self.active_vertices_per_round)
@@ -59,6 +64,7 @@ class ExecutionMetrics:
             "edge_activations": self.edge_activations,
             "vertex_updates": self.vertex_updates,
             "iterations": self.iterations,
+            "dense_multiply_adds": self.dense_multiply_adds,
             "activations_per_round": list(self.activations_per_round),
             "active_vertices_per_round": list(self.active_vertices_per_round),
         }
@@ -70,6 +76,7 @@ class ExecutionMetrics:
             edge_activations=int(state["edge_activations"]),
             vertex_updates=int(state["vertex_updates"]),
             iterations=int(state["iterations"]),
+            dense_multiply_adds=int(state.get("dense_multiply_adds", 0)),
             activations_per_round=[int(n) for n in state["activations_per_round"]],
             active_vertices_per_round=[
                 int(n) for n in state["active_vertices_per_round"]

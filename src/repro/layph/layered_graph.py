@@ -288,11 +288,13 @@ class LayeredGraph:
         change keeps its object, so the caches keyed on them stay valid.
 
         Nothing is solved or folded here: the subgraph gets a new table
-        whose stale rows are jobs in ``batch`` — a revision when
-        :func:`repro.layph.shortcuts.shortcut_revision` yields its messages
-        (charged to ``metrics``), a from-scratch solve when it cannot (new
-        boundary vertices, selective support loss) — and whose other rows
-        the batch copies from the old table.  The caller runs the batch.
+        whose stale rows are jobs in ``batch`` — for a min/+ spec a revision
+        when :func:`repro.layph.shortcuts.shortcut_revision` yields its
+        messages (charged to ``metrics``), a from-scratch solve when it
+        cannot (new boundary vertices, support loss); for a sum/mul spec
+        always a solve (closed-form unless the subgraph is too large) — and
+        whose other rows the batch copies from the old table.  The caller
+        runs the batch.
         """
         spec = self.spec
         graph = self.graph
@@ -409,6 +411,7 @@ class LayeredGraph:
         if not stale_sources and not boundary_changed:
             return
         old_local = FactorAdjacency(old_rows)
+        selective = spec.is_selective()
         sources = sorted(boundary)
         block = None
         for vertex in sources:
@@ -416,7 +419,7 @@ class LayeredGraph:
             if vertex not in stale_sources and known:
                 continue
             pending: Optional[Dict[int, float]] = None
-            if not boundary_changed and known:
+            if not boundary_changed and known and selective:
                 # Incremental shortcut maintenance (Section IV-B): revise the
                 # memoized weights with the changed links' revision messages.
                 pending = shortcut_revision(
@@ -530,7 +533,8 @@ class LayeredGraph:
         shortcut solve and revision of all ``indices`` runs in one
         :class:`repro.layph.shortcuts.ShortcutBatch` call after the refresh
         loop.  The shortcut work is added to ``construction_metrics`` as
-        totals and its activations are charged to ``metrics`` when given.
+        totals, and its activations and dense multiply-adds (the sum/mul
+        closed form's) are charged to ``metrics`` when given.
         """
         work = ExecutionMetrics()
         batch = ShortcutBatch(self.spec)
@@ -541,8 +545,10 @@ class LayeredGraph:
         construction.edge_activations += work.edge_activations
         construction.vertex_updates += work.vertex_updates
         construction.iterations += work.iterations
+        construction.dense_multiply_adds += work.dense_multiply_adds
         if metrics is not None:
             metrics.edge_activations += work.edge_activations
+            metrics.dense_multiply_adds += work.dense_multiply_adds
 
     # ------------------------------------------------------------------
     # upper layer

@@ -3,10 +3,10 @@
 A shortcut from a boundary vertex ``b`` of a dense subgraph to another vertex
 ``v`` of the same subgraph carries the aggregation of the path compositions of
 edge factors along every path ``b -> ... -> v`` whose *intermediate* vertices
-are all internal.  It is computed exactly as the paper prescribes: inject the
-algorithm's unit message (the identity of ``combine``) at ``b`` and run the
-ordinary ``F``/``G`` iteration inside the subgraph until convergence
-(Equation (6)); the aggregated value received by ``v`` is the shortcut weight.
+are all internal.  The paper computes it by injecting the algorithm's unit
+message (the identity of ``combine``) at ``b`` and running the ordinary
+``F``/``G`` iteration inside the subgraph until convergence (Equation (6));
+the aggregated value received by ``v`` is the shortcut weight.
 
 Restricting the propagation so that other boundary vertices absorb (rather
 than re-propagate) messages makes the set of shortcuts an exact folding of
@@ -20,15 +20,21 @@ block with one row per boundary vertex (ascending) and one column per vertex
 of the subgraph's compiled local CSR (ascending ids), the aggregation
 identity marking "no shortcut".
 
-The work runs in the lockstep kernel
-:func:`repro.parallel.slabs.run_shortcut_solves`, driven by
-:class:`ShortcutBatch`: one call holds the from-scratch solves and the
-incremental revisions of any number of subgraphs (all of one delta's, or
-one subgraph's at build time), or phase 2's revision-message uploads of
-every subgraph a delta reaches (:func:`local_uploads`).  A job's kernel
-cells share its table's column index, so an old row seeds a revision and a
-finished row lands in the table as one slice copy.  The reference bodies the
-kernel reproduces bit for bit live with the test oracles.
+:class:`ShortcutBatch` holds the from-scratch solves and the incremental
+revisions of any number of subgraphs (all of one delta's, or one subgraph's
+at build time), or phase 2's revision-message uploads of every subgraph a
+delta reaches (:func:`local_uploads`), and runs them in one call:
+
+* a sum/mul solve is the iteration's fixpoint in closed form
+  (:func:`closed_form_solves`): one dense ``np.linalg.solve`` per subgraph
+  of at most :data:`CLOSED_FORM_MAX_VERTICES` local vertices, holding all
+  of its solves;
+* a min/+ solve or revision, a sum/mul solve in a larger subgraph, and
+  every upload run in the lockstep kernel
+  :func:`repro.parallel.slabs.run_shortcut_solves`.  A job's kernel cells
+  share its table's column index, so an old row seeds a revision and a
+  finished row lands in the table as one slice copy.  The reference bodies
+  the kernel reproduces bit for bit live with the test oracles.
 """
 
 from __future__ import annotations
@@ -46,6 +52,28 @@ from repro.parallel.slabs import SlabNonConvergence, run_shortcut_solves
 
 #: rounds a kernel call may run before it raises :class:`NonConvergenceError`
 MAX_ROUNDS = 10_000
+
+#: largest local CSR whose sum/mul rows are solved in closed form.  The
+#: dense solve costs n³/3 multiply-adds and n² floats however few rows are
+#: stale; past about this size a handful of rows is cheaper in the kernel.
+CLOSED_FORM_MAX_VERTICES = 128
+
+
+def local_vertex_arrays(spec: AlgorithmSpec, base: FactorAdjacency, csr) -> Tuple[np.ndarray, np.ndarray]:
+    """``(absorb, initial)`` of ``csr``'s vertices: ``spec.absorbs`` and
+    ``spec.initial_message`` per row of the compile of ``base``.
+
+    Memoized on ``base`` by the compile's id array, which a splice that
+    keeps the id space carries along; any other compile asks ``spec`` again.
+    """
+    ids = csr.ids_array()
+    memo = getattr(base, "_vertex_arrays_memo", None)
+    if memo is None or memo[0] is not spec or memo[1] is not ids:
+        vertices = ids.tolist()
+        absorb = np.array([bool(spec.absorbs(vertex)) for vertex in vertices], dtype=bool)
+        initial = np.array([spec.initial_message(vertex) for vertex in vertices], dtype=np.float64)
+        memo = base._vertex_arrays_memo = (spec, ids, absorb, initial)
+    return memo[2], memo[3]
 
 
 class ShortcutTable:
@@ -176,14 +204,14 @@ def compute_shortcuts_from(
 
 
 class _Block:
-    """One subgraph's local adjacency, a diagonal block of a kernel call.
+    """One subgraph's local adjacency, a diagonal block of a batch call.
 
     ``table`` (``None`` for an upload) receives the solved and revised rows
     when the batch runs; its other rows keep their ``old`` row.
     """
 
     __slots__ = ("local_adjacency", "boundary", "label", "old", "table", "jobs", "csr",
-                 "silenced_rows", "start", "arrived")
+                 "absorb", "silenced_rows", "start", "arrived")
 
     def __init__(self, local_adjacency, boundary, label, old, table) -> None:
         self.local_adjacency = local_adjacency
@@ -197,11 +225,54 @@ class _Block:
         #: an upload's messages that reached the boundary, once the batch ran
         self.arrived: Dict[int, float] = {}
 
+    def compile(self, spec: AlgorithmSpec) -> None:
+        """Take the local CSR the jobs run on, its absorb flags and the rows
+        silenced after round 0: the boundary and the sources."""
+        silenced = set(self.boundary)
+        silenced.update(job.source for job in self.jobs if not job.upload)
+        # a revision message may aim at a vertex with no local row left
+        universe = set(silenced)
+        for job in self.jobs:
+            if not job.solve:
+                universe.update(job.pending)
+        self.csr = master_factor_csr(self.local_adjacency, universe)
+        self.absorb = local_vertex_arrays(spec, self.local_adjacency, self.csr)[0]
+        index = self.csr.index
+        self.silenced_rows = np.array([index[vertex] for vertex in silenced], dtype=np.int64)
+
+    def closed_form(self, spec: AlgorithmSpec) -> bool:
+        """Whether the compiled block's jobs run in :func:`closed_form_solves`:
+        sum/mul solves over at most :data:`CLOSED_FORM_MAX_VERTICES` local
+        vertices."""
+        return (
+            self.table is not None
+            and not spec.is_selective()
+            and self.csr.num_vertices <= CLOSED_FORM_MAX_VERTICES
+        )
+
+    def where(self) -> str:
+        """`` in subgraph N`` for an error message (empty without a label)."""
+        return "" if self.label is None else f" in subgraph {self.label}"
+
+    def fill(self, finished: np.ndarray) -> None:
+        """Install the finished rows of the jobs (in job order, over the
+        local CSR's columns) in ``table``, the other rows from ``old``."""
+        table, jobs, csr = self.table, self.jobs, self.csr
+        values = np.full((len(table), csr.num_vertices), table.identity)
+        values[[table.rows[job.source] for job in jobs]] = finished
+        queued = {job.source for job in jobs}
+        kept = [source for source in table.sources if source not in queued]
+        if kept:
+            values[[table.rows[source] for source in kept]] = self.old.project(
+                kept, csr.vertex_ids, csr.index
+            )
+        table.fill(csr.vertex_ids, values, csr.index)
+
 
 class _Job:
-    """One kernel job: a solve from ``source``, a revision of ``source``'s
-    old row by the messages ``pending``, or (``source`` ``None``) the
-    upload of ``pending`` into the states ``work``."""
+    """One job: a solve from ``source``, a revision of ``source``'s old row
+    by the messages ``pending``, or (``source`` ``None``) the upload of
+    ``pending`` into the states ``work``."""
 
     __slots__ = ("source", "pending", "work", "start")
 
@@ -221,18 +292,21 @@ class _Job:
 
 class ShortcutBatch:
     """Shortcut solves and revisions, or revision-message uploads, of one or
-    more subgraphs, run as one call of the lockstep kernel
-    :func:`repro.parallel.slabs.run_shortcut_solves`.
+    more subgraphs, run as one call.
 
     Callers open one block per subgraph (:meth:`block`), queue its jobs —
     :meth:`solve` for a from-scratch row, :meth:`revise` for an incremental
-    revision of an old row by its revision messages
+    revision of an old min/+ row by its revision messages
     (:func:`shortcut_revision`), :meth:`upload` for phase 2's local
-    propagation — and :meth:`run` the batch once.  The kernel sees the
-    blocks' local CSRs as one block-diagonal CSR and every job owns only its
-    own block's cells, so a call costs O(Σ job cells), never a
-    ``(jobs × Σ rows)`` matrix.  Every row, upload and recorded round is
-    bitwise the one the reference bodies of the test oracles produce.
+    propagation — and :meth:`run` the batch once.  The sum/mul solves of
+    every block small enough (:meth:`_Block.closed_form`) run in one
+    :func:`closed_form_solves` call; everything else runs in one call of
+    the lockstep kernel :func:`repro.parallel.slabs.run_shortcut_solves`,
+    which sees the blocks' local CSRs as one block-diagonal CSR in which
+    every job owns only its own block's cells, so a call costs O(Σ job
+    cells), never a ``(jobs × Σ rows)`` matrix.  Every kernel row, upload
+    and recorded round is bitwise the one the reference bodies of the test
+    oracles produce.
     """
 
     def __init__(self, spec: AlgorithmSpec) -> None:
@@ -255,7 +329,10 @@ class ShortcutBatch:
         block.jobs.append(_Job(source, None))
 
     def revise(self, block: _Block, source: int, pending: Dict[int, float]) -> None:
-        """Queue the revision of ``source``'s old row by ``pending``."""
+        """Queue the revision of ``source``'s old row by ``pending`` (min/+
+        only: a stale sum/mul row is always re-solved)."""
+        if not self.spec.is_selective():
+            raise ValueError("sum/mul shortcut rows are solved, not revised")
         block.jobs.append(_Job(source, pending))
 
     def upload(self, block: _Block, pending: Dict[int, float], work: Dict[int, float]) -> None:
@@ -266,16 +343,24 @@ class ShortcutBatch:
     def run(self, metrics: ExecutionMetrics, per_round: bool = True) -> None:
         """Run every queued job; ``metrics`` receives the work.
 
-        With ``per_round`` each job's rounds are replayed into ``metrics`` in
-        job order, exactly as one reference body per job records them;
-        without it only the totals (activations, vertex updates, rounds) are
-        added.  Uploads count no vertex updates, like their reference.
+        With ``per_round`` each kernel job's rounds are replayed into
+        ``metrics`` in job order, exactly as one reference body per job
+        records them, after the closed-form call's one round; without it
+        only the totals (activations, vertex updates, rounds) are added.
+        Uploads count no vertex updates, like their reference.
 
         Raises:
-            NonConvergenceError: if a job still holds significant messages
-                after :data:`MAX_ROUNDS` rounds; nothing is written then.
+            NonConvergenceError: if a closed-form block does not contract,
+                or a kernel job still holds significant messages after
+                :data:`MAX_ROUNDS` rounds; the failing call writes nothing.
         """
         blocks = [block for block in self._blocks if block.jobs]
+        for block in blocks:
+            block.compile(self.spec)
+        closed = [block for block in blocks if block.closed_form(self.spec)]
+        if closed:
+            closed_form_solves(self.spec, closed, metrics, per_round)
+        blocks = [block for block in blocks if not block.closed_form(self.spec)]
         if blocks:
             arrays, scalars = self._prepare(blocks)
             jobs = [(block, job) for block in blocks for job in block.jobs]
@@ -284,10 +369,9 @@ class ShortcutBatch:
             except SlabNonConvergence as error:
                 block, job = jobs[error.jobs[0]]
                 what = "local revision-message upload" if job.upload else "shortcut solve"
-                where = "" if block.label is None else f" in subgraph {block.label}"
                 raise NonConvergenceError(
-                    f"{what}{where} did not converge within {MAX_ROUNDS} rounds for "
-                    f"{self.spec.name!r}; {error.remaining} significant pending "
+                    f"{what}{block.where()} did not converge within {MAX_ROUNDS} rounds "
+                    f"for {self.spec.name!r}; {error.remaining} significant pending "
                     "messages remain"
                 ) from None
             uploads = np.array([job.upload for _block, job in jobs], dtype=bool)
@@ -299,12 +383,12 @@ class ShortcutBatch:
                 block.table.fill(old.columns, old.project(block.table.sources, old.columns, old.index), old.index)
 
     def _prepare(self, blocks: List[_Block]):
-        """The blocks as the kernel's ``(arrays, scalars)`` arguments."""
+        """The compiled blocks as the kernel's ``(arrays, scalars)`` arguments."""
         spec = self.spec
         kinds = spec.dense_algebra
         identity = float(spec.aggregate_identity())
         unit = float(spec.combine_identity())
-        offsets, targets, factors, full_degree, silenced_degree, absorb = [], [], [], [], [], []
+        offsets, targets, factors, full_degree, silenced_degree = [], [], [], [], []
         shifts: List[int] = []
         sizes: List[int] = []
         seeds: List[Tuple[int, np.ndarray]] = []
@@ -312,16 +396,8 @@ class ShortcutBatch:
         pending_values: List[float] = []
         row_base = slot_base = cell = 0
         for block in blocks:
-            silenced = set(block.boundary)
-            silenced.update(job.source for job in block.jobs if not job.upload)
-            # a revision message may aim at a vertex with no local row left
-            universe = set(silenced)
-            for job in block.jobs:
-                if not job.solve:
-                    universe.update(job.pending)
-            csr = master_factor_csr(block.local_adjacency, universe)
+            csr, silenced_rows = block.csr, block.silenced_rows
             ids, index, n = csr.vertex_ids, csr.index, csr.num_vertices
-            silenced_rows = np.array([index[vertex] for vertex in silenced], dtype=np.int64)
             degree = csr.out_degree.copy()
             degree[silenced_rows] = 0
             offsets.append(csr.offsets[:-1] + slot_base)
@@ -329,8 +405,7 @@ class ShortcutBatch:
             factors.append(csr.factors)
             full_degree.append(csr.out_degree)
             silenced_degree.append(degree)
-            absorb.append(np.array([bool(spec.absorbs(vertex)) for vertex in ids], dtype=bool))
-            block.csr, block.silenced_rows, block.start = csr, silenced_rows, cell
+            block.start = cell
 
             revised = [job.source for job in block.jobs if not job.solve and not job.upload]
             old_rows = iter(block.old.project(revised, ids, index)) if revised else None
@@ -374,7 +449,7 @@ class ShortcutBatch:
             "factors": np.concatenate(factors),
             "full_degree": np.concatenate(full_degree),
             "silenced_degree": np.concatenate(silenced_degree),
-            "absorb": np.concatenate(absorb),
+            "absorb": np.concatenate([block.absorb for block in blocks]),
             "cell_job": np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
             "job_shift": np.asarray(shifts, dtype=np.int64),
             "job_solves": np.array([job.solve for block in blocks for job in block.jobs], dtype=bool),
@@ -410,16 +485,16 @@ class ShortcutBatch:
             metrics.iterations += int(round_job.size)
 
     def _merge(self, blocks: List[_Block], states: np.ndarray, final_mask: np.ndarray) -> None:
-        """Write a finished call's rows into the tables and its uploads into
-        their states and arrived messages.
+        """Write a finished kernel call's rows into the tables and its
+        uploads into their states and arrived messages.
 
-        A row's post-filter is the reference's: a selective row drops its
-        source's own entry, an accumulative solve keeps only the surplus
-        over the injected unit there, and accumulative weights within the
-        tolerance of zero are no shortcut.
+        A row's post-filter is the reference's: a min/+ row drops its
+        source's own entry; a sum/mul solve (a block too large for the
+        closed form) keeps only the surplus over the injected unit there,
+        and its weights within the tolerance of zero are no shortcut.
         """
         spec = self.spec
-        selective = spec.dense_algebra[0] == AGGREGATE_MIN
+        selective = spec.is_selective()
         identity = float(spec.aggregate_identity())
         for block in blocks:
             csr = block.csr
@@ -435,22 +510,80 @@ class ShortcutBatch:
                     arrived = np.flatnonzero(written & at_boundary)
                     block.arrived = dict(zip([ids[row] for row in arrived.tolist()], values[arrived].tolist()))
                 continue
-            table, jobs = block.table, block.jobs
+            jobs = block.jobs
             finished = states[block.start : block.start + len(jobs) * n].reshape(len(jobs), n)
             own = np.array([csr.index[job.source] for job in jobs], dtype=np.int64)
             if selective:
                 finished[np.arange(len(jobs)), own] = identity
             else:
-                solved = np.flatnonzero([job.solve for job in jobs])
-                finished[solved, own[solved]] -= float(spec.combine_identity())
+                finished[np.arange(len(jobs)), own] -= float(spec.combine_identity())
                 finished[np.abs(finished) <= float(spec.tolerance())] = identity
-            values = np.full((len(table), n), identity)
-            values[[table.rows[job.source] for job in jobs]] = finished
-            queued = {job.source for job in jobs}
-            kept = [source for source in table.sources if source not in queued]
-            if kept:
-                values[[table.rows[source] for source in kept]] = block.old.project(kept, ids, csr.index)
-            table.fill(ids, values, csr.index)
+            block.fill(finished)
+
+
+def closed_form_solves(
+    spec: AlgorithmSpec, blocks: Sequence[_Block], metrics: ExecutionMetrics, per_round: bool = True
+) -> None:
+    """Every solve job of the compiled sum/mul ``blocks``, in closed form,
+    into their tables.
+
+    A block's shortcut rows are the fixpoint of Equation (6) inside its
+    subgraph.  With ``A′`` the local factor matrix (duplicate links summed
+    in CSR slot order, the columns of absorbing vertices zeroed) and ``P``
+    the projection on the rows that re-emit (all but the boundary's and the
+    sources'), the rows of the sources ``B`` are
+    ``X_B = A′_B · (I − P·A′)⁻¹``: the iteration's limit without its
+    tolerance truncation, and without the unit the iteration injects at the
+    source's own column.  Each block is one ``np.linalg.solve`` of
+    ``Mᵀ·Y = A′_Bᵀ`` with ``M = I − P·A′``, on its own ``n × n`` system
+    (never padded to another block's size).  The post-filter is the
+    iteration's: weights within the tolerance of zero are no shortcut.
+
+    The solve applies no ``F``, so it charges no edge activation.  Its
+    arithmetic — ``n³/3`` multiply-adds for the LU factorization and ``n²``
+    per row for the two triangular solves — goes to
+    ``metrics.dense_multiply_adds``, each row's ``n`` cells to the vertex
+    updates, and the call is one round.
+
+    Raises:
+        NonConvergenceError: if some block's ``P·A′`` has spectral radius
+            ≥ 1 — the iteration would not converge there — before any table
+            is filled.
+    """
+    solved = []
+    for block in blocks:
+        csr = block.csr
+        n = csr.num_vertices
+        local = np.zeros((n, n))
+        np.add.at(local, (np.repeat(np.arange(n), csr.out_degree), csr.targets), csr.factors)
+        local[:, block.absorb] = 0.0
+        # the right-hand sides are the sources' full rows; then P silences them
+        rhs = local[[csr.index[job.source] for job in block.jobs]].T
+        local[block.silenced_rows] = 0.0
+        # every row sum below 1 bounds the spectral radius below 1
+        if np.abs(local).sum(axis=1).max() >= 1.0:
+            radius = float(np.abs(np.linalg.eigvals(local)).max())
+            if radius >= 1.0 - 1e-9:
+                raise NonConvergenceError(
+                    f"shortcut solve{block.where()} did not converge for {spec.name!r}: "
+                    f"its internal propagation has spectral radius {radius:.6g}"
+                )
+        solved.append(np.linalg.solve(np.eye(n) - local.T, rhs).T)
+
+    identity, tolerance = float(spec.aggregate_identity()), float(spec.tolerance())
+    cells = multiply_adds = 0
+    for block, finished in zip(blocks, solved):
+        finished[np.abs(finished) <= tolerance] = identity
+        block.fill(finished)
+        n, rows = block.csr.num_vertices, len(block.jobs)
+        cells += rows * n
+        multiply_adds += n**3 // 3 + rows * n * n
+    metrics.vertex_updates += cells
+    metrics.dense_multiply_adds += multiply_adds
+    if per_round:
+        metrics.record_round(0, cells)
+    else:
+        metrics.iterations += 1
 
 
 def compute_shortcut_vectors(
@@ -462,12 +595,12 @@ def compute_shortcut_vectors(
 ) -> List[Dict[int, float]]:
     """From-scratch shortcut vectors of several sources of one subgraph.
 
-    Equal — values and recorded metrics — to :func:`compute_shortcuts_from`
-    per source in ``sources`` order.  All sources run in one lockstep kernel
-    call (:class:`ShortcutBatch`).  Every boundary vertex and every source is
-    silenced after the first round, so several sources can share the call
-    only when they are all boundary vertices; a single source may be
-    internal (the rooted source of a selective algorithm).
+    All sources run in one :class:`ShortcutBatch` call; for min/+ its rows
+    and recorded metrics equal :func:`compute_shortcuts_from` per source in
+    ``sources`` order.  Every boundary vertex and every source is silenced
+    after the first round, so several sources can share the call only when
+    they are all boundary vertices; a single source may be internal (the
+    rooted source of a selective algorithm).
     """
     if len(sources) > 1 and not boundary.issuperset(sources):
         raise ValueError("only boundary vertices can share a shortcut solve")
@@ -522,7 +655,8 @@ def shortcut_revision(
     changed_sources: Set[int],
     metrics: Optional[ExecutionMetrics] = None,
 ) -> Optional[Dict[int, float]]:
-    """The revision messages that update one boundary vertex's shortcut vector.
+    """The revision messages that update one boundary vertex's min/+
+    shortcut vector.
 
     Mirrors the paper's incremental shortcut maintenance (Section IV-B): the
     weights memoized in ``source``'s row of ``old`` are to be revised with
@@ -530,10 +664,13 @@ def shortcut_revision(
     application per changed link, charged to ``metrics``) instead of being
     recomputed from scratch.  Returns the pending messages to fold into the
     old row — an empty map means the row is unchanged — or ``None`` when an
-    exact cheap update is not possible (a selective algorithm losing a
-    supporting link needs the full trim machinery; the caller then
-    recomputes).
+    exact cheap update is not possible (losing a supporting link needs the
+    full trim machinery; the caller then recomputes).  A sum/mul row is
+    never revised: a stale one is re-solved, in closed form
+    (:func:`closed_form_solves`) unless its subgraph is too large.
     """
+    if not spec.is_selective():
+        raise ValueError("only min/+ shortcut rows are revised; sum/mul rows are solved")
     if metrics is None:
         metrics = ExecutionMetrics()
     identity = spec.aggregate_identity()
@@ -568,34 +705,15 @@ def shortcut_revision(
             if old_factor == new_factor:
                 continue
             metrics.edge_activations += 1
-            if spec.is_selective():
-                if old_factor is not None and (
-                    new_factor is None or new_factor > old_factor
-                ):
-                    # A path may have been lost; only the trim machinery can
-                    # tell, so report "cannot update cheaply".
-                    supported = old_weight(target)
-                    offered = spec.combine(available, old_factor)
-                    if supported != identity and offered <= supported + 1e-12:
-                        return None
-                if new_factor is not None:
-                    offer = spec.combine(available, new_factor)
-                    if spec.is_significant(offer):
-                        pending[target] = spec.aggregate(
-                            pending.get(target, identity), offer
-                        )
-            else:
-                old_contribution = (
-                    spec.combine(available, old_factor) if old_factor is not None else identity
-                )
-                new_contribution = (
-                    spec.combine(available, new_factor) if new_factor is not None else identity
-                )
-                difference = spec.aggregate(
-                    new_contribution, spec.negate(old_contribution)
-                )
-                if spec.is_significant(difference):
-                    pending[target] = spec.aggregate(
-                        pending.get(target, identity), difference
-                    )
+            if old_factor is not None and (new_factor is None or new_factor > old_factor):
+                # A path may have been lost; only the trim machinery can
+                # tell, so report "cannot update cheaply".
+                supported = old_weight(target)
+                offered = spec.combine(available, old_factor)
+                if supported != identity and offered <= supported + 1e-12:
+                    return None
+            if new_factor is not None:
+                offer = spec.combine(available, new_factor)
+                if spec.is_significant(offer):
+                    pending[target] = spec.aggregate(pending.get(target, identity), offer)
     return pending

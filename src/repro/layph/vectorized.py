@@ -30,6 +30,8 @@ import numpy as np
 from repro.engine.dense_propagation import COMBINE_ADD
 from repro.engine.metrics import ExecutionMetrics
 from repro.graph.csr import expand_edges
+from repro.graph.csr_cache import master_factor_csr
+from repro.layph.shortcuts import local_vertex_arrays
 from repro.parallel.slabs import assign_best_offers, assign_deltas
 
 
@@ -44,7 +46,8 @@ class _ShortcutCSR:
     at most one entry per row, so it receives its entries in ascending
     boundary order, as the Python assignment loops apply them.  Targets
     index ``internal_ids``; ``absorb`` and ``initial`` (the initial
-    messages) are read once per table.
+    messages) are gathered from the local CSR's memoized vertex arrays
+    (:func:`repro.layph.shortcuts.local_vertex_arrays`).
     """
 
     __slots__ = (
@@ -61,19 +64,24 @@ class _ShortcutCSR:
     def __init__(self, spec, subgraph) -> None:
         table = subgraph.shortcuts
         self.boundary_ids = table.sources
-        internal = sorted(subgraph.internal)
-        self.internal_ids = np.array(internal, dtype=np.int64)
-        self.absorb = np.array([bool(spec.absorbs(vertex)) for vertex in internal], dtype=bool)
-        self.initial = np.array([spec.initial_message(vertex) for vertex in internal], dtype=np.float64)
-        index = table.index
-        positions = [position for position, vertex in enumerate(internal) if vertex in index]
-        columns = [index[internal[position]] for position in positions]
-        entries = table.block[:, columns]
+        internal = np.sort(np.fromiter(subgraph.internal, np.int64, count=len(subgraph.internal)))
+        self.internal_ids = internal
+        local = subgraph.local_adjacency
+        csr = master_factor_csr(local, subgraph.internal)
+        absorb, initial = local_vertex_arrays(spec, local, csr)
+        rows = np.searchsorted(csr.ids_array(), internal)
+        self.absorb = absorb[rows]
+        self.initial = initial[rows]
+        columns = np.asarray(table.columns, dtype=np.int64)
+        found = np.searchsorted(columns, internal)
+        listed = found < columns.size
+        listed[listed] = columns[found[listed]] == internal[listed]
+        entries = table.block[:, found[listed]]
         present = entries != table.identity
         self.counts = np.count_nonzero(present, axis=1).astype(np.int64)
         self.offsets = np.zeros(len(table) + 1, dtype=np.int64)
         np.cumsum(self.counts, out=self.offsets[1:])
-        self.targets = np.asarray(positions, dtype=np.int64)[np.nonzero(present)[1]]
+        self.targets = np.flatnonzero(listed)[np.nonzero(present)[1]]
         self.factors = entries[present]
 
 
@@ -109,17 +117,15 @@ def _stacked_rows(csrs) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     Every internal vertex belongs to exactly one subgraph, so each target
     still receives its entries in its own subgraph's scan order.
     """
-    offsets, targets = [], []
-    slot_base = target_base = 0
-    for csr in csrs:
-        offsets.append(csr.offsets[:-1] + slot_base)
-        targets.append(csr.targets + target_base)
-        slot_base += int(csr.targets.size)
-        target_base += int(csr.internal_ids.size)
+    rows = [csr.counts.size for csr in csrs]
+    slots = [csr.targets.size for csr in csrs]
+    sizes = [csr.internal_ids.size for csr in csrs]
+    slot_bases = np.cumsum(slots) - slots
+    target_bases = np.cumsum(sizes) - sizes
     return (
-        np.concatenate(offsets),
+        np.concatenate([csr.offsets[:-1] for csr in csrs]) + np.repeat(slot_bases, rows),
         np.concatenate([csr.counts for csr in csrs]),
-        np.concatenate(targets),
+        np.concatenate([csr.targets for csr in csrs]) + np.repeat(target_bases, slots),
         np.concatenate([csr.factors for csr in csrs]),
     )
 

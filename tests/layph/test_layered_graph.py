@@ -332,9 +332,10 @@ class TestConstructionMetricsStayBounded:
         def charged(indices, touched, metrics=None):
             probe = ExecutionMetrics()
             rebuild(indices, touched, probe)
-            charges.append(probe.edge_activations)
+            charges.append((probe.edge_activations, probe.dense_multiply_adds))
             if metrics is not None:
                 metrics.edge_activations += probe.edge_activations
+                metrics.dense_multiply_adds += probe.dense_multiply_adds
 
         layered.rebuild_subgraphs = charged
         for step in range(20):
@@ -343,7 +344,12 @@ class TestConstructionMetricsStayBounded:
             payload = layered.to_state()["construction_metrics"]
             for field in ("activations_per_round", "active_vertices_per_round"):
                 assert payload[field] == built[field], f"{field} grew at delta {step}"
-        assert sum(charges) > 0, "no delta rebuilt a shortcut"
-        assert construction.edge_activations == built["edge_activations"] + sum(charges)
+        # a sum/mul rebuild is closed-form: dense multiply-adds, no edge
+        # activation
+        activations = sum(charge[0] for charge in charges)
+        multiply_adds = sum(charge[1] for charge in charges)
+        assert activations + multiply_adds > 0, "no delta rebuilt a shortcut"
+        assert construction.edge_activations == built["edge_activations"] + activations
+        assert construction.dense_multiply_adds == built["dense_multiply_adds"] + multiply_adds
         assert construction.iterations > built["iterations"]
         assert construction.vertex_updates > built["vertex_updates"]

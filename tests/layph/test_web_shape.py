@@ -6,10 +6,11 @@ This module replays the first deltas of the benchmark's three web
 workloads (≈ 9k vertices, ~300 planted communities, generated by
 ``perf.workloads``) on the array kernels and checks Layph against a
 from-scratch batch run after every delta, with the benchmark's own
-tolerances, while the shortcut kernel is observed: one call per subgraph
-at build time, at most one call per delta afterwards for the refresh,
-holding the solves and revisions of several subgraphs, and at most one
-more holding every subgraph's upload.  The batched upload is checked against the
+tolerances, while the shortcut calls are observed — the lockstep kernel's
+and, for sum/mul, the closed form's: one call per subgraph at build time,
+at most one call per delta afterwards for the refresh, holding the solves
+(and min/+ revisions) of several subgraphs, and at most one more kernel
+call holding every subgraph's upload.  The batched upload is checked against the
 per-subgraph reference loop, and the tables' size against the dict tables
 they replaced.  The upper-layer iteration is observed too: its slab reads
 the states of the skeleton and of the pending vertices only, and its
@@ -57,6 +58,11 @@ def _call_shape(kwargs):
     return subgraphs, solves, int(job_shift.size) - solves
 
 
+def _closed_form_shape(blocks):
+    """(subgraphs, solves, revisions) of one closed-form call."""
+    return len(blocks), sum(len(block.jobs) for block in blocks), 0
+
+
 @pytest.mark.parametrize(
     "workload", ["web-bfs-bridge", "web-pagerank-scattered", "web-sssp-local"]
 )
@@ -70,6 +76,13 @@ def test_layph_matches_batch_on_the_web_shape(monkeypatch, workload):
         return kernel(**arrays_and_scalars)
 
     monkeypatch.setattr(shortcuts_module, "run_shortcut_solves", observed)
+    closed_form = shortcuts_module.closed_form_solves
+
+    def closed_form_observed(spec, blocks, *args):
+        calls.append(_closed_form_shape(blocks))
+        return closed_form(spec, blocks, *args)
+
+    monkeypatch.setattr(shortcuts_module, "closed_form_solves", closed_form_observed)
     upload = layph_engine.local_uploads
 
     def upload_observed(*args):
@@ -114,11 +127,12 @@ def test_layph_matches_batch_on_the_web_shape(monkeypatch, workload):
             f"{workload}: Layph diverged from run_batch at delta {step}"
         )
     assert not silenced_slabs, "shortcut work must not compile SilencedAdjacency slabs"
-    # web-pagerank-scattered mixes the revisions and solves of many
-    # subgraphs in one call; web-sssp-local's deltas stay in one community
-    # but produce revisions; web-bfs-bridge refreshes several subgraphs
+    # web-pagerank-scattered solves the rows of many subgraphs in one
+    # closed-form call (a sum/mul row is never revised); web-sssp-local's
+    # deltas stay in one community but produce revisions; web-bfs-bridge
+    # refreshes several subgraphs
     wanted = {
-        "web-pagerank-scattered": lambda subgraphs, revisions: subgraphs >= 2 and revisions >= 1,
+        "web-pagerank-scattered": lambda subgraphs, revisions: subgraphs >= 2 and revisions == 0,
         "web-sssp-local": lambda subgraphs, revisions: revisions >= 1,
         "web-bfs-bridge": lambda subgraphs, revisions: subgraphs >= 2,
     }[workload]
@@ -182,13 +196,15 @@ def test_batched_upload_matches_the_per_subgraph_loop(monkeypatch, algorithm, se
 
 def test_shortcut_tables_keep_the_dict_tables_size():
     """The block tables hold exactly the entries the dict tables held (the
-    counts the dict tables had on these graphs, seed 1)."""
+    counts the dict tables had on these graphs, seed 1) — for PageRank the
+    closed-form solves' count: the exact rows keep the 36 weights above the
+    tolerance that the truncated iteration stopped short of (67,534)."""
     counts = {}
     for workload in ("web-sssp-local", "web-pagerank-scattered"):
         inputs = generate(WORKLOADS[workload], seed=1, num_events=BATCH_SIZE)
         layered = LayeredGraph.build(inputs.workload.spec(), inputs.graph)
         counts[workload] = layered.shortcut_count()
-    assert counts == {"web-sssp-local": 68324, "web-pagerank-scattered": 67534}
+    assert counts == {"web-sssp-local": 68324, "web-pagerank-scattered": 67570}
 
 
 def test_scattered_seed_21_stays_with_batch():

@@ -4,8 +4,9 @@ The library runs one array-native core.  Its reference — the dict-and-loop
 definitions every kernel reproduces bit for bit — lives here:
 
 * :mod:`oracles.loops` — the propagation loop, the bodies of Layph's
-  lockstep kernel calls (shortcut solves and revisions, local uploads) and
-  the dict revision-message deduction;
+  lockstep kernel calls (min/+ shortcut solves and revisions, local
+  uploads; sum/mul solves keep the library's closed form) and the dict
+  revision-message deduction;
 * :mod:`oracles.dependency` — the selective engines' dependency walks;
 * :mod:`oracles.layph` — from-scratch rebuilds of Layph's resident lower
   layer, and the skeleton's reverse view.

@@ -162,7 +162,7 @@ def update_shortcut_vector(
     changed_sources: Set[int],
     metrics: Optional[ExecutionMetrics] = None,
 ) -> Optional[Dict[int, float]]:
-    """Incrementally update one boundary vertex's shortcut vector.
+    """Incrementally update one boundary vertex's min/+ shortcut vector.
 
     :func:`shortcut_revision` followed by the fold of its messages
     (one revision job of a :class:`ShortcutBatch`).  Returns the updated

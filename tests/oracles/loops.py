@@ -16,6 +16,7 @@ from typing import Dict, Iterable, Optional, Set
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import NonConvergenceError, SilencedAdjacency
 from repro.incremental.revision import changed_out_sources, propagated_mass
+from repro.layph.shortcuts import closed_form_solves
 
 
 def propagate(
@@ -249,8 +250,8 @@ def revise_shortcuts(
     metrics: ExecutionMetrics,
     propagate_with=propagate,
 ) -> Dict[int, float]:
-    """Fold ``pending`` into a copy of ``old_vector`` over the subgraph
-    (boundary vertices and the source absorb) and post-filter it."""
+    """Fold ``pending`` into a copy of a min/+ ``old_vector`` over the
+    subgraph (boundary vertices and the source absorb) and post-filter it."""
     vector = dict(old_vector)
     propagate_with(
         NeutralSpec(spec),
@@ -259,24 +260,33 @@ def revise_shortcuts(
         dict(pending),
         metrics,
     )
-    if spec.is_selective():
-        identity = spec.aggregate_identity()
-        vector = {v: value for v, value in vector.items() if value != identity}
-        vector.pop(source, None)
-    else:
-        vector = {v: value for v, value in vector.items() if spec.is_significant(value)}
+    identity = spec.aggregate_identity()
+    vector = {v: value for v, value in vector.items() if value != identity}
+    vector.pop(source, None)
     return vector
 
 
 def run_shortcut_batch(batch, metrics: ExecutionMetrics, per_round: bool = True) -> None:
-    """``ShortcutBatch.run`` with every job on the reference bodies: the
-    tables are filled from the vectors, the uploads run one by one.
+    """``ShortcutBatch.run`` with every kernel job on the reference bodies:
+    the tables are filled from the vectors, the uploads run one by one.
+    The blocks the library solves in closed form
+    (:func:`repro.layph.shortcuts.closed_form_solves`, which has no loop to
+    reproduce) take that same call; :func:`propagate_shortcuts` is its
+    reference up to the iteration's tolerance.
 
     ``per_round=False`` adds the same totals a per-round replay would.
     """
     spec = batch.spec
     target = metrics if per_round else ExecutionMetrics()
+    blocks = [block for block in batch._blocks if block.jobs]
+    for block in blocks:
+        block.compile(spec)
+    solved = [block for block in blocks if block.closed_form(spec)]
+    if solved:
+        closed_form_solves(spec, solved, target)
     for block in batch._blocks:
+        if block in solved:
+            continue
         vectors = {}
         for job in block.jobs:
             if job.upload:
@@ -307,6 +317,7 @@ def run_shortcut_batch(batch, metrics: ExecutionMetrics, per_round: bool = True)
         metrics.edge_activations += target.edge_activations
         metrics.vertex_updates += target.vertex_updates
         metrics.iterations += target.iterations
+        metrics.dense_multiply_adds += target.dense_multiply_adds
 
 
 # ----------------------------------------------------------------------
