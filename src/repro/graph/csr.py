@@ -32,6 +32,16 @@ def expand_edges(starts: np.ndarray, counts: np.ndarray, total: int) -> np.ndarr
     return np.arange(total, dtype=np.int64) + row_offset
 
 
+def locate(ids: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(position, found)`` of each of ``values`` in the ascending ``ids``:
+    ``ids[position] == value`` exactly where ``found``."""
+    values = np.asarray(values, dtype=np.int64)
+    if not ids.size:
+        return np.zeros(values.size, dtype=np.int64), np.zeros(values.size, dtype=bool)
+    position = np.minimum(np.searchsorted(ids, values), ids.size - 1)
+    return position, ids[position] == values
+
+
 class FactorCSR:
     """CSR factor arrays (``offsets``/``targets``/``factors``) of a factor graph.
 
@@ -242,3 +252,38 @@ class FactorCSRView:
     def num_edges(self) -> int:
         """Number of live (non-silenced) factor-carrying links."""
         return int(self.out_degree.sum())
+
+
+class CSRAdjacency:
+    """Read-only factor adjacency served from a :class:`FactorCSR`.
+
+    It iterates like a ``FactorAdjacency`` (each row's links in CSR order),
+    and the array kernel asks for :meth:`compiled_csr` and runs on the
+    snapshot itself: Layph's upper layer has no other representation.
+    """
+
+    __slots__ = ("csr",)
+
+    def __init__(self, csr: FactorCSR) -> None:
+        self.csr = csr
+
+    def __call__(self, vertex: int) -> List[Tuple[int, float]]:
+        csr = self.csr
+        row = csr.index.get(vertex)
+        if row is None:
+            return []
+        start, stop = csr.offsets[row], csr.offsets[row + 1]
+        targets = csr.ids_array()[csr.targets[start:stop]]
+        return list(zip(targets.tolist(), csr.factors[start:stop].tolist()))
+
+    def __len__(self) -> int:
+        return self.csr.num_edges
+
+    def vertices_with_out_edges(self) -> List[int]:
+        """Vertices that have at least one out-link, ascending."""
+        ids = self.csr.vertex_ids
+        return [ids[row] for row in np.flatnonzero(self.csr.out_degree).tolist()]
+
+    def compiled_csr(self, universe: Iterable[int]) -> Optional[FactorCSR]:
+        """The snapshot, or ``None`` when ``universe`` reaches outside its ids."""
+        return self.csr if self.csr.index.keys() >= set(universe) else None

@@ -8,29 +8,20 @@ module closes that gap:
 
 * :class:`CSRCache` keeps one compiled out-edge factor CSR (and, for the
   pull-based BSP engines, one in-edge factor CSR) alive per engine.  A
-  :class:`repro.graph.delta.GraphDelta` is *patched* into the cached arrays
-  — only the rows whose adjacency (and therefore factors) changed are
-  re-enumerated in Python; everything else is moved with O(E) numpy
-  gather/scatter, which has a far smaller constant than the per-edge Python
-  loop of a fresh compile.  Every delta is patched, however large: a patch
-  re-enumerates at most the rows a fresh compile would.  Only a splice
-  that cannot be done drops the entry, and the next access recompiles.
-* Staleness is detected through :attr:`repro.graph.graph.Graph.version`:
-  every cache entry records the graph object *and* its version counter at
-  compile/patch time, so any out-of-band mutation (one not announced through
-  :meth:`CSRCache.apply_delta`) forces a rebuild instead of serving stale
-  arrays.
-* :func:`master_factor_csr` memoizes the compile of a materialised
-  :class:`repro.engine.propagation.FactorAdjacency` on the adjacency object
-  itself, so repeated ``propagate`` calls over the same adjacency (Layph's
-  per-boundary-vertex shortcut computations, retries with unchanged
-  ``states``/``pending``) compile once instead of per call; and
-  :func:`splice_master_csr` carries that memo across an in-place row
-  replacement, which is how Layph's compiled upper layer stays resident
-  from delta to delta.
-* Both kinds of patch go through :func:`splice_rows`, the one row splice:
-  re-enumerated rows in, everything else moved in runs of consecutive rows,
-  the id space followed when vertices join or leave.
+  :class:`repro.graph.delta.GraphDelta` is *patched* into the cached arrays:
+  only the rows whose adjacency (and so factors) changed are re-enumerated
+  in Python, however large the delta.  Only a splice that cannot be done
+  drops the entry, and the next access recompiles.  Every entry records the
+  graph object and its :attr:`repro.graph.graph.Graph.version`, so an
+  out-of-band mutation forces a rebuild instead of serving stale arrays.
+* :func:`master_factor_csr` memoizes the compile of a
+  :class:`repro.engine.propagation.FactorAdjacency` on the adjacency
+  itself, and :func:`splice_master_csr` carries that memo across an
+  in-place row replacement (how Layph's local adjacencies stay compiled).
+* Every patch goes through :func:`splice_rows`, the one row splice (Layph's
+  upper layer calls it directly): flat rows in, everything else moved in
+  runs of consecutive rows, the id space followed when vertices join or
+  leave.
 
 Patched arrays are **exactly** equal — ids, offsets, targets and factor bits
 — to a fresh ``FactorCSR.from_graph`` compile of the updated graph; the
@@ -49,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.graph.csr import FactorCSR, expand_edges
+from repro.graph.csr import FactorCSR, expand_edges, locate
 from repro.graph.delta import GraphDelta
 from repro.graph.graph import Graph
 
@@ -99,100 +90,90 @@ def _changed_row_vertices(
     return changed
 
 
+def flatten_rows(
+    rows: Dict[int, Sequence[Tuple[int, float]]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``{vertex: [(target id, factor), ...]}`` as the flat
+    ``(sources, counts, targets, factors)`` arrays :func:`splice_rows` takes."""
+    return (
+        np.fromiter(rows, np.int64, count=len(rows)),
+        np.fromiter(map(len, rows.values()), np.int64, count=len(rows)),
+        np.array([target for row in rows.values() for target, _f in row], dtype=np.int64),
+        np.array([factor for row in rows.values() for _t, factor in row], dtype=np.float64),
+    )
+
+
 def splice_rows(
     old_csr: FactorCSR,
-    rows: Dict[int, Sequence[Tuple[int, float]]],
-    new_ids: Optional[Sequence[int]] = None,
+    sources: np.ndarray,
+    counts: np.ndarray,
+    targets: np.ndarray,
+    factors: np.ndarray,
+    new_ids: Optional[np.ndarray] = None,
 ) -> Optional[FactorCSR]:
     """``old_csr`` with some rows replaced and, optionally, its id space moved.
 
-    ``rows`` maps a vertex id to its re-enumerated ``(target id, factor)``
-    list; ``new_ids`` is the ascending id space of the result (``None``: the
-    id space is unchanged).  Only the given rows cost Python work: every
-    other row is moved in maximal runs that are consecutive in *both*
-    snapshots, one slice copy each (targets additionally pass through the
-    old-row → new-row remap when the id space shifted).  A vertex of
-    ``new_ids`` that ``old_csr`` does not index gets its entry of ``rows``
-    or an empty row; entries of ``rows`` for vertices outside ``new_ids``
-    leave with their vertex.  The result is bit-for-bit a fresh compile of
-    the same rows.
+    The replacement rows come flat: row ``i`` is the vertex ``sources[i]``
+    (distinct ids, any order) and owns the next ``counts[i]`` entries of
+    ``targets`` (vertex ids) and ``factors``.  ``new_ids`` is the ascending
+    id space of the result (``None``: unchanged).  Every other row is moved
+    in maximal runs consecutive in *both* snapshots, one slice copy each
+    (targets remapped when the id space shifted).  A new vertex gets its
+    handed-in row or an empty one; a row handed in for a vertex outside
+    ``new_ids`` leaves with it.  The result is bit-for-bit a fresh compile
+    of the same rows.
 
     Returns ``None`` when a link — of a row that was not handed in, or of
     one that was — points outside the new id space: the caller's row
     footprint was too small, and it must compile from scratch.
     """
-    same_ids = new_ids is None
-    n_old = old_csr.num_vertices
-    if same_ids:
-        ids: List[int] = old_csr.vertex_ids
-        index = old_csr.index
-        # Carry the memoized id array forward so per-delta consumers
-        # (footprint row diffs, revision deduction) do not re-materialise an
-        # O(V) conversion per patch.
-        ids_arr = old_csr._ids_cache
-        n_new = n_old
+    old_ids = old_csr.ids_array()
+    if new_ids is None:
+        ids, index, ids_arr = old_csr.vertex_ids, old_csr.index, old_ids
         remap: Optional[np.ndarray] = None
     else:
         ids_arr = np.asarray(new_ids, dtype=np.int64)
         ids = ids_arr.tolist()
-        n_new = len(ids)
-        index = dict(zip(ids, range(n_new)))
+        index = dict(zip(ids, range(len(ids))))
         # Both id lists ascend: one binary search aligns them.
-        old_arr = old_csr.ids_array()
-        if n_old:
-            position = np.minimum(np.searchsorted(old_arr, ids_arr), n_old - 1)
-            kept = old_arr[position] == ids_arr
-        else:
-            position = np.zeros(n_new, dtype=np.int64)
-            kept = np.zeros(n_new, dtype=bool)
+        position, kept = locate(old_ids, ids_arr)
         old_row_of_new = np.where(kept, position, -1)
-        remap = np.full(n_old, -1, dtype=np.int64)
-        remap[position[kept]] = np.nonzero(kept)[0]
+        remap = np.full(old_ids.size, -1, dtype=np.int64)
+        remap[position[kept]] = np.flatnonzero(kept)
+    n_new = ids_arr.size
 
-    changed: Set[int] = {index[vertex] for vertex in rows if vertex in index}
-    if not same_ids:
-        # Brand-new vertices have no old row to copy from, changed or not.
-        changed.update(np.nonzero(~kept)[0].tolist())
-    changed_rows = sorted(changed)
-    changed_arr = np.array(changed_rows, dtype=np.int64)
-
-    # The handed-in rows, flattened (Python work proportional to the
-    # footprint, not to |E|).
-    counts: List[int] = []
-    flat_targets: List[int] = []
-    flat_factors: List[float] = []
-    try:
-        for row in changed_rows:
-            entries = rows.get(ids[row], ())
-            counts.append(len(entries))
-            for target, factor in entries:
-                flat_targets.append(index[target])
-                flat_factors.append(factor)
-    except KeyError:
+    # The handed-in rows that stay, and their links' target rows.
+    rows, present = locate(ids_arr, sources)
+    staying = np.repeat(present, counts)
+    target_rows, found = locate(ids_arr, targets[staying])
+    if not found.all():
         return None
+    rows, counts = rows[present], np.asarray(counts, dtype=np.int64)[present]
 
-    if same_ids:
+    if remap is None:
         row_counts = old_csr.out_degree.copy()
+        untouched = np.ones(n_new, dtype=bool)
     else:
         row_counts = np.zeros(n_new, dtype=np.int64)
         row_counts[kept] = old_csr.out_degree[position[kept]]
-    row_counts[changed_arr] = counts
+        # Brand-new vertices have no old row to copy from, handed in or not.
+        untouched = kept.copy()
+    row_counts[rows] = counts
+    untouched[rows] = False
     offsets = np.zeros(n_new + 1, dtype=np.int64)
     np.cumsum(row_counts, out=offsets[1:])
     num_edges = int(offsets[-1])
-    targets = np.empty(num_edges, dtype=np.int64)
-    factors = np.empty(num_edges, dtype=np.float64)
+    new_targets = np.empty(num_edges, dtype=np.int64)
+    new_factors = np.empty(num_edges, dtype=np.float64)
 
     # Bulk-move the untouched rows, one slice copy (memcpy speed) per run.
-    untouched = np.ones(n_new, dtype=bool)
-    untouched[changed_arr] = False
-    dst_rows = np.nonzero(untouched)[0]
+    dst_rows = np.flatnonzero(untouched)
     if dst_rows.size:
-        src_rows = dst_rows if same_ids else old_row_of_new[dst_rows]
+        src_rows = dst_rows if remap is None else old_row_of_new[dst_rows]
         step = np.diff(dst_rows) != 1
-        if not same_ids:
+        if remap is not None:
             step |= np.diff(src_rows) != 1
-        breaks = np.nonzero(step)[0] + 1
+        breaks = np.flatnonzero(step) + 1
         first = np.concatenate(([0], breaks))
         last = np.concatenate((breaks, [dst_rows.size])) - 1
         old_offsets = old_csr.offsets
@@ -208,20 +189,38 @@ def splice_rows(
                 moved = remap[moved]
                 if (moved < 0).any():
                     return None
-            targets[dst0 : dst0 + (src1 - src0)] = moved
-            factors[dst0 : dst0 + (src1 - src0)] = old_csr.factors[src0:src1]
+            new_targets[dst0 : dst0 + (src1 - src0)] = moved
+            new_factors[dst0 : dst0 + (src1 - src0)] = old_csr.factors[src0:src1]
 
     # Splice in the handed-in rows.
-    if flat_targets:
-        slots = expand_edges(
-            offsets[changed_arr], np.array(counts, dtype=np.int64), len(flat_targets)
-        )
-        targets[slots] = np.array(flat_targets, dtype=np.int64)
-        factors[slots] = np.array(flat_factors, dtype=np.float64)
+    if target_rows.size:
+        slots = expand_edges(offsets[rows], counts, target_rows.size)
+        new_targets[slots] = target_rows
+        new_factors[slots] = factors[staying]
 
-    patched = FactorCSR(ids, offsets, targets, factors, index=index)
+    patched = FactorCSR(ids, offsets, new_targets, new_factors, index=index)
+    # Carry the id array forward so per-delta consumers (footprint row
+    # diffs, revision deduction) do not re-materialise an O(V) conversion.
     patched._ids_cache = ids_arr
     return patched
+
+
+def moved_id_space(
+    csr: FactorCSR, joining: Sequence[int] = (), leaving: Sequence[int] = ()
+) -> Optional[np.ndarray]:
+    """``csr``'s ascending id array once ``joining`` (ids it does not index
+    yet) enter and ``leaving`` (ids it indexes) drop out; ``None`` when
+    neither moves anything."""
+    if not len(joining) and not len(leaving):
+        return None
+    # The id array ascends: ids leave and join by binary search.
+    new_ids = csr.ids_array()
+    if len(leaving):
+        new_ids = np.delete(new_ids, np.searchsorted(new_ids, sorted(leaving)))
+    if len(joining):
+        arriving = np.array(sorted(joining), dtype=np.int64)
+        new_ids = np.insert(new_ids, np.searchsorted(new_ids, arriving), arriving)
+    return new_ids
 
 
 def _patch_csr(
@@ -267,7 +266,7 @@ def _patch_csr(
         }
     new_ids = sorted(new_graph.vertices())
     return splice_rows(
-        old_csr, rows, None if new_ids == old_csr.vertex_ids else new_ids
+        old_csr, *flatten_rows(rows), None if new_ids == old_csr.vertex_ids else new_ids
     )
 
 
@@ -495,22 +494,9 @@ def splice_master_csr(
 
     ``resident`` is :func:`resident_master_csr` of ``base`` from *before*
     ``rows`` were replaced (``FactorAdjacency.replace_rows``); ``joining``
-    are ids it does not index yet and that enter its id space, ``leaving``
-    ids it indexes and that drop out.  The spliced
-    snapshot (:func:`splice_rows`: O(replaced rows) Python plus slice copies)
-    becomes the memo of ``base``'s current version, so the next
-    ``propagate`` over ``base`` runs on it instead of recompiling the whole
-    adjacency.  A splice that cannot be done drops the memo — the next
-    access compiles from scratch.
+    and ``leaving`` enter and leave its id space (:func:`moved_id_space`).
+    The spliced snapshot becomes the memo of ``base``'s current version; a
+    splice that cannot be done drops the memo, and the next access compiles.
     """
-    new_ids = None
-    if len(joining) or len(leaving):
-        # The id array ascends: ids leave and join by binary search.
-        new_ids = resident.ids_array()
-        if len(leaving):
-            new_ids = np.delete(new_ids, np.searchsorted(new_ids, sorted(leaving)))
-        if len(joining):
-            arriving = np.array(sorted(joining), dtype=np.int64)
-            new_ids = np.insert(new_ids, np.searchsorted(new_ids, arriving), arriving)
-    csr = splice_rows(resident, rows, new_ids)
+    csr = splice_rows(resident, *flatten_rows(rows), moved_id_space(resident, joining, leaving))
     base._csr_memo = None if csr is None else (base.version, csr)

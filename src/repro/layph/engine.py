@@ -93,8 +93,10 @@ class LayphEngine(IncrementalEngine):
     # offline phase
     # ------------------------------------------------------------------
     def _initial_run(self, graph: Graph) -> BatchResult:
+        # the batch run below compiles the graph's out-CSR anyway
+        out_csr = self.csr_cache.out_csr(self.spec, graph)
         start = time.perf_counter()
-        self.layered = LayeredGraph.build(self.spec, graph, self.config)
+        self.layered = LayeredGraph.build(self.spec, graph, self.config, out_csr)
         self.offline_seconds = time.perf_counter() - start
         self.offline_metrics = self.layered.construction_metrics.copy()
         result = run_batch(
@@ -168,8 +170,6 @@ class LayphEngine(IncrementalEngine):
             states[vertex] = identity
         pending: Dict[int, float] = {}
         self._root_messages(upper, pending)
-        # compile over the whole id space (the graph's vertices and proxies)
-        layered.upper_csr()
         propagate(
             self.spec,
             layered.upper_adjacency,
@@ -238,11 +238,9 @@ class LayphEngine(IncrementalEngine):
 
             affected = layered.affected_subgraphs(touched)
             affected |= layered.remove_vertices(removed_vertices)
-            pre_sources = layered.subgraph_upper_sources(affected)
-            pre_boundaries = layered.subgraph_boundaries(affected)
+            pre_sources, pre_boundaries = layered.subgraph_upper_sources(affected)
             layered.rebuild_subgraphs(sorted(affected), touched, metrics)
-            post_sources = layered.subgraph_upper_sources(affected)
-            post_boundaries = layered.subgraph_boundaries(affected)
+            post_sources, post_boundaries = layered.subgraph_upper_sources(affected)
             added_upper = (post_boundaries - pre_boundaries) | added_vertices
             # vertices the patch below brings onto the skeleton
             joined_upper = {v for v in added_upper if v not in layered.upper_vertices}
@@ -254,6 +252,7 @@ class LayphEngine(IncrementalEngine):
                 | removed_vertices,
                 removed_upper=(pre_boundaries - post_boundaries) | removed_vertices,
                 added_upper=added_upper,
+                out_csr=self.csr_cache.out_csr(spec, new_graph),
             )
 
             for vertex in added_vertices:
@@ -311,10 +310,6 @@ class LayphEngine(IncrementalEngine):
             for proxy in self.proxy_states:
                 if proxy not in proxies:
                     work.pop(proxy, None)
-            # The slab indexes the resident upper CSR: after a build or a
-            # restore, compile it over its whole id space (the graph's
-            # vertices and the proxies), not over the skeleton alone.
-            layered.upper_csr()
             journal = propagate(
                 spec,
                 layered.upper_adjacency,
@@ -586,15 +581,20 @@ class LayphEngine(IncrementalEngine):
         metrics: ExecutionMetrics,
         source: Optional[int],
     ) -> None:
-        """One kernel call over every assigned subgraph's shortcut rows:
-        the best boundary offers (selective) or the boundary deltas
-        (accumulative) pushed down to the internal vertices, which are
-        always graph vertices (a removed vertex leaves its subgraph)."""
+        """One kernel call over the assigned subgraphs' rows of the resident
+        shortcut stack (:class:`repro.layph.vectorized.ShortcutStack`,
+        synced first): the best boundary offers (selective) or the boundary
+        deltas (accumulative) pushed down to the internal vertices, which
+        are always graph vertices (a removed vertex leaves its subgraph)."""
         spec = self.spec
+        layered = self._require_layered()
+        stack = layered.shortcut_stack
+        stack.sync(spec, layered.subgraphs)
+        indices = [subgraph.index for subgraph in subgraphs]
         if not spec.is_selective():
-            assign_accumulative_batch(spec, subgraphs, deltas, work, metrics)
+            assign_accumulative_batch(spec, stack, indices, deltas, work, metrics)
             return
-        best_maps = assign_selective_batch(spec, subgraphs, work, metrics)
+        best_maps = assign_selective_batch(spec, stack, indices, work, metrics)
         for subgraph, best in zip(subgraphs, best_maps):
             self._finish_selective_assign(subgraph, best, work, source)
 

@@ -5,16 +5,15 @@
 * a list of :class:`DenseSubgraph` objects — the lower layer ``Llow``: each
   records its members, its entry/exit/internal split (after optional vertex
   replication), its intra-subgraph *factor* adjacency and its shortcut tables;
-* the upper layer ``Lup`` — a factor adjacency over the boundary vertices of
-  all dense subgraphs, the proxies, and the outliers (vertices in no dense
-  subgraph); its links are the boundary-to-boundary shortcuts, the original
-  edges that do not lie inside any dense subgraph, and the host/proxy links
-  introduced by replication.
+* the upper layer ``Lup`` — a compiled factor CSR over the graph's vertices
+  and the proxies, whose rows are non-empty only for the boundary vertices
+  of all dense subgraphs, the proxies, and the outliers (vertices in no
+  dense subgraph); its links are the boundary-to-boundary shortcuts, the
+  original edges that do not lie inside any dense subgraph, and the
+  host/proxy links introduced by replication.
 
-Links everywhere carry explicit propagation factors (``edge_factor`` values of
-the algorithm, or shortcut weights), so the structure is algorithm-specific —
-exactly as in the paper, where shortcut weights are deduced from the
-user-defined ``F`` and ``G``.
+Links carry propagation factors (``edge_factor`` values or shortcut
+weights), so the structure is algorithm-specific, as in the paper.
 """
 
 from __future__ import annotations
@@ -22,20 +21,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency
-from repro.graph.csr import FactorCSR
+from repro.graph.csr import CSRAdjacency, FactorCSR, expand_edges, locate
 from repro.graph.csr_cache import (
-    master_factor_csr,
+    flatten_rows,
+    moved_id_space,
     resident_master_csr,
     splice_master_csr,
+    splice_rows,
 )
 from repro.graph.graph import Graph
 from repro.layph.community import louvain_communities
 from repro.layph.dense import select_dense_subgraphs
 from repro.layph.replication import HostIndex, ReplicationPlan, plan_replication
 from repro.layph.shortcuts import ShortcutBatch, ShortcutTable, shortcut_revision
+from repro.layph.vectorized import ShortcutStack
 
 
 @dataclass
@@ -106,36 +110,14 @@ class DenseSubgraph:
         """Number of shortcut entries (the Figure 11a space metric)."""
         return self.shortcuts.count()
 
-    def boundary_shortcut_links(self) -> Iterable[Tuple[int, int, float]]:
-        """Shortcuts whose target is a boundary vertex (they live on Lup)."""
-        table = self.shortcuts
-        for source in table.sources:
-            for target, factor in table.links_to_sources(source):
-                yield source, target, factor
 
-    def internal_shortcuts(self, source: int) -> Dict[int, float]:
-        """Shortcuts from ``source`` restricted to internal targets."""
-        return {
-            target: factor
-            for target, factor in self.shortcuts.vector(source).items()
-            if target in self.internal
-        }
-
-
-def _adjacency_state(adjacency: FactorAdjacency) -> dict:
-    """JSON-able form of a factor adjacency — row order and version preserved.
-
-    The row (and per-row link) order fixes the fold order of the propagation
-    float sums, and the mutation counter keys the compiled-CSR memo, so both
-    travel through the durable snapshot verbatim.
-    """
-    return {
-        "rows": [
-            [source, [[target, factor] for target, factor in row]]
-            for source, row in adjacency._adjacency.items()
-        ],
-        "version": adjacency.version,
-    }
+def _adjacency_state(adjacency, version: int) -> dict:
+    """JSON-able rows of a factor adjacency, in its row order and each row's
+    link order (the fold order of the propagation sums), and its mutation
+    counter ``version``."""
+    sources = adjacency.vertices_with_out_edges()
+    rows = [[source, [list(link) for link in adjacency(source)]] for source in sources]
+    return {"rows": rows, "version": version}
 
 
 def _adjacency_from_state(payload: dict) -> FactorAdjacency:
@@ -150,23 +132,40 @@ def _adjacency_from_state(payload: dict) -> FactorAdjacency:
     return adjacency
 
 
-def _dedup_min_links(row: Iterable[Tuple[int, float]]) -> Dict[int, float]:
-    """Per-target minimum over one upper row's links.
-
-    Parallel upper-layer links can appear when a shortcut coexists with an
-    original edge; the diff keeps the better one per target (the propagation
-    itself uses both links).
-    """
-    links: Dict[int, float] = {}
-    for target, factor in row:
-        current = links.get(target)
-        links[target] = factor if current is None else min(current, factor)
-    return links
-
-
 #: one changed skeleton link: ``(source, target, old_factor, new_factor)``,
 #: ``None`` on the side where the link is absent
 ChangedLink = Tuple[int, int, Optional[float], Optional[float]]
+
+#: flat upper rows ``(row, target ids, factors)``: each link's row is its
+#: source's position among the sources the rows were read for
+FlatRows = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _compile_rows(ids: np.ndarray, rows: Tuple[np.ndarray, ...]) -> FactorCSR:
+    """Flat ``(sources, counts, targets, factors)`` rows spliced into an
+    empty CSR over the ascending ``ids``: bit for bit a fresh compile."""
+    empty = FactorCSR(ids.tolist(), np.zeros(ids.size + 1, dtype=np.int64), rows[2][:0], rows[3][:0])
+    return splice_rows(empty, *rows)
+
+
+def _link_diff(sources: np.ndarray, old: FlatRows, new: FlatRows) -> List[ChangedLink]:
+    """Every ``(source, target, old_factor, new_factor)`` whose better of the
+    parallel links (a shortcut can meet an original edge) differs between the
+    ``old`` and ``new`` rows of ``sources`` (``None`` where absent), sources
+    then targets ascending.  Every factor is finite, so ``inf`` is absence."""
+    ids, rank = np.unique(np.concatenate((old[1], new[1])), return_inverse=True)
+    keys, key = np.unique(np.concatenate((old[0], new[0])) * ids.size + rank, return_inverse=True)
+    best = np.full((2, keys.size), np.inf)
+    np.minimum.at(best[0], key[: old[0].size], old[2])
+    np.minimum.at(best[1], key[old[0].size :], new[2])
+    changed = np.flatnonzero(best[0] != best[1])
+    links = zip(
+        sources[keys[changed] // ids.size].tolist(),
+        ids[keys[changed] % ids.size].tolist(),
+        best[0][changed].tolist(),
+        best[1][changed].tolist(),
+    )
+    return [(s, t, None if o == np.inf else o, None if n == np.inf else n) for s, t, o, n in links]
 
 
 class LayeredGraph:
@@ -179,7 +178,18 @@ class LayeredGraph:
         self.subgraphs: List[DenseSubgraph] = []
         #: real vertex -> index of the dense subgraph it belongs to
         self.subgraph_of: Dict[int, int] = {}
-        self.upper_adjacency: FactorAdjacency = FactorAdjacency()
+        #: ``subgraph_of`` as sorted ``(members, owners)`` arrays; dropped
+        #: whenever the map loses a member (it gains none after the build)
+        self._owner_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: the upper layer: a read-only view of its CSR, compiled by a full
+        #: reassembly and then spliced by :meth:`patch_upper`
+        empty = FactorCSR([], np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
+        self.upper_adjacency = CSRAdjacency(empty)
+        #: its mutation counter: its link count at the last reassembly plus
+        #: one per patch that changed a row (stored with it)
+        self._upper_version = 0
+        #: phase 4's input, every subgraph's boundary→internal shortcut rows
+        self.shortcut_stack = ShortcutStack()
         self.upper_vertices: Set[int] = set()
         self._next_proxy_id: int = -1
         #: stable proxy ids: (subgraph index, host, side) -> proxy id, so that
@@ -199,14 +209,9 @@ class LayeredGraph:
         self._upper_links_by_source: Dict[int, Dict[int, List[Tuple[int, float]]]] = {}
         #: proxy vertex -> index of the subgraph that owns it
         self._proxy_owner: Dict[int, int] = {}
-        #: upper-layer rebuilds that could keep the previous adjacency object
-        #: (skeleton unchanged — its CSR compile memo stays valid) / that had
-        #: to install a new one; exposed for tests and benchmark reporting
-        self.upper_reuses = 0
-        self.upper_rebuilds = 0
-        #: deltas whose upper layer was maintained by the row-level diff path
-        #: (:meth:`patch_upper`) instead of a full reassembly
-        self.upper_patches = 0
+        #: patches that left the upper layer unchanged / changed it, and full
+        #: reassemblies; exposed for tests and benchmark reporting
+        self.upper_reuses = self.upper_patches = self.upper_rebuilds = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -217,8 +222,10 @@ class LayeredGraph:
         spec: AlgorithmSpec,
         graph: Graph,
         config: Optional[LayphConfig] = None,
+        out_csr: Optional[FactorCSR] = None,
     ) -> "LayeredGraph":
-        """Build the layered graph of ``graph`` for algorithm ``spec``."""
+        """Build the layered graph of ``graph`` for algorithm ``spec``
+        (``out_csr``: the graph's compiled out-CSR, if the caller has it)."""
         config = config or LayphConfig()
         if config.enable_replication and any(v < 0 for v in graph.vertices()):
             raise ValueError(
@@ -249,7 +256,7 @@ class LayeredGraph:
             batch = ShortcutBatch(spec)
             layered._refresh_subgraph(subgraph, set(subgraph.members), batch, metrics)
             batch.run(metrics)
-        layered.rebuild_upper()
+        layered.rebuild_upper(out_csr)
         return layered
 
     # ------------------------------------------------------------------
@@ -275,26 +282,21 @@ class LayeredGraph:
         """Bring the resident tables of ``subgraph`` up to date with the graph.
 
         ``touched`` must hold every member whose adjacency changed and every
-        member that left the graph: a delta's touched vertices, or all
-        members for the build, which starts from empty tables.  From them:
-        the host index, the plan, the split of the touched members and of the
-        endpoints of rewired edges that entered or left the plan, and the
-        dirty local rows — the touched members' and every row with a proxy
-        link in the old or new plan — replaced in place, with the memoized
-        compile spliced along (:func:`repro.graph.csr_cache.splice_master_csr`).
-        Only the shortcut vectors of new boundary vertices and of those whose
-        old region reaches a changed row are recomputed (the others provably
-        keep their weights; Section IV-B).  A split or table that did not
-        change keeps its object, so the caches keyed on them stay valid.
+        member that left the graph (all members for the build, which starts
+        from empty tables).  From them: the host index, the plan, the split
+        of the touched members and of the endpoints of rewired edges that
+        entered or left the plan, and the dirty local rows (the touched
+        members' and every row with a proxy link in the old or new plan),
+        replaced in place with the memoized compile spliced along.  Only the
+        shortcut rows of new boundary vertices and of those whose old region
+        reaches a changed row are stale (Section IV-B); a split or table that
+        did not change keeps its object.
 
-        Nothing is solved or folded here: the subgraph gets a new table
-        whose stale rows are jobs in ``batch`` — for a min/+ spec a revision
-        when :func:`repro.layph.shortcuts.shortcut_revision` yields its
-        messages (charged to ``metrics``), a from-scratch solve when it
-        cannot (new boundary vertices, support loss); for a sum/mul spec
-        always a solve (closed-form unless the subgraph is too large) — and
-        whose other rows the batch copies from the old table.  The caller
-        runs the batch.
+        Nothing is solved here: the subgraph gets a new table whose stale
+        rows are jobs in ``batch`` (a min/+ revision when
+        :func:`repro.layph.shortcuts.shortcut_revision` yields its messages,
+        charged to ``metrics``, else a solve) and whose other rows the batch
+        copies from the old table.  The caller runs the batch.
         """
         spec = self.spec
         graph = self.graph
@@ -312,6 +314,7 @@ class LayeredGraph:
             if not graph.has_vertex(vertex):
                 members.discard(vertex)
                 self.subgraph_of.pop(vertex, None)
+                self._owner_arrays = None
         dirty = named & members
         gone = named - dirty
         subgraph.hosts.update(graph, members, named)
@@ -454,9 +457,7 @@ class LayeredGraph:
         old_upper_links: List[Tuple[int, int, float]],
     ) -> None:
         """Move the per-source replication indexes from a subgraph's old
-        tables to its freshly planned ones (an O(subgraph tables) diff,
-        instead of the O(all subgraphs) re-unions ``patch_upper`` used to
-        run on every delta)."""
+        tables to its freshly planned ones (an O(subgraph tables) diff)."""
         index = subgraph.index
         for proxy in old_proxies:
             if proxy not in subgraph.proxies and self._proxy_owner.get(proxy) == index:
@@ -526,20 +527,17 @@ class LayeredGraph:
         touched: Set[int],
         metrics: Optional[ExecutionMetrics] = None,
     ) -> None:
-        """Refresh several dense subgraphs against the current graph.
-
-        Used by the online engine for the subgraphs affected by ΔG, with the
-        delta's touched vertices (see :meth:`_refresh_subgraph`).  Every
-        shortcut solve and revision of all ``indices`` runs in one
-        :class:`repro.layph.shortcuts.ShortcutBatch` call after the refresh
-        loop.  The shortcut work is added to ``construction_metrics`` as
-        totals, and its activations and dense multiply-adds (the sum/mul
-        closed form's) are charged to ``metrics`` when given.
-        """
+        """Refresh the subgraphs ``indices`` affected by a delta that
+        touched ``touched`` (:meth:`_refresh_subgraph`), with every shortcut
+        solve and revision in one :class:`repro.layph.shortcuts.ShortcutBatch`
+        call; the work is added to ``construction_metrics`` as totals and its
+        activations and dense multiply-adds to ``metrics`` when given, and
+        each segment of the shortcut stack is marked for a sync."""
         work = ExecutionMetrics()
         batch = ShortcutBatch(self.spec)
         for index in indices:
             self._refresh_subgraph(self.subgraphs[index], touched, batch, work)
+            self.shortcut_stack.pending.add(index)
         batch.run(work, per_round=False)
         construction = self.construction_metrics
         construction.edge_activations += work.edge_activations
@@ -561,69 +559,35 @@ class LayeredGraph:
             if vertex not in self.subgraph_of
         }
 
-    def _assemble_upper(self) -> Tuple[FactorAdjacency, Set[int]]:
-        """Assemble a fresh upper layer from the current subgraph tables.
+    def rebuild_upper(self, out_csr: Optional[FactorCSR] = None) -> None:
+        """Assemble the upper layer from the current graph and subgraph tables.
 
-        Pure function of the current graph and subgraph state: returns the
-        ``(adjacency, upper_vertices)`` pair without installing anything, so
-        :meth:`rebuild_upper` and the diff-path regression tests share one
-        assembly.
+        Every row — of the graph's vertices and the proxies — comes from
+        :meth:`_upper_rows` (``out_csr``: the graph's compiled out-CSR,
+        compiled here when not given) and is spliced into an empty CSR: a
+        fresh compile, O(V + E).  The build runs it; the online engine
+        maintains the skeleton with :meth:`patch_upper`.
         """
-        spec = self.spec
         graph = self.graph
-        upper = FactorAdjacency()
-        upper_vertices: Set[int] = set()
-
-        rewired: Set[Tuple[int, int]] = set()
+        if out_csr is None:
+            out_csr = FactorCSR.from_graph(self.spec, graph)
+        proxies = np.fromiter(self._proxy_owner, np.int64, count=len(self._proxy_owner))
+        ids = np.union1d(out_csr.ids_array(), proxies)
+        position, targets, factors = self._upper_rows(ids, out_csr)
+        counts = np.bincount(position, minlength=ids.size)
+        self.upper_adjacency.csr = _compile_rows(ids, (ids, counts, targets, factors))
+        self.upper_vertices = self.outliers()
         for subgraph in self.subgraphs:
-            rewired.update(subgraph.rewired_edges)
-            upper_vertices.update(subgraph.boundary)
-
-        upper_vertices.update(self.outliers())
-
-        # Original edges that are not inside any dense subgraph (and were not
-        # rewired through a proxy) stay on the upper layer with their factors.
-        subgraph_of = self.subgraph_of
-        for source in graph.vertices():
-            own = subgraph_of.get(source)
-            if own is not None and all(
-                subgraph_of.get(target) == own
-                for target in graph.out_neighbors(source)
-            ):
-                # internal to its subgraph (most vertices of a web-like
-                # graph): no cross edge, so no factors to derive
-                continue
-            for target, factor in spec.out_factors(graph, source):
-                if own is not None and subgraph_of.get(target) == own:
-                    continue
-                if (source, target) in rewired:
-                    continue
-                upper.add(source, target, factor)
-
-        # Boundary-to-boundary shortcuts and host/proxy links of every
-        # dense subgraph.
-        for subgraph in self.subgraphs:
-            for source, target, factor in subgraph.boundary_shortcut_links():
-                upper.add(source, target, factor)
-            for source, target, factor in subgraph.upper_links:
-                upper.add(source, target, factor)
-        return upper, upper_vertices
-
-    def rebuild_upper(self) -> None:
-        """Assemble the upper layer from the current subgraph tables.
-
-        This is the full-reassembly path — O(V + E).  It runs at build time;
-        the online engine maintains the skeleton with :meth:`patch_upper`
-        (row-level maintenance driven by the delta footprint).
-        """
-        self.upper_adjacency, self.upper_vertices = self._assemble_upper()
+            self.upper_vertices |= subgraph.boundary
+        self._upper_version = self.upper_adjacency.csr.num_edges
         self.upper_rebuilds += 1
 
     # ------------------------------------------------------------------
     # incremental (diff-based) upper-layer maintenance
     # ------------------------------------------------------------------
-    def subgraph_upper_sources(self, indices: Iterable[int]) -> Set[int]:
-        """Every source whose upper row the given subgraphs contribute to.
+    def subgraph_upper_sources(self, indices: Iterable[int]) -> Tuple[Set[int], Set[int]]:
+        """``(sources, boundaries)``: every source whose upper row the given
+        subgraphs contribute to, and the union of their boundaries.
 
         Snapshot this for the affected subgraphs *before* rebuilding them and
         again after: the union bounds the rows a rebuild can have changed —
@@ -632,25 +596,20 @@ class LayeredGraph:
         edge flips its source's cross-edge row when the rewiring changes.
         """
         sources: Set[int] = set()
-        for index in indices:
-            subgraph = self.subgraphs[index]
-            sources |= subgraph.boundary
-            sources.update(source for source, _t, _f in subgraph.upper_links)
-            sources.update(source for source, _t in subgraph.rewired_edges)
-        return sources
-
-    def subgraph_boundaries(self, indices: Iterable[int]) -> Set[int]:
-        """Union of the boundary sets (proxies included) of the subgraphs."""
         boundaries: Set[int] = set()
         for index in indices:
-            boundaries |= self.subgraphs[index].boundary
-        return boundaries
+            subgraph = self.subgraphs[index]
+            boundaries |= subgraph.boundary
+            sources.update(source for source, _t, _f in subgraph.upper_links)
+            sources.update(source for source, _t in subgraph.rewired_edges)
+        return sources | boundaries, boundaries
 
     def patch_upper(
         self,
         dirty_sources: Set[int],
         removed_upper: Set[int],
         added_upper: Set[int],
+        out_csr: FactorCSR,
     ) -> List[ChangedLink]:
         """Maintain the upper layer in place from a delta's row footprint.
 
@@ -658,140 +617,149 @@ class LayeredGraph:
         from the previous delta's: the delta's touched sources (their
         out-adjacency — and with it every cross-edge factor — changed) plus
         :meth:`subgraph_upper_sources` of the rebuilt subgraphs, before and
-        after the rebuild.  Each dirty row is re-derived exactly as
-        :meth:`_assemble_upper` would build it (cross edges in out-adjacency
-        order, then per subgraph — via the per-source replication indexes
-        maintained at subgraph rebuild, never a re-union over all subgraphs —
-        the boundary shortcuts and host/proxy links), so the patched
-        adjacency is identical — content and per-row link order — to a full
-        reassembly.  Rows outside ``dirty_sources`` cannot change: their
-        cross edges, factors and rewiring status are functions of unchanged
-        out-adjacencies and untouched subgraph tables.
-
-        Vertices that left the graph belong in ``dirty_sources`` too (their
-        rows vanish) and in ``removed_upper``.  A removal shrinks subgraph
-        membership, but only edges incident to the removed vertex can flip
-        their same-subgraph test, and those are gone with it: their sources
-        are touched sources of the delta, so no row outside the footprint
-        changes.  ``removed_upper``/``added_upper`` carry the membership diff
+        after the rebuild.  Rows outside it cannot change: their cross edges,
+        factors and rewiring status are functions of unchanged
+        out-adjacencies and untouched subgraph tables.  Vertices that left
+        the graph belong in it too (their rows vanish) and in
+        ``removed_upper``: a removal can flip the same-subgraph test only of
+        edges incident to the removed vertex, whose sources the delta
+        touched.  ``removed_upper``/``added_upper`` carry the membership diff
         of the upper vertex set (old vs new boundaries of the rebuilt
         subgraphs, the delta's removed vertices, and its brand-new vertices,
         which are always outliers).
 
-        The compiled form of the skeleton follows the patch: when the
-        adjacency's master CSR is resident
-        (:func:`repro.graph.csr_cache.resident_master_csr`), the changed rows
-        are spliced into it and vertices/proxies that joined or left enter or
-        leave its id space, so the next upper-layer ``propagate`` runs on a
-        snapshot bit-identical to a fresh compile without compiling one.
-
-        For a selective spec, returns every ``(source, target, old_factor,
-        new_factor)`` whose better-of-parallels factor the patch changed
-        (``None`` where the link is absent), sources then targets ascending
-        — the skeleton's changed-link list, read off the dirty rows only.
-        For an accumulative spec the list is empty: nothing reads it.
+        The dirty rows are re-derived as flat arrays (:meth:`_upper_rows`,
+        cross edges off ``out_csr``, the current graph's compiled out-CSR),
+        and those that differ are spliced into the resident CSR
+        (:func:`repro.graph.csr_cache.splice_rows`), vertices and proxies
+        that joined or left entering or leaving its id space: it stays
+        bit-identical to a fresh reassembly's compile.  For a selective spec,
+        returns the changed-link list (:func:`_link_diff` of the pre-patch
+        and the new rows of the sources that differ); for an accumulative
+        spec it is empty, as nothing reads it.
         """
-        spec = self.spec
-        graph = self.graph
-        subgraph_of = self.subgraph_of
-        rewired = self._rewired_counts
+        old = self.upper_csr()
+        old_ids = old.ids_array()
+        sources = np.array(sorted(dirty_sources), dtype=np.int64)
+        new = self._upper_rows(sources, out_csr)
+        counts = np.bincount(new[0], minlength=sources.size)
+        rows, found = locate(old_ids, sources)
+        old_counts = np.zeros(sources.size, dtype=np.int64)
+        old_counts[found] = old.out_degree[rows[found]]
+        slots = expand_edges(old.offsets[rows], old_counts, int(old_counts.sum()))
+        old_rows = np.repeat(np.arange(sources.size), old_counts)
+        before = (old_rows, old_ids[old.targets[slots]], old.factors[slots])
+        # the rows that differ: in length, or in a link of the same slot
+        same = old_counts == counts
+        old_same, new_same = same[before[0]], same[new[0]]
+        mismatch = (before[1][old_same] != new[1][new_same]) | (before[2][old_same] != new[2][new_same])
+        differ = ~same
+        differ[new[0][new_same][mismatch]] = True
+        kept = differ[new[0]]
+        changed = bool(differ.any())
 
-        rows: Dict[int, List[Tuple[int, float]]] = {}
-        for vertex in dirty_sources:
-            row: List[Tuple[int, float]] = []
-            if graph.has_vertex(vertex):
-                own = subgraph_of.get(vertex)
-                for target, factor in spec.out_factors(graph, vertex):
-                    if own is not None and subgraph_of.get(target) == own:
-                        continue
-                    if (vertex, target) in rewired:
-                        continue
-                    row.append((target, factor))
-            rows[vertex] = row
-        # A vertex's shortcut links live only in its owning subgraph (members
-        # via ``subgraph_of``, proxies via the maintained owner index); its
-        # host/proxy links come from the per-source link index.  Contributions
-        # replay the assembly order: subgraphs ascending, a subgraph's
-        # shortcuts before its host/proxy links.
-        for vertex in dirty_sources:
-            own = subgraph_of.get(vertex)
-            if own is None:
-                own = self._proxy_owner.get(vertex)
-            buckets = self._upper_links_by_source.get(vertex)
-            if own is None and buckets is None:
-                continue
-            row = rows[vertex]
-            indices = set(buckets) if buckets else set()
-            if own is not None:
-                indices.add(own)
-            for index in sorted(indices):
-                if index == own:
-                    table = self.subgraphs[index].shortcuts
-                    if vertex in table.rows:
-                        row.extend(table.links_to_sources(vertex))
-                if buckets is not None and index in buckets:
-                    row.extend(buckets[index])
-
-        adjacency = self.upper_adjacency
         changed_links: List[ChangedLink] = []
-        # only the selective upload reads the link diff (accumulative
-        # revision messages come from the graph)
-        for vertex in sorted(rows) if spec.is_selective() else ():
-            old_row = adjacency(vertex)
-            if old_row == rows[vertex]:
-                continue
-            old = _dedup_min_links(old_row)
-            new = _dedup_min_links(rows[vertex])
-            for target in sorted(old.keys() | new.keys()):
-                old_factor = old.get(target)
-                new_factor = new.get(target)
-                if old_factor != new_factor:
-                    changed_links.append((vertex, target, old_factor, new_factor))
-        resident = resident_master_csr(adjacency)
-        changed = adjacency.replace_rows(rows)
-        if changed:
-            self.upper_patches += 1
-        else:
-            self.upper_reuses += 1
+        if self.spec.is_selective() and changed:
+            old_kept = differ[old_rows]
+            changed_links = _link_diff(
+                sources, tuple(c[old_kept] for c in before), tuple(c[kept] for c in new)
+            )
+        self.upper_patches += changed
+        self.upper_reuses += not changed
+        self._upper_version += changed
         self.upper_vertices.difference_update(removed_upper)
         self.upper_vertices.update(added_upper)
-        if resident is not None:
-            # The compiled id space is the graph's vertices plus the proxies:
-            # a vertex that merely moved between the layers stays in it.
-            joining = [v for v in added_upper if v not in resident.index]
-            leaving = [
-                v
-                for v in removed_upper
-                if v in resident.index
-                and not graph.has_vertex(v)
-                and v not in self._proxy_owner
-            ]
-            if changed or joining or leaving:
-                splice_master_csr(
-                    adjacency,
-                    resident,
-                    {vertex: rows[vertex] for vertex in changed},
-                    joining,
-                    leaving,
-                )
+        # The compiled id space is the graph's vertices plus the proxies: a
+        # vertex that merely moved between the layers stays in it.
+        joining = [v for v in added_upper if v not in old.index]
+        leaving = [
+            v
+            for v in removed_upper
+            if v in old.index and not self.graph.has_vertex(v) and v not in self._proxy_owner
+        ]
+        if changed or joining or leaving:
+            new_ids = moved_id_space(old, joining, leaving)
+            spliced = splice_rows(old, sources[differ], counts[differ], new[1][kept], new[2][kept], new_ids)
+            if spliced is None:  # a link left the id space: the footprint missed a row
+                self.rebuild_upper(out_csr)
+            else:
+                self.upper_adjacency.csr = spliced
         return changed_links
 
-    def upper_csr(self) -> FactorCSR:
-        """Compiled out-CSR of the upper layer over the graph's vertices and
-        the proxies — the snapshot the upper-layer ``propagate`` runs on.
+    def _upper_rows(self, sources: np.ndarray, out_csr: FactorCSR) -> FlatRows:
+        """The upper rows of ``sources`` (distinct ids) as flat arrays, each
+        row in assembly order, with no per-link Python.
 
-        Resident across deltas: compiled on first use after a build, a
-        restore or a full reassembly, then kept current by
-        :meth:`patch_upper`'s splice.
+        Cross edges come off ``out_csr`` under a same-subgraph mask and the
+        rewiring set; shortcut links off the owning subgraphs' tables
+        (:meth:`repro.layph.shortcuts.ShortcutTable.boundary_links`): a
+        vertex has a row only in its owner's (members via ``subgraph_of``,
+        proxies via the owner index), so they are searched as one; host/proxy
+        links come from the per-source index.  One stable sort by (row,
+        segment) replays the assembly order: cross edges, then per subgraph
+        ascending its shortcuts before its host/proxy links.
         """
-        adjacency = self.upper_adjacency
-        csr = resident_master_csr(adjacency)
-        if csr is None:
-            # only a compile needs the O(V) id space spelled out
-            universe = set(self.graph.vertices())
-            universe.update(self._proxy_owner)
-            csr = master_factor_csr(adjacency, universe)
-        return csr
+        own = self._owners(sources)
+        outside = np.flatnonzero(own < 0)
+        if outside.size and self._proxy_owner:
+            own[outside] = [self._proxy_owner.get(v, -1) for v in sources[outside].tolist()]
+
+        graph_ids = out_csr.ids_array()
+        rows, found = locate(graph_ids, sources)
+        degree = np.zeros(sources.size, dtype=np.int64)
+        degree[found] = out_csr.out_degree[rows[found]]
+        slots = expand_edges(out_csr.offsets[rows], degree, int(degree.sum()))
+        position = np.repeat(np.arange(sources.size), degree)
+        targets = graph_ids[out_csr.targets[slots]]
+        cross = (own[position] < 0) | (own[position] != self._owners(targets))
+        if self._rewired_counts and cross.any():
+            pairs = zip(sources[position[cross]].tolist(), targets[cross].tolist())
+            cross[cross] = [pair not in self._rewired_counts for pair in pairs]
+        segment = np.zeros(int(cross.sum()), dtype=np.int64)
+        parts = [(position[cross], segment, targets[cross], out_csr.factors[slots[cross]])]
+
+        indices = np.unique(own[own >= 0])
+        if indices.size:
+            tables = [self.subgraphs[index].shortcuts.boundary_links() for index in indices.tolist()]
+            table_sources, counts, link_targets, weights = (np.concatenate(column) for column in zip(*tables))
+            segment = np.repeat(2 * indices + 1, [table[0].size for table in tables])
+            order = np.argsort(table_sources)
+            rows, found = locate(table_sources[order], sources)
+            rows = order[rows[found]]
+            picked = expand_edges((np.cumsum(counts) - counts)[rows], counts[rows], int(counts[rows].sum()))
+            at, segment = (np.repeat(column, counts[rows]) for column in (np.flatnonzero(found), segment[rows]))
+            parts.append((at, segment, link_targets[picked], weights[picked]))
+
+        by_source = self._upper_links_by_source
+        links = [
+            (at, 2 * index + 2, target, factor)
+            for at, vertex in enumerate(sources.tolist())
+            if vertex in by_source
+            for index, bucket in by_source[vertex].items()
+            for target, factor in bucket
+        ]
+        if links:
+            parts.append(tuple(np.array(column) for column in zip(*links)))
+        position, segment, targets, factors = (np.concatenate(column) for column in zip(*parts))
+        order = np.lexsort((segment, position))
+        return position[order], targets[order], factors[order]
+
+    def _owners(self, vertices: np.ndarray) -> np.ndarray:
+        """The subgraph index of each of ``vertices`` (-1: in none)."""
+        if self._owner_arrays is None:
+            members = np.fromiter(self.subgraph_of, np.int64, count=len(self.subgraph_of))
+            owners = np.fromiter(self.subgraph_of.values(), np.int64, count=len(members))
+            order = np.argsort(members)
+            # the trailing -1 keeps the gather valid when there is no member
+            self._owner_arrays = (members[order], np.append(owners[order], -1))
+        members, owners = self._owner_arrays
+        position, found = locate(members, vertices)
+        return np.where(found, owners[position], -1)
+
+    def upper_csr(self) -> FactorCSR:
+        """The upper layer: its compiled out-CSR over the graph's vertices
+        and the proxies, kept current by :meth:`patch_upper`'s splice."""
+        return self.upper_adjacency.csr
 
     # ------------------------------------------------------------------
     # bookkeeping for deltas
@@ -808,6 +776,7 @@ class LayeredGraph:
             if index is not None:
                 self.subgraphs[index].members.discard(vertex)
                 affected.add(index)
+                self._owner_arrays = None
         return affected
 
     def affected_subgraphs(self, touched_vertices: Set[int]) -> Set[int]:
@@ -831,19 +800,18 @@ class LayeredGraph:
     def to_state(self) -> dict:
         """JSON-able state of the layered graph (everything but spec/graph/config).
 
-        Orders matter and are preserved verbatim wherever a consumer folds
-        floats over them: each subgraph's ``upper_links`` list, the local and
-        upper adjacencies' row orders (and their mutation counters, which key
-        the compiled-CSR memos), and the nested ``_upper_links_by_source``
-        buckets whose inner lists :meth:`patch_upper` extends rows with.
-        Each shortcut table is stored as its rows' ``[target, weight]``
-        entries, ascending; its order is no part of the contract — no target
-        receives two entries of one row — so any order restores the same
-        table (stores written while the tables were dicts kept dict order).
+        Orders are preserved verbatim wherever a consumer folds floats over
+        them: each subgraph's ``upper_links``, the local adjacency's rows and
+        its mutation counter (the compiled-CSR memo's key), each upper row's
+        links, and the ``_upper_links_by_source`` buckets.  The upper layer
+        is written off its CSR as ``rows`` (sources ascending) and its
+        mutation counter; the order of rows, and of a shortcut row's
+        ``[target, weight]`` entries (written ascending), is no part of the
+        contract: stores written while either was a dict kept insertion
+        order, and restore the same.
         Pure sets (members, boundary splits, rewired edges, upper vertices)
         are stored sorted — their consumers are set operations, keyed
-        lookups, or sorted iterations.  The compiled upper CSR is not
-        stored; it is compiled on first use.
+        lookups, or sorted iterations.
         """
         return {
             "subgraphs": [
@@ -861,7 +829,9 @@ class LayeredGraph:
                         for source, target in subgraph.rewired_edges
                     ),
                     "upper_links": [list(link) for link in subgraph.upper_links],
-                    "local_adjacency": _adjacency_state(subgraph.local_adjacency),
+                    "local_adjacency": _adjacency_state(
+                        subgraph.local_adjacency, subgraph.local_adjacency.version
+                    ),
                     "shortcuts": [
                         [source, [[target, factor] for target, factor in row.items()]]
                         for source, row in subgraph.shortcuts.vectors().items()
@@ -872,7 +842,7 @@ class LayeredGraph:
             "subgraph_of": [
                 [vertex, index] for vertex, index in self.subgraph_of.items()
             ],
-            "upper_adjacency": _adjacency_state(self.upper_adjacency),
+            "upper_adjacency": _adjacency_state(self.upper_adjacency, self._upper_version),
             "upper_vertices": sorted(self.upper_vertices),
             "next_proxy_id": self._next_proxy_id,
             "proxy_registry": [
@@ -953,7 +923,6 @@ class LayeredGraph:
         layered.subgraph_of = {
             int(vertex): int(index) for vertex, index in payload["subgraph_of"]
         }
-        layered.upper_adjacency = _adjacency_from_state(payload["upper_adjacency"])
         layered.upper_vertices = {int(vertex) for vertex in payload["upper_vertices"]}
         layered._next_proxy_id = int(payload["next_proxy_id"])
         layered._proxy_registry = {
@@ -979,6 +948,12 @@ class LayeredGraph:
         layered._proxy_owner = {
             int(proxy): int(index) for proxy, index in payload["proxy_owner"]
         }
+        upper = _adjacency_from_state(payload["upper_adjacency"])
+        rows = flatten_rows(upper._adjacency)
+        universe = np.fromiter(set(graph.vertices()) | layered._proxy_owner.keys(), np.int64)
+        ids = np.union1d(universe, np.append(rows[0], rows[2]))
+        layered.upper_adjacency.csr = _compile_rows(ids, rows)
+        layered._upper_version = upper.version
         counters = payload["counters"]
         layered.upper_reuses = int(counters["upper_reuses"])
         layered.upper_rebuilds = int(counters["upper_rebuilds"])
@@ -990,9 +965,7 @@ class LayeredGraph:
     # ------------------------------------------------------------------
     def upper_size(self) -> Tuple[int, int]:
         """``(vertices, links)`` of the upper layer."""
-        return len(self.upper_vertices | self.proxy_vertices()), len(
-            self.upper_adjacency
-        )
+        return len(self.upper_vertices | self.proxy_vertices()), len(self.upper_adjacency)
 
     def shortcut_count(self) -> int:
         """Total number of shortcut entries across all dense subgraphs."""

@@ -1,40 +1,27 @@
 """Automated shortcut deduction (Section IV-A2, Definition 3).
 
 A shortcut from a boundary vertex ``b`` of a dense subgraph to another vertex
-``v`` of the same subgraph carries the aggregation of the path compositions of
-edge factors along every path ``b -> ... -> v`` whose *intermediate* vertices
-are all internal.  The paper computes it by injecting the algorithm's unit
-message (the identity of ``combine``) at ``b`` and running the ordinary
-``F``/``G`` iteration inside the subgraph until convergence (Equation (6));
-the aggregated value received by ``v`` is the shortcut weight.
-
-Restricting the propagation so that other boundary vertices absorb (rather
-than re-propagate) messages makes the set of shortcuts an exact folding of
-the subgraph: on the upper layer, a message travelling between two boundary
-vertices of the same subgraph is counted once for every distinct sequence of
-boundary vertices it visits, which is what Theorems 1 and 2 need for both the
-selective and the accumulative algorithm families.
+``v`` of it aggregates the path compositions of edge factors along every path
+``b -> ... -> v`` whose *intermediate* vertices are all internal: the value
+``v`` receives when the algorithm's unit message (the identity of
+``combine``) is injected at ``b`` and the ``F``/``G`` iteration runs inside
+the subgraph to convergence (Equation (6)), every other boundary vertex
+absorbing.  That makes the shortcuts an exact folding of the subgraph
+(Theorems 1 and 2, for both algorithm families).
 
 A subgraph holds its shortcuts as a :class:`ShortcutTable`: a dense float64
 block with one row per boundary vertex (ascending) and one column per vertex
 of the subgraph's compiled local CSR (ascending ids), the aggregation
 identity marking "no shortcut".
 
-:class:`ShortcutBatch` holds the from-scratch solves and the incremental
-revisions of any number of subgraphs (all of one delta's, or one subgraph's
-at build time), or phase 2's revision-message uploads of every subgraph a
-delta reaches (:func:`local_uploads`), and runs them in one call:
-
-* a sum/mul solve is the iteration's fixpoint in closed form
-  (:func:`closed_form_solves`): one dense ``np.linalg.solve`` per subgraph
-  of at most :data:`CLOSED_FORM_MAX_VERTICES` local vertices, holding all
-  of its solves;
-* a min/+ solve or revision, a sum/mul solve in a larger subgraph, and
-  every upload run in the lockstep kernel
-  :func:`repro.parallel.slabs.run_shortcut_solves`.  A job's kernel cells
-  share its table's column index, so an old row seeds a revision and a
-  finished row lands in the table as one slice copy.  The reference bodies
-  the kernel reproduces bit for bit live with the test oracles.
+:class:`ShortcutBatch` runs the from-scratch solves and incremental
+revisions of any number of subgraphs, or phase 2's revision-message uploads
+(:func:`local_uploads`), in one call: sum/mul solves in closed form
+(:func:`closed_form_solves`, one dense ``np.linalg.solve`` per subgraph of
+at most :data:`CLOSED_FORM_MAX_VERTICES` local vertices), everything else
+in the lockstep kernel :func:`repro.parallel.slabs.run_shortcut_solves`,
+whose cells share the table's column index.  The reference bodies the
+kernel reproduces bit for bit live with the test oracles.
 """
 
 from __future__ import annotations
@@ -47,6 +34,7 @@ from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.dense_propagation import AGGREGATE_MIN, COMBINE_ADD
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency, NonConvergenceError
+from repro.graph.csr import locate
 from repro.graph.csr_cache import master_factor_csr
 from repro.parallel.slabs import SlabNonConvergence, run_shortcut_solves
 
@@ -101,7 +89,7 @@ class ShortcutTable:
             index if index is not None else {vertex: column for column, vertex in enumerate(columns)}
         )
         self.block = block
-        self._links: Optional[Dict[int, List[Tuple[int, float]]]] = None
+        self._links: Optional[Tuple[np.ndarray, ...]] = None
         return self
 
     def fill_vectors(self, vectors: Dict[int, Dict[int, float]]) -> "ShortcutTable":
@@ -143,19 +131,20 @@ class ShortcutTable:
         """Number of shortcut entries."""
         return int(np.count_nonzero(self.block != self.identity))
 
-    def links_to_sources(self, source: int) -> List[Tuple[int, float]]:
-        """``source``'s shortcuts to the table's sources — the boundary, so
-        its links on the upper layer — in ascending target order (read off
-        the block once per table; the caller must not mutate the list)."""
+    def boundary_links(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The shortcuts to the table's sources — the boundary, so its links
+        on the upper layer — as rows over ``sources``: ``(sources, row
+        lengths, target ids, weights)``, each row's targets ascending (read
+        off the block with one ``np.nonzero`` per table; the caller must not
+        mutate them)."""
         if self._links is None:
-            index = self.index
-            targets = [vertex for vertex in self.sources if vertex in index]
-            values = self.block[:, [index[vertex] for vertex in targets]]
+            sources = np.array(self.sources, dtype=np.int64)
+            columns, found = locate(np.asarray(self.columns, dtype=np.int64), sources)
+            values = self.block[:, columns[found]]
             rows, picks = np.nonzero(values != self.identity)
-            self._links = {vertex: [] for vertex in self.sources}
-            for row, pick, weight in zip(rows.tolist(), picks.tolist(), values[rows, picks].tolist()):
-                self._links[self.sources[row]].append((targets[pick], weight))
-        return self._links[source]
+            counts = np.bincount(rows, minlength=sources.size)
+            self._links = (sources, counts, sources[found][picks], values[rows, picks])
+        return self._links
 
     def project(self, sources: Sequence[int], columns: List[int], index: Dict[int, int]) -> np.ndarray:
         """The rows of ``sources`` over another ascending column list

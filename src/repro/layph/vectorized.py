@@ -1,233 +1,245 @@
 """Vectorized (numpy) kernels for Layph's online phases.
 
-Three hot loops of :class:`repro.layph.engine.LayphEngine` run here (phase
-2's local upload runs with the shortcut solves, as jobs of the lockstep
-kernel in :mod:`repro.layph.shortcuts`):
-
 * :func:`assign_selective_batch` / :func:`assign_accumulative_batch` —
   phase 4's shortcut scans over every assigned subgraph in one kernel call,
-  stacked from per-subgraph boundary→internal shortcut CSRs that are read
-  off the subgraph's :class:`repro.layph.shortcuts.ShortcutTable`, cached
-  on the :class:`DenseSubgraph` and invalidated whenever a refresh installs
-  a new table or internal set;
+  on the :class:`ShortcutStack` the layered graph keeps resident;
 * :func:`seed_tainted_upper` — phase 2's trim/seed of invalidated upper
   vertices, a target-mask gather over the resident upper out-CSR.
 
 Every kernel reproduces the reference loops kept with the test oracles
-(``tests/oracles``) exactly — identical revised states, round counts and
-edge activations — using the same ordering arguments as
-:mod:`repro.engine.dense_propagation` (ascending-vertex active order, CSR
-slot order for the unbuffered ``np.add.at`` scatters).  They trust the
-algebra the engine checked at construction and its NaN-free inputs.
+(``tests/oracles``) exactly — states, round counts and edge activations —
+with the ordering arguments of :mod:`repro.engine.dense_propagation`.  They
+trust the algebra the engine checked at construction and its NaN-free
+inputs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.engine.dense_propagation import COMBINE_ADD
 from repro.engine.metrics import ExecutionMetrics
-from repro.graph.csr import expand_edges
+from repro.graph.csr import expand_edges, locate
 from repro.graph.csr_cache import master_factor_csr
 from repro.layph.shortcuts import local_vertex_arrays
 from repro.parallel.slabs import assign_best_offers, assign_deltas
 
 
 # ----------------------------------------------------------------------
-# phase 4: shortcut CSR of one dense subgraph
+# phase 4: the resident shortcut stack
 # ----------------------------------------------------------------------
-class _ShortcutCSR:
+def _segment(spec, subgraph) -> Dict[str, np.ndarray]:
     """Boundary→internal shortcut rows of one subgraph as CSR arrays.
 
     Row ``i`` lists the internal-target entries of the table's ``i``-th
-    source (the boundary, ascending), targets ascending: each target gets
-    at most one entry per row, so it receives its entries in ascending
+    source (``boundary_ids``, ascending), targets ascending: each target
+    gets at most one entry per row, so it receives its entries in ascending
     boundary order, as the Python assignment loops apply them.  Targets
     index ``internal_ids``; ``absorb`` and ``initial`` (the initial
     messages) are gathered from the local CSR's memoized vertex arrays
     (:func:`repro.layph.shortcuts.local_vertex_arrays`).
     """
-
-    __slots__ = (
-        "boundary_ids",
-        "internal_ids",
-        "absorb",
-        "initial",
-        "offsets",
-        "targets",
-        "factors",
-        "counts",
-    )
-
-    def __init__(self, spec, subgraph) -> None:
-        table = subgraph.shortcuts
-        self.boundary_ids = table.sources
-        internal = np.sort(np.fromiter(subgraph.internal, np.int64, count=len(subgraph.internal)))
-        self.internal_ids = internal
-        local = subgraph.local_adjacency
-        csr = master_factor_csr(local, subgraph.internal)
-        absorb, initial = local_vertex_arrays(spec, local, csr)
-        rows = np.searchsorted(csr.ids_array(), internal)
-        self.absorb = absorb[rows]
-        self.initial = initial[rows]
-        columns = np.asarray(table.columns, dtype=np.int64)
-        found = np.searchsorted(columns, internal)
-        listed = found < columns.size
-        listed[listed] = columns[found[listed]] == internal[listed]
-        entries = table.block[:, found[listed]]
-        present = entries != table.identity
-        self.counts = np.count_nonzero(present, axis=1).astype(np.int64)
-        self.offsets = np.zeros(len(table) + 1, dtype=np.int64)
-        np.cumsum(self.counts, out=self.offsets[1:])
-        self.targets = np.flatnonzero(listed)[np.nonzero(present)[1]]
-        self.factors = entries[present]
+    table = subgraph.shortcuts
+    internal = np.sort(np.fromiter(subgraph.internal, np.int64, count=len(subgraph.internal)))
+    csr = master_factor_csr(subgraph.local_adjacency, subgraph.internal)
+    absorb, initial = local_vertex_arrays(spec, subgraph.local_adjacency, csr)
+    rows = np.searchsorted(csr.ids_array(), internal)
+    if table.columns is csr.vertex_ids:  # the table was filled over this compile
+        columns, listed = rows, np.ones(rows.size, dtype=bool)
+    else:
+        columns, listed = locate(np.asarray(table.columns, dtype=np.int64), internal)
+    entries = table.block[:, columns[listed]]
+    present = entries != table.identity
+    return {
+        "boundary_ids": np.array(table.sources, dtype=np.int64),
+        "counts": np.count_nonzero(present, axis=1).astype(np.int64),
+        "targets": np.flatnonzero(listed)[np.nonzero(present)[1]],
+        "factors": entries[present],
+        "internal_ids": internal,
+        "absorb": absorb[rows],
+        "initial": initial[rows],
+    }
 
 
-def _shortcut_csr(spec, subgraph) -> _ShortcutCSR:
-    """Per-subgraph shortcut CSR, cached until the tables change.
+def _splice_segments(old: np.ndarray, starts: np.ndarray, stale: List[int], parts) -> np.ndarray:
+    """``old`` with its segments ``stale`` (ascending; segment ``i`` is
+    ``old[starts[i]:starts[i + 1]]``) replaced by ``parts``."""
+    bounds = starts.tolist()
+    pieces, cursor = [], 0
+    for index, part in zip(stale, parts):
+        pieces += [old[bounds[cursor] : bounds[index]], part]
+        cursor = index + 1
+    pieces.append(old[bounds[cursor] :])
+    return np.concatenate(pieces)
 
-    ``LayeredGraph._refresh_subgraph`` never mutates a table or the
-    ``internal`` set: a refresh that changes them installs new ones and one
-    that does not keeps the old objects, so identity of those objects is
-    the invalidation key (the cache holds strong references, which keeps
-    the identities stable).
+
+class ShortcutStack:
+    """Every subgraph's :func:`_segment` stacked into one CSR, resident
+    across deltas: phase 4's kernel input.
+
+    Segment ``i`` is subgraph ``i``'s rows (its boundary, ascending) and
+    internal vertices; ``targets`` index the stacked internal vertices.
+    Every boundary vertex and every internal vertex belongs to exactly one
+    subgraph, so a vertex has at most one row and each target receives its
+    entries in its own subgraph's scan order.  The layered graph adds the
+    subgraphs it refreshes to ``pending``; :meth:`sync` rebuilds those of
+    their segments whose table (never mutated: a refresh installs a new
+    one) or internal set changed, in place where the sizes hold.
     """
-    cached = getattr(subgraph, "_shortcut_csr_cache", None)
-    if (
-        cached is not None
-        and cached[0] is subgraph.shortcuts
-        and cached[1] is subgraph.internal
-    ):
-        return cached[2]
-    compiled = _ShortcutCSR(spec, subgraph)
-    subgraph._shortcut_csr_cache = (subgraph.shortcuts, subgraph.internal, compiled)
-    return compiled
+
+    #: the stacked fields by what they run over: 0 rows, 1 slots, 2 internal
+    FIELDS = {
+        "boundary_ids": 0, "counts": 0, "targets": 1, "factors": 1, "internal_ids": 2, "absorb": 2, "initial": 2
+    }
+
+    def __init__(self) -> None:
+        self.keys: List[Optional[Tuple[object, object]]] = []
+        #: subgraphs whose segment may be stale (all of them at the first sync)
+        self.pending: Set[int] = set()
+        #: the first row, slot and internal vertex of each segment
+        self.starts: List[np.ndarray] = []
+        for name, dtype in zip(self.FIELDS, (np.int64, np.int64, np.int64, float, np.int64, bool, float)):
+            setattr(self, name, np.empty(0, dtype=dtype))
+        self.offsets = np.empty(0, dtype=np.int64)
+        #: the rows in ascending boundary-id order (``None``: not derived yet)
+        self.row_order: Optional[np.ndarray] = None
+
+    def sync(self, spec, subgraphs) -> None:
+        """Bring the segments up to date with ``subgraphs`` (all of them)."""
+        if not self.keys:
+            self.keys = [None] * len(subgraphs)
+            self.pending.update(range(len(subgraphs)))
+            self.starts = [np.zeros(len(subgraphs) + 1, dtype=np.int64) for _kind in range(3)]
+        stale = [
+            index
+            for index in sorted(self.pending)
+            if self.keys[index] != (subgraphs[index].shortcuts, subgraphs[index].internal)
+        ]
+        self.pending.clear()
+        if not stale:
+            return
+        parts = [_segment(spec, subgraphs[index]) for index in stale]
+        for index in stale:
+            self.keys[index] = (subgraphs[index].shortcuts, subgraphs[index].internal)
+        starts = []
+        for start, field in zip(self.starts, ("counts", "targets", "internal_ids")):
+            sizes = np.diff(start)
+            sizes[stale] = [part[field].size for part in parts]
+            starts.append(np.concatenate(([0], np.cumsum(sizes))))
+        # a kept segment's targets move with its first internal vertex
+        moved = starts[2] - self.starts[2]
+        moved[stale] = 0
+        segments = np.array(stale, dtype=np.int64)
+        for name, kind in self.FIELDS.items():
+            added = [part[name] for part in parts]
+            if name == "targets":
+                added = [targets + starts[2][index] for targets, index in zip(added, stale)]
+            if np.array_equal(starts[kind], self.starts[kind]):
+                first = starts[kind][segments]
+                sizes = starts[kind][segments + 1] - first
+                getattr(self, name)[expand_edges(first, sizes, int(sizes.sum()))] = np.concatenate(added)
+            else:
+                setattr(self, name, _splice_segments(getattr(self, name), self.starts[kind], stale, added))
+        if moved.any():
+            self.targets += np.repeat(moved[:-1], np.diff(starts[1]))
+        self.starts = starts
+        self.offsets = np.cumsum(self.counts) - self.counts
+        self.row_order = None
+
+    def rows_of(self, indices: List[int]) -> np.ndarray:
+        """The stacked rows of the segments ``indices``, in that order."""
+        first = self.starts[0][indices]
+        sizes = self.starts[0][np.asarray(indices, dtype=np.int64) + 1] - first
+        return expand_edges(first, sizes, int(sizes.sum()))
 
 
 # ----------------------------------------------------------------------
 # phase 4: revision-message assignment
 # ----------------------------------------------------------------------
-def _stacked_rows(csrs) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The shortcut CSRs of several subgraphs as one CSR.
-
-    Row ``i`` of the result is the ``i``-th boundary row in subgraph order;
-    targets index the concatenation of the subgraphs' internal id arrays.
-    Every internal vertex belongs to exactly one subgraph, so each target
-    still receives its entries in its own subgraph's scan order.
-    """
-    rows = [csr.counts.size for csr in csrs]
-    slots = [csr.targets.size for csr in csrs]
-    sizes = [csr.internal_ids.size for csr in csrs]
-    slot_bases = np.cumsum(slots) - slots
-    target_bases = np.cumsum(sizes) - sizes
-    return (
-        np.concatenate([csr.offsets[:-1] for csr in csrs]) + np.repeat(slot_bases, rows),
-        np.concatenate([csr.counts for csr in csrs]),
-        np.concatenate([csr.targets for csr in csrs]) + np.repeat(target_bases, slots),
-        np.concatenate([csr.factors for csr in csrs]),
-    )
-
-
 def assign_selective_batch(
     spec,
-    subgraphs,
+    stack: ShortcutStack,
+    indices: List[int],
     work: Dict[int, float],
     metrics: ExecutionMetrics,
 ) -> List[Dict[int, float]]:
-    """Vectorized best-offer scan of several subgraphs' shortcuts in one
-    kernel call (selective specs).
+    """Vectorized best-offer scan of the subgraphs ``indices`` (segments of
+    the synced ``stack``) in one kernel call (selective specs).
 
     Returns, per subgraph, the ``best`` map (internal vertex → best boundary
-    offer) the reference loop would produce — the caller then folds the
-    internal-source results and writes the values back, exactly as in the
-    reference.
+    offer) the reference loop would produce; the caller folds the
+    internal-source results and writes it back.  The other segments' rows
+    hold the identity, so they offer nothing and count no activation.
     """
-    csrs = [_shortcut_csr(spec, subgraph) for subgraph in subgraphs]
-    offsets, counts, targets, factors = _stacked_rows(csrs)
     identity = spec.aggregate_identity()
-    boundary_states = np.fromiter(
-        (work.get(vertex, identity) for csr in csrs for vertex in csr.boundary_ids),
-        np.float64,
-        count=counts.size,
-    )
-    best = np.concatenate([csr.initial for csr in csrs])
+    rows = stack.rows_of(indices)
+    states = np.full(stack.counts.size, identity, dtype=np.float64)
+    boundary = stack.boundary_ids[rows].tolist()
+    states[rows] = np.fromiter((work.get(v, identity) for v in boundary), np.float64, count=rows.size)
+    best = stack.initial.copy()
+    combine_add = spec.dense_algebra[1] == COMBINE_ADD
     metrics.edge_activations += assign_best_offers(
-        offsets,
-        counts,
-        targets,
-        factors,
-        boundary_states,
-        best,
-        identity,
-        spec.dense_algebra[1] == COMBINE_ADD,
+        stack.offsets, stack.counts, stack.targets, stack.factors, states, best, identity, combine_add
     )
-    values = best.tolist()
-    maps = []
-    start = 0
-    for csr in csrs:
-        end = start + int(csr.internal_ids.size)
-        maps.append(dict(zip(csr.internal_ids.tolist(), values[start:end])))
-        start = end
-    return maps
+    bounds = [slice(*stack.starts[2][index : index + 2].tolist()) for index in indices]
+    return [dict(zip(stack.internal_ids[at].tolist(), best[at].tolist())) for at in bounds]
 
 
 def assign_accumulative_batch(
     spec,
-    subgraphs,
+    stack: ShortcutStack,
+    indices: List[int],
     deltas: Dict[int, float],
     work: Dict[int, float],
     metrics: ExecutionMetrics,
 ) -> None:
-    """Vectorized delta push through several subgraphs' shortcuts in one
-    kernel call (accumulative specs).
+    """Vectorized delta push through the shortcuts of the subgraphs
+    ``indices`` (segments of the synced ``stack``) in one kernel call
+    (accumulative specs).
 
     Applies ``combine(difference, factor)`` of every boundary vertex with a
     significant delta to its internal shortcut targets, in the Python loop's
     order (ascending boundary id), skipping — and not counting — absorbing
-    targets.  Only the targets some live row reaches are read from and
-    written back to ``work``.
+    targets.  ``deltas`` are scattered into their vertices' rows; only the
+    targets some live row reaches are read from and written back to
+    ``work``.
     """
-    csrs = [_shortcut_csr(spec, subgraph) for subgraph in subgraphs]
-    offsets, counts, targets, factors = _stacked_rows(csrs)
-    differences = np.fromiter(
-        (deltas.get(vertex, 0.0) for csr in csrs for vertex in csr.boundary_ids),
-        np.float64,
-        count=counts.size,
-    )
+    if not deltas or not stack.counts.size:
+        return
+    if stack.row_order is None:
+        stack.row_order = np.argsort(stack.boundary_ids)
+    vertices = np.fromiter(deltas, np.int64, count=len(deltas))
+    rows, found = locate(stack.boundary_ids[stack.row_order], vertices)
+    rows = stack.row_order[rows]
+    assigned = np.zeros(stack.counts.size, dtype=bool)
+    assigned[stack.rows_of(indices)] = True
+    found &= assigned[rows]
+    differences = np.zeros(stack.counts.size, dtype=np.float64)
+    differences[rows[found]] = np.fromiter(deltas.values(), np.float64, count=len(deltas))[found]
     # the contract's accumulative significance rule
     live = np.abs(differences) > float(spec.tolerance())
     live_rows = np.flatnonzero(live)
-    live_counts = counts[live_rows]
+    live_counts = stack.counts[live_rows]
     total = int(live_counts.sum())
     if not total:
         return
 
-    # Gather only the reached targets, renumbered densely (the kernel never
-    # reads the targets of rows no live source owns).
-    internal_ids = np.concatenate([csr.internal_ids for csr in csrs])
-    reached_mask = np.zeros(internal_ids.size, dtype=bool)
-    reached_mask[targets[expand_edges(offsets[live_rows], live_counts, total)]] = True
-    reached = np.flatnonzero(reached_mask)
-    ids = internal_ids[reached].tolist()
-    values = np.fromiter((work[vertex] for vertex in ids), np.float64, count=len(ids))
-    position = np.zeros(internal_ids.size, dtype=np.int64)
-    position[reached] = np.arange(reached.size, dtype=np.int64)
-    touched, applied = assign_deltas(
-        offsets,
-        counts,
-        position[targets],
-        factors,
-        np.where(live, differences, 0.0),
-        live,
-        values,
-        ~np.concatenate([csr.absorb for csr in csrs])[reached],
-        spec.dense_algebra[1] == COMBINE_ADD,
-    )
+    # Gather only the reached targets (the kernel never reads the targets
+    # of rows no live source owns).
+    reached = np.zeros(stack.internal_ids.size, dtype=bool)
+    reached[stack.targets[expand_edges(stack.offsets[live_rows], live_counts, total)]] = True
+    reached = np.flatnonzero(reached)
+    ids = stack.internal_ids[reached].tolist()
+    values = np.zeros(stack.internal_ids.size, dtype=np.float64)
+    values[reached] = np.fromiter((work[vertex] for vertex in ids), np.float64, count=len(ids))
+    combine_add = spec.dense_algebra[1] == COMBINE_ADD
+    arrays = (stack.offsets, stack.counts, stack.targets, stack.factors, differences, live, values)
+    touched, applied = assign_deltas(*arrays, ~stack.absorb, combine_add)
     metrics.edge_activations += applied
     rows = np.flatnonzero(touched)
-    work.update(zip([ids[row] for row in rows.tolist()], values[rows].tolist()))
+    work.update(zip(stack.internal_ids[rows].tolist(), values[rows].tolist()))
 
 
 # ----------------------------------------------------------------------

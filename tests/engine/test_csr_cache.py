@@ -13,6 +13,7 @@ from repro.graph.csr import FactorCSR
 from repro.graph.csr_cache import (
     CSRCache,
     CachedGraphAdjacency,
+    flatten_rows,
     master_factor_csr,
     resident_master_csr,
     splice_master_csr,
@@ -468,7 +469,7 @@ class TestSpliceRows:
         old = FactorCSR.from_factor_adjacency(adjacency, universe={4})
         rows = {1: [(3, 7.0), (0, 0.5)], 2: [], 4: [(5, 1.0)]}
         adjacency.replace_rows(rows)
-        patched = splice_rows(old, rows)
+        patched = splice_rows(old, *flatten_rows(rows))
         assert_csr_identical(
             patched, FactorCSR.from_factor_adjacency(adjacency, universe=old.vertex_ids)
         )
@@ -480,7 +481,7 @@ class TestSpliceRows:
         rows = {2: [(0, 2.0), (9, 1.0)], 9: [(-2, 3.0)], 3: [], 4: []}
         adjacency.replace_rows(rows)
         new_ids = [-2, 0, 1, 2, 5, 9]
-        patched = splice_rows(old, rows, new_ids)
+        patched = splice_rows(old, *flatten_rows(rows), new_ids)
         assert_csr_identical(
             patched, FactorCSR.from_factor_adjacency(adjacency, universe=new_ids)
         )
@@ -490,9 +491,9 @@ class TestSpliceRows:
         adjacency = self._adjacency()
         old = FactorCSR.from_factor_adjacency(adjacency)
         # 3 leaves but row 2, which points at it, was not handed in
-        assert splice_rows(old, {}, [0, 1, 2, 5]) is None
+        assert splice_rows(old, *flatten_rows({}), [0, 1, 2, 5]) is None
         # a handed-in row pointing outside the id space is refused as well
-        assert splice_rows(old, {1: [(42, 1.0)]}) is None
+        assert splice_rows(old, *flatten_rows({1: [(42, 1.0)]})) is None
 
     def test_master_memo_follows_replace_rows(self):
         adjacency = self._adjacency()

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.engine.algorithms import PageRank, SSSP
-from repro.engine.propagation import FactorAdjacency
+from repro.engine.propagation import FactorAdjacency, propagate
+from repro.graph.csr import FactorCSR
 from repro.graph.graph import Graph
 from repro.layph.community import louvain_communities
 from repro.layph.dense import classify_boundary, is_dense, select_dense_subgraphs
@@ -224,26 +226,26 @@ class TestLayeredGraphConstruction:
 
 
 class TestRebuildUpper:
-    """The build's full reassembly installs a fresh ``FactorAdjacency``."""
+    """The build's full reassembly installs a freshly compiled upper CSR."""
 
-    def test_changed_skeleton_installs_new_adjacency(self, community_graph_small):
+    def test_changed_skeleton_installs_new_csr(self, community_graph_small):
         layered = LayeredGraph.build(PageRank(), community_graph_small, LayphConfig(seed=2))
-        upper = layered.upper_adjacency
+        upper = layered.upper_csr()
         rebuilds = layered.upper_rebuilds
         # Two brand-new vertices are outliers; their edge lands on the upper
         # layer, so the freshly assembled skeleton differs.
         layered.graph.add_edge(9901, 9902, 1.0)
         layered.rebuild_upper()
-        assert layered.upper_adjacency is not upper
+        assert layered.upper_csr() is not upper
         assert layered.upper_rebuilds == rebuilds + 1
         # Factors, not weights, live on the upper layer (d / N_u = 0.85 / 1).
         assert [target for target, _factor in layered.upper_adjacency(9901)] == [9902]
 
 
 class TestResidentUpperCSR:
-    """The compiled upper layer is resident: served across calls, recompiled
-    only when the adjacency changed behind its back (a new adjacency object,
-    an out-of-band version bump)."""
+    """The compiled upper layer is resident and is the only form of the
+    skeleton: ``upper_adjacency`` is a read-only view of it, and
+    ``propagate`` runs on it without compiling anything."""
 
     def _layered(self, graph):
         return LayeredGraph.build(SSSP(source=0), graph, LayphConfig(seed=2))
@@ -256,22 +258,30 @@ class TestResidentUpperCSR:
             set(layered.graph.vertices()) | layered.proxy_vertices()
         )
 
-    def test_out_of_band_version_bump_recompiles(self, community_graph_small):
+    def test_propagate_runs_on_the_resident_csr(self, community_graph_small):
         layered = self._layered(community_graph_small)
-        first = layered.upper_csr()
-        source, target = sorted(layered.upper_vertices)[:2]
-        layered.upper_adjacency.add(source, target, 0.25)
-        second = layered.upper_csr()
-        assert second is not first
-        assert second.num_edges == first.num_edges + 1
+        resident = layered.upper_csr()
+        view = layered.upper_adjacency
+        assert view.compiled_csr(layered.upper_vertices) is resident
+        assert len(view) == resident.num_edges
+        source = min(layered.upper_vertices)
+        FactorCSR.compile_count = 0
+        states = {}
+        propagate(layered.spec, view, states, {source: 0.0}, owned=layered.upper_vertices)
+        assert FactorCSR.compile_count == 0
+        assert states[source] == 0.0
+        assert layered.upper_csr() is resident
 
-    def test_new_adjacency_object_recompiles(self, community_graph_small):
+    def test_universe_outside_the_id_space_compiles_a_copy(self, community_graph_small):
         layered = self._layered(community_graph_small)
-        first = layered.upper_csr()
-        layered.upper_adjacency = FactorAdjacency({1: [(2, 0.5)]})
-        second = layered.upper_csr()
-        assert second is not first
-        assert second.num_edges == 1
+        resident = layered.upper_csr()
+        view = layered.upper_adjacency
+        assert view.compiled_csr({-12345}) is None
+        copy = FactorCSR.from_factor_adjacency(view, universe=set(resident.vertex_ids))
+        assert copy.vertex_ids == resident.vertex_ids
+        assert np.array_equal(copy.offsets, resident.offsets)
+        assert np.array_equal(copy.targets, resident.targets)
+        assert copy.factors.tobytes() == resident.factors.tobytes()
 
     def test_reverse_view_matches_forward_links(self, community_graph_small):
         layered = self._layered(community_graph_small)

@@ -1,27 +1,30 @@
 """Regression tests for Layph's diff-based upper-layer maintenance.
 
-The online engine patches ``upper_adjacency`` rows in place (:meth:`repro.layph.layered_graph.
-LayeredGraph.patch_upper`) instead of reassembling the whole skeleton per
-delta — for every delta kind, vertex removals included — and splices the
-changed rows into the resident compiled upper CSR instead of recompiling it.
-These tests pin the patched structure to a fresh :meth:`_assemble_upper`
-result, and the spliced CSR to a fresh compile, after every delta of edge
-and vertex-churn sequences, and assert through the ``upper_patches``/
-``upper_reuses``/``upper_rebuilds`` counters and a compile spy that the
-patch path actually engaged (no silent full rebuilds or recompiles).  The
-changed-link list the patch hands the selective upload is pinned to a diff
-of two whole-layer flattens.
+The upper layer is one resident compiled CSR, which the online engine
+patches per delta (:meth:`repro.layph.layered_graph.LayeredGraph.patch_upper`)
+instead of reassembling the whole skeleton — for every delta kind, vertex
+removals included — by splicing the dirty rows, re-derived as flat arrays,
+into it.  These tests pin the spliced CSR (ids, offsets, targets, factor
+bits) and the upper vertex set to a fresh Python assembly's compile
+(``oracles.layph.assemble_upper``)
+after every delta of edge, vertex-churn and bridge-edge sequences, and
+assert through the ``upper_patches``/``upper_reuses``/``upper_rebuilds``
+counters and a compile spy that the patch path actually engaged (no silent
+full rebuilds or recompiles).  The changed-link list the patch hands the
+selective upload is pinned to a diff of two whole-layer flattens.
 """
 
 from __future__ import annotations
+
+import random
 
 import numpy as np
 import pytest
 
 from repro.engine.algorithms import make_algorithm
 from repro.engine.metrics import ExecutionMetrics
-from repro.graph.csr import FactorCSR
 from repro.graph.delta import GraphDelta
+from repro.layph import layered_graph
 from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import LayeredGraph
 from repro.layph.vectorized import seed_tainted_upper
@@ -29,7 +32,7 @@ from repro.workloads.datasets import DATASETS
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
 from oracles import ROUTES, engine_on_route  # noqa: E402  (tests/)
-from oracles.layph import upper_in_adjacency  # noqa: E402  (tests/)
+from oracles.layph import assemble_upper, upper_in_adjacency  # noqa: E402  (tests/)
 
 NUM_DELTAS = 20
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
@@ -64,8 +67,14 @@ def _churn_sequence(graph, count: int = 12):
 
 
 def _assert_upper_is_fresh_assembly(layered) -> None:
-    fresh_upper, fresh_vertices = layered._assemble_upper()
-    assert layered.upper_adjacency._adjacency == fresh_upper._adjacency
+    """The resident upper CSR is bit for bit a fresh reassembly's compile."""
+    fresh, fresh_vertices = assemble_upper(layered)
+    resident = layered.upper_csr()
+    assert resident.vertex_ids == fresh.vertex_ids
+    assert np.array_equal(resident.ids_array(), np.asarray(fresh.vertex_ids))
+    assert np.array_equal(resident.offsets, fresh.offsets)
+    assert np.array_equal(resident.targets, fresh.targets)
+    assert resident.factors.tobytes() == fresh.factors.tobytes()
     assert layered.upper_vertices == fresh_vertices
 
 
@@ -151,25 +160,22 @@ def test_spliced_upper_csr_is_bit_identical_to_a_fresh_compile(algorithm, monkey
 
     Ids, offsets, targets and factor bits; the id space is exactly the live
     vertices plus the live proxies (removed vertices and dropped proxies
-    leave it — no id leak); and the whole layer is compiled exactly once
-    (by ``initialize`` for a selective spec, which seeds the skeleton on
-    it, on first use otherwise).
+    leave it — no id leak); and the whole layer is compiled exactly once,
+    by the build.
     """
     graph = DATASETS["sk"].build()
     engine = LayphEngine(make_algorithm(algorithm, source=0))
     whole_compiles = []
-    original = FactorCSR.from_factor_adjacency.__func__
+    compile_rows = layered_graph._compile_rows
 
-    def spy(cls, adjacency, universe=(), silenced=None):
-        if engine.layered is not None and adjacency is engine.layered.upper_adjacency:
-            whole_compiles.append(1)
-        return original(cls, adjacency, universe=universe, silenced=silenced)
+    def spy(ids, rows):
+        whole_compiles.append(1)
+        return compile_rows(ids, rows)
 
-    monkeypatch.setattr(FactorCSR, "from_factor_adjacency", classmethod(spy))
+    monkeypatch.setattr(layered_graph, "_compile_rows", spy)
     engine.initialize(graph)
     layered = engine.layered
     assert layered.proxy_vertices()
-    layered.upper_csr()
     assert len(whole_compiles) == 1
 
     gone = set()
@@ -177,18 +183,13 @@ def test_spliced_upper_csr_is_bit_identical_to_a_fresh_compile(algorithm, monkey
 
     def step(delta):
         old_ids = set(engine.graph.vertices()) | layered.proxy_vertices()
+        compiles = len(whole_compiles)
         engine.apply_delta(delta)
+        assert len(whole_compiles) == compiles
         live = set(engine.graph.vertices()) | layered.proxy_vertices()
         gone.update(old_ids - live)
         arrived.update(live - old_ids)
-        resident = layered.upper_csr()
-        assert set(resident.vertex_ids) == live
-        fresh = original(FactorCSR, layered.upper_adjacency, universe=live)
-        assert resident.vertex_ids == fresh.vertex_ids
-        assert np.array_equal(resident.offsets, fresh.offsets)
-        assert np.array_equal(resident.targets, fresh.targets)
-        assert resident.factors.tobytes() == fresh.factors.tobytes()
-        assert np.array_equal(resident.ids_array(), np.asarray(fresh.vertex_ids))
+        assert set(layered.upper_csr().vertex_ids) == live
         _assert_upper_is_fresh_assembly(layered)
 
     for delta in _churn_sequence(graph):
@@ -198,7 +199,7 @@ def test_spliced_upper_csr_is_bit_identical_to_a_fresh_compile(algorithm, monkey
     # vertices and proxies both joined and left the compiled id space
     assert any(v >= 0 for v in gone) and any(v < 0 for v in gone)
     assert any(v >= 0 for v in arrived) and any(v < 0 for v in arrived)
-    assert len(whole_compiles) == 1
+    assert layered.upper_rebuilds == 1
 
 
 @pytest.mark.parametrize("algorithm", ["sssp", "bfs"])
@@ -261,15 +262,7 @@ def test_upper_diff_matches_whole_layer_flattens(monkeypatch):
     flattens: exactly the keys whose factor differs between two whole-layer
     flattens, in ``(source, target)`` order, for edge and vertex deltas
     alike."""
-    returned = []
-    patch_upper = LayeredGraph.patch_upper
-
-    def recording_patch(self, *args, **kwargs):
-        changed = patch_upper(self, *args, **kwargs)
-        returned.append(changed)
-        return changed
-
-    monkeypatch.setattr(LayeredGraph, "patch_upper", recording_patch)
+    returned = _recorded_patches(monkeypatch)
     graph = DATASETS["uk"].build()
     engine = LayphEngine(make_algorithm("sssp", source=0))
     engine.initialize(graph)
@@ -287,3 +280,71 @@ def test_upper_diff_matches_whole_layer_flattens(monkeypatch):
         assert returned[-1] == expected
         changed_total += len(expected)
     assert changed_total > 0
+
+
+def _recorded_patches(monkeypatch):
+    """Every changed-link list ``patch_upper`` returns, in call order."""
+    returned = []
+    patch_upper = LayeredGraph.patch_upper
+
+    def recording_patch(self, *args, **kwargs):
+        changed = patch_upper(self, *args, **kwargs)
+        returned.append(changed)
+        return changed
+
+    monkeypatch.setattr(LayeredGraph, "patch_upper", recording_patch)
+    return returned
+
+
+def _bridge_deltas(engine, count: int = 10, per_delta: int = 3):
+    """Inter-community edges only, as on the bridge workload: each joins an
+    internal vertex of one dense subgraph to an internal vertex of another,
+    so every delta turns internal vertices into boundary ones; every third
+    delta also deletes an earlier bridge, which can turn them back.
+    Generated lazily against the engine's current layered graph."""
+    rng = random.Random(3)
+    bridges = []
+    for step in range(count):
+        graph = engine.graph
+        candidates = [s for s in engine.layered.subgraphs if len(s.internal) > 1]
+        delta = GraphDelta()
+        if step % 3 == 2:
+            source, target = bridges.pop(0)
+            delta.delete_edge(source, target)
+        while len(delta.edge_updates) < per_delta:
+            left, right = rng.sample(candidates, 2)
+            source = rng.choice(sorted(left.internal))
+            target = rng.choice(sorted(right.internal))
+            if not graph.has_edge(source, target):
+                delta.add_edge(source, target, 1.0)
+                bridges.append((source, target))
+        yield delta
+
+
+@pytest.mark.parametrize("algorithm", ["bfs", "pagerank"])
+def test_bridge_deltas_keep_the_upper_csr_exact(algorithm, monkeypatch):
+    """Bridge-shaped deltas flip boundary vertices every time; after each,
+    the spliced upper CSR is bit-identical to a fresh compile and the
+    changed-link list is the diff of two whole-layer flattens (empty for an
+    accumulative spec, which reads none: the flattens still differ)."""
+    returned = _recorded_patches(monkeypatch)
+    graph = DATASETS["uk"].build()
+    engine = LayphEngine(make_algorithm(algorithm, source=0))
+    engine.initialize(graph)
+    layered = engine.layered
+    selective = engine.spec.is_selective()
+    for delta in _bridge_deltas(engine):
+        old_links = _flatten_links(layered.upper_adjacency)
+        old_upper = set(layered.upper_vertices)
+        engine.apply_delta(delta)
+        assert layered.upper_vertices - old_upper, "the delta flipped no vertex"
+        _assert_upper_is_fresh_assembly(layered)
+        new_links = _flatten_links(layered.upper_adjacency)
+        expected = [
+            (source, target, old_links.get((source, target)), new_links.get((source, target)))
+            for source, target in sorted(old_links.keys() | new_links.keys())
+            if old_links.get((source, target)) != new_links.get((source, target))
+        ]
+        assert expected
+        assert returned[-1] == (expected if selective else [])
+    assert layered.upper_rebuilds == 1

@@ -23,7 +23,11 @@ from repro.layph import engine as layph_engine
 from repro.layph.engine import LayphEngine
 from repro.layph.layered_graph import DenseSubgraph
 from repro.layph.shortcuts import ShortcutTable, local_uploads
-from repro.layph.vectorized import assign_accumulative_batch, assign_selective_batch
+from repro.layph.vectorized import (
+    ShortcutStack,
+    assign_accumulative_batch,
+    assign_selective_batch,
+)
 from repro.workloads.updates import random_edge_delta
 
 from oracles import ROUTES, engine_on_route, oracle_engine, oracle_loops  # noqa: E402  (tests/)
@@ -141,14 +145,19 @@ class TestAssignKernels:
             5: {3: 2.0},
         }
         table = ShortcutTable.from_vectors(vectors, spec.aggregate_identity())
-        return _subgraph(1, {0}, {5}, {2, 3}, shortcuts=table)
+        return _subgraph(0, {0}, {5}, {2, 3}, shortcuts=table)
+
+    def _stack(self, spec, subgraphs):
+        stack = ShortcutStack()
+        stack.sync(spec, subgraphs)
+        return stack
 
     def test_selective_assign_matches_python(self):
         spec = SSSP(source=0)
         subgraph = self._shortcut_subgraph(spec)
         work = {0: 1.0, 5: 2.5}
         metrics = ExecutionMetrics()
-        [best] = assign_selective_batch(spec, [subgraph], work, metrics)
+        [best] = assign_selective_batch(spec, self._stack(spec, [subgraph]), [0], work, metrics)
         assert best == {2: 2.0, 3: 4.0}
         assert metrics.edge_activations == 3  # two internal entries of 0, one of 5
 
@@ -161,7 +170,8 @@ class TestAssignKernels:
             metrics = ExecutionMetrics()
             deltas = {0: 0.125, 5: 0.0625}
             if route == "declared":
-                assign_accumulative_batch(spec, [subgraph], deltas, work, metrics)
+                stack = self._stack(spec, [subgraph])
+                assign_accumulative_batch(spec, stack, [0], deltas, work, metrics)
             else:
                 oracle_engine("layph", spec)._assign_subgraphs(
                     [subgraph], deltas, work, metrics, None
@@ -173,19 +183,58 @@ class TestAssignKernels:
         assert work[3] == 0.5 + 0.125 * 3.0 + 0.0625 * 2.0
         assert activations == 3
 
-    def test_shortcut_csr_cache_invalidated_on_rebuild(self):
-        from repro.layph.vectorized import _shortcut_csr
+    def test_unassigned_segments_take_no_part(self):
+        """Only the rows of the assigned segments offer or push: another
+        subgraph's boundary state or delta moves nothing and counts nothing."""
+        spec = PageRank()
+        first = self._shortcut_subgraph(spec)
+        table = ShortcutTable.from_vectors({7: {8: 0.5}}, 0.0)
+        second = _subgraph(1, {7}, set(), {8}, shortcuts=table)
+        stack = self._stack(spec, [first, second])
+        work = {2: 0.25, 3: 0.5, 8: 1.0}
+        metrics = ExecutionMetrics()
+        assign_accumulative_batch(spec, stack, [0], {0: 0.125, 7: 1.0}, work, metrics)
+        assert work == {2: 0.25 + 0.125, 3: 0.5 + 0.125 * 3.0, 8: 1.0}
+        assert metrics.edge_activations == 2
+        selective = SSSP(source=0)
+        first, second = self._shortcut_subgraph(selective), _subgraph(1, {7}, set(), {8}, shortcuts=table)
+        metrics = ExecutionMetrics()
+        maps = assign_selective_batch(
+            selective, self._stack(selective, [first, second]), [1], {0: 1.0, 7: 2.0}, metrics
+        )
+        assert maps == [{8: 2.5}]
+        assert metrics.edge_activations == 1
+
+    def test_sync_replaces_only_stale_segments(self, monkeypatch):
+        from repro.layph import vectorized
 
         spec = PageRank()
-        subgraph = self._shortcut_subgraph(spec)
-        first = _shortcut_csr(spec, subgraph)
-        assert _shortcut_csr(spec, subgraph) is first
-        assert first.targets.tolist() == [0, 1, 1]  # internal positions of 2, 3, 3
-        # a rebuild installs a fresh table
-        subgraph.shortcuts = ShortcutTable.from_vectors({0: {2: 9.0}}, 0.0)
-        second = _shortcut_csr(spec, subgraph)
-        assert second is not first
-        assert second.factors.tolist() == [9.0]
+        first = self._shortcut_subgraph(spec)
+        second = _subgraph(1, {7}, set(), {8}, shortcuts=ShortcutTable.from_vectors({7: {8: 0.5}}, 0.0))
+        stack = self._stack(spec, [first, second])
+        assert stack.targets.tolist() == [0, 1, 1, 2]  # stacked positions of 2, 3, 3, 8
+        built = []
+        segment = vectorized._segment
+
+        def observed_segment(spec, subgraph):
+            built.append(subgraph.index)
+            return segment(spec, subgraph)
+
+        monkeypatch.setattr(vectorized, "_segment", observed_segment)
+        stack.pending.update({0, 1})
+        stack.sync(spec, [first, second])
+        assert built == []  # both marked, neither changed
+        # a refresh installs a fresh table and internal set for the first
+        # subgraph only: the second's targets move with its internal vertex
+        first.shortcuts = ShortcutTable.from_vectors({0: {2: 9.0}}, 0.0)
+        first.internal = {2}
+        stack.pending.add(0)
+        stack.sync(spec, [first, second])
+        assert built == [0]
+        assert stack.factors.tolist() == [9.0, 0.5]
+        assert stack.targets.tolist() == [0, 1]
+        assert stack.internal_ids.tolist() == [2, 8]
+        assert stack.boundary_ids.tolist() == [0, 7]
 
 
 class TestEngineLevelEquivalence:

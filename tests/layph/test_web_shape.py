@@ -229,7 +229,8 @@ def test_scattered_seed_21_stays_with_batch():
 def test_cross_edge_deltas_keep_the_lower_layer_compiled(monkeypatch):
     """web-bfs-bridge's deltas only add edges between communities: no local
     CSR is compiled again (the refresh splices the resident one), and phase
-    4 rebuilds the shortcut CSR of a subgraph only when its tables changed."""
+    4 rebuilds a subgraph's segment of the resident shortcut stack only
+    when its tables changed."""
     compiled = []
     compile_adjacency = FactorCSR.from_factor_adjacency.__func__
 
@@ -239,24 +240,13 @@ def test_cross_edge_deltas_keep_the_lower_layer_compiled(monkeypatch):
 
     monkeypatch.setattr(FactorCSR, "from_factor_adjacency", classmethod(observed_compile))
     built = []
-    shortcut_csr = vectorized._ShortcutCSR
+    segment = vectorized._segment
 
-    class ObservedShortcutCSR(shortcut_csr):
-        __slots__ = ()
+    def observed_segment(spec, subgraph):
+        built.append(subgraph.index)
+        return segment(spec, subgraph)
 
-        def __init__(self, spec, subgraph):
-            built.append(subgraph.index)
-            super().__init__(spec, subgraph)
-
-    monkeypatch.setattr(vectorized, "_ShortcutCSR", ObservedShortcutCSR)
-    asked = []
-    cached_csr = vectorized._shortcut_csr
-
-    def observed_shortcut_csr(spec, subgraph):
-        asked.append(subgraph.index)
-        return cached_csr(spec, subgraph)
-
-    monkeypatch.setattr(vectorized, "_shortcut_csr", observed_shortcut_csr)
+    monkeypatch.setattr(vectorized, "_segment", observed_segment)
 
     def snapshot(subgraph):
         return (
@@ -269,23 +259,25 @@ def test_cross_edge_deltas_keep_the_lower_layer_compiled(monkeypatch):
     engine = LayphEngine(inputs.workload.spec())
     engine.initialize(inputs.graph)
     subgraphs = engine.layered.subgraphs
-    hits = 0
+    stack = engine.layered.shortcut_stack
+    kept = 0
     for step, delta in enumerate(inputs.deltas[:DELTAS]):
         assert not delta.vertex_updates
         before = [snapshot(subgraph) for subgraph in subgraphs]
-        cached = [getattr(s, "_shortcut_csr_cache", None) is not None for s in subgraphs]
-        del compiled[:], built[:], asked[:]
+        synced = bool(stack.keys)
+        del compiled[:], built[:]
         engine.apply_delta(delta)
         local = {id(subgraph.local_adjacency) for subgraph in subgraphs}
         assert not [a for a in compiled if id(a) in local], f"delta {step} compiled a local CSR"
         changed = {
             subgraph.index
             for subgraph, old in zip(subgraphs, before)
-            if snapshot(subgraph) != old or not cached[subgraph.index]
+            if snapshot(subgraph) != old or not synced
         }
-        assert set(built) <= changed, f"delta {step} rebuilt unchanged shortcut CSRs"
-        hits += len(asked) - len(built)
-    assert hits, "phase 4 never reused a shortcut CSR"
+        assert set(built) <= changed, f"delta {step} rebuilt unchanged shortcut segments"
+        if synced:
+            kept += len(subgraphs) - len(built)
+    assert kept, "phase 4 never kept a shortcut segment"
 
 
 class _ReadLog(dict):

@@ -328,6 +328,12 @@ class _OracleDZiG:
         return dict(iterations[-1])
 
 
+def _internal_shortcuts(subgraph, source):
+    """``source``'s shortcuts to the subgraph's internal vertices, ascending."""
+    vector = subgraph.shortcuts.vector(source)
+    return [(target, factor) for target, factor in vector.items() if target in subgraph.internal]
+
+
 class _OracleLayph:
     """Layph's upper-layer seeding and assignment loops (its uploads run
     through the ``ShortcutBatch.run`` seam)."""
@@ -360,7 +366,7 @@ class _OracleLayph:
                     boundary_state = work.get(boundary_vertex, identity)
                     if boundary_state == identity:
                         continue
-                    for target, factor in subgraph.internal_shortcuts(boundary_vertex).items():
+                    for target, factor in _internal_shortcuts(subgraph, boundary_vertex):
                         metrics.edge_activations += 1
                         candidate = spec.combine(boundary_state, factor)
                         best[target] = spec.aggregate(best[target], candidate)
@@ -371,7 +377,7 @@ class _OracleLayph:
                 difference = deltas.get(boundary_vertex)
                 if difference is None or not spec.is_significant(difference):
                     continue
-                for target, factor in subgraph.internal_shortcuts(boundary_vertex).items():
+                for target, factor in _internal_shortcuts(subgraph, boundary_vertex):
                     if spec.absorbs(target):
                         continue
                     metrics.edge_activations += 1

@@ -9,9 +9,11 @@ from scratch, and the changed sources found by comparing every row.
 
 And two compositions of :mod:`repro.layph.shortcuts` for one subgraph:
 one boundary vertex's incremental shortcut update, and every boundary
-vertex's from-scratch vector.  Last, the upper layer's reverse view
-(:func:`upper_in_adjacency`), the reference for reading a skeleton vertex's
-in-links.
+vertex's from-scratch vector.  Last, the upper layer: its assembly from the
+graph and the subgraph tables by Python loops (:func:`assemble_upper`), the
+reference for the array rows the program builds and splices, and its
+reverse view (:func:`upper_in_adjacency`), the reference for reading a
+skeleton vertex's in-links.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.engine.algorithm import AlgorithmSpec
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.propagation import FactorAdjacency
+from repro.graph.csr import FactorCSR
 from repro.layph.dense import BoundaryClassification, classify_boundary
 from repro.layph.replication import ReplicationPlan
 from repro.layph.shortcuts import (
@@ -198,6 +201,40 @@ def compute_all_shortcuts(
     sources = sorted(boundary)
     vectors = compute_shortcut_vectors(spec, local_adjacency, sources, boundary, metrics)
     return dict(zip(sources, vectors))
+
+
+def assemble_upper(layered) -> Tuple[FactorCSR, Set[int]]:
+    """The upper layer of ``layered`` assembled from scratch: its compiled
+    CSR (``FactorCSR.from_rows``) and its vertex set.
+
+    A row lists its source's cross edges — out-edges leaving the source's
+    subgraph that no proxy rewired — in out-adjacency order, then per
+    subgraph ascending the subgraph's shortcuts to its boundary (targets
+    ascending) and its host/proxy links (plan order).  The id space is the
+    graph's vertices and the proxies.
+    """
+    spec, graph, subgraph_of = layered.spec, layered.graph, layered.subgraph_of
+    rewired = set()
+    upper_vertices = {v for v in graph.vertices() if v not in subgraph_of}
+    for subgraph in layered.subgraphs:
+        rewired.update(subgraph.rewired_edges)
+        upper_vertices |= subgraph.boundary
+    rows: Dict[int, List[Tuple[int, float]]] = {}
+    for source in graph.vertices():
+        own = subgraph_of.get(source)
+        for target, factor in spec.out_factors(graph, source):
+            if (own is None or subgraph_of.get(target) != own) and (source, target) not in rewired:
+                rows.setdefault(source, []).append((target, factor))
+    for subgraph in layered.subgraphs:
+        table = subgraph.shortcuts
+        for source in table.sources:
+            for target, factor in table.vector(source).items():
+                if target in table.rows:
+                    rows.setdefault(source, []).append((target, factor))
+        for source, target, factor in subgraph.upper_links:
+            rows.setdefault(source, []).append((target, factor))
+    ids = sorted(set(graph.vertices()) | layered.proxy_vertices())
+    return FactorCSR.from_rows(ids, [rows.get(vertex, ()) for vertex in ids]), upper_vertices
 
 
 def upper_in_adjacency(layered) -> Dict[int, List[Tuple[int, float]]]:

@@ -7,8 +7,10 @@ The entry selects nothing any more: a restore must ignore it, come back
 warm, and continue bitwise like the live engine.  A selective engine saved
 by the retired dict dependency store restores the same way, and so does a
 Layph store whose shortcut tables were written in a dict's insertion order
-rather than ascending.  A selective Layph store written before the skeleton
-was seeded from its own links restores warm with its skeleton re-seeded.
+rather than ascending, and so does one whose upper layer was written while
+it was a dict of rows (rows in the dict's insertion order).  A selective
+Layph store written before the skeleton was seeded from its own links
+restores warm with its skeleton re-seeded.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from __future__ import annotations
 import glob
 import json
 import shutil
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -24,6 +29,7 @@ from repro.engine.runner import run_batch
 from repro.graph.generators import community_graph
 from repro.incremental import make_engine
 from repro.layph.engine import LayphEngine
+from repro.layph.layered_graph import LayeredGraph
 from repro.storage import store as store_module
 from repro.storage.store import restore_engine
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
@@ -50,6 +56,28 @@ def _delta(engine, step):
 
 def _bits(states):
     return {vertex: float(value).hex() for vertex, value in states.items()}
+
+
+#: the ``upper_adjacency`` payload a build that kept the upper layer as a
+#: dict of rows wrote for :func:`_dict_era_engine` (rows in the dict's
+#: insertion order, each row's links in assembly order, its mutation counter)
+DICT_UPPER_LAYER = Path(__file__).parent / "data" / "dict_upper_layer_sssp.json"
+
+
+def _dict_era_engine(algorithm="sssp"):
+    """A Layph engine after three deltas, one of them vertex churn."""
+    engine = make_engine("layph", make_algorithm(algorithm, source=0))
+    engine.initialize(_graph())
+    for step in range(3):
+        engine.apply_delta(_delta(engine, step))
+    return engine
+
+
+def _assert_same_csr(left, right):
+    assert left.vertex_ids == right.vertex_ids
+    assert np.array_equal(left.offsets, right.offsets)
+    assert np.array_equal(left.targets, right.targets)
+    assert left.factors.tobytes() == right.factors.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -258,3 +286,58 @@ def test_selective_layph_store_without_exact_skeleton_marker_reseeds(tmp_path, m
         reference = run_batch(spec, restored.graph).states
         assert spec.states_match(result.states, reference, tolerance=1e-9), f"delta {step}"
         assert_exact_skeleton(restored)
+
+
+def test_upper_payload_matches_the_dict_era_store():
+    """``to_state`` writes the upper layer, read off its CSR, as the
+    dict-era build wrote it for the same engine: the same rows, each
+    row's links in the same order, and the same mutation counter; only
+    the rows now come in ascending source order."""
+    recorded = json.loads(DICT_UPPER_LAYER.read_text())
+    written = _dict_era_engine().layered.to_state()["upper_adjacency"]
+    assert written["version"] == recorded["version"]
+    assert written["rows"] == sorted(recorded["rows"])
+    assert written["rows"] != recorded["rows"], "the recorded rows are ascending already"
+
+
+@pytest.mark.parametrize("algorithm", ["sssp", "pagerank"])
+def test_dict_ordered_upper_rows_restore_warm(tmp_path, monkeypatch, algorithm):
+    """A store whose upper rows come in a dict's insertion order — the
+    recorded dict-era payload for SSSP, the rows reversed for PageRank —
+    restores warm to the cold engine's upper CSR, bit for bit, and its
+    next deltas are bitwise equal to the cold engine's."""
+    to_state = LayeredGraph.to_state
+
+    def dict_ordered(layered):
+        state = to_state(layered)
+        upper = state["upper_adjacency"]
+        if algorithm == "sssp":
+            recorded = json.loads(DICT_UPPER_LAYER.read_text())
+            assert sorted(recorded["rows"]) == upper["rows"]
+            state["upper_adjacency"] = recorded
+        else:
+            upper["rows"].reverse()
+        return state
+
+    live = _dict_era_engine(algorithm)
+    cold = _dict_era_engine(algorithm)
+    with monkeypatch.context() as patch:
+        patch.setattr(LayeredGraph, "to_state", dict_ordered)
+        live.save(str(tmp_path / "live"))
+    [sidecar] = glob.glob(str(tmp_path / "live" / "snapshot-*.json"))
+    written = json.loads(open(sidecar, "rb").read())["meta"]["extras"]["layered"]
+    sources = [source for source, _row in written["upper_adjacency"]["rows"]]
+    assert sources != sorted(sources), "no upper row was written out of order"
+
+    shutil.copytree(tmp_path / "live", tmp_path / "copy")
+    restored, report = restore_engine(str(tmp_path / "copy"))
+    assert report.warm, report.reason
+    _assert_same_csr(restored.layered.upper_csr(), cold.layered.upper_csr())
+    for step in range(3, 7):
+        delta = _delta(cold, step)
+        want = cold.apply_delta(delta)
+        got = restored.apply_delta(delta)
+        assert _bits(got.states) == _bits(want.states), f"delta {step}"
+        assert got.metrics.activations_per_round == want.metrics.activations_per_round
+        assert got.metrics.edge_activations == want.metrics.edge_activations
+        _assert_same_csr(restored.layered.upper_csr(), cold.layered.upper_csr())
