@@ -93,9 +93,9 @@ class LayphEngine(IncrementalEngine):
     # offline phase
     # ------------------------------------------------------------------
     def _initial_run(self, graph: Graph) -> BatchResult:
-        # the batch run below compiles the graph's out-CSR anyway
-        out_csr = self.csr_cache.out_csr(self.spec, graph)
+        # the batch run below reuses the out-CSR the build compiles
         start = time.perf_counter()
+        out_csr = self.csr_cache.out_csr(self.spec, graph)
         self.layered = LayeredGraph.build(self.spec, graph, self.config, out_csr)
         self.offline_seconds = time.perf_counter() - start
         self.offline_metrics = self.layered.construction_metrics.copy()
@@ -589,8 +589,8 @@ class LayphEngine(IncrementalEngine):
         spec = self.spec
         layered = self._require_layered()
         stack = layered.shortcut_stack
-        stack.sync(spec, layered.subgraphs)
         indices = [subgraph.index for subgraph in subgraphs]
+        stack.sync(spec, layered.subgraphs, indices)
         if not spec.is_selective():
             assign_accumulative_batch(spec, stack, indices, deltas, work, metrics)
             return

@@ -531,13 +531,11 @@ class LayeredGraph:
         touched ``touched`` (:meth:`_refresh_subgraph`), with every shortcut
         solve and revision in one :class:`repro.layph.shortcuts.ShortcutBatch`
         call; the work is added to ``construction_metrics`` as totals and its
-        activations and dense multiply-adds to ``metrics`` when given, and
-        each segment of the shortcut stack is marked for a sync."""
+        activations and dense multiply-adds to ``metrics`` when given."""
         work = ExecutionMetrics()
         batch = ShortcutBatch(self.spec)
         for index in indices:
             self._refresh_subgraph(self.subgraphs[index], touched, batch, work)
-            self.shortcut_stack.pending.add(index)
         batch.run(work, per_round=False)
         construction = self.construction_metrics
         construction.edge_activations += work.edge_activations

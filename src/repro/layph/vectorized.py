@@ -15,7 +15,7 @@ inputs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -34,125 +34,91 @@ def _segment(spec, subgraph) -> Dict[str, np.ndarray]:
     """Boundary→internal shortcut rows of one subgraph as CSR arrays.
 
     Row ``i`` lists the internal-target entries of the table's ``i``-th
-    source (``boundary_ids``, ascending), targets ascending: each target
-    gets at most one entry per row, so it receives its entries in ascending
-    boundary order, as the Python assignment loops apply them.  Targets
-    index ``internal_ids``; ``absorb`` and ``initial`` (the initial
-    messages) are gathered from the local CSR's memoized vertex arrays
-    (:func:`repro.layph.shortcuts.local_vertex_arrays`).
+    source (``boundary_ids``, ascending), targets (vertex ids) ascending:
+    each target gets at most one entry per row, so it receives its entries
+    in ascending boundary order, as the Python assignment loops apply them.
+    ``allowed`` (not absorbing) and ``initial`` (the initial messages) of
+    the ascending ``internal_ids`` are gathered from the local CSR's
+    memoized vertex arrays (:func:`repro.layph.shortcuts.local_vertex_arrays`).
     """
     table = subgraph.shortcuts
     internal = np.sort(np.fromiter(subgraph.internal, np.int64, count=len(subgraph.internal)))
     csr = master_factor_csr(subgraph.local_adjacency, subgraph.internal)
     absorb, initial = local_vertex_arrays(spec, subgraph.local_adjacency, csr)
     rows = np.searchsorted(csr.ids_array(), internal)
-    if table.columns is csr.vertex_ids:  # the table was filled over this compile
-        columns, listed = rows, np.ones(rows.size, dtype=bool)
-    else:
-        columns, listed = locate(np.asarray(table.columns, dtype=np.int64), internal)
+    columns, listed = locate(np.asarray(table.columns, dtype=np.int64), internal)
     entries = table.block[:, columns[listed]]
     present = entries != table.identity
     return {
         "boundary_ids": np.array(table.sources, dtype=np.int64),
         "counts": np.count_nonzero(present, axis=1).astype(np.int64),
-        "targets": np.flatnonzero(listed)[np.nonzero(present)[1]],
+        "targets": internal[listed][np.nonzero(present)[1]],
         "factors": entries[present],
         "internal_ids": internal,
-        "absorb": absorb[rows],
+        "allowed": ~absorb[rows],
         "initial": initial[rows],
     }
 
 
-def _splice_segments(old: np.ndarray, starts: np.ndarray, stale: List[int], parts) -> np.ndarray:
-    """``old`` with its segments ``stale`` (ascending; segment ``i`` is
-    ``old[starts[i]:starts[i + 1]]``) replaced by ``parts``."""
-    bounds = starts.tolist()
-    pieces, cursor = [], 0
-    for index, part in zip(stale, parts):
-        pieces += [old[bounds[cursor] : bounds[index]], part]
-        cursor = index + 1
-    pieces.append(old[bounds[cursor] :])
-    return np.concatenate(pieces)
-
-
 class ShortcutStack:
-    """Every subgraph's :func:`_segment` stacked into one CSR, resident
-    across deltas: phase 4's kernel input.
+    """Every subgraph's :func:`_segment`, resident across deltas, and the
+    vertex-indexed arrays phase 4's kernels read.
 
-    Segment ``i`` is subgraph ``i``'s rows (its boundary, ascending) and
-    internal vertices; ``targets`` index the stacked internal vertices.
     Every boundary vertex and every internal vertex belongs to exactly one
-    subgraph, so a vertex has at most one row and each target receives its
-    entries in its own subgraph's scan order.  The layered graph adds the
-    subgraphs it refreshes to ``pending``; :meth:`sync` rebuilds those of
-    their segments whose table (never mutated: a refresh installs a new
-    one) or internal set changed, in place where the sizes hold.
+    subgraph, so the assigned subgraphs' segments stack (:meth:`rows`) into
+    one CSR in which a vertex has at most one row and each target receives
+    its entries in its own subgraph's scan order.  :meth:`sync` rebuilds
+    the segments of the assigned subgraphs whose table (never mutated: a
+    refresh installs a new one) or internal set changed since their segment
+    was built; the others may stay stale until they are assigned.
     """
 
-    #: the stacked fields by what they run over: 0 rows, 1 slots, 2 internal
-    FIELDS = {
-        "boundary_ids": 0, "counts": 0, "targets": 1, "factors": 1, "internal_ids": 2, "absorb": 2, "initial": 2
-    }
-
     def __init__(self) -> None:
+        #: per subgraph, the (table, internal set) its segment was built from
         self.keys: List[Optional[Tuple[object, object]]] = []
-        #: subgraphs whose segment may be stale (all of them at the first sync)
-        self.pending: Set[int] = set()
-        #: the first row, slot and internal vertex of each segment
-        self.starts: List[np.ndarray] = []
-        for name, dtype in zip(self.FIELDS, (np.int64, np.int64, np.int64, float, np.int64, bool, float)):
-            setattr(self, name, np.empty(0, dtype=dtype))
-        self.offsets = np.empty(0, dtype=np.int64)
-        #: the rows in ascending boundary-id order (``None``: not derived yet)
-        self.row_order: Optional[np.ndarray] = None
+        self.segments: List[Optional[Dict[str, np.ndarray]]] = []
+        #: by vertex id, written for the internal vertices of built segments
+        self.initial = np.empty(0, dtype=np.float64)
+        self.allowed = np.empty(0, dtype=bool)
+        #: by vertex id: the kernels' value buffer, read and written only at
+        #: the assigned segments' internal vertices
+        self.scratch = np.empty(0, dtype=np.float64)
 
-    def sync(self, spec, subgraphs) -> None:
-        """Bring the segments up to date with ``subgraphs`` (all of them)."""
+    def sync(self, spec, subgraphs, indices: List[int]) -> None:
+        """Bring the segments ``indices`` up to date with their
+        ``subgraphs`` (all of them, by index)."""
         if not self.keys:
             self.keys = [None] * len(subgraphs)
-            self.pending.update(range(len(subgraphs)))
-            self.starts = [np.zeros(len(subgraphs) + 1, dtype=np.int64) for _kind in range(3)]
+            self.segments = [None] * len(subgraphs)
         stale = [
             index
-            for index in sorted(self.pending)
+            for index in indices
             if self.keys[index] != (subgraphs[index].shortcuts, subgraphs[index].internal)
         ]
-        self.pending.clear()
         if not stale:
             return
         parts = [_segment(spec, subgraphs[index]) for index in stale]
-        for index in stale:
+        for index, part in zip(stale, parts):
             self.keys[index] = (subgraphs[index].shortcuts, subgraphs[index].internal)
-        starts = []
-        for start, field in zip(self.starts, ("counts", "targets", "internal_ids")):
-            sizes = np.diff(start)
-            sizes[stale] = [part[field].size for part in parts]
-            starts.append(np.concatenate(([0], np.cumsum(sizes))))
-        # a kept segment's targets move with its first internal vertex
-        moved = starts[2] - self.starts[2]
-        moved[stale] = 0
-        segments = np.array(stale, dtype=np.int64)
-        for name, kind in self.FIELDS.items():
-            added = [part[name] for part in parts]
-            if name == "targets":
-                added = [targets + starts[2][index] for targets, index in zip(added, stale)]
-            if np.array_equal(starts[kind], self.starts[kind]):
-                first = starts[kind][segments]
-                sizes = starts[kind][segments + 1] - first
-                getattr(self, name)[expand_edges(first, sizes, int(sizes.sum()))] = np.concatenate(added)
-            else:
-                setattr(self, name, _splice_segments(getattr(self, name), self.starts[kind], stale, added))
-        if moved.any():
-            self.targets += np.repeat(moved[:-1], np.diff(starts[1]))
-        self.starts = starts
-        self.offsets = np.cumsum(self.counts) - self.counts
-        self.row_order = None
+            self.segments[index] = part
+        inner = np.concatenate([part["internal_ids"] for part in parts])
+        size = int(inner.max(initial=-1)) + 1
+        if size > self.initial.size:
+            for name in ("initial", "allowed", "scratch"):
+                old = getattr(self, name)
+                setattr(self, name, np.concatenate((old, np.zeros(size - old.size, dtype=old.dtype))))
+        self.initial[inner] = np.concatenate([part["initial"] for part in parts])
+        self.allowed[inner] = np.concatenate([part["allowed"] for part in parts])
 
-    def rows_of(self, indices: List[int]) -> np.ndarray:
-        """The stacked rows of the segments ``indices``, in that order."""
-        first = self.starts[0][indices]
-        sizes = self.starts[0][np.asarray(indices, dtype=np.int64) + 1] - first
-        return expand_edges(first, sizes, int(sizes.sum()))
+    def rows(self, indices: List[int]) -> Tuple[np.ndarray, ...]:
+        """The synced segments ``indices`` stacked, in that order:
+        ``(boundary_ids, offsets, counts, targets, factors)``."""
+        segments = [self.segments[index] for index in indices]
+        boundary_ids, counts, targets, factors = (
+            np.concatenate([segment[name] for segment in segments])
+            for name in ("boundary_ids", "counts", "targets", "factors")
+        )
+        return boundary_ids, np.cumsum(counts) - counts, counts, targets, factors
 
 
 # ----------------------------------------------------------------------
@@ -170,21 +136,20 @@ def assign_selective_batch(
 
     Returns, per subgraph, the ``best`` map (internal vertex → best boundary
     offer) the reference loop would produce; the caller folds the
-    internal-source results and writes it back.  The other segments' rows
-    hold the identity, so they offer nothing and count no activation.
+    internal-source results and writes it back.
     """
     identity = spec.aggregate_identity()
-    rows = stack.rows_of(indices)
-    states = np.full(stack.counts.size, identity, dtype=np.float64)
-    boundary = stack.boundary_ids[rows].tolist()
-    states[rows] = np.fromiter((work.get(v, identity) for v in boundary), np.float64, count=rows.size)
-    best = stack.initial.copy()
+    boundary, offsets, counts, targets, factors = stack.rows(indices)
+    states = np.fromiter((work.get(v, identity) for v in boundary.tolist()), np.float64, count=boundary.size)
+    internal = [stack.segments[index]["internal_ids"] for index in indices]
+    best = stack.scratch
+    inner = np.concatenate(internal)
+    best[inner] = stack.initial[inner]
     combine_add = spec.dense_algebra[1] == COMBINE_ADD
     metrics.edge_activations += assign_best_offers(
-        stack.offsets, stack.counts, stack.targets, stack.factors, states, best, identity, combine_add
+        offsets, counts, targets, factors, states, best, identity, combine_add
     )
-    bounds = [slice(*stack.starts[2][index : index + 2].tolist()) for index in indices]
-    return [dict(zip(stack.internal_ids[at].tolist(), best[at].tolist())) for at in bounds]
+    return [dict(zip(ids.tolist(), best[ids].tolist())) for ids in internal]
 
 
 def assign_accumulative_batch(
@@ -202,44 +167,42 @@ def assign_accumulative_batch(
     Applies ``combine(difference, factor)`` of every boundary vertex with a
     significant delta to its internal shortcut targets, in the Python loop's
     order (ascending boundary id), skipping — and not counting — absorbing
-    targets.  ``deltas`` are scattered into their vertices' rows; only the
+    targets.  ``deltas`` are located in the rows by boundary id; only the
     targets some live row reaches are read from and written back to
     ``work``.
     """
-    if not deltas or not stack.counts.size:
+    if not deltas:
         return
-    if stack.row_order is None:
-        stack.row_order = np.argsort(stack.boundary_ids)
-    vertices = np.fromiter(deltas, np.int64, count=len(deltas))
-    rows, found = locate(stack.boundary_ids[stack.row_order], vertices)
-    rows = stack.row_order[rows]
-    assigned = np.zeros(stack.counts.size, dtype=bool)
-    assigned[stack.rows_of(indices)] = True
-    found &= assigned[rows]
-    differences = np.zeros(stack.counts.size, dtype=np.float64)
-    differences[rows[found]] = np.fromiter(deltas.values(), np.float64, count=len(deltas))[found]
+    boundary, offsets, counts, targets, factors = stack.rows(indices)
+    order = np.argsort(boundary)
+    positions, found = locate(boundary[order], np.fromiter(deltas, np.int64, count=len(deltas)))
+    rows = order[positions]
+    differences = np.fromiter(deltas.values(), np.float64, count=len(deltas))
     # the contract's accumulative significance rule
-    live = np.abs(differences) > float(spec.tolerance())
-    live_rows = np.flatnonzero(live)
-    live_counts = stack.counts[live_rows]
-    total = int(live_counts.sum())
+    found &= np.abs(differences) > float(spec.tolerance())
+    # rows ascending: the Python loop's order within each subgraph
+    live = np.argsort(rows[found], kind="stable")
+    rows, differences = rows[found][live], differences[found][live]
+    offsets, counts = offsets[rows], counts[rows]
+    total = int(counts.sum())
     if not total:
         return
 
-    # Gather only the reached targets (the kernel never reads the targets
-    # of rows no live source owns).
-    reached = np.zeros(stack.internal_ids.size, dtype=bool)
-    reached[stack.targets[expand_edges(stack.offsets[live_rows], live_counts, total)]] = True
+    # Read and write back only the reached targets (the kernel never reads
+    # the targets of rows no live source owns; an absorbing one keeps its
+    # value), found with a mask over the vertex ids: sorting the reached
+    # slots instead measured slower.
+    reached = np.zeros(stack.scratch.size, dtype=bool)
+    reached[targets[expand_edges(offsets, counts, total)]] = True
     reached = np.flatnonzero(reached)
-    ids = stack.internal_ids[reached].tolist()
-    values = np.zeros(stack.internal_ids.size, dtype=np.float64)
+    ids = reached.tolist()
+    values = stack.scratch
     values[reached] = np.fromiter((work[vertex] for vertex in ids), np.float64, count=len(ids))
     combine_add = spec.dense_algebra[1] == COMBINE_ADD
-    arrays = (stack.offsets, stack.counts, stack.targets, stack.factors, differences, live, values)
-    touched, applied = assign_deltas(*arrays, ~stack.absorb, combine_add)
-    metrics.edge_activations += applied
-    rows = np.flatnonzero(touched)
-    work.update(zip(stack.internal_ids[rows].tolist(), values[rows].tolist()))
+    metrics.edge_activations += assign_deltas(
+        offsets, counts, targets, factors, differences, values, stack.allowed, combine_add
+    )
+    work.update(zip(ids, values[reached].tolist()))
 
 
 # ----------------------------------------------------------------------

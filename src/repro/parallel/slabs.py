@@ -361,10 +361,10 @@ def assign_best_offers(
     """Fold each live source's offers into ``best`` (min); returns the
     number of shortcut entries visited (the metered F-work).
 
-    The selective assignment of one Layph subgraph: row ``i`` of the
-    shortcut CSR lists the internal-target entries of the ``i``-th boundary
-    vertex, ``source_values[i]`` its upper-layer state; ``best`` (mutated
-    in place) is indexed by internal-vertex position.
+    The selective assignment of Layph's subgraphs: row ``i`` (slots
+    ``offsets[i]`` to ``offsets[i] + counts[i]``) lists the internal-target
+    entries of a boundary vertex, ``source_values[i]`` its upper-layer
+    state; ``best`` (mutated in place) is indexed by target.
     """
     live = np.nonzero(source_values != identity)[0]
     live_counts = counts[live]
@@ -386,38 +386,32 @@ def assign_deltas(
     targets: np.ndarray,
     factors: np.ndarray,
     source_deltas: np.ndarray,
-    live: np.ndarray,
     values: np.ndarray,
     allowed: np.ndarray,
     combine_add: bool,
-) -> Tuple[np.ndarray, int]:
-    """Push each live source's delta through its shortcut row into ``values``.
+) -> int:
+    """Push each source's delta through its shortcut row into ``values``.
 
-    The accumulative assignment of one Layph subgraph: applies
-    ``combine(delta, factor)`` with ``np.add.at`` in row order (ascending
-    boundary position, table order within — the Python loop's exact order),
-    skipping targets where ``allowed`` is false.  Returns the boolean mask
-    of touched value rows and the number of applied entries.
+    The accumulative assignment of Layph's subgraphs: row ``i`` (slots
+    ``offsets[i]`` to ``offsets[i] + counts[i]``) carries
+    ``source_deltas[i]``; applies ``combine(delta, factor)`` with
+    ``np.add.at`` in row order (ascending boundary position, table order
+    within — the Python loop's exact order), skipping targets where
+    ``allowed`` is false.  Returns the number of applied entries.
     """
-    live_rows = np.nonzero(live)[0]
-    live_counts = counts[live_rows]
-    total = int(live_counts.sum())
-    touched = np.zeros(values.size, dtype=bool)
-    applied = 0
-    if total:
-        slots = expand_slots(offsets[live_rows], live_counts, total)
-        edge_targets = targets[slots]
-        messages = np.repeat(source_deltas[live_rows], live_counts)
-        if combine_add:
-            messages = messages + factors[slots]
-        else:
-            messages = messages * factors[slots]
-        keep = allowed[edge_targets]
-        kept_targets = edge_targets[keep]
-        np.add.at(values, kept_targets, messages[keep])
-        touched[kept_targets] = True
-        applied = int(keep.sum())
-    return touched, applied
+    total = int(counts.sum())
+    if not total:
+        return 0
+    slots = expand_slots(offsets, counts, total)
+    edge_targets = targets[slots]
+    messages = np.repeat(source_deltas, counts)
+    if combine_add:
+        messages = messages + factors[slots]
+    else:
+        messages = messages * factors[slots]
+    keep = allowed[edge_targets]
+    np.add.at(values, edge_targets[keep], messages[keep])
+    return int(keep.sum())
 
 
 def pull_rows(

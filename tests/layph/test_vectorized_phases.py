@@ -149,7 +149,7 @@ class TestAssignKernels:
 
     def _stack(self, spec, subgraphs):
         stack = ShortcutStack()
-        stack.sync(spec, subgraphs)
+        stack.sync(spec, subgraphs, list(range(len(subgraphs))))
         return stack
 
     def test_selective_assign_matches_python(self):
@@ -205,6 +205,34 @@ class TestAssignKernels:
         assert maps == [{8: 2.5}]
         assert metrics.edge_activations == 1
 
+    def test_kernels_see_only_the_assigned_rows(self, monkeypatch):
+        """Phase 4's work follows the assigned segments, not the stack: the
+        kernels are handed the assigned subgraphs' rows alone."""
+        from repro.layph import vectorized
+
+        handed = []
+        for name in ("assign_best_offers", "assign_deltas"):
+            kernel = getattr(vectorized, name)
+
+            def observed(offsets, counts, *args, _kernel=kernel):
+                handed.append(counts.size)
+                return _kernel(offsets, counts, *args)
+
+            monkeypatch.setattr(vectorized, name, observed)
+        for spec in (PageRank(), SSSP(source=0)):
+            table = ShortcutTable.from_vectors({7: {8: 0.5}, 9: {8: 0.25}}, spec.aggregate_identity())
+            first = self._shortcut_subgraph(spec)  # two rows
+            second = _subgraph(1, {7, 9}, set(), {8}, shortcuts=table)
+            stack = self._stack(spec, [first, second])
+            work = {0: 1.0, 5: 2.0, 7: 2.0, 9: 3.0, 2: 0.25, 3: 0.5, 8: 1.0}
+            if spec.is_selective():
+                assign_selective_batch(spec, stack, [1], work, ExecutionMetrics())
+            else:
+                deltas = {0: 0.125, 5: 0.5, 7: 1.0, 9: 0.0}
+                assign_accumulative_batch(spec, stack, [1], deltas, work, ExecutionMetrics())
+        # the second subgraph's two rows (selective), its one live row (accumulative: 9 is flat)
+        assert sorted(handed) == [1, 2]
+
     def test_sync_replaces_only_stale_segments(self, monkeypatch):
         from repro.layph import vectorized
 
@@ -212,7 +240,7 @@ class TestAssignKernels:
         first = self._shortcut_subgraph(spec)
         second = _subgraph(1, {7}, set(), {8}, shortcuts=ShortcutTable.from_vectors({7: {8: 0.5}}, 0.0))
         stack = self._stack(spec, [first, second])
-        assert stack.targets.tolist() == [0, 1, 1, 2]  # stacked positions of 2, 3, 3, 8
+        assert stack.rows([0, 1])[3].tolist() == [2, 3, 3, 8]  # targets
         built = []
         segment = vectorized._segment
 
@@ -221,20 +249,20 @@ class TestAssignKernels:
             return segment(spec, subgraph)
 
         monkeypatch.setattr(vectorized, "_segment", observed_segment)
-        stack.pending.update({0, 1})
-        stack.sync(spec, [first, second])
-        assert built == []  # both marked, neither changed
+        stack.sync(spec, [first, second], [0, 1])
+        assert built == []  # both assigned, neither changed
         # a refresh installs a fresh table and internal set for the first
-        # subgraph only: the second's targets move with its internal vertex
+        # subgraph only: its segment waits until it is assigned
         first.shortcuts = ShortcutTable.from_vectors({0: {2: 9.0}}, 0.0)
         first.internal = {2}
-        stack.pending.add(0)
-        stack.sync(spec, [first, second])
+        stack.sync(spec, [first, second], [1])
+        assert built == []
+        stack.sync(spec, [first, second], [1, 0])
         assert built == [0]
-        assert stack.factors.tolist() == [9.0, 0.5]
-        assert stack.targets.tolist() == [0, 1]
-        assert stack.internal_ids.tolist() == [2, 8]
-        assert stack.boundary_ids.tolist() == [0, 7]
+        boundary, offsets, counts, targets, factors = stack.rows([0, 1])
+        assert (boundary.tolist(), offsets.tolist(), counts.tolist()) == ([0, 7], [0, 1], [1, 1])
+        assert (targets.tolist(), factors.tolist()) == ([2, 8], [9.0, 0.5])
+        assert stack.initial[[2, 8]].tolist() == [spec.initial_message(2), spec.initial_message(8)]
 
 
 class TestEngineLevelEquivalence:

@@ -230,7 +230,7 @@ def test_cross_edge_deltas_keep_the_lower_layer_compiled(monkeypatch):
     """web-bfs-bridge's deltas only add edges between communities: no local
     CSR is compiled again (the refresh splices the resident one), and phase
     4 rebuilds a subgraph's segment of the resident shortcut stack only
-    when its tables changed."""
+    when its tables changed since the segment was built."""
     compiled = []
     compile_adjacency = FactorCSR.from_factor_adjacency.__func__
 
@@ -259,24 +259,19 @@ def test_cross_edge_deltas_keep_the_lower_layer_compiled(monkeypatch):
     engine = LayphEngine(inputs.workload.spec())
     engine.initialize(inputs.graph)
     subgraphs = engine.layered.subgraphs
-    stack = engine.layered.shortcut_stack
+    # each built segment's subgraph as it was when the segment was built
+    last = {}
     kept = 0
     for step, delta in enumerate(inputs.deltas[:DELTAS]):
         assert not delta.vertex_updates
-        before = [snapshot(subgraph) for subgraph in subgraphs]
-        synced = bool(stack.keys)
         del compiled[:], built[:]
         engine.apply_delta(delta)
         local = {id(subgraph.local_adjacency) for subgraph in subgraphs}
         assert not [a for a in compiled if id(a) in local], f"delta {step} compiled a local CSR"
-        changed = {
-            subgraph.index
-            for subgraph, old in zip(subgraphs, before)
-            if snapshot(subgraph) != old or not synced
-        }
-        assert set(built) <= changed, f"delta {step} rebuilt unchanged shortcut segments"
-        if synced:
-            kept += len(subgraphs) - len(built)
+        unchanged = [index for index in built if last.get(index) == snapshot(subgraphs[index])]
+        assert not unchanged, f"delta {step} rebuilt unchanged shortcut segments"
+        kept += len(set(last) - set(built))
+        last.update((index, snapshot(subgraphs[index])) for index in built)
     assert kept, "phase 4 never kept a shortcut segment"
 
 
