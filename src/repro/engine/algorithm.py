@@ -67,6 +67,15 @@ class AlgorithmSpec(abc.ABC):
     #: ``None``, which makes the engines refuse them.
     dense_algebra: Optional[Tuple[str, str]] = None
 
+    #: whether every min/+ path sum is exact in float64, whatever order its
+    #: additions run in: BFS qualifies (every factor is 1 and its root
+    #: message 0, so every sum is a small integer); SSSP's real weights do
+    #: not.  Layph keeps a shortcut row across a boundary gain only for such
+    #: a spec (:meth:`repro.layph.layered_graph.LayeredGraph._refresh_subgraph`).
+    #: A subclass that changes ``edge_factor`` or the initial messages must
+    #: reset it to ``False``.
+    exact_path_sums: bool = False
+
     # ------------------------------------------------------------------
     # aggregation G
     # ------------------------------------------------------------------

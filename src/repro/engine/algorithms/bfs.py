@@ -20,6 +20,7 @@ class BFS(AlgorithmSpec):
     name = "bfs"
     dense_algebra = ("min", "add")
     edge_local_factors = True  # every edge contributes one constant hop
+    exact_path_sums = True  # hop counts: integer sums, exact in any order
 
     def __init__(self, source: int = 0) -> None:
         self.source = source

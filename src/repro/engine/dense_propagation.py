@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.engine.algorithm import AlgorithmSpec
-from repro.graph.csr import FactorCSR, FactorCSRView
+from repro.graph.csr import FactorCSR, FactorCSRView, locate
 from repro.parallel.slabs import PropagationSlab
 
 AGGREGATE_MIN = "min"
@@ -232,8 +232,10 @@ def build_propagation_slab(
     if owned is None:
         members, rows = ids, slice(None)
     else:
-        members = list(universe)
-        rows = np.fromiter((index[vertex] for vertex in members), np.int64, count=len(members))
+        members = universe
+        rows, found = locate(csr.ids_array(), np.fromiter(universe, np.int64, count=len(universe)))
+        if not found.all():
+            raise KeyError("a vertex of the iteration lies outside the compiled id space")
     state_arr = np.full(n, identity, dtype=np.float64)
     state_arr[rows] = np.fromiter(
         (

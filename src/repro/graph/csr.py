@@ -248,6 +248,10 @@ class FactorCSRView:
         """Number of vertices in the dense index space."""
         return len(self.vertex_ids)
 
+    def ids_array(self) -> np.ndarray:
+        """The master's vertex ids as an int64 array (cached there)."""
+        return self.master.ids_array()
+
     @property
     def num_edges(self) -> int:
         """Number of live (non-silenced) factor-carrying links."""
@@ -284,6 +288,8 @@ class CSRAdjacency:
         ids = self.csr.vertex_ids
         return [ids[row] for row in np.flatnonzero(self.csr.out_degree).tolist()]
 
-    def compiled_csr(self, universe: Iterable[int]) -> Optional[FactorCSR]:
-        """The snapshot, or ``None`` when ``universe`` reaches outside its ids."""
-        return self.csr if self.csr.index.keys() >= set(universe) else None
+    def compiled_csr(self, universe: Iterable[int]) -> FactorCSR:
+        """The snapshot.  ``universe`` is not checked: the upper layer's id
+        space is the graph's vertices and the proxies, which holds every
+        vertex its iteration names."""
+        return self.csr

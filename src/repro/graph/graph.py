@@ -4,12 +4,16 @@ The graph stores both out-adjacency and in-adjacency so that incremental
 engines can walk dependencies backwards (e.g. KickStarter's dependency trees
 and Ingress's re-aggregation after a reset).  Vertices are integers; they do
 not need to be contiguous, which lets deltas add and delete vertices freely.
+
+A copy shares its rows with the original (copy-on-write): ``copy`` costs
+O(V) pointer copies, and each graph clones a row before its first write to
+it, so applying a delta to a copy costs O(V + |ΔG|) rather than O(V + E).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -37,6 +41,10 @@ class Graph:
         self._directed = directed
         self._out: Dict[int, Dict[int, float]] = {}
         self._in: Dict[int, Dict[int, float]] = {}
+        #: the vertices whose out-/in-row this graph may write in place; any
+        #: other row may be shared with a copy and is cloned on first write
+        self._own_out: Set[int] = set()
+        self._own_in: Set[int] = set()
         self._version = 0
 
     # ------------------------------------------------------------------
@@ -63,10 +71,17 @@ class Graph:
         return graph
 
     def copy(self) -> "Graph":
-        """Return a deep copy of the graph (its version counter restarts)."""
+        """Return an independent copy of the graph (its version counter
+        restarts).
+
+        Only the two outer dicts are copied: both graphs share every row
+        until one of them writes it (copy-on-write), so the copy costs O(V).
+        """
         clone = Graph(directed=self._directed)
-        clone._out = {vertex: dict(targets) for vertex, targets in self._out.items()}
-        clone._in = {vertex: dict(sources) for vertex, sources in self._in.items()}
+        clone._out = dict(self._out)
+        clone._in = dict(self._in)
+        self._own_out = set()
+        self._own_in = set()
         return clone
 
     @classmethod
@@ -91,6 +106,8 @@ class Graph:
         graph = cls(directed=directed)
         graph._out = {vertex: dict(targets) for vertex, targets in out_rows.items()}
         graph._in = {vertex: dict(sources) for vertex, sources in in_rows.items()}
+        graph._own_out = set(graph._out)
+        graph._own_in = set(graph._in)
         graph._version = version
         return graph
 
@@ -180,11 +197,29 @@ class Graph:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
+    def _out_row(self, vertex: int) -> Dict[int, float]:
+        """``vertex``'s out-row, cloned first if it may be shared."""
+        if vertex in self._own_out:
+            return self._out[vertex]
+        row = self._out[vertex] = dict(self._out[vertex])
+        self._own_out.add(vertex)
+        return row
+
+    def _in_row(self, vertex: int) -> Dict[int, float]:
+        """``vertex``'s in-row, cloned first if it may be shared."""
+        if vertex in self._own_in:
+            return self._in[vertex]
+        row = self._in[vertex] = dict(self._in[vertex])
+        self._own_in.add(vertex)
+        return row
+
     def add_vertex(self, vertex: int) -> None:
         """Add an isolated vertex (no-op if it already exists)."""
         if vertex not in self._out:
             self._out[vertex] = {}
             self._in[vertex] = {}
+            self._own_out.add(vertex)
+            self._own_in.add(vertex)
             self._version += 1
 
     def remove_vertex(self, vertex: int) -> None:
@@ -201,6 +236,8 @@ class Graph:
             self.remove_edge(source, vertex)
         del self._out[vertex]
         del self._in[vertex]
+        self._own_out.discard(vertex)
+        self._own_in.discard(vertex)
         self._version += 1
 
     def add_edge(self, source: int, target: int, weight: float = 1.0) -> None:
@@ -211,12 +248,7 @@ class Graph:
         """
         self.add_vertex(source)
         self.add_vertex(target)
-        self._out[source][target] = weight
-        self._in[target][source] = weight
-        if not self._directed and source != target:
-            self._out[target][source] = weight
-            self._in[source][target] = weight
-        self._version += 1
+        self._set_weight(source, target, weight)
 
     def remove_edge(self, source: int, target: int) -> None:
         """Remove edge ``source -> target`` (and the reverse if undirected).
@@ -226,11 +258,11 @@ class Graph:
         """
         if not self.has_edge(source, target):
             raise KeyError(f"edge ({source}, {target}) not in graph")
-        del self._out[source][target]
-        del self._in[target][source]
+        del self._out_row(source)[target]
+        del self._in_row(target)[source]
         if not self._directed and source != target:
-            del self._out[target][source]
-            del self._in[source][target]
+            del self._out_row(target)[source]
+            del self._in_row(source)[target]
         self._version += 1
 
     def update_edge_weight(self, source: int, target: int, weight: float) -> None:
@@ -241,11 +273,15 @@ class Graph:
         """
         if not self.has_edge(source, target):
             raise KeyError(f"edge ({source}, {target}) not in graph")
-        self._out[source][target] = weight
-        self._in[target][source] = weight
+        self._set_weight(source, target, weight)
+
+    def _set_weight(self, source: int, target: int, weight: float) -> None:
+        """Write the edge's weight in both rows (and the mirror's)."""
+        self._out_row(source)[target] = weight
+        self._in_row(target)[source] = weight
         if not self._directed and source != target:
-            self._out[target][source] = weight
-            self._in[source][target] = weight
+            self._out_row(target)[source] = weight
+            self._in_row(source)[target] = weight
         self._version += 1
 
     # ------------------------------------------------------------------

@@ -33,7 +33,7 @@ recomputation on the updated graph (Theorems 1 and 2).
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Optional, Set
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.graph.graph import Graph
 from repro.incremental.base import IncrementalEngine, IncrementalResult
 from repro.incremental.dep_table import supported_dependents
 from repro.incremental.revision import accumulative_revision_messages
-from repro.layph.layered_graph import ChangedLink, LayeredGraph, LayphConfig
+from repro.layph.layered_graph import ChangedLinks, LayeredGraph, LayphConfig
 from repro.layph.shortcuts import compute_shortcuts_from, local_uploads
 from repro.layph.vectorized import (
     assign_accumulative_batch,
@@ -420,7 +420,7 @@ class LayphEngine(IncrementalEngine):
     def _selective_upload(
         self,
         old_upper_csr: FactorCSR,
-        changed_links: List[ChangedLink],
+        changed_links: ChangedLinks,
         joined_upper: Set[int],
         work: Dict[int, float],
         lup_pending: Dict[int, float],
@@ -435,9 +435,9 @@ class LayphEngine(IncrementalEngine):
         :func:`repro.incremental.dep_table.supported_dependents`) are reset
         to the identity and re-seeded from their surviving in-links.  Links
         that are new or whose factor shrank contribute compensation messages.
-        ``changed_links`` is :meth:`LayeredGraph.patch_upper`'s changed-link
-        list — an unchanged ``(source, target)`` link can never be a root or
-        a compensation, so iterating only the changed pairs is enough.
+        ``changed_links`` are :meth:`LayeredGraph.patch_upper`'s changed
+        links — an unchanged ``(source, target)`` link can never be a root
+        or a compensation, so reading only the changed pairs is enough.
 
         ``work`` must still hold the pre-delta states of the vertices and
         proxies this delta removed: all their out-links are removed links,
@@ -449,18 +449,23 @@ class LayphEngine(IncrementalEngine):
         layered = self._require_layered()
         identity = spec.aggregate_identity()
 
-        # Invalidation roots from worsened/removed upper links.
-        roots: Set[int] = set()
-        for source, target, old_factor, new_factor in changed_links:
-            if old_factor is None:
-                continue
-            if new_factor is not None and new_factor <= old_factor:
-                continue
-            target_state = work.get(target, identity)
-            if target_state != identity and (
-                spec.combine(work.get(source, identity), old_factor) == target_state
-            ):
-                roots.add(target)
+        def states(vertices: np.ndarray) -> np.ndarray:
+            return np.fromiter(
+                (work.get(vertex, identity) for vertex in vertices.tolist()),
+                np.float64,
+                count=vertices.size,
+            )
+
+        # Invalidation roots from worsened/removed upper links (a removed
+        # link's new factor is ``inf``): the targets they supported exactly.
+        # A selective spec combines with ``+``.
+        worse = changed_links.new > changed_links.old
+        targets = changed_links.targets[worse]
+        target_states = states(targets)
+        offers = states(changed_links.sources[worse]) + changed_links.old[worse]
+        roots: Set[int] = set(
+            targets[(target_states != identity) & (offers == target_states)].tolist()
+        )
 
         # Invalidation roots from the folded root message of an internal
         # source: when its internal-only path to a boundary vertex grows (or
@@ -475,22 +480,14 @@ class LayphEngine(IncrementalEngine):
             if old_value != identity and work.get(vertex, identity) == old_value:
                 roots.add(vertex)
 
-        ids = old_upper_csr.vertex_ids
+        ids = old_upper_csr.ids_array()
         index = old_upper_csr.index
-
-        def states_of(rows: np.ndarray) -> np.ndarray:
-            return np.fromiter(
-                (work.get(ids[row], identity) for row in rows.tolist()),
-                np.float64,
-                count=rows.size,
-            )
-
         mask = supported_dependents(
             old_upper_csr,
             np.fromiter((index[v] for v in roots if v in index), np.int64),
-            states_of,
+            lambda rows: states(ids[rows]),
         )
-        tainted = {ids[row] for row in np.flatnonzero(mask).tolist()}
+        tainted = set(ids[mask].tolist())
         tainted &= layered.upper_vertices
         # Upper-layer vertices with no trustworthy upper-layer history are
         # treated as invalid too: fresh proxies and brand-new graph vertices
@@ -505,19 +502,16 @@ class LayphEngine(IncrementalEngine):
             work[vertex] = identity
         self._seed_tainted_upper(tainted, work, lup_pending, metrics)
 
-        # Compensation from new or improved upper links.
-        for source, target, old_factor, new_factor in changed_links:
-            if new_factor is None:
-                continue
-            if old_factor is not None and new_factor >= old_factor:
-                continue
-            if source in tainted:
-                continue
-            source_state = work.get(source, identity)
-            if source_state == identity:
-                continue
-            metrics.edge_activations += 1
-            offered = spec.combine(source_state, new_factor)
+        # Compensation from new or improved upper links (a new link's old
+        # factor is ``inf``) whose source kept a state.
+        better = np.flatnonzero(changed_links.new < changed_links.old)
+        tainted_ids = np.fromiter(tainted, np.int64, count=len(tainted))
+        better = better[~np.isin(changed_links.sources[better], tainted_ids)]
+        source_states = states(changed_links.sources[better])
+        live = source_states != identity
+        metrics.edge_activations += int(np.count_nonzero(live))
+        offers = source_states[live] + changed_links.new[better[live]]
+        for target, offered in zip(changed_links.targets[better[live]].tolist(), offers.tolist()):
             if spec.is_significant(offered) and not spec.absorbs(target):
                 lup_pending[target] = spec.aggregate(
                     lup_pending.get(target, identity), offered

@@ -19,7 +19,7 @@ weights), so the structure is algorithm-specific, as in the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
@@ -132,9 +132,20 @@ def _adjacency_from_state(payload: dict) -> FactorAdjacency:
     return adjacency
 
 
-#: one changed skeleton link: ``(source, target, old_factor, new_factor)``,
-#: ``None`` on the side where the link is absent
-ChangedLink = Tuple[int, int, Optional[float], Optional[float]]
+class ChangedLinks(NamedTuple):
+    """The skeleton links whose best factor changed, as parallel arrays in
+    ``(source, target)`` order; ``old``/``new`` hold ``inf`` on the side
+    where the link is absent (every factor is finite)."""
+
+    sources: np.ndarray
+    targets: np.ndarray
+    old: np.ndarray
+    new: np.ndarray
+
+
+NO_CHANGED_LINKS = ChangedLinks(
+    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+)
 
 #: flat upper rows ``(row, target ids, factors)``: each link's row is its
 #: source's position among the sources the rows were read for
@@ -148,24 +159,20 @@ def _compile_rows(ids: np.ndarray, rows: Tuple[np.ndarray, ...]) -> FactorCSR:
     return splice_rows(empty, *rows)
 
 
-def _link_diff(sources: np.ndarray, old: FlatRows, new: FlatRows) -> List[ChangedLink]:
-    """Every ``(source, target, old_factor, new_factor)`` whose better of the
-    parallel links (a shortcut can meet an original edge) differs between the
-    ``old`` and ``new`` rows of ``sources`` (``None`` where absent), sources
-    then targets ascending.  Every factor is finite, so ``inf`` is absence."""
-    ids, rank = np.unique(np.concatenate((old[1], new[1])), return_inverse=True)
-    keys, key = np.unique(np.concatenate((old[0], new[0])) * ids.size + rank, return_inverse=True)
+def _link_diff(sources: np.ndarray, old: FlatRows, new: FlatRows) -> ChangedLinks:
+    """Every link whose better of the parallel links (a shortcut can meet an
+    original edge) differs between the ``old`` and ``new`` rows of
+    ``sources``, sources then targets ascending."""
+    targets = np.concatenate((old[1], new[1]))
+    lowest = int(targets.min(initial=0))
+    span = int(targets.max(initial=0)) - lowest + 1
+    keys, key = np.unique(np.concatenate((old[0], new[0])) * span + (targets - lowest), return_inverse=True)
     best = np.full((2, keys.size), np.inf)
     np.minimum.at(best[0], key[: old[0].size], old[2])
     np.minimum.at(best[1], key[old[0].size :], new[2])
     changed = np.flatnonzero(best[0] != best[1])
-    links = zip(
-        sources[keys[changed] // ids.size].tolist(),
-        ids[keys[changed] % ids.size].tolist(),
-        best[0][changed].tolist(),
-        best[1][changed].tolist(),
-    )
-    return [(s, t, None if o == np.inf else o, None if n == np.inf else n) for s, t, o, n in links]
+    keys = keys[changed]
+    return ChangedLinks(sources[keys // span], keys % span + lowest, best[0][changed], best[1][changed])
 
 
 class LayeredGraph:
@@ -178,9 +185,12 @@ class LayeredGraph:
         self.subgraphs: List[DenseSubgraph] = []
         #: real vertex -> index of the dense subgraph it belongs to
         self.subgraph_of: Dict[int, int] = {}
-        #: ``subgraph_of`` as sorted ``(members, owners)`` arrays; dropped
-        #: whenever the map loses a member (it gains none after the build)
-        self._owner_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        #: ``subgraph_of`` by row of an ascending id array, -1 where no
+        #: member, as ``(ids, owners)``: kept while the graph's out-CSR keeps
+        #: its id array (a splice that keeps the id space keeps the array),
+        #: dropped whenever the map loses a member (it gains none after the
+        #: build)
+        self._owner_rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
         #: the upper layer: a read-only view of its CSR, compiled by a full
         #: reassembly and then spliced by :meth:`patch_upper`
         empty = FactorCSR([], np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))
@@ -297,6 +307,13 @@ class LayeredGraph:
         :func:`repro.layph.shortcuts.shortcut_revision` yields its messages,
         charged to ``metrics``, else a solve) and whose other rows the batch
         copies from the old table.  The caller runs the batch.
+
+        For a spec with exact path sums (``spec.exact_path_sums``: BFS) a
+        vertex that joined the boundary invalidates no row: only its own row
+        is solved.  A kept row may hold entries whose paths cross it, now an
+        absorber; each equals, to the bit, the route through its upper links
+        (its shortcut from the row's source, then its own row), so the
+        layer's min-plus closure, and every state, is the rebuild's.
         """
         spec = self.spec
         graph = self.graph
@@ -314,7 +331,7 @@ class LayeredGraph:
             if not graph.has_vertex(vertex):
                 members.discard(vertex)
                 self.subgraph_of.pop(vertex, None)
-                self._owner_arrays = None
+                self._owner_rows = None
         dirty = named & members
         gone = named - dirty
         subgraph.hosts.update(graph, members, named)
@@ -408,7 +425,7 @@ class LayeredGraph:
                     s for s in old_sources | set(local.vertices_with_out_edges()) if s in differ
                 }
         stale_sources = self._stale_shortcut_sources(
-            changed_sources, old_shortcuts, old_boundary, boundary
+            changed_sources, old_shortcuts, old_boundary, boundary, spec.exact_path_sums
         )
         boundary_changed = old_boundary != boundary
         if not stale_sources and not boundary_changed:
@@ -493,23 +510,26 @@ class LayeredGraph:
         old_shortcuts: ShortcutTable,
         old_boundary: Set[int],
         new_boundary: Set[int],
+        keep_gains: bool,
     ) -> Set[int]:
         """Boundary vertices whose shortcut vectors must be recomputed.
 
-        A boundary vertex is stale when some intra-subgraph link changed at a
-        vertex its old shortcut region could reach (or at itself), or when the
-        boundary set changed in a way that alters which vertices absorb
-        messages along its internal paths.  ``changed_sources`` are the
-        vertices whose intra-subgraph out-links changed.
+        A boundary vertex is stale when it is new, when some intra-subgraph
+        link changed at a vertex its old shortcut region could reach (or at
+        itself), or when that region holds a vertex that moved between
+        boundary and internal: the move changes the absorption pattern of
+        every path that crosses it.  With ``keep_gains`` (a spec with exact
+        path sums) a vertex that joined the boundary is no such move; one
+        that left it still is.  ``changed_sources`` are the vertices whose
+        intra-subgraph out-links changed.
         """
         if not old_shortcuts:
             return set(new_boundary)
-        if not changed_sources and old_boundary == new_boundary:
-            return set()
-        if old_boundary != new_boundary:
-            # Vertices that moved between boundary and internal change the
-            # absorption pattern of every path that crosses them.
-            changed_sources = set(changed_sources) | (old_boundary ^ new_boundary)
+        moved = old_boundary - new_boundary if keep_gains else old_boundary ^ new_boundary
+        if not changed_sources and not moved:
+            return new_boundary - old_shortcuts.rows.keys()
+        if moved:
+            changed_sources = set(changed_sources) | moved
         # the old rows whose region (their shortcut targets) holds a change
         index = old_shortcuts.index
         columns = [index[vertex] for vertex in changed_sources if vertex in index]
@@ -608,7 +628,7 @@ class LayeredGraph:
         removed_upper: Set[int],
         added_upper: Set[int],
         out_csr: FactorCSR,
-    ) -> List[ChangedLink]:
+    ) -> ChangedLinks:
         """Maintain the upper layer in place from a delta's row footprint.
 
         ``dirty_sources`` must cover every vertex whose upper row can differ
@@ -632,9 +652,9 @@ class LayeredGraph:
         (:func:`repro.graph.csr_cache.splice_rows`), vertices and proxies
         that joined or left entering or leaving its id space: it stays
         bit-identical to a fresh reassembly's compile.  For a selective spec,
-        returns the changed-link list (:func:`_link_diff` of the pre-patch
-        and the new rows of the sources that differ); for an accumulative
-        spec it is empty, as nothing reads it.
+        returns the changed links (:func:`_link_diff` of the pre-patch and
+        the new rows of the sources that differ); for an accumulative spec
+        none, as nothing reads them.
         """
         old = self.upper_csr()
         old_ids = old.ids_array()
@@ -656,7 +676,7 @@ class LayeredGraph:
         kept = differ[new[0]]
         changed = bool(differ.any())
 
-        changed_links: List[ChangedLink] = []
+        changed_links = NO_CHANGED_LINKS
         if self.spec.is_selective() and changed:
             old_kept = differ[old_rows]
             changed_links = _link_diff(
@@ -697,19 +717,21 @@ class LayeredGraph:
         segment) replays the assembly order: cross edges, then per subgraph
         ascending its shortcuts before its host/proxy links.
         """
-        own = self._owners(sources)
+        graph_ids = out_csr.ids_array()
+        owners = self._owners_by_row(graph_ids)
+        rows, found = locate(graph_ids, sources)
+        own = np.full(sources.size, -1, dtype=np.int64)
+        own[found] = owners[rows[found]]
         outside = np.flatnonzero(own < 0)
         if outside.size and self._proxy_owner:
             own[outside] = [self._proxy_owner.get(v, -1) for v in sources[outside].tolist()]
 
-        graph_ids = out_csr.ids_array()
-        rows, found = locate(graph_ids, sources)
         degree = np.zeros(sources.size, dtype=np.int64)
         degree[found] = out_csr.out_degree[rows[found]]
         slots = expand_edges(out_csr.offsets[rows], degree, int(degree.sum()))
         position = np.repeat(np.arange(sources.size), degree)
         targets = graph_ids[out_csr.targets[slots]]
-        cross = (own[position] < 0) | (own[position] != self._owners(targets))
+        cross = (own[position] < 0) | (own[position] != owners[out_csr.targets[slots]])
         if self._rewired_counts and cross.any():
             pairs = zip(sources[position[cross]].tolist(), targets[cross].tolist())
             cross[cross] = [pair not in self._rewired_counts for pair in pairs]
@@ -742,17 +764,17 @@ class LayeredGraph:
         order = np.lexsort((segment, position))
         return position[order], targets[order], factors[order]
 
-    def _owners(self, vertices: np.ndarray) -> np.ndarray:
-        """The subgraph index of each of ``vertices`` (-1: in none)."""
-        if self._owner_arrays is None:
+    def _owners_by_row(self, ids: np.ndarray) -> np.ndarray:
+        """The subgraph index of each of the ascending ``ids`` (-1: in
+        none); every member is one of them."""
+        if self._owner_rows is None or self._owner_rows[0] is not ids:
             members = np.fromiter(self.subgraph_of, np.int64, count=len(self.subgraph_of))
-            owners = np.fromiter(self.subgraph_of.values(), np.int64, count=len(members))
-            order = np.argsort(members)
-            # the trailing -1 keeps the gather valid when there is no member
-            self._owner_arrays = (members[order], np.append(owners[order], -1))
-        members, owners = self._owner_arrays
-        position, found = locate(members, vertices)
-        return np.where(found, owners[position], -1)
+            owners = np.full(ids.size, -1, dtype=np.int64)
+            owners[np.searchsorted(ids, members)] = np.fromiter(
+                self.subgraph_of.values(), np.int64, count=members.size
+            )
+            self._owner_rows = (ids, owners)
+        return self._owner_rows[1]
 
     def upper_csr(self) -> FactorCSR:
         """The upper layer: its compiled out-CSR over the graph's vertices
@@ -774,7 +796,7 @@ class LayeredGraph:
             if index is not None:
                 self.subgraphs[index].members.discard(vertex)
                 affected.add(index)
-                self._owner_arrays = None
+                self._owner_rows = None
         return affected
 
     def affected_subgraphs(self, touched_vertices: Set[int]) -> Set[int]:

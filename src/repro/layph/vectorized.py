@@ -174,6 +174,8 @@ def assign_accumulative_batch(
     if not deltas:
         return
     boundary, offsets, counts, targets, factors = stack.rows(indices)
+    if not boundary.size:  # every assigned subgraph lost its boundary
+        return
     order = np.argsort(boundary)
     positions, found = locate(boundary[order], np.fromiter(deltas, np.int64, count=len(deltas)))
     rows = order[positions]

@@ -33,6 +33,21 @@ class TestGraphDelta:
         assert returned is base_graph
         assert not base_graph.has_edge(1, 2)
 
+    def test_apply_in_place_on_a_copy_leaves_the_original(self, base_graph):
+        # the copy shares the original's rows until it writes them
+        before = base_graph.edge_list()
+        clone = base_graph.copy()
+        delta = GraphDelta()
+        delta.delete_edge(1, 2)
+        delta.add_edge(2, 0, 7.0)
+        delta.add_edge(0, 3, 1.0)
+        delta.delete_vertex(0)
+        assert delta.apply(clone, in_place=True) is clone
+        assert base_graph.edge_list() == before
+        assert base_graph.in_neighbors(0) == {2: 3.0}
+        # vertex updates run first: 0 goes with its edges, then comes back
+        assert sorted(clone.edge_list()) == [(0, 3, 1.0), (2, 0, 7.0)]
+
     def test_deleting_missing_edge_is_noop(self, base_graph):
         delta = GraphDelta()
         delta.delete_edge(0, 2)

@@ -31,7 +31,7 @@ from repro.graph.delta import GraphDelta
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.footprint import DeltaFootprint
 from repro.graph.graph import Graph
-from repro.incremental import base
+from repro.incremental import base, make_engine
 from repro.incremental.revision import changed_out_sources
 from repro.workloads.updates import random_edge_delta, random_vertex_delta
 
@@ -327,3 +327,37 @@ class TestEveryEngineInstallsTheFootprint:
             assert footprint.touched_vertices == delta.touched_vertices(current)
             assert footprint.touched_sources == delta.touched_sources(current)
             current = following
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize(
+    "engine_name, algorithm", [("ingress", "sssp"), ("ingress", "pagerank"), ("layph", "bfs"), ("layph", "php")]
+)
+def test_old_graphs_keep_their_rows(engine_name, algorithm, directed):
+    """``Graph.copy`` shares rows until they are written, so each delta's
+    new graph shares most rows with its old one: after every delta the
+    footprint's old graph, and the old graphs of the deltas before it,
+    still hold their pre-delta out- and in-rows."""
+    graph = erdos_renyi_graph(30, 90, weighted=True, seed=4)
+    if not directed:
+        graph = Graph.from_edges(graph.edges(), directed=False)
+    engine = make_engine(engine_name, make_algorithm(algorithm, source=0))
+    engine.initialize(graph.copy())
+    kept = []
+    for step in range(6):
+        old = engine.graph
+        if step % 2:
+            delta = random_edge_delta(old, 3, 3, seed=step, protect=0)
+        else:
+            delta = random_vertex_delta(old, 2, 2, seed=step, protect=0)
+        rows = {v: (dict(old.out_neighbors(v)), dict(old.in_neighbors(v))) for v in old.vertices()}
+        kept.append((old, old.edge_list(), rows))
+        engine.apply_delta(delta)
+        assert engine.footprint.old_graph is old
+        assert engine.graph is not old
+        for graph_before, edges, rows in kept:
+            assert graph_before.edge_list() == edges
+            assert {
+                v: (dict(graph_before.out_neighbors(v)), dict(graph_before.in_neighbors(v)))
+                for v in graph_before.vertices()
+            } == rows

@@ -1,6 +1,9 @@
 """Unit tests for the core Graph structure."""
 
+import copy
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.graph.graph import Edge, Graph
 
@@ -150,6 +153,114 @@ class TestGraphBasics:
         edges = [(0, 1, 1.5), (1, 2, 2.5)]
         graph = Graph.from_edges(edges)
         assert sorted(graph.edge_list()) == sorted(edges)
+
+
+VERTICES = st.integers(0, 5)
+WEIGHTS = st.integers(1, 4).map(float)
+#: one step: ``(operation, graph pick, vertex, vertex, weight)``
+STEPS = st.tuples(
+    st.sampled_from(
+        ["add_vertex", "remove_vertex", "add_edge", "remove_edge", "update_edge_weight", "copy"]
+    ),
+    st.integers(0, 7),
+    VERTICES,
+    VERTICES,
+    WEIGHTS,
+)
+
+
+class _Model:
+    """A dict-of-dicts graph: ``out``/``into`` rows in insertion order."""
+
+    def __init__(self, directed):
+        self.directed = directed
+        self.out, self.into = {}, {}
+
+    def add_vertex(self, vertex):
+        self.out.setdefault(vertex, {})
+        self.into.setdefault(vertex, {})
+
+    def _links(self, source, target):
+        yield source, target
+        if not self.directed and source != target:
+            yield target, source
+
+    def set_weight(self, source, target, weight):
+        for s, t in self._links(source, target):
+            self.out[s][t] = weight
+            self.into[t][s] = weight
+
+    def remove_edge(self, source, target):
+        for s, t in self._links(source, target):
+            del self.out[s][t]
+            del self.into[t][s]
+
+    def remove_vertex(self, vertex):
+        for target in list(self.out[vertex]):
+            self.remove_edge(vertex, target)
+        for source in list(self.into[vertex]):
+            self.remove_edge(source, vertex)
+        del self.out[vertex], self.into[vertex]
+
+
+def _apply_step(graph, model, operation, first, second, weight):
+    """One operation on a graph and its model (invalid ones are skipped)."""
+    if operation == "add_vertex":
+        graph.add_vertex(first)
+        model.add_vertex(first)
+    elif operation == "remove_vertex" and first in model.out:
+        graph.remove_vertex(first)
+        model.remove_vertex(first)
+    elif operation == "add_edge":
+        graph.add_edge(first, second, weight)
+        model.add_vertex(first)
+        model.add_vertex(second)
+        model.set_weight(first, second, weight)
+    elif operation == "remove_edge" and second in model.out.get(first, ()):
+        graph.remove_edge(first, second)
+        model.remove_edge(first, second)
+    elif operation == "update_edge_weight" and second in model.out.get(first, ()):
+        graph.update_edge_weight(first, second, weight)
+        model.set_weight(first, second, weight)
+
+
+def _assert_matches(graph, model):
+    """Same vertices, and every row with the same links in the same order."""
+    assert list(graph.vertices()) == list(model.out)
+    for vertex in model.out:
+        assert list(graph.out_neighbors(vertex).items()) == list(model.out[vertex].items())
+        assert list(graph.in_neighbors(vertex).items()) == list(model.into[vertex].items())
+    assert graph.num_edges() == sum(len(row) for row in model.out.values())
+
+
+class TestCopyOnWrite:
+    """A copy shares its rows with the original until either writes one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(directed=st.booleans(), steps=st.lists(STEPS, max_size=40))
+    def test_graphs_and_copies_match_their_models(self, directed, steps):
+        graphs, models = [Graph(directed=directed)], [_Model(directed)]
+        for operation, pick, first, second, weight in steps:
+            pick %= len(graphs)
+            if operation == "copy":
+                graphs.append(graphs[pick].copy())
+                models.append(copy.deepcopy(models[pick]))
+            else:
+                _apply_step(graphs[pick], models[pick], operation, first, second, weight)
+            for graph, model in zip(graphs, models):
+                _assert_matches(graph, model)
+
+    def test_copy_shares_rows_until_written(self):
+        graph = Graph.from_edges([(0, 1, 1.0), (1, 2, 2.0)])
+        clone = graph.copy()
+        assert clone.out_neighbors(1) is graph.out_neighbors(1)
+        clone.add_edge(1, 3, 4.0)
+        assert clone.out_neighbors(1) is not graph.out_neighbors(1)
+        assert graph.out_neighbors(1) == {2: 2.0}
+        # the original clones too: its rows are shared with the copy
+        graph.update_edge_weight(0, 1, 5.0)
+        assert clone.edge_weight(0, 1) == 1.0
+        assert clone.in_neighbors(1) == {0: 1.0}
 
 
 class TestEdge:

@@ -189,6 +189,30 @@ class TestVertexDeletionInvalidates:
         assert_exact_skeleton(restored)
 
 
+@pytest.mark.parametrize("algorithm", ["pagerank", "php"])
+def test_subgraph_that_lost_its_last_boundary_vertex_is_assigned(algorithm):
+    """Regression: phase 4's accumulative push indexed an empty shortcut
+    stack (``IndexError``) once every assigned subgraph had lost its last
+    boundary vertex.  The path 0-1-2 is one dense subgraph; vertex 3 makes
+    1 its boundary, and deleting 1 leaves it none."""
+    spec = make_algorithm(algorithm, source=0)
+    engine = LayphEngine(spec)
+    engine.initialize(Graph.from_edges([(0, 1, 1.0), (1, 2, 1.0)], directed=False))
+    assert len(engine.layered.subgraphs) == 1
+    grow = GraphDelta()
+    grow.add_vertex(3, [(3, 1, 2.0)])
+    engine.apply_delta(grow)
+    assert engine.layered.subgraphs[0].boundary == {1}
+    engine.apply_delta(GraphDelta())
+    cut = GraphDelta()
+    cut.delete_vertex(1)
+    result = engine.apply_delta(cut)
+    assert not engine.layered.subgraphs[0].boundary
+    reference = run_batch(spec, engine.graph).states
+    assert set(result.states) == set(reference)
+    assert states_close(result.states, reference, tolerance=1e-3)
+
+
 class TestLayphInternals:
     def test_offline_preprocessing_is_recorded(self, graph):
         engine = LayphEngine(make_algorithm("sssp"), LayphConfig(seed=4))

@@ -272,11 +272,16 @@ class TestResidentUpperCSR:
         assert states[source] == 0.0
         assert layered.upper_csr() is resident
 
-    def test_universe_outside_the_id_space_compiles_a_copy(self, community_graph_small):
+    def test_a_vertex_outside_the_id_space_raises(self, community_graph_small):
+        """The view serves its snapshot unchecked (the id space is the
+        graph's vertices and the proxies); a slab that names a vertex
+        outside it fails loudly, and the view compiles to the snapshot."""
         layered = self._layered(community_graph_small)
         resident = layered.upper_csr()
         view = layered.upper_adjacency
-        assert view.compiled_csr({-12345}) is None
+        assert view.compiled_csr({-12345}) is resident
+        with pytest.raises(KeyError):
+            propagate(layered.spec, view, {}, {-12345: 0.0}, owned=layered.upper_vertices)
         copy = FactorCSR.from_factor_adjacency(view, universe=set(resident.vertex_ids))
         assert copy.vertex_ids == resident.vertex_ids
         assert np.array_equal(copy.offsets, resident.offsets)

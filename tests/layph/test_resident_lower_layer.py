@@ -33,7 +33,11 @@ from repro.graph.generators import community_graph
 from repro.layph.layered_graph import LayeredGraph, LayphConfig
 from repro.storage.store import restore_engine
 
-from oracles.layph import changed_local_sources, rebuild_subgraph  # noqa: E402  (tests/layph)
+from oracles.layph import (  # noqa: E402  (tests/layph)
+    changed_local_sources,
+    compute_all_shortcuts,
+    rebuild_subgraph,
+)
 from oracles import ROUTES, engine_on_route, oracle_run_batch  # noqa: E402  (tests/)
 
 ALGORITHMS = ["sssp", "bfs", "pagerank", "php"]
@@ -196,6 +200,58 @@ def _assert_proxy_rows_current(layered):
             assert subgraph.local_adjacency(proxy) == want
 
 
+def _dense(vectors, sources, columns):
+    """``{source: {target: weight}}`` as a ``sources × columns`` block."""
+    index = {vertex: column for column, vertex in enumerate(columns)}
+    block = np.full((len(sources), len(columns)), np.inf)
+    for row, source in enumerate(sources):
+        for target, weight in vectors.get(source, {}).items():
+            block[row, index[target]] = weight
+    return block
+
+
+def _boundary_closure(block, sources, columns):
+    """The min-plus closure of a min/+ table over boundary hops: every
+    source's best route to every column through any chain of shortcuts
+    between boundary vertices (the routes the upper layer composes)."""
+    hops = block[:, [columns.index(source) for source in sources]]
+    np.fill_diagonal(hops, 0.0)
+    for middle in range(len(sources)):
+        hops = np.minimum(hops, hops[:, middle : middle + 1] + hops[middle : middle + 1, :])
+    return np.min(hops[:, :, None] + block[None, :, :], axis=1)
+
+
+def _assert_tables_match_a_rebuild(spec, subgraph):
+    """The subgraph's table against a from-scratch solve of its boundary.
+
+    SSSP's is bitwise the rebuild's.  A sum/mul row kept from an earlier
+    closed-form solve differs from the rebuild's by that solve's roundoff
+    only.  BFS keeps its rows across boundary gains, so a row may hold
+    entries through a vertex that absorbs now: it is entrywise at most the
+    rebuild's, and the two closures over boundary hops are equal.
+    """
+    have = subgraph.shortcuts.vectors()
+    fresh = compute_all_shortcuts(spec, subgraph.local_adjacency, subgraph.boundary)
+    label = f"subgraph {subgraph.index}"
+    assert have.keys() == fresh.keys(), label
+    if spec.name == "sssp":
+        assert {s: _state_bits(r) for s, r in have.items()} == {
+            s: _state_bits(r) for s, r in fresh.items()
+        }, label
+    elif not spec.is_selective():
+        for source, row in fresh.items():
+            assert row.keys() == have[source].keys(), label
+            assert all(abs(have[source][t] - w) <= 1e-12 for t, w in row.items()), label
+    else:
+        sources = sorted(fresh)
+        columns = sorted(set(sources).union(*have.values(), *fresh.values()))
+        kept, rebuilt = _dense(have, sources, columns), _dense(fresh, sources, columns)
+        assert (kept <= rebuilt).all(), label
+        assert np.array_equal(
+            _boundary_closure(kept, sources, columns), _boundary_closure(rebuilt, sources, columns)
+        ), label
+
+
 @pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_every_refresh_matches_a_whole_subgraph_rebuild(monkeypatch, algorithm, route):
@@ -253,6 +309,8 @@ def test_every_refresh_matches_a_whole_subgraph_rebuild(monkeypatch, algorithm, 
     for step in range(NUM_DELTAS):
         result = engine.apply_delta(_next_delta(engine, step, rng))
         _assert_proxy_rows_current(engine.layered)
+        for subgraph in engine.layered.subgraphs:
+            _assert_tables_match_a_rebuild(spec, subgraph)
         reference = oracle_run_batch(spec, engine.graph).states
         assert spec.states_match(result.states, reference, tolerance=tolerance), f"delta {step}"
 

@@ -16,6 +16,7 @@ selective upload is pinned to a diff of two whole-layer flattens.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -283,13 +284,19 @@ def test_upper_diff_matches_whole_layer_flattens(monkeypatch):
 
 
 def _recorded_patches(monkeypatch):
-    """Every changed-link list ``patch_upper`` returns, in call order."""
+    """Every changed-link list ``patch_upper`` returns, in call order, as
+    ``(source, target, old, new)`` tuples with ``None`` where absent."""
     returned = []
     patch_upper = LayeredGraph.patch_upper
 
     def recording_patch(self, *args, **kwargs):
         changed = patch_upper(self, *args, **kwargs)
-        returned.append(changed)
+        returned.append(
+            [
+                (source, target, None if old == math.inf else old, None if new == math.inf else new)
+                for source, target, old, new in zip(*(column.tolist() for column in changed))
+            ]
+        )
         return changed
 
     monkeypatch.setattr(LayeredGraph, "patch_upper", recording_patch)

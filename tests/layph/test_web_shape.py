@@ -362,3 +362,67 @@ def test_upper_iteration_is_sized_by_the_skeleton(monkeypatch, workload):
         assert len(read) < 0.5 * num_vertices
         assert triggers == scans, f"delta {step}: the journal's trigger missed the scan's"
     assert changed_any, "no delta changed the skeleton"
+
+
+@pytest.mark.parametrize("algorithm", ["bfs", "sssp"])
+def test_bridge_deltas_keep_rows_across_boundary_gains(monkeypatch, algorithm):
+    """web-bfs-bridge's deltas turn internal vertices into boundary ones.
+    BFS's path sums are exact, so such a gain invalidates no shortcut row:
+    a refresh solves the rows of the vertices that joined the boundary and
+    of the old rows that reach a changed local row or a vertex that left
+    it, and nothing else, while the states stay bitwise equal to a batch
+    run.  SSSP re-solves every row a boundary change reaches (a kept row
+    would make its states depend on batching by an ulp) and stays within
+    the benchmark's tolerance."""
+    refreshes, solves = [], []
+    refresh = LayeredGraph._refresh_subgraph
+    stale = LayeredGraph._stale_shortcut_sources
+
+    def counted_refresh(self, subgraph, touched, batch, metrics):
+        old_boundary, old_table = subgraph.boundary, subgraph.shortcuts
+        reached = []
+
+        def recording_stale(changed_sources, old_shortcuts, before, after, *rest):
+            reached.append(set(changed_sources) | (before - after))
+            return stale(changed_sources, old_shortcuts, before, after, *rest)
+
+        queued = len(solves)
+        with monkeypatch.context() as patch:
+            patch.setattr(LayeredGraph, "_stale_shortcut_sources", staticmethod(recording_stale))
+            refresh(self, subgraph, touched, batch, metrics)
+        queued = len(solves) - queued
+        joined = subgraph.boundary - old_boundary
+        changed = reached[0] if reached and old_table else set()
+        index = old_table.index
+        columns = [index[vertex] for vertex in changed if vertex in index]
+        reaching = {
+            source
+            for source, row in old_table.rows.items()
+            if source in changed or (old_table.block[row, columns] != old_table.identity).any()
+        }
+        refreshes.append((queued, len(joined) + len(reaching & subgraph.boundary)))
+
+    monkeypatch.setattr(LayeredGraph, "_refresh_subgraph", counted_refresh)
+    solve = shortcuts_module.ShortcutBatch.solve
+
+    def counted_solve(self, block, source):
+        solves.append(source)
+        return solve(self, block, source)
+
+    monkeypatch.setattr(shortcuts_module.ShortcutBatch, "solve", counted_solve)
+    inputs = generate(WORKLOADS["web-bfs-bridge"], seed=7, num_events=BATCH_SIZE)
+    spec = make_algorithm(algorithm, source=0)
+    engine = LayphEngine(spec)
+    engine.initialize(inputs.graph)
+    gained = 0
+    for step, delta in enumerate(inputs.deltas[:10]):
+        del refreshes[:]
+        result = engine.apply_delta(delta)
+        reference = batch_reference(spec, engine.graph)
+        if algorithm == "bfs":
+            assert _bits(result.states) == _bits(reference), f"delta {step}"
+            assert all(queued <= bound for queued, bound in refreshes), f"delta {step} solved kept rows"
+            gained += any(queued for queued, _bound in refreshes)
+        else:
+            assert matches_batch(spec, result.states, reference), f"delta {step}"
+    assert algorithm == "sssp" or gained, "no delta moved a vertex onto a boundary"
